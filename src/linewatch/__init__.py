@@ -57,7 +57,6 @@ from .hydraulics import (
     TimeSeries,
     linepack,
     modeled_profile,
-    steady_state,
 )
 from .network import Grid, InstrumentPlacement, PipelineModel, Segment, discretize, elevation_at
 from .rtm import Discrepancy, LeakVerdict, RtmDetector, VotingPolicy, vote

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .telemetry import GOOD, TelemetryFrame
 
-__all__ = ["BalanceWindow", "accumulate", "balance_alarm", "imbalance_trend", "BalanceDetector"]
+__all__ = ["BalanceWindow", "accumulate", "balance_alarm", "BalanceDetector"]
 
 _MIN_GOOD_FRACTION = 0.9
 
@@ -83,21 +83,6 @@ def balance_alarm(window: BalanceWindow, threshold) -> bool:
     if threshold <= 0:
         raise ConfigurationError(f"balance threshold must be > 0, got {threshold}")
     return (not window.indeterminate) and window.imbalance > threshold
-
-
-def imbalance_trend(windows: Sequence[BalanceWindow]):
-    """Least-squares slope of window imbalance in kg/s.
-
-    A persistent positive trend at constant throughput is the classic
-    signature of meters diverging over a growing corrosion pit.  No
-    published threshold exists; compare against meter drift specs.
-    """
-    usable = [w for w in windows if not w.indeterminate]
-    if len(usable) < 2:
-        return None
-    t = np.array([0.5 * (w.start_time + w.end_time) for w in usable])
-    v = np.array([w.imbalance for w in usable])
-    return float(np.polyfit(t, v, 1)[0])
 
 
 def _integrate_meter(frames, times, instrument_id):

@@ -32,10 +32,8 @@ __all__ = [
     "MassLedgerEntry",
     "StepResult",
     "PipeFlowSolver",
-    "steady_state",
     "linepack",
     "modeled_profile",
-    "assert_eos_consistent",
 ]
 
 _FD_EPS = 1e-7           # relative finite-difference step for the Jacobian
@@ -175,13 +173,6 @@ def linepack(state: GridState, pipeline: PipelineModel):
 def modeled_profile(state: GridState, pipeline: PipelineModel):
     """Per-node (pressure Pa, mass flow kg/s) readout; pure projection."""
     return state.P.copy(), state.rho * state.V * pipeline.area
-
-
-def assert_eos_consistent(state: GridState, fluid: FluidModel, rtol=1e-8):
-    rho_eos = fluid.density(state.P, state.T)
-    err = np.max(np.abs(state.rho - rho_eos) / rho_eos)
-    if err > rtol:
-        raise InfeasibleStateError(f"state density deviates from EOS by {err:.3e} relative")
 
 
 class PipeFlowSolver:
@@ -586,8 +577,3 @@ class PipeFlowSolver:
         V = mdot / (rho * self.A)
         return self._pack(P, np.broadcast_to(V, P.shape), T)
 
-
-def steady_state(pipeline, fluid, grid, bc, settings=None, t=0.0, leaks=()):
-    """Convenience wrapper: build a solver and return its steady state."""
-    solver = PipeFlowSolver(pipeline, fluid, grid, settings or SolverSettings())
-    return solver.steady_state(bc, t=t, leaks=leaks)

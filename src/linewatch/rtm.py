@@ -157,7 +157,6 @@ def combined_verdict(rtm: LeakVerdict, balance_alarm_time=None):
     return {
         "declared": declared,
         "declared_time": min(times) if times else None,
-        "rtm": rtm,
         "balance_alarm_time": balance_alarm_time,
         "confirmed_by_balance": rtm.declared and balance_alarm_time is not None,
     }

@@ -40,29 +40,46 @@ from .telemetry import NoiseSpec, PlausibilityLimits, plausibility_filter, sampl
 
 __all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "run_scenario", "sweep"]
 
-_PRESSURE_UNITS = {"Pa": 1.0, "kPa": 1e3, "MPa": 1e6, "bar": 1e5, "psi": 6894.757293168}
-_LENGTH_UNITS = {"m": 1.0, "km": 1000.0}
+# SI (factor, offset) of each unit a scenario may declare under ``units:``;
+# the first unit of each dimension is the SI one.
+_UNITS = {
+    "pressure": {"Pa": (1.0, 0.0), "kPa": (1e3, 0.0), "MPa": (1e6, 0.0),
+                 "bar": (1e5, 0.0), "psi": (6894.757293168, 0.0)},
+    "length": {"m": (1.0, 0.0), "km": (1000.0, 0.0)},
+    "temperature": {"K": (1.0, 0.0), "degC": (1.0, 273.15)},
+}
+
+# Dimension of an instrument kind's readings, as (absolute value, difference).
+_READING_DIMS = {
+    "pressure": ("pressure", "pressure"),
+    "temperature": ("temperature", "temperature difference"),
+}
 
 
 class _Path:
-    """Field-path bookkeeping so config errors name the offending entry."""
+    """Field-path bookkeeping so config errors name the offending entry.
 
-    def __init__(self, raw, path=""):
+    ``units`` maps a field dimension to the (factor, offset) that takes a
+    value written in the scenario's declared units to SI.
+    """
+
+    def __init__(self, raw, path="", units=None):
         self.raw = raw
         self.path = path
+        self.units = units
 
     def child(self, key, default=None, required=False):
         if self.raw is None:
             if required:
                 raise ConfigurationError(f"{self._join(key)}: required field is missing")
-            return _Path(default, self._join(key))
+            return _Path(default, self._join(key), self.units)
         if not isinstance(self.raw, dict):
             raise ConfigurationError(f"{self.path or '<root>'}: expected a mapping")
         if key not in self.raw:
             if required:
                 raise ConfigurationError(f"{self._join(key)}: required field is missing")
-            return _Path(default, self._join(key))
-        return _Path(self.raw[key], self._join(key))
+            return _Path(default, self._join(key), self.units)
+        return _Path(self.raw[key], self._join(key), self.units)
 
     def get(self, key, default=None):
         child = self.child(key, default)
@@ -73,22 +90,52 @@ class _Path:
             return []
         if not isinstance(self.raw, (list, tuple)):
             raise ConfigurationError(f"{self.path}: expected a list")
-        return [_Path(v, f"{self.path}[{i}]") for i, v in enumerate(self.raw)]
+        return [_Path(v, f"{self.path}[{i}]", self.units) for i, v in enumerate(self.raw)]
 
-    def number(self, key, default=None, required=False):
-        v = self.child(key, default, required).raw
+    def number(self, key, default=None, required=False, dim=None):
+        """Field ``key`` as a float in SI; ``dim`` names its dimension.
+
+        ``dim`` is one of ``pressure``, ``length``, ``1/length``,
+        ``temperature`` (absolute, converted with its offset),
+        ``temperature difference`` (no offset) or None (always SI).
+        Defaults are SI and never converted.
+        """
+        v = self.child(key, None, required).raw
         if v is None:
             return default
         try:
-            return float(v)
+            v = float(v)
         except (TypeError, ValueError):
             raise ConfigurationError(f"{self._join(key)}: expected a number, got {v!r}")
+        return self.to_si(v, dim)
+
+    def to_si(self, value, dim):
+        if dim is None:
+            return value
+        factor, offset = self.units[dim]
+        return value * factor + offset
 
     def _join(self, key):
         return f"{self.path}.{key}" if self.path else str(key)
 
     def error(self, message):
         raise ConfigurationError(f"{self.path or '<root>'}: {message}")
+
+
+def _resolve_units(node):
+    """Conversion to SI for each field dimension, from the ``units`` section."""
+    si = {}
+    for dim, table in _UNITS.items():
+        unit = node.get(dim, next(iter(table)))
+        if not isinstance(unit, str) or unit not in table:
+            node.child(dim).error(f"unknown unit {unit!r} (expected one of {', '.join(table)})")
+        si[dim] = table[unit]
+    for key in node.raw or {}:
+        if key not in _UNITS:
+            node.child(key).error(f"not a unit dimension (expected one of {', '.join(_UNITS)})")
+    si["1/length"] = (1.0 / si["length"][0], 0.0)
+    si["temperature difference"] = (si["temperature"][0], 0.0)
+    return si
 
 
 @dataclass
@@ -172,8 +219,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     if config_hash is None:
         canonical = json.dumps(raw, sort_keys=True, default=str).encode()
         config_hash = hashlib.sha256(canonical).hexdigest()
-    raw = _convert_units(copy.deepcopy(raw))
-    root = _Path(raw)
+    root = _Path(raw, units=_resolve_units(_Path(raw).child("units")))
 
     name = str(root.get("name", "scenario"))
     seed = int(root.number("seed", 0))
@@ -184,7 +230,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     fluid = _parse_fluid(root.child("fluid", required=True))
     pipeline = _parse_pipeline(root.child("pipeline", required=True))
     instruments = _parse_instruments(root.child("instruments", required=True), pipeline)
-    bc = _parse_boundaries(root.child("boundaries", required=True), horizon)
+    bc = _parse_boundaries(root.child("boundaries", required=True))
     leaks = _parse_leaks(root.child("leaks"), pipeline, horizon)
 
     tele = root.child("telemetry")
@@ -195,7 +241,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
 
     sol = root.child("solver")
     dt = sol.number("dt", min(1.0, poll_interval))
-    target_dx = sol.number("target_dx", pipeline.length / 100.0)
+    target_dx = sol.number("target_dx", pipeline.length / 100.0, dim="length")
     plant_settings = SolverSettings(
         dt=dt,
         theta=sol.number("theta", 0.6),
@@ -220,7 +266,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     out = root.child("output")
     return Scenario(
         name=name,
-        raw=raw,
+        raw=copy.deepcopy(raw),
         config_hash=config_hash,
         fluid=fluid,
         pipeline=pipeline,
@@ -242,79 +288,6 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     )
 
 
-def _convert_units(raw):
-    units = raw.get("units") or {}
-    if not units:
-        return raw
-    p_unit = units.get("pressure", "Pa")
-    l_unit = units.get("length", "m")
-    t_unit = units.get("temperature", "K")
-    if p_unit not in _PRESSURE_UNITS:
-        raise ConfigurationError(f"units.pressure: unknown unit {p_unit!r}")
-    if l_unit not in _LENGTH_UNITS:
-        raise ConfigurationError(f"units.length: unknown unit {l_unit!r}")
-    if t_unit not in ("K", "degC"):
-        raise ConfigurationError(f"units.temperature: unknown unit {t_unit!r}")
-    pf, lf = _PRESSURE_UNITS[p_unit], _LENGTH_UNITS[l_unit]
-    t_off = 273.15 if t_unit == "degC" else 0.0
-
-    def scale(node, key, factor, offset=0.0):
-        if isinstance(node, dict) and node.get(key) is not None:
-            v = node[key]
-            if isinstance(v, list):
-                node[key] = [[tv, vv * factor + offset] for tv, vv in v]
-            else:
-                node[key] = v * factor + offset
-
-    fl = raw.get("fluid") or {}
-    scale(fl, "P0", pf)
-    scale(fl, "bulk_modulus", pf)
-    scale(fl, "T0", 1.0, t_off)
-    zr = fl.get("z_reference") or {}
-    scale(zr, "P", pf)
-    scale(zr, "T", 1.0, t_off)
-
-    pl = raw.get("pipeline") or {}
-    scale(pl, "length", lf)
-    scale(pl, "ground_temperature", 1.0, t_off)
-    if pl.get("elevation"):
-        pl["elevation"] = [[x * lf, h] for x, h in pl["elevation"]]
-    for seg in pl.get("segments") or []:
-        scale(seg, "start", lf)
-        scale(seg, "end", lf)
-
-    for inst in raw.get("instruments") or []:
-        scale(inst, "position", lf)
-
-    b = raw.get("boundaries") or {}
-    for end in ("inlet", "outlet"):
-        leg = b.get(end) or {}
-        if leg.get("kind") == "pressure":
-            scale(leg, "value", pf)
-            if isinstance(leg.get("series"), list):
-                leg["series"] = [[t, v * pf] for t, v in leg["series"]]
-    temp = b.get("temperature") or {}
-    scale(temp, "value", 1.0, t_off)
-    if isinstance(temp.get("series"), list):
-        temp["series"] = [[t, v + t_off] for t, v in temp["series"]]
-
-    for leak in raw.get("leaks") or []:
-        scale(leak, "position", lf)
-
-    r = raw.get("rtm") or {}
-    scale(r, "pressure_threshold", pf)
-
-    a = raw.get("acoustic") or {}
-    scale(a, "initial_amplitude", pf)
-    for s in a.get("sensors") or []:
-        scale(s, "position", lf)
-        scale(s, "threshold", pf)
-
-    sv = raw.get("solver") or {}
-    scale(sv, "target_dx", lf)
-    return raw
-
-
 def _parse_fluid(node):
     kind = node.get("kind")
     if kind not in ("liquid", "gas"):
@@ -322,22 +295,22 @@ def _parse_fluid(node):
     if kind == "liquid":
         eos = LiquidEos(
             rho0=node.number("rho0", required=True),
-            P0=node.number("P0", 0.0),
-            T0=node.number("T0", 288.15),
-            B=node.number("bulk_modulus", required=True),
+            P0=node.number("P0", 0.0, dim="pressure"),
+            T0=node.number("T0", 288.15, dim="temperature"),
+            B=node.number("bulk_modulus", required=True, dim="pressure"),
             alpha=node.number("alpha", 0.0),
         )
     else:
         zr = node.child("z_reference")
         crit = dict(
-            critical_pressure=node.number("critical_pressure"),
-            critical_temperature=node.number("critical_temperature"),
+            critical_pressure=node.number("critical_pressure", dim="pressure"),
+            critical_temperature=node.number("critical_temperature", dim="temperature"),
         )
         if zr.raw is not None:
             eos = GasEos.from_z_reference(
                 R=node.number("R", required=True),
-                P_ref=zr.number("P", required=True),
-                T_ref=zr.number("T", required=True),
+                P_ref=zr.number("P", required=True, dim="pressure"),
+                T_ref=zr.number("T", required=True, dim="temperature"),
                 Z_ref=zr.number("Z", required=True),
                 y=node.number("y", 1.0),
                 **crit,
@@ -360,11 +333,11 @@ def _parse_fluid(node):
 def _parse_pipeline(node):
     elevation = node.get("elevation")
     if elevation is not None:
-        elevation = tuple((float(x), float(h)) for x, h in elevation)
+        elevation = tuple((node.to_si(float(x), "length"), float(h)) for x, h in elevation)
     segments = tuple(
         Segment(
-            start=seg.number("start", required=True),
-            end=seg.number("end", required=True),
+            start=seg.number("start", required=True, dim="length"),
+            end=seg.number("end", required=True, dim="length"),
             friction_factor=seg.number("friction_factor"),
             U=seg.number("U"),
             diameter=seg.number("diameter"),
@@ -372,12 +345,12 @@ def _parse_pipeline(node):
         for seg in node.child("segments").items()
     )
     return PipelineModel(
-        length=node.number("length", required=True),
+        length=node.number("length", required=True, dim="length"),
         diameter=node.number("diameter", required=True),
         friction_factor=node.number("friction_factor", required=True),
         elevation_profile=elevation,
         U=node.number("U", 0.0),
-        Tg=node.number("ground_temperature", 288.15),
+        Tg=node.number("ground_temperature", 288.15, dim="temperature"),
         segments=segments,
     )
 
@@ -385,12 +358,14 @@ def _parse_pipeline(node):
 def _parse_instruments(node, pipeline):
     instruments = []
     for item in node.items():
+        kind = str(item.child("kind", required=True).raw)
+        _, diff = _READING_DIMS.get(kind, (None, None))
         inst = InstrumentPlacement(
             id=str(item.child("id", required=True).raw),
-            kind=str(item.child("kind", required=True).raw),
-            position=item.number("position", required=True),
-            noise_sigma=item.number("sigma", 0.0),
-            bias=item.number("bias", 0.0),
+            kind=kind,
+            position=item.number("position", required=True, dim="length"),
+            noise_sigma=item.number("sigma", 0.0, dim=diff),
+            bias=item.number("bias", 0.0, dim=diff),
             dropout_prob=item.number("dropout", 0.0),
         )
         if not 0.0 <= inst.position <= pipeline.length:
@@ -402,29 +377,29 @@ def _parse_instruments(node, pipeline):
     return instruments
 
 
-def _series_from(node, horizon):
+def _series_from(node, dim):
     if node.get("series") is not None:
         pts = node.get("series")
         # TimeSeries holds its end values constant outside the sampled
         # range, so a series need not reach the horizon.
-        return TimeSeries([float(t) for t, _ in pts], [float(v) for _, v in pts])
-    value = node.number("value", required=True)
+        return TimeSeries([float(t) for t, _ in pts], [node.to_si(float(v), dim) for _, v in pts])
+    value = node.number("value", required=True, dim=dim)
     return TimeSeries.constant(value)
 
 
-def _parse_boundaries(node, horizon):
+def _parse_boundaries(node):
     def leg(end):
         child = node.child(end, required=True)
         kind = child.get("kind")
         if kind not in ("pressure", "flow"):
             child.error("kind must be 'pressure' or 'flow'")
-        return BoundaryLeg(kind, _series_from(child, horizon))
+        return BoundaryLeg(kind, _series_from(child, "pressure" if kind == "pressure" else None))
 
     temp_node = node.child("temperature", required=True)
     return BoundaryConditions(
         inlet=leg("inlet"),
         outlet=leg("outlet"),
-        temperature=_series_from(temp_node, horizon),
+        temperature=_series_from(temp_node, "temperature"),
         temperature_end=node.get("temperature_end", "inlet"),
     )
 
@@ -433,7 +408,7 @@ def _parse_leaks(node, pipeline, horizon):
     leaks = []
     for item in node.items():
         leak = LeakEvent(
-            position=item.number("position", required=True),
+            position=item.number("position", required=True, dim="length"),
             start_time=item.number("start_time", required=True),
             mass_rate=item.number("mass_rate", required=True),
         )
@@ -456,10 +431,11 @@ def _parse_plausibility(node):
         if child.raw is None:
             continue
         flat = child.number("flatline_polls")
+        value, diff = _READING_DIMS.get(kind, (None, None))
         limits[kind] = PlausibilityLimits(
-            min_value=child.number("min", -np.inf),
-            max_value=child.number("max", np.inf),
-            max_rate=child.number("max_rate", np.inf),
+            min_value=child.number("min", -np.inf, dim=value),
+            max_value=child.number("max", np.inf, dim=value),
+            max_rate=child.number("max_rate", np.inf, dim=diff),
             flatline_polls=int(flat) if flat else None,
         )
     return limits
@@ -474,7 +450,7 @@ def _parse_rtm(node, instruments):
             k: v
             for k, v in {
                 "flow_threshold": node.number("flow_threshold"),
-                "pressure_threshold": node.number("pressure_threshold"),
+                "pressure_threshold": node.number("pressure_threshold", dim="pressure"),
                 "consecutive_required": _maybe_int(node.number("consecutive_polls")),
                 "min_indicators": _maybe_int(node.number("min_indicators")),
                 "smoothing_polls": _maybe_int(node.number("smoothing_polls")),
@@ -527,8 +503,8 @@ def _parse_acoustic(node, fluid, pipeline):
         sensors.append(
             ac.AcousticSensor(
                 id=str(item.child("id", required=True).raw),
-                position=item.number("position", required=True),
-                trigger_threshold=item.number("threshold", required=True),
+                position=item.number("position", required=True, dim="length"),
+                trigger_threshold=item.number("threshold", required=True, dim="pressure"),
                 timestamp_resolution=item.number("resolution", 0.0),
             )
         )
@@ -536,12 +512,12 @@ def _parse_acoustic(node, fluid, pipeline):
             item.error("sensor position outside the line")
     wave = ac.WaveModel(
         speed=node.number("speed", fluid.sound_speed_hint),
-        attenuation=node.number("attenuation", 0.0),
+        attenuation=node.number("attenuation", 0.0, dim="1/length"),
     )
     return {
         "sensors": sensors,
         "wave": wave,
-        "initial_amplitude": node.number("initial_amplitude", required=True),
+        "initial_amplitude": node.number("initial_amplitude", required=True, dim="pressure"),
     }
 
 
@@ -725,12 +701,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
         combined = combined_verdict(
             rtm_det.verdict, bal_det.first_alarm_time if bal_det else None
         )
-        combined = {
-            "declared": combined["declared"],
-            "declared_time": combined["declared_time"],
-            "balance_alarm_time": combined["balance_alarm_time"],
-            "confirmed_by_balance": combined["confirmed_by_balance"],
-        }
 
     metrics = _metrics(s, rtm_report, balance_report, acoustic_report)
 

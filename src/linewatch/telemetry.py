@@ -63,9 +63,6 @@ class NoiseSpec:
         self.rng_seed = int(rng_seed)
         self._rng = np.random.default_rng(self.rng_seed)
 
-    def reset(self):
-        self._rng = np.random.default_rng(self.rng_seed)
-
     def draw(self):
         # One (uniform, normal) pair per instrument per poll, always drawn
         # so the stream is stable under sigma/dropout edits.

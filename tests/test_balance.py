@@ -6,7 +6,6 @@ from linewatch.balance import (
     BalanceWindow,
     accumulate,
     balance_alarm,
-    imbalance_trend,
 )
 from linewatch.errors import ConfigurationError
 from linewatch.telemetry import GOOD, MISSING, Reading, TelemetryFrame
@@ -132,18 +131,6 @@ class TestDetectorAndTrend:
             det.observe(frame, 1000.0)
         assert len(det.windows) == 2
         assert det.windows[0].end_time == det.windows[1].start_time == 60.0
-
-    def test_trend_recovers_drift(self):
-        windows = [
-            BalanceWindow(3600.0 * k, 3600.0 * (k + 1), 100.0, 100.0, 0.0,
-                          5.0 + 2.0 * k, False, 1.0, "model")
-            for k in range(10)
-        ]
-        slope = imbalance_trend(windows)
-        assert slope == pytest.approx(2.0 / 3600.0, rel=1e-9)
-
-    def test_trend_needs_two_windows(self):
-        assert imbalance_trend([]) is None
 
 
 class TestSuspendedShadow:

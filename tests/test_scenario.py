@@ -1,10 +1,14 @@
+import copy
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
+import linewatch.scenario as scenario_module
 from conftest import set_noise_scale, standard_config
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError
@@ -94,6 +98,169 @@ class TestParsing:
         cfg["boundaries"]["outlet"]["value"] = 5.0e6
         s = scenario_from_dict(cfg)
         assert s.fluid.is_gas and s.fluid.eos.k > 0
+
+
+_PRESSURE_SI = {"Pa": 1.0, "kPa": 1e3, "MPa": 1e6, "bar": 1e5, "psi": 6894.757293168}
+_LENGTH_SI = {"m": 1.0, "km": 1e3}
+_KELVIN_AT_ZERO = {"K": 0.0, "degC": 273.15}
+
+_PLAUSIBILITY = {
+    "pressure": {"min": 0.0, "max": 5.0e6, "max_rate": 1.0e5},
+    "flow": {"min": -150.0, "max": 150.0, "max_rate": 50.0},
+    "temperature": {"min": 200.0, "max": 400.0, "max_rate": 2.0},
+}
+
+
+def _in_units(si_cfg, pressure, length, temperature):
+    """Re-express an SI scenario dict in the given units, field by field."""
+    cfg = copy.deepcopy(si_cfg)
+    cfg["units"] = {"pressure": pressure, "length": length, "temperature": temperature}
+    p = lambda v: v / _PRESSURE_SI[pressure]
+    m = lambda v: v / _LENGTH_SI[length]
+    k = lambda v: v - _KELVIN_AT_ZERO[temperature]
+
+    def conv(node, f, *keys):
+        for key in keys:
+            if key in node:
+                node[key] = f(node[key])
+
+    def value_or_series(node, f):
+        conv(node, f, "value")
+        if "series" in node:
+            node["series"] = [[t, f(v)] for t, v in node["series"]]
+
+    fl = cfg["fluid"]
+    conv(fl, p, "P0", "bulk_modulus", "critical_pressure")
+    conv(fl, k, "T0", "critical_temperature")
+    conv(fl.get("z_reference", {}), p, "P")
+    conv(fl.get("z_reference", {}), k, "T")
+    pl = cfg["pipeline"]
+    conv(pl, m, "length")
+    conv(pl, k, "ground_temperature")
+    if "elevation" in pl:
+        pl["elevation"] = [[m(x), h] for x, h in pl["elevation"]]
+    for seg in pl.get("segments", []):
+        conv(seg, m, "start", "end")
+    for inst in cfg["instruments"]:
+        conv(inst, m, "position")
+        if inst["kind"] == "pressure":
+            conv(inst, p, "sigma", "bias")
+    for end in ("inlet", "outlet"):
+        leg = cfg["boundaries"][end]
+        value_or_series(leg, p if leg["kind"] == "pressure" else float)
+    value_or_series(cfg["boundaries"]["temperature"], k)
+    for leak in cfg["leaks"]:
+        conv(leak, m, "position")
+    plaus = cfg["telemetry"].get("plausibility", {})
+    conv(plaus.get("pressure", {}), p, "min", "max", "max_rate")
+    conv(plaus.get("temperature", {}), k, "min", "max")
+    conv(cfg["rtm"], p, "pressure_threshold")
+    ac = cfg["acoustic"]
+    conv(ac, p, "initial_amplitude")
+    conv(ac, lambda v: v * _LENGTH_SI[length], "attenuation")
+    for sensor in ac["sensors"]:
+        conv(sensor, m, "position")
+        conv(sensor, p, "threshold")
+    conv(cfg["solver"], m, "target_dx")
+    return cfg
+
+
+def _every_dimension_config(gas, explicit_pressure_threshold):
+    cfg = standard_config()
+    if gas:
+        cfg["fluid"] = {
+            "kind": "gas", "R": 500.0, "y": 1.0,
+            "z_reference": {"P": 5.0e6, "T": 300.0, "Z": 0.9},
+            "critical_pressure": 4.6e6, "critical_temperature": 190.6,
+            "specific_heat": 2200.0, "sound_speed": 380.0,
+        }
+        cfg["boundaries"]["inlet"]["value"] = 6.0e6
+        cfg["boundaries"]["outlet"] = {"kind": "pressure", "series": [[0.0, 5.0e6], [300.0, 4.9e6]]}
+    else:
+        cfg["boundaries"]["outlet"] = {"kind": "pressure", "series": [[0.0, 6.7e5], [300.0, 6.5e5]]}
+    cfg["pipeline"]["elevation"] = [[0.0, 0.0], [4000.0, 12.0], [10000.0, 5.0]]
+    cfg["pipeline"]["segments"] = [
+        {"start": 2000.0, "end": 3000.0, "friction_factor": 0.03, "diameter": 0.3, "U": 1.5}]
+    bias = {"flow": 0.05, "pressure": 300.0, "temperature": 0.02}
+    for inst in cfg["instruments"]:
+        inst["bias"] = bias[inst["kind"]]
+    cfg["boundaries"]["temperature"] = {"series": [[0.0, 300.0], [600.0, 301.5]]}
+    cfg["telemetry"]["plausibility"] = copy.deepcopy(_PLAUSIBILITY)
+    if not explicit_pressure_threshold:
+        del cfg["rtm"]["pressure_threshold"]  # defaults to 3x the pressure sigma
+    cfg["acoustic"]["speed"] = 1400.0
+    return cfg
+
+
+def _assert_same_si(path, expected, actual):
+    if isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), path
+    elif isinstance(expected, np.ndarray):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0, err_msg=path)
+    elif isinstance(expected, dict):
+        assert sorted(expected) == sorted(actual), path
+        for key in expected:
+            _assert_same_si(f"{path}.{key}", expected[key], actual[key])
+    elif isinstance(expected, (list, tuple)):
+        assert len(expected) == len(actual), path
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            _assert_same_si(f"{path}[{i}]", e, a)
+    elif hasattr(expected, "__dict__"):
+        assert type(expected) is type(actual), path
+        _assert_same_si(path, vars(expected), vars(actual))
+    else:
+        assert expected == actual, path
+
+
+class TestUnits:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pressure=st.sampled_from(sorted(_PRESSURE_SI)),
+        length=st.sampled_from(sorted(_LENGTH_SI)),
+        temperature=st.sampled_from(sorted(_KELVIN_AT_ZERO)),
+        gas=st.booleans(),
+        explicit_pressure_threshold=st.booleans(),
+    )
+    def test_declared_units_parse_to_the_same_si_scenario(
+            self, pressure, length, temperature, gas, explicit_pressure_threshold):
+        si_cfg = _every_dimension_config(gas, explicit_pressure_threshold)
+        si = vars(scenario_from_dict(si_cfg))
+        declared = vars(scenario_from_dict(_in_units(si_cfg, pressure, length, temperature)))
+        for name in ("raw", "config_hash"):
+            del si[name], declared[name]
+        _assert_same_si("scenario", si, declared)
+
+    @pytest.mark.parametrize("units, match", [
+        ({"presure": "bar"}, r"units\.presure"),
+        ({"pressure": "atm"}, r"units\.pressure: unknown unit 'atm'"),
+        ("bar", r"units: expected a mapping"),
+    ])
+    def test_bad_units_section_names_path(self, units, match):
+        with pytest.raises(ConfigurationError, match=match):
+            scenario_from_dict(standard_config(units=units))
+
+    def test_raw_reparses_and_sweeps_in_declared_units(self, monkeypatch):
+        s = scenario_from_dict(_in_units(standard_config(horizon=130.0), "Pa", "km", "K"))
+        assert scenario_from_dict(s.raw).pipeline.length == 10000.0
+        swept = []
+        real_run = scenario_module.run_scenario
+        monkeypatch.setattr(scenario_module, "run_scenario",
+                            lambda sc: swept.append(sc) or real_run(sc))
+        rows = sweep(s.raw, {"leaks.0.position": [5.0]})
+        assert rows[0]["error"] is None
+        assert swept[0].leaks[0].position == 5000.0
+        assert swept[0].pipeline.length == 10000.0
+
+    def test_bar_km_degc_run_matches_si_run(self):
+        si_cfg = standard_config()
+        si_cfg["telemetry"]["plausibility"] = copy.deepcopy(_PLAUSIBILITY)
+        si = run_scenario(scenario_from_dict(si_cfg))
+        declared = run_scenario(scenario_from_dict(_in_units(si_cfg, "bar", "km", "degC")))
+        assert declared.rtm["declared_time"] == 185.0
+        assert all(r.quality == "good" for f in declared.frames for r in f.readings)
+        expected, actual = si.to_dict(), declared.to_dict()
+        expected["config_sha256"] = actual["config_sha256"] = "pinned"
+        _assert_same_structure("report", expected, actual)
 
 
 class TestRunning:
