@@ -84,6 +84,10 @@ class GasEos:
             raise ConfigurationError(f"unknown z_mode {self.z_mode!r}")
         if self.k < 0:
             raise ConfigurationError(f"Z-correlation constant k must be >= 0, got {self.k}")
+        if self.z_mode == "ideal" and self.k != 0:
+            raise ConfigurationError(
+                f"Z-correlation constant k={self.k} applies only with z_mode 'correlated'"
+            )
 
     @classmethod
     def from_z_reference(cls, R, P_ref, T_ref, Z_ref, y=1.0, **kwargs):
@@ -145,11 +149,7 @@ def density(fluid, P, T):
     _check_PT(P, T)
     P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
     T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
-    if isinstance(eos, LiquidEos):
-        rho = eos.rho0 * (1.0 + (P - eos.P0) / eos.B + eos.alpha * (T - eos.T0))
-    else:
-        z = compressibility_z(eos, P, T)
-        rho = P / (eos.R * z * T)
+    rho = raw_density(eos, P, T)
     if np.any(np.asarray(rho) <= 0):
         raise ParameterDomainError(
             f"non-positive density computed (min {np.min(rho):.6g} kg/m^3); "
@@ -180,7 +180,7 @@ def pressure_from_density(fluid, rho, T):
     P = rho * eos.R * T
     history = []
     for it in range(_MAX_INVERT_ITER):
-        g = _gas_density(eos, P, T) - rho
+        g = raw_density(eos, P, T) - rho
         dg = (1.0 + 2.0 * eos.k * P / T**eos.y) / (eos.R * T)
         step = -g / dg
         cap = 0.5 * np.maximum(np.abs(P), 1.0)
@@ -206,7 +206,7 @@ def dP_dT_const_density(fluid, P, T):
         return np.full_like(np.asarray(P, dtype=float), out) if np.ndim(P) else out
     P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
     T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
-    rho = _gas_density(eos, P, T)
+    rho = raw_density(eos, P, T)
     if eos.z_mode == "ideal":
         return rho * eos.R
     num = rho * eos.R + eos.y * eos.k * P**2 * T ** (-eos.y - 1.0)
@@ -251,8 +251,11 @@ def _eos_of(fluid):
     raise TypeError(f"expected FluidModel or EOS, got {type(fluid).__name__}")
 
 
-def _gas_density(eos, P, T):
-    # Forward gas density without the positivity guard (internal use).
+def raw_density(eos, P, T):
+    """EOS density without domain guards, for solver intermediates that
+    may stray (Newton's line search recovers from NaN/negative values)."""
+    if isinstance(eos, LiquidEos):
+        return eos.rho0 * (1.0 + (P - eos.P0) / eos.B + eos.alpha * (T - eos.T0))
     return P * (1.0 + eos.k * P / T**eos.y) / (eos.R * T)
 
 

@@ -19,7 +19,7 @@ from .errors import (
     InfeasibleStateError,
     SolverError,
 )
-from .fluid import FluidModel, LiquidEos, dP_dT_const_density
+from .fluid import FluidModel, dP_dT_const_density, raw_density
 from .network import GRAVITY, Grid, PipelineModel, elevation_at
 
 __all__ = [
@@ -283,7 +283,7 @@ class PipeFlowSolver:
         N = self.N
         P, V, T = u[0::3], u[1::3], u[2::3]
         with np.errstate(all="ignore"):
-            rho = self._density_raw(P, T)
+            rho = raw_density(self.fluid.eos, P, T)
 
             if steady:
                 th, invdt = 1.0, 0.0
@@ -366,14 +366,6 @@ class PipeFlowSolver:
             if bc.temperature_end == "outlet":
                 R[-1] = r_T
         return R
-
-    def _density_raw(self, P, T):
-        # EOS without domain guards; Newton intermediates may stray and the
-        # line search recovers from any resulting NaN/negative values.
-        eos = self.fluid.eos
-        if isinstance(eos, LiquidEos):
-            return eos.rho0 * (1.0 + (P - eos.P0) / eos.B + eos.alpha * (T - eos.T0))
-        return P * (1.0 + eos.k * P / T**eos.y) / (eos.R * T)
 
     # --------------------------------------------------------------- newton
 
@@ -503,7 +495,7 @@ class PipeFlowSolver:
         # raw EOS here: _check_physical turns unphysical values into the
         # typed error naming the offending node
         with np.errstate(all="ignore"):
-            rho = np.broadcast_to(np.asarray(self._density_raw(P, T), dtype=float),
+            rho = np.broadcast_to(np.asarray(raw_density(self.fluid.eos, P, T), dtype=float),
                                   P.shape).copy()
         return GridState(t=t, x=self.x, P=P, V=V, T=T, rho=rho)
 

@@ -103,7 +103,6 @@ class RtmPollRecord:
     available: bool                  # False while initializing or suspended
     reason: Optional[str]
     discrepancy: Optional[Discrepancy]
-    in_alarm: Dict[str, bool]
     alarm_condition: bool            # voting rule satisfied at this poll
     shadow_linepack: Optional[float]
     measured_flow_in: Optional[float]
@@ -174,7 +173,7 @@ class RtmDetector:
     def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy,
                  poll_interval, *, drive="pressure", theta=0.6, newton_tol=1e-10,
                  substeps=1, staleness_limit=3, locate_window_polls=12,
-                 refine_after_polls=12, fallback_temperature=288.15):
+                 refine_after_polls=24, fallback_temperature=288.15):
         if drive not in ("pressure", "flow"):
             raise ConfigurationError(f"drive must be 'pressure' or 'flow', got {drive!r}")
         self.pipeline = pipeline
@@ -205,8 +204,6 @@ class RtmDetector:
         self._smooth: Dict[str, deque] = {
             i.id: deque(maxlen=policy.smoothing_polls) for i in self.indicators
         }
-        self._norm_history: List[Dict[str, Optional[float]]] = []
-        self._lp_history: List[Tuple[float, float]] = []   # (poll_time, linepack)
         self.records: List[RtmPollRecord] = []
         self._verdict: Optional[LeakVerdict] = None
         self._declared_at_poll: Optional[int] = None
@@ -264,13 +261,6 @@ class RtmDetector:
     def verdict(self) -> LeakVerdict:
         return self._verdict if self._verdict is not None else LeakVerdict(declared=False)
 
-    @property
-    def initialized(self):
-        return self._state is not None
-
-    def shadow_state(self):
-        return self._state
-
     def observe(self, frame: TelemetryFrame) -> RtmPollRecord:
         """Advance the shadow model one poll and evaluate the leak vote."""
         if self._state is None:
@@ -296,33 +286,30 @@ class RtmDetector:
             return self._unavailable(frame, "awaiting good boundary readings")
 
         t_bc = self._temperature_value(frame)
-        bc = self._initial_bc(values, t_bc)
-        self._state = self.solver.steady_state(bc, t=t)
+        self._state = self.solver.steady_state(self._steady_bc(values, t_bc), t=t)
         for i in needed:
             self._hold[i.id] = values[i.id]
             self._stale[i.id] = 0
         if self.temperature_instrument is not None:
             self._hold[self.temperature_instrument.id] = t_bc
-        lp = linepack(self._state, self.pipeline)
-        self._lp_history.append((t, lp))
-        return self._evaluate(frame, lp, suspended=False)
+        return self._evaluate(frame, linepack(self._state, self.pipeline))
 
-    def _initial_bc(self, values, t_bc):
-        temp = TimeSeries.constant(t_bc)
+    def _steady_bc(self, values, t_bc):
+        """Constant boundary conditions from one value per boundary
+        instrument id; in flow drive the pressure anchor's value replaces
+        the flow at its end."""
+        const = lambda inst: TimeSeries.constant(values[inst.id])
         if self.drive == "pressure":
-            return BoundaryConditions(
-                inlet=BoundaryLeg("pressure", TimeSeries.constant(values[self.boundary_in.id])),
-                outlet=BoundaryLeg("pressure", TimeSeries.constant(values[self.boundary_out.id])),
-                temperature=temp,
-            )
-        anchor = self.pressure_anchor
-        if anchor.position > self.pipeline.length / 2:
-            inlet = BoundaryLeg("flow", TimeSeries.constant(values[self.boundary_in.id]))
-            outlet = BoundaryLeg("pressure", TimeSeries.constant(values[anchor.id]))
+            inlet = BoundaryLeg("pressure", const(self.boundary_in))
+            outlet = BoundaryLeg("pressure", const(self.boundary_out))
+        elif self.pressure_anchor.position > self.pipeline.length / 2:
+            inlet = BoundaryLeg("flow", const(self.boundary_in))
+            outlet = BoundaryLeg("pressure", const(self.pressure_anchor))
         else:
-            inlet = BoundaryLeg("pressure", TimeSeries.constant(values[anchor.id]))
-            outlet = BoundaryLeg("flow", TimeSeries.constant(values[self.boundary_out.id]))
-        return BoundaryConditions(inlet=inlet, outlet=outlet, temperature=temp)
+            inlet = BoundaryLeg("pressure", const(self.pressure_anchor))
+            outlet = BoundaryLeg("flow", const(self.boundary_out))
+        return BoundaryConditions(inlet=inlet, outlet=outlet,
+                                  temperature=TimeSeries.constant(t_bc))
 
     def _step(self, frame):
         t0, t1 = self._state.t, frame.poll_time
@@ -357,12 +344,10 @@ class RtmDetector:
         for _ in range(self.substeps):
             self._state = self.solver.advance(self._state, bc, dt=dt_sub).state
         lp = linepack(self._state, self.pipeline)
-        self._lp_history.append((t1, lp))
-
         if suspended:
             return self._unavailable(frame, "boundary readings stale; detection suspended",
                                      shadow_linepack=lp)
-        return self._evaluate(frame, lp, suspended=False)
+        return self._evaluate(frame, lp)
 
     def _temperature_value(self, frame):
         if self.temperature_instrument is not None:
@@ -376,17 +361,16 @@ class RtmDetector:
 
     # ------------------------------------------------------------ evaluation
 
-    def _evaluate(self, frame, lp, suspended):
+    def _evaluate(self, frame, lp):
         t = frame.poll_time
         P_mod, Q_mod = modeled_profile(self._state, self.pipeline)
-        delta, smoothed, normalized, in_alarm = {}, {}, {}, {}
+        delta, smoothed, normalized = {}, {}, {}
         measured = {}
         for ind in self.indicators:
             v = frame.good_value(ind.id)
             measured[ind.id] = v
             if v is None:
                 delta[ind.id] = smoothed[ind.id] = normalized[ind.id] = None
-                in_alarm[ind.id] = False
                 continue
             node = self.grid.node_at(ind.position)
             model = Q_mod[node] if ind.kind == "flow" else P_mod[node]
@@ -400,12 +384,11 @@ class RtmDetector:
                 normalized[ind.id] = sm / self.policy.threshold_for(ind.kind)
             else:
                 smoothed[ind.id] = normalized[ind.id] = None
-            in_alarm[ind.id] = (
-                normalized[ind.id] is not None and abs(normalized[ind.id]) >= 1.0
-            )
 
-        self._norm_history.append(normalized)
-        alarm_now = vote(self._norm_history, self.policy)
+        # Unavailable polls carry no indicators, so they never count.
+        recent = [r.discrepancy.normalized if r.available else {}
+                  for r in self.records[-self.policy.consecutive_required:]]
+        alarm_now = vote(recent + [normalized], self.policy)
         disc = Discrepancy(poll_time=t, delta=delta, smoothed=smoothed, normalized=normalized)
 
         rec = RtmPollRecord(
@@ -413,7 +396,6 @@ class RtmDetector:
             available=True,
             reason=None,
             discrepancy=disc,
-            in_alarm=in_alarm,
             alarm_condition=alarm_now,
             shadow_linepack=lp,
             measured_flow_in=self._meter_value(frame, self.flow_in_meter),
@@ -427,13 +409,11 @@ class RtmDetector:
         return rec
 
     def _unavailable(self, frame, reason, shadow_linepack=None):
-        self._norm_history.append({i.id: None for i in self.indicators})
         return RtmPollRecord(
             poll_time=frame.poll_time,
             available=False,
             reason=reason,
             discrepancy=None,
-            in_alarm={i.id: False for i in self.indicators},
             alarm_condition=False,
             shadow_linepack=shadow_linepack,
             measured_flow_in=self._meter_value(frame, self.flow_in_meter),
@@ -455,15 +435,17 @@ class RtmDetector:
         simultaneously good in the window (the alarm itself stands).
         """
         M = self.policy.consecutive_required if window is None else window
-        recs = self.records[-M:]
         samples = []
-        for rec in recs:
+        for k in range(max(len(self.records) - M, 0), len(self.records)):
+            rec = self.records[k]
             if rec.measured_flow_in is None or rec.measured_flow_out is None:
                 continue
             if self.drive == "pressure":
-                rate = self._linepack_rate_at(rec.poll_time)
-                if rate is None:
+                prev = self.records[k - 1] if k > 0 else None
+                if prev is None or prev.shadow_linepack is None or rec.shadow_linepack is None:
                     continue
+                rate = ((rec.shadow_linepack - prev.shadow_linepack)
+                        / (rec.poll_time - prev.poll_time))
             else:
                 # A flow-driven shadow's inventory rate equals the measured
                 # imbalance by construction; subtracting it would cancel the
@@ -473,14 +455,6 @@ class RtmDetector:
         if not samples:
             return None, "size unavailable: end flow readings or linepack rate missing"
         return float(np.mean(samples)), None
-
-    def _linepack_rate_at(self, poll_time):
-        hist = self._lp_history
-        for k in range(len(hist) - 1, 0, -1):
-            if abs(hist[k][0] - poll_time) < 1e-9:
-                dt = hist[k][0] - hist[k - 1][0]
-                return (hist[k][1] - hist[k - 1][1]) / dt if dt > 0 else None
-        return None
 
     # ------------------------------------------------------------ location
 
@@ -496,8 +470,8 @@ class RtmDetector:
         if not recs:
             return None
 
-        bvals = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
-                 for iid in recs[-1].boundary_values}
+        values = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
+                  for iid in recs[-1].boundary_values}
         meas_avg = {}
         for ind in self.indicators:
             vals = [r.measured.get(ind.id) for r in recs]
@@ -506,13 +480,16 @@ class RtmDetector:
                 meas_avg[ind.id] = float(np.mean(vals))
         if not meas_avg:
             return None
-
-        t_vals = [self._hold.get(self.temperature_instrument.id)
-                  if self.temperature_instrument is not None else None]
-        t_bc = t_vals[0] if t_vals[0] is not None else self.fallback_temperature
-        bc = self._locate_bc(bvals, t_bc, recs)
-        if bc is None:
-            return None
+        if self.drive == "flow":
+            # The anchor is an indicator here; its averaged reading pins the
+            # steady profile's pressure level.
+            if self.pressure_anchor.id not in meas_avg:
+                return None
+            values[self.pressure_anchor.id] = meas_avg[self.pressure_anchor.id]
+        t_bc = self.fallback_temperature
+        if self.temperature_instrument is not None:
+            t_bc = self._hold.get(self.temperature_instrument.id, t_bc)
+        bc = self._steady_bc(values, t_bc)
 
         xs = self.grid.node_positions
         candidates = xs[1:-1]
@@ -541,32 +518,6 @@ class RtmDetector:
             ambiguous=spread_flat,
             candidates=candidates.copy(),
             ssr=ssr,
-        )
-
-    def _locate_bc(self, bvals, t_bc, recs):
-        temp = TimeSeries.constant(t_bc)
-        if self.drive == "pressure":
-            return BoundaryConditions(
-                inlet=BoundaryLeg("pressure", TimeSeries.constant(bvals[self.boundary_in.id])),
-                outlet=BoundaryLeg("pressure", TimeSeries.constant(bvals[self.boundary_out.id])),
-                temperature=temp,
-            )
-        anchor = self.pressure_anchor
-        vals = [r.measured.get(anchor.id) for r in recs]
-        vals = [v for v in vals if v is not None]
-        if not vals:
-            return None
-        p_anchor = float(np.mean(vals))
-        if anchor.position > self.pipeline.length / 2:
-            return BoundaryConditions(
-                inlet=BoundaryLeg("flow", TimeSeries.constant(bvals[self.boundary_in.id])),
-                outlet=BoundaryLeg("pressure", TimeSeries.constant(p_anchor)),
-                temperature=temp,
-            )
-        return BoundaryConditions(
-            inlet=BoundaryLeg("pressure", TimeSeries.constant(p_anchor)),
-            outlet=BoundaryLeg("flow", TimeSeries.constant(bvals[self.boundary_out.id])),
-            temperature=temp,
         )
 
     def _declare(self, rec):

@@ -109,6 +109,15 @@ class _Path:
             raise ConfigurationError(f"{self._join(key)}: expected a number, got {v!r}")
         return self.to_si(v, dim)
 
+    def pair(self, dims):
+        """This ``[x, y]`` entry as SI floats; ``dims`` names each one's dimension."""
+        if not isinstance(self.raw, (list, tuple)) or len(self.raw) != 2:
+            self.error(f"expected a [number, number] pair, got {self.raw!r}")
+        try:
+            return tuple(self.to_si(float(v), dim) for v, dim in zip(self.raw, dims))
+        except (TypeError, ValueError):
+            self.error(f"expected a [number, number] pair, got {self.raw!r}")
+
     def to_si(self, value, dim):
         if dim is None:
             return value
@@ -333,7 +342,7 @@ def _parse_fluid(node):
 def _parse_pipeline(node):
     elevation = node.get("elevation")
     if elevation is not None:
-        elevation = tuple((node.to_si(float(x), "length"), float(h)) for x, h in elevation)
+        elevation = tuple(pt.pair(("length", None)) for pt in node.child("elevation").items())
     segments = tuple(
         Segment(
             start=seg.number("start", required=True, dim="length"),
@@ -379,10 +388,10 @@ def _parse_instruments(node, pipeline):
 
 def _series_from(node, dim):
     if node.get("series") is not None:
-        pts = node.get("series")
+        pts = [pt.pair((None, dim)) for pt in node.child("series").items()]
         # TimeSeries holds its end values constant outside the sampled
         # range, so a series need not reach the horizon.
-        return TimeSeries([float(t) for t, _ in pts], [node.to_si(float(v), dim) for _, v in pts])
+        return TimeSeries([t for t, _ in pts], [v for _, v in pts])
     value = node.number("value", required=True, dim=dim)
     return TimeSeries.constant(value)
 
@@ -444,33 +453,30 @@ def _parse_plausibility(node):
 def _parse_rtm(node, instruments):
     if node.raw is None or not node.get("enabled", True):
         return None
-    policy = VotingPolicy.default_for(
-        instruments,
-        **{
-            k: v
-            for k, v in {
-                "flow_threshold": node.number("flow_threshold"),
-                "pressure_threshold": node.number("pressure_threshold", dim="pressure"),
-                "consecutive_required": _maybe_int(node.number("consecutive_polls")),
-                "min_indicators": _maybe_int(node.number("min_indicators")),
-                "smoothing_polls": _maybe_int(node.number("smoothing_polls")),
-            }.items()
-            if v is not None
-        },
-    )
-    drive = node.get("drive", "pressure")
-    if drive not in ("pressure", "flow"):
+    policy = VotingPolicy.default_for(instruments, **_given(
+        flow_threshold=node.number("flow_threshold"),
+        pressure_threshold=node.number("pressure_threshold", dim="pressure"),
+        consecutive_required=_maybe_int(node.number("consecutive_polls")),
+        min_indicators=_maybe_int(node.number("min_indicators")),
+        smoothing_polls=_maybe_int(node.number("smoothing_polls")),
+    ))
+    drive = node.get("drive")
+    if drive not in (None, "pressure", "flow"):
         node.error("rtm.drive must be 'pressure' or 'flow'")
-    return {
-        "policy": policy,
-        "drive": drive,
-        "substeps": int(node.number("substeps", 1)),
-        "staleness_limit": int(node.number("staleness_polls", 3)),
-        "locate_window_polls": int(node.number("locate_window_polls", 12)),
-        "refine_after_polls": int(node.number("refine_after_polls", 24)),
-        "theta": node.number("theta", 0.6),
-        "newton_tol": node.number("newton_tol", 1e-10),
-    }
+    # Keys the scenario leaves out take RtmDetector's defaults.
+    return {"policy": policy, **_given(
+        drive=drive,
+        substeps=_maybe_int(node.number("substeps")),
+        staleness_limit=_maybe_int(node.number("staleness_polls")),
+        locate_window_polls=_maybe_int(node.number("locate_window_polls")),
+        refine_after_polls=_maybe_int(node.number("refine_after_polls")),
+        theta=node.number("theta"),
+        newton_tol=node.number("newton_tol"),
+    )}
+
+
+def _given(**fields):
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def _maybe_int(v):
@@ -558,7 +564,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
             s.pipeline, s.fluid, grid, scada, policy,
             poll_interval=s.poll_interval,
             fallback_temperature=s.bc.temperature.at(0.0),
-            drive=cfg.pop("drive"),
             **cfg,
         )
     bal_det = None
@@ -571,7 +576,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     steps_per_poll = round(s.poll_interval / s.plant_settings.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
-    history: List = []
     frames: List = []
     states: List[GridState] = []
     max_ledger_residual = 0.0
@@ -580,10 +584,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     def do_poll(st):
         frame = sample(st, scada, noise, st.t, pipeline=s.pipeline)
-        frame = plausibility_filter(frame, history, s.plausibility, scada)
-        history.append(frame)
-        if len(history) > 64:
-            del history[0]
+        frame = plausibility_filter(frame, frames[-64:], s.plausibility, scada)
         frames.append(frame)
         lp_est = None
         if rtm_det is not None:

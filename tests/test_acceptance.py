@@ -32,6 +32,20 @@ def run_cfg(cfg):
     return run_scenario(scenario_from_dict(cfg))
 
 
+def flow_drive_cfg():
+    """Noiseless 2% leak at 4 km seen by a flow-driven shadow model, with a
+    mid-line pressure indicator at 8 km."""
+    cfg = standard_config(seed=0, horizon=600.0)
+    set_noise_scale(cfg, 0.0)
+    cfg["boundaries"]["inlet"] = {"kind": "flow", "value": 70.35}
+    cfg["instruments"].append(
+        {"id": "p_mid", "kind": "pressure", "position": 8000.0, "sigma": 0.0})
+    cfg["leaks"] = [{"position": 4000.0, "start_time": 120.0, "mass_rate": 1.4}]
+    cfg["rtm"].update(drive="flow", pressure_threshold=4.0e4, flow_threshold=0.5,
+                      smoothing_polls=4)
+    return cfg
+
+
 class TestRtmSensitivity:
     """A 1%-of-rated leak is declared within 10 min under noise and within
     60 s noiseless, inside a 2-minute wall-clock budget."""
@@ -64,15 +78,7 @@ class TestLeakPhenomenologySigns:
     flow-driven shadow model predicts it rising (inventory packing)."""
 
     def test_divergence_signs(self):
-        cfg = standard_config(seed=0, horizon=600.0)
-        set_noise_scale(cfg, 0.0)
-        cfg["boundaries"]["inlet"] = {"kind": "flow", "value": 70.35}
-        cfg["instruments"].append(
-            {"id": "p_mid", "kind": "pressure", "position": 8000.0, "sigma": 0.0})
-        cfg["leaks"] = [{"position": 4000.0, "start_time": 120.0, "mass_rate": 1.4}]
-        cfg["rtm"].update(drive="flow", pressure_threshold=4.0e4, flow_threshold=0.5,
-                          smoothing_polls=4)
-        report = run_cfg(cfg)
+        report = run_cfg(flow_drive_cfg())
         assert report.rtm["declared"]
         t_alarm = report.rtm["declared_time"]
         assert t_alarm > 125.0, "need at least one pre-alarm poll after onset"
@@ -103,6 +109,23 @@ class TestLeakPhenomenologySigns:
         print(f"\n[PASS] Leak phenomenology signs: measured trend "
               f"{trend_measured:.0f} Pa/s < 0 < modeled trend {trend_modeled:.0f} Pa/s "
               f"over the pre-alarm window")
+
+
+class TestFlowDriveVerdict:
+    """The flow-driven verdict on the phenomenology case is pinned, once with
+    the outlet pressure anchoring the shadow model and once with the inlet."""
+
+    @pytest.mark.parametrize("anchor", ["p_out", "p_in"])
+    def test_verdict_pinned(self, anchor):
+        cfg = flow_drive_cfg()
+        if anchor == "p_in":  # without p_out the inlet pressure is the anchor
+            cfg["instruments"] = [i for i in cfg["instruments"] if i["id"] != "p_out"]
+        report = run_cfg(cfg)
+        assert report.rtm["declared_time"] == 150.0
+        assert report.rtm["size_estimate"] == pytest.approx(1.3939044870451973, rel=1e-9)
+        assert report.rtm["location_estimate"] == pytest.approx(3800.0, rel=1e-9)
+        print(f"\n[PASS] Flow drive ({anchor} anchor): declared at 150 s, "
+              f"{report.rtm['size_estimate']:.4f} kg/s at {report.rtm['location_estimate']:.0f} m")
 
 
 class TestMassConservation:

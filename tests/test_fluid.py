@@ -158,6 +158,8 @@ class TestValidation:
             GasEos(R=500.0, y=-1.0)
         with pytest.raises(ConfigurationError):
             GasEos(R=500.0, z_mode="starling")
+        with pytest.raises(ConfigurationError, match="correlated"):
+            GasEos(R=500.0, z_mode="ideal", k=1e-6)  # k would be silently half-applied
 
     def test_fluid_model_invariants(self):
         eos = GasEos(R=500.0)

@@ -109,6 +109,18 @@ class TestSteadyState:
         st = solver.steady_state(bc_pp(1.0e6, 6.7e5))
         np.testing.assert_allclose(st.rho, water_like.density(st.P, st.T), rtol=1e-8)
 
+    @pytest.mark.parametrize("eos", [
+        LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
+        GasEos(R=500.0, z_mode="ideal"),
+        GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.0),
+    ], ids=["liquid", "ideal_gas", "correlated_gas"])
+    def test_solver_density_is_fluid_density(self, eos):
+        fluid = FluidModel(eos=eos, c=2200.0, sound_speed_hint=380.0)
+        pipe = PipelineModel(length=20000.0, diameter=0.5, friction_factor=0.015,
+                             U=1.0, Tg=288.15)
+        st = make_solver(fluid, pipe, dx=500.0).steady_state(bc_fp(45.0, 5.0e6))
+        assert np.array_equal(st.rho, fluid.density(st.P, st.T))
+
     def test_grid_refinement_convergence(self, water_like, ten_km_line):
         coarse = make_solver(water_like, ten_km_line, dx=200.0, dt=2.0)
         fine = make_solver(water_like, ten_km_line, dx=100.0, dt=1.0)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,27 @@ class TestParsing:
         cfg["leaks"] = [{"position": 20000.0, "start_time": 10.0, "mass_rate": 1.0}]
         with pytest.raises(ConfigurationError, match=r"leaks\[0\]"):
             scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("section,key,points,path", [
+        ("boundaries.inlet", "series", [[0.0, "x"]], "boundaries.inlet.series[0]"),
+        ("boundaries.inlet", "series", [[0.0, 1.0e6], [0.0]], "boundaries.inlet.series[1]"),
+        ("pipeline", "elevation", [[0.0, 0.0, 5.0]], "pipeline.elevation[0]"),
+    ], ids=["non_number", "short_point", "long_point"])
+    def test_malformed_point_names_path(self, section, key, points, path):
+        cfg = standard_config()
+        node = cfg
+        for part in section.split("."):
+            node = node[part]
+        node[key] = points
+        with pytest.raises(ConfigurationError, match=re.escape(path)):
+            scenario_from_dict(cfg)
+
+    def test_rtm_passes_on_only_the_options_set(self):
+        cfg = standard_config()
+        cfg["rtm"] = {"flow_threshold": 0.25, "substeps": 2}
+        s = scenario_from_dict(cfg)
+        assert set(s.rtm) == {"policy", "substeps"}
+        assert s.rtm["substeps"] == 2
 
     def test_leak_must_start_after_zero(self):
         cfg = standard_config()
@@ -445,6 +467,15 @@ class TestSpecInvariantsEndToEnd:
             "specific_heat": 2200.0, "sound_speed": 380.0,
         }
         with pytest.raises(ConfigurationError, match="critical"):
+            scenario_from_dict(cfg)
+
+    def test_gas_k_without_correlated_z_rejected(self):
+        cfg = standard_config()
+        cfg["fluid"] = {
+            "kind": "gas", "R": 500.0, "k": 1.0e-6,
+            "specific_heat": 2200.0, "sound_speed": 380.0,
+        }
+        with pytest.raises(ConfigurationError, match="correlated"):
             scenario_from_dict(cfg)
 
     def test_balance_never_reports_location(self):
