@@ -11,7 +11,7 @@ nodes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .errors import (
     ConfigurationError,
@@ -56,6 +56,8 @@ class TimeSeries:
         return cls([0.0], [float(value)])
 
     def at(self, t):
+        if self.values.size == 1:
+            return float(self.values[0])
         return float(np.interp(t, self.times, self.values))
 
     def __repr__(self):
@@ -178,10 +180,11 @@ def modeled_profile(state: GridState, pipeline: PipelineModel):
 class PipeFlowSolver:
     """Implicit box-scheme solver bound to one pipeline/fluid/grid triple.
 
-    A solver instance owns a cached Jacobian that is reused across Newton
-    iterations and steps while convergence stays healthy; it is rebuilt
-    automatically when progress stalls.  Instances are not thread-safe;
-    run independent scenarios on independent solvers.
+    A solver instance caches the banded LU factors of its Jacobian and
+    reuses them across Newton iterations and steps while convergence stays
+    healthy; the Jacobian is rebuilt and factored again automatically when
+    progress stalls.  Instances are not thread-safe; run independent
+    scenarios on independent solvers.
     """
 
     def __init__(self, pipeline: PipelineModel, fluid: FluidModel, grid: Grid,
@@ -212,7 +215,7 @@ class PipeFlowSolver:
         self._T_scale = 100.0
 
         self._structures = {}
-        self._ab_cache = None
+        self._lu_cache = None       # (lu, piv, info) from lapack.dgbtrf
         self._cache_key = None
 
     # ---------------------------------------------------------------- public
@@ -379,7 +382,7 @@ class PipeFlowSolver:
         if not np.isfinite(norm):
             raise SolverError("initial residual is not finite", history=history)
 
-        ab = None if (fresh_jacobian or self._cache_key != key) else self._ab_cache
+        lu = None if (fresh_jacobian or self._cache_key != key) else self._lu_cache
         rebuilt = False
 
         it = 0
@@ -392,16 +395,19 @@ class PipeFlowSolver:
                     residual=norm,
                     history=history,
                 )
-            if ab is None:
+            if lu is None:
                 ab = self._jacobian(u, res_fn, R, key)
+                if not np.isfinite(ab).all():
+                    raise SolverError("non-finite Jacobian", history=history)
+                lu = lapack.dgbtrf(ab, 4, 4, overwrite_ab=True)
                 rebuilt = True
-            try:
-                du_hat = solve_banded((4, 4), ab, -R)
-            except np.linalg.LinAlgError:
+            lu_band, piv, info = lu
+            if info > 0:
                 if rebuilt:
                     raise SolverError("singular Jacobian", history=history)
-                ab, rebuilt = None, False
+                lu, rebuilt = None, False
                 continue
+            du_hat, _ = lapack.dgbtrs(lu_band, 4, 4, -R, piv)
 
             lam, accepted = 1.0, False
             for _ in range(12):
@@ -420,7 +426,7 @@ class PipeFlowSolver:
                         residual=norm,
                         history=history,
                     )
-                ab, rebuilt = None, False   # retry the iteration with a fresh Jacobian
+                lu, rebuilt = None, False   # retry the iteration with a fresh Jacobian
                 continue
 
             slow = n_try > 0.2 * norm
@@ -428,9 +434,9 @@ class PipeFlowSolver:
             history.append(norm)
             it += 1
             if slow and not rebuilt and norm > tol:
-                ab = None  # stale cached Jacobian; rebuild next iteration
+                lu = None  # stale cached Jacobian; rebuild next iteration
 
-        self._ab_cache, self._cache_key = ab, key
+        self._lu_cache, self._cache_key = lu, key
         return u, history
 
     @staticmethod
@@ -438,15 +444,21 @@ class PipeFlowSolver:
         return float(np.max(np.abs(R)))
 
     def _jacobian(self, u, res_fn, R0, key):
+        """Finite-difference Jacobian in LAPACK's ``gbtrf`` band layout.
+
+        The bandwidth is 4 below and 4 above the diagonal: entry (i, j)
+        sits at row 8 + i - j of 13; rows 0-3 are left zero for the fill-in
+        of partial pivoting.
+        """
         rows_for, colors = self._structure(key[1])  # key = (mode, temperature_end, ...)
-        ab = np.zeros((9, self.n_unknowns))
+        ab = np.zeros((13, self.n_unknowns), order="F")
         for idx in colors:
             up = u.copy()
             up[idx] += _FD_EPS * self.u_scale[idx]
             dR = (res_fn(up) - R0) / _FD_EPS
             for j in idx:
                 rows = rows_for[j]
-                ab[4 + rows - j, j] = dR[rows]
+                ab[8 + rows - j, j] = dR[rows]
         return ab
 
     def _structure(self, temperature_end):

@@ -130,6 +130,13 @@ class _Path:
     def error(self, message):
         raise ConfigurationError(f"{self.path or '<root>'}: {message}")
 
+    def build(self, factory, **kwargs):
+        """``factory(**kwargs)``; a ConfigurationError it raises names this path."""
+        try:
+            return factory(**kwargs)
+        except ConfigurationError as exc:
+            self.error(str(exc))
+
 
 def _resolve_units(node):
     """Conversion to SI for each field dimension, from the ``units`` section."""
@@ -302,7 +309,8 @@ def _parse_fluid(node):
     if kind not in ("liquid", "gas"):
         node.error("fluid.kind must be 'liquid' or 'gas'")
     if kind == "liquid":
-        eos = LiquidEos(
+        eos = node.build(
+            LiquidEos,
             rho0=node.number("rho0", required=True),
             P0=node.number("P0", 0.0, dim="pressure"),
             T0=node.number("T0", 288.15, dim="temperature"),
@@ -316,7 +324,8 @@ def _parse_fluid(node):
             critical_temperature=node.number("critical_temperature", dim="temperature"),
         )
         if zr.raw is not None:
-            eos = GasEos.from_z_reference(
+            eos = node.build(
+                GasEos.from_z_reference,
                 R=node.number("R", required=True),
                 P_ref=zr.number("P", required=True, dim="pressure"),
                 T_ref=zr.number("T", required=True, dim="temperature"),
@@ -325,14 +334,16 @@ def _parse_fluid(node):
                 **crit,
             )
         else:
-            eos = GasEos(
+            eos = node.build(
+                GasEos,
                 R=node.number("R", required=True),
                 y=node.number("y", 1.0),
                 z_mode=node.get("z_mode", "ideal"),
                 k=node.number("k", 0.0),
                 **crit,
             )
-    return FluidModel(
+    return node.build(
+        FluidModel,
         eos=eos,
         c=node.number("specific_heat", required=True),
         sound_speed_hint=node.number("sound_speed", required=True),
@@ -353,7 +364,8 @@ def _parse_pipeline(node):
         )
         for seg in node.child("segments").items()
     )
-    return PipelineModel(
+    return node.build(
+        PipelineModel,
         length=node.number("length", required=True, dim="length"),
         diameter=node.number("diameter", required=True),
         friction_factor=node.number("friction_factor", required=True),

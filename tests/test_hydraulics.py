@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from linewatch.errors import ConfigurationError, InfeasibleScenarioError
+from linewatch import hydraulics
+from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import FluidModel, GasEos, LiquidEos
 from linewatch.hydraulics import (
     BoundaryConditions,
@@ -328,6 +331,13 @@ class TestReadouts:
         assert np.array_equal(P, st.P)
         assert np.allclose(Q, st.rho * st.V * ten_km_line.area)
 
+    @pytest.mark.parametrize("t", [0.0, 10.0, 1.0e6], ids=["before", "at", "after"])
+    def test_constant_series_matches_interp(self, t):
+        ts = TimeSeries([10.0], [7.25])
+        v = ts.at(t)
+        assert type(v) is float
+        assert v == float(np.interp(t, ts.times, ts.values))
+
 
 class TestSettingsValidation:
     def test_theta_bounds(self):
@@ -365,7 +375,6 @@ class TestFailureModes:
                 st = solver.advance(st, bad).state
 
     def test_solver_error_carries_residual_history(self, water_like, ten_km_line):
-        from linewatch.errors import SolverError
         grid = discretize(ten_km_line, 100.0)
         solver = PipeFlowSolver(ten_km_line, water_like, grid,
                                 SolverSettings(dt=1.0, newton_max_iter=1))
@@ -376,3 +385,45 @@ class TestFailureModes:
             solver.advance(st, slam)
         assert len(err.value.history) >= 1
         assert err.value.residual is not None
+
+    @pytest.mark.parametrize("fill,match", [
+        (np.nan, "non-finite Jacobian"),
+        (0.0, "singular Jacobian"),
+    ], ids=["nan", "zero"])
+    def test_bad_jacobian_is_solver_error(self, water_like, ten_km_line, monkeypatch, fill, match):
+        solver = make_solver(water_like, ten_km_line)
+        real = solver._jacobian
+        monkeypatch.setattr(solver, "_jacobian", lambda *args: np.full_like(real(*args), fill))
+        with pytest.raises(SolverError, match=match) as err:
+            solver.steady_state(bc_pp(1.0e6, 6.7e5))
+        assert len(err.value.history) >= 1
+
+
+class TestFactorOnce:
+    def test_each_jacobian_is_factored_once(self, water_like, ten_km_line, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(PipeFlowSolver, "_jacobian", counting("builds", PipeFlowSolver._jacobian))
+        monkeypatch.setattr(hydraulics.lapack, "dgbtrf", counting("factorizations", hydraulics.lapack.dgbtrf))
+        monkeypatch.setattr(hydraulics.lapack, "dgbtrs", counting("solves", hydraulics.lapack.dgbtrs))
+
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5)
+        base = solver.steady_state(bc)
+        leak = [LeakEvent(position=4000.0, start_time=5.0, mass_rate=0.7)]
+        st = base
+        for _ in range(50):
+            st = solver.advance(st, bc, leaks=leak).state
+        for x in np.linspace(500.0, 9500.0, 20):
+            solver.steady_state(bc, leaks=[LeakEvent(position=x, start_time=0.0, mass_rate=0.7)],
+                                initial_guess=base)
+
+        assert counts["builds"] >= 1
+        assert counts["factorizations"] == counts["builds"]
+        assert counts["solves"] >= 10 * counts["factorizations"]

@@ -57,6 +57,18 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=re.escape(path)):
             scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize("section,edit,message", [
+        ("pipeline", {"diameter": -1}, "pipeline: diameter must be > 0, got -1.0"),
+        ("fluid", {"bulk_modulus": -5}, "fluid: bulk modulus B must be > 0"),
+        ("fluid", {"kind": "gas", "R": 500.0, "k": 1.0e-6},
+         "fluid: Z-correlation constant k=1e-06 applies only"),
+    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k"])
+    def test_model_error_names_section(self, section, edit, message):
+        cfg = standard_config()
+        cfg[section].update(edit)
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+            scenario_from_dict(cfg)
+
     def test_rtm_passes_on_only_the_options_set(self):
         cfg = standard_config()
         cfg["rtm"] = {"flow_threshold": 0.25, "substeps": 2}
