@@ -244,6 +244,46 @@ class PipeFlowSolver:
         self._check_physical(state, InfeasibleScenarioError)
         return state
 
+    def steady_leak_response(self, state: GridState, bc: BoundaryConditions, reads):
+        """Linear response of steady nodal values to a leak at each node.
+
+        ``state`` is a leak-free steady state under ``bc`` (from
+        :meth:`steady_state`); ``reads`` is a sequence of ``(field, node)``
+        pairs, field ``"P"``, ``"V"`` or ``"T"``.  Returns an array of shape
+        ``(len(reads), N)`` whose entry ``[r, j]`` is the derivative of
+        read ``r`` with respect to the rate of a leak at node ``j``, in SI
+        units per kg/s; the boundary columns 0 and N-1 are zero.
+
+        A leak at node j enters only the continuity rows of cells j-1 and
+        j, so one transposed solve per read gives its response to every
+        node: one fresh Jacobian, factored once, serves the whole set.  The
+        factors stay cached, so warm-started steady solves near ``state``
+        reuse them.
+        """
+        key = ("steady", bc.temperature_end)
+        q = np.zeros(self.N - 1)
+        res = lambda u: self._residual(u, None, state.t, bc, q, None, steady=True, dt=None)
+        u = self._pack(state.P, state.V, state.T)
+        lu = self._factor(u, res, res(u), key, history=[])
+        lu_band, piv, info = lu
+        if info > 0:
+            raise SolverError("singular Jacobian")
+        self._lu_cache, self._cache_key = lu, key
+
+        offset = {"P": 0, "V": 1, "T": 2}
+        idx = np.array([3 * node + offset[field] for field, node in reads], dtype=int)
+        unit = np.zeros((self.n_unknowns, idx.size), order="F")
+        unit[idx, np.arange(idx.size)] = 1.0
+        adjoint, _ = lapack.dgbtrs(lu_band, 4, 4, unit, piv, trans=1)
+        # The continuity row of cell c is head + 3c (see _residual); a unit
+        # leak adds 0.5/_mdot_scale to two of them, and J du = -dR.
+        head = 2 if bc.temperature_end == "inlet" else 1
+        cont = adjoint[head : head + 3 * (self.N - 1) : 3]
+        out = np.zeros((idx.size, self.N))
+        out[:, 1:-1] = (cont[:-1] + cont[1:]).T
+        out *= (-0.5 / self._mdot_scale) * self.u_scale[idx][:, None]
+        return out
+
     def advance(self, state: GridState, bc: BoundaryConditions, leaks=(), dt=None):
         """One implicit step from state.t to state.t + dt.
 
@@ -396,10 +436,7 @@ class PipeFlowSolver:
                     history=history,
                 )
             if lu is None:
-                ab = self._jacobian(u, res_fn, R, key)
-                if not np.isfinite(ab).all():
-                    raise SolverError("non-finite Jacobian", history=history)
-                lu = lapack.dgbtrf(ab, 4, 4, overwrite_ab=True)
+                lu = self._factor(u, res_fn, R, key, history)
                 rebuilt = True
             lu_band, piv, info = lu
             if info > 0:
@@ -438,6 +475,13 @@ class PipeFlowSolver:
 
         self._lu_cache, self._cache_key = lu, key
         return u, history
+
+    def _factor(self, u, res_fn, R, key, history):
+        """Build the Jacobian at ``u`` and factor it: ``(lu, piv, info)``."""
+        ab = self._jacobian(u, res_fn, R, key)
+        if not np.isfinite(ab).all():
+            raise SolverError("non-finite Jacobian", history=history)
+        return lapack.dgbtrf(ab, 4, 4, overwrite_ab=True)
 
     @staticmethod
     def _norm(R):

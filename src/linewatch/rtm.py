@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
+from .fluid import raw_density
 from .hydraulics import (
     BoundaryConditions,
     BoundaryLeg,
@@ -127,7 +128,11 @@ class LocationScan:
     node_index: int
     ambiguous: bool
     candidates: np.ndarray   # candidate x, m
-    ssr: np.ndarray          # sum of squared normalized residuals per candidate
+    # Sum of squared normalized residuals per candidate.  Entries at
+    # node_index, at its two neighbours and at every candidate solved on
+    # the way there come from exact steady solves; the rest are linear
+    # superposition predictions (see RtmDetector.locate_leak).
+    ssr: np.ndarray
 
 
 def vote(history, policy: VotingPolicy) -> bool:
@@ -459,10 +464,21 @@ class RtmDetector:
     # ------------------------------------------------------------ location
 
     def locate_leak(self, size, window=None) -> Optional[LocationScan]:
-        """Steady-superposition scan: place the sized leak at every interior
-        node, re-solve the steady profile under the measured boundary
-        values, and return the node minimizing the squared normalized
-        residuals at the measurement points."""
+        """Steady-superposition scan: the node where the sized leak best
+        explains the averaged measurements, by least squared normalized
+        residuals at the indicators.
+
+        One leak-free steady solve at the averaged boundary values and one
+        factorization of its Jacobian give each indicator's linear
+        response to a leak at every node, so every candidate is first
+        scored from the readout at base + size x response.  Then the
+        candidate with the least residual, or its neighbour when it is
+        already exact, is re-scored with an exact warm-started steady
+        solve, one at a time, until the least residual and both its
+        neighbours are exact: the result is an exact local minimum, and
+        the global minimum of the returned ``ssr``.  Each exact solve also
+        shifts the predictions still linear by its readout error there.
+        """
         if size is None or size <= 0:
             return None
         window = self.locate_window_polls if window is None else window
@@ -491,26 +507,52 @@ class RtmDetector:
             t_bc = self._hold.get(self.temperature_instrument.id, t_bc)
         bc = self._steady_bc(values, t_bc)
 
-        xs = self.grid.node_positions
-        candidates = xs[1:-1]
-        ssr = np.empty(candidates.size)
-        guess = self._state
-        t_ref = recs[-1].poll_time
-        for ci, xj in enumerate(candidates):
-            leak = LeakEvent(position=float(xj), start_time=-np.inf, mass_rate=size)
-            stj = self.solver.steady_state(bc, t=t_ref, leaks=[leak], initial_guess=guess)
-            guess = stj
-            P_mod, Q_mod = modeled_profile(stj, self.pipeline)
-            total = 0.0
-            for ind in self.indicators:
-                if ind.id not in meas_avg:
-                    continue
-                node = self.grid.node_at(ind.position)
-                pred = Q_mod[node] if ind.kind == "flow" else P_mod[node]
-                total += ((meas_avg[ind.id] - pred) / self.policy.threshold_for(ind.kind)) ** 2
-            ssr[ci] = total
+        used = [ind for ind in self.indicators if ind.id in meas_avg]
+        nodes = [self.grid.node_at(ind.position) for ind in used]
+        meas = np.array([[meas_avg[ind.id]] for ind in used])
+        thresholds = np.array([[self.policy.threshold_for(ind.kind)] for ind in used])
 
-        best = int(np.argmin(ssr))
+        t_ref = recs[-1].poll_time
+        base = self.solver.steady_state(bc, t=t_ref, initial_guess=self._state)
+        reads = sorted({(f, k) for ind, k in zip(used, nodes)
+                        for f in ("PVT" if ind.kind == "flow" else "P")})
+        response = self.solver.steady_leak_response(base, bc, reads)[:, 1:-1]
+        row = {read: r for r, read in enumerate(reads)}
+        at = lambda f, k: getattr(base, f)[k] + size * response[row[f, k]]
+
+        def predicted(kind, k):
+            if kind != "flow":
+                return at("P", k)
+            rho = raw_density(self.fluid.eos, at("P", k), at("T", k))
+            return rho * at("V", k) * self.pipeline.area
+
+        # Modeled readouts, one row per indicator and one column per candidate.
+        readouts = np.array([predicted(ind.kind, k) for ind, k in zip(used, nodes)])
+        candidates = self.grid.node_positions[1:-1]
+
+        def exact(ci):
+            leak = LeakEvent(position=float(candidates[ci]), start_time=-np.inf, mass_rate=size)
+            st = self.solver.steady_state(bc, t=t_ref, leaks=[leak], initial_guess=base)
+            P_mod, Q_mod = modeled_profile(st, self.pipeline)
+            return np.array([Q_mod[k] if ind.kind == "flow" else P_mod[k]
+                             for ind, k in zip(used, nodes)])
+
+        is_exact = np.zeros(candidates.size, dtype=bool)
+        while True:
+            ssr = np.sum(((meas - readouts) / thresholds) ** 2, axis=0)
+            best = int(np.argmin(ssr))
+            todo = [ci for ci in (best, best - 1, best + 1)
+                    if 0 <= ci < ssr.size and not is_exact[ci]]
+            if not todo:
+                break
+            # The linearization error varies slowly along the line, so the
+            # defect at a solved candidate also corrects the predictions.
+            ci = todo[0]
+            solved = exact(ci)
+            readouts[:, ~is_exact] += (solved - readouts[:, ci])[:, None]
+            readouts[:, ci] = solved
+            is_exact[ci] = True
+
         spread_flat = float(np.max(ssr) - np.min(ssr)) <= 0.01 * max(float(np.max(ssr)), 1e-30)
         return LocationScan(
             position=float(candidates[best]),

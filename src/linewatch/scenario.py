@@ -60,26 +60,31 @@ class _Path:
     """Field-path bookkeeping so config errors name the offending entry.
 
     ``units`` maps a field dimension to the (factor, offset) that takes a
-    value written in the scenario's declared units to SI.
+    value written in the scenario's declared units to SI.  ``read`` is the
+    set of key paths the parsers have asked for, shared by the whole tree,
+    so keys nobody read can be reported.
     """
 
-    def __init__(self, raw, path="", units=None):
+    def __init__(self, raw, path="", units=None, read=None):
         self.raw = raw
         self.path = path
         self.units = units
+        self.read = set() if read is None else read
 
     def child(self, key, default=None, required=False):
+        path = self._join(key)
+        self.read.add(path)
         if self.raw is None:
             if required:
-                raise ConfigurationError(f"{self._join(key)}: required field is missing")
-            return _Path(default, self._join(key), self.units)
+                raise ConfigurationError(f"{path}: required field is missing")
+            return _Path(default, path, self.units, self.read)
         if not isinstance(self.raw, dict):
             raise ConfigurationError(f"{self.path or '<root>'}: expected a mapping")
         if key not in self.raw:
             if required:
-                raise ConfigurationError(f"{self._join(key)}: required field is missing")
-            return _Path(default, self._join(key), self.units)
-        return _Path(self.raw[key], self._join(key), self.units)
+                raise ConfigurationError(f"{path}: required field is missing")
+            return _Path(default, path, self.units, self.read)
+        return _Path(self.raw[key], path, self.units, self.read)
 
     def get(self, key, default=None):
         child = self.child(key, default)
@@ -90,7 +95,8 @@ class _Path:
             return []
         if not isinstance(self.raw, (list, tuple)):
             raise ConfigurationError(f"{self.path}: expected a list")
-        return [_Path(v, f"{self.path}[{i}]", self.units) for i, v in enumerate(self.raw)]
+        return [_Path(v, f"{self.path}[{i}]", self.units, self.read)
+                for i, v in enumerate(self.raw)]
 
     def number(self, key, default=None, required=False, dim=None):
         """Field ``key`` as a float in SI; ``dim`` names its dimension.
@@ -136,6 +142,18 @@ class _Path:
             return factory(**kwargs)
         except ConfigurationError as exc:
             self.error(str(exc))
+
+
+def _key_paths(raw, path):
+    """Every mapping key under ``raw`` as a field path, in document order."""
+    if isinstance(raw, dict):
+        for key, value in raw.items():
+            sub = f"{path}.{key}" if path else str(key)
+            yield sub
+            yield from _key_paths(value, sub)
+    elif isinstance(raw, (list, tuple)):
+        for i, value in enumerate(raw):
+            yield from _key_paths(value, f"{path}[{i}]")
 
 
 def _resolve_units(node):
@@ -235,7 +253,8 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     if config_hash is None:
         canonical = json.dumps(raw, sort_keys=True, default=str).encode()
         config_hash = hashlib.sha256(canonical).hexdigest()
-    root = _Path(raw, units=_resolve_units(_Path(raw).child("units")))
+    top = _Path(raw)
+    root = _Path(raw, units=_resolve_units(top.child("units")), read=top.read)
 
     name = str(root.get("name", "scenario"))
     seed = int(root.number("seed", 0))
@@ -280,6 +299,11 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     avail_cfg = _parse_availability(root.child("availability"))
 
     out = root.child("output")
+    dump_states = bool(out.get("dump_states", False))
+    state_stride = int(out.number("state_stride", 1))
+    unread = next((p for p in _key_paths(raw, "") if p not in root.read), None)
+    if unread is not None:
+        raise ConfigurationError(f"{unread}: unknown key (no field of that name is read here)")
     return Scenario(
         name=name,
         raw=copy.deepcopy(raw),
@@ -299,8 +323,8 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
         balance=balance_cfg,
         acoustic=acoustic_cfg,
         availability=avail_cfg,
-        dump_states=bool(out.get("dump_states", False)),
-        state_stride=int(out.number("state_stride", 1)),
+        dump_states=dump_states,
+        state_stride=state_stride,
     )
 
 
@@ -463,7 +487,7 @@ def _parse_plausibility(node):
 
 
 def _parse_rtm(node, instruments):
-    if node.raw is None or not node.get("enabled", True):
+    if _disabled(node):
         return None
     policy = VotingPolicy.default_for(instruments, **_given(
         flow_threshold=node.number("flow_threshold"),
@@ -487,6 +511,17 @@ def _parse_rtm(node, instruments):
     )}
 
 
+def _disabled(node):
+    """True when an optional section is absent or has ``enabled: false``;
+    the keys of a disabled section are kept but not checked."""
+    if node.raw is None:
+        return True
+    if node.get("enabled", True):
+        return False
+    node.read.update(_key_paths(node.raw, node.path))
+    return True
+
+
 def _given(**fields):
     return {k: v for k, v in fields.items() if v is not None}
 
@@ -496,7 +531,7 @@ def _maybe_int(v):
 
 
 def _parse_balance(node, instruments, rtm_cfg):
-    if node.raw is None or not node.get("enabled", True):
+    if _disabled(node):
         return None
     flows = sorted((i for i in instruments if i.kind == "flow"), key=lambda i: i.position)
     if len(flows) < 2:
@@ -514,7 +549,7 @@ def _parse_balance(node, instruments, rtm_cfg):
 
 
 def _parse_acoustic(node, fluid, pipeline):
-    if node.raw is None or not node.get("enabled", True):
+    if _disabled(node):
         return None
     sensors = []
     for item in node.child("sensors", required=True).items():

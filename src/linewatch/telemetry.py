@@ -95,11 +95,12 @@ def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
                 "route them to the acoustic detector"
             )
         node = _node_of(state, inst)
-        truth = {
-            "flow": lambda: state.rho[node] * state.V[node] * pipeline.area,
-            "pressure": lambda: state.P[node],
-            "temperature": lambda: state.T[node],
-        }[inst.kind]()
+        if inst.kind == "flow":
+            truth = state.rho[node] * state.V[node] * pipeline.area
+        elif inst.kind == "pressure":
+            truth = state.P[node]
+        else:  # temperature: InstrumentPlacement admits no other kind
+            truth = state.T[node]
         u, z = noise.draw()
         if u < inst.dropout_prob:
             readings.append(Reading(inst.id, None, MISSING))

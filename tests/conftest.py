@@ -95,3 +95,17 @@ def set_noise_scale(cfg, scale):
     for inst in cfg["instruments"]:
         inst["sigma"] = inst.get("sigma", 0.0) * scale
     return cfg
+
+
+def flow_drive_cfg():
+    """Noiseless 2% leak at 4 km seen by a flow-driven shadow model, with a
+    mid-line pressure indicator at 8 km."""
+    cfg = standard_config(seed=0, horizon=600.0)
+    set_noise_scale(cfg, 0.0)
+    cfg["boundaries"]["inlet"] = {"kind": "flow", "value": 70.35}
+    cfg["instruments"].append(
+        {"id": "p_mid", "kind": "pressure", "position": 8000.0, "sigma": 0.0})
+    cfg["leaks"] = [{"position": 4000.0, "start_time": 120.0, "mass_rate": 1.4}]
+    cfg["rtm"].update(drive="flow", pressure_threshold=4.0e4, flow_threshold=0.5,
+                      smoothing_polls=4)
+    return cfg

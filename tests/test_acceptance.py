@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import set_noise_scale, standard_config
+from conftest import flow_drive_cfg, set_noise_scale, standard_config
 from linewatch.acoustic import AcousticSensor, WaveModel, detection_latency, localize, propagate
 from linewatch.availability import chain_availability, compare_configurations, reference_chains
 from linewatch.fluid import FluidModel, LiquidEos
@@ -30,20 +30,6 @@ RATED_FLOW = 70.0  # kg/s, standard desk scenario
 
 def run_cfg(cfg):
     return run_scenario(scenario_from_dict(cfg))
-
-
-def flow_drive_cfg():
-    """Noiseless 2% leak at 4 km seen by a flow-driven shadow model, with a
-    mid-line pressure indicator at 8 km."""
-    cfg = standard_config(seed=0, horizon=600.0)
-    set_noise_scale(cfg, 0.0)
-    cfg["boundaries"]["inlet"] = {"kind": "flow", "value": 70.35}
-    cfg["instruments"].append(
-        {"id": "p_mid", "kind": "pressure", "position": 8000.0, "sigma": 0.0})
-    cfg["leaks"] = [{"position": 4000.0, "start_time": 120.0, "mass_rate": 1.4}]
-    cfg["rtm"].update(drive="flow", pressure_threshold=4.0e4, flow_threshold=0.5,
-                      smoothing_polls=4)
-    return cfg
 
 
 class TestRtmSensitivity:

@@ -427,3 +427,21 @@ class TestFactorOnce:
         assert counts["builds"] >= 1
         assert counts["factorizations"] == counts["builds"]
         assert counts["solves"] >= 10 * counts["factorizations"]
+
+
+class TestLeakResponse:
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    def test_matches_small_leak_steady_solves(self, water_like, ten_km_line, temperature_end):
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5, temperature_end=temperature_end)
+        base = solver.steady_state(bc)
+        reads = [("P", 30), ("V", 0), ("V", 100), ("T", 70)]
+        response = solver.steady_leak_response(base, bc, reads)
+        assert response.shape == (len(reads), solver.N)
+        assert not response[:, [0, -1]].any()
+        rate = 0.05  # under 0.1% of the line flow, so the response is near linear
+        for j in (1, 30, 31, 99):
+            leak = LeakEvent(position=float(solver.x[j]), start_time=-np.inf, mass_rate=rate)
+            st = solver.steady_state(bc, leaks=[leak], initial_guess=base)
+            finite = [(getattr(st, f)[k] - getattr(base, f)[k]) / rate for f, k in reads]
+            np.testing.assert_allclose(response[:, j], finite, rtol=5e-3)

@@ -1,7 +1,11 @@
+import collections
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import set_noise_scale, standard_config
+from conftest import flow_drive_cfg, set_noise_scale, standard_config
+from linewatch import hydraulics
 from linewatch.errors import ConfigurationError
 from linewatch.fluid import FluidModel, LiquidEos
 from linewatch.hydraulics import (
@@ -11,10 +15,11 @@ from linewatch.hydraulics import (
     PipeFlowSolver,
     SolverSettings,
     TimeSeries,
+    modeled_profile,
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
 from linewatch.rtm import RtmDetector, VotingPolicy, combined_verdict, vote
-from linewatch.scenario import run_scenario, scenario_from_dict
+from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame, sample
 
 
@@ -86,7 +91,7 @@ class _MiniLoop:
     """Plant + detector loop on the standard desk line, zero noise."""
 
     def __init__(self, leak_rate=0.0, leak_pos=5000.0, drive="pressure", seed=1,
-                 pol=None, mangle=None):
+                 pol=None, mangle=None, dx=100.0):
         self.fluid = FluidModel(
             eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
             c=2000.0, sound_speed_hint=1414.2)
@@ -99,7 +104,7 @@ class _MiniLoop:
             InstrumentPlacement("p_out", "pressure", 10000.0),
             InstrumentPlacement("t_in", "temperature", 0.0),
         ]
-        self.grid = discretize(self.pipe, 100.0, self.instruments,
+        self.grid = discretize(self.pipe, dx, self.instruments,
                                extra_points=[leak_pos])
         self.bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries.constant(1.0e6)),
@@ -235,3 +240,121 @@ class TestSizeAndLocate:
         joint = combined_verdict(det.verdict, balance_alarm_time=600.0)
         assert joint["declared"] and joint["confirmed_by_balance"]
         assert joint["declared_time"] == det.verdict.declared_time
+
+
+GAS_LINE = Path(__file__).parents[1] / "demos" / "scenarios" / "gas_line.yaml"
+
+
+def exhaustive_scan(det, size, window):
+    """The per-node scan that ``locate_leak`` replaced, built from public
+    solver calls: one warm-started exact steady solve per candidate node.
+    Returns (node_index, ambiguous, ssr)."""
+    recs = [r for r in det.records[-window:] if r.available]
+    values = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
+              for iid in recs[-1].boundary_values}
+    meas = {}
+    for ind in det.indicators:
+        vals = [r.measured[ind.id] for r in recs if r.measured.get(ind.id) is not None]
+        if vals:
+            meas[ind.id] = float(np.mean(vals))
+    if det.drive == "flow":
+        values[det.pressure_anchor.id] = meas[det.pressure_anchor.id]
+    t_bc = det.fallback_temperature
+    if det.temperature_instrument is not None:
+        t_bc = det._hold.get(det.temperature_instrument.id, t_bc)
+    bc = det._steady_bc(values, t_bc)
+
+    solver = PipeFlowSolver(det.pipeline, det.fluid, det.grid, det.solver.settings)
+    ssr, guess = [], det._state
+    for x in det.grid.node_positions[1:-1]:
+        leak = LeakEvent(position=float(x), start_time=-np.inf, mass_rate=size)
+        guess = solver.steady_state(bc, t=recs[-1].poll_time, leaks=[leak], initial_guess=guess)
+        P, Q = modeled_profile(guess, det.pipeline)
+        total = 0.0
+        for ind in det.indicators:
+            if ind.id in meas:
+                k = det.grid.node_at(ind.position)
+                pred = Q[k] if ind.kind == "flow" else P[k]
+                total += ((meas[ind.id] - pred) / det.policy.threshold_for(ind.kind)) ** 2
+        ssr.append(total)
+    ssr = np.array(ssr)
+    ambiguous = float(np.ptp(ssr)) <= 0.01 * max(float(np.max(ssr)), 1e-30)
+    return int(np.argmin(ssr)) + 1, ambiguous, ssr
+
+
+def _elevated_cfg():
+    """The standard line rising 120 m, with the inlet pressure raised by
+    the static head so the same flow still runs uphill."""
+    cfg = standard_config()
+    cfg["pipeline"]["elevation"] = [[0.0, 0.0], [10000.0, 120.0]]
+    cfg["boundaries"]["inlet"]["value"] = 2.18e6
+    return cfg
+
+
+class TestSuperpositionScan:
+    """The superposition scan against the exhaustive per-node scan, and its cost."""
+
+    @pytest.mark.parametrize("case", ["standard", "gas_line", "elevated", "flow_drive"])
+    def test_picks_the_exhaustive_scans_node(self, case, monkeypatch):
+        scenario = {
+            "standard": lambda: scenario_from_dict(standard_config()),
+            "gas_line": lambda: load_scenario(GAS_LINE),
+            "elevated": lambda: scenario_from_dict(_elevated_cfg()),
+            "flow_drive": lambda: scenario_from_dict(flow_drive_cfg()),
+        }[case]()
+        pairs = []
+        locate = RtmDetector.locate_leak
+
+        def both(det, size, window=None):
+            scan = locate(det, size, window)
+            w = det.locate_window_polls if window is None else window
+            pairs.append((scan, exhaustive_scan(det, size, w)))
+            return scan
+
+        monkeypatch.setattr(RtmDetector, "locate_leak", both)
+        run_scenario(scenario)
+        assert len(pairs) == 2  # at declaration and at refinement
+        for scan, (node, ambiguous, ssr) in pairs:
+            assert scan.node_index == node
+            assert scan.ambiguous == ambiguous
+            best = scan.node_index - 1
+            near = slice(max(best - 1, 0), best + 2)
+            np.testing.assert_allclose(scan.ssr[near], ssr[near], rtol=1e-6)
+
+    def _scan_cost(self, dx, monkeypatch):
+        det = _MiniLoop(leak_rate=5.0, leak_pos=3000.0, dx=dx).run(60)
+        counts = collections.Counter()
+        in_steady = [False]
+        steady, dgbtrf = PipeFlowSolver.steady_state, hydraulics.lapack.dgbtrf
+
+        def counted_steady(*args, **kwargs):
+            counts["steady"] += 1
+            in_steady[0] = True
+            try:
+                return steady(*args, **kwargs)
+            finally:
+                in_steady[0] = False
+
+        def counted_dgbtrf(*args, **kwargs):
+            counts["newton" if in_steady[0] else "response"] += 1
+            return dgbtrf(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(PipeFlowSolver, "steady_state", counted_steady)
+            m.setattr(hydraulics.lapack, "dgbtrf", counted_dgbtrf)
+            scan = det.locate_leak(det.verdict.size_estimate, window=12)
+        assert scan.position == pytest.approx(3000.0, abs=dx + 1e-9)
+        return counts, scan.candidates.size
+
+    def test_one_factorization_and_few_exact_solves(self, monkeypatch):
+        small, _ = self._scan_cost(100.0, monkeypatch)
+        large, candidates = self._scan_cost(20.0, monkeypatch)
+        for counts in (small, large):
+            assert counts["response"] == 1
+            # The base solve factors once; the exact solves near the best
+            # node reuse the response's factors.
+            assert counts["newton"] == 1
+        # Five times the candidates cost at most one more exact solve.
+        exact_small, exact_large = small["steady"] - 1, large["steady"] - 1
+        assert 3 <= exact_small <= exact_large <= exact_small + 1
+        assert exact_large < 0.05 * candidates

@@ -76,6 +76,40 @@ class TestParsing:
         assert set(s.rtm) == {"policy", "substeps"}
         assert s.rtm["substeps"] == 2
 
+    @pytest.mark.parametrize("edit,path", [
+        (lambda c: c["pipeline"].update(diamter=0.5), "pipeline.diamter"),
+        (lambda c: c["rtm"].update(flow_treshold=99), "rtm.flow_treshold"),
+        (lambda c: c["instruments"][2].update(sigm=1.0), "instruments[2].sigm"),
+        (lambda c: c["boundaries"]["inlet"].update(series=[[0.0, 1.0e6]]),
+         "boundaries.inlet.value"),
+        (lambda c: c.update(horizn=60.0), "horizn"),
+        (lambda c: c["telemetry"].update(plausibility={"flow": {"mx": 1.0}}),
+         "telemetry.plausibility.flow.mx"),
+    ], ids=["pipeline", "rtm", "instrument", "value_beside_series", "top_level", "nested"])
+    def test_unread_key_names_path(self, edit, path):
+        cfg = standard_config()
+        edit(cfg)
+        with pytest.raises(ConfigurationError, match="^" + re.escape(path + ": unknown key")):
+            scenario_from_dict(cfg)
+
+    def test_first_unread_key_in_document_order(self):
+        cfg = standard_config()
+        cfg["pipeline"]["diamter"] = 0.5
+        cfg["rtm"]["flow_treshold"] = 99
+        with pytest.raises(ConfigurationError, match="^pipeline.diamter"):
+            scenario_from_dict(cfg)
+
+    def test_disabled_section_keeps_its_keys(self):
+        cfg = standard_config()
+        cfg["acoustic"]["enabled"] = False
+        cfg["acoustic"]["atenuation"] = 1.0
+        assert scenario_from_dict(cfg).acoustic is None
+
+    def test_shipped_scenarios_read_every_key(self):
+        root = Path(__file__).parents[1]
+        for path in sorted(root.glob("demos/scenarios/*.yaml")):
+            load_scenario(path)
+
     def test_leak_must_start_after_zero(self):
         cfg = standard_config()
         cfg["leaks"] = [{"position": 5000.0, "start_time": 0.0, "mass_rate": 1.0}]
