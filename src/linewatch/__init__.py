@@ -61,6 +61,14 @@ from .hydraulics import (
 from .network import Grid, InstrumentPlacement, PipelineModel, Segment, discretize, elevation_at
 from .rtm import Discrepancy, LeakVerdict, RtmDetector, VotingPolicy, vote
 from .scenario import RunReport, Scenario, load_scenario, run_scenario, scenario_from_dict, sweep
-from .telemetry import NoiseSpec, PlausibilityLimits, Reading, TelemetryFrame, plausibility_filter, sample
+from .telemetry import (
+    NoiseSpec,
+    PlausibilityLimits,
+    Reading,
+    TelemetryFrame,
+    instrument_nodes,
+    plausibility_filter,
+    sample,
+)
 
 __version__ = "0.1.0"

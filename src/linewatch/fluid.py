@@ -116,10 +116,6 @@ class FluidModel:
                 f"sound_speed_hint must be > 0, got {self.sound_speed_hint}"
             )
 
-    @property
-    def is_gas(self):
-        return isinstance(self.eos, GasEos)
-
     def density(self, P, T):
         return density(self, P, T)
 

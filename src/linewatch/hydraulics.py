@@ -6,6 +6,12 @@ continuity equation is discretized in conservation form so the per-step
 mass ledger (boundary fluxes vs. linepack change vs. leak draw) closes to
 the Newton tolerance.  Leaks enter as constant mass-rate sinks at grid
 nodes.
+
+Each solve builds its residual once, as a function of the new state alone:
+the old-state halves of the theta-weighted terms, the boundary targets and
+the coefficient vectors are evaluated before Newton starts, not on every
+residual call.  Operand order is kept exactly as in the written-out scheme,
+so the hoisting changes no bit of any result.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from .errors import (
     InfeasibleStateError,
     SolverError,
 )
-from .fluid import FluidModel, dP_dT_const_density, raw_density
+from .fluid import FluidModel, LiquidEos, dP_dT_const_density, raw_density
 from .network import GRAVITY, Grid, PipelineModel, elevation_at
 
 __all__ = [
@@ -217,6 +223,7 @@ class PipeFlowSolver:
         self._structures = {}
         self._lu_cache = None       # (lu, piv, info) from lapack.dgbtrf
         self._cache_key = None
+        self._last_linepack = (None, None)  # (state advance last returned, its linepack)
 
     # ---------------------------------------------------------------- public
 
@@ -237,7 +244,7 @@ class PipeFlowSolver:
         else:
             u0 = self._steady_guess(bc, t)
         self._freeze_scales(u0)
-        res = lambda u: self._residual(u, None, t, bc, q, None, steady=True, dt=None)
+        res = self._build_residual(bc, t, q)
         key = ("steady", bc.temperature_end)
         u, _ = self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
         state = self._state_from(u, t)
@@ -261,8 +268,7 @@ class PipeFlowSolver:
         reuse them.
         """
         key = ("steady", bc.temperature_end)
-        q = np.zeros(self.N - 1)
-        res = lambda u: self._residual(u, None, state.t, bc, q, None, steady=True, dt=None)
+        res = self._build_residual(bc, state.t, np.zeros(self.N - 1))
         u = self._pack(state.P, state.V, state.T)
         lu = self._factor(u, res, res(u), key, history=[])
         lu_band, piv, info = lu
@@ -275,7 +281,7 @@ class PipeFlowSolver:
         unit = np.zeros((self.n_unknowns, idx.size), order="F")
         unit[idx, np.arange(idx.size)] = 1.0
         adjoint, _ = lapack.dgbtrs(lu_band, 4, 4, unit, piv, trans=1)
-        # The continuity row of cell c is head + 3c (see _residual); a unit
+        # The continuity row of cell c is head + 3c (see _build_residual); a unit
         # leak adds 0.5/_mdot_scale to two of them, and J du = -dR.
         head = 2 if bc.temperature_end == "inlet" else 1
         cont = adjoint[head : head + 3 * (self.N - 1) : 3]
@@ -288,8 +294,10 @@ class PipeFlowSolver:
         """One implicit step from state.t to state.t + dt.
 
         Returns a StepResult carrying the new state and the step's mass
-        ledger.  Raises SolverError (with residual history) on Newton
-        failure and InfeasibleStateError if the new state is unphysical.
+        ledger; when ``state`` is the one the previous step returned, that
+        step's ``linepack_end`` is reused as ``linepack_start``.  Raises
+        SolverError (with residual history) on Newton failure and
+        InfeasibleStateError if the new state is unphysical.
         """
         dt = self.settings.dt if dt is None else float(dt)
         t0, t1 = state.t, state.t + dt
@@ -298,7 +306,7 @@ class PipeFlowSolver:
         old = (state.P, state.V, state.T, state.rho)
         u0 = self._pack(state.P, state.V, state.T)
         self._freeze_scales(u0)
-        res = lambda u: self._residual(u, old, t1, bc, q_new, q_old, steady=False, dt=dt)
+        res = self._build_residual(bc, t1, q_new, old, q_old, dt)
         key = ("transient", bc.temperature_end, dt)
         u, _ = self._newton(u0, res, key, fresh_jacobian=False)
         new_state = self._state_from(u, t1)
@@ -309,106 +317,148 @@ class PipeFlowSolver:
         flux_old = self.A * state.rho * state.V
         leak_total_new = float(np.sum(q_new))
         leak_total_old = float(np.sum(q_old))
+        last_state, last_linepack = self._last_linepack
+        linepack_start = last_linepack if last_state is state else linepack(state, self.pipeline)
+        linepack_end = linepack(new_state, self.pipeline)
+        self._last_linepack = (new_state, linepack_end)
         entry = MassLedgerEntry(
             t_start=t0,
             t_end=t1,
             mass_in=dt * (th * flux_new[0] + (1 - th) * flux_old[0]),
             mass_out=dt * (th * flux_new[-1] + (1 - th) * flux_old[-1]),
             leak_mass=dt * (th * leak_total_new + (1 - th) * leak_total_old),
-            linepack_start=linepack(state, self.pipeline),
-            linepack_end=linepack(new_state, self.pipeline),
+            linepack_start=linepack_start,
+            linepack_end=linepack_end,
         )
         return StepResult(state=new_state, ledger=entry)
 
     # ------------------------------------------------------------- residuals
 
-    def _residual(self, u, old, t_new, bc, q_new, q_old, steady, dt):
+    def _build_residual(self, bc, t_new, q_new, old=None, q_old=None, dt=None):
+        """The scaled residual of one solve, as a function of ``u`` alone.
+
+        Steady when ``old`` is None, else one theta-weighted step of ``dt``
+        from the old ``(P, V, T, rho)``.  Everything that does not depend on
+        the new state is evaluated here, once per solve: the ``(1-theta)``
+        halves of the cell means and gradients of the old state, the old
+        flux difference and leak draw, the boundary targets and temperature
+        anchor, the coefficient vectors and a liquid's constant dP/dT.
+
+        Each hoisted value is a whole operand of the expression it enters,
+        and every sum and product keeps its operand order, so the result is
+        bit for bit the residual of the expressions written out in full.
+        Re-associating would move the round-off of the step ledger.
+        """
         N = self.N
-        P, V, T = u[0::3], u[1::3], u[2::3]
-        with np.errstate(all="ignore"):
-            rho = raw_density(self.fluid.eos, P, T)
+        c, D, dxc = self.fluid.c, self.D, self.dxc
+        A, f, Tg = self.A, self.f_cell, self.Tg
+        eos = self.fluid.eos
+        steady = old is None
+        temperature_inlet = bc.temperature_end == "inlet"
+        mdot_scale, P_scale, T_scale = self._mdot_scale, self._P_scale, self._T_scale
 
-            if steady:
-                th, invdt = 1.0, 0.0
-                Po = Vo = To = rhoo = None
-            else:
-                th, invdt = self.settings.theta, 1.0 / dt
-                Po, Vo, To, rhoo = old
+        inlet, outlet = bc.inlet, bc.outlet
+        inlet_target = inlet.series.at(t_new)
+        outlet_target = outlet.series.at(t_new)
+        T_anchor = bc.temperature.at(t_new)
+        inlet_pressure = inlet.kind == "pressure"
+        outlet_pressure = outlet.kind == "pressure"
 
-            def mid(a):
-                return 0.5 * (a[:-1] + a[1:])
+        g_dHdx = GRAVITY * self.dHdx
+        two_D = 2.0 * D
+        two_cD = 2.0 * c * D
+        four_U = 4.0 * self.U_cell
+        # A liquid's dP/dT at constant density does not depend on the state.
+        dPdT_liquid = (dP_dT_const_density(self.fluid, 0.0, 0.0)
+                       if isinstance(eos, LiquidEos) else None)
 
-            def bar(a_new, a_old):
-                m = mid(a_new)
-                return m if steady else th * m + (1 - th) * mid(a_old)
+        head = 2 if temperature_inlet else 1
+        rows_c = slice(head, head + 3 * (N - 1), 3)
+        rows_m = slice(head + 1, head + 3 * (N - 1), 3)
+        rows_e = slice(head + 2, head + 3 * (N - 1), 3)
+        row_out = head + 3 * (N - 1)
 
-            def ddx(a_new, a_old):
-                d = np.diff(a_new) / self.dxc
-                return d if steady else th * d + (1 - th) * np.diff(a_old) / self.dxc
+        if not steady:
+            th, invdt = self.settings.theta, 1.0 / dt
+            wo = 1 - th    # weight of the old time level
+            Po, Vo, To, rhoo = old
+            mid_Vo = 0.5 * (Vo[:-1] + Vo[1:])
+            mid_To = 0.5 * (To[:-1] + To[1:])
+            mid_rhoo = 0.5 * (rhoo[:-1] + rhoo[1:])
+            Vb_old = wo * mid_Vo
+            Tb_old = wo * mid_To
+            rb_old = wo * mid_rhoo
+            Pb_old = wo * (0.5 * (Po[:-1] + Po[1:]))
+            dV_old = wo * (Vo[1:] - Vo[:-1]) / dxc
+            dT_old = wo * (To[1:] - To[:-1]) / dxc
+            dP_old = wo * (Po[1:] - Po[:-1]) / dxc
+            flux_o = A * rhoo * Vo
+            dflux_old = wo * (flux_o[1:] - flux_o[:-1])
+            q_bar = th * q_new + wo * q_old
+            dxcA = dxc * A
 
-            Vb = bar(V, Vo)
-            rb = bar(rho, rhoo)
-            Tb = bar(T, To)
-            Pb = bar(P, Po)
+        def residual(u):
+            P, V, T = u[0::3], u[1::3], u[2::3]
+            with np.errstate(all="ignore"):
+                rho = raw_density(eos, P, T)
+                mid_V = 0.5 * (V[:-1] + V[1:])
+                mid_T = 0.5 * (T[:-1] + T[1:])
+                mid_rho = 0.5 * (rho[:-1] + rho[1:])
+                dV = (V[1:] - V[:-1]) / dxc
+                dT = (T[1:] - T[:-1]) / dxc
+                dP = (P[1:] - P[:-1]) / dxc
+                flux = A * rho * V
+                dflux = flux[1:] - flux[:-1]
+                if steady:
+                    Vb, Tb, rb = mid_V, mid_T, mid_rho
+                    R_c = dflux + q_new
+                    # the zero time term is still added: it turns a -0.0 into 0.0
+                    R_m = 0.0 + Vb * dV
+                    R_e = 0.0 + Vb * dT
+                else:
+                    Vb = th * mid_V + Vb_old
+                    Tb = th * mid_T + Tb_old
+                    rb = th * mid_rho + rb_old
+                    dV = th * dV + dV_old
+                    dT = th * dT + dT_old
+                    dP = th * dP + dP_old
+                    R_c = dxcA * (mid_rho - mid_rhoo) * invdt + th * dflux + dflux_old + q_bar
+                    R_m = (mid_V - mid_Vo) * invdt + Vb * dV
+                    R_e = (mid_T - mid_To) * invdt + Vb * dT
 
-            flux = self.A * rho * V
-            if steady:
-                R_c = np.diff(flux) + q_new
-            else:
-                flux_o = self.A * rhoo * Vo
-                R_c = (
-                    self.dxc * self.A * (mid(rho) - mid(rhoo)) * invdt
-                    + th * np.diff(flux)
-                    + (1 - th) * np.diff(flux_o)
-                    + (th * q_new + (1 - th) * q_old)
+                abs_Vb = np.abs(Vb)
+                R_m = R_m + dP / rb + g_dHdx + f * Vb * abs_Vb / two_D
+
+                rbc = rb * c
+                if dPdT_liquid is None:
+                    Pb = 0.5 * (P[:-1] + P[1:])
+                    if not steady:
+                        Pb = th * Pb + Pb_old
+                    dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
+                else:
+                    dPdT = dPdT_liquid
+                R_e = (
+                    R_e
+                    + (Tb / rbc) * dPdT * dV
+                    - f * abs_Vb ** 3 / two_cD
+                    + (four_U / (rbc * D)) * (Tb - Tg)
                 )
+                if steady:
+                    R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
 
-            R_m = (
-                (0.0 if steady else (mid(V) - mid(Vo)) * invdt)
-                + Vb * ddx(V, Vo)
-                + ddx(P, Po) / rb
-                + GRAVITY * self.dHdx
-                + self.f_cell * Vb * np.abs(Vb) / (2.0 * self.D)
-            )
+                R = np.empty(3 * N)
+                R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
+                        else (flux[0] - inlet_target) / mdot_scale)
+                R[rows_c] = R_c / mdot_scale
+                R[rows_m] = R_m / GRAVITY
+                R[rows_e] = R_e  # K/s, unit scale
+                R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
+                              else (flux[-1] - outlet_target) / mdot_scale)
+                r_T = (T[0 if temperature_inlet else -1] - T_anchor) / T_scale
+                R[1 if temperature_inlet else -1] = r_T
+            return R
 
-            c = self.fluid.c
-            dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
-            R_e = (
-                (0.0 if steady else (mid(T) - mid(To)) * invdt)
-                + Vb * ddx(T, To)
-                + (Tb / (rb * c)) * dPdT * ddx(V, Vo)
-                - self.f_cell * np.abs(Vb) ** 3 / (2.0 * c * self.D)
-                + (4.0 * self.U_cell / (rb * c * self.D)) * (Tb - self.Tg)
-            )
-            T_anchor = bc.temperature.at(t_new)
-            if steady:
-                R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
-
-            # Boundary rows
-            def leg_residual(leg, node):
-                target = leg.series.at(t_new)
-                if leg.kind == "pressure":
-                    return (P[node] - target) / self._P_scale
-                return (flux[node] - target) / self._mdot_scale
-
-            r_in = leg_residual(bc.inlet, 0)
-            r_out = leg_residual(bc.outlet, -1)
-            t_node = 0 if bc.temperature_end == "inlet" else -1
-            r_T = (T[t_node] - T_anchor) / self._T_scale
-
-            R = np.empty(self.n_unknowns)
-            head = 2 if bc.temperature_end == "inlet" else 1
-            R[0] = r_in
-            if bc.temperature_end == "inlet":
-                R[1] = r_T
-            base = head
-            R[base + 0 : base + 3 * (N - 1) : 3] = R_c / self._mdot_scale
-            R[base + 1 : base + 3 * (N - 1) : 3] = R_m / GRAVITY
-            R[base + 2 : base + 3 * (N - 1) : 3] = R_e  # K/s, unit scale
-            R[base + 3 * (N - 1)] = r_out
-            if bc.temperature_end == "outlet":
-                R[-1] = r_T
-        return R
+        return residual
 
     # --------------------------------------------------------------- newton
 

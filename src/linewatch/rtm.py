@@ -347,8 +347,9 @@ class RtmDetector:
         )
         dt_sub = (t1 - t0) / self.substeps
         for _ in range(self.substeps):
-            self._state = self.solver.advance(self._state, bc, dt=dt_sub).state
-        lp = linepack(self._state, self.pipeline)
+            step = self.solver.advance(self._state, bc, dt=dt_sub)
+            self._state = step.state
+        lp = step.ledger.linepack_end
         if suspended:
             return self._unavailable(frame, "boundary readings stale; detection suspended",
                                      shadow_linepack=lp)
@@ -379,7 +380,7 @@ class RtmDetector:
                 continue
             node = self.grid.node_at(ind.position)
             model = Q_mod[node] if ind.kind == "flow" else P_mod[node]
-            d = v - model
+            d = float(v - model)
             delta[ind.id] = d
             buf = self._smooth[ind.id]
             buf.append(d)

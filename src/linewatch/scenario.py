@@ -36,7 +36,7 @@ from .hydraulics import (
 )
 from .network import InstrumentPlacement, PipelineModel, Segment, discretize
 from .rtm import RtmDetector, VotingPolicy, combined_verdict
-from .telemetry import NoiseSpec, PlausibilityLimits, plausibility_filter, sample
+from .telemetry import NoiseSpec, PlausibilityLimits, instrument_nodes, plausibility_filter, sample
 
 __all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "run_scenario", "sweep"]
 
@@ -598,6 +598,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         extra += [sen.position for sen in s.acoustic["sensors"]]
     scada = [i for i in s.instruments if i.kind != "acoustic"]
     grid = discretize(s.pipeline, s.target_dx, scada, extra_points=extra)
+    scada_nodes = instrument_nodes(grid.node_positions, scada)
 
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid, s.plant_settings)
     state = plant.steady_state(s.bc, t=0.0)
@@ -630,7 +631,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     solver_failure = None
 
     def do_poll(st):
-        frame = sample(st, scada, noise, st.t, pipeline=s.pipeline)
+        frame = sample(st, scada, noise, st.t, pipeline=s.pipeline, nodes=scada_nodes)
         frame = plausibility_filter(frame, frames[-64:], s.plausibility, scada)
         frames.append(frame)
         lp_est = None

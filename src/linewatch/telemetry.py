@@ -19,6 +19,7 @@ __all__ = [
     "TelemetryFrame",
     "NoiseSpec",
     "PlausibilityLimits",
+    "instrument_nodes",
     "sample",
     "plausibility_filter",
 ]
@@ -79,27 +80,46 @@ class PlausibilityLimits:
     flatline_polls: Optional[int] = None  # identical-value run length; None = off
 
 
-def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
-           *, pipeline: PipelineModel) -> TelemetryFrame:
-    """Synthesize one telemetry frame from a true model state.
+def instrument_nodes(x, instruments):
+    """Grid node index of each polled instrument, in order, for :func:`sample`.
 
-    Every instrument must sit on a grid node.  Flow meters read rho*V*A in
-    kg/s, pressure sensors Pa, temperature sensors K.  Acoustic sensors are
-    event devices handled by the acoustic module, not polled here.
+    ``x`` holds the node positions of the grid the states are on.  Every
+    instrument must sit on a node; acoustic sensors are event devices
+    handled by the acoustic module, not polled.
     """
-    readings = []
+    nodes = []
     for inst in instruments:
         if inst.kind == "acoustic":
             raise ConfigurationError(
                 f"instrument {inst.id}: acoustic sensors are not polled; "
                 "route them to the acoustic detector"
             )
-        node = _node_of(state, inst)
+        idx = int(np.argmin(np.abs(x - inst.position)))
+        span = max(float(x[-1] - x[0]), 1.0)
+        if abs(x[idx] - inst.position) > 1e-9 * span + 1e-9:
+            raise ConfigurationError(
+                f"instrument {inst.id} at {inst.position} m is not on a grid node; "
+                "pass instruments to discretize()"
+            )
+        nodes.append(idx)
+    return tuple(nodes)
+
+
+def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
+           *, pipeline: PipelineModel, nodes) -> TelemetryFrame:
+    """Synthesize one telemetry frame from a true model state.
+
+    ``nodes`` are the instruments' grid nodes from :func:`instrument_nodes`.
+    Flow meters read rho*V*A in kg/s, pressure sensors Pa, temperature
+    sensors K.
+    """
+    readings = []
+    for inst, node in zip(instruments, nodes, strict=True):
         if inst.kind == "flow":
             truth = state.rho[node] * state.V[node] * pipeline.area
         elif inst.kind == "pressure":
             truth = state.P[node]
-        else:  # temperature: InstrumentPlacement admits no other kind
+        else:  # temperature: instrument_nodes admits no other kind
             truth = state.T[node]
         u, z = noise.draw()
         if u < inst.dropout_prob:
@@ -142,17 +162,6 @@ def plausibility_filter(frame: TelemetryFrame, history, limits, instruments) -> 
                 quality = SUSPECT
         out.append(Reading(r.instrument_id, r.value, quality))
     return TelemetryFrame(poll_time=frame.poll_time, readings=tuple(out))
-
-
-def _node_of(state, inst):
-    idx = int(np.argmin(np.abs(state.x - inst.position)))
-    span = max(float(state.x[-1] - state.x[0]), 1.0)
-    if abs(state.x[idx] - inst.position) > 1e-9 * span + 1e-9:
-        raise ConfigurationError(
-            f"instrument {inst.id} at {inst.position} m is not on a grid node; "
-            "pass instruments to discretize()"
-        )
-    return idx
 
 
 def _last_good(history, instrument_id):

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from linewatch import hydraulics
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
-from linewatch.fluid import FluidModel, GasEos, LiquidEos
+from linewatch.fluid import FluidModel, GasEos, LiquidEos, dP_dT_const_density, raw_density
 from linewatch.hydraulics import (
     BoundaryConditions,
     BoundaryLeg,
@@ -15,6 +15,7 @@ from linewatch.hydraulics import (
     PipeFlowSolver,
     SolverSettings,
     TimeSeries,
+    _STEADY_T_REG,
     linepack,
     modeled_profile,
 )
@@ -429,6 +430,34 @@ class TestFactorOnce:
         assert counts["solves"] >= 10 * counts["factorizations"]
 
 
+    def test_boundary_series_read_once_per_step(self, water_like, ten_km_line, monkeypatch):
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5)
+        st = solver.steady_state(bc)
+        # A 10 bar inlet slam over 1 s at t=20 s slows Newton enough to force
+        # Jacobian rebuilds.
+        slam = BoundaryConditions(
+            inlet=BoundaryLeg("pressure", TimeSeries([0.0, 20.0, 21.0], [1.0e6, 1.0e6, 2.0e6])),
+            outlet=bc.outlet, temperature=bc.temperature,
+        )
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(TimeSeries, "at", counting("reads", TimeSeries.at))
+        monkeypatch.setattr(PipeFlowSolver, "_jacobian", counting("builds", PipeFlowSolver._jacobian))
+        steps = 50
+        for _ in range(steps):
+            st = solver.advance(st, slam).state
+
+        # The first transient step builds one Jacobian; the slam forces more.
+        assert counts["builds"] >= 2
+        assert counts["reads"] <= 3 * steps
+
 class TestLeakResponse:
     @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
     def test_matches_small_leak_steady_solves(self, water_like, ten_km_line, temperature_end):
@@ -445,3 +474,148 @@ class TestLeakResponse:
             st = solver.steady_state(bc, leaks=[leak], initial_guess=base)
             finite = [(getattr(st, f)[k] - getattr(base, f)[k]) / rate for f, k in reads]
             np.testing.assert_allclose(response[:, j], finite, rtol=5e-3)
+
+
+# The residual as written out in full before its old-state, boundary and
+# coefficient terms were hoisted into PipeFlowSolver._build_residual; kept
+# verbatim as the reference the hoisted residual must match bit for bit.
+def _reference_residual(self, u, old, t_new, bc, q_new, q_old, steady, dt):
+    N = self.N
+    P, V, T = u[0::3], u[1::3], u[2::3]
+    with np.errstate(all="ignore"):
+        rho = raw_density(self.fluid.eos, P, T)
+
+        if steady:
+            th, invdt = 1.0, 0.0
+            Po = Vo = To = rhoo = None
+        else:
+            th, invdt = self.settings.theta, 1.0 / dt
+            Po, Vo, To, rhoo = old
+
+        def mid(a):
+            return 0.5 * (a[:-1] + a[1:])
+
+        def bar(a_new, a_old):
+            m = mid(a_new)
+            return m if steady else th * m + (1 - th) * mid(a_old)
+
+        def ddx(a_new, a_old):
+            d = np.diff(a_new) / self.dxc
+            return d if steady else th * d + (1 - th) * np.diff(a_old) / self.dxc
+
+        Vb = bar(V, Vo)
+        rb = bar(rho, rhoo)
+        Tb = bar(T, To)
+        Pb = bar(P, Po)
+
+        flux = self.A * rho * V
+        if steady:
+            R_c = np.diff(flux) + q_new
+        else:
+            flux_o = self.A * rhoo * Vo
+            R_c = (
+                self.dxc * self.A * (mid(rho) - mid(rhoo)) * invdt
+                + th * np.diff(flux)
+                + (1 - th) * np.diff(flux_o)
+                + (th * q_new + (1 - th) * q_old)
+            )
+
+        R_m = (
+            (0.0 if steady else (mid(V) - mid(Vo)) * invdt)
+            + Vb * ddx(V, Vo)
+            + ddx(P, Po) / rb
+            + GRAVITY * self.dHdx
+            + self.f_cell * Vb * np.abs(Vb) / (2.0 * self.D)
+        )
+
+        c = self.fluid.c
+        dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
+        R_e = (
+            (0.0 if steady else (mid(T) - mid(To)) * invdt)
+            + Vb * ddx(T, To)
+            + (Tb / (rb * c)) * dPdT * ddx(V, Vo)
+            - self.f_cell * np.abs(Vb) ** 3 / (2.0 * c * self.D)
+            + (4.0 * self.U_cell / (rb * c * self.D)) * (Tb - self.Tg)
+        )
+        T_anchor = bc.temperature.at(t_new)
+        if steady:
+            R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
+
+        # Boundary rows
+        def leg_residual(leg, node):
+            target = leg.series.at(t_new)
+            if leg.kind == "pressure":
+                return (P[node] - target) / self._P_scale
+            return (flux[node] - target) / self._mdot_scale
+
+        r_in = leg_residual(bc.inlet, 0)
+        r_out = leg_residual(bc.outlet, -1)
+        t_node = 0 if bc.temperature_end == "inlet" else -1
+        r_T = (T[t_node] - T_anchor) / self._T_scale
+
+        R = np.empty(self.n_unknowns)
+        head = 2 if bc.temperature_end == "inlet" else 1
+        R[0] = r_in
+        if bc.temperature_end == "inlet":
+            R[1] = r_T
+        base = head
+        R[base + 0 : base + 3 * (N - 1) : 3] = R_c / self._mdot_scale
+        R[base + 1 : base + 3 * (N - 1) : 3] = R_m / GRAVITY
+        R[base + 2 : base + 3 * (N - 1) : 3] = R_e  # K/s, unit scale
+        R[base + 3 * (N - 1)] = r_out
+        if bc.temperature_end == "outlet":
+            R[-1] = r_T
+    return R
+
+
+_GAS = FluidModel(
+    eos=GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.0),
+    c=2200.0, sound_speed_hint=380.0,
+)
+_GAS_LINE = PipelineModel(length=50000.0, diameter=0.5, friction_factor=0.015,
+                          U=1.0, Tg=288.15, elevation_profile=((0.0, 0.0), (50000.0, 40.0)))
+# (pressure Pa at a pressure leg, mass flow kg/s at a flow leg, dx m, dt s)
+_LINES = {"liquid": (1.0e6, 6.7e5, 70.0, 500.0, 1.0), "gas": (6.0e6, 5.0e6, 45.0, 2500.0, 2.0)}
+
+
+class TestHoistedResidual:
+    @pytest.mark.parametrize("leak", [False, True], ids=["no_leak", "leak"])
+    @pytest.mark.parametrize("mode", ["steady", "transient"])
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    @pytest.mark.parametrize("legs", ["pp", "fp", "pf"])
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_bit_identical_to_written_out_residual(self, water_like, ten_km_line, fluid_kind,
+                                                    legs, temperature_end, mode, leak):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+        solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+        ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
+        inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
+        outlet = BoundaryLeg("pressure", ramp(p_out)) if legs[1] == "p" else BoundaryLeg("flow", ramp(mdot))
+        bc = BoundaryConditions(inlet=inlet, outlet=outlet,
+                                temperature=TimeSeries([0.0, 10.0 * dt], [300.0, 301.0]),
+                                temperature_end=temperature_end)
+        # Steady solves need a pressure anchor; the flow-flow pair never occurs.
+        start = 0.5 * dt if mode == "transient" else -np.inf
+        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=start, mass_rate=0.02 * mdot)] if leak else []
+
+        if mode == "steady":
+            st = solver.steady_state(bc, t=3.0 * dt, leaks=leaks)
+            q = solver._leak_cells(leaks, st.t)
+            args = (None, st.t, bc, q, None, True, None)
+            res = solver._build_residual(bc, st.t, q)
+        else:
+            old = solver.steady_state(bc, leaks=leaks)
+            st = solver.advance(old, bc, leaks=leaks).state
+            q_new, q_old = solver._leak_cells(leaks, st.t), solver._leak_cells(leaks, old.t)
+            assert (q_new != q_old).any() == leak
+            fields = (old.P, old.V, old.T, old.rho)
+            args = (fields, st.t, bc, q_new, q_old, False, dt)
+            res = solver._build_residual(bc, st.t, q_new, fields, q_old, dt)
+
+        u = solver._pack(st.P, st.V, st.T)
+        rng = np.random.default_rng(7)
+        for point in (u, u + 1e-3 * rng.standard_normal(u.size) * solver.u_scale):
+            expected = _reference_residual(solver, point, *args)
+            assert np.isfinite(expected).all()
+            assert res(point).tobytes() == expected.tobytes()

@@ -20,7 +20,8 @@ from linewatch.hydraulics import (
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
 from linewatch.rtm import RtmDetector, VotingPolicy, combined_verdict, vote
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
-from linewatch.telemetry import GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame, sample
+from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
+                                 instrument_nodes, sample)
 
 
 def policy(**kw):
@@ -122,13 +123,15 @@ class _MiniLoop:
         self.mangle = mangle
 
     def run(self, polls):
-        frame = sample(self.state, self.instruments, self.noise, 0.0, pipeline=self.pipe)
+        nodes = instrument_nodes(self.grid.node_positions, self.instruments)
+        frame = sample(self.state, self.instruments, self.noise, 0.0, pipeline=self.pipe,
+                       nodes=nodes)
         self.det.observe(self._mangled(frame, 0))
         for k in range(1, polls + 1):
             for _ in range(5):
                 self.state = self.plant.advance(self.state, self.bc, leaks=self.leaks).state
             frame = sample(self.state, self.instruments, self.noise, self.state.t,
-                           pipeline=self.pipe)
+                           pipeline=self.pipe, nodes=nodes)
             self.det.observe(self._mangled(frame, k))
         return self.det
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import re
@@ -13,6 +14,7 @@ import linewatch.scenario as scenario_module
 from conftest import set_noise_scale, standard_config
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError
+from linewatch.fluid import GasEos
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, sweep
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
@@ -165,7 +167,7 @@ class TestParsing:
         cfg["boundaries"]["inlet"]["value"] = 6.0e6
         cfg["boundaries"]["outlet"]["value"] = 5.0e6
         s = scenario_from_dict(cfg)
-        assert s.fluid.is_gas and s.fluid.eos.k > 0
+        assert isinstance(s.fluid.eos, GasEos) and s.fluid.eos.k > 0
 
 
 _PRESSURE_SI = {"Pa": 1.0, "kPa": 1e3, "MPa": 1e6, "bar": 1e5, "psi": 6894.757293168}
@@ -467,6 +469,27 @@ class TestCli:
         assert report["scenario"] == "standard-leak"
         first = (out / "telemetry.csv").read_text().splitlines()[0]
         assert report["config_sha256"] in first  # provenance hash on outputs
+
+    def test_every_csv_cell_is_a_number(self, tmp_path):
+        cfg = standard_config(horizon=660.0)   # one full 600 s balance window
+        cfg["availability"] = {"per_unit": 0.99}
+        path = self.write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        text_columns = {"instrument", "quality", "sensor", "chain"}
+        written = sorted(out.glob("*.csv"))
+        assert [p.name for p in written] == [
+            "acoustic_events.csv", "availability.csv", "balance_windows.csv",
+            "rtm_trace.csv", "telemetry.csv",
+        ]
+        for csv_path in written:
+            lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+            rows = list(csv.DictReader(lines))
+            assert rows, csv_path.name
+            for row in rows:
+                for column, cell in row.items():
+                    if column not in text_columns and cell != "":
+                        float(cell)  # raises on e.g. "np.float64(0.42)"
 
     def test_run_dump_states(self, tmp_path):
         cfg = standard_config(horizon=60.0)

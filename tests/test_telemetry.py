@@ -12,6 +12,7 @@ from linewatch.telemetry import (
     PlausibilityLimits,
     Reading,
     TelemetryFrame,
+    instrument_nodes,
     plausibility_filter,
     sample,
 )
@@ -29,6 +30,11 @@ def state():
                      T=np.full(11, 300.0), rho=np.full(11, 1000.0))
 
 
+def poll(state, instruments, noise, t, pipe):
+    return sample(state, instruments, noise, t, pipeline=pipe,
+                  nodes=instrument_nodes(state.x, instruments))
+
+
 def frame_of(t, *readings):
     return TelemetryFrame(poll_time=t, readings=tuple(Reading(*r) for r in readings))
 
@@ -40,7 +46,7 @@ class TestSample:
             InstrumentPlacement("p", "pressure", 500.0),
             InstrumentPlacement("t", "temperature", 1000.0),
         ]
-        frame = sample(state, instruments, NoiseSpec(1), 50.0, pipeline=pipe)
+        frame = poll(state, instruments, NoiseSpec(1), 50.0, pipe)
         assert frame.reading("f").value == pytest.approx(1000.0 * 1.2 * pipe.area, rel=1e-12)
         assert frame.reading("p").value == pytest.approx(8.5e5, rel=1e-12)
         assert frame.reading("t").value == 300.0
@@ -48,14 +54,14 @@ class TestSample:
 
     def test_bias_is_exact_offset(self, pipe, state):
         inst = [InstrumentPlacement("p", "pressure", 0.0, bias=1000.0)]
-        frame = sample(state, inst, NoiseSpec(1), 50.0, pipeline=pipe)
+        frame = poll(state, inst, NoiseSpec(1), 50.0, pipe)
         assert frame.reading("p").value == pytest.approx(9e5 + 1000.0, rel=1e-12)
 
     def test_dropout_fraction_binomial(self, pipe, state):
         inst = [InstrumentPlacement("p", "pressure", 0.0, dropout_prob=0.5)]
         noise = NoiseSpec(1234)
         missing = sum(
-            sample(state, inst, noise, float(k), pipeline=pipe).reading("p").quality == MISSING
+            poll(state, inst, noise, float(k), pipe).reading("p").quality == MISSING
             for k in range(10000)
         )
         assert abs(missing / 10000 - 0.5) < 0.02
@@ -67,26 +73,32 @@ class TestSample:
         ]
         def run(seed):
             noise = NoiseSpec(seed)
-            return [sample(state, inst, noise, float(k), pipeline=pipe) for k in range(200)]
+            return [poll(state, inst, noise, float(k), pipe) for k in range(200)]
         a, b = run(99), run(99)
         assert a == b
 
     def test_noise_clipped_at_six_sigma(self, pipe, state):
         inst = [InstrumentPlacement("p", "pressure", 0.0, noise_sigma=100.0)]
         noise = NoiseSpec(5)
-        vals = [sample(state, inst, noise, float(k), pipeline=pipe).reading("p").value
+        vals = [poll(state, inst, noise, float(k), pipe).reading("p").value
                 for k in range(5000)]
         assert max(abs(v - 9e5) for v in vals) <= 600.0 + 1e-9
 
-    def test_off_node_instrument_rejected(self, pipe, state):
-        inst = [InstrumentPlacement("p", "pressure", 537.0)]
-        with pytest.raises(ConfigurationError, match="node"):
-            sample(state, inst, NoiseSpec(1), 0.0, pipeline=pipe)
+    def test_nodes_follow_instrument_order(self, state):
+        inst = [InstrumentPlacement("p", "pressure", 500.0),
+                InstrumentPlacement("f", "flow", 0.0),
+                InstrumentPlacement("t", "temperature", 1000.0)]
+        assert instrument_nodes(state.x, inst) == (5, 0, 10)
 
-    def test_acoustic_kind_not_polled(self, pipe, state):
+    def test_off_node_instrument_rejected(self, state):
+        inst = [InstrumentPlacement("p", "pressure", 537.0)]
+        with pytest.raises(ConfigurationError, match="p at 537.0 m is not on a grid node"):
+            instrument_nodes(state.x, inst)
+
+    def test_acoustic_kind_not_polled(self, state):
         inst = [InstrumentPlacement("a", "acoustic", 0.0)]
         with pytest.raises(ConfigurationError, match="acoustic"):
-            sample(state, inst, NoiseSpec(1), 0.0, pipeline=pipe)
+            instrument_nodes(state.x, inst)
 
 
 class TestPlausibilityFilter:
