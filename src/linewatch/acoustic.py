@@ -23,6 +23,7 @@ __all__ = [
     "localize",
     "detection_latency",
     "triggered_pair",
+    "report",
 ]
 
 
@@ -108,7 +109,10 @@ def localize(x1, t1, x2, t2, speed) -> LocalizationEstimate:
 
 def detection_latency(leak, initial_amplitude, sensors, wave) -> Optional[float]:
     """Seconds from leak start to the first triggered arrival; None if silent."""
-    records = propagate(leak, initial_amplitude, sensors, wave)
+    return _latency(leak, propagate(leak, initial_amplitude, sensors, wave))
+
+
+def _latency(leak, records):
     delays = [r.arrival_time - leak.start_time for r in records if r.triggered]
     return min(delays) if delays else None
 
@@ -124,3 +128,38 @@ def triggered_pair(records):
         return None
     a, b = sorted(hit[:2], key=lambda r: r.position)
     return a, b
+
+
+def report(leaks, initial_amplitude, sensors, wave: WaveModel):
+    """The ``acoustic`` section of a run report: every sensor's arrival for
+    each leak, and per leak the detection latency and the localization
+    from its earliest-triggered pair."""
+    events, detections = [], []
+    for leak in leaks:
+        records = propagate(leak, initial_amplitude, sensors, wave)
+        loc = None
+        pair = triggered_pair(records)
+        if pair is not None:
+            a, b = pair
+            est = localize(a.position, a.arrival_time, b.position, b.arrival_time, wave.speed)
+            loc = {
+                "position": est.position,
+                "out_of_bracket": est.out_of_bracket,
+                "sensors": [a.sensor_id, b.sensor_id],
+            }
+        events.extend(
+            {
+                "leak_position": leak.position,
+                "sensor": r.sensor_id,
+                "sensor_position": r.position,
+                "arrival_time": r.arrival_time,
+                "amplitude": r.amplitude,
+                "triggered": r.triggered,
+            }
+            for r in records
+        )
+        detections.append(
+            {"leak_position": leak.position, "latency": _latency(leak, records),
+             "localization": loc}
+        )
+    return {"enabled": True, "events": events, "detections": detections}

@@ -109,8 +109,8 @@ class BalanceDetector:
     rolling buffer.
     """
 
-    def __init__(self, flow_in_id, flow_out_id, window_duration=3600.0,
-                 threshold=500.0, mode="model"):
+    def __init__(self, flow_in_id, flow_out_id, window_duration=3600.0, *, threshold,
+                 mode="model"):
         if window_duration <= 0:
             raise ConfigurationError("window_duration must be > 0")
         self.flow_in_id = flow_in_id
@@ -146,3 +146,24 @@ class BalanceDetector:
             if alarmed:
                 return w.end_time
         return None
+
+    def report(self):
+        """The ``balance`` section of a run report: every closed window and
+        whether it alarmed."""
+        return {
+            "enabled": True,
+            "first_alarm_time": self.first_alarm_time,
+            "windows": [
+                {
+                    "start": w.start_time,
+                    "end": w.end_time,
+                    "v_in": w.v_in,
+                    "v_out": w.v_out,
+                    "delta_inventory": w.delta_inventory,
+                    "imbalance": w.imbalance,
+                    "indeterminate": w.indeterminate,
+                    "alarm": alarmed,
+                }
+                for w, alarmed in zip(self.windows, self.alarms)
+            ],
+        }

@@ -79,15 +79,8 @@ def _cmd_run(args):
     outdir.mkdir(parents=True, exist_ok=True)
 
     (outdir / "report.json").write_text(report.to_json() + "\n")
-    write_telemetry_csv(outdir / "telemetry.csv", report)
-    if report.rtm_records:
-        write_rtm_trace_csv(outdir / "rtm_trace.csv", report)
-    if report.balance.get("enabled"):
-        write_balance_csv(outdir / "balance_windows.csv", report)
-    if report.acoustic.get("enabled"):
-        write_acoustic_csv(outdir / "acoustic_events.csv", report)
-    if report.availability:
-        write_availability_csv(outdir / "availability.csv", report)
+    for name, header, rows in _tables(report):
+        write_table(outdir / name, report, header, rows)
     if report.states:
         write_states(outdir / "states.dat", report)
     logger.info("report and logs written to %s", outdir)
@@ -173,70 +166,50 @@ def _note(report):
     return f"# scenario={report.scenario_name} config_sha256={report.config_hash}\n"
 
 
-def write_telemetry_csv(path, report: RunReport):
+def write_table(path, report: RunReport, header, rows):
+    """One CSV table under the run's provenance line; None is written
+    empty and booleans as 0/1."""
     with open(path, "w", newline="") as fh:
         fh.write(_note(report))
         w = csv.writer(fh)
-        w.writerow(["poll_time", "instrument", "value", "quality"])
-        for frame in report.frames:
-            for r in frame.readings:
-                w.writerow([frame.poll_time, r.instrument_id,
-                            "" if r.value is None else repr(r.value), r.quality])
+        w.writerow(header)
+        w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
 
 
-def write_rtm_trace_csv(path, report: RunReport):
-    ids = sorted(
-        {iid for rec in report.rtm_records if rec.discrepancy
-         for iid in rec.discrepancy.normalized}
+def _tables(report: RunReport):
+    """(file name, header, rows) of each CSV table the run has."""
+    yield "telemetry.csv", ["poll_time", "instrument", "value", "quality"], (
+        [frame.poll_time, r.instrument_id, r.value, r.quality]
+        for frame in report.frames for r in frame.readings
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(_note(report))
-        w = csv.writer(fh)
-        w.writerow(["poll_time", "available", "alarm"]
-                   + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
-        for rec in report.rtm_records:
-            norm = rec.discrepancy.normalized if rec.discrepancy else {}
-            delta = rec.discrepancy.delta if rec.discrepancy else {}
-            fmt = lambda d, i: "" if d.get(i) is None else repr(d[i])
-            w.writerow(
-                [rec.poll_time, int(rec.available), int(rec.alarm_condition)]
-                + [fmt(norm, i) for i in ids]
-                + [fmt(delta, i) for i in ids]
-            )
+    if report.rtm_records:
+        ids = sorted({iid for rec in report.rtm_records if rec.discrepancy
+                      for iid in rec.discrepancy.normalized})
+        header = (["poll_time", "available", "alarm"]
+                  + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
 
+        def trace_row(rec):
+            disc = rec.discrepancy
+            maps = (disc.normalized, disc.delta) if disc else ({}, {})
+            return ([rec.poll_time, rec.available, rec.alarm_condition]
+                    + [m.get(i) for m in maps for i in ids])
 
-def write_balance_csv(path, report: RunReport):
-    with open(path, "w", newline="") as fh:
-        fh.write(_note(report))
-        w = csv.writer(fh)
-        w.writerow(["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg",
-                    "imbalance_kg", "indeterminate", "alarm"])
-        for win in report.balance.get("windows", []):
-            w.writerow([win["start"], win["end"], repr(win["v_in"]), repr(win["v_out"]),
-                        repr(win["delta_inventory"]), repr(win["imbalance"]),
-                        int(win["indeterminate"]), int(win["alarm"])])
-
-
-def write_acoustic_csv(path, report: RunReport):
-    with open(path, "w", newline="") as fh:
-        fh.write(_note(report))
-        w = csv.writer(fh)
-        w.writerow(["leak_position", "sensor", "sensor_position", "arrival_time",
-                    "amplitude", "triggered"])
-        for ev in report.acoustic.get("events", []):
-            w.writerow([ev["leak_position"], ev["sensor"], ev["sensor_position"],
-                        repr(ev["arrival_time"]), repr(ev["amplitude"]), int(ev["triggered"])])
-
-
-def write_availability_csv(path, report: RunReport):
-    with open(path, "w", newline="") as fh:
-        fh.write(_note(report))
-        w = csv.writer(fh)
-        w.writerow(["chain", "elements", "rank", "product", "approximate", "approximate_valid"])
-        for row in report.availability:
-            w.writerow([row["name"], row["elements"], row["rank"], repr(row["product"]),
-                        "" if row["approximate"] is None else repr(row["approximate"]),
-                        int(row["approximate_valid"])])
+        yield "rtm_trace.csv", header, map(trace_row, report.rtm_records)
+    if report.balance.get("enabled"):
+        keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance",
+                "indeterminate", "alarm"]
+        header = ["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg", "imbalance_kg",
+                  "indeterminate", "alarm"]
+        yield "balance_windows.csv", header, (
+            [w[k] for k in keys] for w in report.balance["windows"])
+    if report.acoustic.get("enabled"):
+        keys = ["leak_position", "sensor", "sensor_position", "arrival_time", "amplitude",
+                "triggered"]
+        yield "acoustic_events.csv", keys, ([ev[k] for k in keys] for ev in report.acoustic["events"])
+    if report.availability:
+        keys = ["name", "elements", "rank", "product", "approximate", "approximate_valid"]
+        yield "availability.csv", ["chain"] + keys[1:], (
+            [row[k] for k in keys] for row in report.availability)
 
 
 def write_states(path, report: RunReport):

@@ -601,8 +601,7 @@ class PipeFlowSolver:
         # raw EOS here: _check_physical turns unphysical values into the
         # typed error naming the offending node
         with np.errstate(all="ignore"):
-            rho = np.broadcast_to(np.asarray(raw_density(self.fluid.eos, P, T), dtype=float),
-                                  P.shape).copy()
+            rho = raw_density(self.fluid.eos, P, T)
         return GridState(t=t, x=self.x, P=P, V=V, T=T, rho=rho)
 
     def _check_physical(self, state, exc_type):

@@ -31,6 +31,11 @@ class Segment:
     U: Optional[float] = None                # W/(m^2 K)
     diameter: Optional[float] = None         # m; must equal the line diameter (see PipelineModel)
 
+    def __post_init__(self):
+        if not 0.0 <= self.start < self.end:
+            raise ConfigurationError(
+                f"segment bounds ({self.start}, {self.end}) must satisfy 0 <= start < end")
+
 
 @dataclass(frozen=True)
 class InstrumentPlacement:
@@ -94,13 +99,14 @@ class PipelineModel:
             raise ConfigurationError(
                 f"elevation profile must cover [0, {self.length}] with no gaps"
             )
-        for seg in self.segments:
-            if not (0.0 <= seg.start < seg.end <= self.length):
-                raise ConfigurationError(f"segment bounds ({seg.start}, {seg.end}) outside line")
+        for k, seg in enumerate(self.segments):
+            if seg.end > self.length:
+                raise ConfigurationError(
+                    f"segments[{k}]: end {seg.end} beyond the line length {self.length}")
             if seg.diameter is not None and not math.isclose(seg.diameter, self.diameter):
                 raise ConfigurationError(
-                    "per-segment diameter changes are not supported by the solver; "
-                    "all segments must use the line diameter"
+                    f"segments[{k}]: per-segment diameter changes are not supported by "
+                    "the solver; all segments must use the line diameter"
                 )
 
     @property

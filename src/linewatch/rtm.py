@@ -238,6 +238,7 @@ class RtmDetector:
         ]
         if not self.indicators:
             raise ConfigurationError("no indicator instruments remain beyond the boundaries")
+        self._node_of = {i.id: self.grid.node_at(i.position) for i in self.indicators}
 
         temps = at(0.0, "temperature")
         self.temperature_instrument = temps[0] if temps else None
@@ -265,6 +266,32 @@ class RtmDetector:
     @property
     def verdict(self) -> LeakVerdict:
         return self._verdict if self._verdict is not None else LeakVerdict(declared=False)
+
+    def report(self):
+        """The ``rtm`` section of a run report: the verdict and, from the
+        poll log, the poll counts and each poll's normalized indicators."""
+        v = self.verdict
+        return {
+            "enabled": True,
+            "declared": v.declared,
+            "declared_time": v.declared_time,
+            "size_estimate": v.size_estimate,
+            "location_estimate": v.location_estimate,
+            "location_ambiguous": v.location_ambiguous,
+            "notes": list(v.notes),
+            "polls": len(self.records),
+            "unavailable_polls": sum(1 for r in self.records if not r.available),
+            "alarm_condition_polls": [r.poll_time for r in self.records if r.alarm_condition],
+            "indicator_trace": [
+                {
+                    "t": r.poll_time,
+                    "available": r.available,
+                    "normalized": dict(r.discrepancy.normalized) if r.discrepancy else {},
+                    "alarm": r.alarm_condition,
+                }
+                for r in self.records
+            ],
+        }
 
     def observe(self, frame: TelemetryFrame) -> RtmPollRecord:
         """Advance the shadow model one poll and evaluate the leak vote."""
@@ -378,7 +405,7 @@ class RtmDetector:
             if v is None:
                 delta[ind.id] = smoothed[ind.id] = normalized[ind.id] = None
                 continue
-            node = self.grid.node_at(ind.position)
+            node = self._node_of[ind.id]
             model = Q_mod[node] if ind.kind == "flow" else P_mod[node]
             d = float(v - model)
             delta[ind.id] = d
@@ -509,7 +536,7 @@ class RtmDetector:
         bc = self._steady_bc(values, t_bc)
 
         used = [ind for ind in self.indicators if ind.id in meas_avg]
-        nodes = [self.grid.node_at(ind.position) for ind in used]
+        nodes = [self._node_of[ind.id] for ind in used]
         meas = np.array([[meas_avg[ind.id]] for ind in used])
         thresholds = np.array([[self.policy.threshold_for(ind.kind)] for ind in used])
 

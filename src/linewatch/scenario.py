@@ -188,9 +188,9 @@ class Scenario:
     plant_settings: SolverSettings
     target_dx: float
     plausibility: Dict[str, PlausibilityLimits]
-    rtm: Optional[dict]            # detector options, None when disabled
-    balance: Optional[dict]
-    acoustic: Optional[dict]
+    rtm: Optional[dict]            # RtmDetector keyword options, None when disabled
+    balance: Optional[dict]        # BalanceDetector keyword arguments
+    acoustic: Optional[dict]       # acoustic.report keyword arguments
     availability: Optional[dict]
     dump_states: bool
     state_stride: int
@@ -379,7 +379,8 @@ def _parse_pipeline(node):
     if elevation is not None:
         elevation = tuple(pt.pair(("length", None)) for pt in node.child("elevation").items())
     segments = tuple(
-        Segment(
+        seg.build(
+            Segment,
             start=seg.number("start", required=True, dim="length"),
             end=seg.number("end", required=True, dim="length"),
             friction_factor=seg.number("friction_factor"),
@@ -537,13 +538,20 @@ def _parse_balance(node, instruments, rtm_cfg):
     if len(flows) < 2:
         node.error("line balance needs flow meters at both ends")
     mode = node.get("mode", "model")
+    if mode not in ("model", "simple"):
+        node.child("mode").error(f"must be 'model' or 'simple', got {mode!r}")
     if mode == "model" and rtm_cfg is None:
         node.error("balance mode 'model' needs the RTM shadow model enabled")
+    window = node.number("window", 3600.0)
+    threshold = node.number("threshold", required=True)
+    for key, value in (("window", window), ("threshold", threshold)):
+        if value <= 0:
+            node.child(key).error(f"must be > 0, got {value}")
     return {
         "flow_in_id": flows[0].id,
         "flow_out_id": flows[-1].id,
-        "window": node.number("window", 3600.0),
-        "threshold": node.number("threshold", required=True),
+        "window_duration": window,
+        "threshold": threshold,
         "mode": mode,
     }
 
@@ -567,31 +575,29 @@ def _parse_acoustic(node, fluid, pipeline):
         speed=node.number("speed", fluid.sound_speed_hint),
         attenuation=node.number("attenuation", 0.0, dim="1/length"),
     )
-    return {
-        "sensors": sensors,
-        "wave": wave,
-        "initial_amplitude": node.number("initial_amplitude", required=True, dim="pressure"),
-    }
+    amplitude = node.number("initial_amplitude", required=True, dim="pressure")
+    if amplitude <= 0:
+        node.child("initial_amplitude").error(f"must be > 0, got {amplitude}")
+    return {"sensors": sensors, "wave": wave, "initial_amplitude": amplitude}
 
 
 def _parse_availability(node):
     if node.raw is None:
         return None
-    per_unit = node.get("per_unit", 0.99)
-    chain_names = node.get("chains", ["mass_flow", "pressure", "acoustic"])
-    presets = reference_chains(per_unit)
+    presets = node.child("per_unit").build(reference_chains,
+                                           availabilities=node.number("per_unit", 0.99))
     chains = []
-    for cn in chain_names:
-        if cn not in presets:
-            node.error(f"unknown availability chain preset {cn!r}")
-        chains.append(presets[cn])
+    for item in node.child("chains", ["mass_flow", "pressure", "acoustic"]).items():
+        if not isinstance(item.raw, str) or item.raw not in presets:
+            item.error(f"unknown availability chain preset {item.raw!r}")
+        chains.append(presets[item.raw])
     return {"chains": chains}
 
 
 # --------------------------------------------------------------------- running
 
 def run_scenario(scenario: Scenario) -> RunReport:
-    """March the plant, feed the detectors, and assemble the report."""
+    """March the plant, feed the detectors, and collect their report sections."""
     s = scenario
     extra = [lk.position for lk in s.leaks]
     if s.acoustic:
@@ -603,28 +609,17 @@ def run_scenario(scenario: Scenario) -> RunReport:
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid, s.plant_settings)
     state = plant.steady_state(s.bc, t=0.0)
     noise = NoiseSpec(s.seed)
-
-    rtm_det = None
+    rtm_det = bal_det = None
     if s.rtm:
-        cfg = dict(s.rtm)
-        policy = cfg.pop("policy")
-        rtm_det = RtmDetector(
-            s.pipeline, s.fluid, grid, scada, policy,
-            poll_interval=s.poll_interval,
-            fallback_temperature=s.bc.temperature.at(0.0),
-            **cfg,
-        )
-    bal_det = None
+        rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada, poll_interval=s.poll_interval,
+                              fallback_temperature=s.bc.temperature.at(0.0), **s.rtm)
     if s.balance:
-        b = s.balance
-        bal_det = BalanceDetector(
-            b["flow_in_id"], b["flow_out_id"],
-            window_duration=b["window"], threshold=b["threshold"], mode=b["mode"],
-        )
+        bal_det = BalanceDetector(**s.balance)
 
     steps_per_poll = round(s.poll_interval / s.plant_settings.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
     frames: List = []
+    rtm_polls: List = []
     states: List[GridState] = []
     max_ledger_residual = 0.0
     max_ledger_relative = 0.0
@@ -636,8 +631,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
         frames.append(frame)
         lp_est = None
         if rtm_det is not None:
-            rec = rtm_det.observe(frame)
-            lp_est = rec.shadow_linepack
+            rtm_polls.append(rtm_det.observe(frame))
+            lp_est = rtm_polls[-1].shadow_linepack
         if bal_det is not None:
             bal_det.observe(frame, lp_est)
 
@@ -660,117 +655,34 @@ def run_scenario(scenario: Scenario) -> RunReport:
     except (SolverError, InfeasibleScenarioError, InfeasibleStateError) as e:
         solver_failure = f"{type(e).__name__}: {e}"
 
-    # --- acoustic channel (kinematic, from ground truth) ---
-    acoustic_report = {"enabled": bool(s.acoustic), "events": [], "detections": []}
-    if s.acoustic and s.leaks:
-        for leak in s.leaks:
-            recs = ac.propagate(leak, s.acoustic["initial_amplitude"],
-                                s.acoustic["sensors"], s.acoustic["wave"])
-            latency = ac.detection_latency(leak, s.acoustic["initial_amplitude"],
-                                           s.acoustic["sensors"], s.acoustic["wave"])
-            pair = ac.triggered_pair(recs)
-            loc = None
-            if pair is not None:
-                a, b = pair
-                est = ac.localize(a.position, a.arrival_time, b.position, b.arrival_time,
-                                  s.acoustic["wave"].speed)
-                loc = {
-                    "position": est.position,
-                    "out_of_bracket": est.out_of_bracket,
-                    "sensors": [a.sensor_id, b.sensor_id],
-                }
-            acoustic_report["events"].extend(
-                {
-                    "leak_position": leak.position,
-                    "sensor": r.sensor_id,
-                    "sensor_position": r.position,
-                    "arrival_time": r.arrival_time,
-                    "amplitude": r.amplitude,
-                    "triggered": r.triggered,
-                }
-                for r in recs
-            )
-            acoustic_report["detections"].append(
-                {"leak_position": leak.position, "latency": latency, "localization": loc}
-            )
-
-    # --- assemble ---
-    truth = {
-        "leaks": [
-            {"position": lk.position, "start_time": lk.start_time, "mass_rate": lk.mass_rate}
-            for lk in s.leaks
-        ]
-    }
-
-    rtm_report = {"enabled": rtm_det is not None}
-    if rtm_det is not None:
-        v = rtm_det.verdict
-        rtm_report.update(
-            declared=v.declared,
-            declared_time=v.declared_time,
-            size_estimate=v.size_estimate,
-            location_estimate=v.location_estimate,
-            location_ambiguous=v.location_ambiguous,
-            notes=list(v.notes),
-            polls=len(rtm_det.records),
-            unavailable_polls=sum(1 for r in rtm_det.records if not r.available),
-            alarm_condition_polls=[r.poll_time for r in rtm_det.records if r.alarm_condition],
-            indicator_trace=[
-                {
-                    "t": r.poll_time,
-                    "available": r.available,
-                    "normalized": dict(r.discrepancy.normalized) if r.discrepancy else {},
-                    "alarm": r.alarm_condition,
-                }
-                for r in rtm_det.records
-            ],
-        )
-
-    balance_report = {"enabled": bal_det is not None}
-    if bal_det is not None:
-        balance_report.update(
-            first_alarm_time=bal_det.first_alarm_time,
-            windows=[
-                {
-                    "start": w.start_time,
-                    "end": w.end_time,
-                    "v_in": w.v_in,
-                    "v_out": w.v_out,
-                    "delta_inventory": w.delta_inventory,
-                    "imbalance": w.imbalance,
-                    "indeterminate": w.indeterminate,
-                    "alarm": alarmed,
-                }
-                for w, alarmed in zip(bal_det.windows, bal_det.alarms)
-            ],
-        )
-
+    rtm_report = rtm_det.report() if rtm_det else {"enabled": False}
+    balance_report = bal_det.report() if bal_det else {"enabled": False}
+    # The acoustic channel is kinematic, from ground truth.
+    acoustic_report = (ac.report(s.leaks, **s.acoustic) if s.acoustic
+                       else {"enabled": False, "events": [], "detections": []})
     combined = {}
     if rtm_det is not None:
-        combined = combined_verdict(
-            rtm_det.verdict, bal_det.first_alarm_time if bal_det else None
-        )
-
-    metrics = _metrics(s, rtm_report, balance_report, acoustic_report)
+        combined = combined_verdict(rtm_det.verdict, balance_report.get("first_alarm_time"))
 
     avail_rows = None
     if s.availability:
-        avail_rows = [availability_report(c) for c in s.availability["chains"]]
-        ranking = compare_configurations(s.availability["chains"])
-        by_name = {r["name"]: r["rank"] for r in ranking}
-        for row in avail_rows:
-            row["rank"] = by_name[row["name"]]
+        chains = s.availability["chains"]
+        ranks = {r["name"]: r["rank"] for r in compare_configurations(chains)}
+        avail_rows = [{**availability_report(c), "rank": ranks[c.name]} for c in chains]
 
-    report = RunReport(
+    return RunReport(
         scenario_name=s.name,
         config_hash=s.config_hash,
         seed=s.seed,
-        truth=truth,
+        truth={"leaks": [
+            {"position": lk.position, "start_time": lk.start_time, "mass_rate": lk.mass_rate}
+            for lk in s.leaks
+        ]},
         rtm=rtm_report,
         balance=balance_report,
         acoustic=acoustic_report,
         combined=combined,
-        metrics=metrics,
+        metrics=_metrics(s, rtm_report, balance_report, acoustic_report),
         mass_ledger={
             "max_step_residual_kg": max_ledger_residual,
             "max_step_residual_relative": max_ledger_relative,
@@ -786,10 +698,9 @@ def run_scenario(scenario: Scenario) -> RunReport:
         },
         availability=avail_rows,
         frames=frames,
-        rtm_records=rtm_det.records if rtm_det else [],
+        rtm_records=rtm_polls,
         states=states,
     )
-    return report
 
 
 def _metrics(s, rtm_report, balance_report, acoustic_report):

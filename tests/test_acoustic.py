@@ -9,6 +9,7 @@ from linewatch.acoustic import (
     detection_latency,
     localize,
     propagate,
+    report,
     triggered_pair,
 )
 from linewatch.errors import ConfigurationError
@@ -151,3 +152,20 @@ class TestTriggeredPair:
         leak = LeakEvent(position=4000.0, start_time=0.0, mass_rate=1.0)
         recs = propagate(leak, 100.0, [sensor("only", 0.0)], WaveModel(speed=1000.0))
         assert triggered_pair(recs) is None
+
+
+class TestReport:
+    def test_two_leaks(self):
+        leaks = [LeakEvent(position=x, start_time=t, mass_rate=1.0)
+                 for x, t in ((2500.0, 10.0), (7000.0, 50.0))]
+        sensors = [sensor("a", 0.0, threshold=50.0), sensor("b", 5000.0, threshold=50.0),
+                   sensor("c", 10000.0, threshold=50.0)]
+        wave = WaveModel(speed=1000.0, attenuation=2e-4)
+        section = report(leaks, 100.0, sensors, wave)
+        assert section["enabled"]
+        assert len(section["events"]) == 2 * len(sensors)
+        assert [d["leak_position"] for d in section["detections"]] == [2500.0, 7000.0]
+        for leak, det in zip(leaks, section["detections"]):
+            assert det["latency"] == detection_latency(leak, 100.0, sensors, wave)
+        # the far sensor misses the first leak, so a and b bracket it
+        assert section["detections"][0]["localization"]["sensors"] == ["a", "b"]

@@ -131,6 +131,10 @@ class TestDetectorAndTrend:
             det.observe(frame, 1000.0)
         assert len(det.windows) == 2
         assert det.windows[0].end_time == det.windows[1].start_time == 60.0
+        rows = det.report()["windows"]
+        assert [(r["start"], r["end"], r["imbalance"], r["alarm"]) for r in rows] == [
+            (w.start_time, w.end_time, w.imbalance, alarmed)
+            for w, alarmed in zip(det.windows, det.alarms)]
 
 
 class TestSuspendedShadow:

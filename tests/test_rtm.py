@@ -180,6 +180,23 @@ class TestShadowModel:
         # recovery after readings return
         assert det.records[25].available
 
+    def test_report_counts_come_from_the_poll_log(self):
+        def mangle(frame, k):
+            if 5 <= k < 12:  # long enough a boundary outage to suspend
+                readings = tuple(Reading(r.instrument_id, None, MISSING)
+                                 if r.instrument_id == "p_in" else r for r in frame.readings)
+                return TelemetryFrame(frame.poll_time, readings)
+            return frame
+        det = _MiniLoop(leak_rate=2.0, mangle=mangle).run(50)
+        section = det.report()
+        assert section["enabled"] and section["declared"] == det.verdict.declared
+        assert section["polls"] == len(det.records) == 51
+        unavailable = [r for r in det.records if not r.available]
+        assert section["unavailable_polls"] == len(unavailable) > 1
+        alarms = [r.poll_time for r in det.records if r.alarm_condition]
+        assert section["alarm_condition_polls"] == alarms and alarms
+        assert [p["t"] for p in section["indicator_trace"]] == [r.poll_time for r in det.records]
+
     def test_suspended_polls_never_vote(self):
         def mangle(frame, k):
             if k >= 10:

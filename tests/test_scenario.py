@@ -64,10 +64,30 @@ class TestParsing:
         ("fluid", {"bulk_modulus": -5}, "fluid: bulk modulus B must be > 0"),
         ("fluid", {"kind": "gas", "R": 500.0, "k": 1.0e-6},
          "fluid: Z-correlation constant k=1e-06 applies only"),
-    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k"])
+        ("balance", {"mode": "smple"}, "balance.mode: must be 'model' or 'simple', got 'smple'"),
+        ("balance", {"threshold": 0}, "balance.threshold: must be > 0, got 0.0"),
+        ("balance", {"threshold": -5}, "balance.threshold: must be > 0, got -5.0"),
+        ("balance", {"window": -1}, "balance.window: must be > 0, got -1.0"),
+        ("acoustic", {"initial_amplitude": 0},
+         "acoustic.initial_amplitude: must be > 0, got 0.0"),
+        ("pipeline", {"segments": [{"start": 0.0, "end": 5000.0},
+                                   {"start": 6000.0, "end": 5000.0}]},
+         "pipeline.segments[1]: segment bounds (6000.0, 5000.0)"),
+        ("availability", {"per_unit": 1.5},
+         "availability.per_unit: flowmeter: availability must be in [0, 1]"),
+        ("availability", {"per_unit": "high"},
+         "availability.per_unit: expected a number, got 'high'"),
+        ("availability", {"chains": "mass_flow"}, "availability.chains: expected a list"),
+        ("availability", {"chains": ["pressure", ["mass_flow"]]},
+         "availability.chains[1]: unknown availability chain preset ['mass_flow']"),
+    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k", "balance_mode",
+            "balance_threshold_zero", "balance_threshold_negative", "balance_window",
+            "acoustic_amplitude", "segment_bounds", "availability_per_unit",
+            "availability_per_unit_not_a_number", "availability_chains_not_a_list",
+            "availability_chain_not_a_name"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
-        cfg[section].update(edit)
+        cfg.setdefault(section, {}).update(edit)
         with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
             scenario_from_dict(cfg)
 
