@@ -79,8 +79,9 @@ def _cmd_run(args):
     outdir.mkdir(parents=True, exist_ok=True)
 
     (outdir / "report.json").write_text(report.to_json() + "\n")
+    note = _note(report.scenario_name, report.config_hash)
     for name, header, rows in _tables(report):
-        write_table(outdir / name, report, header, rows)
+        write_table(outdir / name, note, header, rows)
     if report.states:
         write_states(outdir / "states.dat", report)
     logger.info("report and logs written to %s", outdir)
@@ -102,7 +103,9 @@ def _cmd_sweep(args):
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
-    _write_rows(path, rows, header_note=f"scenario={scenario.name} config_sha256={scenario.config_hash}")
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    write_table(path, _note(scenario.name, scenario.config_hash), columns,
+                ([row.get(c) for c in columns] for row in rows))
     failures = sum(1 for r in rows if r.get("error"))
     print(f"sweep: {len(rows)} cells, {failures} failed -> {path}")
     return 0 if failures == 0 else 1
@@ -148,29 +151,15 @@ def _print_summary(report):
 
 # ------------------------------------------------------------------- writers
 
-def _write_rows(path, rows, header_note=None):
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    with open(path, "w", newline="") as fh:
-        if header_note:
-            fh.write(f"# {header_note}\n")
-        w = csv.DictWriter(fh, fieldnames=columns)
-        w.writeheader()
-        w.writerows(rows)
+def _note(scenario_name, config_hash):
+    return f"# scenario={scenario_name} config_sha256={config_hash}\n"
 
 
-def _note(report):
-    return f"# scenario={report.scenario_name} config_sha256={report.config_hash}\n"
-
-
-def write_table(path, report: RunReport, header, rows):
-    """One CSV table under the run's provenance line; None is written
+def write_table(path, note, header, rows):
+    """One CSV table under its provenance line ``note``; None is written
     empty and booleans as 0/1."""
     with open(path, "w", newline="") as fh:
-        fh.write(_note(report))
+        fh.write(note)
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
@@ -214,7 +203,7 @@ def _tables(report: RunReport):
 
 def write_states(path, report: RunReport):
     with open(path, "w") as fh:
-        fh.write(_note(report))
+        fh.write(_note(report.scenario_name, report.config_hash))
         fh.write("t x P V T rho\n")
         for st in report.states:
             for i in range(st.x.size):

@@ -61,6 +61,17 @@ class TimeSeries:
     def constant(cls, value):
         return cls([0.0], [float(value)])
 
+    @classmethod
+    def ramp(cls, t0, t1, v0, v1):
+        """Two-point ramp from ``(t0, v0)`` to ``(t1, v1)``; the shadow
+        model builds three per poll, so only the time order is checked."""
+        if t1 < t0:
+            raise ConfigurationError("time series times must be non-decreasing")
+        series = cls.__new__(cls)
+        series.times = np.array([t0, t1], dtype=float)
+        series.values = np.array([v0, v1], dtype=float)
+        return series
+
     def at(self, t):
         if self.values.size == 1:
             return float(self.values[0])
@@ -212,6 +223,11 @@ class PipeFlowSolver:
         H = elevation_at(pipeline, self.x)
         self.dHdx = np.diff(H) / self.dxc
         self.Tg = pipeline.Tg
+        self._g_dHdx = GRAVITY * self.dHdx
+        self._four_U = 4.0 * self.U_cell
+        # A liquid's dP/dT at constant density does not depend on the state.
+        self._dPdT_liquid = (dP_dT_const_density(fluid, 0.0, 0.0)
+                             if isinstance(fluid.eos, LiquidEos) else None)
 
         # Fixed unknown scales (P, V, T per node); residual row scales are
         # frozen on first use so a cached Jacobian stays consistent.
@@ -270,7 +286,8 @@ class PipeFlowSolver:
         key = ("steady", bc.temperature_end)
         res = self._build_residual(bc, state.t, np.zeros(self.N - 1))
         u = self._pack(state.P, state.V, state.T)
-        lu = self._factor(u, res, res(u), key, history=[])
+        with np.errstate(all="ignore"):
+            lu = self._factor(u, res, res(u), key, history=[])
         lu_band, piv, info = lu
         if info > 0:
             raise SolverError("singular Jacobian")
@@ -342,7 +359,9 @@ class PipeFlowSolver:
         the new state is evaluated here, once per solve: the ``(1-theta)``
         halves of the cell means and gradients of the old state, the old
         flux difference and leak draw, the boundary targets and temperature
-        anchor, the coefficient vectors and a liquid's constant dP/dT.
+        anchor.  The coefficient vectors and a liquid's constant dP/dT are
+        fixed per solver and come from ``__init__``.  The residual does not
+        enter ``np.errstate``: its callers do, once per solve.
 
         Each hoisted value is a whole operand of the expression it enters,
         and every sum and product keeps its operand order, so the result is
@@ -364,13 +383,9 @@ class PipeFlowSolver:
         inlet_pressure = inlet.kind == "pressure"
         outlet_pressure = outlet.kind == "pressure"
 
-        g_dHdx = GRAVITY * self.dHdx
+        g_dHdx, four_U, dPdT_liquid = self._g_dHdx, self._four_U, self._dPdT_liquid
         two_D = 2.0 * D
         two_cD = 2.0 * c * D
-        four_U = 4.0 * self.U_cell
-        # A liquid's dP/dT at constant density does not depend on the state.
-        dPdT_liquid = (dP_dT_const_density(self.fluid, 0.0, 0.0)
-                       if isinstance(eos, LiquidEos) else None)
 
         head = 2 if temperature_inlet else 1
         rows_c = slice(head, head + 3 * (N - 1), 3)
@@ -399,63 +414,62 @@ class PipeFlowSolver:
 
         def residual(u):
             P, V, T = u[0::3], u[1::3], u[2::3]
-            with np.errstate(all="ignore"):
-                rho = raw_density(eos, P, T)
-                mid_V = 0.5 * (V[:-1] + V[1:])
-                mid_T = 0.5 * (T[:-1] + T[1:])
-                mid_rho = 0.5 * (rho[:-1] + rho[1:])
-                dV = (V[1:] - V[:-1]) / dxc
-                dT = (T[1:] - T[:-1]) / dxc
-                dP = (P[1:] - P[:-1]) / dxc
-                flux = A * rho * V
-                dflux = flux[1:] - flux[:-1]
-                if steady:
-                    Vb, Tb, rb = mid_V, mid_T, mid_rho
-                    R_c = dflux + q_new
-                    # the zero time term is still added: it turns a -0.0 into 0.0
-                    R_m = 0.0 + Vb * dV
-                    R_e = 0.0 + Vb * dT
-                else:
-                    Vb = th * mid_V + Vb_old
-                    Tb = th * mid_T + Tb_old
-                    rb = th * mid_rho + rb_old
-                    dV = th * dV + dV_old
-                    dT = th * dT + dT_old
-                    dP = th * dP + dP_old
-                    R_c = dxcA * (mid_rho - mid_rhoo) * invdt + th * dflux + dflux_old + q_bar
-                    R_m = (mid_V - mid_Vo) * invdt + Vb * dV
-                    R_e = (mid_T - mid_To) * invdt + Vb * dT
+            rho = raw_density(eos, P, T)
+            mid_V = 0.5 * (V[:-1] + V[1:])
+            mid_T = 0.5 * (T[:-1] + T[1:])
+            mid_rho = 0.5 * (rho[:-1] + rho[1:])
+            dV = (V[1:] - V[:-1]) / dxc
+            dT = (T[1:] - T[:-1]) / dxc
+            dP = (P[1:] - P[:-1]) / dxc
+            flux = A * rho * V
+            dflux = flux[1:] - flux[:-1]
+            if steady:
+                Vb, Tb, rb = mid_V, mid_T, mid_rho
+                R_c = dflux + q_new
+                # the zero time term is still added: it turns a -0.0 into 0.0
+                R_m = 0.0 + Vb * dV
+                R_e = 0.0 + Vb * dT
+            else:
+                Vb = th * mid_V + Vb_old
+                Tb = th * mid_T + Tb_old
+                rb = th * mid_rho + rb_old
+                dV = th * dV + dV_old
+                dT = th * dT + dT_old
+                dP = th * dP + dP_old
+                R_c = dxcA * (mid_rho - mid_rhoo) * invdt + th * dflux + dflux_old + q_bar
+                R_m = (mid_V - mid_Vo) * invdt + Vb * dV
+                R_e = (mid_T - mid_To) * invdt + Vb * dT
 
-                abs_Vb = np.abs(Vb)
-                R_m = R_m + dP / rb + g_dHdx + f * Vb * abs_Vb / two_D
+            abs_Vb = np.abs(Vb)
+            R_m = R_m + dP / rb + g_dHdx + f * Vb * abs_Vb / two_D
 
-                rbc = rb * c
-                if dPdT_liquid is None:
-                    Pb = 0.5 * (P[:-1] + P[1:])
-                    if not steady:
-                        Pb = th * Pb + Pb_old
-                    dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
-                else:
-                    dPdT = dPdT_liquid
-                R_e = (
-                    R_e
-                    + (Tb / rbc) * dPdT * dV
-                    - f * abs_Vb ** 3 / two_cD
-                    + (four_U / (rbc * D)) * (Tb - Tg)
-                )
-                if steady:
-                    R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
+            rbc = rb * c
+            if dPdT_liquid is None:
+                Pb = 0.5 * (P[:-1] + P[1:])
+                if not steady:
+                    Pb = th * Pb + Pb_old
+                dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
+            else:
+                dPdT = dPdT_liquid
+            R_e = (
+                R_e
+                + (Tb / rbc) * dPdT * dV
+                - f * abs_Vb ** 3 / two_cD
+                + (four_U / (rbc * D)) * (Tb - Tg)
+            )
+            if steady:
+                R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
 
-                R = np.empty(3 * N)
-                R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
-                        else (flux[0] - inlet_target) / mdot_scale)
-                R[rows_c] = R_c / mdot_scale
-                R[rows_m] = R_m / GRAVITY
-                R[rows_e] = R_e  # K/s, unit scale
-                R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
-                              else (flux[-1] - outlet_target) / mdot_scale)
-                r_T = (T[0 if temperature_inlet else -1] - T_anchor) / T_scale
-                R[1 if temperature_inlet else -1] = r_T
+            R = np.empty(3 * N)
+            R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
+                    else (flux[0] - inlet_target) / mdot_scale)
+            R[rows_c] = R_c / mdot_scale
+            R[rows_m] = R_m / GRAVITY
+            R[rows_e] = R_e  # K/s, unit scale
+            R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
+                          else (flux[-1] - outlet_target) / mdot_scale)
+            r_T = (T[0 if temperature_inlet else -1] - T_anchor) / T_scale
+            R[1 if temperature_inlet else -1] = r_T
             return R
 
         return residual
@@ -465,66 +479,69 @@ class PipeFlowSolver:
     def _newton(self, u0, res_fn, key, fresh_jacobian):
         tol = self.settings.newton_tol
         max_iter = self.settings.newton_max_iter
-        u = np.array(u0, dtype=float)
-        R = res_fn(u)
-        norm = self._norm(R)
-        history = [norm]
-        if not np.isfinite(norm):
-            raise SolverError("initial residual is not finite", history=history)
+        # Trial states may stray into NaN or overflow; the line search
+        # rejects them, so floating-point warnings are silenced per solve.
+        with np.errstate(all="ignore"):
+            u = np.array(u0, dtype=float)
+            R = res_fn(u)
+            norm = self._norm(R)
+            history = [norm]
+            if not np.isfinite(norm):
+                raise SolverError("initial residual is not finite", history=history)
 
-        lu = None if (fresh_jacobian or self._cache_key != key) else self._lu_cache
-        rebuilt = False
+            lu = None if (fresh_jacobian or self._cache_key != key) else self._lu_cache
+            rebuilt = False
 
-        it = 0
-        while norm > tol:
-            if it >= max_iter:
-                raise SolverError(
-                    f"Newton did not converge in {max_iter} iterations "
-                    f"(residual {norm:.3e})",
-                    iterations=it,
-                    residual=norm,
-                    history=history,
-                )
-            if lu is None:
-                lu = self._factor(u, res_fn, R, key, history)
-                rebuilt = True
-            lu_band, piv, info = lu
-            if info > 0:
-                if rebuilt:
-                    raise SolverError("singular Jacobian", history=history)
-                lu, rebuilt = None, False
-                continue
-            du_hat, _ = lapack.dgbtrs(lu_band, 4, 4, -R, piv)
-
-            lam, accepted = 1.0, False
-            for _ in range(12):
-                u_try = u + lam * du_hat * self.u_scale
-                R_try = res_fn(u_try)
-                n_try = self._norm(R_try)
-                if np.isfinite(n_try) and (n_try < norm or n_try < tol):
-                    accepted = True
-                    break
-                lam *= 0.5
-            if not accepted:
-                if rebuilt:
+            it = 0
+            while norm > tol:
+                if it >= max_iter:
                     raise SolverError(
-                        "Newton stalled (line search failed with a fresh Jacobian)",
+                        f"Newton did not converge in {max_iter} iterations "
+                        f"(residual {norm:.3e})",
                         iterations=it,
                         residual=norm,
                         history=history,
                     )
-                lu, rebuilt = None, False   # retry the iteration with a fresh Jacobian
-                continue
+                if lu is None:
+                    lu = self._factor(u, res_fn, R, key, history)
+                    rebuilt = True
+                lu_band, piv, info = lu
+                if info > 0:
+                    if rebuilt:
+                        raise SolverError("singular Jacobian", history=history)
+                    lu, rebuilt = None, False
+                    continue
+                du_hat, _ = lapack.dgbtrs(lu_band, 4, 4, -R, piv)
 
-            slow = n_try > 0.2 * norm
-            u, R, norm = u_try, R_try, n_try
-            history.append(norm)
-            it += 1
-            if slow and not rebuilt and norm > tol:
-                lu = None  # stale cached Jacobian; rebuild next iteration
+                lam, accepted = 1.0, False
+                for _ in range(12):
+                    u_try = u + lam * du_hat * self.u_scale
+                    R_try = res_fn(u_try)
+                    n_try = self._norm(R_try)
+                    if np.isfinite(n_try) and (n_try < norm or n_try < tol):
+                        accepted = True
+                        break
+                    lam *= 0.5
+                if not accepted:
+                    if rebuilt:
+                        raise SolverError(
+                            "Newton stalled (line search failed with a fresh Jacobian)",
+                            iterations=it,
+                            residual=norm,
+                            history=history,
+                        )
+                    lu, rebuilt = None, False   # retry the iteration with a fresh Jacobian
+                    continue
 
-        self._lu_cache, self._cache_key = lu, key
-        return u, history
+                slow = n_try > 0.2 * norm
+                u, R, norm = u_try, R_try, n_try
+                history.append(norm)
+                it += 1
+                if slow and not rebuilt and norm > tol:
+                    lu = None  # stale cached Jacobian; rebuild next iteration
+
+            self._lu_cache, self._cache_key = lu, key
+            return u, history
 
     def _factor(self, u, res_fn, R, key, history):
         """Build the Jacobian at ``u`` and factor it: ``(lu, piv, info)``."""
@@ -544,18 +561,18 @@ class PipeFlowSolver:
         sits at row 8 + i - j of 13; rows 0-3 are left zero for the fill-in
         of partial pivoting.
         """
-        rows_for, colors = self._structure(key[1])  # key = (mode, temperature_end, ...)
         ab = np.zeros((13, self.n_unknowns), order="F")
-        for idx in colors:
+        for idx, band, cols, rows in self._structure(key[1]):  # key = (mode, temperature_end, ...)
             up = u.copy()
             up[idx] += _FD_EPS * self.u_scale[idx]
             dR = (res_fn(up) - R0) / _FD_EPS
-            for j in idx:
-                rows = rows_for[j]
-                ab[8 + rows - j, j] = dR[rows]
+            ab[band, cols] = dR[rows]
         return ab
 
     def _structure(self, temperature_end):
+        """Per color of the finite-difference Jacobian: the perturbed
+        unknowns, and for every entry they fill its band row, column and
+        residual row."""
         if temperature_end in self._structures:
             return self._structures[temperature_end]
         N = self.N
@@ -585,9 +602,11 @@ class PipeFlowSolver:
             for m in range(3):
                 idx = np.array([3 * k + v for k in range(N) if k % 3 == m], dtype=int)
                 if idx.size:
-                    colors.append(idx)
-        self._structures[temperature_end] = (rows_for, colors)
-        return self._structures[temperature_end]
+                    rows = np.concatenate([rows_for[j] for j in idx])
+                    cols = np.concatenate([np.full(rows_for[j].size, j) for j in idx])
+                    colors.append((idx, 8 + rows - cols, cols, rows))
+        self._structures[temperature_end] = colors
+        return colors
 
     # ------------------------------------------------------------- utilities
 
@@ -605,8 +624,11 @@ class PipeFlowSolver:
         return GridState(t=t, x=self.x, P=P, V=V, T=T, rho=rho)
 
     def _check_physical(self, state, exc_type):
-        for name, arr, floor in (("P", state.P, 0.0), ("T", state.T, 0.0), ("rho", state.rho, 0.0)):
-            bad = np.flatnonzero(arr <= floor)
+        fields = (("P", state.P), ("T", state.T), ("rho", state.rho))
+        if all(arr.min() > 0.0 for _, arr in fields):
+            return
+        for name, arr in fields:
+            bad = np.flatnonzero(arr <= 0.0)
             if bad.size:
                 i = int(bad[0])
                 raise exc_type(

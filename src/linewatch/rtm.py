@@ -365,12 +365,12 @@ class RtmDetector:
 
         kind = "pressure" if self.drive == "pressure" else "flow"
         leg = lambda inst: BoundaryLeg(
-            kind, TimeSeries([t0, t1], [prev[inst.id], self._hold[inst.id]])
+            kind, TimeSeries.ramp(t0, t1, prev[inst.id], self._hold[inst.id])
         )
         bc = BoundaryConditions(
             inlet=leg(self.boundary_in),
             outlet=leg(self.boundary_out),
-            temperature=TimeSeries([t0, t1], [t_prev, t_now]),
+            temperature=TimeSeries.ramp(t0, t1, t_prev, t_now),
         )
         dt_sub = (t1 - t0) / self.substeps
         for _ in range(self.substeps):

@@ -6,6 +6,7 @@ ever changes quality flags, never values.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,11 +46,14 @@ class TelemetryFrame:
     poll_time: float
     readings: Tuple[Reading, ...]
 
+    @cached_property
+    def _by_id(self):
+        # built from the back so the first reading of a repeated id wins
+        return {r.instrument_id: r for r in reversed(self.readings)}
+
     def reading(self, instrument_id) -> Reading:
-        for r in self.readings:
-            if r.instrument_id == instrument_id:
-                return r
-        raise KeyError(instrument_id)
+        """The reading of ``instrument_id``; KeyError if the frame has none."""
+        return self._by_id[instrument_id]
 
     def good_value(self, instrument_id):
         """Value if the reading is quality-good, else None."""
@@ -125,7 +129,7 @@ def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
         if u < inst.dropout_prob:
             readings.append(Reading(inst.id, None, MISSING))
             continue
-        perturbation = np.clip(z, -_NOISE_CLIP_SIGMA, _NOISE_CLIP_SIGMA) * inst.noise_sigma
+        perturbation = min(max(z, -_NOISE_CLIP_SIGMA), _NOISE_CLIP_SIGMA) * inst.noise_sigma
         readings.append(Reading(inst.id, float(truth + inst.bias + perturbation), GOOD))
     return TelemetryFrame(poll_time=float(poll_time), readings=tuple(readings))
 

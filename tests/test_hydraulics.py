@@ -5,7 +5,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from linewatch import hydraulics
-from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
+from linewatch.errors import (
+    ConfigurationError,
+    InfeasibleScenarioError,
+    InfeasibleStateError,
+    SolverError,
+)
 from linewatch.fluid import FluidModel, GasEos, LiquidEos, dP_dT_const_density, raw_density
 from linewatch.hydraulics import (
     BoundaryConditions,
@@ -107,6 +112,29 @@ class TestSteadyState:
         )
         with pytest.raises(InfeasibleScenarioError, match="node"):
             solver.steady_state(bc)  # friction drop far exceeds the available head
+
+    @pytest.mark.parametrize("bad,node,expected", [
+        ({"P": -250.0}, 37, "P = -250 at node 37 (x = 3700.0 m) is not physical"),
+        ({"T": 0.0}, 0, "T = 0 at node 0 (x = 0.0 m) is not physical"),
+        ({"rho": -1.5}, 100, "rho = -1.5 at node 100 (x = 10000.0 m) is not physical"),
+        ({"rho": -1.5, "T": -2.0}, 12, "T = -2 at node 12 (x = 1200.0 m) is not physical"),
+    ], ids=["P", "T", "rho", "T_before_rho"])
+    @pytest.mark.parametrize("exc_type", [InfeasibleScenarioError, InfeasibleStateError])
+    def test_check_physical_names_field_and_node(self, water_like, ten_km_line, bad, node,
+                                                 expected, exc_type):
+        solver = make_solver(water_like, ten_km_line)
+        fields = {"P": np.full(solver.N, 8.0e5), "T": np.full(solver.N, 300.0),
+                  "rho": np.full(solver.N, 1000.0)}
+        good = GridState(t=0.0, x=solver.x, V=np.ones(solver.N), **fields)
+        assert solver._check_physical(good, exc_type) is None
+        for name, value in bad.items():
+            fields[name] = fields[name].copy()
+            fields[name][node] = value
+        state = GridState(t=0.0, x=solver.x, V=np.ones(solver.N), **fields)
+        with pytest.raises(exc_type) as err:
+            solver._check_physical(state, exc_type)
+        assert type(err.value) is exc_type
+        assert str(err.value) == expected
 
     def test_eos_consistency(self, water_like, ten_km_line):
         solver = make_solver(water_like, ten_km_line)
@@ -338,6 +366,30 @@ class TestReadouts:
         v = ts.at(t)
         assert type(v) is float
         assert v == float(np.interp(t, ts.times, ts.values))
+
+
+class TestRamp:
+    T0, T1, V0, V1 = 1234.5, 1239.5, 6.7e5 + 1.0 / 3.0, 6.9e5 - 2.0 / 7.0
+
+    @pytest.mark.parametrize("t", [T0, 0.5 * (T0 + T1), T1, T0 - 100.0, T1 + 3.7, 1236.1],
+                             ids=["t0", "midpoint", "t1", "before", "after", "inside"])
+    def test_matches_general_series(self, t):
+        ramp = TimeSeries.ramp(self.T0, self.T1, self.V0, self.V1)
+        general = TimeSeries([self.T0, self.T1], [self.V0, self.V1])
+        assert ramp.times.tobytes() == general.times.tobytes()
+        assert ramp.values.tobytes() == general.values.tobytes()
+        v = ramp.at(t)
+        assert type(v) is float
+        assert v == general.at(t)
+
+    def test_zero_length_ramp_holds_its_end_value(self):
+        ramp = TimeSeries.ramp(5.0, 5.0, 1.0, 2.0)
+        assert [ramp.at(t) for t in (4.0, 5.0, 6.0)] == [
+            TimeSeries([5.0, 5.0], [1.0, 2.0]).at(t) for t in (4.0, 5.0, 6.0)]
+
+    def test_backwards_ramp_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            TimeSeries.ramp(10.0, 5.0, 1.0, 2.0)
 
 
 class TestSettingsValidation:
@@ -619,3 +671,94 @@ class TestHoistedResidual:
             expected = _reference_residual(solver, point, *args)
             assert np.isfinite(expected).all()
             assert res(point).tobytes() == expected.tobytes()
+
+
+# The finite-difference Jacobian as filled column by column before the fill
+# became one scatter per color in PipeFlowSolver._jacobian; kept verbatim,
+# with the structure it read, as the reference the scatter must match bit
+# for bit.
+def _reference_jacobian(self, u, res_fn, R0, key):
+    rows_for, colors = _reference_structure(self, key[1])  # key = (mode, temperature_end, ...)
+    ab = np.zeros((13, self.n_unknowns), order="F")
+    for idx in colors:
+        up = u.copy()
+        up[idx] += hydraulics._FD_EPS * self.u_scale[idx]
+        dR = (res_fn(up) - R0) / hydraulics._FD_EPS
+        for j in idx:
+            rows = rows_for[j]
+            ab[8 + rows - j, j] = dR[rows]
+    return ab
+
+
+def _reference_structure(self, temperature_end):
+    N = self.N
+    head = 2 if temperature_end == "inlet" else 1
+    out_row = head + 3 * (N - 1)
+
+    rows_for = []
+    for k in range(N):
+        rows = []
+        for cell in (k - 1, k):
+            if 0 <= cell <= N - 2:
+                base = head + 3 * cell
+                rows.extend((base, base + 1, base + 2))
+        if k == 0:
+            rows.append(0)
+            if temperature_end == "inlet":
+                rows.append(1)
+        if k == N - 1:
+            rows.append(out_row)
+            if temperature_end == "outlet":
+                rows.append(out_row + 1)
+        arr = np.array(sorted(rows), dtype=int)
+        rows_for.extend([arr, arr, arr])  # same stencil for P, V, T at node k
+
+    colors = []
+    for v in range(3):
+        for m in range(3):
+            idx = np.array([3 * k + v for k in range(N) if k % 3 == m], dtype=int)
+            if idx.size:
+                colors.append(idx)
+    return rows_for, colors
+
+
+class TestScatterJacobian:
+    @pytest.mark.parametrize("leak", [False, True], ids=["no_leak", "leak"])
+    @pytest.mark.parametrize("mode", ["steady", "transient"])
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    @pytest.mark.parametrize("legs", ["pp", "fp", "pf"])
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_bit_identical_to_column_fill(self, water_like, ten_km_line, fluid_kind,
+                                          legs, temperature_end, mode, leak):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+        solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+        ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
+        inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
+        outlet = BoundaryLeg("pressure", ramp(p_out)) if legs[1] == "p" else BoundaryLeg("flow", ramp(mdot))
+        bc = BoundaryConditions(inlet=inlet, outlet=outlet,
+                                temperature=TimeSeries([0.0, 10.0 * dt], [300.0, 301.0]),
+                                temperature_end=temperature_end)
+        start = 0.5 * dt if mode == "transient" else -np.inf
+        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=start, mass_rate=0.02 * mdot)] if leak else []
+
+        if mode == "steady":
+            st = solver.steady_state(bc, t=3.0 * dt, leaks=leaks)
+            res = solver._build_residual(bc, st.t, solver._leak_cells(leaks, st.t))
+            key = ("steady", temperature_end)
+        else:
+            old = solver.steady_state(bc, leaks=leaks)
+            st = solver.advance(old, bc, leaks=leaks).state
+            res = solver._build_residual(bc, st.t, solver._leak_cells(leaks, st.t),
+                                         (old.P, old.V, old.T, old.rho),
+                                         solver._leak_cells(leaks, old.t), dt)
+            key = ("transient", temperature_end, dt)
+
+        u = solver._pack(st.P, st.V, st.T)
+        rng = np.random.default_rng(11)
+        for point in (u, u + 1e-3 * rng.standard_normal(u.size) * solver.u_scale):
+            R0 = res(point)
+            expected = _reference_jacobian(solver, point, res, R0, key)
+            assert np.isfinite(expected).all()
+            assert np.count_nonzero(expected) > 9 * solver.N
+            assert solver._jacobian(point, res, R0, key).tobytes() == expected.tobytes()

@@ -531,6 +531,8 @@ class TestCli:
         assert main(["sweep", str(path), "--grid", str(grid), "-o", str(out)]) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 4  # note + header + 2 cells
+        declared = [row["rtm_declared"] for row in csv.DictReader(rows[1:])]
+        assert len(declared) == 2 and set(declared) <= {"0", "1"}  # as every run table
 
 
 class TestSpecInvariantsEndToEnd:

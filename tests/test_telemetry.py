@@ -84,6 +84,38 @@ class TestSample:
                 for k in range(5000)]
         assert max(abs(v - 9e5) for v in vals) <= 600.0 + 1e-9
 
+    def test_readings_are_truth_plus_bias_plus_clipped_noise(self, pipe, state):
+        inst = [
+            InstrumentPlacement("f", "flow", 300.0, noise_sigma=0.37, bias=-0.05, dropout_prob=0.1),
+            InstrumentPlacement("p", "pressure", 700.0, noise_sigma=2100.0, bias=350.0),
+            InstrumentPlacement("t", "temperature", 1000.0, noise_sigma=0.11),
+        ]
+        nodes = instrument_nodes(state.x, inst)
+        truths = [state.rho[3] * state.V[3] * pipe.area, state.P[7], state.T[10]]
+        noise, replay = NoiseSpec(314), NoiseSpec(314)
+        for k in range(300):
+            frame = sample(state, inst, noise, float(k), pipeline=pipe, nodes=nodes)
+            for i, truth in zip(inst, truths):
+                u, z = replay.draw()
+                r = frame.reading(i.id)
+                if u < i.dropout_prob:
+                    assert r == Reading(i.id, None, MISSING)
+                    continue
+                expected = float(truth + i.bias + np.clip(z, -6, 6) * i.noise_sigma)
+                assert type(r.value) is float
+                assert r.value == expected
+
+    @pytest.mark.parametrize("z", [-9.5, -6.0, -5.999, -0.0, 0.0, 1.25, 6.0, 6.001, 40.0])
+    def test_noise_clip_matches_numpy(self, pipe, state, z):
+        class Scripted:
+            def draw(self):
+                return 1.0, z
+
+        inst = [InstrumentPlacement("p", "pressure", 0.0, noise_sigma=123.4, bias=5.0)]
+        frame = poll(state, inst, Scripted(), 0.0, pipe)
+        expected = float(state.P[0] + 5.0 + np.clip(z, -6, 6) * 123.4)
+        assert frame.reading("p").value == expected
+
     def test_nodes_follow_instrument_order(self, state):
         inst = [InstrumentPlacement("p", "pressure", 500.0),
                 InstrumentPlacement("f", "flow", 0.0),
@@ -99,6 +131,36 @@ class TestSample:
         inst = [InstrumentPlacement("a", "acoustic", 0.0)]
         with pytest.raises(ConfigurationError, match="acoustic"):
             instrument_nodes(state.x, inst)
+
+
+class TestFrame:
+    def test_unknown_id_raises_key_error(self):
+        frame = frame_of(0.0, ("p", 5e5, GOOD), ("f", 70.0, GOOD))
+        assert frame.reading("f") == Reading("f", 70.0, GOOD)
+        with pytest.raises(KeyError):
+            frame.reading("t")
+        with pytest.raises(KeyError):
+            frame.good_value("t")
+
+    def test_first_reading_of_a_repeated_id_wins(self):
+        frame = frame_of(0.0, ("p", 1.0, GOOD), ("p", 2.0, SUSPECT))
+        assert frame.reading("p") == Reading("p", 1.0, GOOD)
+
+    def test_filter_skips_frames_without_the_instrument(self):
+        # _last_good looks past a frame that lacks the id; _trailing_identical
+        # stops at it.
+        kinds = [InstrumentPlacement("p", "pressure", 0.0)]
+        history = [frame_of(0.0, ("p", 5.0e5, GOOD)), frame_of(5.0, ("q", 1.0, GOOD))]
+        rate = {"pressure": PlausibilityLimits(max_rate=1000.0)}
+        # The rate is taken from the poll at t = 0: 900 Pa/s passes, 1100 Pa/s does not.
+        out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), history, rate, kinds)
+        assert out.reading("p").quality == GOOD
+        out = plausibility_filter(frame_of(10.0, ("p", 5.11e5, GOOD)), history, rate, kinds)
+        assert out.reading("p").quality == SUSPECT
+        flat = {"pressure": PlausibilityLimits(flatline_polls=2)}
+        history = [frame_of(0.0, ("p", 7e5, GOOD)), frame_of(5.0, ("q", 1.0, GOOD))]
+        out = plausibility_filter(frame_of(10.0, ("p", 7e5, GOOD)), history, flat, kinds)
+        assert out.reading("p").quality == GOOD
 
 
 class TestPlausibilityFilter:
