@@ -12,6 +12,10 @@ the old-state halves of the theta-weighted terms, the boundary targets and
 the coefficient vectors are evaluated before Newton starts, not on every
 residual call.  Operand order is kept exactly as in the written-out scheme,
 so the hoisting changes no bit of any result.
+
+The finite-difference Jacobian is filled from its bandwidth alone, with no
+stored sparsity pattern: unknowns 9 apart share no residual row, and a row
+that does not depend on a perturbed unknown differences to exactly 0.0.
 """
 
 from dataclasses import dataclass
@@ -50,27 +54,16 @@ class TimeSeries:
     """Piecewise-linear time series; constant outside its sample range."""
 
     def __init__(self, times, values):
-        self.times = np.atleast_1d(np.asarray(times, dtype=float))
-        self.values = np.atleast_1d(np.asarray(values, dtype=float))
+        self.times = np.array(times, dtype=float, ndmin=1)
+        self.values = np.array(values, dtype=float, ndmin=1)
         if self.times.size != self.values.size or self.times.size == 0:
             raise ConfigurationError("time series needs equal-length times and values")
-        if np.any(np.diff(self.times) < 0):
+        if (self.times[1:] < self.times[:-1]).any():
             raise ConfigurationError("time series times must be non-decreasing")
 
     @classmethod
     def constant(cls, value):
         return cls([0.0], [float(value)])
-
-    @classmethod
-    def ramp(cls, t0, t1, v0, v1):
-        """Two-point ramp from ``(t0, v0)`` to ``(t1, v1)``; the shadow
-        model builds three per poll, so only the time order is checked."""
-        if t1 < t0:
-            raise ConfigurationError("time series times must be non-decreasing")
-        series = cls.__new__(cls)
-        series.times = np.array([t0, t1], dtype=float)
-        series.values = np.array([v0, v1], dtype=float)
-        return series
 
     def at(self, t):
         if self.values.size == 1:
@@ -185,8 +178,10 @@ class StepResult:
 
 
 def linepack(state: GridState, pipeline: PipelineModel):
-    """Fluid inventory in kg: trapezoidal integral of rho*A over the line."""
-    return pipeline.area * float(np.trapezoid(state.rho, state.x))
+    """Fluid inventory in kg: trapezoidal integral of rho*A over the line,
+    written as ``np.trapezoid``'s own expression, so bit for bit its sum."""
+    x, rho = state.x, state.rho
+    return pipeline.area * float(((x[1:] - x[:-1]) * (rho[1:] + rho[:-1]) / 2.0).sum())
 
 
 def modeled_profile(state: GridState, pipeline: PipelineModel):
@@ -236,10 +231,8 @@ class PipeFlowSolver:
         self._P_scale = 1e5
         self._T_scale = 100.0
 
-        self._structures = {}
         self._lu_cache = None       # (lu, piv, info) from lapack.dgbtrf
         self._cache_key = None
-        self._last_linepack = (None, None)  # (state advance last returned, its linepack)
 
     # ---------------------------------------------------------------- public
 
@@ -287,7 +280,7 @@ class PipeFlowSolver:
         res = self._build_residual(bc, state.t, np.zeros(self.N - 1))
         u = self._pack(state.P, state.V, state.T)
         with np.errstate(all="ignore"):
-            lu = self._factor(u, res, res(u), key, history=[])
+            lu = self._factor(u, res, res(u), history=[])
         lu_band, piv, info = lu
         if info > 0:
             raise SolverError("singular Jacobian")
@@ -311,10 +304,8 @@ class PipeFlowSolver:
         """One implicit step from state.t to state.t + dt.
 
         Returns a StepResult carrying the new state and the step's mass
-        ledger; when ``state`` is the one the previous step returned, that
-        step's ``linepack_end`` is reused as ``linepack_start``.  Raises
-        SolverError (with residual history) on Newton failure and
-        InfeasibleStateError if the new state is unphysical.
+        ledger.  Raises SolverError (with residual history) on Newton
+        failure and InfeasibleStateError if the new state is unphysical.
         """
         dt = self.settings.dt if dt is None else float(dt)
         t0, t1 = state.t, state.t + dt
@@ -334,18 +325,14 @@ class PipeFlowSolver:
         flux_old = self.A * state.rho * state.V
         leak_total_new = float(np.sum(q_new))
         leak_total_old = float(np.sum(q_old))
-        last_state, last_linepack = self._last_linepack
-        linepack_start = last_linepack if last_state is state else linepack(state, self.pipeline)
-        linepack_end = linepack(new_state, self.pipeline)
-        self._last_linepack = (new_state, linepack_end)
         entry = MassLedgerEntry(
             t_start=t0,
             t_end=t1,
             mass_in=dt * (th * flux_new[0] + (1 - th) * flux_old[0]),
             mass_out=dt * (th * flux_new[-1] + (1 - th) * flux_old[-1]),
             leak_mass=dt * (th * leak_total_new + (1 - th) * leak_total_old),
-            linepack_start=linepack_start,
-            linepack_end=linepack_end,
+            linepack_start=linepack(state, self.pipeline),
+            linepack_end=linepack(new_state, self.pipeline),
         )
         return StepResult(state=new_state, ledger=entry)
 
@@ -503,7 +490,7 @@ class PipeFlowSolver:
                         history=history,
                     )
                 if lu is None:
-                    lu = self._factor(u, res_fn, R, key, history)
+                    lu = self._factor(u, res_fn, R, history)
                     rebuilt = True
                 lu_band, piv, info = lu
                 if info > 0:
@@ -543,70 +530,39 @@ class PipeFlowSolver:
             self._lu_cache, self._cache_key = lu, key
             return u, history
 
-    def _factor(self, u, res_fn, R, key, history):
+    def _factor(self, u, res_fn, R, history):
         """Build the Jacobian at ``u`` and factor it: ``(lu, piv, info)``."""
-        ab = self._jacobian(u, res_fn, R, key)
+        ab = self._jacobian(u, res_fn, R)
         if not np.isfinite(ab).all():
             raise SolverError("non-finite Jacobian", history=history)
         return lapack.dgbtrf(ab, 4, 4, overwrite_ab=True)
 
     @staticmethod
     def _norm(R):
-        return float(np.max(np.abs(R)))
+        return float(np.abs(R).max())
 
-    def _jacobian(self, u, res_fn, R0, key):
+    def _jacobian(self, u, res_fn, R0):
         """Finite-difference Jacobian in LAPACK's ``gbtrf`` band layout.
 
         The bandwidth is 4 below and 4 above the diagonal: entry (i, j)
         sits at row 8 + i - j of 13; rows 0-3 are left zero for the fill-in
-        of partial pivoting.
+        of partial pivoting.  Color ``s`` perturbs unknowns ``s, s+9, ...``
+        at once and writes every band slot of their columns straight from
+        the bandwidth, with no stored sparsity pattern.  That is exact:
+        unknowns 9 apart share no residual row, and a row that does not
+        depend on the perturbed unknown differences to exactly 0.0.
         """
-        ab = np.zeros((13, self.n_unknowns), order="F")
-        for idx, band, cols, rows in self._structure(key[1]):  # key = (mode, temperature_end, ...)
+        n = self.n_unknowns
+        ab = np.zeros((13, n), order="F")
+        offsets = np.arange(-4, 5)[:, None]
+        dR = np.zeros(n + 8)  # residual difference, zero-padded by 4 at each end
+        for s in range(min(9, n)):
+            idx = np.arange(s, n, 9)
             up = u.copy()
             up[idx] += _FD_EPS * self.u_scale[idx]
-            dR = (res_fn(up) - R0) / _FD_EPS
-            ab[band, cols] = dR[rows]
+            dR[4:-4] = (res_fn(up) - R0) / _FD_EPS
+            ab[4:, idx] = dR[4 + idx + offsets]
         return ab
-
-    def _structure(self, temperature_end):
-        """Per color of the finite-difference Jacobian: the perturbed
-        unknowns, and for every entry they fill its band row, column and
-        residual row."""
-        if temperature_end in self._structures:
-            return self._structures[temperature_end]
-        N = self.N
-        head = 2 if temperature_end == "inlet" else 1
-        out_row = head + 3 * (N - 1)
-
-        rows_for = []
-        for k in range(N):
-            rows = []
-            for cell in (k - 1, k):
-                if 0 <= cell <= N - 2:
-                    base = head + 3 * cell
-                    rows.extend((base, base + 1, base + 2))
-            if k == 0:
-                rows.append(0)
-                if temperature_end == "inlet":
-                    rows.append(1)
-            if k == N - 1:
-                rows.append(out_row)
-                if temperature_end == "outlet":
-                    rows.append(out_row + 1)
-            arr = np.array(sorted(rows), dtype=int)
-            rows_for.extend([arr, arr, arr])  # same stencil for P, V, T at node k
-
-        colors = []
-        for v in range(3):
-            for m in range(3):
-                idx = np.array([3 * k + v for k in range(N) if k % 3 == m], dtype=int)
-                if idx.size:
-                    rows = np.concatenate([rows_for[j] for j in idx])
-                    cols = np.concatenate([np.full(rows_for[j].size, j) for j in idx])
-                    colors.append((idx, 8 + rows - cols, cols, rows))
-        self._structures[temperature_end] = colors
-        return colors
 
     # ------------------------------------------------------------- utilities
 

@@ -16,6 +16,7 @@ __all__ = [
     "Grid",
     "discretize",
     "elevation_at",
+    "end_flow_meters",
 ]
 
 GRAVITY = 9.80665  # m/s^2
@@ -57,6 +58,16 @@ class InstrumentPlacement:
             raise ConfigurationError(f"instrument {self.id}: noise_sigma must be >= 0")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ConfigurationError(f"instrument {self.id}: dropout_prob must be in [0, 1)")
+
+
+def end_flow_meters(instruments, length):
+    """The flow meters that bracket the line: ``(inlet, outlet)``, the first
+    flow meter if it lies before ``length / 2`` and the last if it lies
+    after; either is None when that half of the line has no meter."""
+    flows = sorted((i for i in instruments if i.kind == "flow"), key=lambda i: i.position)
+    inlet = flows[0] if flows and flows[0].position < length / 2 else None
+    outlet = flows[-1] if flows and flows[-1].position > length / 2 else None
+    return inlet, outlet
 
 
 @dataclass(frozen=True)

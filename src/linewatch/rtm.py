@@ -35,6 +35,7 @@ from .hydraulics import (
     linepack,
     modeled_profile,
 )
+from .network import end_flow_meters
 from .telemetry import TelemetryFrame
 
 __all__ = [
@@ -244,10 +245,7 @@ class RtmDetector:
         self.temperature_instrument = temps[0] if temps else None
 
         # End flow meters for sizing (in flow drive these are the boundaries).
-        flows = sorted((i for i in self.instruments if i.kind == "flow"),
-                       key=lambda i: i.position)
-        self.flow_in_meter = flows[0] if flows and flows[0].position < L / 2 else None
-        self.flow_out_meter = flows[-1] if flows and flows[-1].position > L / 2 else None
+        self.flow_in_meter, self.flow_out_meter = end_flow_meters(self.instruments, L)
 
         if self.drive == "flow":
             anchors = [i for i in self.instruments if i.kind == "pressure"
@@ -365,12 +363,12 @@ class RtmDetector:
 
         kind = "pressure" if self.drive == "pressure" else "flow"
         leg = lambda inst: BoundaryLeg(
-            kind, TimeSeries.ramp(t0, t1, prev[inst.id], self._hold[inst.id])
+            kind, TimeSeries([t0, t1], [prev[inst.id], self._hold[inst.id]])
         )
         bc = BoundaryConditions(
             inlet=leg(self.boundary_in),
             outlet=leg(self.boundary_out),
-            temperature=TimeSeries.ramp(t0, t1, t_prev, t_now),
+            temperature=TimeSeries([t0, t1], [t_prev, t_now]),
         )
         dt_sub = (t1 - t0) / self.substeps
         for _ in range(self.substeps):

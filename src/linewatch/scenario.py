@@ -34,7 +34,7 @@ from .hydraulics import (
     TimeSeries,
     linepack,
 )
-from .network import InstrumentPlacement, PipelineModel, Segment, discretize
+from .network import InstrumentPlacement, PipelineModel, Segment, discretize, end_flow_meters
 from .rtm import RtmDetector, VotingPolicy, combined_verdict
 from .telemetry import NoiseSpec, PlausibilityLimits, instrument_nodes, plausibility_filter, sample
 
@@ -294,7 +294,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
                     assert_off_critical(fluid, float(p), float(t))
 
     rtm_cfg = _parse_rtm(root.child("rtm"), instruments)
-    balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg)
+    balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg, pipeline.length)
     acoustic_cfg = _parse_acoustic(root.child("acoustic"), fluid, pipeline)
     avail_cfg = _parse_availability(root.child("availability"))
 
@@ -531,12 +531,12 @@ def _maybe_int(v):
     return None if v is None else int(v)
 
 
-def _parse_balance(node, instruments, rtm_cfg):
+def _parse_balance(node, instruments, rtm_cfg, length):
     if _disabled(node):
         return None
-    flows = sorted((i for i in instruments if i.kind == "flow"), key=lambda i: i.position)
-    if len(flows) < 2:
-        node.error("line balance needs flow meters at both ends")
+    flow_in, flow_out = end_flow_meters(instruments, length)
+    if flow_in is None or flow_out is None:
+        node.error("line balance needs a flow meter in each half of the line")
     mode = node.get("mode", "model")
     if mode not in ("model", "simple"):
         node.child("mode").error(f"must be 'model' or 'simple', got {mode!r}")
@@ -548,8 +548,8 @@ def _parse_balance(node, instruments, rtm_cfg):
         if value <= 0:
             node.child(key).error(f"must be > 0, got {value}")
     return {
-        "flow_in_id": flows[0].id,
-        "flow_out_id": flows[-1].id,
+        "flow_in_id": flow_in.id,
+        "flow_out_id": flow_out.id,
         "window_duration": window,
         "threshold": threshold,
         "mode": mode,
@@ -619,7 +619,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
     steps_per_poll = round(s.poll_interval / s.plant_settings.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
     frames: List = []
-    rtm_polls: List = []
     states: List[GridState] = []
     max_ledger_residual = 0.0
     max_ledger_relative = 0.0
@@ -631,8 +630,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         frames.append(frame)
         lp_est = None
         if rtm_det is not None:
-            rtm_polls.append(rtm_det.observe(frame))
-            lp_est = rtm_polls[-1].shadow_linepack
+            lp_est = rtm_det.observe(frame).shadow_linepack
         if bal_det is not None:
             bal_det.observe(frame, lp_est)
 
@@ -698,7 +696,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         },
         availability=avail_rows,
         frames=frames,
-        rtm_records=rtm_polls,
+        rtm_records=rtm_det.records if rtm_det else [],
         states=states,
     )
 

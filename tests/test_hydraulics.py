@@ -274,6 +274,24 @@ class TestAdvance:
             assert abs(result.ledger.residual) < 1e-8 * result.ledger.linepack_end
         assert result.ledger.leak_mass == pytest.approx(5.0 * 2.0, rel=1e-12)
 
+    def test_ledger_linepack_chains_bit_for_bit(self, water_like, ten_km_line):
+        solver = make_solver(water_like, ten_km_line, dt=2.0, extra_points=(5000.0,))
+        bc = BoundaryConditions(
+            inlet=BoundaryLeg("pressure", TimeSeries([0.0, 30.0], [1.0e6, 1.08e6])),
+            outlet=BoundaryLeg("pressure", TimeSeries.constant(6.7e5)),
+            temperature=TimeSeries.constant(300.0),
+        )
+        leaks = [LeakEvent(position=5000.0, start_time=10.0, mass_rate=5.0)]
+        st = solver.steady_state(bc, t=0.0)
+        ledgers = []
+        for _ in range(20):
+            result = solver.advance(st, bc, leaks=leaks)
+            st = result.state
+            ledgers.append(result.ledger)
+        for before, after in zip(ledgers, ledgers[1:]):
+            assert after.linepack_start.hex() == before.linepack_end.hex()
+        assert ledgers[-1].linepack_end != ledgers[0].linepack_start
+
     def test_leak_global_mass_audit(self, water_like, ten_km_line):
         # flow-specified inlet; integrated (in - out - d linepack) -> q*T
         solver = make_solver(water_like, ten_km_line, dt=1.0, extra_points=(5000.0,))
@@ -353,6 +371,18 @@ class TestReadouts:
         assert linepack(state, ten_km_line) == pytest.approx(
             1000.0 * ten_km_line.area * 10000.0, rel=1e-12)
 
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_linepack_is_trapezoid_bit_for_bit(self, water_like, ten_km_line, fluid_kind):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        p_in, p_out = _LINES[fluid_kind][:2]
+        L = pipe.length
+        grid = discretize(pipe, L / 37.0, extra_points=(0.123 * L, 0.61 * L))
+        assert np.ptp(np.diff(grid.node_positions)) > 1e-3 * L / 37.0  # non-uniform
+        st = PipeFlowSolver(pipe, fluid, grid).steady_state(bc_pp(p_in, p_out))
+        assert np.ptp(st.rho) > 0.0
+        expected = pipe.area * float(np.trapezoid(st.rho, st.x))
+        assert linepack(st, pipe).hex() == expected.hex()
+
     def test_modeled_profile_projection(self, water_like, ten_km_line):
         solver = make_solver(water_like, ten_km_line)
         st = solver.steady_state(bc_pp(1.0e6, 6.7e5))
@@ -368,28 +398,24 @@ class TestReadouts:
         assert v == float(np.interp(t, ts.times, ts.values))
 
 
-class TestRamp:
-    T0, T1, V0, V1 = 1234.5, 1239.5, 6.7e5 + 1.0 / 3.0, 6.9e5 - 2.0 / 7.0
+class TestTimeSeriesChecks:
+    @pytest.mark.parametrize("times,values,match", [
+        ([10.0, 5.0], [1.0, 2.0], "non-decreasing"),
+        ([0.0, 5.0], [1.0], "equal-length"),
+        ([], [], "equal-length"),
+    ], ids=["backwards", "unequal_lengths", "empty"])
+    def test_bad_series_rejected(self, times, values, match):
+        with pytest.raises(ConfigurationError, match=match):
+            TimeSeries(times, values)
 
-    @pytest.mark.parametrize("t", [T0, 0.5 * (T0 + T1), T1, T0 - 100.0, T1 + 3.7, 1236.1],
-                             ids=["t0", "midpoint", "t1", "before", "after", "inside"])
-    def test_matches_general_series(self, t):
-        ramp = TimeSeries.ramp(self.T0, self.T1, self.V0, self.V1)
-        general = TimeSeries([self.T0, self.T1], [self.V0, self.V1])
-        assert ramp.times.tobytes() == general.times.tobytes()
-        assert ramp.values.tobytes() == general.values.tobytes()
-        v = ramp.at(t)
-        assert type(v) is float
-        assert v == general.at(t)
+    def test_scalar_input_is_one_point(self):
+        ts = TimeSeries(10.0, 7.25)
+        assert ts.times.shape == ts.values.shape == (1,)
+        assert [ts.at(t) for t in (0.0, 10.0, 20.0)] == [7.25, 7.25, 7.25]
 
-    def test_zero_length_ramp_holds_its_end_value(self):
-        ramp = TimeSeries.ramp(5.0, 5.0, 1.0, 2.0)
-        assert [ramp.at(t) for t in (4.0, 5.0, 6.0)] == [
-            TimeSeries([5.0, 5.0], [1.0, 2.0]).at(t) for t in (4.0, 5.0, 6.0)]
-
-    def test_backwards_ramp_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-decreasing"):
-            TimeSeries.ramp(10.0, 5.0, 1.0, 2.0)
+    def test_zero_length_span_is_accepted(self):
+        ts = TimeSeries([5.0, 5.0], [1.0, 2.0])
+        assert [ts.at(t) for t in (4.0, 6.0)] == [1.0, 2.0]
 
 
 class TestSettingsValidation:
@@ -723,16 +749,21 @@ def _reference_structure(self, temperature_end):
 
 
 class TestScatterJacobian:
-    @pytest.mark.parametrize("leak", [False, True], ids=["no_leak", "leak"])
+    @pytest.mark.parametrize("nodes,leak", [
+        (None, False), (None, True), (2, False), (3, False), (3, True), (4, False), (4, True),
+    ], ids=["no_leak", "leak", "2_nodes", "3_nodes", "3_nodes_leak", "4_nodes", "4_nodes_leak"])
     @pytest.mark.parametrize("mode", ["steady", "transient"])
     @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
     @pytest.mark.parametrize("legs", ["pp", "fp", "pf"])
     @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
     def test_bit_identical_to_column_fill(self, water_like, ten_km_line, fluid_kind,
-                                          legs, temperature_end, mode, leak):
+                                          legs, temperature_end, mode, nodes, leak):
         fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
         p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+        if nodes is not None:
+            dx = pipe.length / (nodes - 1)
         solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+        assert nodes in (None, solver.N)
         ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
         inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
         outlet = BoundaryLeg("pressure", ramp(p_out)) if legs[1] == "p" else BoundaryLeg("flow", ramp(mdot))
@@ -754,11 +785,21 @@ class TestScatterJacobian:
                                          solver._leak_cells(leaks, old.t), dt)
             key = ("transient", temperature_end, dt)
 
+        calls = collections.Counter()
+
+        def counted(name):
+            def evaluate(v):
+                calls[name] += 1
+                return res(v)
+            return evaluate
+
         u = solver._pack(st.P, st.V, st.T)
         rng = np.random.default_rng(11)
         for point in (u, u + 1e-3 * rng.standard_normal(u.size) * solver.u_scale):
             R0 = res(point)
-            expected = _reference_jacobian(solver, point, res, R0, key)
+            calls.clear()
+            expected = _reference_jacobian(solver, point, counted("reference"), R0, key)
             assert np.isfinite(expected).all()
             assert np.count_nonzero(expected) > 9 * solver.N
-            assert solver._jacobian(point, res, R0, key).tobytes() == expected.tobytes()
+            assert solver._jacobian(point, counted("band"), R0).tobytes() == expected.tobytes()
+            assert calls["band"] == calls["reference"] == min(9, 3 * solver.N)

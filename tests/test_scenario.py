@@ -80,14 +80,20 @@ class TestParsing:
         ("availability", {"chains": "mass_flow"}, "availability.chains: expected a list"),
         ("availability", {"chains": ["pressure", ["mass_flow"]]},
          "availability.chains[1]: unknown availability chain preset ['mass_flow']"),
+        # the outlet flow meter moved to 2 km of 10 km: the meters no longer bracket the line
+        ("instruments", lambda cfg: cfg["instruments"][1].update(position=2000.0),
+         "balance: line balance needs a flow meter in each half of the line"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
             "availability_per_unit_not_a_number", "availability_chains_not_a_list",
-            "availability_chain_not_a_name"])
+            "availability_chain_not_a_name", "balance_meters_not_bracketing"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
-        cfg.setdefault(section, {}).update(edit)
+        if callable(edit):
+            edit(cfg)
+        else:
+            cfg.setdefault(section, {}).update(edit)
         with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
             scenario_from_dict(cfg)
 
