@@ -13,6 +13,16 @@ the coefficient vectors are evaluated before Newton starts, not on every
 residual call.  Operand order is kept exactly as in the written-out scheme,
 so the hoisting changes no bit of any result.
 
+The residual works on one flat, field-major vector P | V | T | rho, so each
+stencil (cell means, gradients, theta blends, time differences) is one
+numpy call over every field rather than one per field on a strided view.
+The entries of a stencil that straddle two fields are computed but never
+read; every other entry sees the same operations on the same operands.
+The scalars it combines with arrays are 0-d arrays bound once per solver,
+which numpy dispatches faster than Python floats with the same double
+arithmetic.  A steady state whose flow runs toward the held-temperature
+end is rejected, since the energy equation takes its temperature upwind.
+
 The finite-difference Jacobian is filled from its bandwidth alone, with no
 stored sparsity pattern: unknowns 9 apart share no residual row, and a row
 that does not depend on a perturbed unknown differences to exactly 0.0.
@@ -48,6 +58,7 @@ __all__ = [
 
 _FD_EPS = 1e-7           # relative finite-difference step for the Jacobian
 _STEADY_T_REG = 1e-8     # 1/s, regularizes the energy row at zero flow
+_REVERSE_V = 1e-6        # m/s, steady flow toward the held-temperature end
 
 
 class TimeSeries:
@@ -217,17 +228,29 @@ class PipeFlowSolver:
         self.U_cell = np.array([pipeline.heat_transfer_at(x) for x in xm])
         H = elevation_at(pipeline, self.x)
         self.dHdx = np.diff(H) / self.dxc
+        self._rise = float(H[-1] - H[0])
         self.Tg = pipeline.Tg
         self._g_dHdx = GRAVITY * self.dHdx
         self._four_U = 4.0 * self.U_cell
+        # The residual reads its P, V and T gradients from one difference of
+        # the flat P | V | T vector: dxc once per field, and 1.0 at the two
+        # entries that straddle fields, which no residual row reads.
+        self._dx3 = np.concatenate((self.dxc, [1.0], self.dxc, [1.0], self.dxc))
+        # The scalars the residual combines with arrays, bound once as 0-d
+        # arrays: numpy dispatches such an operand in about half the time of
+        # a Python float, and the double arithmetic is the same.
+        c = fluid.c
+        self._scalars = tuple(np.array(float(v)) for v in (
+            0.5, self.A, settings.theta, c, self.D, self.Tg,
+            2.0 * self.D, 2.0 * c * self.D, GRAVITY))
         # A liquid's dP/dT at constant density does not depend on the state.
-        self._dPdT_liquid = (dP_dT_const_density(fluid, 0.0, 0.0)
+        self._dPdT_liquid = (np.array(dP_dT_const_density(fluid, 0.0, 0.0))
                              if isinstance(fluid.eos, LiquidEos) else None)
 
         # Fixed unknown scales (P, V, T per node); residual row scales are
         # frozen on first use so a cached Jacobian stays consistent.
         self.u_scale = np.tile([1e5, 1.0, 100.0], self.N)
-        self._mdot_scale = None
+        self._mdot_scale = None     # 0-d, like the residual's other scalars
         self._P_scale = 1e5
         self._T_scale = 100.0
 
@@ -241,7 +264,9 @@ class PipeFlowSolver:
         fixed point of :meth:`advance` under constant boundary conditions.
 
         ``initial_guess`` (a prior GridState) warm-starts Newton; useful
-        when scanning many nearby steady problems.
+        when scanning many nearby steady problems.  Raises
+        InfeasibleScenarioError for an unphysical state, and for one whose
+        flow runs toward ``bc.temperature_end`` at every node.
         """
         if not bc.has_pressure_anchor:
             raise InfeasibleScenarioError(
@@ -258,6 +283,7 @@ class PipeFlowSolver:
         u, _ = self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
         state = self._state_from(u, t)
         self._check_physical(state, InfeasibleScenarioError)
+        self._check_upwind(state, bc)
         return state
 
     def steady_leak_response(self, state: GridState, bc: BoundaryConditions, reads):
@@ -320,16 +346,17 @@ class PipeFlowSolver:
         new_state = self._state_from(u, t1)
         self._check_physical(new_state, InfeasibleStateError)
 
+        def flux(st, node):
+            return self.A * st.rho[node] * st.V[node]
+
         th = self.settings.theta
-        flux_new = self.A * new_state.rho * new_state.V
-        flux_old = self.A * state.rho * state.V
-        leak_total_new = float(np.sum(q_new))
-        leak_total_old = float(np.sum(q_old))
+        leak_total_new = float(q_new.sum())
+        leak_total_old = float(q_old.sum())
         entry = MassLedgerEntry(
             t_start=t0,
             t_end=t1,
-            mass_in=dt * (th * flux_new[0] + (1 - th) * flux_old[0]),
-            mass_out=dt * (th * flux_new[-1] + (1 - th) * flux_old[-1]),
+            mass_in=dt * (th * flux(new_state, 0) + (1 - th) * flux(state, 0)),
+            mass_out=dt * (th * flux(new_state, -1) + (1 - th) * flux(state, -1)),
             leak_mass=dt * (th * leak_total_new + (1 - th) * leak_total_old),
             linepack_start=linepack(state, self.pipeline),
             linepack_end=linepack(new_state, self.pipeline),
@@ -346,18 +373,29 @@ class PipeFlowSolver:
         the new state is evaluated here, once per solve: the ``(1-theta)``
         halves of the cell means and gradients of the old state, the old
         flux difference and leak draw, the boundary targets and temperature
-        anchor.  The coefficient vectors and a liquid's constant dP/dT are
-        fixed per solver and come from ``__init__``.  The residual does not
-        enter ``np.errstate``: its callers do, once per solve.
+        anchor.  The coefficient vectors, the scalars and a liquid's
+        constant dP/dT are fixed per solver and come from ``__init__``.  The
+        residual does not enter ``np.errstate``: its callers do, once per
+        solve.
+
+        The residual copies ``u`` into one field-major vector
+        ``w = P | V | T | rho`` of length 4N, so each stencil is one numpy
+        call over every field at once: the cell means of all four fields,
+        the gradients of P, V and T, the theta blends and the time
+        differences.  The entries of those results that straddle two
+        fields mix the end of one field with the start of the next; no
+        residual row reads them.  Every other entry is the same operation
+        on the same operands as per field, and the 0-d scalars give the
+        same double arithmetic as Python floats.
 
         Each hoisted value is a whole operand of the expression it enters,
         and every sum and product keeps its operand order, so the result is
         bit for bit the residual of the expressions written out in full.
         Re-associating would move the round-off of the step ledger.
         """
-        N = self.N
-        c, D, dxc = self.fluid.c, self.D, self.dxc
-        A, f, Tg = self.A, self.f_cell, self.Tg
+        N, n3 = self.N, 3 * self.N
+        dx3, f = self._dx3, self.f_cell
+        half, A, th, c, D, Tg, two_D, two_cD, g = self._scalars
         eos = self.fluid.eos
         steady = old is None
         temperature_inlet = bc.temperature_end == "inlet"
@@ -371,8 +409,6 @@ class PipeFlowSolver:
         outlet_pressure = outlet.kind == "pressure"
 
         g_dHdx, four_U, dPdT_liquid = self._g_dHdx, self._four_U, self._dPdT_liquid
-        two_D = 2.0 * D
-        two_cD = 2.0 * c * D
 
         head = 2 if temperature_inlet else 1
         rows_c = slice(head, head + 3 * (N - 1), 3)
@@ -380,62 +416,60 @@ class PipeFlowSolver:
         rows_e = slice(head + 2, head + 3 * (N - 1), 3)
         row_out = head + 3 * (N - 1)
 
+        # The new state, refilled on every call, and fixed views into it.
+        w = np.empty(4 * N)
+        fields = w[:n3].reshape(3, N)
+        P, V, T, rho = w[:N], w[N : 2 * N], w[2 * N : n3], w[n3:]
+        w_lo, w_hi = w[:-1], w[1:]
+        g_lo, g_hi = w[: n3 - 1], w[1:n3]
+        # Each field's cells within the cell means and the gradients.
+        cP, cV = slice(0, N - 1), slice(N, 2 * N - 1)
+        cT, cR = slice(2 * N, n3 - 1), slice(n3, 4 * N - 1)
+
         if not steady:
-            th, invdt = self.settings.theta, 1.0 / dt
-            wo = 1 - th    # weight of the old time level
-            Po, Vo, To, rhoo = old
-            mid_Vo = 0.5 * (Vo[:-1] + Vo[1:])
-            mid_To = 0.5 * (To[:-1] + To[1:])
-            mid_rhoo = 0.5 * (rhoo[:-1] + rhoo[1:])
-            Vb_old = wo * mid_Vo
-            Tb_old = wo * mid_To
-            rb_old = wo * mid_rhoo
-            Pb_old = wo * (0.5 * (Po[:-1] + Po[1:]))
-            dV_old = wo * (Vo[1:] - Vo[:-1]) / dxc
-            dT_old = wo * (To[1:] - To[:-1]) / dxc
-            dP_old = wo * (Po[1:] - Po[:-1]) / dxc
-            flux_o = A * rhoo * Vo
+            invdt = np.array(1.0 / dt)
+            wo = 1 - self.settings.theta    # weight of the old time level
+            o = np.concatenate(old)
+            mids_old = half * (o[:-1] + o[1:])
+            bars_old = wo * mids_old
+            grads_old = wo * (o[1:n3] - o[: n3 - 1]) / dx3
+            flux_o = A * o[n3:] * o[N : 2 * N]
             dflux_old = wo * (flux_o[1:] - flux_o[:-1])
             q_bar = th * q_new + wo * q_old
-            dxcA = dxc * A
+            dxcA = self.dxc * A
 
         def residual(u):
-            P, V, T = u[0::3], u[1::3], u[2::3]
-            rho = raw_density(eos, P, T)
-            mid_V = 0.5 * (V[:-1] + V[1:])
-            mid_T = 0.5 * (T[:-1] + T[1:])
-            mid_rho = 0.5 * (rho[:-1] + rho[1:])
-            dV = (V[1:] - V[:-1]) / dxc
-            dT = (T[1:] - T[:-1]) / dxc
-            dP = (P[1:] - P[:-1]) / dxc
+            fields[...] = u.reshape(N, 3).T
+            rho[...] = raw_density(eos, P, T)
+            mids = half * (w_lo + w_hi)
+            grads = (g_hi - g_lo) / dx3
             flux = A * rho * V
             dflux = flux[1:] - flux[:-1]
             if steady:
-                Vb, Tb, rb = mid_V, mid_T, mid_rho
+                bars, gb = mids, grads
+            else:
+                bars = th * mids + bars_old
+                gb = th * grads + grads_old
+            Vb, Tb, rb = bars[cV], bars[cT], bars[cR]
+            dP, dV, dT = gb[cP], gb[cV], gb[cT]
+            if steady:
                 R_c = dflux + q_new
                 # the zero time term is still added: it turns a -0.0 into 0.0
                 R_m = 0.0 + Vb * dV
                 R_e = 0.0 + Vb * dT
             else:
-                Vb = th * mid_V + Vb_old
-                Tb = th * mid_T + Tb_old
-                rb = th * mid_rho + rb_old
-                dV = th * dV + dV_old
-                dT = th * dT + dT_old
-                dP = th * dP + dP_old
-                R_c = dxcA * (mid_rho - mid_rhoo) * invdt + th * dflux + dflux_old + q_bar
-                R_m = (mid_V - mid_Vo) * invdt + Vb * dV
-                R_e = (mid_T - mid_To) * invdt + Vb * dT
+                dmid = mids - mids_old
+                rate = dmid * invdt
+                R_c = dxcA * dmid[cR] * invdt + th * dflux + dflux_old + q_bar
+                R_m = rate[cV] + Vb * dV
+                R_e = rate[cT] + Vb * dT
 
             abs_Vb = np.abs(Vb)
             R_m = R_m + dP / rb + g_dHdx + f * Vb * abs_Vb / two_D
 
             rbc = rb * c
             if dPdT_liquid is None:
-                Pb = 0.5 * (P[:-1] + P[1:])
-                if not steady:
-                    Pb = th * Pb + Pb_old
-                dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
+                dPdT = dP_dT_const_density(self.fluid, bars[cP], Tb)
             else:
                 dPdT = dPdT_liquid
             R_e = (
@@ -447,11 +481,11 @@ class PipeFlowSolver:
             if steady:
                 R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
 
-            R = np.empty(3 * N)
+            R = np.empty(n3)
             R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
                     else (flux[0] - inlet_target) / mdot_scale)
             R[rows_c] = R_c / mdot_scale
-            R[rows_m] = R_m / GRAVITY
+            R[rows_m] = R_m / g
             R[rows_e] = R_e  # K/s, unit scale
             R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
                           else (flux[-1] - outlet_target) / mdot_scale)
@@ -572,7 +606,7 @@ class PipeFlowSolver:
         return u
 
     def _state_from(self, u, t):
-        P, V, T = u[0::3].copy(), u[1::3].copy(), u[2::3].copy()
+        P, V, T = u.reshape(self.N, 3).T.copy()
         # raw EOS here: _check_physical turns unphysical values into the
         # typed error naming the offending node
         with np.errstate(all="ignore"):
@@ -591,6 +625,24 @@ class PipeFlowSolver:
                     f"{name} = {arr[i]:.6g} at node {i} (x = {self.x[i]:.1f} m) "
                     "is not physical"
                 )
+
+    def _check_upwind(self, state, bc):
+        """Reject a steady state whose flow runs toward the end where the
+        temperature is held: the energy equation then has no inflow
+        temperature, and the transient turns unphysical within a few steps.
+        """
+        toward = state.V if bc.temperature_end == "outlet" else -state.V
+        if toward.min() <= _REVERSE_V:
+            return
+        source = "outlet" if bc.temperature_end == "inlet" else "inlet"
+        head = float(np.mean(state.rho)) * GRAVITY * self._rise
+        raise InfeasibleScenarioError(
+            f"steady flow runs from the {source} to the {bc.temperature_end} "
+            f"(V = {state.V[0]:.3g} m/s at the inlet), but the temperature is "
+            f"held at the {bc.temperature_end}: inlet pressure {state.P[0]:.0f} Pa, "
+            f"outlet pressure {state.P[-1]:.0f} Pa, static head of the "
+            f"{self._rise:g} m rise {head:.0f} Pa"
+        )
 
     def _leak_cells(self, leaks, t):
         q = np.zeros(self.N - 1)
@@ -617,7 +669,7 @@ class PipeFlowSolver:
         P, V, T = u[0::3], u[1::3], u[2::3]
         rho = np.asarray(self.fluid.density(np.maximum(P, 1e3), T))
         v_ref = max(float(np.max(np.abs(V))), 0.1)
-        self._mdot_scale = max(float(np.max(rho)) * self.A * v_ref, 1e-9)
+        self._mdot_scale = np.array(max(float(np.max(rho)) * self.A * v_ref, 1e-9))
 
     def _steady_guess(self, bc, t):
         T0 = bc.temperature.at(t)

@@ -410,7 +410,8 @@ class RtmDetector:
             buf = self._smooth[ind.id]
             buf.append(d)
             if len(buf) == buf.maxlen:
-                sm = float(np.mean(buf))
+                # np.mean's own sum, without its wrapper: the same bits
+                sm = float(np.array(buf).sum()) / len(buf)
                 smoothed[ind.id] = sm
                 normalized[ind.id] = sm / self.policy.threshold_for(ind.kind)
             else:

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ class TestSteadyState:
         st = solver.steady_state(bc_fp(0.0, 8.0e5))
         assert np.allclose(st.P, 8.0e5, rtol=1e-9)
         assert np.allclose(st.V, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("temperature_end,pressures,rise,source", [
+        ("inlet", (1.0e6, 6.7e5), 60.0, "outlet"),   # the rise outweighs the drive
+        ("outlet", (1.0e6, 6.7e5), 0.0, "inlet"),    # held at the downstream end
+    ], ids=["uphill_reverses_flow", "held_downstream"])
+    def test_flow_toward_held_temperature_is_rejected(self, water_like, temperature_end,
+                                                       pressures, rise, source):
+        pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02, U=2.0,
+                             Tg=288.15, elevation_profile=((0.0, 0.0), (10000.0, rise)))
+        solver = make_solver(water_like, pipe)
+        with pytest.raises(InfeasibleScenarioError) as err:
+            solver.steady_state(bc_pp(*pressures, temperature_end=temperature_end))
+        message = str(err.value)
+        assert f"runs from the {source} to the {temperature_end}" in message
+        assert "inlet pressure 1000000 Pa, outlet pressure 670000 Pa" in message
+        head = re.search(rf"static head of the {rise:g} m rise (\S+) Pa", message)
+        assert float(head.group(1)) == pytest.approx(1000.0 * GRAVITY * rise, rel=2e-3)
 
     def test_hydrostatic_incline(self, water_like):
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02,
@@ -418,6 +436,23 @@ class TestTimeSeriesChecks:
         assert [ts.at(t) for t in (4.0, 6.0)] == [1.0, 2.0]
 
 
+class TestStateFrom:
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_unpacks_a_copy_of_each_field(self, water_like, ten_km_line, fluid_kind):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        solver = make_solver(fluid, pipe, dx=pipe.length / 20)
+        rng = np.random.default_rng(3)
+        u = solver.u_scale * (np.tile([50.0, 1.0, 3.0], solver.N) + rng.random(3 * solver.N))
+        st = solver._state_from(u, 7.0)
+        for k, name in enumerate("PVT"):
+            assert getattr(st, name).tobytes() == u[k::3].tobytes()
+        assert st.rho.tobytes() == raw_density(fluid.eos, u[0::3], u[2::3]).tobytes()
+        before = [getattr(st, name).copy() for name in ("P", "V", "T", "rho")]
+        u[:] = -1.0
+        for name, kept in zip(("P", "V", "T", "rho"), before):
+            assert getattr(st, name).tobytes() == kept.tobytes()
+
+
 class TestSettingsValidation:
     def test_theta_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -540,7 +575,9 @@ class TestLeakResponse:
     @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
     def test_matches_small_leak_steady_solves(self, water_like, ten_km_line, temperature_end):
         solver = make_solver(water_like, ten_km_line)
-        bc = bc_pp(1.0e6, 6.7e5, temperature_end=temperature_end)
+        # the flow runs away from the held-temperature end
+        pressures = (1.0e6, 6.7e5) if temperature_end == "inlet" else (6.7e5, 1.0e6)
+        bc = bc_pp(*pressures, temperature_end=temperature_end)
         base = solver.steady_state(bc)
         reads = [("P", 30), ("V", 0), ("V", 100), ("T", 70)]
         response = solver.steady_leak_response(base, bc, reads)
@@ -656,41 +693,61 @@ _GAS_LINE = PipelineModel(length=50000.0, diameter=0.5, friction_factor=0.015,
 _LINES = {"liquid": (1.0e6, 6.7e5, 70.0, 500.0, 1.0), "gas": (6.0e6, 5.0e6, 45.0, 2500.0, 2.0)}
 
 
+def _scheme_case(fluid_kind, legs, temperature_end, mode, leak, nodes, water_like, ten_km_line):
+    """A solver and a converged state of one solve kind, with the residual
+    built for that solve and the arguments ``_reference_residual`` takes
+    after ``u``.  The flow runs away from the held-temperature end: with
+    the temperature held at the outlet, the pressures swap and the flows
+    reverse."""
+    fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+    p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+    if temperature_end == "outlet":
+        p_in, p_out, mdot = p_out, p_in, -mdot
+    if nodes is not None:
+        dx = pipe.length / (nodes - 1)
+    solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+    assert nodes in (None, solver.N)
+    ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
+    inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
+    outlet = BoundaryLeg("pressure", ramp(p_out)) if legs[1] == "p" else BoundaryLeg("flow", ramp(mdot))
+    bc = BoundaryConditions(inlet=inlet, outlet=outlet,
+                            temperature=TimeSeries([0.0, 10.0 * dt], [300.0, 301.0]),
+                            temperature_end=temperature_end)
+    # Steady solves need a pressure anchor; the flow-flow pair never occurs.
+    start = 0.5 * dt if mode == "transient" else -np.inf
+    leaks = ([LeakEvent(position=0.4 * pipe.length, start_time=start, mass_rate=0.02 * abs(mdot))]
+             if leak else [])
+
+    if mode == "steady":
+        st = solver.steady_state(bc, t=3.0 * dt, leaks=leaks)
+        q = solver._leak_cells(leaks, st.t)
+        args = (None, st.t, bc, q, None, True, None)
+        res = solver._build_residual(bc, st.t, q)
+    else:
+        old = solver.steady_state(bc, leaks=leaks)
+        st = solver.advance(old, bc, leaks=leaks).state
+        q_new, q_old = solver._leak_cells(leaks, st.t), solver._leak_cells(leaks, old.t)
+        assert (q_new != q_old).any() == leak
+        fields = (old.P, old.V, old.T, old.rho)
+        args = (fields, st.t, bc, q_new, q_old, False, dt)
+        res = solver._build_residual(bc, st.t, q_new, fields, q_old, dt)
+    return solver, st, res, args
+
+
 class TestHoistedResidual:
-    @pytest.mark.parametrize("leak", [False, True], ids=["no_leak", "leak"])
+    @pytest.mark.parametrize("nodes,leak", [
+        (None, False), (None, True), (2, False), (3, False), (3, True),
+    ], ids=["no_leak", "leak", "2_nodes", "3_nodes", "3_nodes_leak"])
     @pytest.mark.parametrize("mode", ["steady", "transient"])
     @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
     @pytest.mark.parametrize("legs", ["pp", "fp", "pf"])
     @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
     def test_bit_identical_to_written_out_residual(self, water_like, ten_km_line, fluid_kind,
-                                                    legs, temperature_end, mode, leak):
-        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
-        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
-        solver = make_solver(fluid, pipe, dx=dx, dt=dt)
-        ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
-        inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
-        outlet = BoundaryLeg("pressure", ramp(p_out)) if legs[1] == "p" else BoundaryLeg("flow", ramp(mdot))
-        bc = BoundaryConditions(inlet=inlet, outlet=outlet,
-                                temperature=TimeSeries([0.0, 10.0 * dt], [300.0, 301.0]),
-                                temperature_end=temperature_end)
-        # Steady solves need a pressure anchor; the flow-flow pair never occurs.
-        start = 0.5 * dt if mode == "transient" else -np.inf
-        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=start, mass_rate=0.02 * mdot)] if leak else []
-
-        if mode == "steady":
-            st = solver.steady_state(bc, t=3.0 * dt, leaks=leaks)
-            q = solver._leak_cells(leaks, st.t)
-            args = (None, st.t, bc, q, None, True, None)
-            res = solver._build_residual(bc, st.t, q)
-        else:
-            old = solver.steady_state(bc, leaks=leaks)
-            st = solver.advance(old, bc, leaks=leaks).state
-            q_new, q_old = solver._leak_cells(leaks, st.t), solver._leak_cells(leaks, old.t)
-            assert (q_new != q_old).any() == leak
-            fields = (old.P, old.V, old.T, old.rho)
-            args = (fields, st.t, bc, q_new, q_old, False, dt)
-            res = solver._build_residual(bc, st.t, q_new, fields, q_old, dt)
-
+                                                    legs, temperature_end, mode, nodes, leak):
+        # On 2 and 3 nodes every field is one or two cells long, so each
+        # entry the residual reads sits next to one straddling two fields.
+        solver, st, res, args = _scheme_case(fluid_kind, legs, temperature_end, mode, leak,
+                                             nodes, water_like, ten_km_line)
         u = solver._pack(st.P, st.V, st.T)
         rng = np.random.default_rng(7)
         for point in (u, u + 1e-3 * rng.standard_normal(u.size) * solver.u_scale):
@@ -758,32 +815,9 @@ class TestScatterJacobian:
     @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
     def test_bit_identical_to_column_fill(self, water_like, ten_km_line, fluid_kind,
                                           legs, temperature_end, mode, nodes, leak):
-        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
-        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
-        if nodes is not None:
-            dx = pipe.length / (nodes - 1)
-        solver = make_solver(fluid, pipe, dx=dx, dt=dt)
-        assert nodes in (None, solver.N)
-        ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
-        inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
-        outlet = BoundaryLeg("pressure", ramp(p_out)) if legs[1] == "p" else BoundaryLeg("flow", ramp(mdot))
-        bc = BoundaryConditions(inlet=inlet, outlet=outlet,
-                                temperature=TimeSeries([0.0, 10.0 * dt], [300.0, 301.0]),
-                                temperature_end=temperature_end)
-        start = 0.5 * dt if mode == "transient" else -np.inf
-        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=start, mass_rate=0.02 * mdot)] if leak else []
-
-        if mode == "steady":
-            st = solver.steady_state(bc, t=3.0 * dt, leaks=leaks)
-            res = solver._build_residual(bc, st.t, solver._leak_cells(leaks, st.t))
-            key = ("steady", temperature_end)
-        else:
-            old = solver.steady_state(bc, leaks=leaks)
-            st = solver.advance(old, bc, leaks=leaks).state
-            res = solver._build_residual(bc, st.t, solver._leak_cells(leaks, st.t),
-                                         (old.P, old.V, old.T, old.rho),
-                                         solver._leak_cells(leaks, old.t), dt)
-            key = ("transient", temperature_end, dt)
+        solver, st, res, _ = _scheme_case(fluid_kind, legs, temperature_end, mode, leak,
+                                          nodes, water_like, ten_km_line)
+        key = (mode, temperature_end)
 
         calls = collections.Counter()
 

@@ -212,6 +212,34 @@ class TestShadowModel:
             if not rec.available:
                 assert not rec.alarm_condition
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 16])
+    def test_smoothed_is_numpy_mean_bit_for_bit(self, n):
+        # numpy sums 8 or more samples in its own unrolled order, which a
+        # plain Python sum does not follow.  The orders agree whenever every
+        # partial sum is exact, as for deltas far below their readings, so
+        # the flow indicators here read hundreds of kg/s off the model.
+        rng = np.random.default_rng(n)
+
+        def mangle(frame, k):
+            return TelemetryFrame(frame.poll_time, tuple(
+                Reading(r.instrument_id, r.value + 500.0 * rng.standard_normal(), r.quality)
+                if r.instrument_id.startswith("flow") else r for r in frame.readings))
+
+        pol = policy(smoothing_polls=n, flow_threshold=1e9)
+        det = _MiniLoop(pol=pol, mangle=mangle).run(n + 10)
+        history = collections.defaultdict(list)
+        compared = 0
+        for rec in det.records:
+            for iid, d in rec.discrepancy.delta.items():
+                history[iid].append(d)
+                sm = rec.discrepancy.smoothed[iid]
+                if len(history[iid]) < n:
+                    assert sm is None
+                    continue
+                assert sm == float(np.mean(history[iid][-n:]))
+                compared += 1
+        assert compared == 2 * 12  # n + 11 polls, the first n - 1 warming up
+
     def test_zero_leak_size_estimate_is_noise_floor(self):
         det = _MiniLoop().run(20)
         size, note = det.size_leak()

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import linewatch.scenario as scenario_module
 from conftest import set_noise_scale, standard_config
 from linewatch.cli import main
-from linewatch.errors import ConfigurationError
+from linewatch.errors import ConfigurationError, InfeasibleScenarioError
 from linewatch.fluid import GasEos
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, sweep
 
@@ -609,6 +609,20 @@ class TestPartialFailure:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+
+    def test_flow_against_the_temperature_end_is_rejected_at_start(self, tmp_path, capsys):
+        # A 60 m rise outweighs the 3.3 bar drive: the steady flow runs from
+        # the outlet to the inlet, where the temperature is held.
+        cfg = standard_config()
+        cfg["pipeline"]["elevation"] = [[0.0, 0.0], [10000.0, 60.0]]
+        with pytest.raises(InfeasibleScenarioError, match="runs from the outlet to the inlet"):
+            run_scenario(scenario_from_dict(cfg))
+        path = tmp_path / "uphill.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "inlet pressure 1000000 Pa" in err and "outlet pressure 670000 Pa" in err
+        assert "static head of the 60 m rise" in err
 
 
 class TestSimpleBalanceStandalone:
