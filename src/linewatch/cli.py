@@ -10,7 +10,7 @@ import yaml
 
 from .errors import (ConfigurationError, InfeasibleScenarioError,
                      InfeasibleStateError, SolverError)
-from .scenario import RunReport, load_scenario, run_scenario, sweep
+from .scenario import RunReport, load_scenario, run_scenario, start_plant, sweep
 
 logger = logging.getLogger("linewatch")
 
@@ -36,7 +36,7 @@ def build_parser():
                          help="YAML file mapping dotted config paths to value lists")
     sweep_p.add_argument("-o", "--output-dir", default="out", help="output directory")
 
-    val_p = sub.add_parser("validate", help="check a scenario file and exit")
+    val_p = sub.add_parser("validate", help="check a scenario file and its plant's steady start, and exit")
     val_p.add_argument("scenario", help="scenario YAML file")
     return parser
 
@@ -65,6 +65,7 @@ def main(argv=None):
 
 def _cmd_validate(args):
     scenario = load_scenario(args.scenario)
+    start_plant(scenario)
     print(f"{args.scenario}: OK ({scenario.name}, config {scenario.config_hash[:12]})")
     return 0
 

@@ -8,10 +8,15 @@ the Newton tolerance.  Leaks enter as constant mass-rate sinks at grid
 nodes.
 
 Each solve builds its residual once, as a function of the new state alone:
-the old-state halves of the theta-weighted terms, the boundary targets and
-the coefficient vectors are evaluated before Newton starts, not on every
-residual call.  Operand order is kept exactly as in the written-out scheme,
-so the hoisting changes no bit of any result.
+the old-state halves of the theta-weighted terms and the boundary targets
+are evaluated before Newton starts, not on every residual call.  A solve
+reads its boundary series only at the end of its step, so a caller that
+already holds those three values (the RTM shadow) passes them instead of
+series.  The coefficient vectors, the scalars, the residual's workspace
+and its row and cell slices are built once per solver.  Operand order is
+kept exactly as in the written-out scheme, so the hoisting changes no bit
+of any result.  Newton ends on an evaluation at the iterate it returns,
+and the new state is one copy of the workspace that evaluation filled.
 
 The residual works on one flat, field-major vector P | V | T | rho, so each
 stencil (cell means, gradients, theta blends, time differences) is one
@@ -113,6 +118,10 @@ class BoundaryConditions:
     @property
     def has_pressure_anchor(self):
         return self.inlet.kind == "pressure" or self.outlet.kind == "pressure"
+
+    def at(self, t):
+        """The inlet target, outlet target and temperature at time ``t``."""
+        return self.inlet.series.at(t), self.outlet.series.at(t), self.temperature.at(t)
 
 
 @dataclass(frozen=True)
@@ -247,6 +256,28 @@ class PipeFlowSolver:
         self._dPdT_liquid = (np.array(dP_dT_const_density(fluid, 0.0, 0.0))
                              if isinstance(fluid.eos, LiquidEos) else None)
 
+        # The residual's workspace: the flat P | V | T | rho vector it fills on
+        # every call, with fixed views into it (the P | V | T block, each
+        # field, the two halves of the cell means and of the gradients).
+        N, n3 = self.N, 3 * self.N
+        w = np.empty(4 * N)
+        self._w = w
+        self._w_views = (w[:n3].reshape(3, N), w[:N], w[N : 2 * N], w[2 * N : n3], w[n3:],
+                         w[:-1], w[1:], w[: n3 - 1], w[1:n3])
+        self._w_at = None           # the u the workspace was last filled from
+        # Each field's cells within the cell means and the gradients.
+        self._cells = (slice(0, N - 1), slice(N, 2 * N - 1),
+                       slice(2 * N, n3 - 1), slice(n3, 4 * N - 1))
+        # Residual rows of the continuity, momentum and energy equations of
+        # each cell, and the outlet row, by held-temperature end: the row of
+        # the temperature anchor comes first at the inlet, last at the outlet.
+        self._rows = {}
+        for end, head in (("inlet", 2), ("outlet", 1)):
+            self._rows[end] = (slice(head, head + 3 * (N - 1), 3),
+                               slice(head + 1, head + 3 * (N - 1), 3),
+                               slice(head + 2, head + 3 * (N - 1), 3),
+                               head + 3 * (N - 1))
+
         # Fixed unknown scales (P, V, T per node); residual row scales are
         # frozen on first use so a cached Jacobian stays consistent.
         self.u_scale = np.tile([1e5, 1.0, 100.0], self.N)
@@ -278,10 +309,10 @@ class PipeFlowSolver:
         else:
             u0 = self._steady_guess(bc, t)
         self._freeze_scales(u0)
-        res = self._build_residual(bc, t, q)
+        res = self._build_residual(bc, bc.at(t), q)
         key = ("steady", bc.temperature_end)
-        u, _ = self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
-        state = self._state_from(u, t)
+        self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
+        state = self._new_state(t)
         self._check_physical(state, InfeasibleScenarioError)
         self._check_upwind(state, bc)
         return state
@@ -303,7 +334,7 @@ class PipeFlowSolver:
         reuse them.
         """
         key = ("steady", bc.temperature_end)
-        res = self._build_residual(bc, state.t, np.zeros(self.N - 1))
+        res = self._build_residual(bc, bc.at(state.t), np.zeros(self.N - 1))
         u = self._pack(state.P, state.V, state.T)
         with np.errstate(all="ignore"):
             lu = self._factor(u, res, res(u), history=[])
@@ -317,21 +348,25 @@ class PipeFlowSolver:
         unit = np.zeros((self.n_unknowns, idx.size), order="F")
         unit[idx, np.arange(idx.size)] = 1.0
         adjoint, _ = lapack.dgbtrs(lu_band, 4, 4, unit, piv, trans=1)
-        # The continuity row of cell c is head + 3c (see _build_residual); a unit
-        # leak adds 0.5/_mdot_scale to two of them, and J du = -dR.
-        head = 2 if bc.temperature_end == "inlet" else 1
-        cont = adjoint[head : head + 3 * (self.N - 1) : 3]
+        # A unit leak adds 0.5/_mdot_scale to the continuity rows of two
+        # cells, and J du = -dR.
+        cont = adjoint[self._rows[bc.temperature_end][0]]
         out = np.zeros((idx.size, self.N))
         out[:, 1:-1] = (cont[:-1] + cont[1:]).T
         out *= (-0.5 / self._mdot_scale) * self.u_scale[idx][:, None]
         return out
 
-    def advance(self, state: GridState, bc: BoundaryConditions, leaks=(), dt=None):
+    def advance(self, state: GridState, bc: BoundaryConditions, leaks=(), dt=None,
+                targets=None):
         """One implicit step from state.t to state.t + dt.
 
-        Returns a StepResult carrying the new state and the step's mass
-        ledger.  Raises SolverError (with residual history) on Newton
-        failure and InfeasibleStateError if the new state is unphysical.
+        The step reads its boundary values only at its end, ``t1``:
+        ``targets`` gives them as (inlet, outlet, temperature), and by
+        default they are ``bc.at(t1)``.  ``bc`` gives each end's kind and
+        the held-temperature end either way.  Returns a StepResult carrying
+        the new state and the step's mass ledger.  Raises SolverError (with
+        residual history) on Newton failure and InfeasibleStateError if the
+        new state is unphysical.
         """
         dt = self.settings.dt if dt is None else float(dt)
         t0, t1 = state.t, state.t + dt
@@ -340,10 +375,11 @@ class PipeFlowSolver:
         old = (state.P, state.V, state.T, state.rho)
         u0 = self._pack(state.P, state.V, state.T)
         self._freeze_scales(u0)
-        res = self._build_residual(bc, t1, q_new, old, q_old, dt)
+        res = self._build_residual(bc, bc.at(t1) if targets is None else targets,
+                                   q_new, old, q_old, dt)
         key = ("transient", bc.temperature_end, dt)
-        u, _ = self._newton(u0, res, key, fresh_jacobian=False)
-        new_state = self._state_from(u, t1)
+        self._newton(u0, res, key, fresh_jacobian=False)
+        new_state = self._new_state(t1)
         self._check_physical(new_state, InfeasibleStateError)
 
         def flux(st, node):
@@ -365,28 +401,32 @@ class PipeFlowSolver:
 
     # ------------------------------------------------------------- residuals
 
-    def _build_residual(self, bc, t_new, q_new, old=None, q_old=None, dt=None):
+    def _build_residual(self, bc, targets, q_new, old=None, q_old=None, dt=None):
         """The scaled residual of one solve, as a function of ``u`` alone.
 
         Steady when ``old`` is None, else one theta-weighted step of ``dt``
-        from the old ``(P, V, T, rho)``.  Everything that does not depend on
-        the new state is evaluated here, once per solve: the ``(1-theta)``
+        from the old ``(P, V, T, rho)``.  ``targets`` are the inlet target,
+        outlet target and temperature anchor at the end of the step (see
+        :meth:`BoundaryConditions.at`); ``bc`` gives the legs' kinds and
+        the held-temperature end.  Everything that does not depend on the
+        new state is evaluated here, once per solve: the ``(1-theta)``
         halves of the cell means and gradients of the old state, the old
-        flux difference and leak draw, the boundary targets and temperature
-        anchor.  The coefficient vectors, the scalars and a liquid's
-        constant dP/dT are fixed per solver and come from ``__init__``.  The
+        flux difference and leak draw.  The coefficient vectors, the
+        scalars, a liquid's constant dP/dT, the workspace and the row and
+        cell slices are fixed per solver and come from ``__init__``.  The
         residual does not enter ``np.errstate``: its callers do, once per
         solve.
 
-        The residual copies ``u`` into one field-major vector
-        ``w = P | V | T | rho`` of length 4N, so each stencil is one numpy
-        call over every field at once: the cell means of all four fields,
-        the gradients of P, V and T, the theta blends and the time
-        differences.  The entries of those results that straddle two
-        fields mix the end of one field with the start of the next; no
-        residual row reads them.  Every other entry is the same operation
-        on the same operands as per field, and the 0-d scalars give the
-        same double arithmetic as Python floats.
+        The residual copies ``u`` into the solver's workspace, one
+        field-major vector ``w = P | V | T | rho`` of length 4N, so each
+        stencil is one numpy call over every field at once: the cell means
+        of all four fields, the gradients of P, V and T, the theta blends
+        and the time differences.  The entries of those results that
+        straddle two fields mix the end of one field with the start of the
+        next; no residual row reads them.  Every other entry is the same
+        operation on the same operands as per field, and the 0-d scalars
+        give the same double arithmetic as Python floats.  Each call leaves
+        the state at its ``u`` in the workspace, and records that ``u``.
 
         Each hoisted value is a whole operand of the expression it enters,
         and every sum and product keeps its operand order, so the result is
@@ -401,30 +441,14 @@ class PipeFlowSolver:
         temperature_inlet = bc.temperature_end == "inlet"
         mdot_scale, P_scale, T_scale = self._mdot_scale, self._P_scale, self._T_scale
 
-        inlet, outlet = bc.inlet, bc.outlet
-        inlet_target = inlet.series.at(t_new)
-        outlet_target = outlet.series.at(t_new)
-        T_anchor = bc.temperature.at(t_new)
-        inlet_pressure = inlet.kind == "pressure"
-        outlet_pressure = outlet.kind == "pressure"
+        inlet_target, outlet_target, T_anchor = targets
+        inlet_pressure = bc.inlet.kind == "pressure"
+        outlet_pressure = bc.outlet.kind == "pressure"
 
         g_dHdx, four_U, dPdT_liquid = self._g_dHdx, self._four_U, self._dPdT_liquid
-
-        head = 2 if temperature_inlet else 1
-        rows_c = slice(head, head + 3 * (N - 1), 3)
-        rows_m = slice(head + 1, head + 3 * (N - 1), 3)
-        rows_e = slice(head + 2, head + 3 * (N - 1), 3)
-        row_out = head + 3 * (N - 1)
-
-        # The new state, refilled on every call, and fixed views into it.
-        w = np.empty(4 * N)
-        fields = w[:n3].reshape(3, N)
-        P, V, T, rho = w[:N], w[N : 2 * N], w[2 * N : n3], w[n3:]
-        w_lo, w_hi = w[:-1], w[1:]
-        g_lo, g_hi = w[: n3 - 1], w[1:n3]
-        # Each field's cells within the cell means and the gradients.
-        cP, cV = slice(0, N - 1), slice(N, 2 * N - 1)
-        cT, cR = slice(2 * N, n3 - 1), slice(n3, 4 * N - 1)
+        rows_c, rows_m, rows_e, row_out = self._rows[bc.temperature_end]
+        fields, P, V, T, rho, w_lo, w_hi, g_lo, g_hi = self._w_views
+        cP, cV, cT, cR = self._cells
 
         if not steady:
             invdt = np.array(1.0 / dt)
@@ -441,6 +465,7 @@ class PipeFlowSolver:
         def residual(u):
             fields[...] = u.reshape(N, 3).T
             rho[...] = raw_density(eos, P, T)
+            self._w_at = u
             mids = half * (w_lo + w_hi)
             grads = (g_hi - g_lo) / dx3
             flux = A * rho * V
@@ -498,6 +523,12 @@ class PipeFlowSolver:
     # --------------------------------------------------------------- newton
 
     def _newton(self, u0, res_fn, key, fresh_jacobian):
+        """Newton iteration on ``res_fn`` from ``u0``, with a backtracking line
+        search and the cached LU factors under ``key``.  Returns the
+        converged iterate and the residual-norm history.  On return the
+        workspace holds ``res_fn``'s evaluation at that iterate, so
+        :meth:`_new_state` reads the new state from it.
+        """
         tol = self.settings.newton_tol
         max_iter = self.settings.newton_max_iter
         # Trial states may stray into NaN or overflow; the line search
@@ -561,6 +592,11 @@ class PipeFlowSolver:
                 if slow and not rebuilt and norm > tol:
                     lu = None  # stale cached Jacobian; rebuild next iteration
 
+            # The loop ends only on its first evaluation or on an accepted
+            # trial, each at u; evaluating again if that ever stops holding
+            # keeps the new state the state at u.
+            if self._w_at is not u:
+                res_fn(u)
             self._lu_cache, self._cache_key = lu, key
             return u, history
 
@@ -605,13 +641,14 @@ class PipeFlowSolver:
         u[0::3], u[1::3], u[2::3] = P, V, T
         return u
 
-    def _state_from(self, u, t):
-        P, V, T = u.reshape(self.N, 3).T.copy()
-        # raw EOS here: _check_physical turns unphysical values into the
-        # typed error naming the offending node
-        with np.errstate(all="ignore"):
-            rho = raw_density(self.fluid.eos, P, T)
-        return GridState(t=t, x=self.x, P=P, V=V, T=T, rho=rho)
+    def _new_state(self, t):
+        """The state in the residual's workspace, as one copy of it: P, V, T
+        and the raw EOS density at the last iterate evaluated.  The density
+        is unguarded: _check_physical turns unphysical values into the
+        typed error naming the offending node."""
+        w, N = self._w.copy(), self.N
+        return GridState(t=t, x=self.x, P=w[:N], V=w[N : 2 * N], T=w[2 * N : 3 * N],
+                         rho=w[3 * N :])
 
     def _check_physical(self, state, exc_type):
         fields = (("P", state.P), ("T", state.T), ("rho", state.rho))

@@ -155,6 +155,19 @@ def vote(history, policy: VotingPolicy) -> bool:
     return count >= K
 
 
+def _interp2(t, t0, t1, v0, v1):
+    """``np.interp(t, [t0, t1], [v0, v1])`` for ``t0 <= t1``, by numpy's own
+    formula: ``v0`` up to ``t0``, ``v1`` from ``t1`` on, the slope times the
+    offset from ``t0`` plus ``v0`` between.  numpy retries a NaN result from
+    the ``t1`` side; only non-finite values reach that case, and a solve
+    fails on them either way."""
+    if t >= t1:
+        return v1
+    if t <= t0:
+        return v0
+    return (v1 - v0) / (t1 - t0) * (t - t0) + v0
+
+
 def combined_verdict(rtm: LeakVerdict, balance_alarm_time=None):
     """Join the RTM verdict with its line-balance back-up."""
     declared = rtm.declared or balance_alarm_time is not None
@@ -179,9 +192,13 @@ class RtmDetector:
     def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy,
                  poll_interval, *, drive="pressure", theta=0.6, newton_tol=1e-10,
                  substeps=1, staleness_limit=3, locate_window_polls=12,
-                 refine_after_polls=24, fallback_temperature=288.15):
+                 refine_after_polls=24, fallback_temperature=288.15,
+                 temperature_end="inlet"):
         if drive not in ("pressure", "flow"):
             raise ConfigurationError(f"drive must be 'pressure' or 'flow', got {drive!r}")
+        if temperature_end not in ("inlet", "outlet"):
+            raise ConfigurationError(
+                f"temperature_end must be 'inlet' or 'outlet', got {temperature_end!r}")
         self.pipeline = pipeline
         self.fluid = fluid
         self.grid = grid
@@ -189,6 +206,7 @@ class RtmDetector:
         self.policy = policy
         self.poll_interval = float(poll_interval)
         self.drive = drive
+        self.temperature_end = temperature_end
         self.substeps = int(substeps)
         self.staleness_limit = int(staleness_limit)
         self.locate_window_polls = int(locate_window_polls)
@@ -205,6 +223,7 @@ class RtmDetector:
 
         self._classify_instruments()
         self._state = None
+        self._drive_bc = None       # built from the first good boundary readings
         self._hold: Dict[str, float] = {}
         self._stale: Dict[str, int] = {}
         self._smooth: Dict[str, deque] = {
@@ -241,12 +260,17 @@ class RtmDetector:
             raise ConfigurationError("no indicator instruments remain beyond the boundaries")
         self._node_of = {i.id: self.grid.node_at(i.position) for i in self.indicators}
 
-        temps = at(0.0, "temperature")
+        temps = at(0.0 if self.temperature_end == "inlet" else L, "temperature")
         self.temperature_instrument = temps[0] if temps else None
 
         # End flow meters for sizing (in flow drive these are the boundaries).
         self.flow_in_meter, self.flow_out_meter = end_flow_meters(self.instruments, L)
 
+        # (kind, instrument) at the inlet and at the outlet: the shadow's
+        # drive, and its steady problems, where in flow drive the pressure
+        # anchor replaces the flow at its end.
+        self._drive_ends = ((boundary_kind, self.boundary_in), (boundary_kind, self.boundary_out))
+        self._steady_ends = self._drive_ends
         if self.drive == "flow":
             anchors = [i for i in self.instruments if i.kind == "pressure"
                        and (math.isclose(i.position, L, abs_tol=1e-6)
@@ -258,6 +282,10 @@ class RtmDetector:
                     "flow-driven detection needs an end pressure instrument to "
                     "anchor the shadow model's initial state"
                 )
+            if self.pressure_anchor.position > L / 2:
+                self._steady_ends = (("flow", self.boundary_in), ("pressure", self.pressure_anchor))
+            else:
+                self._steady_ends = (("pressure", self.pressure_anchor), ("flow", self.boundary_out))
 
     # ------------------------------------------------------------ stepping
 
@@ -317,6 +345,7 @@ class RtmDetector:
 
         t_bc = self._temperature_value(frame)
         self._state = self.solver.steady_state(self._steady_bc(values, t_bc), t=t)
+        self._drive_bc = self._constant_bc(self._drive_ends, values, t_bc)
         for i in needed:
             self._hold[i.id] = values[i.id]
             self._stale[i.id] = 0
@@ -325,24 +354,23 @@ class RtmDetector:
         return self._evaluate(frame, linepack(self._state, self.pipeline))
 
     def _steady_bc(self, values, t_bc):
-        """Constant boundary conditions from one value per boundary
-        instrument id; in flow drive the pressure anchor's value replaces
-        the flow at its end."""
-        const = lambda inst: TimeSeries.constant(values[inst.id])
-        if self.drive == "pressure":
-            inlet = BoundaryLeg("pressure", const(self.boundary_in))
-            outlet = BoundaryLeg("pressure", const(self.boundary_out))
-        elif self.pressure_anchor.position > self.pipeline.length / 2:
-            inlet = BoundaryLeg("flow", const(self.boundary_in))
-            outlet = BoundaryLeg("pressure", const(self.pressure_anchor))
-        else:
-            inlet = BoundaryLeg("pressure", const(self.pressure_anchor))
-            outlet = BoundaryLeg("flow", const(self.boundary_out))
-        return BoundaryConditions(inlet=inlet, outlet=outlet,
-                                  temperature=TimeSeries.constant(t_bc))
+        """Constant boundary conditions of a steady problem from one value
+        per instrument id; in flow drive the pressure anchor's value
+        replaces the flow at its end."""
+        return self._constant_bc(self._steady_ends, values, t_bc)
+
+    def _constant_bc(self, ends, values, t_bc):
+        leg = lambda kind, inst: BoundaryLeg(kind, TimeSeries.constant(values[inst.id]))
+        return BoundaryConditions(inlet=leg(*ends[0]), outlet=leg(*ends[1]),
+                                  temperature=TimeSeries.constant(t_bc),
+                                  temperature_end=self.temperature_end)
 
     def _step(self, frame):
         t0, t1 = self._state.t, frame.poll_time
+        if t1 < t0:
+            raise ConfigurationError(
+                f"poll at t={t1} s comes before the shadow's t={t0} s: "
+                "frames must arrive in poll order")
         prev = dict(self._hold)
         for inst in (self.boundary_in, self.boundary_out):
             v = frame.good_value(inst.id)
@@ -361,18 +389,17 @@ class RtmDetector:
         else:
             t_prev = t_now
 
-        kind = "pressure" if self.drive == "pressure" else "flow"
-        leg = lambda inst: BoundaryLeg(
-            kind, TimeSeries([t0, t1], [prev[inst.id], self._hold[inst.id]])
-        )
-        bc = BoundaryConditions(
-            inlet=leg(self.boundary_in),
-            outlet=leg(self.boundary_out),
-            temperature=TimeSeries([t0, t1], [t_prev, t_now]),
-        )
+        # The drive ramps each boundary from its previous reading at t0 to
+        # its reading at t1; a substep needs only its end-of-step values.
+        b_in, b_out = self.boundary_in.id, self.boundary_out.id
+        in0, in1 = prev[b_in], self._hold[b_in]
+        out0, out1 = prev[b_out], self._hold[b_out]
         dt_sub = (t1 - t0) / self.substeps
         for _ in range(self.substeps):
-            step = self.solver.advance(self._state, bc, dt=dt_sub)
+            t = self._state.t + dt_sub      # the end of the step, as advance forms it
+            targets = (_interp2(t, t0, t1, in0, in1), _interp2(t, t0, t1, out0, out1),
+                       _interp2(t, t0, t1, t_prev, t_now))
+            step = self.solver.advance(self._state, self._drive_bc, dt=dt_sub, targets=targets)
             self._state = step.state
         lp = step.ledger.linepack_end
         if suspended:

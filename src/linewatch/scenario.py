@@ -38,7 +38,8 @@ from .network import InstrumentPlacement, PipelineModel, Segment, discretize, en
 from .rtm import RtmDetector, VotingPolicy, combined_verdict
 from .telemetry import NoiseSpec, PlausibilityLimits, instrument_nodes, plausibility_filter, sample
 
-__all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "run_scenario", "sweep"]
+__all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "start_plant",
+           "run_scenario", "sweep"]
 
 # SI (factor, offset) of each unit a scenario may declare under ``units:``;
 # the first unit of each dimension is the SI one.
@@ -596,23 +597,31 @@ def _parse_availability(node):
 
 # --------------------------------------------------------------------- running
 
-def run_scenario(scenario: Scenario) -> RunReport:
-    """March the plant, feed the detectors, and collect their report sections."""
+def start_plant(scenario: Scenario):
+    """The run's grid, its SCADA instruments, the plant solver and its
+    steady start at t=0; raises what the steady solve raises for a
+    scenario outside the model's envelope."""
     s = scenario
     extra = [lk.position for lk in s.leaks]
     if s.acoustic:
         extra += [sen.position for sen in s.acoustic["sensors"]]
     scada = [i for i in s.instruments if i.kind != "acoustic"]
     grid = discretize(s.pipeline, s.target_dx, scada, extra_points=extra)
-    scada_nodes = instrument_nodes(grid.node_positions, scada)
-
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid, s.plant_settings)
-    state = plant.steady_state(s.bc, t=0.0)
+    return grid, scada, plant, plant.steady_state(s.bc, t=0.0)
+
+
+def run_scenario(scenario: Scenario) -> RunReport:
+    """March the plant, feed the detectors, and collect their report sections."""
+    s = scenario
+    grid, scada, plant, state = start_plant(s)
+    scada_nodes = instrument_nodes(grid.node_positions, scada)
     noise = NoiseSpec(s.seed)
     rtm_det = bal_det = None
     if s.rtm:
         rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada, poll_interval=s.poll_interval,
-                              fallback_temperature=s.bc.temperature.at(0.0), **s.rtm)
+                              fallback_temperature=s.bc.temperature.at(0.0),
+                              temperature_end=s.bc.temperature_end, **s.rtm)
     if s.balance:
         bal_det = BalanceDetector(**s.balance)
 

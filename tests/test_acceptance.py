@@ -307,3 +307,34 @@ class TestLocationAccuracy:
         assert med_size <= 0.15
         print(f"\n[PASS] Location accuracy (0.5% span noise, 20 seeds): median error "
               f"{med:.0f} m <= 500 m; median size error {100 * med_size:.1f}% <= 15%")
+
+
+class TestMirroredLine:
+    """The standard line run end for end (boundary pressures swapped, the
+    temperature held at the outlet, the leak at L - x) is detected like the
+    forward line: the shadow holds its temperature at the scenario's end."""
+
+    @pytest.mark.parametrize("rate,x", [(0.70, 5000.0), (5.0, 3000.0)],
+                             ids=["one_percent_mid_line", "seven_percent_3km"])
+    def test_declares_and_locates_as_the_forward_line(self, rate, x):
+        length = 10000.0
+        reports = []
+        for mirrored in (False, True):
+            cfg = standard_config(seed=0)
+            set_noise_scale(cfg, 0.0)
+            if mirrored:
+                b = cfg["boundaries"]
+                b["inlet"], b["outlet"] = b["outlet"], b["inlet"]
+                b["temperature_end"] = "outlet"
+            position = length - x if mirrored else x
+            cfg["leaks"] = [{"position": position, "start_time": 120.0, "mass_rate": rate}]
+            report = run_cfg(cfg)
+            assert report.run["solver_failure"] is None
+            assert report.rtm["declared"]
+            reports.append(report)
+        forward, mirror = (r.rtm for r in reports)
+        assert mirror["declared_time"] == forward["declared_time"]
+        assert abs(mirror["location_estimate"] - (length - x)) <= 100.0 + 1e-9  # one cell
+        assert mirror["size_estimate"] == pytest.approx(forward["size_estimate"], rel=1e-9)
+        print(f"\n[PASS] Mirrored line: declared at {mirror['declared_time']:.0f} s as forward, "
+              f"located at {mirror['location_estimate']:.0f} m (leak at {length - x:.0f} m)")

@@ -436,21 +436,113 @@ class TestTimeSeriesChecks:
         assert [ts.at(t) for t in (4.0, 6.0)] == [1.0, 2.0]
 
 
-class TestStateFrom:
+def _assert_state_is_iterate(solver, st, u):
+    """P, V and T of ``st`` are the iterate ``u`` and rho is its raw EOS
+    density, bit for bit."""
+    for k, name in enumerate("PVT"):
+        assert getattr(st, name).tobytes() == u[k::3].tobytes()
+    rho = raw_density(solver.fluid.eos, u[0::3].copy(), u[2::3].copy())
+    assert st.rho.tobytes() == rho.tobytes()
+
+
+class TestNewState:
+    """A solve returns the state at the iterate Newton returned, as one copy
+    of the residual's workspace, in arrays that no later solve touches."""
+
+    @staticmethod
+    def _recorded(solver, monkeypatch):
+        """Record, per solve, Newton's iterate, its iterations, its Jacobian
+        builds and its line-search halvings."""
+        solves = []
+        counts = collections.Counter()
+        build, factor, newton = solver._build_residual, solver._factor, solver._newton
+
+        def counted_build(*args):
+            res = build(*args)
+
+            def evaluate(u):
+                counts["evaluations"] += 1
+                return res(u)
+            return evaluate
+
+        def counted_factor(*args):
+            counts["builds"] += 1
+            return factor(*args)
+
+        def recorded_newton(*args, **kwargs):
+            counts.clear()
+            u, history = newton(*args, **kwargs)
+            iterations = len(history) - 1
+            # One evaluation to start, one per iteration, 9 per Jacobian
+            # build: any more are line-search halvings.
+            halvings = counts["evaluations"] - 1 - iterations - 9 * counts["builds"]
+            solves.append((u.copy(), iterations, counts["builds"], halvings))
+            return u, history
+
+        monkeypatch.setattr(solver, "_build_residual", counted_build)
+        monkeypatch.setattr(solver, "_factor", counted_factor)
+        monkeypatch.setattr(solver, "_newton", recorded_newton)
+        return solves
+
     @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
-    def test_unpacks_a_copy_of_each_field(self, water_like, ten_km_line, fluid_kind):
+    def test_state_is_the_returned_iterate(self, water_like, ten_km_line, fluid_kind, monkeypatch):
         fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
-        solver = make_solver(fluid, pipe, dx=pipe.length / 20)
-        rng = np.random.default_rng(3)
-        u = solver.u_scale * (np.tile([50.0, 1.0, 3.0], solver.N) + rng.random(3 * solver.N))
-        st = solver._state_from(u, 7.0)
-        for k, name in enumerate("PVT"):
-            assert getattr(st, name).tobytes() == u[k::3].tobytes()
-        assert st.rho.tobytes() == raw_density(fluid.eos, u[0::3], u[2::3]).tobytes()
-        before = [getattr(st, name).copy() for name in ("P", "V", "T", "rho")]
-        u[:] = -1.0
-        for name, kept in zip(("P", "V", "T", "rho"), before):
-            assert getattr(st, name).tobytes() == kept.tobytes()
+        p_in, p_out = _LINES[fluid_kind][:2]
+        # An inlet slam over one step at t=20 dt slows Newton enough to force
+        # Jacobian rebuilds (the liquid one is test_boundary_series_read_once_per_step's),
+        # and a steady inlet pressure far enough off that Newton, started
+        # from a step of the old one, halves its steps.
+        dx, dt, p_slam, p_far = {"liquid": (100.0, 1.0, 2.0e6, 3.0e6),
+                                 "gas": (2500.0, 2.0, 7.0e6, 9.0e6)}[fluid_kind]
+        solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+        solves = self._recorded(solver, monkeypatch)
+        bc = bc_pp(p_in, p_out)
+        slam = BoundaryConditions(
+            inlet=BoundaryLeg("pressure", TimeSeries([0.0, 20 * dt, 21 * dt],
+                                                     [p_in, p_in, p_slam])),
+            outlet=bc.outlet, temperature=bc.temperature)
+
+        states = [solver.steady_state(bc)]
+        states.append(solver.steady_state(bc, initial_guess=states[0]))
+        for _ in range(30):
+            states.append(solver.advance(states[-1], slam).state)
+        states.append(solver.steady_state(bc_pp(p_far, p_out), initial_guess=states[2]))
+        kept = [[getattr(st, f).copy() for f in ("P", "V", "T", "rho")] for st in states]
+
+        assert len(solves) == len(states)
+        for st, (u, *_) in zip(states, solves):
+            _assert_state_is_iterate(solver, st, u)
+        iterations, builds, halvings = (np.array(c) for c in list(zip(*solves))[1:])
+        assert iterations[1] == 0                     # the warm-started steady solve
+        assert (builds[3:-1] > 0).any()               # a rebuild during the slam
+        assert halvings[-1] > 0 and not halvings[:-1].any()
+
+        # Later solves and the workspace itself leave every returned state as it was.
+        solver._w[:] = np.nan
+        for st, fields in zip(states, kept):
+            for f, arr in zip(("P", "V", "T", "rho"), fields):
+                assert getattr(st, f).tobytes() == arr.tobytes()
+
+    def test_newton_ends_on_its_iterate(self, water_like, ten_km_line):
+        # Newton must return with the workspace at its iterate even when the
+        # residual was last evaluated elsewhere.
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5)
+        st = solver.steady_state(bc)
+        res = solver._build_residual(bc, bc.at(0.0), np.zeros(solver.N - 1))
+        probed = []
+
+        def res_then_probe(u):
+            R = res(u)
+            if not probed:
+                probed.append(u)
+                res(u + solver.u_scale)
+            return R
+
+        u, history = solver._newton(solver._pack(st.P, st.V, st.T), res_then_probe,
+                                    ("steady", "inlet"), fresh_jacobian=False)
+        assert len(history) == 1 and probed[0] is u
+        _assert_state_is_iterate(solver, solver._new_state(0.0), u)
 
 
 class TestSettingsValidation:
@@ -722,7 +814,7 @@ def _scheme_case(fluid_kind, legs, temperature_end, mode, leak, nodes, water_lik
         st = solver.steady_state(bc, t=3.0 * dt, leaks=leaks)
         q = solver._leak_cells(leaks, st.t)
         args = (None, st.t, bc, q, None, True, None)
-        res = solver._build_residual(bc, st.t, q)
+        res = solver._build_residual(bc, bc.at(st.t), q)
     else:
         old = solver.steady_state(bc, leaks=leaks)
         st = solver.advance(old, bc, leaks=leaks).state
@@ -730,7 +822,7 @@ def _scheme_case(fluid_kind, legs, temperature_end, mode, leak, nodes, water_lik
         assert (q_new != q_old).any() == leak
         fields = (old.P, old.V, old.T, old.rho)
         args = (fields, st.t, bc, q_new, q_old, False, dt)
-        res = solver._build_residual(bc, st.t, q_new, fields, q_old, dt)
+        res = solver._build_residual(bc, bc.at(st.t), q_new, fields, q_old, dt)
     return solver, st, res, args
 
 

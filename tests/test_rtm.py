@@ -18,7 +18,7 @@ from linewatch.hydraulics import (
     modeled_profile,
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
-from linewatch.rtm import RtmDetector, VotingPolicy, combined_verdict, vote
+from linewatch.rtm import RtmDetector, VotingPolicy, _interp2, combined_verdict, vote
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
                                  instrument_nodes, sample)
@@ -92,7 +92,7 @@ class _MiniLoop:
     """Plant + detector loop on the standard desk line, zero noise."""
 
     def __init__(self, leak_rate=0.0, leak_pos=5000.0, drive="pressure", seed=1,
-                 pol=None, mangle=None, dx=100.0):
+                 pol=None, mangle=None, dx=100.0, poll_interval=5.0, substeps=1):
         self.fluid = FluidModel(
             eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
             c=2000.0, sound_speed_hint=1414.2)
@@ -117,9 +117,10 @@ class _MiniLoop:
         self.plant = PipeFlowSolver(self.pipe, self.fluid, self.grid, SolverSettings(dt=1.0))
         self.state = self.plant.steady_state(self.bc)
         self.noise = NoiseSpec(seed)
+        self.poll_interval = poll_interval
         self.det = RtmDetector(self.pipe, self.fluid, self.grid, self.instruments,
-                               pol or policy(), poll_interval=5.0, drive=drive,
-                               fallback_temperature=300.0)
+                               pol or policy(), poll_interval=poll_interval, drive=drive,
+                               substeps=substeps, fallback_temperature=300.0)
         self.mangle = mangle
 
     def run(self, polls):
@@ -129,7 +130,8 @@ class _MiniLoop:
         self.det.observe(self._mangled(frame, 0))
         for k in range(1, polls + 1):
             for _ in range(5):
-                self.state = self.plant.advance(self.state, self.bc, leaks=self.leaks).state
+                self.state = self.plant.advance(self.state, self.bc, leaks=self.leaks,
+                                                dt=self.poll_interval / 5).state
             frame = sample(self.state, self.instruments, self.noise, self.state.t,
                            pipeline=self.pipe, nodes=nodes)
             self.det.observe(self._mangled(frame, k))
@@ -258,6 +260,153 @@ class TestShadowModel:
         with pytest.raises(ConfigurationError):
             RtmDetector(loop.pipe, loop.fluid, loop.grid, bad, policy(),
                         poll_interval=5.0, drive="flow")
+
+
+# RtmDetector._step as it drove the shadow before the drive was built once
+# and each substep took its end-of-step targets: three checked TimeSeries,
+# two BoundaryLegs and a BoundaryConditions every poll.  Kept verbatim as the
+# reference the targets must match bit for bit.
+def _reference_step(self, frame):
+    t0, t1 = self._state.t, frame.poll_time
+    prev = dict(self._hold)
+    for inst in (self.boundary_in, self.boundary_out):
+        v = frame.good_value(inst.id)
+        if v is not None:
+            self._hold[inst.id] = v
+            self._stale[inst.id] = 0
+        else:
+            self._stale[inst.id] += 1
+    suspended = any(self._stale[i.id] > self.staleness_limit
+                    for i in (self.boundary_in, self.boundary_out))
+
+    t_now = self._temperature_value(frame)
+    if self.temperature_instrument is not None:
+        t_prev = prev.get(self.temperature_instrument.id, t_now)
+        self._hold[self.temperature_instrument.id] = t_now
+    else:
+        t_prev = t_now
+
+    kind = "pressure" if self.drive == "pressure" else "flow"
+    leg = lambda inst: BoundaryLeg(
+        kind, TimeSeries([t0, t1], [prev[inst.id], self._hold[inst.id]])
+    )
+    bc = BoundaryConditions(
+        inlet=leg(self.boundary_in),
+        outlet=leg(self.boundary_out),
+        temperature=TimeSeries([t0, t1], [t_prev, t_now]),
+    )
+    dt_sub = (t1 - t0) / self.substeps
+    for _ in range(self.substeps):
+        step = self.solver.advance(self._state, bc, dt=dt_sub)
+        self._state = step.state
+    lp = step.ledger.linepack_end
+    if suspended:
+        return self._unavailable(frame, "boundary readings stale; detection suspended",
+                                 shadow_linepack=lp)
+    return self._evaluate(frame, lp)
+
+
+class TestShadowTargets:
+    @pytest.mark.parametrize("poll_interval", [5.0, 0.3])
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    def test_targets_are_the_series_values(self, poll_interval, substeps):
+        rng = np.random.default_rng(17)
+        ulp = lambda t, toward: float(np.nextafter(t, toward))
+        t0 = 0.0
+        for _ in range(200):
+            t1 = t0 + poll_interval
+            dt_sub = (t1 - t0) / substeps
+            ends, t = [], t0
+            for _ in range(substeps):
+                t = t + dt_sub
+                ends.append(t)
+            times = ends + [t0, ulp(t0, -np.inf), ulp(t0, np.inf),
+                            ulp(t1, -np.inf), t1, ulp(t1, np.inf)]
+            # Readings of either sign and of any size: the slope times the span
+            # can miss v1 by an ulp, so the clamp at t1 shows.
+            v0, v1 = (float(v) for v in rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(0, 7))
+            for v1 in (v1, v0):   # a new reading, a hold
+                series = TimeSeries([t0, t1], [v0, v1])
+                for t in times:
+                    target = _interp2(t, t0, t1, v0, v1)
+                    assert np.float64(target).tobytes() == np.float64(series.at(t)).tobytes()
+            t0 = t1
+
+    @pytest.mark.parametrize("poll_interval", [5.0, 0.3])
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    def test_shadow_matches_per_poll_series(self, poll_interval, substeps, monkeypatch):
+        def loop():
+            rng = np.random.default_rng(23)
+            noise = {"p_in": 2000.0, "p_out": 2000.0, "t_in": 0.1}
+
+            def mangle(frame, k):
+                readings = []
+                for r in frame.readings:
+                    if r.instrument_id == "p_out" and k in (6, 7):
+                        r = Reading(r.instrument_id, None, MISSING)   # held unchanged
+                    elif r.instrument_id in noise:
+                        r = Reading(r.instrument_id,
+                                    r.value + noise[r.instrument_id] * rng.standard_normal(),
+                                    r.quality)
+                    readings.append(r)
+                return TelemetryFrame(frame.poll_time, tuple(readings))
+            return _MiniLoop(leak_rate=2.0, mangle=mangle, poll_interval=poll_interval,
+                             substeps=substeps)
+
+        new, ref = loop(), loop()
+        monkeypatch.setattr(ref.det, "_step", _reference_step.__get__(ref.det))
+        polls = 30
+        new.run(polls)
+        ref.run(polls)
+        assert len(new.det.records) == len(ref.det.records) == polls + 1
+        for a, b in zip(new.det.records, ref.det.records):
+            assert a.poll_time == b.poll_time and a.available == b.available
+            assert a.shadow_linepack == b.shadow_linepack
+            assert a.discrepancy.delta == b.discrepancy.delta
+        for f in ("P", "V", "T", "rho"):
+            assert getattr(new.det._state, f).tobytes() == getattr(ref.det._state, f).tobytes()
+        assert new.det._state.t == ref.det._state.t
+
+    def test_frames_out_of_poll_order_rejected(self):
+        loop = _MiniLoop()
+        loop.run(2)
+        nodes = instrument_nodes(loop.grid.node_positions, loop.instruments)
+        early = sample(loop.state, loop.instruments, loop.noise, 5.0, pipeline=loop.pipe,
+                       nodes=nodes)
+        with pytest.raises(ConfigurationError, match="poll order"):
+            loop.det.observe(early)
+
+    def test_observe_builds_no_boundary_objects_after_initialisation(self, monkeypatch):
+        counts = collections.Counter()
+        seen = {"polls": 0, "observing": False}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(obj, *args, **kwargs):
+                if seen["observing"] and seen["polls"] > 1:   # past the initialising poll
+                    counts[cls.__name__] += 1
+                init(obj, *args, **kwargs)
+            return counted
+
+        loop = _MiniLoop()
+        for cls in (TimeSeries, BoundaryLeg, BoundaryConditions):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        observe = loop.det.observe
+
+        def observed(frame):
+            seen["polls"] += 1
+            seen["observing"] = True
+            try:
+                return observe(frame)
+            finally:
+                seen["observing"] = False
+
+        monkeypatch.setattr(loop.det, "observe", observed)
+        loop.run(20)
+        assert seen["polls"] == len(loop.det.records) == 21
+        assert loop.det.records[0].available
+        assert not counts
 
 
 class TestSizeAndLocate:

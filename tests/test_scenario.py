@@ -483,6 +483,20 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_validate_solves_the_plants_steady_start(self, tmp_path, capsys):
+        # The 60 m rise reverses the steady flow toward the held temperature:
+        # validate fails as run does, with run's message and exit status.
+        cfg = standard_config()
+        cfg["pipeline"]["elevation"] = [[0.0, 0.0], [10000.0, 60.0]]
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        failure = [ln for ln in captured.err.splitlines() if ln.startswith("solver failure")]
+        assert len(failure) == 1 and "runs from the outlet to the inlet" in failure[0]
+        assert failure[0] in capsys.readouterr().err.splitlines()
+
     def test_run_writes_outputs(self, tmp_path):
         cfg = standard_config(horizon=420.0)
         path = self.write_cfg(tmp_path, cfg)
