@@ -36,7 +36,8 @@ def build_parser():
                          help="YAML file mapping dotted config paths to value lists")
     sweep_p.add_argument("-o", "--output-dir", default="out", help="output directory")
 
-    val_p = sub.add_parser("validate", help="check a scenario file and its plant's steady start, and exit")
+    val_p = sub.add_parser("validate", help="check a scenario file, its plant's steady start "
+                           "and its detectors, and exit")
     val_p.add_argument("scenario", help="scenario YAML file")
     return parser
 

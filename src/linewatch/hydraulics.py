@@ -304,12 +304,13 @@ class PipeFlowSolver:
                 "steady state needs at least one pressure-specified boundary"
             )
         q = self._leak_cells(leaks, t)
+        targets = bc.at(t)
         if initial_guess is not None:
             u0 = self._pack(initial_guess.P, initial_guess.V, initial_guess.T)
         else:
-            u0 = self._steady_guess(bc, t)
+            u0 = self._steady_guess(bc, targets)
         self._freeze_scales(u0)
-        res = self._build_residual(bc, bc.at(t), q)
+        res = self._build_residual(bc, targets, q)
         key = ("steady", bc.temperature_end)
         self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
         state = self._new_state(t)
@@ -708,18 +709,18 @@ class PipeFlowSolver:
         v_ref = max(float(np.max(np.abs(V))), 0.1)
         self._mdot_scale = np.array(max(float(np.max(rho)) * self.A * v_ref, 1e-9))
 
-    def _steady_guess(self, bc, t):
-        T0 = bc.temperature.at(t)
-        p_in = bc.inlet.series.at(t) if bc.inlet.kind == "pressure" else None
-        p_out = bc.outlet.series.at(t) if bc.outlet.kind == "pressure" else None
+    def _steady_guess(self, bc, targets):
+        b_in, b_out, T0 = targets
+        p_in = b_in if bc.inlet.kind == "pressure" else None
+        p_out = b_out if bc.outlet.kind == "pressure" else None
         anchor = p_in if p_in is not None else p_out
         rho_ref = float(self.fluid.density(anchor, T0))
 
         H = elevation_at(self.pipeline, self.x)
         if bc.inlet.kind == "flow":
-            mdot = bc.inlet.series.at(t)
+            mdot = b_in
         elif bc.outlet.kind == "flow":
-            mdot = bc.outlet.series.at(t)
+            mdot = b_out
         else:
             drive = p_in - p_out - rho_ref * GRAVITY * (H[-1] - H[0])
             f_mean = float(np.mean(self.f_cell))

@@ -155,19 +155,6 @@ def vote(history, policy: VotingPolicy) -> bool:
     return count >= K
 
 
-def _interp2(t, t0, t1, v0, v1):
-    """``np.interp(t, [t0, t1], [v0, v1])`` for ``t0 <= t1``, by numpy's own
-    formula: ``v0`` up to ``t0``, ``v1`` from ``t1`` on, the slope times the
-    offset from ``t0`` plus ``v0`` between.  numpy retries a NaN result from
-    the ``t1`` side; only non-finite values reach that case, and a solve
-    fails on them either way."""
-    if t >= t1:
-        return v1
-    if t <= t0:
-        return v0
-    return (v1 - v0) / (t1 - t0) * (t - t0) + v0
-
-
 def combined_verdict(rtm: LeakVerdict, balance_alarm_time=None):
     """Join the RTM verdict with its line-balance back-up."""
     declared = rtm.declared or balance_alarm_time is not None
@@ -190,8 +177,7 @@ class RtmDetector:
     """
 
     def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy,
-                 poll_interval, *, drive="pressure", theta=0.6, newton_tol=1e-10,
-                 substeps=1, staleness_limit=3, locate_window_polls=12,
+                 poll_interval, *, drive="pressure", staleness_limit=3, locate_window_polls=12,
                  refine_after_polls=24, fallback_temperature=288.15,
                  temperature_end="inlet"):
         if drive not in ("pressure", "flow"):
@@ -207,7 +193,6 @@ class RtmDetector:
         self.poll_interval = float(poll_interval)
         self.drive = drive
         self.temperature_end = temperature_end
-        self.substeps = int(substeps)
         self.staleness_limit = int(staleness_limit)
         self.locate_window_polls = int(locate_window_polls)
         # Fast leaks alarm before the flow split settles, so first estimates
@@ -216,10 +201,9 @@ class RtmDetector:
         self.refine_after_polls = int(refine_after_polls)
         self.fallback_temperature = float(fallback_temperature)
 
-        settings = SolverSettings(
-            dt=self.poll_interval / self.substeps, theta=theta, newton_tol=newton_tol
-        )
-        self.solver = PipeFlowSolver(pipeline, fluid, grid, settings)
+        # The boundary readings exist once per poll, so the shadow steps once
+        # per poll on the scheme's default settings.
+        self.solver = PipeFlowSolver(pipeline, fluid, grid, SolverSettings(dt=self.poll_interval))
 
         self._classify_instruments()
         self._state = None
@@ -371,7 +355,6 @@ class RtmDetector:
             raise ConfigurationError(
                 f"poll at t={t1} s comes before the shadow's t={t0} s: "
                 "frames must arrive in poll order")
-        prev = dict(self._hold)
         for inst in (self.boundary_in, self.boundary_out):
             v = frame.good_value(inst.id)
             if v is not None:
@@ -384,23 +367,12 @@ class RtmDetector:
 
         t_now = self._temperature_value(frame)
         if self.temperature_instrument is not None:
-            t_prev = prev.get(self.temperature_instrument.id, t_now)
             self._hold[self.temperature_instrument.id] = t_now
-        else:
-            t_prev = t_now
 
-        # The drive ramps each boundary from its previous reading at t0 to
-        # its reading at t1; a substep needs only its end-of-step values.
-        b_in, b_out = self.boundary_in.id, self.boundary_out.id
-        in0, in1 = prev[b_in], self._hold[b_in]
-        out0, out1 = prev[b_out], self._hold[b_out]
-        dt_sub = (t1 - t0) / self.substeps
-        for _ in range(self.substeps):
-            t = self._state.t + dt_sub      # the end of the step, as advance forms it
-            targets = (_interp2(t, t0, t1, in0, in1), _interp2(t, t0, t1, out0, out1),
-                       _interp2(t, t0, t1, t_prev, t_now))
-            step = self.solver.advance(self._state, self._drive_bc, dt=dt_sub, targets=targets)
-            self._state = step.state
+        # One step per poll, to the readings held at its end.
+        targets = (self._hold[self.boundary_in.id], self._hold[self.boundary_out.id], t_now)
+        step = self.solver.advance(self._state, self._drive_bc, dt=t1 - t0, targets=targets)
+        self._state = step.state
         lp = step.ledger.linepack_end
         if suspended:
             return self._unavailable(frame, "boundary readings stale; detection suspended",

@@ -477,13 +477,15 @@ def _parse_plausibility(node):
         child = node.child(kind)
         if child.raw is None:
             continue
-        flat = child.number("flatline_polls")
+        flat = _maybe_int(child.number("flatline_polls"))
+        if flat is not None and flat < 2:
+            child.child("flatline_polls").error(f"must be >= 2, got {flat}")
         value, diff = _READING_DIMS.get(kind, (None, None))
         limits[kind] = PlausibilityLimits(
             min_value=child.number("min", -np.inf, dim=value),
             max_value=child.number("max", np.inf, dim=value),
             max_rate=child.number("max_rate", np.inf, dim=diff),
-            flatline_polls=int(flat) if flat else None,
+            flatline_polls=flat,
         )
     return limits
 
@@ -501,15 +503,18 @@ def _parse_rtm(node, instruments):
     drive = node.get("drive")
     if drive not in (None, "pressure", "flow"):
         node.error("rtm.drive must be 'pressure' or 'flow'")
+    staleness = _maybe_int(node.number("staleness_polls"))
+    window = _maybe_int(node.number("locate_window_polls"))
+    for key, value, least in (("staleness_polls", staleness, 0),
+                              ("locate_window_polls", window, 1)):
+        if value is not None and value < least:
+            node.child(key).error(f"must be >= {least}, got {value}")
     # Keys the scenario leaves out take RtmDetector's defaults.
     return {"policy": policy, **_given(
         drive=drive,
-        substeps=_maybe_int(node.number("substeps")),
-        staleness_limit=_maybe_int(node.number("staleness_polls")),
-        locate_window_polls=_maybe_int(node.number("locate_window_polls")),
+        staleness_limit=staleness,
+        locate_window_polls=window,
         refine_after_polls=_maybe_int(node.number("refine_after_polls")),
-        theta=node.number("theta"),
-        newton_tol=node.number("newton_tol"),
     )}
 
 
@@ -598,9 +603,9 @@ def _parse_availability(node):
 # --------------------------------------------------------------------- running
 
 def start_plant(scenario: Scenario):
-    """The run's grid, its SCADA instruments, the plant solver and its
-    steady start at t=0; raises what the steady solve raises for a
-    scenario outside the model's envelope."""
+    """The run's grid, its SCADA instruments, the plant solver, its steady
+    start at t=0, and the RTM and balance detectors (None when disabled);
+    raises what building them raises for a scenario the run would reject."""
     s = scenario
     extra = [lk.position for lk in s.leaks]
     if s.acoustic:
@@ -608,15 +613,7 @@ def start_plant(scenario: Scenario):
     scada = [i for i in s.instruments if i.kind != "acoustic"]
     grid = discretize(s.pipeline, s.target_dx, scada, extra_points=extra)
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid, s.plant_settings)
-    return grid, scada, plant, plant.steady_state(s.bc, t=0.0)
-
-
-def run_scenario(scenario: Scenario) -> RunReport:
-    """March the plant, feed the detectors, and collect their report sections."""
-    s = scenario
-    grid, scada, plant, state = start_plant(s)
-    scada_nodes = instrument_nodes(grid.node_positions, scada)
-    noise = NoiseSpec(s.seed)
+    state = plant.steady_state(s.bc, t=0.0)
     rtm_det = bal_det = None
     if s.rtm:
         rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada, poll_interval=s.poll_interval,
@@ -624,6 +621,19 @@ def run_scenario(scenario: Scenario) -> RunReport:
                               temperature_end=s.bc.temperature_end, **s.rtm)
     if s.balance:
         bal_det = BalanceDetector(**s.balance)
+    return grid, scada, plant, state, rtm_det, bal_det
+
+
+def run_scenario(scenario: Scenario) -> RunReport:
+    """March the plant, feed the detectors, and collect their report sections."""
+    s = scenario
+    grid, scada, plant, state, rtm_det, bal_det = start_plant(s)
+    scada_nodes = instrument_nodes(grid.node_positions, scada)
+    noise = NoiseSpec(s.seed)
+    # The rate rule looks back over these frames for the last good reading;
+    # the flatline rule needs flatline_polls - 1 of them.
+    history = max([64] + [lim.flatline_polls - 1 for lim in s.plausibility.values()
+                          if lim.flatline_polls is not None])
 
     steps_per_poll = round(s.poll_interval / s.plant_settings.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
@@ -635,7 +645,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     def do_poll(st):
         frame = sample(st, scada, noise, st.t, pipeline=s.pipeline, nodes=scada_nodes)
-        frame = plausibility_filter(frame, frames[-64:], s.plausibility, scada)
+        frame = plausibility_filter(frame, frames[-history:], s.plausibility, scada)
         frames.append(frame)
         lp_est = None
         if rtm_det is not None:

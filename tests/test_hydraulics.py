@@ -663,6 +663,23 @@ class TestFactorOnce:
         assert counts["builds"] >= 2
         assert counts["reads"] <= 3 * steps
 
+    @pytest.mark.parametrize("inlet", ["pressure", "flow"])
+    def test_boundary_series_read_once_per_steady_solve(self, water_like, ten_km_line, inlet,
+                                                        monkeypatch):
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5) if inlet == "pressure" else bc_fp(70.0, 6.7e5)
+        reads = collections.Counter()
+        at = TimeSeries.at
+
+        def counted(series, t):
+            reads[id(series)] += 1
+            return at(series, t)
+
+        monkeypatch.setattr(TimeSeries, "at", counted)
+        solver.steady_state(bc)   # cold: the start guess reads the boundaries too
+        series = (bc.inlet.series, bc.outlet.series, bc.temperature)
+        assert reads == collections.Counter(id(s) for s in series)
+
 class TestLeakResponse:
     @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
     def test_matches_small_leak_steady_solves(self, water_like, ten_km_line, temperature_end):

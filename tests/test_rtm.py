@@ -18,7 +18,7 @@ from linewatch.hydraulics import (
     modeled_profile,
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
-from linewatch.rtm import RtmDetector, VotingPolicy, _interp2, combined_verdict, vote
+from linewatch.rtm import RtmDetector, VotingPolicy, combined_verdict, vote
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
                                  instrument_nodes, sample)
@@ -92,7 +92,7 @@ class _MiniLoop:
     """Plant + detector loop on the standard desk line, zero noise."""
 
     def __init__(self, leak_rate=0.0, leak_pos=5000.0, drive="pressure", seed=1,
-                 pol=None, mangle=None, dx=100.0, poll_interval=5.0, substeps=1):
+                 pol=None, mangle=None, dx=100.0, poll_interval=5.0):
         self.fluid = FluidModel(
             eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
             c=2000.0, sound_speed_hint=1414.2)
@@ -120,7 +120,7 @@ class _MiniLoop:
         self.poll_interval = poll_interval
         self.det = RtmDetector(self.pipe, self.fluid, self.grid, self.instruments,
                                pol or policy(), poll_interval=poll_interval, drive=drive,
-                               substeps=substeps, fallback_temperature=300.0)
+                               fallback_temperature=300.0)
         self.mangle = mangle
 
     def run(self, polls):
@@ -263,9 +263,10 @@ class TestShadowModel:
 
 
 # RtmDetector._step as it drove the shadow before the drive was built once
-# and each substep took its end-of-step targets: three checked TimeSeries,
-# two BoundaryLegs and a BoundaryConditions every poll.  Kept verbatim as the
-# reference the targets must match bit for bit.
+# and each poll took its end-of-step targets: three checked TimeSeries, two
+# BoundaryLegs and a BoundaryConditions every poll, ramped from the previous
+# readings.  Kept, with its one step per poll, as the reference the held
+# readings must match bit for bit.
 def _reference_step(self, frame):
     t0, t1 = self._state.t, frame.poll_time
     prev = dict(self._hold)
@@ -295,10 +296,8 @@ def _reference_step(self, frame):
         outlet=leg(self.boundary_out),
         temperature=TimeSeries([t0, t1], [t_prev, t_now]),
     )
-    dt_sub = (t1 - t0) / self.substeps
-    for _ in range(self.substeps):
-        step = self.solver.advance(self._state, bc, dt=dt_sub)
-        self._state = step.state
+    step = self.solver.advance(self._state, bc, dt=t1 - t0)
+    self._state = step.state
     lp = step.ledger.linepack_end
     if suspended:
         return self._unavailable(frame, "boundary readings stale; detection suspended",
@@ -308,33 +307,7 @@ def _reference_step(self, frame):
 
 class TestShadowTargets:
     @pytest.mark.parametrize("poll_interval", [5.0, 0.3])
-    @pytest.mark.parametrize("substeps", [1, 2, 3])
-    def test_targets_are_the_series_values(self, poll_interval, substeps):
-        rng = np.random.default_rng(17)
-        ulp = lambda t, toward: float(np.nextafter(t, toward))
-        t0 = 0.0
-        for _ in range(200):
-            t1 = t0 + poll_interval
-            dt_sub = (t1 - t0) / substeps
-            ends, t = [], t0
-            for _ in range(substeps):
-                t = t + dt_sub
-                ends.append(t)
-            times = ends + [t0, ulp(t0, -np.inf), ulp(t0, np.inf),
-                            ulp(t1, -np.inf), t1, ulp(t1, np.inf)]
-            # Readings of either sign and of any size: the slope times the span
-            # can miss v1 by an ulp, so the clamp at t1 shows.
-            v0, v1 = (float(v) for v in rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(0, 7))
-            for v1 in (v1, v0):   # a new reading, a hold
-                series = TimeSeries([t0, t1], [v0, v1])
-                for t in times:
-                    target = _interp2(t, t0, t1, v0, v1)
-                    assert np.float64(target).tobytes() == np.float64(series.at(t)).tobytes()
-            t0 = t1
-
-    @pytest.mark.parametrize("poll_interval", [5.0, 0.3])
-    @pytest.mark.parametrize("substeps", [1, 2, 3])
-    def test_shadow_matches_per_poll_series(self, poll_interval, substeps, monkeypatch):
+    def test_shadow_matches_per_poll_series(self, poll_interval, monkeypatch):
         def loop():
             rng = np.random.default_rng(23)
             noise = {"p_in": 2000.0, "p_out": 2000.0, "t_in": 0.1}
@@ -350,8 +323,7 @@ class TestShadowTargets:
                                     r.quality)
                     readings.append(r)
                 return TelemetryFrame(frame.poll_time, tuple(readings))
-            return _MiniLoop(leak_rate=2.0, mangle=mangle, poll_interval=poll_interval,
-                             substeps=substeps)
+            return _MiniLoop(leak_rate=2.0, mangle=mangle, poll_interval=poll_interval)
 
         new, ref = loop(), loop()
         monkeypatch.setattr(ref.det, "_step", _reference_step.__get__(ref.det))

@@ -80,6 +80,14 @@ class TestParsing:
         ("availability", {"chains": "mass_flow"}, "availability.chains: expected a list"),
         ("availability", {"chains": ["pressure", ["mass_flow"]]},
          "availability.chains[1]: unknown availability chain preset ['mass_flow']"),
+        # 0 would average over every poll; -1 would suspend detection for good
+        ("rtm", {"locate_window_polls": 0}, "rtm.locate_window_polls: must be >= 1, got 0"),
+        ("rtm", {"staleness_polls": -1}, "rtm.staleness_polls: must be >= 0, got -1"),
+        # 0 would turn the rule off; a negative value would flag every reading
+        ("telemetry", {"plausibility": {"pressure": {"flatline_polls": 0}}},
+         "telemetry.plausibility.pressure.flatline_polls: must be >= 2, got 0"),
+        ("telemetry", {"plausibility": {"flow": {"flatline_polls": -3}}},
+         "telemetry.plausibility.flow.flatline_polls: must be >= 2, got -3"),
         # the outlet flow meter moved to 2 km of 10 km: the meters no longer bracket the line
         ("instruments", lambda cfg: cfg["instruments"][1].update(position=2000.0),
          "balance: line balance needs a flow meter in each half of the line"),
@@ -87,7 +95,9 @@ class TestParsing:
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
             "availability_per_unit_not_a_number", "availability_chains_not_a_list",
-            "availability_chain_not_a_name", "balance_meters_not_bracketing"])
+            "availability_chain_not_a_name", "rtm_locate_window_zero",
+            "rtm_staleness_negative", "flatline_polls_zero", "flatline_polls_negative",
+            "balance_meters_not_bracketing"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -99,10 +109,10 @@ class TestParsing:
 
     def test_rtm_passes_on_only_the_options_set(self):
         cfg = standard_config()
-        cfg["rtm"] = {"flow_threshold": 0.25, "substeps": 2}
+        cfg["rtm"] = {"flow_threshold": 0.25, "staleness_polls": 2}
         s = scenario_from_dict(cfg)
-        assert set(s.rtm) == {"policy", "substeps"}
-        assert s.rtm["substeps"] == 2
+        assert set(s.rtm) == {"policy", "staleness_limit"}
+        assert s.rtm["staleness_limit"] == 2
 
     @pytest.mark.parametrize("edit,path", [
         (lambda c: c["pipeline"].update(diamter=0.5), "pipeline.diamter"),
@@ -497,6 +507,29 @@ class TestCli:
         assert len(failure) == 1 and "runs from the outlet to the inlet" in failure[0]
         assert failure[0] in capsys.readouterr().err.splitlines()
 
+    def test_validate_builds_the_detectors(self, tmp_path, capsys):
+        # Without p_out the pressure-driven shadow has no outlet boundary:
+        # validate fails as run does, with run's message and exit status.
+        cfg = standard_config()
+        cfg["instruments"] = [i for i in cfg["instruments"] if i["id"] != "p_out"]
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert captured.err == capsys.readouterr().err == (
+            "configuration error: pressure-driven detection needs a pressure instrument "
+            "at each end of the line\n")
+
+    @pytest.mark.parametrize("key,value", [("substeps", 2), ("theta", 0.7),
+                                           ("newton_tol", 1e-8)])
+    def test_removed_shadow_settings_exit_2_naming_the_key(self, tmp_path, capsys, key, value):
+        # The shadow steps once per poll on the scheme's own settings.
+        cfg = standard_config()
+        cfg["rtm"][key] = value
+        assert main(["validate", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: rtm.{key}: unknown key")
+
     def test_run_writes_outputs(self, tmp_path):
         cfg = standard_config(horizon=420.0)
         path = self.write_cfg(tmp_path, cfg)
@@ -569,6 +602,20 @@ class TestSpecInvariantsEndToEnd:
         for frame in report.frames:
             for r in frame.readings:
                 assert r.quality == "good", (frame.poll_time, r)
+
+    @pytest.mark.parametrize("flatline_polls", [65, 66, 100])
+    def test_flatline_rule_sees_as_many_polls_as_it_asks_for(self, flatline_polls):
+        # Noiseless and leak-free, the end pressures read the same value every
+        # poll: the rule flags them at poll n - 1, however long n is.
+        cfg = standard_config(horizon=500.0)
+        set_noise_scale(cfg, 0.0)
+        cfg["leaks"] = []
+        cfg["telemetry"]["plausibility"] = {"pressure": {"flatline_polls": flatline_polls}}
+        report = run_scenario(scenario_from_dict(cfg))
+        flagged = [(f.poll_time, r.instrument_id) for f in report.frames
+                   for r in f.readings if r.quality == "suspect"]
+        assert flagged[:2] == [(5.0 * (flatline_polls - 1), "p_in"),
+                               (5.0 * (flatline_polls - 1), "p_out")]
 
     def test_near_critical_gas_rejected_at_load(self):
         cfg = standard_config()
