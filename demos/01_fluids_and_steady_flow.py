@@ -16,7 +16,6 @@ from linewatch import (
     LiquidEos,
     PipeFlowSolver,
     PipelineModel,
-    SolverSettings,
     TimeSeries,
     compressibility_z,
     density,
@@ -39,7 +38,7 @@ fluid = FluidModel(eos=liquid, c=2000.0, sound_speed_hint=1414.2)
 pipe = PipelineModel(length=10_000.0, diameter=0.3, friction_factor=0.02,
                      U=2.0, Tg=288.15)
 grid = discretize(pipe, 100.0)
-solver = PipeFlowSolver(pipe, fluid, grid, SolverSettings(dt=1.0))
+solver = PipeFlowSolver(pipe, fluid, grid)
 
 bc = BoundaryConditions(
     inlet=BoundaryLeg("flow", TimeSeries.constant(70.0)),      # pump: 70 kg/s

@@ -17,7 +17,6 @@ from linewatch import (
     LiquidEos,
     PipeFlowSolver,
     PipelineModel,
-    SolverSettings,
     TimeSeries,
     discretize,
 )
@@ -30,7 +29,8 @@ fluid = FluidModel(
 pipe = PipelineModel(length=10_000.0, diameter=0.3, friction_factor=0.02,
                      U=0.0, Tg=300.0)
 grid = discretize(pipe, 100.0)
-solver = PipeFlowSolver(pipe, fluid, grid, SolverSettings(dt=0.1))
+solver = PipeFlowSolver(pipe, fluid, grid)
+dt = 0.1  # s, a 70th of the transit time
 
 wave_speed = np.sqrt(fluid.eos.B / fluid.eos.rho0)
 print("wave speed %.0f m/s -> transit time %.2f s" % (wave_speed, pipe.length / wave_speed))
@@ -54,7 +54,7 @@ p_out0 = state.P[-1]
 snapshots, worst_residual = {}, 0.0
 marks = (2.0, 4.0, 6.0, 8.0, 12.0)
 while state.t < 14.0:
-    out = solver.advance(state, bc)
+    out = solver.advance(state, bc, dt)
     state = out.state
     worst_residual = max(worst_residual, abs(out.ledger.residual))
     for m in marks:

@@ -53,7 +53,6 @@ from .hydraulics import (
     GridState,
     LeakEvent,
     PipeFlowSolver,
-    SolverSettings,
     TimeSeries,
     linepack,
     modeled_profile,

@@ -73,10 +73,8 @@ def _cmd_validate(args):
 
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
-    if args.dump_states:
-        scenario.dump_states = True
     logger.info("running scenario %s (seed %d)", scenario.name, scenario.seed)
-    report = run_scenario(scenario)
+    report = run_scenario(scenario, dump_states=args.dump_states)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

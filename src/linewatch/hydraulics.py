@@ -2,6 +2,9 @@
 
 The transient solver uses an implicit four-point box scheme, theta-weighted
 in time, with Newton iteration on the full (P, V, T) nodal vector.  The
+scheme runs on fixed settings, theta 0.6, a Newton tolerance of 1e-10 on
+the scaled residuals and at most 30 iterations; the only per-step input
+is the step length, which each caller passes to ``advance``.  The
 continuity equation is discretized in conservation form so the per-step
 mass ledger (boundary fluxes vs. linepack change vs. leak draw) closes to
 the Newton tolerance.  Leaks enter as constant mass-rate sinks at grid
@@ -52,7 +55,6 @@ __all__ = [
     "BoundaryLeg",
     "BoundaryConditions",
     "LeakEvent",
-    "SolverSettings",
     "GridState",
     "MassLedgerEntry",
     "StepResult",
@@ -61,6 +63,9 @@ __all__ = [
     "modeled_profile",
 ]
 
+_THETA = 0.6             # implicit weighting of the new time level
+_NEWTON_TOL = 1e-10      # on scaled residuals
+_NEWTON_MAX_ITER = 30
 _FD_EPS = 1e-7           # relative finite-difference step for the Jacobian
 _STEADY_T_REG = 1e-8     # 1/s, regularizes the energy row at zero flow
 _REVERSE_V = 1e-6        # m/s, steady flow toward the held-temperature end
@@ -141,22 +146,6 @@ class LeakEvent:
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    dt: float = 1.0            # s
-    theta: float = 0.6         # implicit weighting, [0.5, 1]
-    newton_tol: float = 1e-10  # on scaled residuals
-    newton_max_iter: int = 30
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ConfigurationError(f"theta must be in [0.5, 1], got {self.theta}")
-        if self.newton_tol <= 0:
-            raise ConfigurationError("newton_tol must be > 0")
-
-
-@dataclass(frozen=True)
 class GridState:
     """Snapshot of the line at one model time."""
 
@@ -219,12 +208,10 @@ class PipeFlowSolver:
     scenarios on independent solvers.
     """
 
-    def __init__(self, pipeline: PipelineModel, fluid: FluidModel, grid: Grid,
-                 settings: SolverSettings = SolverSettings()):
+    def __init__(self, pipeline: PipelineModel, fluid: FluidModel, grid: Grid):
         self.pipeline = pipeline
         self.fluid = fluid
         self.grid = grid
-        self.settings = settings
 
         self.x = grid.node_positions
         self.N = grid.node_count
@@ -250,7 +237,7 @@ class PipeFlowSolver:
         # a Python float, and the double arithmetic is the same.
         c = fluid.c
         self._scalars = tuple(np.array(float(v)) for v in (
-            0.5, self.A, settings.theta, c, self.D, self.Tg,
+            0.5, self.A, _THETA, c, self.D, self.Tg,
             2.0 * self.D, 2.0 * c * self.D, GRAVITY))
         # A liquid's dP/dT at constant density does not depend on the state.
         self._dPdT_liquid = (np.array(dP_dT_const_density(fluid, 0.0, 0.0))
@@ -357,9 +344,8 @@ class PipeFlowSolver:
         out *= (-0.5 / self._mdot_scale) * self.u_scale[idx][:, None]
         return out
 
-    def advance(self, state: GridState, bc: BoundaryConditions, leaks=(), dt=None,
-                targets=None):
-        """One implicit step from state.t to state.t + dt.
+    def advance(self, state: GridState, bc: BoundaryConditions, dt, leaks=(), targets=None):
+        """One implicit step of ``dt`` seconds from state.t to state.t + dt.
 
         The step reads its boundary values only at its end, ``t1``:
         ``targets`` gives them as (inlet, outlet, temperature), and by
@@ -369,7 +355,6 @@ class PipeFlowSolver:
         residual history) on Newton failure and InfeasibleStateError if the
         new state is unphysical.
         """
-        dt = self.settings.dt if dt is None else float(dt)
         t0, t1 = state.t, state.t + dt
         q_old = self._leak_cells(leaks, t0)
         q_new = self._leak_cells(leaks, t1)
@@ -386,7 +371,7 @@ class PipeFlowSolver:
         def flux(st, node):
             return self.A * st.rho[node] * st.V[node]
 
-        th = self.settings.theta
+        th = _THETA
         leak_total_new = float(q_new.sum())
         leak_total_old = float(q_old.sum())
         entry = MassLedgerEntry(
@@ -453,7 +438,7 @@ class PipeFlowSolver:
 
         if not steady:
             invdt = np.array(1.0 / dt)
-            wo = 1 - self.settings.theta    # weight of the old time level
+            wo = 1 - _THETA    # weight of the old time level
             o = np.concatenate(old)
             mids_old = half * (o[:-1] + o[1:])
             bars_old = wo * mids_old
@@ -530,8 +515,7 @@ class PipeFlowSolver:
         workspace holds ``res_fn``'s evaluation at that iterate, so
         :meth:`_new_state` reads the new state from it.
         """
-        tol = self.settings.newton_tol
-        max_iter = self.settings.newton_max_iter
+        tol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
         # Trial states may stray into NaN or overflow; the line search
         # rejects them, so floating-point warnings are silenced per solve.
         with np.errstate(all="ignore"):

@@ -30,7 +30,6 @@ from .hydraulics import (
     BoundaryLeg,
     LeakEvent,
     PipeFlowSolver,
-    SolverSettings,
     TimeSeries,
     linepack,
     modeled_profile,
@@ -176,8 +175,8 @@ class RtmDetector:
     good readings return; suspended polls never count toward voting.
     """
 
-    def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy,
-                 poll_interval, *, drive="pressure", staleness_limit=3, locate_window_polls=12,
+    def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy, *,
+                 drive="pressure", staleness_limit=3, locate_window_polls=12,
                  refine_after_polls=24, fallback_temperature=288.15,
                  temperature_end="inlet"):
         if drive not in ("pressure", "flow"):
@@ -190,7 +189,6 @@ class RtmDetector:
         self.grid = grid
         self.instruments = list(instruments)
         self.policy = policy
-        self.poll_interval = float(poll_interval)
         self.drive = drive
         self.temperature_end = temperature_end
         self.staleness_limit = int(staleness_limit)
@@ -202,8 +200,8 @@ class RtmDetector:
         self.fallback_temperature = float(fallback_temperature)
 
         # The boundary readings exist once per poll, so the shadow steps once
-        # per poll on the scheme's default settings.
-        self.solver = PipeFlowSolver(pipeline, fluid, grid, SolverSettings(dt=self.poll_interval))
+        # per poll, on the same fixed scheme as the plant.
+        self.solver = PipeFlowSolver(pipeline, fluid, grid)
 
         self._classify_instruments()
         self._state = None

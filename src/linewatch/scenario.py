@@ -30,7 +30,6 @@ from .hydraulics import (
     GridState,
     LeakEvent,
     PipeFlowSolver,
-    SolverSettings,
     TimeSeries,
     linepack,
 )
@@ -116,6 +115,18 @@ class _Path:
             raise ConfigurationError(f"{self._join(key)}: expected a number, got {v!r}")
         return self.to_si(v, dim)
 
+    def integer(self, key, default=None, least=None):
+        """Field ``key`` as an int: a whole number, at least ``least``."""
+        v = self.number(key)
+        if v is None:
+            return default
+        node = self.child(key)
+        if not v.is_integer():
+            node.error(f"expected a whole number, got {node.raw!r}")
+        if least is not None and v < least:
+            node.error(f"must be >= {least}, got {node.raw!r}")
+        return int(v)
+
     def pair(self, dims):
         """This ``[x, y]`` entry as SI floats; ``dims`` names each one's dimension."""
         if not isinstance(self.raw, (list, tuple)) or len(self.raw) != 2:
@@ -186,15 +197,13 @@ class Scenario:
     seed: int
     horizon: float
     poll_interval: float
-    plant_settings: SolverSettings
+    dt: float                      # the plant's step
     target_dx: float
     plausibility: Dict[str, PlausibilityLimits]
     rtm: Optional[dict]            # RtmDetector keyword options, None when disabled
     balance: Optional[dict]        # BalanceDetector keyword arguments
     acoustic: Optional[dict]       # acoustic.report keyword arguments
     availability: Optional[dict]
-    dump_states: bool
-    state_stride: int
 
 
 @dataclass
@@ -258,32 +267,31 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     root = _Path(raw, units=_resolve_units(top.child("units")), read=top.read)
 
     name = str(root.get("name", "scenario"))
-    seed = int(root.number("seed", 0))
+    seed = root.integer("seed", 0, least=0)
     horizon = root.number("horizon", required=True)
-    if horizon <= 0:
+    if not horizon > 0:   # NaN included
         root.error("horizon must be > 0")
+    tele = root.child("telemetry")
+    poll_interval = tele.number("poll_interval", 5.0)
+    if not poll_interval > 0:
+        tele.error("poll_interval must be > 0")
+    if abs(horizon / poll_interval - round(horizon / poll_interval)) > 1e-9:
+        root.child("horizon").error(
+            f"{horizon} must be a multiple of telemetry.poll_interval {poll_interval}")
 
     fluid = _parse_fluid(root.child("fluid", required=True))
     pipeline = _parse_pipeline(root.child("pipeline", required=True))
     instruments = _parse_instruments(root.child("instruments", required=True), pipeline)
     bc = _parse_boundaries(root.child("boundaries", required=True))
     leaks = _parse_leaks(root.child("leaks"), pipeline, horizon)
-
-    tele = root.child("telemetry")
-    poll_interval = tele.number("poll_interval", 5.0)
-    if poll_interval <= 0:
-        tele.error("poll_interval must be > 0")
     plaus = _parse_plausibility(tele.child("plausibility"))
 
     sol = root.child("solver")
     dt = sol.number("dt", min(1.0, poll_interval))
     target_dx = sol.number("target_dx", pipeline.length / 100.0, dim="length")
-    plant_settings = SolverSettings(
-        dt=dt,
-        theta=sol.number("theta", 0.6),
-        newton_tol=sol.number("newton_tol", 1e-10),
-        newton_max_iter=int(sol.number("newton_max_iter", 30)),
-    )
+    for key, value in (("dt", dt), ("target_dx", target_dx)):
+        if not value > 0:
+            sol.child(key).error(f"must be > 0, got {value}")
     if abs(poll_interval / dt - round(poll_interval / dt)) > 1e-9:
         sol.error(f"poll_interval {poll_interval} must be a multiple of dt {dt}")
 
@@ -299,9 +307,6 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     acoustic_cfg = _parse_acoustic(root.child("acoustic"), fluid, pipeline)
     avail_cfg = _parse_availability(root.child("availability"))
 
-    out = root.child("output")
-    dump_states = bool(out.get("dump_states", False))
-    state_stride = int(out.number("state_stride", 1))
     unread = next((p for p in _key_paths(raw, "") if p not in root.read), None)
     if unread is not None:
         raise ConfigurationError(f"{unread}: unknown key (no field of that name is read here)")
@@ -317,15 +322,13 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
         seed=seed,
         horizon=horizon,
         poll_interval=poll_interval,
-        plant_settings=plant_settings,
+        dt=dt,
         target_dx=target_dx,
         plausibility=plaus,
         rtm=rtm_cfg,
         balance=balance_cfg,
         acoustic=acoustic_cfg,
         availability=avail_cfg,
-        dump_states=dump_states,
-        state_stride=state_stride,
     )
 
 
@@ -477,9 +480,7 @@ def _parse_plausibility(node):
         child = node.child(kind)
         if child.raw is None:
             continue
-        flat = _maybe_int(child.number("flatline_polls"))
-        if flat is not None and flat < 2:
-            child.child("flatline_polls").error(f"must be >= 2, got {flat}")
+        flat = child.integer("flatline_polls", least=2)
         value, diff = _READING_DIMS.get(kind, (None, None))
         limits[kind] = PlausibilityLimits(
             min_value=child.number("min", -np.inf, dim=value),
@@ -493,28 +494,22 @@ def _parse_plausibility(node):
 def _parse_rtm(node, instruments):
     if _disabled(node):
         return None
-    policy = VotingPolicy.default_for(instruments, **_given(
+    policy = node.build(VotingPolicy.default_for, instruments=instruments, **_given(
         flow_threshold=node.number("flow_threshold"),
         pressure_threshold=node.number("pressure_threshold", dim="pressure"),
-        consecutive_required=_maybe_int(node.number("consecutive_polls")),
-        min_indicators=_maybe_int(node.number("min_indicators")),
-        smoothing_polls=_maybe_int(node.number("smoothing_polls")),
+        consecutive_required=node.integer("consecutive_polls", least=1),
+        min_indicators=node.integer("min_indicators", least=1),
+        smoothing_polls=node.integer("smoothing_polls", least=1),
     ))
     drive = node.get("drive")
     if drive not in (None, "pressure", "flow"):
         node.error("rtm.drive must be 'pressure' or 'flow'")
-    staleness = _maybe_int(node.number("staleness_polls"))
-    window = _maybe_int(node.number("locate_window_polls"))
-    for key, value, least in (("staleness_polls", staleness, 0),
-                              ("locate_window_polls", window, 1)):
-        if value is not None and value < least:
-            node.child(key).error(f"must be >= {least}, got {value}")
     # Keys the scenario leaves out take RtmDetector's defaults.
     return {"policy": policy, **_given(
         drive=drive,
-        staleness_limit=staleness,
-        locate_window_polls=window,
-        refine_after_polls=_maybe_int(node.number("refine_after_polls")),
+        staleness_limit=node.integer("staleness_polls", least=0),
+        locate_window_polls=node.integer("locate_window_polls", least=1),
+        refine_after_polls=node.integer("refine_after_polls", least=0),
     )}
 
 
@@ -531,10 +526,6 @@ def _disabled(node):
 
 def _given(**fields):
     return {k: v for k, v in fields.items() if v is not None}
-
-
-def _maybe_int(v):
-    return None if v is None else int(v)
 
 
 def _parse_balance(node, instruments, rtm_cfg, length):
@@ -612,11 +603,11 @@ def start_plant(scenario: Scenario):
         extra += [sen.position for sen in s.acoustic["sensors"]]
     scada = [i for i in s.instruments if i.kind != "acoustic"]
     grid = discretize(s.pipeline, s.target_dx, scada, extra_points=extra)
-    plant = PipeFlowSolver(s.pipeline, s.fluid, grid, s.plant_settings)
+    plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
     state = plant.steady_state(s.bc, t=0.0)
     rtm_det = bal_det = None
     if s.rtm:
-        rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada, poll_interval=s.poll_interval,
+        rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada,
                               fallback_temperature=s.bc.temperature.at(0.0),
                               temperature_end=s.bc.temperature_end, **s.rtm)
     if s.balance:
@@ -624,8 +615,9 @@ def start_plant(scenario: Scenario):
     return grid, scada, plant, state, rtm_det, bal_det
 
 
-def run_scenario(scenario: Scenario) -> RunReport:
-    """March the plant, feed the detectors, and collect their report sections."""
+def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
+    """March the plant, feed the detectors, and collect their report sections;
+    with ``dump_states`` the report also keeps the plant state of every step."""
     s = scenario
     grid, scada, plant, state, rtm_det, bal_det = start_plant(s)
     scada_nodes = instrument_nodes(grid.node_positions, scada)
@@ -635,7 +627,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     history = max([64] + [lim.flatline_polls - 1 for lim in s.plausibility.values()
                           if lim.flatline_polls is not None])
 
-    steps_per_poll = round(s.poll_interval / s.plant_settings.dt)
+    steps_per_poll = round(s.poll_interval / s.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
     frames: List = []
     states: List[GridState] = []
@@ -654,19 +646,19 @@ def run_scenario(scenario: Scenario) -> RunReport:
             bal_det.observe(frame, lp_est)
 
     do_poll(state)
-    if s.dump_states:
+    if dump_states:
         states.append(state)
     try:
-        for k in range(1, n_polls + 1):
-            for i in range(steps_per_poll):
-                result = plant.advance(state, s.bc, leaks=s.leaks)
+        for _ in range(n_polls):
+            for _ in range(steps_per_poll):
+                result = plant.advance(state, s.bc, s.dt, leaks=s.leaks)
                 state = result.state
                 res = abs(result.ledger.residual)
                 max_ledger_residual = max(max_ledger_residual, res)
                 max_ledger_relative = max(
                     max_ledger_relative, res / max(result.ledger.linepack_end, 1e-12)
                 )
-                if s.dump_states and ((k - 1) * steps_per_poll + i + 1) % s.state_stride == 0:
+                if dump_states:
                     states.append(state)
             do_poll(state)
     except (SolverError, InfeasibleScenarioError, InfeasibleStateError) as e:
@@ -708,7 +700,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         run={
             "horizon": s.horizon,
             "poll_interval": s.poll_interval,
-            "solver_dt": s.plant_settings.dt,
+            "solver_dt": s.dt,
             "node_count": grid.node_count,
             "polls": len(frames),
             "solver_failure": solver_failure,

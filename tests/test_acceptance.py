@@ -19,7 +19,6 @@ from linewatch.hydraulics import (
     BoundaryLeg,
     LeakEvent,
     PipeFlowSolver,
-    SolverSettings,
     TimeSeries,
 )
 from linewatch.network import GRAVITY, PipelineModel, discretize
@@ -123,7 +122,7 @@ class TestMassConservation:
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02,
                              U=2.0, Tg=288.15)
         grid = discretize(pipe, 200.0, extra_points=[5000.0])
-        solver = PipeFlowSolver(pipe, fluid, grid, SolverSettings(dt=5.0))
+        solver = PipeFlowSolver(pipe, fluid, grid)
         bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries([0.0, 1800.0, 3600.0],
                                                      [1.0e6, 1.05e6, 0.97e6])),
@@ -133,7 +132,7 @@ class TestMassConservation:
         st = solver.steady_state(bc, t=0.0)
         worst = 0.0
         while st.t < 3600.0 - 1e-9:
-            out = solver.advance(st, bc, leaks=leaks)
+            out = solver.advance(st, bc, 5.0, leaks=leaks)
             st = out.state
             worst = max(worst, abs(out.ledger.residual) / out.ledger.linepack_end)
         return worst
@@ -167,7 +166,7 @@ class TestSteadyStateOracle:
                            c=2000.0, sound_speed_hint=1414.2)
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=f,
                              elevation_profile=elev, U=0.0, Tg=300.0)
-        solver = PipeFlowSolver(pipe, fluid, discretize(pipe, 100.0), SolverSettings(dt=1.0))
+        solver = PipeFlowSolver(pipe, fluid, discretize(pipe, 100.0))
         mdot = 70.0
         bc = BoundaryConditions(
             inlet=BoundaryLeg("flow", TimeSeries.constant(mdot)),

@@ -19,9 +19,9 @@ from linewatch.hydraulics import (
     GridState,
     LeakEvent,
     PipeFlowSolver,
-    SolverSettings,
     TimeSeries,
     _STEADY_T_REG,
+    _THETA,
     linepack,
     modeled_profile,
 )
@@ -45,9 +45,8 @@ def bc_fp(mdot, p_out, T=300.0):
     )
 
 
-def make_solver(fluid, pipe, dx=100.0, dt=1.0, **extra):
-    grid = discretize(pipe, dx, extra_points=extra.pop("extra_points", ()))
-    return PipeFlowSolver(pipe, fluid, grid, SolverSettings(dt=dt, **extra))
+def make_solver(fluid, pipe, dx=100.0, extra_points=()):
+    return PipeFlowSolver(pipe, fluid, discretize(pipe, dx, extra_points=extra_points))
 
 
 class TestSteadyState:
@@ -172,8 +171,8 @@ class TestSteadyState:
         assert np.array_equal(st.rho, fluid.density(st.P, st.T))
 
     def test_grid_refinement_convergence(self, water_like, ten_km_line):
-        coarse = make_solver(water_like, ten_km_line, dx=200.0, dt=2.0)
-        fine = make_solver(water_like, ten_km_line, dx=100.0, dt=1.0)
+        coarse = make_solver(water_like, ten_km_line, dx=200.0)
+        fine = make_solver(water_like, ten_km_line, dx=100.0)
         dp = []
         for s in (coarse, fine):
             st = s.steady_state(bc_fp(70.0, 6.7e5))
@@ -187,7 +186,7 @@ class TestGasSteadyAgainstIvp:
         fluid = FluidModel(eos=gas, c=2200.0, sound_speed_hint=380.0)
         pipe = PipelineModel(length=50000.0, diameter=0.5, friction_factor=0.015,
                              U=1.0, Tg=288.15)
-        solver = make_solver(fluid, pipe, dx=250.0, dt=2.0)
+        solver = make_solver(fluid, pipe, dx=250.0)
         st = solver.steady_state(bc_fp(45.0, 5.0e6))
         mdot, A, c = 45.0, pipe.area, fluid.c
 
@@ -230,7 +229,7 @@ class TestAdvance:
         solver = make_solver(water_like, ten_km_line)
         bc = bc_pp(1.0e6, 6.7e5)
         st = solver.steady_state(bc)
-        new = solver.advance(st, bc).state
+        new = solver.advance(st, bc, 1.0).state
         for name in ("P", "V", "T", "rho"):
             a, b = getattr(st, name), getattr(new, name)
             scale = np.maximum(np.abs(a), 1e-12)
@@ -239,7 +238,8 @@ class TestAdvance:
     def test_pressure_step_travels_at_sound_speed(self, water_like):
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02,
                              U=0.0, Tg=300.0)
-        solver = make_solver(water_like, pipe, dx=100.0, dt=0.1)
+        solver = make_solver(water_like, pipe, dx=100.0)
+        dt = 0.1
         a = np.sqrt(water_like.eos.B / water_like.eos.rho0)
         step = 5.0e4
         bc0 = bc_fp(70.35, 0.0)
@@ -258,17 +258,17 @@ class TestAdvance:
         t_half = 0.5 * pipe.length / a
         worst = 0.0
         cur = st
-        while cur.t + solver.settings.dt < t_half:
-            cur = solver.advance(cur, bc1).state
+        while cur.t + dt < t_half:
+            cur = solver.advance(cur, bc1, dt).state
             worst = max(worst, abs(cur.P[-1] - p_out0))
         assert worst < 1e-3 * step
         # and the front does arrive around one transit time
         while cur.t < 1.5 * pipe.length / a:
-            cur = solver.advance(cur, bc1).state
+            cur = solver.advance(cur, bc1, dt).state
         assert abs(cur.P[-1] - p_out0) > 0.5 * step
 
     def test_mass_ledger_no_leak(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line, dt=2.0)
+        solver = make_solver(water_like, ten_km_line)
         # a genuinely transient run: ramp the inlet boundary
         bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries([0.0, 300.0], [1.0e6, 1.08e6])),
@@ -277,23 +277,23 @@ class TestAdvance:
         )
         st = solver.steady_state(bc, t=0.0)
         for _ in range(100):
-            result = solver.advance(st, bc)
+            result = solver.advance(st, bc, 2.0)
             st = result.state
             assert abs(result.ledger.residual) < 1e-8 * result.ledger.linepack_end
 
     def test_mass_ledger_with_leak(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line, dt=2.0, extra_points=(5000.0,))
+        solver = make_solver(water_like, ten_km_line, extra_points=(5000.0,))
         bc = bc_pp(1.0e6, 6.7e5)
         leaks = [LeakEvent(position=5000.0, start_time=20.0, mass_rate=5.0)]
         st = solver.steady_state(bc, t=0.0)
         for _ in range(100):
-            result = solver.advance(st, bc, leaks=leaks)
+            result = solver.advance(st, bc, 2.0, leaks=leaks)
             st = result.state
             assert abs(result.ledger.residual) < 1e-8 * result.ledger.linepack_end
         assert result.ledger.leak_mass == pytest.approx(5.0 * 2.0, rel=1e-12)
 
     def test_ledger_linepack_chains_bit_for_bit(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line, dt=2.0, extra_points=(5000.0,))
+        solver = make_solver(water_like, ten_km_line, extra_points=(5000.0,))
         bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries([0.0, 30.0], [1.0e6, 1.08e6])),
             outlet=BoundaryLeg("pressure", TimeSeries.constant(6.7e5)),
@@ -303,7 +303,7 @@ class TestAdvance:
         st = solver.steady_state(bc, t=0.0)
         ledgers = []
         for _ in range(20):
-            result = solver.advance(st, bc, leaks=leaks)
+            result = solver.advance(st, bc, 2.0, leaks=leaks)
             st = result.state
             ledgers.append(result.ledger)
         for before, after in zip(ledgers, ledgers[1:]):
@@ -312,7 +312,7 @@ class TestAdvance:
 
     def test_leak_global_mass_audit(self, water_like, ten_km_line):
         # flow-specified inlet; integrated (in - out - d linepack) -> q*T
-        solver = make_solver(water_like, ten_km_line, dt=1.0, extra_points=(5000.0,))
+        solver = make_solver(water_like, ten_km_line, extra_points=(5000.0,))
         bc = bc_fp(70.35, 6.7e5)
         q = 3.0
         leaks = [LeakEvent(position=5000.0, start_time=60.0, mass_rate=q)]
@@ -321,7 +321,7 @@ class TestAdvance:
         mass_in = mass_out = 0.0
         horizon = 600.0
         while st.t < horizon - 1e-9:
-            result = solver.advance(st, bc, leaks=leaks)
+            result = solver.advance(st, bc, 1.0, leaks=leaks)
             st = result.state
             mass_in += result.ledger.mass_in
             mass_out += result.ledger.mass_out
@@ -331,8 +331,8 @@ class TestAdvance:
     def test_mirror_symmetry(self, water_like):
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02,
                              U=0.0, Tg=300.0)
-        fwd = make_solver(water_like, pipe, dx=200.0, dt=1.0)
-        rev = make_solver(water_like, pipe, dx=200.0, dt=1.0)
+        fwd = make_solver(water_like, pipe, dx=200.0)
+        rev = make_solver(water_like, pipe, dx=200.0)
         series = TimeSeries([0.0, 30.0], [8.0e5, 8.6e5])
         bc_f = BoundaryConditions(
             inlet=BoundaryLeg("flow", TimeSeries.constant(70.35)),
@@ -349,8 +349,8 @@ class TestAdvance:
         sf = fwd.steady_state(bc_f)
         sr = rev.steady_state(bc_r)
         for _ in range(20):
-            sf = fwd.advance(sf, bc_f).state
-            sr = rev.advance(sr, bc_r).state
+            sf = fwd.advance(sf, bc_f, 1.0).state
+            sr = rev.advance(sr, bc_r, 1.0).state
             assert np.max(np.abs(sr.P - sf.P[::-1]) / sf.P[::-1]) < 1e-8
             assert np.max(np.abs(sr.V + sf.V[::-1])) < 1e-8 * np.max(np.abs(sf.V))
             assert np.max(np.abs(sr.T - sf.T[::-1])) < 1e-6
@@ -358,18 +358,18 @@ class TestAdvance:
     def test_energy_pure_advection_stays_uniform(self, water_like):
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=1e-12,
                              U=0.0, Tg=250.0)
-        solver = make_solver(water_like, pipe, dt=1.0)
+        solver = make_solver(water_like, pipe)
         bc = bc_fp(70.35, 8.0e5, T=300.0)
         st = solver.steady_state(bc)
         for _ in range(100):
-            st = solver.advance(st, bc).state
+            st = solver.advance(st, bc, 1.0).state
         assert np.max(np.abs(st.T - 300.0)) < 1e-4  # 1e-6 K per step budget
 
     def test_dt_override_changes_step(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line, dt=1.0)
+        solver = make_solver(water_like, ten_km_line)
         bc = bc_pp(1.0e6, 6.7e5)
         st = solver.steady_state(bc)
-        out = solver.advance(st, bc, dt=5.0)
+        out = solver.advance(st, bc, 5.0)
         assert out.state.t == pytest.approx(5.0)
 
 
@@ -494,7 +494,7 @@ class TestNewState:
         # from a step of the old one, halves its steps.
         dx, dt, p_slam, p_far = {"liquid": (100.0, 1.0, 2.0e6, 3.0e6),
                                  "gas": (2500.0, 2.0, 7.0e6, 9.0e6)}[fluid_kind]
-        solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+        solver = make_solver(fluid, pipe, dx=dx)
         solves = self._recorded(solver, monkeypatch)
         bc = bc_pp(p_in, p_out)
         slam = BoundaryConditions(
@@ -505,7 +505,7 @@ class TestNewState:
         states = [solver.steady_state(bc)]
         states.append(solver.steady_state(bc, initial_guess=states[0]))
         for _ in range(30):
-            states.append(solver.advance(states[-1], slam).state)
+            states.append(solver.advance(states[-1], slam, dt).state)
         states.append(solver.steady_state(bc_pp(p_far, p_out), initial_guess=states[2]))
         kept = [[getattr(st, f).copy() for f in ("P", "V", "T", "rho")] for st in states]
 
@@ -546,18 +546,13 @@ class TestNewState:
 
 
 class TestSettingsValidation:
-    def test_theta_bounds(self):
-        with pytest.raises(ConfigurationError):
-            SolverSettings(theta=0.3)
-        with pytest.raises(ConfigurationError):
-            SolverSettings(dt=-1.0)
-
     def test_leak_validation(self, water_like, ten_km_line):
         solver = make_solver(water_like, ten_km_line)
         bc = bc_pp(1.0e6, 6.7e5)
         st = solver.steady_state(bc)
         with pytest.raises(ConfigurationError, match="interior"):
-            solver.advance(st, bc, leaks=[LeakEvent(position=10.0, start_time=0.0, mass_rate=1.0)])
+            solver.advance(st, bc, 1.0,
+                           leaks=[LeakEvent(position=10.0, start_time=0.0, mass_rate=1.0)])
 
     def test_boundary_leg_kind(self):
         with pytest.raises(ConfigurationError):
@@ -567,7 +562,7 @@ class TestSettingsValidation:
 class TestFailureModes:
     def test_advance_into_negative_pressure_is_infeasible_state(self, water_like, ten_km_line):
         from linewatch.errors import InfeasibleStateError
-        solver = make_solver(water_like, ten_km_line, dt=1.0)
+        solver = make_solver(water_like, ten_km_line)
         bc0 = bc_pp(1.0e6, 6.7e5)
         st = solver.steady_state(bc0)
         # operator setpoint error: outlet pressure commanded below zero
@@ -578,17 +573,16 @@ class TestFailureModes:
         )
         with pytest.raises(InfeasibleStateError, match="node"):
             for _ in range(5):
-                st = solver.advance(st, bad).state
+                st = solver.advance(st, bad, 1.0).state
 
-    def test_solver_error_carries_residual_history(self, water_like, ten_km_line):
-        grid = discretize(ten_km_line, 100.0)
-        solver = PipeFlowSolver(ten_km_line, water_like, grid,
-                                SolverSettings(dt=1.0, newton_max_iter=1))
+    def test_solver_error_carries_residual_history(self, water_like, ten_km_line, monkeypatch):
+        solver = make_solver(water_like, ten_km_line)
         # the steady start needs more than one Newton iteration
-        st = PipeFlowSolver(ten_km_line, water_like, grid).steady_state(bc_pp(1.0e6, 6.7e5))
+        st = solver.steady_state(bc_pp(1.0e6, 6.7e5))
+        monkeypatch.setattr(hydraulics, "_NEWTON_MAX_ITER", 1)
         slam = bc_pp(2.5e6, 6.7e5)  # 15 bar slam: one iteration cannot converge
-        with pytest.raises(SolverError) as err:
-            solver.advance(st, slam)
+        with pytest.raises(SolverError, match="in 1 iterations") as err:
+            solver.advance(st, slam, 1.0)
         assert len(err.value.history) >= 1
         assert err.value.residual is not None
 
@@ -625,7 +619,7 @@ class TestFactorOnce:
         leak = [LeakEvent(position=4000.0, start_time=5.0, mass_rate=0.7)]
         st = base
         for _ in range(50):
-            st = solver.advance(st, bc, leaks=leak).state
+            st = solver.advance(st, bc, 1.0, leaks=leak).state
         for x in np.linspace(500.0, 9500.0, 20):
             solver.steady_state(bc, leaks=[LeakEvent(position=x, start_time=0.0, mass_rate=0.7)],
                                 initial_guess=base)
@@ -657,7 +651,7 @@ class TestFactorOnce:
         monkeypatch.setattr(PipeFlowSolver, "_jacobian", counting("builds", PipeFlowSolver._jacobian))
         steps = 50
         for _ in range(steps):
-            st = solver.advance(st, slam).state
+            st = solver.advance(st, slam, 1.0).state
 
         # The first transient step builds one Jacobian; the slam forces more.
         assert counts["builds"] >= 2
@@ -713,7 +707,7 @@ def _reference_residual(self, u, old, t_new, bc, q_new, q_old, steady, dt):
             th, invdt = 1.0, 0.0
             Po = Vo = To = rhoo = None
         else:
-            th, invdt = self.settings.theta, 1.0 / dt
+            th, invdt = _THETA, 1.0 / dt
             Po, Vo, To, rhoo = old
 
         def mid(a):
@@ -814,7 +808,7 @@ def _scheme_case(fluid_kind, legs, temperature_end, mode, leak, nodes, water_lik
         p_in, p_out, mdot = p_out, p_in, -mdot
     if nodes is not None:
         dx = pipe.length / (nodes - 1)
-    solver = make_solver(fluid, pipe, dx=dx, dt=dt)
+    solver = make_solver(fluid, pipe, dx=dx)
     assert nodes in (None, solver.N)
     ramp = lambda v: TimeSeries([0.0, 10.0 * dt], [v, 1.02 * v])
     inlet = BoundaryLeg("pressure", ramp(p_in)) if legs[0] == "p" else BoundaryLeg("flow", ramp(mdot))
@@ -834,7 +828,7 @@ def _scheme_case(fluid_kind, legs, temperature_end, mode, leak, nodes, water_lik
         res = solver._build_residual(bc, bc.at(st.t), q)
     else:
         old = solver.steady_state(bc, leaks=leaks)
-        st = solver.advance(old, bc, leaks=leaks).state
+        st = solver.advance(old, bc, dt, leaks=leaks).state
         q_new, q_old = solver._leak_cells(leaks, st.t), solver._leak_cells(leaks, old.t)
         assert (q_new != q_old).any() == leak
         fields = (old.P, old.V, old.T, old.rho)

@@ -13,7 +13,6 @@ from linewatch.hydraulics import (
     BoundaryLeg,
     LeakEvent,
     PipeFlowSolver,
-    SolverSettings,
     TimeSeries,
     modeled_profile,
 )
@@ -114,13 +113,12 @@ class _MiniLoop:
         )
         self.leaks = ([LeakEvent(position=leak_pos, start_time=120.0, mass_rate=leak_rate)]
                       if leak_rate else [])
-        self.plant = PipeFlowSolver(self.pipe, self.fluid, self.grid, SolverSettings(dt=1.0))
+        self.plant = PipeFlowSolver(self.pipe, self.fluid, self.grid)
         self.state = self.plant.steady_state(self.bc)
         self.noise = NoiseSpec(seed)
         self.poll_interval = poll_interval
         self.det = RtmDetector(self.pipe, self.fluid, self.grid, self.instruments,
-                               pol or policy(), poll_interval=poll_interval, drive=drive,
-                               fallback_temperature=300.0)
+                               pol or policy(), drive=drive, fallback_temperature=300.0)
         self.mangle = mangle
 
     def run(self, polls):
@@ -130,8 +128,8 @@ class _MiniLoop:
         self.det.observe(self._mangled(frame, 0))
         for k in range(1, polls + 1):
             for _ in range(5):
-                self.state = self.plant.advance(self.state, self.bc, leaks=self.leaks,
-                                                dt=self.poll_interval / 5).state
+                self.state = self.plant.advance(self.state, self.bc, self.poll_interval / 5,
+                                                leaks=self.leaks).state
             frame = sample(self.state, self.instruments, self.noise, self.state.t,
                            pipeline=self.pipe, nodes=nodes)
             self.det.observe(self._mangled(frame, k))
@@ -252,14 +250,13 @@ class TestShadowModel:
         loop = _MiniLoop()
         bad = [i for i in loop.instruments if i.id != "p_out"]
         with pytest.raises(ConfigurationError, match="pressure instrument"):
-            RtmDetector(loop.pipe, loop.fluid, loop.grid, bad, policy(), poll_interval=5.0)
+            RtmDetector(loop.pipe, loop.fluid, loop.grid, bad, policy())
 
     def test_flow_drive_requires_anchor(self):
         loop = _MiniLoop()
         bad = [i for i in loop.instruments if i.kind != "pressure"]
         with pytest.raises(ConfigurationError):
-            RtmDetector(loop.pipe, loop.fluid, loop.grid, bad, policy(),
-                        poll_interval=5.0, drive="flow")
+            RtmDetector(loop.pipe, loop.fluid, loop.grid, bad, policy(), drive="flow")
 
 
 # RtmDetector._step as it drove the shadow before the drive was built once
@@ -433,7 +430,7 @@ def exhaustive_scan(det, size, window):
         t_bc = det._hold.get(det.temperature_instrument.id, t_bc)
     bc = det._steady_bc(values, t_bc)
 
-    solver = PipeFlowSolver(det.pipeline, det.fluid, det.grid, det.solver.settings)
+    solver = PipeFlowSolver(det.pipeline, det.fluid, det.grid)
     ssr, guess = [], det._state
     for x in det.grid.node_positions[1:-1]:
         leak = LeakEvent(position=float(x), start_time=-np.inf, mass_rate=size)

@@ -91,13 +91,41 @@ class TestParsing:
         # the outlet flow meter moved to 2 km of 10 km: the meters no longer bracket the line
         ("instruments", lambda cfg: cfg["instruments"][1].update(position=2000.0),
          "balance: line balance needs a flow meter in each half of the line"),
+        # counts are whole numbers: 2.7 would be read as 2, -1 would turn refinement off
+        ("seed", lambda cfg: cfg.update(seed=1.5), "seed: expected a whole number, got 1.5"),
+        ("seed", lambda cfg: cfg.update(seed=-1), "seed: must be >= 0, got -1"),
+        ("rtm", {"consecutive_polls": 2.7},
+         "rtm.consecutive_polls: expected a whole number, got 2.7"),
+        ("rtm", {"consecutive_polls": 0}, "rtm.consecutive_polls: must be >= 1, got 0"),
+        ("rtm", {"min_indicators": 1.5}, "rtm.min_indicators: expected a whole number, got 1.5"),
+        ("rtm", {"smoothing_polls": 0}, "rtm.smoothing_polls: must be >= 1, got 0"),
+        ("rtm", {"staleness_polls": 1.5}, "rtm.staleness_polls: expected a whole number, got 1.5"),
+        ("rtm", {"refine_after_polls": -1}, "rtm.refine_after_polls: must be >= 0, got -1"),
+        ("telemetry", {"plausibility": {"flow": {"flatline_polls": 2.5}}},
+         "telemetry.plausibility.flow.flatline_polls: expected a whole number, got 2.5"),
+        ("rtm", {"flow_threshold": 0}, "rtm: voting thresholds must be > 0"),
+        ("solver", {"dt": 0}, "solver.dt: must be > 0, got 0.0"),
+        ("solver", {"dt": -1.0}, "solver.dt: must be > 0, got -1.0"),
+        ("solver", {"target_dx": 0}, "solver.target_dx: must be > 0, got 0.0"),
+        # with 5 s polls, 8 s would run to 10 s and 12.5 s would stop at 10 s
+        ("horizon", lambda cfg: cfg.update(horizon=8.0),
+         "horizon: 8.0 must be a multiple of telemetry.poll_interval 5.0"),
+        ("horizon", lambda cfg: cfg.update(horizon=12.5),
+         "horizon: 12.5 must be a multiple of telemetry.poll_interval 5.0"),
+        ("horizon", lambda cfg: cfg.update(horizon=math.nan), "<root>: horizon must be > 0"),
+        ("solver", {"dt": math.nan}, "solver.dt: must be > 0, got nan"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
             "availability_per_unit_not_a_number", "availability_chains_not_a_list",
             "availability_chain_not_a_name", "rtm_locate_window_zero",
             "rtm_staleness_negative", "flatline_polls_zero", "flatline_polls_negative",
-            "balance_meters_not_bracketing"])
+            "balance_meters_not_bracketing", "seed_fractional", "seed_negative",
+            "rtm_consecutive_fractional", "rtm_consecutive_zero", "rtm_min_indicators_fractional",
+            "rtm_smoothing_zero", "rtm_staleness_fractional", "rtm_refine_negative",
+            "flatline_polls_fractional", "rtm_flow_threshold_zero", "solver_dt_zero",
+            "solver_dt_negative", "solver_target_dx_zero", "horizon_past_a_poll",
+            "horizon_between_polls", "horizon_nan", "solver_dt_nan"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -530,6 +558,20 @@ class TestCli:
         assert main(["validate", str(self.write_cfg(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: rtm.{key}: unknown key")
 
+    @pytest.mark.parametrize("edit,path", [
+        (lambda c: c["solver"].update(theta=0.7), "solver.theta"),
+        (lambda c: c["solver"].update(newton_tol=1e-8), "solver.newton_tol"),
+        (lambda c: c["solver"].update(newton_max_iter=50), "solver.newton_max_iter"),
+        (lambda c: c.update(output={"dump_states": True}), "output"),
+    ], ids=["theta", "newton_tol", "newton_max_iter", "output"])
+    def test_removed_plant_settings_exit_2_naming_the_key(self, tmp_path, capsys, edit, path):
+        # The plant runs on the scheme's fixed settings; states are dumped by
+        # run --dump-states alone.
+        cfg = standard_config()
+        edit(cfg)
+        assert main(["validate", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: unknown key")
+
     def test_run_writes_outputs(self, tmp_path):
         cfg = standard_config(horizon=420.0)
         path = self.write_cfg(tmp_path, cfg)
@@ -567,13 +609,15 @@ class TestCli:
     def test_run_dump_states(self, tmp_path):
         cfg = standard_config(horizon=60.0)
         cfg["leaks"] = []
-        cfg["output"] = {"state_stride": 12}
         path = self.write_cfg(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["run", str(path), "-o", str(out), "--dump-states"]) == 0
         lines = (out / "states.dat").read_text().splitlines()
         assert lines[1].split() == ["t", "x", "P", "V", "T", "rho"]
-        assert len(lines) > 10
+        # the start and every 1 s plant step of the 60 s run
+        assert len({ln.split()[0] for ln in lines[2:]}) == 61
+        assert main(["run", str(path), "-o", str(tmp_path / "plain")]) == 0
+        assert not (tmp_path / "plain" / "states.dat").exists()
 
     def test_sweep_command(self, tmp_path):
         cfg = standard_config(horizon=420.0)
