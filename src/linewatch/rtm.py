@@ -349,9 +349,9 @@ class RtmDetector:
 
     def _step(self, frame):
         t0, t1 = self._state.t, frame.poll_time
-        if t1 < t0:
+        if t1 <= t0:
             raise ConfigurationError(
-                f"poll at t={t1} s comes before the shadow's t={t0} s: "
+                f"poll at t={t1} s does not come after the shadow's t={t0} s: "
                 "frames must arrive in poll order")
         for inst in (self.boundary_in, self.boundary_out):
             v = frame.good_value(inst.id)

@@ -6,14 +6,30 @@ policies.  ``run_scenario`` marches the plant model, synthesizes
 telemetry, feeds every enabled detector, and returns a RunReport with
 ground truth echoed next to each detector's verdict.  Runs are
 deterministic for a fixed seed.
+
+A run has two sides, as a pipeline's field and control room do.  The
+field side marches the plant, samples its SCADA and filters each frame;
+it reads nothing the detectors make.  The control-room side keeps the
+frames and feeds them to the RTM and line-balance detectors.  When fork
+is available and the process may use two or more CPUs, the field side
+runs in a forked child that streams its frames over a one-way pipe, so
+the two sides overlap; otherwise it runs in the same process.  The
+report is the same bytes either way; ``taskset -c 0`` keeps a run in one
+process.
 """
 
+import collections
+import contextlib
 import copy
 import hashlib
 import itertools
 import json
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -35,7 +51,8 @@ from .hydraulics import (
 )
 from .network import InstrumentPlacement, PipelineModel, Segment, discretize, end_flow_meters
 from .rtm import RtmDetector, VotingPolicy, combined_verdict
-from .telemetry import NoiseSpec, PlausibilityLimits, instrument_nodes, plausibility_filter, sample
+from .telemetry import (NoiseSpec, PlausibilityLimits, TelemetryFrame, instrument_nodes,
+                        plausibility_filter, sample)
 
 __all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "start_plant",
            "run_scenario", "sweep"]
@@ -615,54 +632,190 @@ def start_plant(scenario: Scenario):
     return grid, scada, plant, state, rtm_det, bal_det
 
 
-def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
-    """March the plant, feed the detectors, and collect their report sections;
-    with ``dump_states`` the report also keeps the plant state of every step."""
-    s = scenario
-    grid, scada, plant, state, rtm_det, bal_det = start_plant(s)
-    scada_nodes = instrument_nodes(grid.node_positions, scada)
+_SOLVER_FAILURES = (SolverError, InfeasibleScenarioError, InfeasibleStateError)
+
+# Polls per message from a forked field side to the detectors.
+_BATCH_POLLS = 16
+
+
+class _Poll(NamedTuple):
+    """One record of a run's field side.  ``ledger`` is (largest step
+    mass-ledger residual, the same relative to linepack, linepack of the
+    latest plant state) so far; ``states`` holds the plant states since the
+    previous record, with ``dump_states`` only.  The closing record has no
+    frame and carries the plant's solver failure, if any."""
+
+    frame: Optional[TelemetryFrame]
+    ledger: tuple
+    states: list
+    failure: Optional[str] = None
+
+
+def _field_side(s, grid, scada, plant, state, dump_states):
+    """March the plant, sample its SCADA and filter each frame: one _Poll
+    per poll, then the closing _Poll.  Reads nothing the detectors make."""
+    nodes = instrument_nodes(grid.node_positions, scada)
     noise = NoiseSpec(s.seed)
     # The rate rule looks back over these frames for the last good reading;
     # the flatline rule needs flatline_polls - 1 of them.
-    history = max([64] + [lim.flatline_polls - 1 for lim in s.plausibility.values()
-                          if lim.flatline_polls is not None])
+    recent = collections.deque(maxlen=max(
+        [64] + [lim.flatline_polls - 1 for lim in s.plausibility.values()
+                if lim.flatline_polls is not None]))
+
+    def poll(st):
+        frame = sample(st, scada, noise, st.t, pipeline=s.pipeline, nodes=nodes)
+        frame = plausibility_filter(frame, recent, s.plausibility, scada)
+        recent.append(frame)
+        return frame
 
     steps_per_poll = round(s.poll_interval / s.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
-    frames: List = []
-    states: List[GridState] = []
-    max_ledger_residual = 0.0
-    max_ledger_relative = 0.0
-    solver_failure = None
-
-    def do_poll(st):
-        frame = sample(st, scada, noise, st.t, pipeline=s.pipeline, nodes=scada_nodes)
-        frame = plausibility_filter(frame, frames[-history:], s.plausibility, scada)
-        frames.append(frame)
-        lp_est = None
-        if rtm_det is not None:
-            lp_est = rtm_det.observe(frame).shadow_linepack
-        if bal_det is not None:
-            bal_det.observe(frame, lp_est)
-
-    do_poll(state)
-    if dump_states:
-        states.append(state)
+    max_residual = max_relative = 0.0
+    lp = linepack(state, s.pipeline)
+    yield _Poll(poll(state), (max_residual, max_relative, lp), [state] if dump_states else [])
+    states = []
+    failure = None
     try:
         for _ in range(n_polls):
             for _ in range(steps_per_poll):
                 result = plant.advance(state, s.bc, s.dt, leaks=s.leaks)
                 state = result.state
                 res = abs(result.ledger.residual)
-                max_ledger_residual = max(max_ledger_residual, res)
-                max_ledger_relative = max(
-                    max_ledger_relative, res / max(result.ledger.linepack_end, 1e-12)
-                )
+                lp = result.ledger.linepack_end
+                max_residual = max(max_residual, res)
+                max_relative = max(max_relative, res / max(lp, 1e-12))
                 if dump_states:
                     states.append(state)
-            do_poll(state)
-    except (SolverError, InfeasibleScenarioError, InfeasibleStateError) as e:
-        solver_failure = f"{type(e).__name__}: {e}"
+            yield _Poll(poll(state), (max_residual, max_relative, lp), states)
+            states = []
+    except _SOLVER_FAILURES as e:
+        failure = f"{type(e).__name__}: {e}"
+    yield _Poll(None, (max_residual, max_relative, lp), states, failure)
+
+
+def _may_fork():
+    """Whether a run may put its field side in a forked process: the
+    platform forks, this process may use two or more CPUs, it runs no
+    other thread (a lock another thread holds at the fork stays held in
+    the child), and it is not a daemonic multiprocessing worker (which may
+    start no process)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return False
+    mp = sys.modules.get("multiprocessing")
+    return mp is None or not mp.current_process().daemon
+
+
+def _forked(records):
+    """Iterate ``records`` in a forked child, which streams them here in
+    batches over a one-way pipe.  An exception the child raised is raised
+    here, after the records before it.  Closing this generator early stops
+    the child; the child is joined whenever this generator ends."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_produce, args=(records, reader, writer), daemon=True)
+    try:
+        child.start()
+    except OSError:  # no process to be had: run the field side here
+        reader.close()
+        writer.close()
+        yield from records
+        return
+    writer.close()
+    finished = False
+    try:
+        while not finished:
+            try:
+                batch = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the field-side process exited with code {child.exitcode}") from None
+            for rec in batch:
+                if isinstance(rec, BaseException):
+                    raise rec
+                finished = rec.frame is None
+                yield rec
+    finally:
+        if not finished:
+            child.terminate()
+        reader.close()
+        child.join()
+
+
+def _produce(records, reader, writer):
+    """Body of the forked child: send ``records`` in batches of
+    _BATCH_POLLS, ending with the exception they raised, if any; exit
+    quietly once the parent stops reading."""
+    import signal
+
+    reader.close()
+    # Ctrl-C reaches the whole process group; the parent stops this child.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    batch = []
+    try:
+        for rec in _with_exception(records):
+            batch.append(rec)
+            if len(batch) == _BATCH_POLLS:
+                writer.send(batch)
+                batch = []
+        writer.send(batch)
+    except BrokenPipeError:
+        pass
+
+
+def _with_exception(records):
+    """``records``, then, if they raise, the exception as the last item:
+    itself if it survives pickling, else a RuntimeError naming it."""
+    try:
+        yield from records
+    except Exception as e:
+        try:
+            pickle.loads(pickle.dumps(e))
+        except Exception:
+            e = RuntimeError(f"{type(e).__name__}: {e}")
+        yield e
+
+
+def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
+    """March the plant, feed the detectors, and collect their report sections;
+    with ``dump_states`` the report also keeps the plant state of every step.
+
+    The field side (:func:`_field_side`) runs in a forked process when
+    :func:`_may_fork` allows, else in this one; the report is the same bytes
+    either way."""
+    s = scenario
+    grid, scada, plant, state, rtm_det, bal_det = start_plant(s)
+    records = _field_side(s, grid, scada, plant, state, dump_states)
+    frames: List = []
+    states: List[GridState] = []
+    solver_failure = None
+
+    def observe(rec):
+        states.extend(rec.states)
+        frames.append(rec.frame)
+        lp_est = None
+        if rtm_det is not None:
+            lp_est = rtm_det.observe(rec.frame).shadow_linepack
+        if bal_det is not None:
+            bal_det.observe(rec.frame, lp_est)
+
+    with contextlib.closing(_forked(records) if _may_fork() else records) as feed:
+        rec = next(feed)
+        observe(rec)  # a failure at the first poll is the set-up's and propagates
+        try:
+            for rec in feed:
+                if rec.frame is None:
+                    states.extend(rec.states)
+                    solver_failure = rec.failure
+                    break
+                observe(rec)
+        except _SOLVER_FAILURES as e:
+            solver_failure = f"{type(e).__name__}: {e}"
+    max_ledger_residual, max_ledger_relative, final_linepack = rec.ledger
 
     rtm_report = rtm_det.report() if rtm_det else {"enabled": False}
     balance_report = bal_det.report() if bal_det else {"enabled": False}
@@ -695,7 +848,7 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
         mass_ledger={
             "max_step_residual_kg": max_ledger_residual,
             "max_step_residual_relative": max_ledger_relative,
-            "final_linepack_kg": linepack(state, s.pipeline),
+            "final_linepack_kg": final_linepack,
         },
         run={
             "horizon": s.horizon,

@@ -345,6 +345,15 @@ class TestShadowTargets:
         with pytest.raises(ConfigurationError, match="poll order"):
             loop.det.observe(early)
 
+    def test_second_frame_at_the_same_poll_time_rejected(self):
+        loop = _MiniLoop()
+        loop.run(2)
+        nodes = instrument_nodes(loop.grid.node_positions, loop.instruments)
+        again = sample(loop.state, loop.instruments, loop.noise, loop.state.t,
+                       pipeline=loop.pipe, nodes=nodes)
+        with pytest.raises(ConfigurationError, match="poll order"):
+            loop.det.observe(again)
+
     def test_observe_builds_no_boundary_objects_after_initialisation(self, monkeypatch):
         counts = collections.Counter()
         seen = {"polls": 0, "observing": False}

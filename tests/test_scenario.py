@@ -1,8 +1,14 @@
+import contextlib
 import copy
 import csv
+import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +16,14 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
 from conftest import set_noise_scale, standard_config
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError
 from linewatch.fluid import GasEos
+from linewatch.hydraulics import linepack
+from linewatch.rtm import RtmDetector
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, sweep
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
@@ -691,28 +700,28 @@ class TestSpecInvariantsEndToEnd:
         assert report.rtm["declared_time"] <= report.balance["first_alarm_time"]
 
 
+def _vacuum_outlet_cfg():
+    """The standard line, leak-free, whose outlet is driven below vacuum at
+    t ~ 200 s: the plant stops mid-run."""
+    cfg = standard_config(horizon=600.0)
+    cfg["leaks"] = []
+    cfg["boundaries"]["outlet"] = {
+        "kind": "pressure", "series": [[0.0, 6.7e5], [180.0, 6.7e5], [220.0, -5.0e4]],
+    }
+    return cfg
+
+
 class TestPartialFailure:
     def test_mid_run_solver_failure_yields_partial_report(self):
-        cfg = standard_config(horizon=600.0)
-        cfg["leaks"] = []
-        # operator drives the outlet below vacuum at t ~ 200 s
-        cfg["boundaries"]["outlet"] = {
-            "kind": "pressure", "series": [[0.0, 6.7e5], [180.0, 6.7e5], [220.0, -5.0e4]],
-        }
-        report = run_scenario(scenario_from_dict(cfg))
+        report = run_scenario(scenario_from_dict(_vacuum_outlet_cfg()))
         assert report.run["solver_failure"] is not None
         assert "node" in report.run["solver_failure"]
         assert 0 < report.run["polls"] < 600.0 / 5.0 + 1  # stopped early, kept what it had
         assert not report.rtm["declared"]
 
     def test_cli_exit_code_on_solver_failure(self, tmp_path):
-        cfg = standard_config(horizon=600.0)
-        cfg["leaks"] = []
-        cfg["boundaries"]["outlet"] = {
-            "kind": "pressure", "series": [[0.0, 6.7e5], [180.0, 6.7e5], [220.0, -5.0e4]],
-        }
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        path.write_text(yaml.safe_dump(_vacuum_outlet_cfg()))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
 
     def test_flow_against_the_temperature_end_is_rejected_at_start(self, tmp_path, capsys):
@@ -728,6 +737,198 @@ class TestPartialFailure:
         err = capsys.readouterr().err
         assert "inlet pressure 1000000 Pa" in err and "outlet pressure 670000 Pa" in err
         assert "static head of the 60 m rise" in err
+
+
+_FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+DEMOS = Path(__file__).parent.parent / "demos" / "scenarios"
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@_FORKS
+class TestFieldSideTransports:
+    """The field side in a forked child and in the run's own process give
+    the same bytes; the transport is picked by the CPU/fork check alone."""
+
+    @staticmethod
+    def _outputs(path, out, monkeypatch, forked):
+        monkeypatch.setattr(scenario_module, "_may_fork", lambda: forked)
+        assert main(["run", str(path), "--dump-states", "-o", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("name", ["standard_leak.yaml", "gas_line.yaml"])
+    def test_outputs_byte_identical(self, name, tmp_path, monkeypatch):
+        here = self._outputs(DEMOS / name, tmp_path / "here", monkeypatch, False)
+        forked = self._outputs(DEMOS / name, tmp_path / "forked", monkeypatch, True)
+        assert {"report.json", "telemetry.csv", "rtm_trace.csv", "states.dat"} <= set(here)
+        assert list(here) == list(forked)
+        for f in here:
+            assert here[f] == forked[f], f
+
+    def test_no_fork_beside_another_thread(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert not scenario_module._may_fork()
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+
+    def test_no_fork_in_a_daemonic_worker(self):
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=lambda: writer.send(scenario_module._may_fork()),
+                             daemon=True)
+        worker.start()
+        try:
+            assert reader.poll(60) and reader.recv() is False
+        finally:
+            worker.join(60)
+            reader.close()
+            writer.close()
+        assert worker.exitcode == 0
+
+    @staticmethod
+    def _run_both(cfg, monkeypatch):
+        budget = hydraulics._NEWTON_MAX_ITER
+        reports = []
+        for forked in (False, True):
+            monkeypatch.setattr(hydraulics, "_NEWTON_MAX_ITER", budget)
+            monkeypatch.setattr(scenario_module, "_may_fork", lambda: forked)
+            reports.append(run_scenario(scenario_from_dict(copy.deepcopy(cfg)), dump_states=True))
+        return reports
+
+    @staticmethod
+    def _assert_same(here, forked):
+        assert here.to_json() == forked.to_json()
+        assert repr(here.rtm_records) == repr(forked.rtm_records)
+        assert repr(here.frames) == repr(forked.frames)
+        assert len(here.states) == len(forked.states)
+        for a, b in zip(here.states, forked.states):
+            assert a.t == b.t
+            for f in ("P", "V", "T", "rho"):
+                assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+
+    def test_plant_failure_mid_run(self, monkeypatch):
+        here, forked = self._run_both(_vacuum_outlet_cfg(), monkeypatch)
+        assert "node" in here.run["solver_failure"]
+        assert 2 < here.run["polls"] < 121
+        self._assert_same(here, forked)
+
+    def test_one_newton_iteration_after_the_steady_starts(self, monkeypatch):
+        # Both steady starts get the full Newton budget; every step after
+        # them gets one iteration, so the run stops early on whichever side
+        # fails first, with the field side free to run ahead.
+        advance = hydraulics.PipeFlowSolver.advance
+
+        def one_iteration(self, *args, **kwargs):
+            hydraulics._NEWTON_MAX_ITER = 1
+            return advance(self, *args, **kwargs)
+
+        monkeypatch.setattr(hydraulics.PipeFlowSolver, "advance", one_iteration)
+        cfg = standard_config(horizon=300.0)
+        pipeline = scenario_from_dict(cfg).pipeline
+        reports = self._run_both(cfg, monkeypatch)
+        for report in reports:
+            assert "in 1 iterations" in report.run["solver_failure"]
+            # the plant's record stops at the last poll observed, 5 steps a poll
+            assert len(report.states) == 1 + 5 * (report.run["polls"] - 1) < 300
+            assert report.mass_ledger["final_linepack_kg"] == linepack(report.states[-1], pipeline)
+            assert report.mass_ledger["max_step_residual_kg"] > 0.0
+        self._assert_same(*reports)
+
+
+@_FORKS
+class TestFieldSideLifecycle:
+    """A forked field side is joined on every path, and no path hangs."""
+
+    @pytest.fixture(autouse=True)
+    def forked(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_may_fork", lambda: True)
+        with _deadline(60):
+            yield
+        assert multiprocessing.active_children() == []
+
+    def test_normal_run(self):
+        report = run_scenario(scenario_from_dict(standard_config(horizon=180.0)))
+        assert report.run["solver_failure"] is None and report.run["polls"] == 37
+
+    @staticmethod
+    def _failing_sample(monkeypatch, exc):
+        real = scenario_module.sample
+
+        def sample(state, *args, **kwargs):
+            if state.t >= 15.0:
+                raise exc
+            return real(state, *args, **kwargs)
+        monkeypatch.setattr(scenario_module, "sample", sample)
+
+    def test_field_side_exception_is_raised_with_its_type(self, monkeypatch):
+        self._failing_sample(monkeypatch, ZeroDivisionError("sampled at poll 3"))
+        with pytest.raises(ZeroDivisionError, match="sampled at poll 3"):
+            run_scenario(scenario_from_dict(standard_config(horizon=180.0)))
+
+    def test_unpicklable_field_side_exception_keeps_its_name(self, monkeypatch):
+        class Unpicklable(Exception):
+            def __init__(self, message, code):
+                super().__init__(message)
+
+        self._failing_sample(monkeypatch, Unpicklable("sampled at poll 3", 7))
+        with pytest.raises(RuntimeError, match="Unpicklable: sampled at poll 3"):
+            run_scenario(scenario_from_dict(standard_config(horizon=180.0)))
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_detector_side_exception_stops_the_child(self, exc, monkeypatch):
+        real = RtmDetector.observe
+        polls = []
+
+        def observe(det, frame):
+            polls.append(frame.poll_time)
+            if len(polls) == 6:
+                raise exc("observed poll 5")
+            return real(det, frame)
+        monkeypatch.setattr(RtmDetector, "observe", observe)
+        # An hour of frames overfills the pipe: a child left running would
+        # block on it for good.
+        with pytest.raises(exc, match="observed poll 5"):
+            run_scenario(scenario_from_dict(standard_config(horizon=3600.0)))
+
+    def test_run_stays_in_process_when_fork_fails(self, monkeypatch):
+        def no_process(self):
+            raise OSError("no process to be had")
+        cfg = standard_config(horizon=180.0)
+        forked = run_scenario(scenario_from_dict(cfg))
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", no_process)
+        assert run_scenario(scenario_from_dict(cfg)).to_json() == forked.to_json()
+
+    def test_child_exits_when_the_parent_stops_reading(self):
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        endless = itertools.repeat(scenario_module._Poll(None, (0.0, 0.0, 0.0), [0.0] * 1000))
+        child = ctx.Process(target=scenario_module._produce, args=(endless, reader, writer))
+        child.start()
+        writer.close()
+        reader.close()
+        try:
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+            child.join()
 
 
 class TestSimpleBalanceStandalone:
