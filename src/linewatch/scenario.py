@@ -24,6 +24,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import sys
@@ -72,14 +73,20 @@ _READING_DIMS = {
     "temperature": ("temperature", "temperature difference"),
 }
 
+# The ``default`` that tells _Path.number a key is absent, not null.
+_ABSENT = object()
+
 
 class _Path:
     """Field-path bookkeeping so config errors name the offending entry.
 
-    ``units`` maps a field dimension to the (factor, offset) that takes a
-    value written in the scenario's declared units to SI.  ``read`` is the
-    set of key paths the parsers have asked for, shared by the whole tree,
-    so keys nobody read can be reported.
+    This is the one place where a scenario value becomes a float and is
+    checked: :meth:`real` converts every number the parsers read, and
+    :meth:`build` makes a model's own checks name the field it was built
+    from.  ``units`` maps a field dimension to the (factor, offset) that
+    takes a value written in the scenario's declared units to SI.  ``read``
+    is the set of key paths the parsers have asked for, shared by the whole
+    tree, so keys nobody read can be reported.
     """
 
     def __init__(self, raw, path="", units=None, read=None):
@@ -115,22 +122,11 @@ class _Path:
         return [_Path(v, f"{self.path}[{i}]", self.units, self.read)
                 for i, v in enumerate(self.raw)]
 
-    def number(self, key, default=None, required=False, dim=None):
-        """Field ``key`` as a float in SI; ``dim`` names its dimension.
-
-        ``dim`` is one of ``pressure``, ``length``, ``1/length``,
-        ``temperature`` (absolute, converted with its offset),
-        ``temperature difference`` (no offset) or None (always SI).
-        Defaults are SI and never converted.
-        """
-        v = self.child(key, None, required).raw
-        if v is None:
-            return default
-        try:
-            v = float(v)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{self._join(key)}: expected a number, got {v!r}")
-        return self.to_si(v, dim)
+    def number(self, key, default=None, required=False, dim=None, above=None):
+        """Field ``key`` as :meth:`real`, or ``default`` (SI, never converted
+        or checked) when the key is absent."""
+        node = self.child(key, _ABSENT, required)
+        return default if node.raw is _ABSENT else node.real(dim, above)
 
     def integer(self, key, default=None, least=None):
         """Field ``key`` as an int: a whole number, at least ``least``."""
@@ -148,16 +144,36 @@ class _Path:
         """This ``[x, y]`` entry as SI floats; ``dims`` names each one's dimension."""
         if not isinstance(self.raw, (list, tuple)) or len(self.raw) != 2:
             self.error(f"expected a [number, number] pair, got {self.raw!r}")
-        try:
-            return tuple(self.to_si(float(v), dim) for v, dim in zip(self.raw, dims))
-        except (TypeError, ValueError):
-            self.error(f"expected a [number, number] pair, got {self.raw!r}")
+        return tuple(item.real(dim) for item, dim in zip(self.items(), dims))
 
-    def to_si(self, value, dim):
-        if dim is None:
-            return value
-        factor, offset = self.units[dim]
-        return value * factor + offset
+    def real(self, dim=None, above=None):
+        """This entry as a finite float in SI, greater than ``above`` if given.
+
+        ``dim`` is one of ``pressure``, ``length``, ``1/length``,
+        ``temperature`` (absolute, converted with its offset),
+        ``temperature difference`` (no offset) or None (always SI).  A
+        numeric string counts (PyYAML reads ``5.0e6`` as one); null, a
+        boolean, NaN and infinity do not.
+        """
+        try:
+            v = float(self.raw)
+        except (TypeError, ValueError, OverflowError):
+            v = math.nan
+        if dim is not None:
+            factor, offset = self.units[dim]
+            v = v * factor + offset
+        if isinstance(self.raw, bool) or not math.isfinite(v):
+            self.error(f"expected a number, got {self.raw!r}")
+        if above is not None and not v > above:
+            self.error(f"must be > {above}, got {v}")
+        return v
+
+    def multiple_of(self, key, value, other, step):
+        """Fail at field ``key`` unless its ``value`` is a whole multiple (one
+        or more) of ``step``, the value of the field at path ``other``."""
+        ratio = value / step
+        if not (math.isfinite(ratio) and ratio >= 0.5 and abs(ratio - round(ratio)) <= 1e-9):
+            self.child(key).error(f"{value} must be a multiple of {other} {step}")
 
     def _join(self, key):
         return f"{self.path}.{key}" if self.path else str(key)
@@ -285,16 +301,10 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
 
     name = str(root.get("name", "scenario"))
     seed = root.integer("seed", 0, least=0)
-    horizon = root.number("horizon", required=True)
-    if not horizon > 0:   # NaN included
-        root.error("horizon must be > 0")
+    horizon = root.number("horizon", required=True, above=0)
     tele = root.child("telemetry")
-    poll_interval = tele.number("poll_interval", 5.0)
-    if not poll_interval > 0:
-        tele.error("poll_interval must be > 0")
-    if abs(horizon / poll_interval - round(horizon / poll_interval)) > 1e-9:
-        root.child("horizon").error(
-            f"{horizon} must be a multiple of telemetry.poll_interval {poll_interval}")
+    poll_interval = tele.number("poll_interval", 5.0, above=0)
+    root.multiple_of("horizon", horizon, "telemetry.poll_interval", poll_interval)
 
     fluid = _parse_fluid(root.child("fluid", required=True))
     pipeline = _parse_pipeline(root.child("pipeline", required=True))
@@ -304,23 +314,20 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     plaus = _parse_plausibility(tele.child("plausibility"))
 
     sol = root.child("solver")
-    dt = sol.number("dt", min(1.0, poll_interval))
-    target_dx = sol.number("target_dx", pipeline.length / 100.0, dim="length")
-    for key, value in (("dt", dt), ("target_dx", target_dx)):
-        if not value > 0:
-            sol.child(key).error(f"must be > 0, got {value}")
-    if abs(poll_interval / dt - round(poll_interval / dt)) > 1e-9:
-        sol.error(f"poll_interval {poll_interval} must be a multiple of dt {dt}")
+    dt = sol.number("dt", min(1.0, poll_interval), above=0)
+    target_dx = sol.number("target_dx", pipeline.length / 100.0, dim="length", above=0)
+    tele.multiple_of("poll_interval", poll_interval, "solver.dt", dt)
 
     # Reject operation near a declared critical point over the BC envelope.
     for leg in (bc.inlet, bc.outlet):
         if leg.kind == "pressure":
-            for p in leg.series.values:
-                for t in bc.temperature.values:
-                    assert_off_critical(fluid, float(p), float(t))
+            for p in leg.series.values.tolist():
+                for t in bc.temperature.values.tolist():
+                    root.child("boundaries").build(assert_off_critical, fluid=fluid, P=p, T=t)
 
     rtm_cfg = _parse_rtm(root.child("rtm"), instruments)
-    balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg, pipeline.length)
+    balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg, pipeline.length,
+                                 poll_interval)
     acoustic_cfg = _parse_acoustic(root.child("acoustic"), fluid, pipeline)
     avail_cfg = _parse_availability(root.child("availability"))
 
@@ -427,7 +434,8 @@ def _parse_instruments(node, pipeline):
     for item in node.items():
         kind = str(item.child("kind", required=True).raw)
         _, diff = _READING_DIMS.get(kind, (None, None))
-        inst = InstrumentPlacement(
+        inst = item.build(
+            InstrumentPlacement,
             id=str(item.child("id", required=True).raw),
             kind=kind,
             position=item.number("position", required=True, dim="length"),
@@ -445,28 +453,28 @@ def _parse_instruments(node, pipeline):
 
 
 def _series_from(node, dim):
-    if node.get("series") is not None:
-        pts = [pt.pair((None, dim)) for pt in node.child("series").items()]
-        # TimeSeries holds its end values constant outside the sampled
-        # range, so a series need not reach the horizon.
-        return TimeSeries([t for t, _ in pts], [v for _, v in pts])
-    value = node.number("value", required=True, dim=dim)
-    return TimeSeries.constant(value)
+    if node.get("series") is None:
+        return node.build(TimeSeries.constant,
+                          value=node.number("value", required=True, dim=dim))
+    series = node.child("series")
+    pts = [pt.pair((None, dim)) for pt in series.items()]
+    # TimeSeries holds its end values constant outside the sampled
+    # range, so a series need not reach the horizon.
+    return series.build(TimeSeries, times=[t for t, _ in pts], values=[v for _, v in pts])
 
 
 def _parse_boundaries(node):
     def leg(end):
         child = node.child(end, required=True)
         kind = child.get("kind")
-        if kind not in ("pressure", "flow"):
-            child.error("kind must be 'pressure' or 'flow'")
-        return BoundaryLeg(kind, _series_from(child, "pressure" if kind == "pressure" else None))
+        return child.build(BoundaryLeg, kind=kind,
+                           series=_series_from(child, "pressure" if kind == "pressure" else None))
 
-    temp_node = node.child("temperature", required=True)
-    return BoundaryConditions(
+    return node.build(
+        BoundaryConditions,
         inlet=leg("inlet"),
         outlet=leg("outlet"),
-        temperature=_series_from(temp_node, "temperature"),
+        temperature=_series_from(node.child("temperature", required=True), "temperature"),
         temperature_end=node.get("temperature_end", "inlet"),
     )
 
@@ -474,15 +482,15 @@ def _parse_boundaries(node):
 def _parse_leaks(node, pipeline, horizon):
     leaks = []
     for item in node.items():
-        leak = LeakEvent(
+        leak = item.build(
+            LeakEvent,
             position=item.number("position", required=True, dim="length"),
-            start_time=item.number("start_time", required=True),
+            # the run starts from a leak-free steady state
+            start_time=item.number("start_time", required=True, above=0),
             mass_rate=item.number("mass_rate", required=True),
         )
         if not 0.0 < leak.position < pipeline.length:
             item.error("leak position must be strictly inside the line")
-        if leak.start_time <= 0:
-            item.error("leak start_time must be > 0 (the run starts from a leak-free steady state)")
         if leak.start_time >= horizon:
             item.error(f"leak start_time {leak.start_time} is beyond the horizon {horizon}")
         leaks.append(leak)
@@ -499,10 +507,12 @@ def _parse_plausibility(node):
             continue
         flat = child.integer("flatline_polls", least=2)
         value, diff = _READING_DIMS.get(kind, (None, None))
-        limits[kind] = PlausibilityLimits(
+        limits[kind] = child.build(
+            PlausibilityLimits,
             min_value=child.number("min", -np.inf, dim=value),
             max_value=child.number("max", np.inf, dim=value),
-            max_rate=child.number("max_rate", np.inf, dim=diff),
+            # 0 or less would flag every reading that moves
+            max_rate=child.number("max_rate", np.inf, dim=diff, above=0),
             flatline_polls=flat,
         )
     return limits
@@ -545,7 +555,7 @@ def _given(**fields):
     return {k: v for k, v in fields.items() if v is not None}
 
 
-def _parse_balance(node, instruments, rtm_cfg, length):
+def _parse_balance(node, instruments, rtm_cfg, length, poll_interval):
     if _disabled(node):
         return None
     flow_in, flow_out = end_flow_meters(instruments, length)
@@ -556,16 +566,14 @@ def _parse_balance(node, instruments, rtm_cfg, length):
         node.child("mode").error(f"must be 'model' or 'simple', got {mode!r}")
     if mode == "model" and rtm_cfg is None:
         node.error("balance mode 'model' needs the RTM shadow model enabled")
-    window = node.number("window", 3600.0)
-    threshold = node.number("threshold", required=True)
-    for key, value in (("window", window), ("threshold", threshold)):
-        if value <= 0:
-            node.child(key).error(f"must be > 0, got {value}")
+    # A window ends at a poll, so any other length would be rounded up to one.
+    window = node.number("window", 3600.0, above=0)
+    node.multiple_of("window", window, "telemetry.poll_interval", poll_interval)
     return {
         "flow_in_id": flow_in.id,
         "flow_out_id": flow_out.id,
         "window_duration": window,
-        "threshold": threshold,
+        "threshold": node.number("threshold", required=True, above=0),
         "mode": mode,
     }
 
@@ -575,23 +583,21 @@ def _parse_acoustic(node, fluid, pipeline):
         return None
     sensors = []
     for item in node.child("sensors", required=True).items():
-        sensors.append(
-            ac.AcousticSensor(
-                id=str(item.child("id", required=True).raw),
-                position=item.number("position", required=True, dim="length"),
-                trigger_threshold=item.number("threshold", required=True, dim="pressure"),
-                timestamp_resolution=item.number("resolution", 0.0),
-            )
-        )
+        sensors.append(item.build(
+            ac.AcousticSensor,
+            id=str(item.child("id", required=True).raw),
+            position=item.number("position", required=True, dim="length"),
+            trigger_threshold=item.number("threshold", required=True, dim="pressure"),
+            timestamp_resolution=item.number("resolution", 0.0),
+        ))
         if not 0.0 <= sensors[-1].position <= pipeline.length:
             item.error("sensor position outside the line")
-    wave = ac.WaveModel(
+    wave = node.build(
+        ac.WaveModel,
         speed=node.number("speed", fluid.sound_speed_hint),
         attenuation=node.number("attenuation", 0.0, dim="1/length"),
     )
-    amplitude = node.number("initial_amplitude", required=True, dim="pressure")
-    if amplitude <= 0:
-        node.child("initial_amplitude").error(f"must be > 0, got {amplitude}")
+    amplitude = node.number("initial_amplitude", required=True, dim="pressure", above=0)
     return {"sensors": sensors, "wave": wave, "initial_amplitude": amplitude}
 
 

@@ -83,6 +83,10 @@ class PlausibilityLimits:
     max_rate: float = np.inf          # instrument units per second
     flatline_polls: Optional[int] = None  # identical-value run length; None = off
 
+    def __post_init__(self):
+        if not self.min_value <= self.max_value:   # else every reading is flagged
+            raise ConfigurationError(f"min {self.min_value} must be <= max {self.max_value}")
+
 
 def instrument_nodes(x, instruments):
     """Grid node index of each polled instrument, in order, for :func:`sample`.

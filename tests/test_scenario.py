@@ -29,6 +29,28 @@ from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
 
 
+SHIPPED_STANDARD = Path(__file__).parents[1] / "demos" / "scenarios" / "standard_leak.yaml"
+
+
+def _leaves(raw, path="", keys=()):
+    """(field path, key sequence, value) of every scalar under ``raw``."""
+    if isinstance(raw, (dict, list)):
+        for key, value in (raw.items() if isinstance(raw, dict) else enumerate(raw)):
+            sub = f"{path}[{key}]" if isinstance(raw, list) else (
+                f"{path}.{key}" if path else str(key))
+            yield from _leaves(value, sub, keys + (key,))
+    else:
+        yield path, keys, raw
+
+
+def _is_number(value):
+    """Whether a scenario reads ``value`` as a number (PyYAML reads 5.0e6 as text)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
+
+
 class TestParsing:
     def test_standard_config_parses(self):
         s = scenario_from_dict(standard_config())
@@ -121,8 +143,54 @@ class TestParsing:
          "horizon: 8.0 must be a multiple of telemetry.poll_interval 5.0"),
         ("horizon", lambda cfg: cfg.update(horizon=12.5),
          "horizon: 12.5 must be a multiple of telemetry.poll_interval 5.0"),
-        ("horizon", lambda cfg: cfg.update(horizon=math.nan), "<root>: horizon must be > 0"),
-        ("solver", {"dt": math.nan}, "solver.dt: must be > 0, got nan"),
+        ("horizon", lambda cfg: cfg.update(horizon=math.nan),
+         "horizon: expected a number, got nan"),
+        ("solver", {"dt": math.nan}, "solver.dt: expected a number, got nan"),
+        # every positivity check has one format
+        ("horizon", lambda cfg: cfg.update(horizon=0), "horizon: must be > 0, got 0.0"),
+        ("telemetry", {"poll_interval": -5}, "telemetry.poll_interval: must be > 0, got -5.0"),
+        # a model's own checks name the entry it was built from
+        ("boundaries", lambda cfg: cfg["boundaries"]["inlet"].update(kind="head"),
+         "boundaries.inlet: boundary kind must be pressure or flow, got 'head'"),
+        ("boundaries", lambda cfg: cfg["boundaries"].update(
+            inlet={"kind": "pressure", "series": [[60.0, 1.0e6], [0.0, 1.1e6]]}),
+         "boundaries.inlet.series: time series times must be non-decreasing"),
+        ("boundaries", lambda cfg: cfg["boundaries"].update(
+            inlet={"kind": "pressure", "series": []}),
+         "boundaries.inlet.series: time series needs equal-length times and values"),
+        ("boundaries", {"temperature_end": "middle"},
+         "boundaries: temperature_end must be 'inlet' or 'outlet'"),
+        ("instruments", lambda cfg: cfg["instruments"][2].update(kind="pressur"),
+         "instruments[2]: instrument p_in: unknown kind 'pressur'"),
+        ("instruments", lambda cfg: cfg["instruments"][2].update(sigma=-1.0),
+         "instruments[2]: instrument p_in: noise_sigma must be >= 0"),
+        ("instruments", lambda cfg: cfg["instruments"][0].update(dropout=1.0),
+         "instruments[0]: instrument flow_in: dropout_prob must be in [0, 1)"),
+        ("leaks", lambda cfg: cfg["leaks"][0].update(mass_rate=-0.7),
+         "leaks[0]: leak mass_rate must be >= 0, got -0.7"),
+        ("acoustic", lambda cfg: cfg["acoustic"]["sensors"][1].update(threshold=0),
+         "acoustic.sensors[1]: sensor ac_out: trigger_threshold must be > 0"),
+        ("acoustic", lambda cfg: cfg["acoustic"]["sensors"][0].update(resolution=-0.01),
+         "acoustic.sensors[0]: sensor ac_in: timestamp_resolution must be >= 0"),
+        ("acoustic", {"speed": -1414.2}, "acoustic: wave speed must be > 0, got -1414.2"),
+        ("acoustic", {"attenuation": -1.0e-4}, "acoustic: attenuation must be >= 0, got -0.0001"),
+        # limits that would flag every reading
+        ("telemetry", {"plausibility": {"pressure": {"min": 5.0e6, "max": 0.0}}},
+         "telemetry.plausibility.pressure: min 5000000.0 must be <= max 0.0"),
+        ("telemetry", {"plausibility": {"pressure": {"max_rate": 0}}},
+         "telemetry.plausibility.pressure.max_rate: must be > 0, got 0.0"),
+        ("telemetry", {"plausibility": {"flow": {"max_rate": -1}}},
+         "telemetry.plausibility.flow.max_rate: must be > 0, got -1.0"),
+        # with 5 s polls, windows of 7 s and 12.5 s would run to 10 s and 15 s
+        ("balance", {"window": 7.0},
+         "balance.window: 7.0 must be a multiple of telemetry.poll_interval 5.0"),
+        ("balance", {"window": 12.5},
+         "balance.window: 12.5 must be a multiple of telemetry.poll_interval 5.0"),
+        ("solver", {"dt": 3.0},
+         "telemetry.poll_interval: 5.0 must be a multiple of solver.dt 3.0"),
+        # a step longer than the poll would never advance the plant
+        ("solver", {"dt": 1.0e12},
+         "telemetry.poll_interval: 5.0 must be a multiple of solver.dt 1000000000000.0"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
@@ -134,7 +202,13 @@ class TestParsing:
             "rtm_smoothing_zero", "rtm_staleness_fractional", "rtm_refine_negative",
             "flatline_polls_fractional", "rtm_flow_threshold_zero", "solver_dt_zero",
             "solver_dt_negative", "solver_target_dx_zero", "horizon_past_a_poll",
-            "horizon_between_polls", "horizon_nan", "solver_dt_nan"])
+            "horizon_between_polls", "horizon_nan", "solver_dt_nan", "horizon_zero",
+            "poll_interval_negative", "boundary_kind", "series_decreasing", "series_empty",
+            "temperature_end", "instrument_kind", "instrument_sigma", "instrument_dropout",
+            "leak_mass_rate", "sensor_threshold", "sensor_resolution", "wave_speed",
+            "wave_attenuation", "plausibility_min_above_max", "plausibility_max_rate_zero",
+            "plausibility_max_rate_negative", "balance_window_past_a_poll",
+            "balance_window_between_polls", "poll_not_a_multiple_of_dt", "solver_dt_beyond_poll"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -143,6 +217,27 @@ class TestParsing:
             cfg.setdefault(section, {}).update(edit)
         with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
             scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, "abc", [], {}, True, -1, 0, 1e300],
+                             ids=["null", "nan", "inf", "text", "list", "mapping", "true",
+                                  "minus_one", "zero", "huge"])
+    def test_every_leaf_fails_only_with_a_configuration_error(self, bad):
+        # Each leaf of the shipped standard scenario in turn takes ``bad``.
+        # A number given something that is not a finite number fails with
+        # its own path; no value makes the parser raise another type.
+        raw = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        for path, keys, value in _leaves(raw):
+            cfg = copy.deepcopy(raw)
+            node = cfg
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = bad
+            if _is_number(value) and not _is_number(bad):
+                with pytest.raises(ConfigurationError, match="^" + re.escape(path + ": ")):
+                    scenario_from_dict(cfg)
+            else:
+                with contextlib.suppress(ConfigurationError):
+                    scenario_from_dict(cfg)
 
     def test_rtm_passes_on_only_the_options_set(self):
         cfg = standard_config()
@@ -530,6 +625,12 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_validate_rejects_a_null_number(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, standard_config(horizon=None))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: horizon: expected a number, got None\n")
+
     def test_validate_solves_the_plants_steady_start(self, tmp_path, capsys):
         # The 60 m rise reverses the steady flow toward the held temperature:
         # validate fails as run does, with run's message and exit status.
@@ -677,7 +778,7 @@ class TestSpecInvariantsEndToEnd:
             "critical_pressure": 1.0e6, "critical_temperature": 305.0,
             "specific_heat": 2200.0, "sound_speed": 380.0,
         }
-        with pytest.raises(ConfigurationError, match="critical"):
+        with pytest.raises(ConfigurationError, match=r"^boundaries: operating point \(P=1e\+06 Pa"):
             scenario_from_dict(cfg)
 
     def test_gas_k_without_correlated_z_rejected(self):
