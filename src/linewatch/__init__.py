@@ -55,7 +55,6 @@ from .hydraulics import (
     PipeFlowSolver,
     TimeSeries,
     linepack,
-    modeled_profile,
 )
 from .network import Grid, InstrumentPlacement, PipelineModel, Segment, discretize, elevation_at
 from .rtm import Discrepancy, LeakVerdict, RtmDetector, VotingPolicy, vote
@@ -66,6 +65,7 @@ from .telemetry import (
     Reading,
     TelemetryFrame,
     instrument_nodes,
+    noiseless_reading,
     plausibility_filter,
     sample,
 )

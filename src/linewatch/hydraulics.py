@@ -28,8 +28,10 @@ The entries of a stencil that straddle two fields are computed but never
 read; every other entry sees the same operations on the same operands.
 The scalars it combines with arrays are 0-d arrays bound once per solver,
 which numpy dispatches faster than Python floats with the same double
-arithmetic.  A steady state whose flow runs toward the held-temperature
-end is rejected, since the energy equation takes its temperature upwind.
+arithmetic.  A steady problem whose flow runs toward the held-temperature
+end is rejected, since the energy equation takes its temperature upwind:
+before Newton when the initial guess already runs that way, and after it
+when the converged state does.
 
 The finite-difference Jacobian is filled from its bandwidth alone, with no
 stored sparsity pattern: unknowns 9 apart share no residual row, and a row
@@ -60,7 +62,6 @@ __all__ = [
     "StepResult",
     "PipeFlowSolver",
     "linepack",
-    "modeled_profile",
 ]
 
 _THETA = 0.6             # implicit weighting of the new time level
@@ -193,11 +194,6 @@ def linepack(state: GridState, pipeline: PipelineModel):
     return pipeline.area * float(((x[1:] - x[:-1]) * (rho[1:] + rho[:-1]) / 2.0).sum())
 
 
-def modeled_profile(state: GridState, pipeline: PipelineModel):
-    """Per-node (pressure Pa, mass flow kg/s) readout; pure projection."""
-    return state.P.copy(), state.rho * state.V * pipeline.area
-
-
 class PipeFlowSolver:
     """Implicit box-scheme solver bound to one pipeline/fluid/grid triple.
 
@@ -302,7 +298,7 @@ class PipeFlowSolver:
         self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
         state = self._new_state(t)
         self._check_physical(state, InfeasibleScenarioError)
-        self._check_upwind(state, bc)
+        self._check_upwind(bc, state.V, state.P[0], state.P[-1], state.rho)
         return state
 
     def steady_leak_response(self, state: GridState, bc: BoundaryConditions, reads):
@@ -648,21 +644,22 @@ class PipeFlowSolver:
                     "is not physical"
                 )
 
-    def _check_upwind(self, state, bc):
-        """Reject a steady state whose flow runs toward the end where the
-        temperature is held: the energy equation then has no inflow
-        temperature, and the transient turns unphysical within a few steps.
+    def _check_upwind(self, bc, V, p_in, p_out, rho):
+        """Reject a steady profile (V, the end pressures and rho) whose flow
+        runs toward the end where the temperature is held: the energy
+        equation then has no inflow temperature, and the transient turns
+        unphysical within a few steps.
         """
-        toward = state.V if bc.temperature_end == "outlet" else -state.V
+        toward = V if bc.temperature_end == "outlet" else -V
         if toward.min() <= _REVERSE_V:
             return
         source = "outlet" if bc.temperature_end == "inlet" else "inlet"
-        head = float(np.mean(state.rho)) * GRAVITY * self._rise
+        head = float(np.mean(rho)) * GRAVITY * self._rise
         raise InfeasibleScenarioError(
             f"steady flow runs from the {source} to the {bc.temperature_end} "
-            f"(V = {state.V[0]:.3g} m/s at the inlet), but the temperature is "
-            f"held at the {bc.temperature_end}: inlet pressure {state.P[0]:.0f} Pa, "
-            f"outlet pressure {state.P[-1]:.0f} Pa, static head of the "
+            f"(V = {V[0]:.3g} m/s at the inlet), but the temperature is "
+            f"held at the {bc.temperature_end}: inlet pressure {p_in:.0f} Pa, "
+            f"outlet pressure {p_out:.0f} Pa, static head of the "
             f"{self._rise:g} m rise {head:.0f} Pa"
         )
 
@@ -723,6 +720,9 @@ class PipeFlowSolver:
         P = np.maximum(P, 0.5 * anchor if anchor > 0 else 1e4)
         T = np.full(self.N, T0)
         rho = np.asarray(self.fluid.density(np.maximum(P, 1e3), T), dtype=float)
-        V = mdot / (rho * self.A)
-        return self._pack(P, np.broadcast_to(V, P.shape), T)
+        V = np.broadcast_to(mdot / (rho * self.A), P.shape)
+        # The direction is known before Newton: a flow toward the held
+        # temperature is rejected here, where Newton might stall on it.
+        self._check_upwind(bc, V, P[0], P[-1] if p_out is None else p_out, rho)
+        return self._pack(P, V, T)
 

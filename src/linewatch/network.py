@@ -30,7 +30,6 @@ class Segment:
     end: float
     friction_factor: Optional[float] = None  # Darcy f
     U: Optional[float] = None                # W/(m^2 K)
-    diameter: Optional[float] = None         # m; must equal the line diameter (see PipelineModel)
 
     def __post_init__(self):
         if not 0.0 <= self.start < self.end:
@@ -114,11 +113,6 @@ class PipelineModel:
             if seg.end > self.length:
                 raise ConfigurationError(
                     f"segments[{k}]: end {seg.end} beyond the line length {self.length}")
-            if seg.diameter is not None and not math.isclose(seg.diameter, self.diameter):
-                raise ConfigurationError(
-                    f"segments[{k}]: per-segment diameter changes are not supported by "
-                    "the solver; all segments must use the line diameter"
-                )
 
     @property
     def area(self):
@@ -154,7 +148,6 @@ class Grid:
     """Solver grid: ordered node positions from 0 to the line length."""
 
     node_positions: np.ndarray  # m, strictly increasing, [0 .. length]
-    dx: float                   # nominal (maximum) spacing, m
 
     def __post_init__(self):
         pos = np.asarray(self.node_positions, dtype=float)
@@ -165,18 +158,6 @@ class Grid:
     @property
     def node_count(self):
         return self.node_positions.size
-
-    def node_at(self, position, tol=None):
-        """Index of the node at ``position``; the point must lie on a node."""
-        pos = self.node_positions
-        idx = int(np.argmin(np.abs(pos - position)))
-        tol = self.dx * 1e-6 if tol is None else tol
-        if abs(pos[idx] - position) > tol:
-            raise ConfigurationError(
-                f"position {position} m does not coincide with a grid node "
-                f"(nearest {pos[idx]} m)"
-            )
-        return idx
 
 
 def discretize(pipeline: PipelineModel, target_dx, instruments=(), extra_points=()):
@@ -221,4 +202,4 @@ def discretize(pipeline: PipelineModel, target_dx, instruments=(), extra_points=
     for a, b in zip(anchors[:-1], anchors[1:]):
         n_cells = max(1, math.ceil((b - a) / dx - 1e-9))
         nodes.extend(np.linspace(a, b, n_cells + 1)[1:].tolist())
-    return Grid(node_positions=np.array(nodes), dx=dx)
+    return Grid(node_positions=np.array(nodes))

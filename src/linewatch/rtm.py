@@ -32,10 +32,9 @@ from .hydraulics import (
     PipeFlowSolver,
     TimeSeries,
     linepack,
-    modeled_profile,
 )
 from .network import end_flow_meters
-from .telemetry import TelemetryFrame
+from .telemetry import TelemetryFrame, instrument_nodes, noiseless_reading
 
 __all__ = [
     "VotingPolicy",
@@ -240,7 +239,10 @@ class RtmDetector:
         ]
         if not self.indicators:
             raise ConfigurationError("no indicator instruments remain beyond the boundaries")
-        self._node_of = {i.id: self.grid.node_at(i.position) for i in self.indicators}
+        # The SCADA's own node map, so an indicator's model value is taken
+        # at the node its reading comes from.
+        self._node_of = dict(zip((i.id for i in self.indicators),
+                                 instrument_nodes(self.grid.node_positions, self.indicators)))
 
         temps = at(0.0 if self.temperature_end == "inlet" else L, "temperature")
         self.temperature_instrument = temps[0] if temps else None
@@ -391,7 +393,6 @@ class RtmDetector:
 
     def _evaluate(self, frame, lp):
         t = frame.poll_time
-        P_mod, Q_mod = modeled_profile(self._state, self.pipeline)
         delta, smoothed, normalized = {}, {}, {}
         measured = {}
         for ind in self.indicators:
@@ -400,8 +401,7 @@ class RtmDetector:
             if v is None:
                 delta[ind.id] = smoothed[ind.id] = normalized[ind.id] = None
                 continue
-            node = self._node_of[ind.id]
-            model = Q_mod[node] if ind.kind == "flow" else P_mod[node]
+            model = noiseless_reading(self._state, ind.kind, self._node_of[ind.id], self.pipeline)
             d = float(v - model)
             delta[ind.id] = d
             buf = self._smooth[ind.id]
@@ -557,8 +557,7 @@ class RtmDetector:
         def exact(ci):
             leak = LeakEvent(position=float(candidates[ci]), start_time=-np.inf, mass_rate=size)
             st = self.solver.steady_state(bc, t=t_ref, leaks=[leak], initial_guess=base)
-            P_mod, Q_mod = modeled_profile(st, self.pipeline)
-            return np.array([Q_mod[k] if ind.kind == "flow" else P_mod[k]
+            return np.array([noiseless_reading(st, ind.kind, k, self.pipeline)
                              for ind, k in zip(used, nodes)])
 
         is_exact = np.zeros(candidates.size, dtype=bool)

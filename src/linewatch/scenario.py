@@ -18,7 +18,6 @@ report is the same bytes either way; ``taskset -c 0`` keeps a run in one
 process.
 """
 
-import collections
 import contextlib
 import copy
 import hashlib
@@ -81,7 +80,8 @@ class _Path:
     """Field-path bookkeeping so config errors name the offending entry.
 
     This is the one place where a scenario value becomes a float and is
-    checked: :meth:`real` converts every number the parsers read, and
+    checked: :meth:`real` converts every number the parsers read,
+    :meth:`text` and :meth:`flag` check every string and boolean, and
     :meth:`build` makes a model's own checks name the field it was built
     from.  ``units`` maps a field dimension to the (factor, offset) that
     takes a value written in the scenario's declared units to SI.  ``read``
@@ -113,6 +113,24 @@ class _Path:
     def get(self, key, default=None):
         child = self.child(key, default)
         return child.raw if child.raw is not None else default
+
+    def text(self, key, default=None, required=False):
+        """Field ``key`` as a string, or ``default`` when the key is absent."""
+        node = self.child(key, _ABSENT, required)
+        if node.raw is _ABSENT:
+            return default
+        if not isinstance(node.raw, str):
+            node.error(f"expected text, got {node.raw!r}")
+        return node.raw
+
+    def flag(self, key, default):
+        """Field ``key`` as a boolean, or ``default`` when the key is absent."""
+        node = self.child(key, _ABSENT)
+        if node.raw is _ABSENT:
+            return default
+        if not isinstance(node.raw, bool):
+            node.error(f"expected true or false, got {node.raw!r}")
+        return node.raw
 
     def items(self):
         if self.raw is None:
@@ -205,8 +223,8 @@ def _resolve_units(node):
     """Conversion to SI for each field dimension, from the ``units`` section."""
     si = {}
     for dim, table in _UNITS.items():
-        unit = node.get(dim, next(iter(table)))
-        if not isinstance(unit, str) or unit not in table:
+        unit = node.text(dim, next(iter(table)))
+        if unit not in table:
             node.child(dim).error(f"unknown unit {unit!r} (expected one of {', '.join(table)})")
         si[dim] = table[unit]
     for key in node.raw or {}:
@@ -299,7 +317,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     top = _Path(raw)
     root = _Path(raw, units=_resolve_units(top.child("units")), read=top.read)
 
-    name = str(root.get("name", "scenario"))
+    name = root.text("name", "scenario")
     seed = root.integer("seed", 0, least=0)
     horizon = root.number("horizon", required=True, above=0)
     tele = root.child("telemetry")
@@ -357,9 +375,9 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
 
 
 def _parse_fluid(node):
-    kind = node.get("kind")
+    kind = node.text("kind", required=True)
     if kind not in ("liquid", "gas"):
-        node.error("fluid.kind must be 'liquid' or 'gas'")
+        node.child("kind").error(f"must be 'liquid' or 'gas', got {kind!r}")
     if kind == "liquid":
         eos = node.build(
             LiquidEos,
@@ -390,7 +408,7 @@ def _parse_fluid(node):
                 GasEos,
                 R=node.number("R", required=True),
                 y=node.number("y", 1.0),
-                z_mode=node.get("z_mode", "ideal"),
+                z_mode=node.text("z_mode", "ideal"),
                 k=node.number("k", 0.0),
                 **crit,
             )
@@ -413,7 +431,6 @@ def _parse_pipeline(node):
             end=seg.number("end", required=True, dim="length"),
             friction_factor=seg.number("friction_factor"),
             U=seg.number("U"),
-            diameter=seg.number("diameter"),
         )
         for seg in node.child("segments").items()
     )
@@ -432,11 +449,11 @@ def _parse_pipeline(node):
 def _parse_instruments(node, pipeline):
     instruments = []
     for item in node.items():
-        kind = str(item.child("kind", required=True).raw)
+        kind = item.text("kind", required=True)
         _, diff = _READING_DIMS.get(kind, (None, None))
         inst = item.build(
             InstrumentPlacement,
-            id=str(item.child("id", required=True).raw),
+            id=item.text("id", required=True),
             kind=kind,
             position=item.number("position", required=True, dim="length"),
             noise_sigma=item.number("sigma", 0.0, dim=diff),
@@ -466,7 +483,7 @@ def _series_from(node, dim):
 def _parse_boundaries(node):
     def leg(end):
         child = node.child(end, required=True)
-        kind = child.get("kind")
+        kind = child.text("kind", required=True)
         return child.build(BoundaryLeg, kind=kind,
                            series=_series_from(child, "pressure" if kind == "pressure" else None))
 
@@ -475,7 +492,7 @@ def _parse_boundaries(node):
         inlet=leg("inlet"),
         outlet=leg("outlet"),
         temperature=_series_from(node.child("temperature", required=True), "temperature"),
-        temperature_end=node.get("temperature_end", "inlet"),
+        temperature_end=node.text("temperature_end", "inlet"),
     )
 
 
@@ -528,9 +545,9 @@ def _parse_rtm(node, instruments):
         min_indicators=node.integer("min_indicators", least=1),
         smoothing_polls=node.integer("smoothing_polls", least=1),
     ))
-    drive = node.get("drive")
+    drive = node.text("drive")
     if drive not in (None, "pressure", "flow"):
-        node.error("rtm.drive must be 'pressure' or 'flow'")
+        node.child("drive").error(f"must be 'pressure' or 'flow', got {drive!r}")
     # Keys the scenario leaves out take RtmDetector's defaults.
     return {"policy": policy, **_given(
         drive=drive,
@@ -545,7 +562,7 @@ def _disabled(node):
     the keys of a disabled section are kept but not checked."""
     if node.raw is None:
         return True
-    if node.get("enabled", True):
+    if node.flag("enabled", True):
         return False
     node.read.update(_key_paths(node.raw, node.path))
     return True
@@ -561,7 +578,7 @@ def _parse_balance(node, instruments, rtm_cfg, length, poll_interval):
     flow_in, flow_out = end_flow_meters(instruments, length)
     if flow_in is None or flow_out is None:
         node.error("line balance needs a flow meter in each half of the line")
-    mode = node.get("mode", "model")
+    mode = node.text("mode", "model")
     if mode not in ("model", "simple"):
         node.child("mode").error(f"must be 'model' or 'simple', got {mode!r}")
     if mode == "model" and rtm_cfg is None:
@@ -585,7 +602,7 @@ def _parse_acoustic(node, fluid, pipeline):
     for item in node.child("sensors", required=True).items():
         sensors.append(item.build(
             ac.AcousticSensor,
-            id=str(item.child("id", required=True).raw),
+            id=item.text("id", required=True),
             position=item.number("position", required=True, dim="length"),
             trigger_threshold=item.number("threshold", required=True, dim="pressure"),
             timestamp_resolution=item.number("resolution", 0.0),
@@ -662,17 +679,11 @@ def _field_side(s, grid, scada, plant, state, dump_states):
     per poll, then the closing _Poll.  Reads nothing the detectors make."""
     nodes = instrument_nodes(grid.node_positions, scada)
     noise = NoiseSpec(s.seed)
-    # The rate rule looks back over these frames for the last good reading;
-    # the flatline rule needs flatline_polls - 1 of them.
-    recent = collections.deque(maxlen=max(
-        [64] + [lim.flatline_polls - 1 for lim in s.plausibility.values()
-                if lim.flatline_polls is not None]))
+    memory = {}  # the plausibility filter's, per instrument
 
     def poll(st):
         frame = sample(st, scada, noise, st.t, pipeline=s.pipeline, nodes=nodes)
-        frame = plausibility_filter(frame, recent, s.plausibility, scada)
-        recent.append(frame)
-        return frame
+        return plausibility_filter(frame, memory, s.plausibility, scada)
 
     steps_per_poll = round(s.poll_interval / s.dt)
     n_polls = int(round(s.horizon / s.poll_interval))

@@ -1,8 +1,11 @@
 """SCADA telemetry synthesis: instrument sampling, noise, and plausibility checks.
 
 Readings are true nodal values plus bias plus truncated gaussian noise;
-each instrument can also drop out per poll.  The plausibility filter only
-ever changes quality flags, never values.
+each instrument can also drop out per poll.  The true value is
+:func:`noiseless_reading` at the instrument's node from
+:func:`instrument_nodes`, which is also how the RTM takes its model
+values.  The plausibility filter only ever changes quality flags, never
+values.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ __all__ = [
     "NoiseSpec",
     "PlausibilityLimits",
     "instrument_nodes",
+    "noiseless_reading",
     "sample",
     "plausibility_filter",
 ]
@@ -113,22 +117,28 @@ def instrument_nodes(x, instruments):
     return tuple(nodes)
 
 
+def noiseless_reading(state: GridState, kind, node, pipeline: PipelineModel):
+    """What an instrument of ``kind`` at grid ``node`` reads of ``state``
+    without noise or bias: a flow meter rho*V*A in kg/s, a pressure sensor
+    P in Pa, a temperature sensor T in K.  The SCADA samples and the RTM's
+    model values both come from here, so they are taken the same way."""
+    if kind == "flow":
+        return state.rho[node] * state.V[node] * pipeline.area
+    if kind == "pressure":
+        return state.P[node]
+    return state.T[node]  # temperature: instrument_nodes admits no other kind
+
+
 def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
            *, pipeline: PipelineModel, nodes) -> TelemetryFrame:
     """Synthesize one telemetry frame from a true model state.
 
-    ``nodes`` are the instruments' grid nodes from :func:`instrument_nodes`.
-    Flow meters read rho*V*A in kg/s, pressure sensors Pa, temperature
-    sensors K.
+    ``nodes`` are the instruments' grid nodes from :func:`instrument_nodes`;
+    each reading is :func:`noiseless_reading` plus bias plus noise.
     """
     readings = []
     for inst, node in zip(instruments, nodes, strict=True):
-        if inst.kind == "flow":
-            truth = state.rho[node] * state.V[node] * pipeline.area
-        elif inst.kind == "pressure":
-            truth = state.P[node]
-        else:  # temperature: instrument_nodes admits no other kind
-            truth = state.T[node]
+        truth = noiseless_reading(state, inst.kind, node, pipeline)
         u, z = noise.draw()
         if u < inst.dropout_prob:
             readings.append(Reading(inst.id, None, MISSING))
@@ -138,59 +148,39 @@ def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
     return TelemetryFrame(poll_time=float(poll_time), readings=tuple(readings))
 
 
-def plausibility_filter(frame: TelemetryFrame, history, limits, instruments) -> TelemetryFrame:
+def plausibility_filter(frame: TelemetryFrame, memory, limits, instruments) -> TelemetryFrame:
     """Re-flag implausible readings as suspect; values are never altered.
 
-    ``history`` is the sequence of previously filtered frames (oldest
-    first); ``limits`` maps instrument kind to PlausibilityLimits.
+    ``limits`` maps instrument kind to PlausibilityLimits.  ``memory`` is
+    what the rules keep of each instrument's earlier readings, by id: its
+    last good ``(t, v)``, however old, and the value and length in polls
+    of its trailing run of one repeated value.  Start a stream with an
+    empty dict and pass the same one with each frame, in poll order; this
+    call updates it with the frame's filtered readings.
     """
     kinds = {inst.id: inst.kind for inst in instruments}
     out = []
     for r in frame.readings:
-        if r.quality != GOOD:
-            out.append(r)
-            continue
+        last_good, run_value, run = memory.get(r.instrument_id, (None, None, 0))
         lim = limits.get(kinds.get(r.instrument_id))
-        if lim is None:
-            out.append(r)
-            continue
-        quality = GOOD
-        if not lim.min_value <= r.value <= lim.max_value:
-            quality = SUSPECT
-        elif np.isfinite(lim.max_rate):
-            prev = _last_good(history, r.instrument_id)
-            if prev is not None:
-                t_prev, v_prev = prev
+        if r.quality == GOOD and lim is not None:
+            suspect = not lim.min_value <= r.value <= lim.max_value
+            if not suspect and last_good is not None and np.isfinite(lim.max_rate):
+                t_prev, v_prev = last_good
                 dt = frame.poll_time - t_prev
-                if dt > 0 and abs(r.value - v_prev) / dt > lim.max_rate:
-                    quality = SUSPECT
-        if quality == GOOD and lim.flatline_polls is not None:
-            run = _trailing_identical(history, r.instrument_id, r.value)
-            if run + 1 >= lim.flatline_polls:
-                quality = SUSPECT
-        out.append(Reading(r.instrument_id, r.value, quality))
-    return TelemetryFrame(poll_time=frame.poll_time, readings=tuple(out))
-
-
-def _last_good(history, instrument_id):
-    for f in reversed(history):
-        try:
-            r = f.reading(instrument_id)
-        except KeyError:
-            continue
+                suspect = dt > 0 and abs(r.value - v_prev) / dt > lim.max_rate
+            if not suspect and lim.flatline_polls is not None:
+                suspect = (run if r.value == run_value else 0) + 1 >= lim.flatline_polls
+            if suspect:
+                r = Reading(r.instrument_id, r.value, SUSPECT)
         if r.quality == GOOD:
-            return f.poll_time, r.value
-    return None
-
-
-def _trailing_identical(history, instrument_id, value):
-    run = 0
-    for f in reversed(history):
-        try:
-            r = f.reading(instrument_id)
-        except KeyError:
-            break
-        if r.value is None or r.value != value:
-            break
-        run += 1
-    return run
+            last_good = (frame.poll_time, r.value)
+        if r.value is None:
+            run_value, run = None, 0
+        elif r.value == run_value:
+            run += 1
+        else:
+            run_value, run = r.value, 1
+        memory[r.instrument_id] = (last_good, run_value, run)
+        out.append(r)
+    return TelemetryFrame(poll_time=frame.poll_time, readings=tuple(out))

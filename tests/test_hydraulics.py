@@ -23,7 +23,6 @@ from linewatch.hydraulics import (
     _STEADY_T_REG,
     _THETA,
     linepack,
-    modeled_profile,
 )
 from linewatch.network import GRAVITY, PipelineModel, discretize
 
@@ -400,13 +399,6 @@ class TestReadouts:
         assert np.ptp(st.rho) > 0.0
         expected = pipe.area * float(np.trapezoid(st.rho, st.x))
         assert linepack(st, pipe).hex() == expected.hex()
-
-    def test_modeled_profile_projection(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line)
-        st = solver.steady_state(bc_pp(1.0e6, 6.7e5))
-        P, Q = modeled_profile(st, ten_km_line)
-        assert np.array_equal(P, st.P)
-        assert np.allclose(Q, st.rho * st.V * ten_km_line.area)
 
     @pytest.mark.parametrize("t", [0.0, 10.0, 1.0e6], ids=["before", "at", "after"])
     def test_constant_series_matches_interp(self, t):

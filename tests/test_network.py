@@ -59,12 +59,6 @@ class TestDiscretize:
         grid = discretize(line(), 1000.0, extra_points=[5150.0])
         assert np.any(np.isclose(grid.node_positions, 5150.0))
 
-    def test_node_lookup(self):
-        grid = discretize(line(), 1000.0)
-        assert grid.node_at(3000.0) == 3
-        with pytest.raises(ConfigurationError):
-            grid.node_at(3500.0)
-
 
 class TestElevation:
     def test_flat_default(self):
@@ -99,10 +93,6 @@ class TestPipelineModel:
         assert pipe.friction_at(100.0) == 0.05
         assert pipe.friction_at(7000.0) == 0.02
         assert pipe.heat_transfer_at(100.0) == 7.0
-
-    def test_diameter_change_rejected(self):
-        with pytest.raises(ConfigurationError, match="diameter"):
-            line(segments=(Segment(0.0, 5000.0, diameter=0.4),))
 
     def test_basic_invariants(self):
         for bad in (dict(length=0.0), dict(diameter=-0.1), dict(friction_factor=0.0)):

@@ -14,13 +14,12 @@ from linewatch.hydraulics import (
     LeakEvent,
     PipeFlowSolver,
     TimeSeries,
-    modeled_profile,
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
 from linewatch.rtm import RtmDetector, VotingPolicy, combined_verdict, vote
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
-                                 instrument_nodes, sample)
+                                 instrument_nodes, noiseless_reading, sample)
 
 
 def policy(**kw):
@@ -150,6 +149,24 @@ class TestShadowModel:
             for iid, d in rec.discrepancy.delta.items():
                 scale = full_scale_flow if iid.startswith("flow") else full_scale_p
                 assert abs(d) < 1e-6 * scale
+
+    @pytest.mark.parametrize("drive", ["pressure", "flow"])
+    def test_model_value_is_the_noiseless_sample_bit_for_bit(self, drive):
+        # Mid-line flow and pressure indicators beside the end instruments; a
+        # noiseless SCADA frame of the shadow's own state then reads each
+        # indicator's model value exactly, so every delta is 0.0.
+        loop = _MiniLoop(drive=drive)
+        instruments = loop.instruments + [InstrumentPlacement("f_mid", "flow", 3000.0),
+                                          InstrumentPlacement("p_mid", "pressure", 7000.0)]
+        det = RtmDetector(loop.pipe, loop.fluid, loop.grid, instruments, policy(),
+                          drive=drive, fallback_temperature=300.0)
+        nodes = instrument_nodes(loop.grid.node_positions, instruments)
+        take = lambda st: sample(st, instruments, NoiseSpec(5), st.t, pipeline=loop.pipe,
+                                 nodes=nodes)
+        det.observe(take(loop.state))
+        assert {i.kind for i in det.indicators} == {"flow", "pressure"}
+        delta = det._evaluate(take(det._state), 0.0).discrepancy.delta
+        assert delta == {i.id: 0.0 for i in det.indicators}
 
     def test_leak_alarm_and_downstream_delta_sign(self):
         det = _MiniLoop(leak_rate=2.0).run(60)
@@ -444,12 +461,11 @@ def exhaustive_scan(det, size, window):
     for x in det.grid.node_positions[1:-1]:
         leak = LeakEvent(position=float(x), start_time=-np.inf, mass_rate=size)
         guess = solver.steady_state(bc, t=recs[-1].poll_time, leaks=[leak], initial_guess=guess)
-        P, Q = modeled_profile(guess, det.pipeline)
         total = 0.0
         for ind in det.indicators:
             if ind.id in meas:
-                k = det.grid.node_at(ind.position)
-                pred = Q[k] if ind.kind == "flow" else P[k]
+                (k,) = instrument_nodes(det.grid.node_positions, [ind])
+                pred = noiseless_reading(guess, ind.kind, k, det.pipeline)
                 total += ((meas[ind.id] - pred) / det.policy.threshold_for(ind.kind)) ** 2
         ssr.append(total)
     ssr = np.array(ssr)

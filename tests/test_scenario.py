@@ -24,7 +24,8 @@ from linewatch.errors import ConfigurationError, InfeasibleScenarioError
 from linewatch.fluid import GasEos
 from linewatch.hydraulics import linepack
 from linewatch.rtm import RtmDetector
-from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, sweep
+from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, start_plant, sweep
+from linewatch.telemetry import Reading, TelemetryFrame, sample
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
 
@@ -222,17 +223,25 @@ class TestParsing:
                              ids=["null", "nan", "inf", "text", "list", "mapping", "true",
                                   "minus_one", "zero", "huge"])
     def test_every_leaf_fails_only_with_a_configuration_error(self, bad):
-        # Each leaf of the shipped standard scenario in turn takes ``bad``.
-        # A number given something that is not a finite number fails with
-        # its own path; no value makes the parser raise another type.
+        # Each leaf of the shipped standard scenario, with each optional
+        # section's ``enabled`` switch written out, in turn takes ``bad``.  A
+        # number given something that is not a finite number, a text given
+        # something that is not a string, and a switch given something that
+        # is not a boolean each fail with their own path; no value makes the
+        # parser raise another type.
         raw = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        for section in ("rtm", "balance", "acoustic"):
+            raw[section]["enabled"] = True
         for path, keys, value in _leaves(raw):
             cfg = copy.deepcopy(raw)
             node = cfg
             for key in keys[:-1]:
                 node = node[key]
             node[keys[-1]] = bad
-            if _is_number(value) and not _is_number(bad):
+            if (_is_number(value) and not _is_number(bad)
+                    or isinstance(value, str) and not _is_number(value)
+                    and not isinstance(bad, str)
+                    or isinstance(value, bool) and not isinstance(bad, bool)):
                 with pytest.raises(ConfigurationError, match="^" + re.escape(path + ": ")):
                     scenario_from_dict(cfg)
             else:
@@ -253,9 +262,14 @@ class TestParsing:
         (lambda c: c["boundaries"]["inlet"].update(series=[[0.0, 1.0e6]]),
          "boundaries.inlet.value"),
         (lambda c: c.update(horizn=60.0), "horizn"),
+        # segments override friction_factor and U only; the line has one diameter
+        (lambda c: c["pipeline"].update(
+            segments=[{"start": 0.0, "end": 5000.0, "diameter": 0.4}]),
+         "pipeline.segments[0].diameter"),
         (lambda c: c["telemetry"].update(plausibility={"flow": {"mx": 1.0}}),
          "telemetry.plausibility.flow.mx"),
-    ], ids=["pipeline", "rtm", "instrument", "value_beside_series", "top_level", "nested"])
+    ], ids=["pipeline", "rtm", "instrument", "value_beside_series", "top_level",
+            "segment_diameter", "nested"])
     def test_unread_key_names_path(self, edit, path):
         cfg = standard_config()
         edit(cfg)
@@ -274,6 +288,25 @@ class TestParsing:
         cfg["acoustic"]["enabled"] = False
         cfg["acoustic"]["atenuation"] = 1.0
         assert scenario_from_dict(cfg).acoustic is None
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c["acoustic"].update(enabled="false"),
+         "acoustic.enabled: expected true or false, got 'false'"),
+        (lambda c: c["rtm"].update(enabled=None), "rtm.enabled: expected true or false, got None"),
+        (lambda c: c["instruments"][0].update(id=None), "instruments[0].id: expected text, got None"),
+        (lambda c: c["instruments"][1].update(kind=1), "instruments[1].kind: expected text, got 1"),
+        (lambda c: c["acoustic"]["sensors"][0].update(id=7),
+         "acoustic.sensors[0].id: expected text, got 7"),
+        (lambda c: c.update(name=["a"]), "name: expected text, got ['a']"),
+        (lambda c: c["fluid"].update(kind="oil"), "fluid.kind: must be 'liquid' or 'gas', got 'oil'"),
+        (lambda c: c["rtm"].update(drive="head"), "rtm.drive: must be 'pressure' or 'flow', got 'head'"),
+    ], ids=["enabled_text", "enabled_null", "instrument_id_null", "instrument_kind_number",
+            "sensor_id_number", "name_list", "fluid_kind", "rtm_drive"])
+    def test_text_and_switch_fields_name_their_path(self, edit, message):
+        cfg = standard_config()
+        edit(cfg)
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+            scenario_from_dict(cfg)
 
     def test_shipped_scenarios_read_every_key(self):
         root = Path(__file__).parents[1]
@@ -418,7 +451,7 @@ def _every_dimension_config(gas, explicit_pressure_threshold):
         cfg["boundaries"]["outlet"] = {"kind": "pressure", "series": [[0.0, 6.7e5], [300.0, 6.5e5]]}
     cfg["pipeline"]["elevation"] = [[0.0, 0.0], [4000.0, 12.0], [10000.0, 5.0]]
     cfg["pipeline"]["segments"] = [
-        {"start": 2000.0, "end": 3000.0, "friction_factor": 0.03, "diameter": 0.3, "U": 1.5}]
+        {"start": 2000.0, "end": 3000.0, "friction_factor": 0.03, "U": 1.5}]
     bias = {"flow": 0.05, "pressure": 300.0, "temperature": 0.02}
     for inst in cfg["instruments"]:
         inst["bias"] = bias[inst["kind"]]
@@ -771,6 +804,42 @@ class TestSpecInvariantsEndToEnd:
         assert flagged[:2] == [(5.0 * (flatline_polls - 1), "p_in"),
                                (5.0 * (flatline_polls - 1), "p_out")]
 
+    @staticmethod
+    def _flow_out_lost_for_70_polls(monkeypatch, plausibility):
+        # Noiseless and leak-free; flow_out reads nothing for polls 1-70, then
+        # 1 kg/s above the truth, beyond max_rate times the 355 s gap.
+        def lossy_sample(state, instruments, *args, **kwargs):
+            frame = sample(state, instruments, *args, **kwargs)
+            poll = round(frame.poll_time / 5.0)
+            if not 1 <= poll <= 71:
+                return frame
+            value = frame.reading("flow_out").value + 1.0
+            lost = Reading("flow_out", *((None, "missing") if poll <= 70 else (value, "good")))
+            return TelemetryFrame(frame.poll_time, tuple(
+                lost if r.instrument_id == "flow_out" else r for r in frame.readings))
+
+        monkeypatch.setattr(scenario_module, "sample", lossy_sample)
+        cfg = standard_config(horizon=360.0)
+        set_noise_scale(cfg, 0.0)
+        cfg["leaks"] = []
+        cfg["telemetry"]["plausibility"] = plausibility
+        return run_scenario(scenario_from_dict(cfg)).frames
+
+    def test_rate_rule_looks_back_past_a_long_gap(self, monkeypatch):
+        frames = self._flow_out_lost_for_70_polls(monkeypatch, {"flow": {"max_rate": 1.0e-3}})
+        assert frames[71].poll_time == 355.0
+        assert frames[71].reading("flow_out").quality == "suspect"
+        assert frames[71].reading("flow_in").quality == "good"
+
+    def test_pressure_flatline_rule_leaves_the_flow_look_back(self, monkeypatch):
+        flows = lambda frames: [(f.poll_time, r) for f in frames for r in f.readings
+                                if r.instrument_id.startswith("flow")]
+        rate = {"flow": {"max_rate": 1.0e-3}}
+        plain = self._flow_out_lost_for_70_polls(monkeypatch, rate)
+        flat = self._flow_out_lost_for_70_polls(
+            monkeypatch, {**rate, "pressure": {"flatline_polls": 100}})
+        assert flows(flat) == flows(plain)
+
     def test_near_critical_gas_rejected_at_load(self):
         cfg = standard_config()
         cfg["fluid"] = {
@@ -824,6 +893,32 @@ class TestPartialFailure:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(_vacuum_outlet_cfg()))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("target_dx,dip", [(None, False), (600.0, False), (600.0, True)],
+                             ids=["shipped_grid", "coarse_grid", "coarse_grid_dip"])
+    def test_reverse_flow_is_rejected_before_newton(self, tmp_path, capsys, target_dx, dip):
+        # 30 km of 0.1 m line whose far end sits 39.53 m up: the static head,
+        # about 388 kPa, beats the 108 kPa drive, so the flow would run toward
+        # the inlet, where the temperature is held.  On the shipped 100 m grid
+        # the converged state's check said so; on a 600 m grid Newton stalled
+        # first.
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        cfg["pipeline"].update(length=30000.0, diameter=0.1, elevation=[
+            [0.0, 0.0], *([[15000.0, -33.6]] if dip else []), [30000.0, 39.53]])
+        for item in cfg["instruments"] + cfg["acoustic"]["sensors"]:
+            if item["position"] > 0.0:
+                item["position"] = 30000.0
+        cfg["boundaries"]["inlet"]["value"] = 701287.0
+        cfg["boundaries"]["outlet"]["value"] = 592876.0
+        del cfg["leaks"]
+        if target_dx is not None:
+            cfg["solver"]["target_dx"] = target_dx
+        with pytest.raises(InfeasibleScenarioError, match="runs from the outlet to the inlet"):
+            start_plant(scenario_from_dict(cfg))
+        path = tmp_path / "reverse.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["validate", str(path)]) == 1
+        assert "runs from the outlet to the inlet" in capsys.readouterr().err
 
     def test_flow_against_the_temperature_end_is_rejected_at_start(self, tmp_path, capsys):
         # A 60 m rise outweighs the 3.3 bar drive: the steady flow runs from

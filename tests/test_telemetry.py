@@ -13,6 +13,7 @@ from linewatch.telemetry import (
     Reading,
     TelemetryFrame,
     instrument_nodes,
+    noiseless_reading,
     plausibility_filter,
     sample,
 )
@@ -37,6 +38,15 @@ def poll(state, instruments, noise, t, pipe):
 
 def frame_of(t, *readings):
     return TelemetryFrame(poll_time=t, readings=tuple(Reading(*r) for r in readings))
+
+
+def remembered(*frames):
+    """The filter's memory after ``frames``, each filtered with no limits,
+    so it is remembered with the quality it was given."""
+    memory = {}
+    for frame in frames:
+        plausibility_filter(frame, memory, {}, [])
+    return memory
 
 
 class TestSample:
@@ -116,6 +126,16 @@ class TestSample:
         expected = float(state.P[0] + 5.0 + np.clip(z, -6, 6) * 123.4)
         assert frame.reading("p").value == expected
 
+    def test_noiseless_reading_is_what_a_noiseless_instrument_reads(self, pipe, state):
+        inst = [InstrumentPlacement("f", "flow", 300.0),
+                InstrumentPlacement("p", "pressure", 700.0),
+                InstrumentPlacement("t", "temperature", 1000.0)]
+        nodes = instrument_nodes(state.x, inst)
+        frame = sample(state, inst, NoiseSpec(3), 50.0, pipeline=pipe, nodes=nodes)
+        truths = [noiseless_reading(state, i.kind, k, pipe) for i, k in zip(inst, nodes)]
+        assert truths == [state.rho[3] * state.V[3] * pipe.area, state.P[7], state.T[10]]
+        assert [r.value for r in frame.readings] == [float(v) for v in truths]
+
     def test_nodes_follow_instrument_order(self, state):
         inst = [InstrumentPlacement("p", "pressure", 500.0),
                 InstrumentPlacement("f", "flow", 0.0),
@@ -146,47 +166,44 @@ class TestFrame:
         frame = frame_of(0.0, ("p", 1.0, GOOD), ("p", 2.0, SUSPECT))
         assert frame.reading("p") == Reading("p", 1.0, GOOD)
 
-    def test_filter_skips_frames_without_the_instrument(self):
-        # _last_good looks past a frame that lacks the id; _trailing_identical
-        # stops at it.
+    def test_frame_without_the_instrument_leaves_its_memory(self):
         kinds = [InstrumentPlacement("p", "pressure", 0.0)]
         history = [frame_of(0.0, ("p", 5.0e5, GOOD)), frame_of(5.0, ("q", 1.0, GOOD))]
+        assert remembered(*history)["p"] == remembered(history[0])["p"]
         rate = {"pressure": PlausibilityLimits(max_rate=1000.0)}
         # The rate is taken from the poll at t = 0: 900 Pa/s passes, 1100 Pa/s does not.
-        out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), history, rate, kinds)
+        out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), remembered(*history),
+                                  rate, kinds)
         assert out.reading("p").quality == GOOD
-        out = plausibility_filter(frame_of(10.0, ("p", 5.11e5, GOOD)), history, rate, kinds)
+        out = plausibility_filter(frame_of(10.0, ("p", 5.11e5, GOOD)), remembered(*history),
+                                  rate, kinds)
         assert out.reading("p").quality == SUSPECT
-        flat = {"pressure": PlausibilityLimits(flatline_polls=2)}
-        history = [frame_of(0.0, ("p", 7e5, GOOD)), frame_of(5.0, ("q", 1.0, GOOD))]
-        out = plausibility_filter(frame_of(10.0, ("p", 7e5, GOOD)), history, flat, kinds)
-        assert out.reading("p").quality == GOOD
 
 
 class TestPlausibilityFilter:
     KINDS = [InstrumentPlacement("p", "pressure", 0.0)]
 
+    def check(self, frame, limits, *history):
+        """Quality of ``frame``'s reading of p after ``history``."""
+        return plausibility_filter(frame, remembered(*history), limits, self.KINDS).reading("p")
+
     def test_inside_limits_stays_good(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0, max_value=1e6)}
-        frame = frame_of(0.0, ("p", 5e5, GOOD))
-        out = plausibility_filter(frame, [], limits, self.KINDS)
-        assert out.reading("p").quality == GOOD
+        assert self.check(frame_of(0.0, ("p", 5e5, GOOD)), limits).quality == GOOD
 
     def test_out_of_range_suspect(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0)}
-        frame = frame_of(0.0, ("p", -5e5, GOOD))
-        out = plausibility_filter(frame, [], limits, self.KINDS)
-        assert out.reading("p").quality == SUSPECT
-        assert out.reading("p").value == -5e5  # value untouched
+        out = self.check(frame_of(0.0, ("p", -5e5, GOOD)), limits)
+        assert out.quality == SUSPECT
+        assert out.value == -5e5  # value untouched
 
     def test_rate_of_change_rule(self):
         limits = {"pressure": PlausibilityLimits(max_rate=1000.0)}
         history = [frame_of(0.0, ("p", 5.0e5, GOOD))]
         jumped = frame_of(5.0, ("p", 5.0e5 + 5e4, GOOD))   # 10x the allowed rate
-        out = plausibility_filter(jumped, history, limits, self.KINDS)
-        assert out.reading("p").quality == SUSPECT
+        assert self.check(jumped, limits, *history).quality == SUSPECT
         gentle = frame_of(5.0, ("p", 5.0e5 + 4000.0, GOOD))
-        assert plausibility_filter(gentle, history, limits, self.KINDS).reading("p").quality == GOOD
+        assert self.check(gentle, limits, *history).quality == GOOD
 
     def test_rate_rule_uses_last_good(self):
         limits = {"pressure": PlausibilityLimits(max_rate=1000.0)}
@@ -195,35 +212,55 @@ class TestPlausibilityFilter:
             frame_of(5.0, ("p", None, MISSING)),
         ]
         # 9000 Pa over 10 s from the last *good* reading: within the limit
-        out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), history, limits, self.KINDS)
+        assert self.check(frame_of(10.0, ("p", 5.09e5, GOOD)), limits, *history).quality == GOOD
+
+    def test_rate_rule_uses_last_good_however_old(self):
+        # Good at t = 0, then missing for 70 polls: the next reading is held
+        # to max_rate times the 355 s since the last good one.
+        limits = {"pressure": PlausibilityLimits(max_rate=1000.0)}
+        history = [frame_of(0.0, ("p", 5.0e5, GOOD))]
+        history += [frame_of(5.0 * k, ("p", None, MISSING)) for k in range(1, 71)]
+        assert self.check(frame_of(355.0, ("p", 5.0e5 + 3.56e5, GOOD)), limits,
+                          *history).quality == SUSPECT
+        assert self.check(frame_of(355.0, ("p", 5.0e5 + 3.54e5, GOOD)), limits,
+                          *history).quality == GOOD
+
+    def test_rate_rule_skips_suspect_readings(self):
+        limits = {"pressure": PlausibilityLimits(min_value=0.0, max_rate=1000.0)}
+        memory = remembered(frame_of(0.0, ("p", 5.0e5, GOOD)))
+        plausibility_filter(frame_of(5.0, ("p", -1.0, GOOD)), memory, limits, self.KINDS)
+        out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), memory, limits, self.KINDS)
         assert out.reading("p").quality == GOOD
 
     def test_flatline_rule(self):
         limits = {"pressure": PlausibilityLimits(flatline_polls=3)}
         history = [frame_of(0.0, ("p", 7e5, GOOD)), frame_of(5.0, ("p", 7e5, GOOD))]
-        out = plausibility_filter(frame_of(10.0, ("p", 7e5, GOOD)), history, limits, self.KINDS)
-        assert out.reading("p").quality == SUSPECT
-        wiggle = plausibility_filter(frame_of(10.0, ("p", 7e5 + 1.0, GOOD)), history, limits, self.KINDS)
-        assert wiggle.reading("p").quality == GOOD
+        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), limits, *history).quality == SUSPECT
+        wiggle = frame_of(10.0, ("p", 7e5 + 1.0, GOOD))
+        assert self.check(wiggle, limits, *history).quality == GOOD
+
+    def test_flatline_run_counts_suspect_readings_and_breaks_at_missing(self):
+        limits = {"pressure": PlausibilityLimits(flatline_polls=3)}
+        suspect = [frame_of(0.0, ("p", 7e5, SUSPECT)), frame_of(5.0, ("p", 7e5, GOOD))]
+        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), limits, *suspect).quality == SUSPECT
+        gap = [frame_of(0.0, ("p", 7e5, GOOD)), frame_of(5.0, ("p", None, MISSING))]
+        pair = {"pressure": PlausibilityLimits(flatline_polls=2)}
+        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), pair, *gap).quality == GOOD
 
     def test_flatline_disabled_by_default(self):
         limits = {"pressure": PlausibilityLimits()}
         history = [frame_of(float(k), ("p", 7e5, GOOD)) for k in range(20)]
-        out = plausibility_filter(frame_of(20.0, ("p", 7e5, GOOD)), history, limits, self.KINDS)
-        assert out.reading("p").quality == GOOD
+        assert self.check(frame_of(20.0, ("p", 7e5, GOOD)), limits, *history).quality == GOOD
 
     def test_missing_passes_through(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0)}
-        out = plausibility_filter(frame_of(0.0, ("p", None, MISSING)), [], limits, self.KINDS)
-        assert out.reading("p").quality == MISSING
+        assert self.check(frame_of(0.0, ("p", None, MISSING)), limits).quality == MISSING
 
     def test_values_never_altered(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0, max_value=1.0,
                                                  max_rate=0.001, flatline_polls=2)}
         history = [frame_of(0.0, ("p", 42.0, GOOD))]
-        out = plausibility_filter(frame_of(1.0, ("p", 42.0, GOOD)), history, limits, self.KINDS)
-        assert out.reading("p").value == 42.0
+        assert self.check(frame_of(1.0, ("p", 42.0, GOOD)), limits, *history).value == 42.0
 
     def test_unlimited_kind_passes(self):
-        out = plausibility_filter(frame_of(0.0, ("p", -1e9, GOOD)), [], {}, self.KINDS)
-        assert out.reading("p").quality == GOOD
+        assert self.check(frame_of(0.0, ("p", -1e9, GOOD)), {}).quality == GOOD
