@@ -4,7 +4,7 @@ Provides
   1. Equations of state for pipeline liquids and light gases (``fluid``)
   2. Line geometry, instrumentation, and grid building (``network``)
   3. An implicit transient solver for 1D pipe flow with leak sinks
-     (``hydraulics``)
+     (``hydraulics``), on the banded LU of numpy's LAPACK (``lapack``)
   4. SCADA telemetry synthesis with noise, dropout, and plausibility
      filtering (``telemetry``)
   5. Real-time-model leak detection with voting, sizing, and

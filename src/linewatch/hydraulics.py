@@ -36,13 +36,16 @@ when the converged state does.
 The finite-difference Jacobian is filled from its bandwidth alone, with no
 stored sparsity pattern: unknowns 9 apart share no residual row, and a row
 that does not depend on a perturbed unknown differences to exactly 0.0.
+It is factored by LAPACK's banded LU from :mod:`linewatch.lapack`, which
+calls the LAPACK numpy itself links, and scipy's only where numpy's does
+not export it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import lapack
 from .errors import (
     ConfigurationError,
     InfeasibleScenarioError,
@@ -268,7 +271,7 @@ class PipeFlowSolver:
         self._P_scale = 1e5
         self._T_scale = 100.0
 
-        self._lu_cache = None       # (lu, piv, info) from lapack.dgbtrf
+        self._lu_cache = None       # lapack.Factors
         self._cache_key = None
 
     # ---------------------------------------------------------------- public
@@ -322,8 +325,7 @@ class PipeFlowSolver:
         u = self._pack(state.P, state.V, state.T)
         with np.errstate(all="ignore"):
             lu = self._factor(u, res, res(u), history=[])
-        lu_band, piv, info = lu
-        if info > 0:
+        if lu.info > 0:
             raise SolverError("singular Jacobian")
         self._lu_cache, self._cache_key = lu, key
 
@@ -331,7 +333,7 @@ class PipeFlowSolver:
         idx = np.array([3 * node + offset[field] for field, node in reads], dtype=int)
         unit = np.zeros((self.n_unknowns, idx.size), order="F")
         unit[idx, np.arange(idx.size)] = 1.0
-        adjoint, _ = lapack.dgbtrs(lu_band, 4, 4, unit, piv, trans=1)
+        adjoint = lapack.dgbtrs(lu, unit, trans=1)
         # A unit leak adds 0.5/_mdot_scale to the continuity rows of two
         # cells, and J du = -dR.
         cont = adjoint[self._rows[bc.temperature_end][0]]
@@ -538,13 +540,12 @@ class PipeFlowSolver:
                 if lu is None:
                     lu = self._factor(u, res_fn, R, history)
                     rebuilt = True
-                lu_band, piv, info = lu
-                if info > 0:
+                if lu.info > 0:
                     if rebuilt:
                         raise SolverError("singular Jacobian", history=history)
                     lu, rebuilt = None, False
                     continue
-                du_hat, _ = lapack.dgbtrs(lu_band, 4, 4, -R, piv)
+                du_hat = lapack.dgbtrs(lu, -R)
 
                 lam, accepted = 1.0, False
                 for _ in range(12):
@@ -582,11 +583,11 @@ class PipeFlowSolver:
             return u, history
 
     def _factor(self, u, res_fn, R, history):
-        """Build the Jacobian at ``u`` and factor it: ``(lu, piv, info)``."""
+        """Build the Jacobian at ``u`` and factor it: a ``lapack.Factors``."""
         ab = self._jacobian(u, res_fn, R)
         if not np.isfinite(ab).all():
             raise SolverError("non-finite Jacobian", history=history)
-        return lapack.dgbtrf(ab, 4, 4, overwrite_ab=True)
+        return lapack.dgbtrf(ab, 4, 4)
 
     @staticmethod
     def _norm(R):
@@ -632,6 +633,10 @@ class PipeFlowSolver:
                          rho=w[3 * N :])
 
     def _check_physical(self, state, exc_type):
+        """Raise ``exc_type`` naming the first field and node that is not
+        positive.  A liquid's pressure below zero means its column has
+        separated (a vapour cavity), a regime the model does not represent,
+        and the message says so."""
         fields = (("P", state.P), ("T", state.T), ("rho", state.rho))
         if all(arr.min() > 0.0 for _, arr in fields):
             return
@@ -639,9 +644,11 @@ class PipeFlowSolver:
             bad = np.flatnonzero(arr <= 0.0)
             if bad.size:
                 i = int(bad[0])
+                why = ("; pressure below zero: column separation is outside the model"
+                       if name == "P" and isinstance(self.fluid.eos, LiquidEos) else "")
                 raise exc_type(
                     f"{name} = {arr[i]:.6g} at node {i} (x = {self.x[i]:.1f} m) "
-                    "is not physical"
+                    f"is not physical{why}"
                 )
 
     def _check_upwind(self, bc, V, p_in, p_out, rho):

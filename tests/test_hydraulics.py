@@ -130,7 +130,8 @@ class TestSteadyState:
             solver.steady_state(bc)  # friction drop far exceeds the available head
 
     @pytest.mark.parametrize("bad,node,expected", [
-        ({"P": -250.0}, 37, "P = -250 at node 37 (x = 3700.0 m) is not physical"),
+        ({"P": -250.0}, 37, "P = -250 at node 37 (x = 3700.0 m) is not physical; "
+                            "pressure below zero: column separation is outside the model"),
         ({"T": 0.0}, 0, "T = 0 at node 0 (x = 0.0 m) is not physical"),
         ({"rho": -1.5}, 100, "rho = -1.5 at node 100 (x = 10000.0 m) is not physical"),
         ({"rho": -1.5, "T": -2.0}, 12, "T = -2 at node 12 (x = 1200.0 m) is not physical"),
@@ -151,6 +152,16 @@ class TestSteadyState:
             solver._check_physical(state, exc_type)
         assert type(err.value) is exc_type
         assert str(err.value) == expected
+
+    def test_gas_pressure_below_zero_is_not_column_separation(self, ten_km_line):
+        solver = make_solver(_GAS, ten_km_line)
+        P = np.full(solver.N, 5.0e6)
+        P[37] = -250.0
+        state = GridState(t=0.0, x=solver.x, P=P, V=np.ones(solver.N),
+                          T=np.full(solver.N, 300.0), rho=np.full(solver.N, 40.0))
+        with pytest.raises(InfeasibleStateError) as err:
+            solver._check_physical(state, InfeasibleStateError)
+        assert str(err.value) == "P = -250 at node 37 (x = 3700.0 m) is not physical"
 
     def test_eos_consistency(self, water_like, ten_km_line):
         solver = make_solver(water_like, ten_km_line)

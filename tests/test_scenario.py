@@ -889,6 +889,20 @@ class TestPartialFailure:
         assert 0 < report.run["polls"] < 600.0 / 5.0 + 1  # stopped early, kept what it had
         assert not report.rtm["declared"]
 
+    def test_outlet_slam_names_column_separation(self):
+        """Closing the outlet in 1 s (70.5 -> 0 kg/s at t=100 s) pulls the
+        line below zero pressure: the run stops and names the regime."""
+        cfg = standard_config(horizon=300.0)
+        cfg["leaks"] = []
+        cfg["boundaries"]["outlet"] = {
+            "kind": "flow", "series": [[0.0, 70.5], [100.0, 70.5], [101.0, 0.0]],
+        }
+        report = run_scenario(scenario_from_dict(cfg))
+        failure = report.run["solver_failure"]
+        assert failure.startswith("InfeasibleStateError: P = ")
+        assert failure.endswith("pressure below zero: column separation is outside the model")
+        assert 0 < report.run["polls"] < 300.0 / 5.0 + 1
+
     def test_cli_exit_code_on_solver_failure(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(_vacuum_outlet_cfg()))
