@@ -26,14 +26,13 @@ print("rtm verdict: declared=%s t=%.0f s size=%.2f kg/s location=%.0f m"
 
 times, measured, modeled = [], [], []
 for rec in report.rtm_records:
-    if rec.discrepancy is None:
-        continue
-    d = rec.discrepancy.delta.get("p_mid")
+    d = rec.delta.get("p_mid")
     if d is None:
         continue
+    m = rec.frame.good_value("p_mid")
     times.append(rec.poll_time)
-    measured.append(rec.measured["p_mid"])
-    modeled.append(rec.measured["p_mid"] - d)
+    measured.append(m)
+    modeled.append(m - d)
 
 times = np.array(times)
 measured, modeled = np.array(measured), np.array(modeled)

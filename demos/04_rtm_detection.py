@@ -32,9 +32,9 @@ print("ledger:   worst step residual %.2e x linepack"
 # indicator traces: smoothed discrepancies in units of their thresholds
 times, flow_in_n, flow_out_n = [], [], []
 for rec in report.rtm_records:
-    if rec.discrepancy is None:
+    if not rec.available:
         continue
-    n = rec.discrepancy.normalized
+    n = rec.normalized
     times.append(rec.poll_time)
     flow_in_n.append(n.get("flow_in") if n.get("flow_in") is not None else np.nan)
     flow_out_n.append(n.get("flow_out") if n.get("flow_out") is not None else np.nan)

@@ -57,7 +57,7 @@ from .hydraulics import (
     linepack,
 )
 from .network import Grid, InstrumentPlacement, PipelineModel, Segment, discretize, elevation_at
-from .rtm import Discrepancy, LeakVerdict, RtmDetector, VotingPolicy, vote
+from .rtm import LeakVerdict, RtmDetector, VotingPolicy, vote
 from .scenario import RunReport, Scenario, load_scenario, run_scenario, scenario_from_dict, sweep
 from .telemetry import (
     NoiseSpec,

@@ -172,16 +172,13 @@ def _tables(report: RunReport):
         for frame in report.frames for r in frame.readings
     )
     if report.rtm_records:
-        ids = sorted({iid for rec in report.rtm_records if rec.discrepancy
-                      for iid in rec.discrepancy.normalized})
+        ids = sorted({iid for rec in report.rtm_records for iid in rec.normalized})
         header = (["poll_time", "available", "alarm"]
                   + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
 
         def trace_row(rec):
-            disc = rec.discrepancy
-            maps = (disc.normalized, disc.delta) if disc else ({}, {})
             return ([rec.poll_time, rec.available, rec.alarm_condition]
-                    + [m.get(i) for m in maps for i in ids])
+                    + [m.get(i) for m in (rec.normalized, rec.delta) for i in ids])
 
         yield "rtm_trace.csv", header, map(trace_row, report.rtm_records)
     if report.balance.get("enabled"):

@@ -38,7 +38,6 @@ from .telemetry import TelemetryFrame, instrument_nodes, noiseless_reading
 
 __all__ = [
     "VotingPolicy",
-    "Discrepancy",
     "RtmPollRecord",
     "LeakVerdict",
     "LocationScan",
@@ -88,27 +87,26 @@ class VotingPolicy:
 
 
 @dataclass(frozen=True)
-class Discrepancy:
-    """Measured-minus-modeled deltas at the non-boundary instruments."""
-
-    poll_time: float
-    delta: Dict[str, Optional[float]]       # raw, this poll
-    smoothed: Dict[str, Optional[float]]    # moving average (None until warm)
-    normalized: Dict[str, Optional[float]]  # smoothed / threshold
-
-
-@dataclass(frozen=True)
 class RtmPollRecord:
-    poll_time: float
-    available: bool                  # False while initializing or suspended
+    """What the detector made of one poll.  The readings stay in ``frame``;
+    a poll with a ``reason`` is unavailable (initializing or suspended) and
+    carries no indicators, so it never counts toward the vote."""
+
+    frame: TelemetryFrame
     reason: Optional[str]
-    discrepancy: Optional[Discrepancy]
-    alarm_condition: bool            # voting rule satisfied at this poll
+    delta: Dict[str, Optional[float]]       # measured minus modeled, this poll
+    normalized: Dict[str, Optional[float]]  # moving average / threshold (None until warm)
+    alarm_condition: bool                   # voting rule satisfied at this poll
     shadow_linepack: Optional[float]
-    measured_flow_in: Optional[float]
-    measured_flow_out: Optional[float]
-    boundary_values: Dict[str, float]
-    measured: Dict[str, Optional[float]]
+    boundary_values: Dict[str, Optional[float]]  # held drive readings
+
+    @property
+    def poll_time(self):
+        return self.frame.poll_time
+
+    @property
+    def available(self):
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,7 @@ class RtmDetector:
                 {
                     "t": r.poll_time,
                     "available": r.available,
-                    "normalized": dict(r.discrepancy.normalized) if r.discrepancy else {},
+                    "normalized": dict(r.normalized),
                     "alarm": r.alarm_condition,
                 }
                 for r in self.records
@@ -325,7 +323,7 @@ class RtmDetector:
             needed.append(self.pressure_anchor)
         values = {i.id: frame.good_value(i.id) for i in needed}
         if any(v is None for v in values.values()):
-            return self._unavailable(frame, "awaiting good boundary readings")
+            return self._record(frame, reason="awaiting good boundary readings")
 
         t_bc = self._temperature_value(frame)
         self._state = self.solver.steady_state(self._steady_bc(values, t_bc), t=t)
@@ -335,7 +333,7 @@ class RtmDetector:
             self._stale[i.id] = 0
         if self.temperature_instrument is not None:
             self._hold[self.temperature_instrument.id] = t_bc
-        return self._evaluate(frame, linepack(self._state, self.pipeline))
+        return self._record(frame, linepack(self._state, self.pipeline))
 
     def _steady_bc(self, values, t_bc):
         """Constant boundary conditions of a steady problem from one value
@@ -373,11 +371,8 @@ class RtmDetector:
         targets = (self._hold[self.boundary_in.id], self._hold[self.boundary_out.id], t_now)
         step = self.solver.advance(self._state, self._drive_bc, dt=t1 - t0, targets=targets)
         self._state = step.state
-        lp = step.ledger.linepack_end
-        if suspended:
-            return self._unavailable(frame, "boundary readings stale; detection suspended",
-                                     shadow_linepack=lp)
-        return self._evaluate(frame, lp)
+        reason = "boundary readings stale; detection suspended" if suspended else None
+        return self._record(frame, step.ledger.linepack_end, reason)
 
     def _temperature_value(self, frame):
         if self.temperature_instrument is not None:
@@ -391,68 +386,44 @@ class RtmDetector:
 
     # ------------------------------------------------------------ evaluation
 
-    def _evaluate(self, frame, lp):
-        t = frame.poll_time
-        delta, smoothed, normalized = {}, {}, {}
-        measured = {}
-        for ind in self.indicators:
-            v = frame.good_value(ind.id)
-            measured[ind.id] = v
-            if v is None:
-                delta[ind.id] = smoothed[ind.id] = normalized[ind.id] = None
-                continue
-            model = noiseless_reading(self._state, ind.kind, self._node_of[ind.id], self.pipeline)
-            d = float(v - model)
-            delta[ind.id] = d
-            buf = self._smooth[ind.id]
-            buf.append(d)
-            if len(buf) == buf.maxlen:
-                # np.mean's own sum, without its wrapper: the same bits
-                sm = float(np.array(buf).sum()) / len(buf)
-                smoothed[ind.id] = sm
-                normalized[ind.id] = sm / self.policy.threshold_for(ind.kind)
-            else:
-                smoothed[ind.id] = normalized[ind.id] = None
+    def _record(self, frame, lp=None, reason=None):
+        """The poll's record, declaring on the first alarm.  An available
+        poll (no ``reason``) takes each indicator's measured-minus-modeled
+        delta into its moving average; an unavailable one carries none."""
+        delta, normalized = {}, {}
+        if reason is None:
+            for ind in self.indicators:
+                v = frame.good_value(ind.id)
+                if v is None:
+                    delta[ind.id] = normalized[ind.id] = None
+                    continue
+                model = noiseless_reading(self._state, ind.kind, self._node_of[ind.id],
+                                          self.pipeline)
+                d = float(v - model)
+                delta[ind.id] = d
+                buf = self._smooth[ind.id]
+                buf.append(d)
+                if len(buf) == buf.maxlen:
+                    # np.mean's own sum, without its wrapper: the same bits
+                    sm = float(np.array(buf).sum()) / len(buf)
+                    normalized[ind.id] = sm / self.policy.threshold_for(ind.kind)
+                else:
+                    normalized[ind.id] = None
 
-        # Unavailable polls carry no indicators, so they never count.
-        recent = [r.discrepancy.normalized if r.available else {}
-                  for r in self.records[-self.policy.consecutive_required:]]
-        alarm_now = vote(recent + [normalized], self.policy)
-        disc = Discrepancy(poll_time=t, delta=delta, smoothed=smoothed, normalized=normalized)
-
+        recent = [r.normalized for r in self.records[-self.policy.consecutive_required:]]
         rec = RtmPollRecord(
-            poll_time=t,
-            available=True,
-            reason=None,
-            discrepancy=disc,
-            alarm_condition=alarm_now,
+            frame=frame,
+            reason=reason,
+            delta=delta,
+            normalized=normalized,
+            alarm_condition=vote(recent + [normalized], self.policy),
             shadow_linepack=lp,
-            measured_flow_in=self._meter_value(frame, self.flow_in_meter),
-            measured_flow_out=self._meter_value(frame, self.flow_out_meter),
-            boundary_values={i.id: self._hold[i.id]
+            boundary_values={i.id: self._hold.get(i.id)
                              for i in (self.boundary_in, self.boundary_out)},
-            measured=measured,
         )
-        if alarm_now and self._verdict is None:
+        if rec.alarm_condition and self._verdict is None:
             self._declare(rec)
         return rec
-
-    def _unavailable(self, frame, reason, shadow_linepack=None):
-        return RtmPollRecord(
-            poll_time=frame.poll_time,
-            available=False,
-            reason=reason,
-            discrepancy=None,
-            alarm_condition=False,
-            shadow_linepack=shadow_linepack,
-            measured_flow_in=self._meter_value(frame, self.flow_in_meter),
-            measured_flow_out=self._meter_value(frame, self.flow_out_meter),
-            boundary_values=dict(self._hold),
-            measured={},
-        )
-
-    def _meter_value(self, frame, meter):
-        return None if meter is None else frame.good_value(meter.id)
 
     # ------------------------------------------------------------ sizing
 
@@ -464,10 +435,13 @@ class RtmDetector:
         simultaneously good in the window (the alarm itself stands).
         """
         M = self.policy.consecutive_required if window is None else window
+        meters = (self.flow_in_meter, self.flow_out_meter)
         samples = []
         for k in range(max(len(self.records) - M, 0), len(self.records)):
             rec = self.records[k]
-            if rec.measured_flow_in is None or rec.measured_flow_out is None:
+            flow_in, flow_out = (None if m is None else rec.frame.good_value(m.id)
+                                 for m in meters)
+            if flow_in is None or flow_out is None:
                 continue
             if self.drive == "pressure":
                 prev = self.records[k - 1] if k > 0 else None
@@ -480,7 +454,7 @@ class RtmDetector:
                 # imbalance by construction; subtracting it would cancel the
                 # leak signal exactly.  The raw imbalance is the estimate.
                 rate = 0.0
-            samples.append(rec.measured_flow_in - rec.measured_flow_out - rate)
+            samples.append(flow_in - flow_out - rate)
         if not samples:
             return None, "size unavailable: end flow readings or linepack rate missing"
         return float(np.mean(samples)), None
@@ -514,7 +488,7 @@ class RtmDetector:
                   for iid in recs[-1].boundary_values}
         meas_avg = {}
         for ind in self.indicators:
-            vals = [r.measured.get(ind.id) for r in recs]
+            vals = [r.frame.good_value(ind.id) for r in recs]
             vals = [v for v in vals if v is not None]
             if vals:
                 meas_avg[ind.id] = float(np.mean(vals))

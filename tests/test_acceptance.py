@@ -70,11 +70,11 @@ class TestLeakPhenomenologySigns:
 
         times, measured, modeled = [], [], []
         for rec in report.rtm_records:
-            if not rec.available or rec.discrepancy is None:
+            if not rec.available:
                 continue
             if 115.0 <= rec.poll_time <= t_alarm:  # last pre-onset poll .. alarm
-                d = rec.discrepancy.delta.get("p_mid")
-                m = rec.measured.get("p_mid")
+                d = rec.delta.get("p_mid")
+                m = rec.frame.good_value("p_mid")
                 if d is None or m is None:
                     continue
                 times.append(rec.poll_time)

@@ -146,7 +146,7 @@ class TestShadowModel:
         full_scale_flow, full_scale_p = 70.0, 1.0e6
         for rec in det.records[5:]:
             assert rec.available
-            for iid, d in rec.discrepancy.delta.items():
+            for iid, d in rec.delta.items():
                 scale = full_scale_flow if iid.startswith("flow") else full_scale_p
                 assert abs(d) < 1e-6 * scale
 
@@ -165,17 +165,17 @@ class TestShadowModel:
                                  nodes=nodes)
         det.observe(take(loop.state))
         assert {i.kind for i in det.indicators} == {"flow", "pressure"}
-        delta = det._evaluate(take(det._state), 0.0).discrepancy.delta
+        delta = det._record(take(det._state), 0.0).delta
         assert delta == {i.id: 0.0 for i in det.indicators}
 
     def test_leak_alarm_and_downstream_delta_sign(self):
         det = _MiniLoop(leak_rate=2.0).run(60)
         assert det.verdict.declared
         # pressure-driven shadow: measured outlet flow drops below modeled
-        post = [r for r in det.records if r.poll_time > 130.0 and r.discrepancy]
-        deltas = [r.discrepancy.delta["flow_out"] for r in post[:10]]
+        post = [r for r in det.records if r.poll_time > 130.0 and r.available]
+        deltas = [r.delta["flow_out"] for r in post[:10]]
         assert all(d < 0 for d in deltas)
-        deltas_in = [r.discrepancy.delta["flow_in"] for r in post[:10]]
+        deltas_in = [r.delta["flow_in"] for r in post[:10]]
         assert all(d > 0 for d in deltas_in)
 
     def test_staleness_suspends_and_recovers(self):
@@ -234,7 +234,9 @@ class TestShadowModel:
         # numpy sums 8 or more samples in its own unrolled order, which a
         # plain Python sum does not follow.  The orders agree whenever every
         # partial sum is exact, as for deltas far below their readings, so
-        # the flow indicators here read hundreds of kg/s off the model.
+        # the flow indicators here read hundreds of kg/s off the model.  A
+        # power-of-two threshold divides exactly, so the normalized
+        # indicator still shows the mean's every bit.
         rng = np.random.default_rng(n)
 
         def mangle(frame, k):
@@ -242,18 +244,19 @@ class TestShadowModel:
                 Reading(r.instrument_id, r.value + 500.0 * rng.standard_normal(), r.quality)
                 if r.instrument_id.startswith("flow") else r for r in frame.readings))
 
-        pol = policy(smoothing_polls=n, flow_threshold=1e9)
+        threshold = 2.0 ** 30
+        pol = policy(smoothing_polls=n, flow_threshold=threshold)
         det = _MiniLoop(pol=pol, mangle=mangle).run(n + 10)
         history = collections.defaultdict(list)
         compared = 0
         for rec in det.records:
-            for iid, d in rec.discrepancy.delta.items():
+            for iid, d in rec.delta.items():
                 history[iid].append(d)
-                sm = rec.discrepancy.smoothed[iid]
+                norm = rec.normalized[iid]
                 if len(history[iid]) < n:
-                    assert sm is None
+                    assert norm is None
                     continue
-                assert sm == float(np.mean(history[iid][-n:]))
+                assert norm == float(np.mean(history[iid][-n:])) / threshold
                 compared += 1
         assert compared == 2 * 12  # n + 11 polls, the first n - 1 warming up
 
@@ -312,11 +315,8 @@ def _reference_step(self, frame):
     )
     step = self.solver.advance(self._state, bc, dt=t1 - t0)
     self._state = step.state
-    lp = step.ledger.linepack_end
-    if suspended:
-        return self._unavailable(frame, "boundary readings stale; detection suspended",
-                                 shadow_linepack=lp)
-    return self._evaluate(frame, lp)
+    reason = "boundary readings stale; detection suspended" if suspended else None
+    return self._record(frame, step.ledger.linepack_end, reason)
 
 
 class TestShadowTargets:
@@ -348,7 +348,7 @@ class TestShadowTargets:
         for a, b in zip(new.det.records, ref.det.records):
             assert a.poll_time == b.poll_time and a.available == b.available
             assert a.shadow_linepack == b.shadow_linepack
-            assert a.discrepancy.delta == b.discrepancy.delta
+            assert a.delta == b.delta
         for f in ("P", "V", "T", "rho"):
             assert getattr(new.det._state, f).tobytes() == getattr(ref.det._state, f).tobytes()
         assert new.det._state.t == ref.det._state.t
@@ -446,7 +446,8 @@ def exhaustive_scan(det, size, window):
               for iid in recs[-1].boundary_values}
     meas = {}
     for ind in det.indicators:
-        vals = [r.measured[ind.id] for r in recs if r.measured.get(ind.id) is not None]
+        vals = [r.frame.good_value(ind.id) for r in recs]
+        vals = [v for v in vals if v is not None]
         if vals:
             meas[ind.id] = float(np.mean(vals))
     if det.drive == "flow":
