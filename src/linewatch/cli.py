@@ -8,8 +8,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import (ConfigurationError, InfeasibleScenarioError,
-                     InfeasibleStateError, SolverError)
+from .errors import SOLVER_FAILURES, ConfigurationError
 from .scenario import RunReport, load_scenario, run_scenario, start_plant, sweep
 
 logger = logging.getLogger("linewatch")
@@ -58,7 +57,7 @@ def main(argv=None):
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (SolverError, InfeasibleScenarioError, InfeasibleStateError) as e:
+    except SOLVER_FAILURES as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 1
     return 0
@@ -173,11 +172,11 @@ def _tables(report: RunReport):
     )
     if report.rtm_records:
         ids = sorted({iid for rec in report.rtm_records for iid in rec.normalized})
-        header = (["poll_time", "available", "alarm"]
+        header = (["poll_time", "available", "reason", "alarm"]
                   + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
 
         def trace_row(rec):
-            return ([rec.poll_time, rec.available, rec.alarm_condition]
+            return ([rec.poll_time, rec.available, rec.reason, rec.alarm_condition]
                     + [m.get(i) for m in (rec.normalized, rec.delta) for i in ids])
 
         yield "rtm_trace.csv", header, map(trace_row, report.rtm_records)

@@ -32,3 +32,7 @@ class InfeasibleScenarioError(RuntimeError):
 
 class InfeasibleStateError(RuntimeError):
     """A solved state violates physical bounds (e.g. pressure <= 0 at a node)."""
+
+
+# What stops a run: the model cannot carry the scenario any further.
+SOLVER_FAILURES = (SolverError, InfeasibleScenarioError, InfeasibleStateError)

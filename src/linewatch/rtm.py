@@ -17,7 +17,7 @@ the measured pressures fall.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -166,10 +166,12 @@ def combined_verdict(rtm: LeakVerdict, balance_alarm_time=None):
 class RtmDetector:
     """Sequential state machine over the poll stream; one per pipeline.
 
-    Feed filtered telemetry frames in poll order via :meth:`observe`.
-    Boundary readings that go bad are held for up to ``staleness_limit``
-    polls, after which detection is suspended (marked, never silent) until
-    good readings return; suspended polls never count toward voting.
+    Feed filtered telemetry frames in poll order via :meth:`observe`;
+    each poll leaves one :class:`RtmPollRecord` in ``records``.  Boundary
+    readings that go bad are held for up to ``staleness_limit`` polls,
+    after which detection is suspended until good readings return: those
+    polls are unavailable, with their reason, and never count toward
+    voting.
     """
 
     def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy, *,
@@ -277,8 +279,10 @@ class RtmDetector:
 
     def report(self):
         """The ``rtm`` section of a run report: the verdict and, from the
-        poll log, the poll counts and each poll's normalized indicators."""
+        poll log, the poll counts, the unavailable polls by reason, and each
+        poll's normalized indicators and reason."""
         v = self.verdict
+        by_reason = Counter(r.reason for r in self.records if not r.available)
         return {
             "enabled": True,
             "declared": v.declared,
@@ -288,12 +292,14 @@ class RtmDetector:
             "location_ambiguous": v.location_ambiguous,
             "notes": list(v.notes),
             "polls": len(self.records),
-            "unavailable_polls": sum(1 for r in self.records if not r.available),
+            "unavailable_polls": sum(by_reason.values()),
+            "unavailable_by_reason": dict(by_reason),
             "alarm_condition_polls": [r.poll_time for r in self.records if r.alarm_condition],
             "indicator_trace": [
                 {
                     "t": r.poll_time,
                     "available": r.available,
+                    "reason": r.reason,
                     "normalized": dict(r.normalized),
                     "alarm": r.alarm_condition,
                 }

@@ -37,8 +37,7 @@ import yaml
 from . import acoustic as ac
 from .availability import availability_report, compare_configurations, reference_chains
 from .balance import BalanceDetector
-from .errors import (ConfigurationError, InfeasibleScenarioError,
-                     InfeasibleStateError, SolverError)
+from .errors import SOLVER_FAILURES, ConfigurationError
 from .fluid import FluidModel, GasEos, LiquidEos, assert_off_critical
 from .hydraulics import (
     BoundaryConditions,
@@ -52,7 +51,7 @@ from .hydraulics import (
 from .network import InstrumentPlacement, PipelineModel, Segment, discretize, end_flow_meters
 from .rtm import RtmDetector, VotingPolicy, combined_verdict
 from .telemetry import (NoiseSpec, PlausibilityLimits, TelemetryFrame, instrument_nodes,
-                        plausibility_filter, sample)
+                        noiseless_reading, plausibility_filter, sample)
 
 __all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "start_plant",
            "run_scenario", "sweep"]
@@ -636,7 +635,11 @@ def _parse_availability(node):
 def start_plant(scenario: Scenario):
     """The run's grid, its SCADA instruments, the plant solver, its steady
     start at t=0, and the RTM and balance detectors (None when disabled);
-    raises what building them raises for a scenario the run would reject."""
+    raises what building them raises for a scenario the run would reject.
+
+    Every instrument must read its steady start inside its kind's
+    plausibility window: one that does not would have each of its readings
+    dropped, so the scenario is taken to mix units (a ConfigurationError)."""
     s = scenario
     extra = [lk.position for lk in s.leaks]
     if s.acoustic:
@@ -645,6 +648,14 @@ def start_plant(scenario: Scenario):
     grid = discretize(s.pipeline, s.target_dx, scada, extra_points=extra)
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
     state = plant.steady_state(s.bc, t=0.0)
+    for inst, node in zip(scada, instrument_nodes(grid.node_positions, scada)):
+        lim = s.plausibility.get(inst.kind)
+        value = noiseless_reading(state, inst.kind, node, s.pipeline)
+        if lim is not None and not lim.min_value <= value <= lim.max_value:
+            raise ConfigurationError(
+                f"instrument {inst.id} reads {value:.6g} at the steady start, outside its "
+                f"plausibility window [{lim.min_value:g}, {lim.max_value:g}]: are the "
+                "scenario's units mixed up?")
     rtm_det = bal_det = None
     if s.rtm:
         rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada,
@@ -654,8 +665,6 @@ def start_plant(scenario: Scenario):
         bal_det = BalanceDetector(**s.balance)
     return grid, scada, plant, state, rtm_det, bal_det
 
-
-_SOLVER_FAILURES = (SolverError, InfeasibleScenarioError, InfeasibleStateError)
 
 # Polls per message from a forked field side to the detectors.
 _BATCH_POLLS = 16
@@ -705,7 +714,7 @@ def _field_side(s, grid, scada, plant, state, dump_states):
                     states.append(state)
             yield _Poll(poll(state), (max_residual, max_relative, lp), states)
             states = []
-    except _SOLVER_FAILURES as e:
+    except SOLVER_FAILURES as e:
         failure = f"{type(e).__name__}: {e}"
     yield _Poll(None, (max_residual, max_relative, lp), states, failure)
 
@@ -830,7 +839,7 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
                     solver_failure = rec.failure
                     break
                 observe(rec)
-        except _SOLVER_FAILURES as e:
+        except SOLVER_FAILURES as e:
             solver_failure = f"{type(e).__name__}: {e}"
     max_ledger_residual, max_ledger_relative, final_linepack = rec.ledger
 
@@ -887,14 +896,17 @@ def _metrics(s, rtm_report, balance_report, acoustic_report):
     if not s.leaks:
         return metrics
     leak = s.leaks[0]
+    # An alarm raised before the leak opened did not detect it: no latency.
     if rtm_report.get("declared"):
-        metrics["rtm_detection_latency"] = rtm_report["declared_time"] - leak.start_time
+        if rtm_report["declared_time"] >= leak.start_time:
+            metrics["rtm_detection_latency"] = rtm_report["declared_time"] - leak.start_time
         if rtm_report.get("size_estimate") is not None:
             metrics["rtm_size_error"] = abs(rtm_report["size_estimate"] - leak.mass_rate)
         if rtm_report.get("location_estimate") is not None:
             metrics["rtm_location_error"] = abs(rtm_report["location_estimate"] - leak.position)
-    if balance_report.get("first_alarm_time") is not None:
-        metrics["balance_detection_latency"] = balance_report["first_alarm_time"] - leak.start_time
+    t_balance = balance_report.get("first_alarm_time")
+    if t_balance is not None and t_balance >= leak.start_time:
+        metrics["balance_detection_latency"] = t_balance - leak.start_time
     for det in acoustic_report.get("detections", []):
         if det["leak_position"] == leak.position:
             if det["latency"] is not None:

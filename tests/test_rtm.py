@@ -197,6 +197,28 @@ class TestShadowModel:
         # recovery after readings return
         assert det.records[25].available
 
+    def test_unavailable_record_carries_no_indicators_and_the_held_drive(self):
+        def mangle(frame, k):
+            if k < 2 or 10 <= k < 20:  # p_in dark at the start and for 10 polls
+                readings = tuple(Reading(r.instrument_id, None, MISSING)
+                                 if r.instrument_id == "p_in" else r for r in frame.readings)
+                return TelemetryFrame(frame.poll_time, readings)
+            return frame
+        det = _MiniLoop(mangle=mangle).run(20)
+        awaiting, suspended = det.records[1], det.records[15]
+        assert awaiting.reason == "awaiting good boundary readings"
+        assert suspended.reason == "boundary readings stale; detection suspended"
+        for rec in (awaiting, suspended):
+            assert not rec.available and not rec.alarm_condition
+            assert rec.delta == rec.normalized == {}
+        assert awaiting.shadow_linepack is None and suspended.shadow_linepack is not None
+        # Nothing is held before the shadow starts; then the last good p_in
+        # (poll 9) and this poll's p_out.
+        assert awaiting.boundary_values == {"p_in": None, "p_out": None}
+        assert suspended.boundary_values == {
+            "p_in": det.records[9].frame.good_value("p_in"),
+            "p_out": suspended.frame.good_value("p_out")}
+
     def test_report_counts_come_from_the_poll_log(self):
         def mangle(frame, k):
             if 5 <= k < 12:  # long enough a boundary outage to suspend
@@ -213,6 +235,9 @@ class TestShadowModel:
         alarms = [r.poll_time for r in det.records if r.alarm_condition]
         assert section["alarm_condition_polls"] == alarms and alarms
         assert [p["t"] for p in section["indicator_trace"]] == [r.poll_time for r in det.records]
+        assert [p["reason"] for p in section["indicator_trace"]] == [r.reason for r in det.records]
+        assert section["unavailable_by_reason"] == dict(
+            collections.Counter(r.reason for r in unavailable))
 
     def test_suspended_polls_never_vote(self):
         def mangle(frame, k):

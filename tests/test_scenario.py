@@ -692,6 +692,29 @@ class TestCli:
             "configuration error: pressure-driven detection needs a pressure instrument "
             "at each end of the line\n")
 
+    @pytest.mark.parametrize("edit,message", [
+        # a temperature in degrees Celsius read as kelvin
+        (lambda cfg: cfg["boundaries"]["temperature"].update(value=26.85),
+         "instrument t_in reads 26.85 at the steady start, outside its plausibility "
+         "window [200, 400]"),
+        # a diameter in millimetres read as metres
+        (lambda cfg: cfg["pipeline"].update(diameter=300),
+         "instrument flow_in reads 2.22382e+09 at the steady start, outside its "
+         "plausibility window [-150, 150]"),
+    ], ids=["celsius_as_kelvin", "millimetres_as_metres"])
+    def test_unit_mix_up_fails_at_load(self, tmp_path, capsys, edit, message):
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        edit(cfg)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            start_plant(scenario_from_dict(cfg))
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("configuration error: " + message)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [("substeps", 2), ("theta", 0.7),
                                            ("newton_tol", 1e-8)])
     def test_removed_shadow_settings_exit_2_naming_the_key(self, tmp_path, capsys, key, value):
@@ -903,6 +926,38 @@ class TestPartialFailure:
         assert failure.endswith("pressure below zero: column separation is outside the model")
         assert 0 < report.run["polls"] < 300.0 / 5.0 + 1
 
+    def test_verdict_before_a_solver_failure_stands(self, tmp_path, capsys):
+        """Pressures in bar read as Pa: the RTM declares at 65 s, before the
+        leak opens at 120 s, and the plant then stops on column separation.
+        The detectors only see frames, and a field-side failure stops the
+        SCADA, so the verdict stands; it detected no leak, so it has no
+        latency."""
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        cfg["boundaries"]["inlet"]["value"] = 10.0
+        cfg["boundaries"]["outlet"]["value"] = 6.7
+        path = tmp_path / "bar_as_pa.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 1
+        assert "column separation" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        rtm = report["rtm"]
+        assert rtm["declared"] and rtm["declared_time"] == 65.0
+        assert report["combined"]["declared_time"] == 65.0
+        assert report["run"]["solver_failure"].endswith(
+            "pressure below zero: column separation is outside the model")
+        assert report["run"]["polls"] == rtm["polls"] == 24
+        assert "rtm_detection_latency" not in report["metrics"]
+        unavailable = [e for e in rtm["indicator_trace"] if not e["available"]]
+        assert len(unavailable) == rtm["unavailable_polls"] == 5
+        assert all(e["reason"] and e["normalized"] == {} for e in unavailable)
+        assert rtm["unavailable_by_reason"] == {
+            "awaiting good boundary readings": 3,
+            "boundary readings stale; detection suspended": 2}
+        with open(out / "rtm_trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert [r["reason"] for r in rows] == [e["reason"] or "" for e in rtm["indicator_trace"]]
+
     def test_cli_exit_code_on_solver_failure(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(_vacuum_outlet_cfg()))
@@ -1032,6 +1087,13 @@ class TestFieldSideTransports:
             assert a.t == b.t
             for f in ("P", "V", "T", "rho"):
                 assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+
+    def test_records_keep_the_frames_they_were_given(self, monkeypatch):
+        # An RTM record copies no readings: its frame is the run's frame.
+        for report in self._run_both(standard_config(horizon=150.0), monkeypatch):
+            assert len(report.rtm_records) == len(report.frames) == 31
+            assert all(rec.frame is frame
+                       for rec, frame in zip(report.rtm_records, report.frames))
 
     def test_plant_failure_mid_run(self, monkeypatch):
         here, forked = self._run_both(_vacuum_outlet_cfg(), monkeypatch)
