@@ -18,7 +18,7 @@ the measured pressures fall.
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -205,15 +205,15 @@ class RtmDetector:
         self._classify_instruments()
         self._state = None
         self._drive_bc = None       # built from the first good boundary readings
-        self._hold: Dict[str, float] = {}
+        self._hold: Dict[str, float] = {}   # the two boundary instruments' held readings
         self._stale: Dict[str, int] = {}
+        self._t_held = self.fallback_temperature
         self._smooth: Dict[str, deque] = {
             i.id: deque(maxlen=policy.smoothing_polls) for i in self.indicators
         }
         self.records: List[RtmPollRecord] = []
-        self._verdict: Optional[LeakVerdict] = None
-        self._declared_at_poll: Optional[int] = None
-        self._refined = False
+        self.verdict = LeakVerdict(declared=False)
+        self._refine_at: Optional[int] = None   # record count at which to refine
 
     # ------------------------------------------------------------ wiring
 
@@ -273,10 +273,6 @@ class RtmDetector:
 
     # ------------------------------------------------------------ stepping
 
-    @property
-    def verdict(self) -> LeakVerdict:
-        return self._verdict if self._verdict is not None else LeakVerdict(declared=False)
-
     def report(self):
         """The ``rtm`` section of a run report: the verdict and, from the
         poll log, the poll counts, the unavailable polls by reason, and each
@@ -314,11 +310,7 @@ class RtmDetector:
         else:
             rec = self._step(frame)
         self.records.append(rec)
-        if (
-            self._declared_at_poll is not None
-            and not self._refined
-            and len(self.records) - self._declared_at_poll >= self.refine_after_polls > 0
-        ):
+        if len(self.records) == self._refine_at:
             self._refine()
         return rec
 
@@ -332,22 +324,19 @@ class RtmDetector:
             return self._record(frame, reason="awaiting good boundary readings")
 
         t_bc = self._temperature_value(frame)
-        self._state = self.solver.steady_state(self._steady_bc(values, t_bc), t=t)
+        self._state = self.solver.steady_state(
+            self._constant_bc(self._steady_ends, values, t_bc), t=t)
         self._drive_bc = self._constant_bc(self._drive_ends, values, t_bc)
-        for i in needed:
+        for i in (self.boundary_in, self.boundary_out):
             self._hold[i.id] = values[i.id]
             self._stale[i.id] = 0
-        if self.temperature_instrument is not None:
-            self._hold[self.temperature_instrument.id] = t_bc
         return self._record(frame, linepack(self._state, self.pipeline))
 
-    def _steady_bc(self, values, t_bc):
-        """Constant boundary conditions of a steady problem from one value
-        per instrument id; in flow drive the pressure anchor's value
-        replaces the flow at its end."""
-        return self._constant_bc(self._steady_ends, values, t_bc)
-
     def _constant_bc(self, ends, values, t_bc):
+        """Constant boundary conditions from one value per instrument id at
+        the (kind, instrument) ``ends``; ``_steady_ends`` give a steady
+        problem, where in flow drive the pressure anchor's value replaces
+        the flow at its end."""
         leg = lambda kind, inst: BoundaryLeg(kind, TimeSeries.constant(values[inst.id]))
         return BoundaryConditions(inlet=leg(*ends[0]), outlet=leg(*ends[1]),
                                   temperature=TimeSeries.constant(t_bc),
@@ -370,9 +359,6 @@ class RtmDetector:
                         for i in (self.boundary_in, self.boundary_out))
 
         t_now = self._temperature_value(frame)
-        if self.temperature_instrument is not None:
-            self._hold[self.temperature_instrument.id] = t_now
-
         # One step per poll, to the readings held at its end.
         targets = (self._hold[self.boundary_in.id], self._hold[self.boundary_out.id], t_now)
         step = self.solver.advance(self._state, self._drive_bc, dt=t1 - t0, targets=targets)
@@ -381,14 +367,13 @@ class RtmDetector:
         return self._record(frame, step.ledger.linepack_end, reason)
 
     def _temperature_value(self, frame):
+        """The temperature drive: this poll's good reading, else the last
+        one taken, else ``fallback_temperature``."""
         if self.temperature_instrument is not None:
             v = frame.good_value(self.temperature_instrument.id)
             if v is not None:
-                return v
-            held = self._hold.get(self.temperature_instrument.id)
-            if held is not None:
-                return held
-        return self.fallback_temperature
+                self._t_held = v
+        return self._t_held
 
     # ------------------------------------------------------------ evaluation
 
@@ -427,7 +412,7 @@ class RtmDetector:
             boundary_values={i.id: self._hold.get(i.id)
                              for i in (self.boundary_in, self.boundary_out)},
         )
-        if rec.alarm_condition and self._verdict is None:
+        if rec.alarm_condition and not self.verdict.declared:
             self._declare(rec)
         return rec
 
@@ -506,10 +491,7 @@ class RtmDetector:
             if self.pressure_anchor.id not in meas_avg:
                 return None
             values[self.pressure_anchor.id] = meas_avg[self.pressure_anchor.id]
-        t_bc = self.fallback_temperature
-        if self.temperature_instrument is not None:
-            t_bc = self._hold.get(self.temperature_instrument.id, t_bc)
-        bc = self._steady_bc(values, t_bc)
+        bc = self._constant_bc(self._steady_ends, values, self._t_held)
 
         used = [ind for ind in self.indicators if ind.id in meas_avg]
         nodes = [self._node_of[ind.id] for ind in used]
@@ -566,30 +548,27 @@ class RtmDetector:
         )
 
     def _declare(self, rec):
-        notes = []
         size, note = self.size_leak()
-        if note:
-            notes.append(note)
-        location, ambiguous = None, False
-        if size is not None and size > 0:
-            scan = self.locate_leak(size)
-            if scan is not None:
-                location, ambiguous = scan.position, scan.ambiguous
-                if ambiguous:
-                    notes.append("location ambiguous: flat residual landscape")
-            else:
-                notes.append("location unavailable")
+        scan = self.locate_leak(size)
+        if size is None or size <= 0:
+            where = "location skipped: no usable size estimate"
+        elif scan is None:
+            where = "location unavailable"
+        elif scan.ambiguous:
+            where = "location ambiguous: flat residual landscape"
         else:
-            notes.append("location skipped: no usable size estimate")
-        self._verdict = LeakVerdict(
+            where = None
+        self.verdict = LeakVerdict(
             declared=True,
             declared_time=rec.poll_time,
             size_estimate=size,
-            location_estimate=location,
-            location_ambiguous=ambiguous,
-            notes=tuple(notes),
+            location_estimate=None if scan is None else scan.position,
+            location_ambiguous=scan is not None and scan.ambiguous,
+            notes=tuple(n for n in (note, where) if n),
         )
-        self._declared_at_poll = len(self.records) + 1  # the record being built
+        if self.refine_after_polls > 0:
+            # The record being built is number len(records) + 1.
+            self._refine_at = len(self.records) + 1 + self.refine_after_polls
 
     def _refine(self):
         """Recompute size/location from post-declaration polls.
@@ -599,22 +578,16 @@ class RtmDetector:
         replaced by estimates over that window.  Declaration time is not
         touched.  Failed refinements keep the original estimates.
         """
-        self._refined = True
         window = self.refine_after_polls
-        size, note = self.size_leak(window=window)
+        size, _ = self.size_leak(window=window)
         if size is None or size <= 0:
             return
-        v = self._verdict
-        notes = list(v.notes) + [f"estimates refined {window} polls after declaration"]
-        location, ambiguous = v.location_estimate, v.location_ambiguous
+        v = self.verdict
         scan = self.locate_leak(size, window=window)
-        if scan is not None:
-            location, ambiguous = scan.position, scan.ambiguous
-        self._verdict = LeakVerdict(
-            declared=True,
-            declared_time=v.declared_time,
+        self.verdict = replace(
+            v,
             size_estimate=size,
-            location_estimate=location,
-            location_ambiguous=ambiguous,
-            notes=tuple(notes),
+            location_estimate=v.location_estimate if scan is None else scan.position,
+            location_ambiguous=v.location_ambiguous if scan is None else scan.ambiguous,
+            notes=v.notes + (f"estimates refined {window} polls after declaration",),
         )

@@ -477,10 +477,7 @@ def exhaustive_scan(det, size, window):
             meas[ind.id] = float(np.mean(vals))
     if det.drive == "flow":
         values[det.pressure_anchor.id] = meas[det.pressure_anchor.id]
-    t_bc = det.fallback_temperature
-    if det.temperature_instrument is not None:
-        t_bc = det._hold.get(det.temperature_instrument.id, t_bc)
-    bc = det._steady_bc(values, t_bc)
+    bc = det._constant_bc(det._steady_ends, values, det._t_held)
 
     solver = PipeFlowSolver(det.pipeline, det.fluid, det.grid)
     ssr, guess = [], det._state
