@@ -130,13 +130,15 @@ def triggered_pair(records):
     return a, b
 
 
-def report(leaks, initial_amplitude, sensors, wave: WaveModel):
+def report(leaks, initial_amplitude, sensors, wave: WaveModel, until=math.inf):
     """The ``acoustic`` section of a run report: every sensor's arrival for
     each leak, and per leak the detection latency and the localization
-    from its earliest-triggered pair."""
+    from its earliest-triggered pair.  Arrivals after ``until`` (s), the
+    end of the run, are left out."""
     events, detections = [], []
     for leak in leaks:
-        records = propagate(leak, initial_amplitude, sensors, wave)
+        records = [r for r in propagate(leak, initial_amplitude, sensors, wave)
+                   if r.arrival_time <= until]
         loc = None
         pair = triggered_pair(records)
         if pair is not None:

@@ -1,8 +1,8 @@
 """Equations of state for pipeline liquids and light hydrocarbon gases.
 
 Two EOS families are supported: a bulk-modulus relation for liquids and
-P = rho*R*Z*T for gases, with Z either ideal (Z=1) or a one-parameter
-pressure/temperature correlation.  All quantities are SI.
+P = rho*R*Z*T for gases, with Z from a one-parameter pressure/temperature
+correlation that is ideal (Z=1) when its constant is 0.  All quantities are SI.
 """
 
 from dataclasses import dataclass
@@ -61,8 +61,8 @@ class LiquidEos:
 class GasEos:
     """Light hydrocarbon gas: P = rho*R*Z*T.
 
-    In ``correlated`` mode the compressibility follows
-    ``1/Z - 1 = k*P/T**y`` so Z = 1/(1 + k*P/T**y); ``k`` anchors the
+    The compressibility follows ``1/Z - 1 = k*P/T**y`` so
+    Z = 1/(1 + k*P/T**y), and k = 0 is the ideal gas; ``k`` anchors the
     otherwise unanchored correlation and is usually fitted from one known
     (P, T, Z) point, see :meth:`from_z_reference`.  There is no published
     default for ``y``; 1.0 is an arbitrary but documented choice.
@@ -70,7 +70,6 @@ class GasEos:
 
     R: float                           # specific gas constant, J/(kg K)
     y: float = 1.0                     # Z-correlation temperature exponent
-    z_mode: str = "ideal"              # "ideal" (Z=1) or "correlated"
     k: float = 0.0                     # Z-correlation constant, K^y/Pa
     critical_pressure: Optional[float] = None   # Pa, enables near-critical rejection
     critical_temperature: Optional[float] = None  # K
@@ -80,14 +79,8 @@ class GasEos:
             raise ConfigurationError(f"gas constant R must be > 0, got {self.R}")
         if self.y <= 0:
             raise ConfigurationError(f"Z exponent y must be > 0, got {self.y}")
-        if self.z_mode not in ("ideal", "correlated"):
-            raise ConfigurationError(f"unknown z_mode {self.z_mode!r}")
         if self.k < 0:
             raise ConfigurationError(f"Z-correlation constant k must be >= 0, got {self.k}")
-        if self.z_mode == "ideal" and self.k != 0:
-            raise ConfigurationError(
-                f"Z-correlation constant k={self.k} applies only with z_mode 'correlated'"
-            )
 
     @classmethod
     def from_z_reference(cls, R, P_ref, T_ref, Z_ref, y=1.0, **kwargs):
@@ -97,7 +90,7 @@ class GasEos:
         if P_ref <= 0 or T_ref <= 0:
             raise ConfigurationError("reference P and T must be positive")
         k = (1.0 / Z_ref - 1.0) * T_ref**y / P_ref
-        return cls(R=R, y=y, z_mode="correlated", k=k, **kwargs)
+        return cls(R=R, y=y, k=k, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,6 @@ class FluidModel:
 def compressibility_z(gas: GasEos, P, T):
     """Compressibility factor Z(P, T); accepts scalars or arrays."""
     _check_PT(P, T)
-    if gas.z_mode == "ideal":
-        return np.ones_like(np.asarray(P, dtype=float)) if np.ndim(P) else 1.0
     return 1.0 / (1.0 + gas.k * np.asarray(P, dtype=float) / np.asarray(T, dtype=float) ** gas.y)
 
 
@@ -203,8 +194,6 @@ def dP_dT_const_density(fluid, P, T):
     P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
     T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
     rho = raw_density(eos, P, T)
-    if eos.z_mode == "ideal":
-        return rho * eos.R
     num = rho * eos.R + eos.y * eos.k * P**2 * T ** (-eos.y - 1.0)
     den = 1.0 + 2.0 * eos.k * P / T**eos.y
     return num / den

@@ -42,13 +42,13 @@ class InstrumentPlacement:
     """One field instrument on the line."""
 
     id: str
-    kind: str              # flow | pressure | temperature | acoustic
+    kind: str              # flow | pressure | temperature
     position: float        # m from inlet
     noise_sigma: float = 0.0   # instrument units (kg/s, Pa, or K)
     bias: float = 0.0
     dropout_prob: float = 0.0  # per-poll probability of a missing reading
 
-    KINDS = ("flow", "pressure", "temperature", "acoustic")
+    KINDS = ("flow", "pressure", "temperature")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:

@@ -407,7 +407,6 @@ def _parse_fluid(node):
                 GasEos,
                 R=node.number("R", required=True),
                 y=node.number("y", 1.0),
-                z_mode=node.text("z_mode", "ideal"),
                 k=node.number("k", 0.0),
                 **crit,
             )
@@ -633,9 +632,9 @@ def _parse_availability(node):
 # --------------------------------------------------------------------- running
 
 def start_plant(scenario: Scenario):
-    """The run's grid, its SCADA instruments, the plant solver, its steady
-    start at t=0, and the RTM and balance detectors (None when disabled);
-    raises what building them raises for a scenario the run would reject.
+    """The run's grid, the plant solver, its steady start at t=0, and the
+    RTM and balance detectors (None when disabled); raises what building
+    them raises for a scenario the run would reject.
 
     Every instrument must read its steady start inside its kind's
     plausibility window: one that does not would have each of its readings
@@ -644,11 +643,10 @@ def start_plant(scenario: Scenario):
     extra = [lk.position for lk in s.leaks]
     if s.acoustic:
         extra += [sen.position for sen in s.acoustic["sensors"]]
-    scada = [i for i in s.instruments if i.kind != "acoustic"]
-    grid = discretize(s.pipeline, s.target_dx, scada, extra_points=extra)
+    grid = discretize(s.pipeline, s.target_dx, s.instruments, extra_points=extra)
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
     state = plant.steady_state(s.bc, t=0.0)
-    for inst, node in zip(scada, instrument_nodes(grid.node_positions, scada)):
+    for inst, node in zip(s.instruments, instrument_nodes(grid.node_positions, s.instruments)):
         lim = s.plausibility.get(inst.kind)
         value = noiseless_reading(state, inst.kind, node, s.pipeline)
         if lim is not None and not lim.min_value <= value <= lim.max_value:
@@ -658,12 +656,12 @@ def start_plant(scenario: Scenario):
                 "scenario's units mixed up?")
     rtm_det = bal_det = None
     if s.rtm:
-        rtm_det = RtmDetector(s.pipeline, s.fluid, grid, scada,
+        rtm_det = RtmDetector(s.pipeline, s.fluid, grid, s.instruments,
                               fallback_temperature=s.bc.temperature.at(0.0),
                               temperature_end=s.bc.temperature_end, **s.rtm)
     if s.balance:
         bal_det = BalanceDetector(**s.balance)
-    return grid, scada, plant, state, rtm_det, bal_det
+    return grid, plant, state, rtm_det, bal_det
 
 
 # Polls per message from a forked field side to the detectors.
@@ -683,16 +681,16 @@ class _Poll(NamedTuple):
     failure: Optional[str] = None
 
 
-def _field_side(s, grid, scada, plant, state, dump_states):
+def _field_side(s, grid, plant, state, dump_states):
     """March the plant, sample its SCADA and filter each frame: one _Poll
     per poll, then the closing _Poll.  Reads nothing the detectors make."""
-    nodes = instrument_nodes(grid.node_positions, scada)
+    nodes = instrument_nodes(grid.node_positions, s.instruments)
     noise = NoiseSpec(s.seed)
     memory = {}  # the plausibility filter's, per instrument
 
     def poll(st):
-        frame = sample(st, scada, noise, st.t, pipeline=s.pipeline, nodes=nodes)
-        return plausibility_filter(frame, memory, s.plausibility, scada)
+        frame = sample(st, s.instruments, noise, st.t, pipeline=s.pipeline, nodes=nodes)
+        return plausibility_filter(frame, memory, s.plausibility, s.instruments)
 
     steps_per_poll = round(s.poll_interval / s.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
@@ -814,8 +812,8 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
     :func:`_may_fork` allows, else in this one; the report is the same bytes
     either way."""
     s = scenario
-    grid, scada, plant, state, rtm_det, bal_det = start_plant(s)
-    records = _field_side(s, grid, scada, plant, state, dump_states)
+    grid, plant, state, rtm_det, bal_det = start_plant(s)
+    records = _field_side(s, grid, plant, state, dump_states)
     frames: List = []
     states: List[GridState] = []
     solver_failure = None
@@ -845,8 +843,9 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
 
     rtm_report = rtm_det.report() if rtm_det else {"enabled": False}
     balance_report = bal_det.report() if bal_det else {"enabled": False}
-    # The acoustic channel is kinematic, from ground truth.
-    acoustic_report = (ac.report(s.leaks, **s.acoustic) if s.acoustic
+    # The acoustic channel is kinematic, from ground truth, up to the last poll.
+    acoustic_report = (ac.report(s.leaks, **s.acoustic, until=frames[-1].poll_time)
+                       if s.acoustic
                        else {"enabled": False, "events": [], "detections": []})
     combined = {}
     if rtm_det is not None:
@@ -896,10 +895,10 @@ def _metrics(s, rtm_report, balance_report, acoustic_report):
     if not s.leaks:
         return metrics
     leak = s.leaks[0]
-    # An alarm raised before the leak opened did not detect it: no latency.
-    if rtm_report.get("declared"):
-        if rtm_report["declared_time"] >= leak.start_time:
-            metrics["rtm_detection_latency"] = rtm_report["declared_time"] - leak.start_time
+    # An alarm raised before the leak opened did not detect it: no latency,
+    # and its estimates measure nothing against the leak's truth.
+    if rtm_report.get("declared") and rtm_report["declared_time"] >= leak.start_time:
+        metrics["rtm_detection_latency"] = rtm_report["declared_time"] - leak.start_time
         if rtm_report.get("size_estimate") is not None:
             metrics["rtm_size_error"] = abs(rtm_report["size_estimate"] - leak.mass_rate)
         if rtm_report.get("location_estimate") is not None:

@@ -96,16 +96,10 @@ def instrument_nodes(x, instruments):
     """Grid node index of each polled instrument, in order, for :func:`sample`.
 
     ``x`` holds the node positions of the grid the states are on.  Every
-    instrument must sit on a node; acoustic sensors are event devices
-    handled by the acoustic module, not polled.
+    instrument must sit on a node.
     """
     nodes = []
     for inst in instruments:
-        if inst.kind == "acoustic":
-            raise ConfigurationError(
-                f"instrument {inst.id}: acoustic sensors are not polled; "
-                "route them to the acoustic detector"
-            )
         idx = int(np.argmin(np.abs(x - inst.position)))
         span = max(float(x[-1] - x[0]), 1.0)
         if abs(x[idx] - inst.position) > 1e-9 * span + 1e-9:

@@ -18,7 +18,7 @@ from linewatch.fluid import (
 
 @pytest.fixture
 def ideal_gas():
-    return GasEos(R=500.0, z_mode="ideal")
+    return GasEos(R=500.0)
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ class TestCompressibility:
         assert compressibility_z(ideal_gas, 1e7, 300.0) == 1.0
 
     def test_correlated_by_hand(self):
-        gas = GasEos(R=500.0, y=1.0, z_mode="correlated", k=1.0)
+        gas = GasEos(R=500.0, y=1.0, k=1.0)
         assert compressibility_z(gas, 30.0, 300.0) == pytest.approx(1 / 1.1, rel=1e-12)
 
     def test_z_at_most_one_for_nonnegative_k(self, real_gas):
@@ -156,10 +156,6 @@ class TestValidation:
             GasEos(R=0.0)
         with pytest.raises(ConfigurationError):
             GasEos(R=500.0, y=-1.0)
-        with pytest.raises(ConfigurationError):
-            GasEos(R=500.0, z_mode="starling")
-        with pytest.raises(ConfigurationError, match="correlated"):
-            GasEos(R=500.0, z_mode="ideal", k=1e-6)  # k would be silently half-applied
 
     def test_fluid_model_invariants(self):
         eos = GasEos(R=500.0)

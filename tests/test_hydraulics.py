@@ -170,7 +170,7 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("eos", [
         LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
-        GasEos(R=500.0, z_mode="ideal"),
+        GasEos(R=500.0),
         GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.0),
     ], ids=["liquid", "ideal_gas", "correlated_gas"])
     def test_solver_density_is_fluid_density(self, eos):

@@ -429,6 +429,68 @@ class TestShadowTargets:
         assert not counts
 
 
+class TestDriveInputsAndRefinement:
+    @pytest.mark.parametrize("refine_after", [0, 6])
+    def test_refinement_fires_once_refine_after_polls_after_declaring(
+            self, refine_after, monkeypatch):
+        loop = _MiniLoop(leak_rate=2.0)
+        loop.det = RtmDetector(loop.pipe, loop.fluid, loop.grid, loop.instruments, policy(),
+                               refine_after_polls=refine_after, fallback_temperature=300.0)
+        verdicts = []
+        observe = loop.det.observe
+
+        def observed(frame):
+            rec = observe(frame)
+            verdicts.append(loop.det.verdict)
+            return rec
+
+        monkeypatch.setattr(loop.det, "observe", observed)
+        loop.run(40)
+        changed = [k for k in range(1, len(verdicts)) if verdicts[k] != verdicts[k - 1]]
+        declaring = changed[0]
+        first, last = verdicts[declaring], verdicts[-1]
+        assert first.declared and first.declared_time == loop.det.records[declaring].poll_time
+        refined = f"estimates refined {refine_after} polls after declaration"
+        if refine_after:
+            assert changed == [declaring, declaring + refine_after]
+            assert last.declared_time == first.declared_time
+            assert last.notes == first.notes + (refined,)
+        else:
+            assert changed == [declaring] and last == first
+            assert refined not in last.notes
+
+    def test_temperature_dropout_holds_the_last_good_reading(self):
+        # t_in reads 1.5 K above the line and drifts, so its last good value
+        # is neither this poll's nor the fallback temperature.
+        def loop(dropped):
+            first = {}
+
+            def mangle(frame, k):
+                readings = []
+                for r in frame.readings:
+                    if r.instrument_id == "t_in":
+                        value = r.value + 1.5 + 0.05 * k
+                        first.setdefault("t_in", value)
+                        if 1 <= k <= 4:
+                            r = (Reading("t_in", None, MISSING) if dropped
+                                 else Reading("t_in", first["t_in"], r.quality))
+                        else:
+                            r = Reading("t_in", value, r.quality)
+                    readings.append(r)
+                return TelemetryFrame(frame.poll_time, tuple(readings))
+            return _MiniLoop(leak_rate=2.0, mangle=mangle).run(12)
+
+        dropped, repeated = loop(True), loop(False)
+        assert dropped.records[2].frame.good_value("t_in") is None
+        for a, b in zip(dropped.records, repeated.records, strict=True):
+            assert (a.poll_time, a.reason, a.delta, a.normalized, a.alarm_condition,
+                    a.shadow_linepack, a.boundary_values) == (
+                b.poll_time, b.reason, b.delta, b.normalized, b.alarm_condition,
+                b.shadow_linepack, b.boundary_values)
+        for f in ("P", "V", "T", "rho"):
+            assert getattr(dropped._state, f).tobytes() == getattr(repeated._state, f).tobytes()
+
+
 class TestSizeAndLocate:
     def test_five_kgs_leak_sized_within_five_percent(self):
         cfg = standard_config()

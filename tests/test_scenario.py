@@ -94,8 +94,11 @@ class TestParsing:
     @pytest.mark.parametrize("section,edit,message", [
         ("pipeline", {"diameter": -1}, "pipeline: diameter must be > 0, got -1.0"),
         ("fluid", {"bulk_modulus": -5}, "fluid: bulk modulus B must be > 0"),
-        ("fluid", {"kind": "gas", "R": 500.0, "k": 1.0e-6},
-         "fluid: Z-correlation constant k=1e-06 applies only"),
+        # k = 0 is the ideal gas: there is no Z mode to choose
+        ("fluid", lambda cfg: cfg.update(fluid={
+            "kind": "gas", "R": 500.0, "z_mode": "ideal",
+            "specific_heat": 2200.0, "sound_speed": 380.0}),
+         "fluid.z_mode: unknown key"),
         ("balance", {"mode": "smple"}, "balance.mode: must be 'model' or 'simple', got 'smple'"),
         ("balance", {"threshold": 0}, "balance.threshold: must be > 0, got 0.0"),
         ("balance", {"threshold": -5}, "balance.threshold: must be > 0, got -5.0"),
@@ -163,6 +166,10 @@ class TestParsing:
          "boundaries: temperature_end must be 'inlet' or 'outlet'"),
         ("instruments", lambda cfg: cfg["instruments"][2].update(kind="pressur"),
          "instruments[2]: instrument p_in: unknown kind 'pressur'"),
+        # acoustic sensors belong under acoustic.sensors, not instruments
+        ("instruments", lambda cfg: cfg["instruments"].append(
+            {"id": "mic", "kind": "acoustic", "position": 3333.0}),
+         "instruments[6]: instrument mic: unknown kind 'acoustic'"),
         ("instruments", lambda cfg: cfg["instruments"][2].update(sigma=-1.0),
          "instruments[2]: instrument p_in: noise_sigma must be >= 0"),
         ("instruments", lambda cfg: cfg["instruments"][0].update(dropout=1.0),
@@ -192,7 +199,7 @@ class TestParsing:
         # a step longer than the poll would never advance the plant
         ("solver", {"dt": 1.0e12},
          "telemetry.poll_interval: 5.0 must be a multiple of solver.dt 1000000000000.0"),
-    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_k", "balance_mode",
+    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
             "availability_per_unit_not_a_number", "availability_chains_not_a_list",
@@ -205,7 +212,8 @@ class TestParsing:
             "solver_dt_negative", "solver_target_dx_zero", "horizon_past_a_poll",
             "horizon_between_polls", "horizon_nan", "solver_dt_nan", "horizon_zero",
             "poll_interval_negative", "boundary_kind", "series_decreasing", "series_empty",
-            "temperature_end", "instrument_kind", "instrument_sigma", "instrument_dropout",
+            "temperature_end", "instrument_kind", "instrument_kind_acoustic", "instrument_sigma",
+            "instrument_dropout",
             "leak_mass_rate", "sensor_threshold", "sensor_resolution", "wave_speed",
             "wave_attenuation", "plausibility_min_above_max", "plausibility_max_rate_zero",
             "plausibility_max_rate_negative", "balance_window_past_a_poll",
@@ -866,20 +874,11 @@ class TestSpecInvariantsEndToEnd:
     def test_near_critical_gas_rejected_at_load(self):
         cfg = standard_config()
         cfg["fluid"] = {
-            "kind": "gas", "R": 500.0, "z_mode": "ideal",
+            "kind": "gas", "R": 500.0,
             "critical_pressure": 1.0e6, "critical_temperature": 305.0,
             "specific_heat": 2200.0, "sound_speed": 380.0,
         }
         with pytest.raises(ConfigurationError, match=r"^boundaries: operating point \(P=1e\+06 Pa"):
-            scenario_from_dict(cfg)
-
-    def test_gas_k_without_correlated_z_rejected(self):
-        cfg = standard_config()
-        cfg["fluid"] = {
-            "kind": "gas", "R": 500.0, "k": 1.0e-6,
-            "specific_heat": 2200.0, "sound_speed": 380.0,
-        }
-        with pytest.raises(ConfigurationError, match="correlated"):
             scenario_from_dict(cfg)
 
     def test_balance_never_reports_location(self):
@@ -931,7 +930,7 @@ class TestPartialFailure:
         leak opens at 120 s, and the plant then stops on column separation.
         The detectors only see frames, and a field-side failure stops the
         SCADA, so the verdict stands; it detected no leak, so it has no
-        latency."""
+        latency and no estimate errors, and no acoustic arrival is heard."""
         cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
         cfg["boundaries"]["inlet"]["value"] = 10.0
         cfg["boundaries"]["outlet"]["value"] = 6.7
@@ -947,7 +946,11 @@ class TestPartialFailure:
         assert report["run"]["solver_failure"].endswith(
             "pressure below zero: column separation is outside the model")
         assert report["run"]["polls"] == rtm["polls"] == 24
-        assert "rtm_detection_latency" not in report["metrics"]
+        # Nothing the run reached measures the leak, which opens after it stops.
+        assert report["metrics"] == {}
+        last_poll = rtm["indicator_trace"][-1]["t"]
+        assert last_poll == 115.0
+        assert not [e for e in report["acoustic"]["events"] if e["arrival_time"] > last_poll]
         unavailable = [e for e in rtm["indicator_trace"] if not e["available"]]
         assert len(unavailable) == rtm["unavailable_polls"] == 5
         assert all(e["reason"] and e["normalized"] == {} for e in unavailable)

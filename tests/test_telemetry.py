@@ -147,11 +147,6 @@ class TestSample:
         with pytest.raises(ConfigurationError, match="p at 537.0 m is not on a grid node"):
             instrument_nodes(state.x, inst)
 
-    def test_acoustic_kind_not_polled(self, state):
-        inst = [InstrumentPlacement("a", "acoustic", 0.0)]
-        with pytest.raises(ConfigurationError, match="acoustic"):
-            instrument_nodes(state.x, inst)
-
 
 class TestFrame:
     def test_unknown_id_raises_key_error(self):
