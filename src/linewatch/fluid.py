@@ -3,6 +3,7 @@
 Two EOS families are supported: a bulk-modulus relation for liquids and
 P = rho*R*Z*T for gases, with Z from a one-parameter pressure/temperature
 correlation that is ideal (Z=1) when its constant is 0.  All quantities are SI.
+The functions take the EOS itself; a FluidModel carries one as ``eos``.
 """
 
 from dataclasses import dataclass
@@ -109,15 +110,6 @@ class FluidModel:
                 f"sound_speed_hint must be > 0, got {self.sound_speed_hint}"
             )
 
-    def density(self, P, T):
-        return density(self, P, T)
-
-    def pressure_from_density(self, rho, T):
-        return pressure_from_density(self, rho, T)
-
-    def dP_dT_const_density(self, P, T):
-        return dP_dT_const_density(self, P, T)
-
 
 def compressibility_z(gas: GasEos, P, T):
     """Compressibility factor Z(P, T); accepts scalars or arrays."""
@@ -125,14 +117,13 @@ def compressibility_z(gas: GasEos, P, T):
     return 1.0 / (1.0 + gas.k * np.asarray(P, dtype=float) / np.asarray(T, dtype=float) ** gas.y)
 
 
-def density(fluid, P, T):
-    """Density from the fluid's EOS.
+def density(eos, P, T):
+    """Density from the EOS.
 
     Liquids use the bulk-modulus relation; gases use rho = P/(R*Z*T).
     Raises ParameterDomainError if the computed density is not positive
     (pathological parameter combinations).
     """
-    eos = _eos_of(fluid)
     _check_PT(P, T)
     P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
     T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
@@ -145,14 +136,13 @@ def density(fluid, P, T):
     return rho
 
 
-def pressure_from_density(fluid, rho, T):
+def pressure_from_density(eos, rho, T):
     """Invert the EOS for pressure at a given density and temperature.
 
     Liquid inversion is closed form.  The gas inversion runs a damped
     Newton iteration (cap 100, relative tolerance 1e-12) and raises
     ConvergenceError with diagnostics if the cap is hit.
     """
-    eos = _eos_of(fluid)
     rho = np.asarray(rho, dtype=float) if np.ndim(rho) else float(rho)
     if np.any(np.asarray(rho) <= 0):
         raise ParameterDomainError("density must be > 0")
@@ -185,12 +175,10 @@ def pressure_from_density(fluid, rho, T):
     )
 
 
-def dP_dT_const_density(fluid, P, T):
+def dP_dT_const_density(eos, P, T):
     """(dP/dT) at constant density, from the EOS; used by the energy equation."""
-    eos = _eos_of(fluid)
     if isinstance(eos, LiquidEos):
-        out = -eos.alpha * eos.B
-        return np.full_like(np.asarray(P, dtype=float), out) if np.ndim(P) else out
+        return -eos.alpha * eos.B
     P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
     T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
     rho = raw_density(eos, P, T)
@@ -199,12 +187,11 @@ def dP_dT_const_density(fluid, P, T):
     return num / den
 
 
-def isothermal_sound_speed(fluid, P, T):
+def isothermal_sound_speed(eos, P, T):
     """sqrt(dP/drho) at constant T; a grid/time-step sizing aid.
 
     The acoustic detector uses the configured ``sound_speed_hint``, not this.
     """
-    eos = _eos_of(fluid)
     if isinstance(eos, LiquidEos):
         return float(np.sqrt(eos.B / eos.rho0))
     drho_dP = (1.0 + 2.0 * eos.k * np.asarray(P, float) / np.asarray(T, float) ** eos.y) / (
@@ -213,9 +200,8 @@ def isothermal_sound_speed(fluid, P, T):
     return np.sqrt(1.0 / drho_dP)
 
 
-def assert_off_critical(fluid, P, T):
+def assert_off_critical(eos, P, T):
     """Reject operating points near a declared gas critical point."""
-    eos = _eos_of(fluid)
     if not isinstance(eos, GasEos):
         return
     Pc, Tc = eos.critical_pressure, eos.critical_temperature
@@ -226,14 +212,6 @@ def assert_off_critical(fluid, P, T):
             f"operating point (P={P:.4g} Pa, T={T:.4g} K) is too close to the "
             f"critical point (Pc={Pc:.4g}, Tc={Tc:.4g}); such conditions are rejected"
         )
-
-
-def _eos_of(fluid):
-    if isinstance(fluid, FluidModel):
-        return fluid.eos
-    if isinstance(fluid, (LiquidEos, GasEos)):
-        return fluid
-    raise TypeError(f"expected FluidModel or EOS, got {type(fluid).__name__}")
 
 
 def raw_density(eos, P, T):

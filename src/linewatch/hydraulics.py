@@ -52,7 +52,7 @@ from .errors import (
     InfeasibleStateError,
     SolverError,
 )
-from .fluid import FluidModel, LiquidEos, dP_dT_const_density, raw_density
+from .fluid import FluidModel, LiquidEos, dP_dT_const_density, density, raw_density
 from .network import GRAVITY, Grid, PipelineModel, elevation_at
 
 __all__ = [
@@ -239,7 +239,7 @@ class PipeFlowSolver:
             0.5, self.A, _THETA, c, self.D, self.Tg,
             2.0 * self.D, 2.0 * c * self.D, GRAVITY))
         # A liquid's dP/dT at constant density does not depend on the state.
-        self._dPdT_liquid = (np.array(dP_dT_const_density(fluid, 0.0, 0.0))
+        self._dPdT_liquid = (np.array(dP_dT_const_density(fluid.eos, 0.0, 0.0))
                              if isinstance(fluid.eos, LiquidEos) else None)
 
         # The residual's workspace: the flat P | V | T | rho vector it fills on
@@ -478,7 +478,7 @@ class PipeFlowSolver:
 
             rbc = rb * c
             if dPdT_liquid is None:
-                dPdT = dP_dT_const_density(self.fluid, bars[cP], Tb)
+                dPdT = dP_dT_const_density(eos, bars[cP], Tb)
             else:
                 dPdT = dPdT_liquid
             R_e = (
@@ -693,7 +693,7 @@ class PipeFlowSolver:
         if self._mdot_scale is not None:
             return
         P, V, T = u[0::3], u[1::3], u[2::3]
-        rho = np.asarray(self.fluid.density(np.maximum(P, 1e3), T))
+        rho = np.asarray(density(self.fluid.eos, np.maximum(P, 1e3), T))
         v_ref = max(float(np.max(np.abs(V))), 0.1)
         self._mdot_scale = np.array(max(float(np.max(rho)) * self.A * v_ref, 1e-9))
 
@@ -702,7 +702,7 @@ class PipeFlowSolver:
         p_in = b_in if bc.inlet.kind == "pressure" else None
         p_out = b_out if bc.outlet.kind == "pressure" else None
         anchor = p_in if p_in is not None else p_out
-        rho_ref = float(self.fluid.density(anchor, T0))
+        rho_ref = float(density(self.fluid.eos, anchor, T0))
 
         H = elevation_at(self.pipeline, self.x)
         if bc.inlet.kind == "flow":
@@ -726,7 +726,7 @@ class PipeFlowSolver:
             P = p_out + np.concatenate(([0.0], np.cumsum(dP_cell[::-1])))[::-1]
         P = np.maximum(P, 0.5 * anchor if anchor > 0 else 1e4)
         T = np.full(self.N, T0)
-        rho = np.asarray(self.fluid.density(np.maximum(P, 1e3), T), dtype=float)
+        rho = np.asarray(density(self.fluid.eos, np.maximum(P, 1e3), T), dtype=float)
         V = np.broadcast_to(mdot / (rho * self.A), P.shape)
         # The direction is known before Newton: a flow toward the held
         # temperature is rejected here, where Newton might stall on it.

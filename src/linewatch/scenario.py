@@ -31,7 +31,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
-import numpy as np
 import yaml
 
 from . import acoustic as ac
@@ -340,7 +339,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
         if leg.kind == "pressure":
             for p in leg.series.values.tolist():
                 for t in bc.temperature.values.tolist():
-                    root.child("boundaries").build(assert_off_critical, fluid=fluid, P=p, T=t)
+                    root.child("boundaries").build(assert_off_critical, eos=fluid.eos, P=p, T=t)
 
     rtm_cfg = _parse_rtm(root.child("rtm"), instruments)
     balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg, pipeline.length,
@@ -384,32 +383,26 @@ def _parse_fluid(node):
             P0=node.number("P0", 0.0, dim="pressure"),
             T0=node.number("T0", 288.15, dim="temperature"),
             B=node.number("bulk_modulus", required=True, dim="pressure"),
-            alpha=node.number("alpha", 0.0),
+            **_given(alpha=node.number("alpha")),
         )
     else:
         zr = node.child("z_reference")
-        crit = dict(
+        shared = dict(
+            R=node.number("R", required=True),
             critical_pressure=node.number("critical_pressure", dim="pressure"),
             critical_temperature=node.number("critical_temperature", dim="temperature"),
+            **_given(y=node.number("y")),
         )
         if zr.raw is not None:
             eos = node.build(
                 GasEos.from_z_reference,
-                R=node.number("R", required=True),
                 P_ref=zr.number("P", required=True, dim="pressure"),
                 T_ref=zr.number("T", required=True, dim="temperature"),
                 Z_ref=zr.number("Z", required=True),
-                y=node.number("y", 1.0),
-                **crit,
+                **shared,
             )
         else:
-            eos = node.build(
-                GasEos,
-                R=node.number("R", required=True),
-                y=node.number("y", 1.0),
-                k=node.number("k", 0.0),
-                **crit,
-            )
+            eos = node.build(GasEos, **shared, **_given(k=node.number("k")))
     return node.build(
         FluidModel,
         eos=eos,
@@ -438,9 +431,9 @@ def _parse_pipeline(node):
         diameter=node.number("diameter", required=True),
         friction_factor=node.number("friction_factor", required=True),
         elevation_profile=elevation,
-        U=node.number("U", 0.0),
-        Tg=node.number("ground_temperature", 288.15, dim="temperature"),
         segments=segments,
+        **_given(U=node.number("U"),
+                 Tg=node.number("ground_temperature", dim="temperature")),
     )
 
 
@@ -454,9 +447,9 @@ def _parse_instruments(node, pipeline):
             id=item.text("id", required=True),
             kind=kind,
             position=item.number("position", required=True, dim="length"),
-            noise_sigma=item.number("sigma", 0.0, dim=diff),
-            bias=item.number("bias", 0.0, dim=diff),
-            dropout_prob=item.number("dropout", 0.0),
+            **_given(noise_sigma=item.number("sigma", dim=diff),
+                     bias=item.number("bias", dim=diff),
+                     dropout_prob=item.number("dropout")),
         )
         if not 0.0 <= inst.position <= pipeline.length:
             item.error(f"position {inst.position} outside [0, {pipeline.length}]")
@@ -490,7 +483,7 @@ def _parse_boundaries(node):
         inlet=leg("inlet"),
         outlet=leg("outlet"),
         temperature=_series_from(node.child("temperature", required=True), "temperature"),
-        temperature_end=node.text("temperature_end", "inlet"),
+        **_given(temperature_end=node.text("temperature_end")),
     )
 
 
@@ -516,20 +509,18 @@ def _parse_plausibility(node):
     limits = {}
     if node.raw is None:
         return limits
-    for kind in ("flow", "pressure", "temperature"):
+    for kind in InstrumentPlacement.KINDS:
         child = node.child(kind)
         if child.raw is None:
             continue
         flat = child.integer("flatline_polls", least=2)
         value, diff = _READING_DIMS.get(kind, (None, None))
-        limits[kind] = child.build(
-            PlausibilityLimits,
-            min_value=child.number("min", -np.inf, dim=value),
-            max_value=child.number("max", np.inf, dim=value),
+        limits[kind] = child.build(PlausibilityLimits, flatline_polls=flat, **_given(
+            min_value=child.number("min", dim=value),
+            max_value=child.number("max", dim=value),
             # 0 or less would flag every reading that moves
-            max_rate=child.number("max_rate", np.inf, dim=diff, above=0),
-            flatline_polls=flat,
-        )
+            max_rate=child.number("max_rate", dim=diff, above=0),
+        ))
     return limits
 
 
@@ -603,14 +594,14 @@ def _parse_acoustic(node, fluid, pipeline):
             id=item.text("id", required=True),
             position=item.number("position", required=True, dim="length"),
             trigger_threshold=item.number("threshold", required=True, dim="pressure"),
-            timestamp_resolution=item.number("resolution", 0.0),
+            **_given(timestamp_resolution=item.number("resolution")),
         ))
         if not 0.0 <= sensors[-1].position <= pipeline.length:
             item.error("sensor position outside the line")
     wave = node.build(
         ac.WaveModel,
         speed=node.number("speed", fluid.sound_speed_hint),
-        attenuation=node.number("attenuation", 0.0, dim="1/length"),
+        **_given(attenuation=node.number("attenuation", dim="1/length")),
     )
     amplitude = node.number("initial_amplitude", required=True, dim="pressure", above=0)
     return {"sensors": sensors, "wave": wave, "initial_amplitude": amplitude}
@@ -620,9 +611,9 @@ def _parse_availability(node):
     if node.raw is None:
         return None
     presets = node.child("per_unit").build(reference_chains,
-                                           availabilities=node.number("per_unit", 0.99))
+                                           availabilities=node.number("per_unit"))
     chains = []
-    for item in node.child("chains", ["mass_flow", "pressure", "acoustic"]).items():
+    for item in node.child("chains", list(presets)).items():
         if not isinstance(item.raw, str) or item.raw not in presets:
             item.error(f"unknown availability chain preset {item.raw!r}")
         chains.append(presets[item.raw])

@@ -12,7 +12,7 @@ from linewatch.errors import (
     InfeasibleStateError,
     SolverError,
 )
-from linewatch.fluid import FluidModel, GasEos, LiquidEos, dP_dT_const_density, raw_density
+from linewatch.fluid import FluidModel, GasEos, LiquidEos, dP_dT_const_density, density, raw_density
 from linewatch.hydraulics import (
     BoundaryConditions,
     BoundaryLeg,
@@ -166,7 +166,7 @@ class TestSteadyState:
     def test_eos_consistency(self, water_like, ten_km_line):
         solver = make_solver(water_like, ten_km_line)
         st = solver.steady_state(bc_pp(1.0e6, 6.7e5))
-        np.testing.assert_allclose(st.rho, water_like.density(st.P, st.T), rtol=1e-8)
+        np.testing.assert_allclose(st.rho, density(water_like.eos, st.P, st.T), rtol=1e-8)
 
     @pytest.mark.parametrize("eos", [
         LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
@@ -178,7 +178,7 @@ class TestSteadyState:
         pipe = PipelineModel(length=20000.0, diameter=0.5, friction_factor=0.015,
                              U=1.0, Tg=288.15)
         st = make_solver(fluid, pipe, dx=500.0).steady_state(bc_fp(45.0, 5.0e6))
-        assert np.array_equal(st.rho, fluid.density(st.P, st.T))
+        assert np.array_equal(st.rho, density(eos, st.P, st.T))
 
     def test_grid_refinement_convergence(self, water_like, ten_km_line):
         coarse = make_solver(water_like, ten_km_line, dx=200.0)
@@ -214,7 +214,7 @@ class TestGasSteadyAgainstIvp:
             aP = -(V / rho) * dr_dP
             aT = -(V / rho) * dr_dT
             fric = pipe.friction_factor * V * abs(V) / (2 * pipe.diameter)
-            dPdT_rho = fluid.dP_dT_const_density(P, T)
+            dPdT_rho = dP_dT_const_density(gas, P, T)
             lhs = np.array([
                 [V * aP + 1.0 / rho, V * aT],
                 [(T / (rho * c)) * dPdT_rho * aP, V + (T / (rho * c)) * dPdT_rho * aT],
@@ -750,7 +750,7 @@ def _reference_residual(self, u, old, t_new, bc, q_new, q_old, steady, dt):
         )
 
         c = self.fluid.c
-        dPdT = dP_dT_const_density(self.fluid, Pb, Tb)
+        dPdT = dP_dT_const_density(self.fluid.eos, Pb, Tb)
         R_e = (
             (0.0 if steady else (mid(T) - mid(To)) * invdt)
             + Vb * ddx(T, To)
