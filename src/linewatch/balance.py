@@ -59,7 +59,8 @@ def accumulate(frames: Sequence[TelemetryFrame], linepacks, flow_in_id, flow_out
         if lp.size != times.size:
             raise ConfigurationError("linepack estimates must align with the window polls")
         delta_inventory = float(lp[-1] - lp[0])
-        # endpoints may be NaN while the shadow model is suspended
+        # an endpoint is NaN only before the shadow model starts; a
+        # suspended poll still carries the shadow's linepack
         inventory_ok = bool(np.isfinite(delta_inventory))
     else:
         delta_inventory = 0.0

@@ -164,9 +164,9 @@ def discretize(pipeline: PipelineModel, target_dx, instruments=(), extra_points=
     """Build a solver grid with spacing <= target_dx.
 
     Instrument positions, segment boundaries, elevation breakpoints, and any
-    ``extra_points`` (e.g. leak or acoustic-sensor positions) are snapped
-    onto nodes; the span between consecutive snap points is divided
-    uniformly.  Deterministic for identical inputs.
+    ``extra_points`` (a run passes its leak positions) are snapped onto
+    nodes; the span between consecutive snap points is divided uniformly.
+    Deterministic for identical inputs.
     """
     L = pipeline.length
     if target_dx <= 0:

@@ -36,7 +36,7 @@ import yaml
 from . import acoustic as ac
 from .availability import availability_report, compare_configurations, reference_chains
 from .balance import BalanceDetector
-from .errors import SOLVER_FAILURES, ConfigurationError
+from .errors import SOLVER_FAILURES, ConfigurationError, ParameterDomainError
 from .fluid import FluidModel, GasEos, LiquidEos, assert_off_critical
 from .hydraulics import (
     BoundaryConditions,
@@ -572,6 +572,11 @@ def _parse_balance(node, instruments, rtm_cfg, length, poll_interval):
         node.child("mode").error(f"must be 'model' or 'simple', got {mode!r}")
     if mode == "model" and rtm_cfg is None:
         node.error("balance mode 'model' needs the RTM shadow model enabled")
+    # A flow-driven shadow's inventory change is the metered imbalance by
+    # construction, so every model-mode window would read about zero.
+    if mode == "model" and rtm_cfg.get("drive") == "flow":
+        node.child("mode").error("'model' needs a pressure-driven RTM shadow model; "
+                                 "with rtm.drive 'flow' use 'simple'")
     # A window ends at a poll, so any other length would be rounded up to one.
     window = node.number("window", 3600.0, above=0)
     node.multiple_of("window", window, "telemetry.poll_interval", poll_interval)
@@ -627,16 +632,21 @@ def start_plant(scenario: Scenario):
     RTM and balance detectors (None when disabled); raises what building
     them raises for a scenario the run would reject.
 
+    An EOS that gives a non-positive density at the steady start does not
+    cover the line's conditions: a ConfigurationError naming ``fluid``.
+
     Every instrument must read its steady start inside its kind's
     plausibility window: one that does not would have each of its readings
     dropped, so the scenario is taken to mix units (a ConfigurationError)."""
     s = scenario
-    extra = [lk.position for lk in s.leaks]
-    if s.acoustic:
-        extra += [sen.position for sen in s.acoustic["sensors"]]
-    grid = discretize(s.pipeline, s.target_dx, s.instruments, extra_points=extra)
+    # The acoustic channel is kinematic and reads no grid: its sensors are not snapped.
+    grid = discretize(s.pipeline, s.target_dx, s.instruments,
+                      extra_points=[lk.position for lk in s.leaks])
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
-    state = plant.steady_state(s.bc, t=0.0)
+    try:
+        state = plant.steady_state(s.bc, t=0.0)
+    except ParameterDomainError as e:
+        raise ConfigurationError(f"fluid: {e}") from None
     for inst, node in zip(s.instruments, instrument_nodes(grid.node_positions, s.instruments)):
         lim = s.plausibility.get(inst.kind)
         value = noiseless_reading(state, inst.kind, node, s.pipeline)

@@ -108,4 +108,7 @@ def flow_drive_cfg():
     cfg["leaks"] = [{"position": 4000.0, "start_time": 120.0, "mass_rate": 1.4}]
     cfg["rtm"].update(drive="flow", pressure_threshold=4.0e4, flow_threshold=0.5,
                       smoothing_polls=4)
+    # A flow-driven shadow's inventory change is the metered imbalance, so
+    # only the simple balance can see the leak.
+    cfg["balance"]["mode"] = "simple"
     return cfg

@@ -143,6 +143,16 @@ class TestDerivativesAndSpeed:
         eos = LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4)
         assert isothermal_sound_speed(eos, 1e6, 300.0) == pytest.approx(np.sqrt(2e9 / 1000.0))
 
+    def test_ideal_gas_sound_speed(self, ideal_gas):
+        assert isothermal_sound_speed(ideal_gas, 5e6, 300.0) == pytest.approx(
+            np.sqrt(500.0 * 300.0), rel=1e-12)
+
+    def test_correlated_gas_sound_speed_finite_difference(self, real_gas):
+        P, T, h = 4e6, 320.0, 10.0
+        drho_dP = (density(real_gas, P + h, T) - density(real_gas, P - h, T)) / (2 * h)
+        assert isothermal_sound_speed(real_gas, P, T) == pytest.approx(
+            np.sqrt(1.0 / drho_dP), rel=1e-6)
+
 
 class TestValidation:
     def test_liquid_invariants(self):

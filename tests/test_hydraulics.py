@@ -602,6 +602,67 @@ class TestFailureModes:
         assert len(err.value.history) >= 1
 
 
+class TestNewtonRetries:
+    """Cached factors that fail are rebuilt once; fresh ones that fail stop the solve."""
+
+    LEAK = [LeakEvent(position=4000.0, start_time=0.0, mass_rate=2.0)]
+
+    def _second_step(self, fluid, pipe, monkeypatch, spoil):
+        """The second step into a leak, after ``spoil(solver, J)`` has
+        replaced the factors the first step cached (of the Jacobian J); its
+        StepResult and the number of factorizations it made."""
+        solver = make_solver(fluid, pipe)
+        jacobians = []  # copies: the factorization overwrites its input
+        real = solver._jacobian
+
+        def recorded(*args):
+            ab = real(*args)
+            jacobians.append(ab.copy())
+            return ab
+
+        monkeypatch.setattr(solver, "_jacobian", recorded)
+        bc = bc_pp(1.0e6, 6.7e5)
+        st = solver.advance(solver.steady_state(bc), bc, 1.0, leaks=self.LEAK).state
+        spoil(solver, jacobians[-1])
+        before = len(jacobians)
+        result = solver.advance(st, bc, 1.0, leaks=self.LEAK)
+        return result, len(jacobians) - before
+
+    def _assert_same_step(self, a, b):
+        for name in ("P", "V", "T", "rho"):
+            assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
+        assert a.ledger == b.ledger
+
+    def _cleared(self, solver, J):
+        solver._lu_cache = None
+
+    @pytest.mark.parametrize("spoil", ["negated", "singular"])
+    def test_spoiled_cache_is_rebuilt_once(self, water_like, ten_km_line, monkeypatch, spoil):
+        def negated(solver, J):
+            # -J points Newton uphill: every line-search trial is rejected
+            solver._lu_cache = hydraulics.lapack.dgbtrf(-J, 4, 4)
+
+        def singular(solver, J):
+            solver._lu_cache = hydraulics.lapack.dgbtrf(np.zeros_like(J), 4, 4)
+            assert solver._lu_cache.info == 1
+
+        ref, ref_builds = self._second_step(water_like, ten_km_line, monkeypatch, self._cleared)
+        step, builds = self._second_step(water_like, ten_km_line, monkeypatch,
+                                         {"negated": negated, "singular": singular}[spoil])
+        assert builds == ref_builds >= 1
+        self._assert_same_step(step, ref)
+
+    def test_fresh_factors_that_fail_the_line_search_stop_newton(self, water_like, ten_km_line,
+                                                                 monkeypatch):
+        solver = make_solver(water_like, ten_km_line)
+        real = solver._jacobian
+        monkeypatch.setattr(solver, "_jacobian", lambda *args: -real(*args))
+        with pytest.raises(SolverError, match=re.escape(
+                "Newton stalled (line search failed with a fresh Jacobian)")) as err:
+            solver.steady_state(bc_pp(1.0e6, 6.7e5))
+        assert err.value.iterations == 0 and len(err.value.history) == 1
+
+
 class TestFactorOnce:
     def test_each_jacobian_is_factored_once(self, water_like, ten_km_line, monkeypatch):
         counts = collections.Counter()

@@ -103,6 +103,10 @@ class TestParsing:
         ("balance", {"threshold": 0}, "balance.threshold: must be > 0, got 0.0"),
         ("balance", {"threshold": -5}, "balance.threshold: must be > 0, got -5.0"),
         ("balance", {"window": -1}, "balance.window: must be > 0, got -1.0"),
+        # a flow-driven shadow's inventory change is the metered imbalance
+        ("rtm", {"drive": "flow"},
+         "balance.mode: 'model' needs a pressure-driven RTM shadow model; "
+         "with rtm.drive 'flow' use 'simple'"),
         ("acoustic", {"initial_amplitude": 0},
          "acoustic.initial_amplitude: must be > 0, got 0.0"),
         ("pipeline", {"segments": [{"start": 0.0, "end": 5000.0},
@@ -201,6 +205,7 @@ class TestParsing:
          "telemetry.poll_interval: 5.0 must be a multiple of solver.dt 1000000000000.0"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
+            "balance_model_flow_drive",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
             "availability_per_unit_not_a_number", "availability_chains_not_a_list",
             "availability_chain_not_a_name", "rtm_locate_window_zero",
@@ -578,6 +583,21 @@ class TestRunning:
         golden = json.loads(GOLDEN.read_text())
         _assert_same_structure("report", golden, report)
 
+    def test_acoustic_sensors_leave_the_grid_alone(self):
+        # The acoustic channel is kinematic: a sensor off the grid's nodes
+        # neither adds a node nor fails a spacing check (5050 m lies 50 m
+        # from the leak's node, under the 100 m target spacing).
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        base = run_scenario(scenario_from_dict(cfg))
+        for position in (3333.0, 5050.0):
+            with_sensor = copy.deepcopy(cfg)
+            with_sensor["acoustic"]["sensors"].append(
+                {"id": "ac_mid", "position": position, "threshold": 5.0e3})
+            report = run_scenario(scenario_from_dict(with_sensor))
+            assert report.run["node_count"] == base.run["node_count"] == 101
+            for section in ("rtm", "balance", "mass_ledger"):
+                assert getattr(report, section) == getattr(base, section), (position, section)
+
     def test_availability_section_in_report(self):
         cfg = standard_config(horizon=60.0)
         cfg["leaks"] = []
@@ -721,6 +741,20 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0] == err[1]
         assert err[0].startswith("configuration error: " + message)
+        assert not (tmp_path / "out").exists()
+
+    def test_eos_that_cannot_cover_the_line_exits_2(self, tmp_path, capsys):
+        # alpha*(T - T0) = -0.5 * 10 K drives the liquid's density below zero
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        cfg["fluid"]["alpha"] = -0.5
+        cfg["boundaries"]["temperature"]["value"] = 310.0
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0] == ("configuration error: fluid: non-positive density computed "
+                          "(min -3999.55 kg/m^3); EOS parameters do not cover this (P, T) region")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [("substeps", 2), ("theta", 0.7),
