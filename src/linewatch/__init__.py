@@ -20,7 +20,7 @@ The demos/ directory of the source tree walks through each capability
 with narrative scripts.
 """
 
-from .acoustic import AcousticSensor, WaveModel, detection_latency, localize, propagate
+from .acoustic import AcousticSensor, WaveModel, localize, propagate
 from .availability import (
     ChainElement,
     ComponentChain,
@@ -32,7 +32,6 @@ from .availability import (
 from .balance import BalanceDetector, BalanceWindow, accumulate, balance_alarm
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     InfeasibleScenarioError,
     InfeasibleStateError,
     ParameterDomainError,
@@ -45,7 +44,6 @@ from .fluid import (
     compressibility_z,
     density,
     isothermal_sound_speed,
-    pressure_from_density,
 )
 from .hydraulics import (
     BoundaryConditions,

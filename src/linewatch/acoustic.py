@@ -9,7 +9,6 @@ desk-scale grid spacings.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConfigurationError
 from .hydraulics import LeakEvent
@@ -21,7 +20,6 @@ __all__ = [
     "LocalizationEstimate",
     "propagate",
     "localize",
-    "detection_latency",
     "triggered_pair",
     "report",
 ]
@@ -105,11 +103,6 @@ def localize(x1, t1, x2, t2, speed) -> LocalizationEstimate:
     return LocalizationEstimate(
         position=clamped, raw_position=raw, out_of_bracket=clamped != raw
     )
-
-
-def detection_latency(leak, initial_amplitude, sensors, wave) -> Optional[float]:
-    """Seconds from leak start to the first triggered arrival; None if silent."""
-    return _latency(leak, propagate(leak, initial_amplitude, sensors, wave))
 
 
 def _latency(leak, records):

@@ -21,6 +21,9 @@ __all__ = [
     "reference_chains",
 ]
 
+# Per-unit availability of a stock chain element when the caller names none.
+PER_UNIT_AVAILABILITY = 0.99
+
 
 @dataclass(frozen=True)
 class ChainElement:
@@ -111,20 +114,21 @@ def availability_report(chain: ComponentChain):
     }
 
 
-def compare_configurations(chains: Sequence[ComponentChain], mode="product"):
+def compare_configurations(chains: Sequence[ComponentChain]):
     """Rank chains by availability (best first) with duplex-upgrade deltas.
 
-    Each row reports, per element kind, how much chain availability would
-    gain if just that kind were installed in duplicate.
+    Availability is the exact series-system (product) figure.  Each row
+    reports, per element kind, how much chain availability would gain if
+    just that kind were installed in duplicate.
     """
     rows = []
     for chain in chains:
-        base = chain_availability(chain, mode)
+        base = chain_availability(chain)
         gains = {}
         for e in chain.elements:
             if e.kind in chain.duplexed:
                 continue
-            gains[e.kind] = chain_availability(chain.with_duplex(e.kind), mode) - base
+            gains[e.kind] = chain_availability(chain.with_duplex(e.kind)) - base
         rows.append(
             {
                 "name": chain.name,
@@ -139,19 +143,17 @@ def compare_configurations(chains: Sequence[ComponentChain], mode="product"):
     return rows
 
 
-def reference_chains(availabilities=None) -> Dict[str, ComponentChain]:
+def reference_chains(availabilities=PER_UNIT_AVAILABILITY) -> Dict[str, ComponentChain]:
     """The three stock alarm chains (mass flow, pressure, acoustic).
 
     Element counts are fixed by the chain designs (11, 13, and 7 units);
     per-unit availabilities are supplied by the caller, either as a single
-    number for all kinds or as a mapping by kind (default 0.99).
+    number for all kinds or as a mapping by kind, whose ``"default"`` key
+    covers the kinds it does not name.
     """
-    if availabilities is None:
-        availabilities = 0.99
-
     def a_of(kind):
         if isinstance(availabilities, dict):
-            return availabilities.get(kind, availabilities.get("default", 0.99))
+            return availabilities.get(kind, availabilities.get("default", PER_UNIT_AVAILABILITY))
         return float(availabilities)
 
     def chain(name, spec):

@@ -9,8 +9,8 @@ class ParameterDomainError(ValueError):
     """A physical evaluation left its valid domain (e.g. non-positive density)."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to converge.
+class SolverError(RuntimeError):
+    """The transient/steady pipe-flow solver failed.
 
     Carries diagnostic context so callers can report what was attempted.
     """
@@ -20,10 +20,6 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
         self.residual = residual
         self.history = list(history) if history is not None else []
-
-
-class SolverError(ConvergenceError):
-    """The transient/steady pipe-flow solver failed; keeps the residual history."""
 
 
 class InfeasibleScenarioError(RuntimeError):

@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, ParameterDomainError
+from .errors import ConfigurationError, ParameterDomainError
 
 __all__ = [
     "LiquidEos",
@@ -19,7 +19,6 @@ __all__ = [
     "FluidModel",
     "density",
     "compressibility_z",
-    "pressure_from_density",
     "dP_dT_const_density",
     "isothermal_sound_speed",
 ]
@@ -28,9 +27,6 @@ __all__ = [
 # this close to (Pc, Tc) is rejected at configuration time.
 CRITICAL_T_MARGIN = 0.05
 CRITICAL_P_MARGIN = 0.20
-
-_MAX_INVERT_ITER = 100
-_INVERT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,45 +130,6 @@ def density(eos, P, T):
             "EOS parameters do not cover this (P, T) region"
         )
     return rho
-
-
-def pressure_from_density(eos, rho, T):
-    """Invert the EOS for pressure at a given density and temperature.
-
-    Liquid inversion is closed form.  The gas inversion runs a damped
-    Newton iteration (cap 100, relative tolerance 1e-12) and raises
-    ConvergenceError with diagnostics if the cap is hit.
-    """
-    rho = np.asarray(rho, dtype=float) if np.ndim(rho) else float(rho)
-    if np.any(np.asarray(rho) <= 0):
-        raise ParameterDomainError("density must be > 0")
-    if np.any(np.asarray(T) <= 0):
-        raise ParameterDomainError("temperature must be > 0")
-    if isinstance(eos, LiquidEos):
-        return eos.P0 + eos.B * (rho / eos.rho0 - 1.0 - eos.alpha * (np.asarray(T, float) - eos.T0))
-
-    # Gas: solve density(P, T) = rho for P.  Ideal-gas seed, Newton with a
-    # step cap of half the current pressure to stay in P > 0.
-    T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
-    P = rho * eos.R * T
-    history = []
-    for it in range(_MAX_INVERT_ITER):
-        g = raw_density(eos, P, T) - rho
-        dg = (1.0 + 2.0 * eos.k * P / T**eos.y) / (eos.R * T)
-        step = -g / dg
-        cap = 0.5 * np.maximum(np.abs(P), 1.0)
-        step = np.clip(step, -cap, cap)
-        P = P + step
-        err = np.max(np.abs(step) / np.maximum(np.abs(P), 1.0))
-        history.append(float(err))
-        if err < _INVERT_RTOL:
-            return P
-    raise ConvergenceError(
-        "gas pressure inversion did not converge",
-        iterations=_MAX_INVERT_ITER,
-        residual=history[-1],
-        history=history,
-    )
 
 
 def dP_dT_const_density(eos, P, T):

@@ -289,8 +289,8 @@ class RunReport:
             "run": self.run,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------- loading
@@ -615,8 +615,8 @@ def _parse_acoustic(node, fluid, pipeline):
 def _parse_availability(node):
     if node.raw is None:
         return None
-    presets = node.child("per_unit").build(reference_chains,
-                                           availabilities=node.number("per_unit"))
+    presets = node.child("per_unit").build(
+        reference_chains, **_given(availabilities=node.number("per_unit")))
     chains = []
     for item in node.child("chains", list(presets)).items():
         if not isinstance(item.raw, str) or item.raw not in presets:
@@ -690,7 +690,7 @@ def _field_side(s, grid, plant, state, dump_states):
     memory = {}  # the plausibility filter's, per instrument
 
     def poll(st):
-        frame = sample(st, s.instruments, noise, st.t, pipeline=s.pipeline, nodes=nodes)
+        frame = sample(st, s.instruments, noise, pipeline=s.pipeline, nodes=nodes)
         return plausibility_filter(frame, memory, s.plausibility, s.instruments)
 
     steps_per_poll = round(s.poll_interval / s.dt)

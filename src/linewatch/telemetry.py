@@ -123,9 +123,9 @@ def noiseless_reading(state: GridState, kind, node, pipeline: PipelineModel):
     return state.T[node]  # temperature: instrument_nodes admits no other kind
 
 
-def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
+def sample(state: GridState, instruments, noise: NoiseSpec,
            *, pipeline: PipelineModel, nodes) -> TelemetryFrame:
-    """Synthesize one telemetry frame from a true model state.
+    """Synthesize one telemetry frame from a true model state, at its time.
 
     ``nodes`` are the instruments' grid nodes from :func:`instrument_nodes`;
     each reading is :func:`noiseless_reading` plus bias plus noise.
@@ -139,7 +139,7 @@ def sample(state: GridState, instruments, noise: NoiseSpec, poll_time,
             continue
         perturbation = min(max(z, -_NOISE_CLIP_SIGMA), _NOISE_CLIP_SIGMA) * inst.noise_sigma
         readings.append(Reading(inst.id, float(truth + inst.bias + perturbation), GOOD))
-    return TelemetryFrame(poll_time=float(poll_time), readings=tuple(readings))
+    return TelemetryFrame(poll_time=float(state.t), readings=tuple(readings))
 
 
 def plausibility_filter(frame: TelemetryFrame, memory, limits, instruments) -> TelemetryFrame:

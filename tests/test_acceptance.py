@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import flow_drive_cfg, set_noise_scale, standard_config
-from linewatch.acoustic import AcousticSensor, WaveModel, detection_latency, localize, propagate
+from linewatch.acoustic import AcousticSensor, WaveModel, localize, propagate
+from linewatch.acoustic import report as acoustic_report
 from linewatch.availability import chain_availability, compare_configurations, reference_chains
 from linewatch.fluid import FluidModel, LiquidEos
 from linewatch.hydraulics import (
@@ -210,7 +211,8 @@ class TestAcousticForwardInverse:
         leak = LeakEvent(position=0.0, start_time=0.0, mass_rate=1.0)
         for speed, expect in ((gas_speed, 10.0), (liquid_speed, 2.0)):
             sensors = [AcousticSensor("s", 3218.7, 1.0, 0.01)]
-            lat = detection_latency(leak, 100.0, sensors, WaveModel(speed=speed))
+            section = acoustic_report([leak], 100.0, sensors, WaveModel(speed=speed))
+            lat = section["detections"][0]["latency"]
             assert lat == pytest.approx(expect, abs=0.01 + 1e-4 * expect)
         print("\n[PASS] Acoustic latencies: 3218.7 m in 10.0 s (gas) / 2.0 s (liquid)")
 

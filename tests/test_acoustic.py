@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from linewatch.acoustic import (
     AcousticSensor,
     WaveModel,
-    detection_latency,
     localize,
     propagate,
     report,
@@ -122,22 +121,27 @@ class TestLocalize:
             localize(5000.0, 0.0, 1000.0, 1.0, 1000.0)
 
 
+def latency(leak, sensors, wave):
+    """The detection latency that ``report`` gives a lone leak."""
+    return report([leak], 100.0, sensors, wave)["detections"][0]["latency"]
+
+
 class TestLatency:
     def test_adjacent_sensor(self):
         leak = LeakEvent(position=1000.0, start_time=10.0, mass_rate=1.0)
-        lat = detection_latency(leak, 100.0, [sensor("s", 1000.0)], WaveModel(speed=1000.0))
+        lat = latency(leak, [sensor("s", 1000.0)], WaveModel(speed=1000.0))
         assert lat == pytest.approx(0.0, abs=1e-12)
 
     def test_mid_line_liquid(self):
         leak = LeakEvent(position=5000.0, start_time=0.0, mass_rate=1.0)
         sensors = [sensor("a", 0.0), sensor("b", 10000.0)]
-        lat = detection_latency(leak, 100.0, sensors, WaveModel(speed=LIQUID_SPEED))
+        lat = latency(leak, sensors, WaveModel(speed=LIQUID_SPEED))
         assert lat == pytest.approx(5000.0 / LIQUID_SPEED, rel=1e-12)
 
     def test_no_detection(self):
         leak = LeakEvent(position=5000.0, start_time=0.0, mass_rate=1.0)
         sensors = [sensor("a", 0.0, threshold=1e9)]
-        assert detection_latency(leak, 100.0, sensors, WaveModel(speed=1000.0)) is None
+        assert latency(leak, sensors, WaveModel(speed=1000.0)) is None
 
 
 class TestTriggeredPair:
@@ -166,6 +170,6 @@ class TestReport:
         assert len(section["events"]) == 2 * len(sensors)
         assert [d["leak_position"] for d in section["detections"]] == [2500.0, 7000.0]
         for leak, det in zip(leaks, section["detections"]):
-            assert det["latency"] == detection_latency(leak, 100.0, sensors, wave)
+            assert det["latency"] == latency(leak, sensors, wave)
         # the far sensor misses the first leak, so a and b bracket it
         assert section["detections"][0]["localization"]["sensors"] == ["a", "b"]

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from linewatch.errors import ConfigurationError, ParameterDomainError
 from linewatch.fluid import (
@@ -12,7 +11,6 @@ from linewatch.fluid import (
     density,
     dP_dT_const_density,
     isothermal_sound_speed,
-    pressure_from_density,
 )
 
 
@@ -90,54 +88,18 @@ class TestCompressibility:
         assert compressibility_z(real_gas, 5e6, 300.0) == pytest.approx(0.9, rel=1e-12)
 
 
-class TestInversion:
-    def test_liquid_roundtrip_at_reference(self):
-        eos = LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4)
-        assert pressure_from_density(eos, 1000.0, 300.0) == pytest.approx(1e5, abs=1e-6)
-
-    def test_ideal_gas_inverse_of_density(self, ideal_gas):
-        rho = 5e6 / (500.0 * 300.0)
-        assert pressure_from_density(ideal_gas, rho, 300.0) == pytest.approx(5e6, rel=1e-10)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        P=st.floats(min_value=1e4, max_value=3e7),
-        T=st.floats(min_value=210.0, max_value=420.0),
-    )
-    def test_correlated_gas_roundtrip(self, P, T):
-        gas = GasEos.from_z_reference(R=420.0, P_ref=4e6, T_ref=310.0, Z_ref=0.88, y=1.3)
-        rho = density(gas, P, T)
-        P_back = pressure_from_density(gas, rho, T)
-        assert abs(density(gas, P_back, T) - rho) / rho < 1e-10
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        P=st.floats(min_value=1e4, max_value=5e7),
-        T=st.floats(min_value=210.0, max_value=420.0),
-    )
-    def test_liquid_roundtrip(self, P, T):
-        eos = LiquidEos(rho0=920.0, P0=2e5, T0=290.0, B=1.6e9, alpha=-7e-4)
-        rho = density(eos, P, T)
-        assert abs(density(eos, pressure_from_density(eos, rho, T), T) - rho) / rho < 1e-10
-
-    def test_domain_errors(self, ideal_gas):
-        with pytest.raises(ParameterDomainError):
-            pressure_from_density(ideal_gas, -1.0, 300.0)
-
-
 class TestDerivativesAndSpeed:
     def test_liquid_dP_dT_is_minus_alpha_B(self):
         eos = LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4)
         assert dP_dT_const_density(eos, 1e6, 300.0) == pytest.approx(4e5, rel=1e-12)
 
     def test_gas_dP_dT_finite_difference(self, real_gas):
+        # (dP/dT) at constant rho = -(drho/dT)/(drho/dP), both central differences
         P, T = 4e6, 320.0
-        rho = density(real_gas, P, T)
-        h = 0.01
-        P_hi = pressure_from_density(real_gas, rho, T + h)
-        P_lo = pressure_from_density(real_gas, rho, T - h)
-        fd = (P_hi - P_lo) / (2 * h)
-        assert dP_dT_const_density(real_gas, P, T) == pytest.approx(fd, rel=1e-6)
+        hP, hT = 100.0, 0.01
+        drho_dP = (density(real_gas, P + hP, T) - density(real_gas, P - hP, T)) / (2 * hP)
+        drho_dT = (density(real_gas, P, T + hT) - density(real_gas, P, T - hT)) / (2 * hT)
+        assert dP_dT_const_density(real_gas, P, T) == pytest.approx(-drho_dT / drho_dP, rel=1e-6)
 
     def test_liquid_sound_speed(self):
         eos = LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -122,15 +123,14 @@ class _MiniLoop:
 
     def run(self, polls):
         nodes = instrument_nodes(self.grid.node_positions, self.instruments)
-        frame = sample(self.state, self.instruments, self.noise, 0.0, pipeline=self.pipe,
-                       nodes=nodes)
+        frame = sample(self.state, self.instruments, self.noise, pipeline=self.pipe, nodes=nodes)
         self.det.observe(self._mangled(frame, 0))
         for k in range(1, polls + 1):
             for _ in range(5):
                 self.state = self.plant.advance(self.state, self.bc, self.poll_interval / 5,
                                                 leaks=self.leaks).state
-            frame = sample(self.state, self.instruments, self.noise, self.state.t,
-                           pipeline=self.pipe, nodes=nodes)
+            frame = sample(self.state, self.instruments, self.noise, pipeline=self.pipe,
+                           nodes=nodes)
             self.det.observe(self._mangled(frame, k))
         return self.det
 
@@ -161,8 +161,7 @@ class TestShadowModel:
         det = RtmDetector(loop.pipe, loop.fluid, loop.grid, instruments, policy(),
                           drive=drive, fallback_temperature=300.0)
         nodes = instrument_nodes(loop.grid.node_positions, instruments)
-        take = lambda st: sample(st, instruments, NoiseSpec(5), st.t, pipeline=loop.pipe,
-                                 nodes=nodes)
+        take = lambda st: sample(st, instruments, NoiseSpec(5), pipeline=loop.pipe, nodes=nodes)
         det.observe(take(loop.state))
         assert {i.kind for i in det.indicators} == {"flow", "pressure"}
         delta = det._record(take(det._state), 0.0).delta
@@ -382,8 +381,8 @@ class TestShadowTargets:
         loop = _MiniLoop()
         loop.run(2)
         nodes = instrument_nodes(loop.grid.node_positions, loop.instruments)
-        early = sample(loop.state, loop.instruments, loop.noise, 5.0, pipeline=loop.pipe,
-                       nodes=nodes)
+        early = sample(dataclasses.replace(loop.state, t=5.0), loop.instruments, loop.noise,
+                       pipeline=loop.pipe, nodes=nodes)
         with pytest.raises(ConfigurationError, match="poll order"):
             loop.det.observe(early)
 
@@ -391,8 +390,7 @@ class TestShadowTargets:
         loop = _MiniLoop()
         loop.run(2)
         nodes = instrument_nodes(loop.grid.node_positions, loop.instruments)
-        again = sample(loop.state, loop.instruments, loop.noise, loop.state.t,
-                       pipeline=loop.pipe, nodes=nodes)
+        again = sample(loop.state, loop.instruments, loop.noise, pipeline=loop.pipe, nodes=nodes)
         with pytest.raises(ConfigurationError, match="poll order"):
             loop.det.observe(again)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def state():
 
 
 def poll(state, instruments, noise, t, pipe):
-    return sample(state, instruments, noise, t, pipeline=pipe,
+    return sample(dataclasses.replace(state, t=t), instruments, noise, pipeline=pipe,
                   nodes=instrument_nodes(state.x, instruments))
 
 
@@ -104,7 +106,8 @@ class TestSample:
         truths = [state.rho[3] * state.V[3] * pipe.area, state.P[7], state.T[10]]
         noise, replay = NoiseSpec(314), NoiseSpec(314)
         for k in range(300):
-            frame = sample(state, inst, noise, float(k), pipeline=pipe, nodes=nodes)
+            frame = sample(dataclasses.replace(state, t=float(k)), inst, noise, pipeline=pipe,
+                           nodes=nodes)
             for i, truth in zip(inst, truths):
                 u, z = replay.draw()
                 r = frame.reading(i.id)
@@ -131,7 +134,7 @@ class TestSample:
                 InstrumentPlacement("p", "pressure", 700.0),
                 InstrumentPlacement("t", "temperature", 1000.0)]
         nodes = instrument_nodes(state.x, inst)
-        frame = sample(state, inst, NoiseSpec(3), 50.0, pipeline=pipe, nodes=nodes)
+        frame = sample(state, inst, NoiseSpec(3), pipeline=pipe, nodes=nodes)
         truths = [noiseless_reading(state, i.kind, k, pipe) for i, k in zip(inst, nodes)]
         assert truths == [state.rho[3] * state.V[3] * pipe.area, state.P[7], state.T[10]]
         assert [r.value for r in frame.readings] == [float(v) for v in truths]
