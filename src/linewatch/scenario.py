@@ -594,15 +594,23 @@ def _parse_acoustic(node, fluid, pipeline):
         return None
     sensors = []
     for item in node.child("sensors", required=True).items():
-        sensors.append(item.build(
+        sensor = item.build(
             ac.AcousticSensor,
             id=item.text("id", required=True),
             position=item.number("position", required=True, dim="length"),
             trigger_threshold=item.number("threshold", required=True, dim="pressure"),
             **_given(timestamp_resolution=item.number("resolution")),
-        ))
-        if not 0.0 <= sensors[-1].position <= pipeline.length:
+        )
+        if not 0.0 <= sensor.position <= pipeline.length:
             item.error("sensor position outside the line")
+        # a localization pair needs two named sensors at two positions
+        for other in sensors:
+            if sensor.id == other.id:
+                item.error(f"sensor id {sensor.id!r} is used twice")
+            if sensor.position == other.position:
+                item.error(f"sensor {sensor.id} shares position {sensor.position} m "
+                           f"with sensor {other.id}")
+        sensors.append(sensor)
     wave = node.build(
         ac.WaveModel,
         speed=node.number("speed", fluid.sound_speed_hint),
@@ -924,11 +932,15 @@ def sweep(base_raw: dict, grid_spec: Dict[str, list]) -> List[dict]:
     """Cartesian product of overrides applied to a base scenario dict.
 
     ``grid_spec`` maps dotted config paths (e.g. ``leaks.0.mass_rate``) to
-    value lists.  One result row per cell; failures are recorded per row
-    and the sweep continues.
+    non-empty value lists.  One result row per cell; failures are recorded
+    per row and the sweep continues.
     """
     keys = sorted(grid_spec.keys())
     value_lists = [grid_spec[k] for k in keys]
+    for key, values in zip(keys, value_lists):
+        if not isinstance(values, list) or not values:
+            raise ConfigurationError(
+                f"{key}: sweep values must be a non-empty list, got {values!r}")
     rows = []
     for idx, combo in enumerate(itertools.product(*value_lists)):
         raw = copy.deepcopy(base_raw)

@@ -519,6 +519,109 @@ class TestSizeAndLocate:
         assert joint["declared_time"] == det.verdict.declared_time
 
 
+def _dark(frame, *ids):
+    """``frame`` with the readings of ``ids`` missing."""
+    return TelemetryFrame(frame.poll_time, tuple(
+        Reading(r.instrument_id, None, MISSING) if r.instrument_id in ids else r
+        for r in frame.readings))
+
+
+def _size_term(det, k):
+    """Poll k's sample in size_leak: end-flow imbalance less linepack rate."""
+    rec, prev = det.records[k], det.records[k - 1]
+    return (rec.frame.good_value("flow_in") - rec.frame.good_value("flow_out")
+            - (rec.shadow_linepack - prev.shadow_linepack) / (rec.poll_time - prev.poll_time))
+
+
+class TestDegradedEstimates:
+    """Sizing and location when readings, polls or the linepack rate are missing."""
+
+    def test_size_skips_a_poll_missing_an_end_flow(self):
+        loop = _MiniLoop(leak_rate=2.0, mangle=lambda f, k: _dark(f, "flow_out") if k == 40 else f)
+        det = loop.run(40)
+        size, note = det.size_leak()   # polls 38-40
+        assert note is None
+        assert size == float(np.mean([_size_term(det, 38), _size_term(det, 39)]))
+
+    def test_size_skips_polls_without_a_previous_linepack(self):
+        # p_in dark at polls 0 and 1: the shadow starts at poll 2, so only
+        # poll 3 has a linepack for itself and for the poll before it
+        det = _MiniLoop(mangle=lambda f, k: _dark(f, "p_in") if k < 2 else f).run(3)
+        assert [r.shadow_linepack is None for r in det.records] == [True, True, False, False]
+        size, note = det.size_leak(window=4)
+        assert note is None and size == _size_term(det, 3)
+
+    def test_size_unavailable_without_end_flows(self):
+        det = _MiniLoop(mangle=lambda f, k: _dark(f, "flow_out") if k >= 8 else f).run(10)
+        assert det.size_leak() == (
+            None, "size unavailable: end flow readings or linepack rate missing")
+
+    def test_locate_needs_an_available_poll(self):
+        # p_in dark from poll 10: after 3 held polls every poll is suspended
+        det = _MiniLoop(mangle=lambda f, k: _dark(f, "p_in") if k >= 10 else f).run(30)
+        assert not any(r.available for r in det.records[-12:])
+        assert det.locate_leak(2.0) is None
+
+    def test_locate_needs_a_good_indicator(self):
+        det = _MiniLoop(
+            mangle=lambda f, k: _dark(f, "flow_in", "flow_out") if k >= 19 else f).run(30)
+        assert all(r.available for r in det.records[-12:])
+        assert det.locate_leak(2.0) is None
+
+    def test_flow_drive_locate_needs_the_anchor_reading(self):
+        det = _MiniLoop(drive="flow",
+                        mangle=lambda f, k: _dark(f, "p_out") if k >= 19 else f).run(30)
+        assert det.pressure_anchor.id == "p_out"
+        assert all(r.available for r in det.records[-12:])
+        assert det.locate_leak(2.0) is None
+
+    def test_declared_with_no_available_poll_to_locate(self):
+        # p_in dark at polls 20-39 suspends detection over the leak's start
+        # (poll 24); with M = K = 1 the first poll back declares, while the
+        # 12 polls before it are all suspended
+        loop = _MiniLoop(leak_rate=2.0,
+                         mangle=lambda f, k: _dark(f, "p_in") if 20 <= k < 40 else f)
+        loop.det = RtmDetector(loop.pipe, loop.fluid, loop.grid, loop.instruments,
+                               policy(consecutive_required=1, min_indicators=1, smoothing_polls=1),
+                               fallback_temperature=300.0)
+        v = loop.run(41).verdict
+        assert v.declared_time == loop.det.records[40].poll_time
+        assert v.size_estimate > 0
+        assert v.location_estimate is None and not v.location_ambiguous
+        assert v.notes == ("location unavailable",)
+
+    def test_flat_residual_landscape_is_ambiguous(self):
+        # A mid-line gauge reading 30 bar high adds a residual that no
+        # candidate explains, which flattens the landscape below 1%
+        loop = _MiniLoop(leak_rate=2.0)
+        loop.instruments = loop.instruments + [
+            InstrumentPlacement("p_mid", "pressure", 3000.0, bias=3.0e6)]
+        loop.det = RtmDetector(loop.pipe, loop.fluid, loop.grid, loop.instruments, policy(),
+                               fallback_temperature=300.0)
+        v = loop.run(40).verdict
+        assert v.declared and v.location_ambiguous
+        assert v.notes == ("location ambiguous: flat residual landscape",)
+
+    def test_refine_keeps_the_first_estimates_when_its_size_fails(self):
+        # flow_out goes dark once the detector declares, so the refine
+        # window has no size sample
+        at_declaration = []
+
+        def mangle(frame, k):
+            if not loop.det.verdict.declared:
+                return frame
+            if not at_declaration:
+                at_declaration.append(loop.det.verdict)
+            return _dark(frame, "flow_out")
+
+        loop = _MiniLoop(leak_rate=2.0, mangle=mangle)
+        det = loop.run(60)
+        assert det._refine_at is not None and len(det.records) > det._refine_at
+        assert det.size_leak(window=det.refine_after_polls)[0] is None
+        assert at_declaration[0].size_estimate > 0
+        assert det.verdict == at_declaration[0]
+
+
 GAS_LINE = Path(__file__).parents[1] / "demos" / "scenarios" / "gas_line.yaml"
 
 

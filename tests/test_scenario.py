@@ -184,6 +184,11 @@ class TestParsing:
          "acoustic.sensors[1]: sensor ac_out: trigger_threshold must be > 0"),
         ("acoustic", lambda cfg: cfg["acoustic"]["sensors"][0].update(resolution=-0.01),
          "acoustic.sensors[0]: sensor ac_in: timestamp_resolution must be >= 0"),
+        # localize() needs x1 < x2, and its result names the pair by id
+        ("acoustic", lambda cfg: cfg["acoustic"]["sensors"][1].update(id="ac_in"),
+         "acoustic.sensors[1]: sensor id 'ac_in' is used twice"),
+        ("acoustic", lambda cfg: cfg["acoustic"]["sensors"][1].update(position=0.0),
+         "acoustic.sensors[1]: sensor ac_out shares position 0.0 m with sensor ac_in"),
         ("acoustic", {"speed": -1414.2}, "acoustic: wave speed must be > 0, got -1414.2"),
         ("acoustic", {"attenuation": -1.0e-4}, "acoustic: attenuation must be >= 0, got -0.0001"),
         # limits that would flag every reading
@@ -219,7 +224,8 @@ class TestParsing:
             "poll_interval_negative", "boundary_kind", "series_decreasing", "series_empty",
             "temperature_end", "instrument_kind", "instrument_kind_acoustic", "instrument_sigma",
             "instrument_dropout",
-            "leak_mass_rate", "sensor_threshold", "sensor_resolution", "wave_speed",
+            "leak_mass_rate", "sensor_threshold", "sensor_resolution", "sensor_id_repeated",
+            "sensor_position_repeated", "wave_speed",
             "wave_attenuation", "plausibility_min_above_max", "plausibility_max_rate_zero",
             "plausibility_max_rate_negative", "balance_window_past_a_poll",
             "balance_window_between_polls", "poll_not_a_multiple_of_dt", "solver_dt_beyond_poll"])
@@ -838,6 +844,22 @@ class TestCli:
         assert len(rows) == 4  # note + header + 2 cells
         declared = [row["rtm_declared"] for row in csv.DictReader(rows[1:])]
         assert len(declared) == 2 and set(declared) <= {"0", "1"}  # as every run table
+
+
+    @pytest.mark.parametrize("key, values", [
+        ("leaks.0.mass_rate", "0.7"),   # a string would sweep its characters
+        ("seed", 5),
+        ("seed", []),                   # an empty list would run no cell
+    ], ids=["text", "number", "empty_list"])
+    def test_sweep_values_not_a_non_empty_list_rejected(self, tmp_path, capsys, key, values):
+        path = self.write_cfg(tmp_path, standard_config(horizon=420.0))
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(yaml.safe_dump({key: values}))
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--grid", str(grid), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {key}: sweep values must be a non-empty list")
+        assert not out.exists()
 
 
 class TestSpecInvariantsEndToEnd:
