@@ -21,6 +21,20 @@ kept exactly as in the written-out scheme, so the hoisting changes no bit
 of any result.  Newton ends on an evaluation at the iterate it returns,
 and the new state is one copy of the workspace that evaluation filled.
 
+A solver owns every buffer its Newton step writes, allocated once: the
+residual's workspace, its intermediates (cell means, gradients, flux,
+theta blends, time differences, rates and row sums), the old-state terms
+of the step being solved, Newton's two full-step buffers, its right-hand
+side and the |R| its norm reads.  Each intermediate is written with a
+positional ``out``, the same operation on the same operands as the
+expression it replaces, so every bit stays.  Only the residual ``R``
+itself is fresh per call, since Newton and the Jacobian hold two at once;
+a solver therefore runs one solve at a time, and building a transient
+residual replaces the old-state terms of the one built before.  From one
+``advance`` to the next the solver carries the new state's linepack,
+which is the next step's starting linepack when that step starts from
+this very state, and the grid node of each leak position it has seen.
+
 The residual works on one flat, field-major vector P | V | T | rho, so each
 stencil (cell means, gradients, theta blends, time differences) is one
 numpy call over every field rather than one per field on a strided view.
@@ -41,6 +55,7 @@ calls the LAPACK numpy itself links, and scipy's only where numpy's does
 not export it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +253,7 @@ class PipeFlowSolver:
         self._scalars = tuple(np.array(float(v)) for v in (
             0.5, self.A, _THETA, c, self.D, self.Tg,
             2.0 * self.D, 2.0 * c * self.D, GRAVITY))
+        self._dxcA = self.dxc * self._scalars[1]
         # A liquid's dP/dT at constant density does not depend on the state.
         self._dPdT_liquid = (np.array(dP_dT_const_density(fluid.eos, 0.0, 0.0))
                              if isinstance(fluid.eos, LiquidEos) else None)
@@ -251,6 +267,26 @@ class PipeFlowSolver:
         self._w_views = (w[:n3].reshape(3, N), w[:N], w[N : 2 * N], w[2 * N : n3], w[n3:],
                          w[:-1], w[1:], w[: n3 - 1], w[1:n3])
         self._w_at = None           # the u the workspace was last filled from
+        # The residual's intermediates, written with a positional ``out``:
+        # cell means, gradients, flux and its difference, theta blends of
+        # the means and gradients, the time difference of the means and its
+        # rate, then per cell the three row sums, |Vb|, rho*c and two
+        # temporaries.  A step's old-state terms go in the second set: the
+        # old fields, their cell means, the old halves of the blends, the
+        # old flux and its weighted difference, and the blended leak draw.
+        self._scratch = tuple(np.empty(n) for n in (
+            4 * N - 1, n3 - 1, N, N - 1, 4 * N - 1, n3 - 1, 4 * N - 1, 4 * N - 1,
+            *[N - 1] * 7))
+        self._old_terms = tuple(np.empty(n) for n in (
+            4 * N, 4 * N - 1, 4 * N - 1, n3 - 1, N, N - 1, N - 1))
+        self._no_leak = np.zeros(N - 1)
+        self._no_leak.flags.writeable = False
+        # Newton's full steps, written into whichever of the two buffers
+        # does not hold the current iterate, and its right-hand side and |R|.
+        self._steps = (np.empty(n3), np.empty(n3))
+        self._rhs, self._abs_R = np.empty(n3), np.empty(n3)
+        self._leak_nodes = {}       # leak position -> its interior node
+        self._last = (None, None)   # advance's last new state and its linepack
         # Each field's cells within the cell means and the gradients.
         self._cells = (slice(0, N - 1), slice(N, 2 * N - 1),
                        slice(2 * N, n3 - 1), slice(n3, 4 * N - 1))
@@ -321,7 +357,7 @@ class PipeFlowSolver:
         reuse them.
         """
         key = ("steady", bc.temperature_end)
-        res = self._build_residual(bc, bc.at(state.t), np.zeros(self.N - 1))
+        res = self._build_residual(bc, bc.at(state.t), self._no_leak)
         u = self._pack(state.P, state.V, state.T)
         with np.errstate(all="ignore"):
             lu = self._factor(u, res, res(u), history=[])
@@ -352,6 +388,10 @@ class PipeFlowSolver:
         the new state and the step's mass ledger.  Raises SolverError (with
         residual history) on Newton failure and InfeasibleStateError if the
         new state is unphysical.
+
+        When ``state`` is the state this solver's last ``advance`` returned,
+        the ledger's starting linepack is that step's ``linepack_end``: the
+        same function of the same arrays, not computed again.
         """
         t0, t1 = state.t, state.t + dt
         q_old = self._leak_cells(leaks, t0)
@@ -366,20 +406,23 @@ class PipeFlowSolver:
         new_state = self._new_state(t1)
         self._check_physical(new_state, InfeasibleStateError)
 
-        def flux(st, node):
-            return self.A * st.rho[node] * st.V[node]
-
-        th = _THETA
-        leak_total_new = float(q_new.sum())
-        leak_total_old = float(q_old.sum())
+        last, lp_last = self._last
+        linepack_start = lp_last if state is last else linepack(state, self.pipeline)
+        linepack_end = linepack(new_state, self.pipeline)
+        self._last = (new_state, linepack_end)
+        th, A = _THETA, self.A
+        rho0, V0, rho1, V1 = state.rho, state.V, new_state.rho, new_state.V
+        # A leak vector of no leaks is all zeros, and its sum exactly 0.0.
+        leak_total_new = float(q_new.sum()) if leaks else 0.0
+        leak_total_old = float(q_old.sum()) if leaks else 0.0
         entry = MassLedgerEntry(
             t_start=t0,
             t_end=t1,
-            mass_in=dt * (th * flux(new_state, 0) + (1 - th) * flux(state, 0)),
-            mass_out=dt * (th * flux(new_state, -1) + (1 - th) * flux(state, -1)),
+            mass_in=dt * (th * (A * rho1[0] * V1[0]) + (1 - th) * (A * rho0[0] * V0[0])),
+            mass_out=dt * (th * (A * rho1[-1] * V1[-1]) + (1 - th) * (A * rho0[-1] * V0[-1])),
             leak_mass=dt * (th * leak_total_new + (1 - th) * leak_total_old),
-            linepack_start=linepack(state, self.pipeline),
-            linepack_end=linepack(new_state, self.pipeline),
+            linepack_start=linepack_start,
+            linepack_end=linepack_end,
         )
         return StepResult(state=new_state, ledger=entry)
 
@@ -393,13 +436,13 @@ class PipeFlowSolver:
         outlet target and temperature anchor at the end of the step (see
         :meth:`BoundaryConditions.at`); ``bc`` gives the legs' kinds and
         the held-temperature end.  Everything that does not depend on the
-        new state is evaluated here, once per solve: the ``(1-theta)``
-        halves of the cell means and gradients of the old state, the old
-        flux difference and leak draw.  The coefficient vectors, the
-        scalars, a liquid's constant dP/dT, the workspace and the row and
-        cell slices are fixed per solver and come from ``__init__``.  The
-        residual does not enter ``np.errstate``: its callers do, once per
-        solve.
+        new state is evaluated here, once per solve, into the solver's
+        old-state buffers: the ``(1-theta)`` halves of the cell means and
+        gradients of the old state, the old flux difference and leak draw.
+        The coefficient vectors, the scalars, a liquid's constant dP/dT, the
+        workspace, the intermediates' buffers and the row and cell slices are fixed per solver and come from
+        ``__init__``.  The residual does not enter ``np.errstate``: its
+        callers do, once per solve.
 
         The residual copies ``u`` into the solver's workspace, one
         field-major vector ``w = P | V | T | rho`` of length 4N, so each
@@ -411,6 +454,8 @@ class PipeFlowSolver:
         operation on the same operands as per field, and the 0-d scalars
         give the same double arithmetic as Python floats.  Each call leaves
         the state at its ``u`` in the workspace, and records that ``u``.
+        It writes every intermediate into the solver's buffers and returns
+        a fresh ``R``.
 
         Each hoisted value is a whole operand of the expression it enters,
         and every sum and product keeps its operand order, so the result is
@@ -433,68 +478,107 @@ class PipeFlowSolver:
         rows_c, rows_m, rows_e, row_out = self._rows[bc.temperature_end]
         fields, P, V, T, rho, w_lo, w_hi, g_lo, g_hi = self._w_views
         cP, cV, cT, cR = self._cells
+        (mids, grads, flux, dflux, bars, gb, dmid, rate,
+         R_c, R_m, R_e, abs_Vb, rbc, t1, t2) = self._scratch
+        if steady:
+            bars, gb = mids, grads
+        Vb, Tb, rb, Pb = bars[cV], bars[cT], bars[cR], bars[cP]
+        dP, dV, dT = gb[cP], gb[cV], gb[cT]
+        flux_hi, flux_lo = flux[1:], flux[:-1]
 
         if not steady:
             invdt = np.array(1.0 / dt)
             wo = 1 - _THETA    # weight of the old time level
-            o = np.concatenate(old)
-            mids_old = half * (o[:-1] + o[1:])
-            bars_old = wo * mids_old
-            grads_old = wo * (o[1:n3] - o[: n3 - 1]) / dx3
-            flux_o = A * o[n3:] * o[N : 2 * N]
-            dflux_old = wo * (flux_o[1:] - flux_o[:-1])
-            q_bar = th * q_new + wo * q_old
-            dxcA = self.dxc * A
+            o, mids_old, bars_old, grads_old, flux_o, dflux_old, q_bar = self._old_terms
+            np.concatenate(old, out=o)
+            np.add(o[:-1], o[1:], mids_old)
+            np.multiply(half, mids_old, mids_old)
+            np.multiply(wo, mids_old, bars_old)
+            np.subtract(o[1:n3], o[: n3 - 1], grads_old)
+            np.multiply(wo, grads_old, grads_old)
+            np.divide(grads_old, dx3, grads_old)
+            np.multiply(A, o[n3:], flux_o)
+            np.multiply(flux_o, o[N : 2 * N], flux_o)
+            np.subtract(flux_o[1:], flux_o[:-1], dflux_old)
+            np.multiply(wo, dflux_old, dflux_old)
+            np.multiply(th, q_new, q_bar)
+            np.multiply(wo, q_old, t1)
+            np.add(q_bar, t1, q_bar)
+            dxcA, dmid_rho, rate_V, rate_T = self._dxcA, dmid[cR], rate[cV], rate[cT]
 
         def residual(u):
             fields[...] = u.reshape(N, 3).T
             rho[...] = raw_density(eos, P, T)
             self._w_at = u
-            mids = half * (w_lo + w_hi)
-            grads = (g_hi - g_lo) / dx3
-            flux = A * rho * V
-            dflux = flux[1:] - flux[:-1]
+            np.add(w_lo, w_hi, mids)
+            np.multiply(half, mids, mids)
+            np.subtract(g_hi, g_lo, grads)
+            np.divide(grads, dx3, grads)
+            np.multiply(A, rho, flux)
+            np.multiply(flux, V, flux)
+            np.subtract(flux_hi, flux_lo, dflux)
             if steady:
-                bars, gb = mids, grads
-            else:
-                bars = th * mids + bars_old
-                gb = th * grads + grads_old
-            Vb, Tb, rb = bars[cV], bars[cT], bars[cR]
-            dP, dV, dT = gb[cP], gb[cV], gb[cT]
-            if steady:
-                R_c = dflux + q_new
+                np.add(dflux, q_new, R_c)
                 # the zero time term is still added: it turns a -0.0 into 0.0
-                R_m = 0.0 + Vb * dV
-                R_e = 0.0 + Vb * dT
+                np.multiply(Vb, dV, R_m)
+                np.add(0.0, R_m, R_m)
+                np.multiply(Vb, dT, R_e)
+                np.add(0.0, R_e, R_e)
             else:
-                dmid = mids - mids_old
-                rate = dmid * invdt
-                R_c = dxcA * dmid[cR] * invdt + th * dflux + dflux_old + q_bar
-                R_m = rate[cV] + Vb * dV
-                R_e = rate[cT] + Vb * dT
+                np.multiply(th, mids, bars)
+                np.add(bars, bars_old, bars)
+                np.multiply(th, grads, gb)
+                np.add(gb, grads_old, gb)
+                np.subtract(mids, mids_old, dmid)
+                np.multiply(dmid, invdt, rate)
+                np.multiply(dxcA, dmid_rho, R_c)
+                np.multiply(R_c, invdt, R_c)
+                np.multiply(th, dflux, t1)
+                np.add(R_c, t1, R_c)
+                np.add(R_c, dflux_old, R_c)
+                np.add(R_c, q_bar, R_c)
+                np.multiply(Vb, dV, R_m)
+                np.add(rate_V, R_m, R_m)
+                np.multiply(Vb, dT, R_e)
+                np.add(rate_T, R_e, R_e)
 
-            abs_Vb = np.abs(Vb)
-            R_m = R_m + dP / rb + g_dHdx + f * Vb * abs_Vb / two_D
+            # R_m + dP / rb + g_dHdx + f * Vb * |Vb| / two_D
+            np.abs(Vb, abs_Vb)
+            np.divide(dP, rb, t1)
+            np.add(R_m, t1, R_m)
+            np.add(R_m, g_dHdx, R_m)
+            np.multiply(f, Vb, t1)
+            np.multiply(t1, abs_Vb, t1)
+            np.divide(t1, two_D, t1)
+            np.add(R_m, t1, R_m)
 
-            rbc = rb * c
-            if dPdT_liquid is None:
-                dPdT = dP_dT_const_density(eos, bars[cP], Tb)
-            else:
-                dPdT = dPdT_liquid
-            R_e = (
-                R_e
-                + (Tb / rbc) * dPdT * dV
-                - f * abs_Vb ** 3 / two_cD
-                + (four_U / (rbc * D)) * (Tb - Tg)
-            )
+            # R_e + (Tb / rbc) * dPdT * dV - f * |Vb| ** 3 / two_cD
+            #     + (four_U / (rbc * D)) * (Tb - Tg)
+            np.multiply(rb, c, rbc)
+            dPdT = dPdT_liquid if dPdT_liquid is not None else dP_dT_const_density(eos, Pb, Tb)
+            np.divide(Tb, rbc, t1)
+            np.multiply(t1, dPdT, t1)
+            np.multiply(t1, dV, t1)
+            np.add(R_e, t1, R_e)
+            np.power(abs_Vb, 3, t1)
+            np.multiply(f, t1, t1)
+            np.divide(t1, two_cD, t1)
+            np.subtract(R_e, t1, R_e)
+            np.multiply(rbc, D, t1)
+            np.divide(four_U, t1, t1)
+            np.subtract(Tb, Tg, t2)
+            np.multiply(t1, t2, t1)
+            np.add(R_e, t1, R_e)
             if steady:
-                R_e = R_e + _STEADY_T_REG * (Tb - T_anchor)
+                np.subtract(Tb, T_anchor, t1)
+                np.multiply(_STEADY_T_REG, t1, t1)
+                np.add(R_e, t1, R_e)
 
             R = np.empty(n3)
             R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
                     else (flux[0] - inlet_target) / mdot_scale)
-            R[rows_c] = R_c / mdot_scale
-            R[rows_m] = R_m / g
+            np.divide(R_c, mdot_scale, R[rows_c])
+            np.divide(R_m, g, R[rows_m])
             R[rows_e] = R_e  # K/s, unit scale
             R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
                           else (flux[-1] - outlet_target) / mdot_scale)
@@ -509,9 +593,10 @@ class PipeFlowSolver:
     def _newton(self, u0, res_fn, key, fresh_jacobian):
         """Newton iteration on ``res_fn`` from ``u0``, with a backtracking line
         search and the cached LU factors under ``key``.  Returns the
-        converged iterate and the residual-norm history.  On return the
-        workspace holds ``res_fn``'s evaluation at that iterate, so
-        :meth:`_new_state` reads the new state from it.
+        converged iterate and the residual-norm history.  The iterate may be
+        one of the solver's full-step buffers, which the next solve
+        overwrites.  On return the workspace holds ``res_fn``'s evaluation
+        at that iterate, so :meth:`_new_state` reads the new state from it.
         """
         tol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
         # Trial states may stray into NaN or overflow; the line search
@@ -521,7 +606,7 @@ class PipeFlowSolver:
             R = res_fn(u)
             norm = self._norm(R)
             history = [norm]
-            if not np.isfinite(norm):
+            if not math.isfinite(norm):
                 raise SolverError("initial residual is not finite", history=history)
 
             lu = None if (fresh_jacobian or self._cache_key != key) else self._lu_cache
@@ -545,14 +630,19 @@ class PipeFlowSolver:
                         raise SolverError("singular Jacobian", history=history)
                     lu, rebuilt = None, False
                     continue
-                du_hat = lapack.dgbtrs(lu, -R)
+                du_hat = lapack.dgbtrs(lu, np.negative(R, self._rhs))
+                # The full step into the buffer that does not hold u; at
+                # lam = 1 the product lam * du_hat is du_hat, exactly.
+                full = self._steps[u is self._steps[0]]
+                np.multiply(du_hat, self.u_scale, full)
+                np.add(u, full, full)
 
                 lam, accepted = 1.0, False
                 for _ in range(12):
-                    u_try = u + lam * du_hat * self.u_scale
+                    u_try = full if lam == 1.0 else u + lam * du_hat * self.u_scale
                     R_try = res_fn(u_try)
                     n_try = self._norm(R_try)
-                    if np.isfinite(n_try) and (n_try < norm or n_try < tol):
+                    if math.isfinite(n_try) and (n_try < norm or n_try < tol):
                         accepted = True
                         break
                     lam *= 0.5
@@ -589,9 +679,8 @@ class PipeFlowSolver:
             raise SolverError("non-finite Jacobian", history=history)
         return lapack.dgbtrf(ab, 4, 4)
 
-    @staticmethod
-    def _norm(R):
-        return float(np.abs(R).max())
+    def _norm(self, R):
+        return float(np.abs(R, self._abs_R).max())
 
     def _jacobian(self, u, res_fn, R0):
         """Finite-difference Jacobian in LAPACK's ``gbtrf`` band layout.
@@ -637,9 +726,9 @@ class PipeFlowSolver:
         positive.  A liquid's pressure below zero means its column has
         separated (a vapour cavity), a regime the model does not represent,
         and the message says so."""
-        fields = (("P", state.P), ("T", state.T), ("rho", state.rho))
-        if all(arr.min() > 0.0 for _, arr in fields):
+        if state.P.min() > 0.0 and state.T.min() > 0.0 and state.rho.min() > 0.0:
             return
+        fields = (("P", state.P), ("T", state.T), ("rho", state.rho))
         for name, arr in fields:
             bad = np.flatnonzero(arr <= 0.0)
             if bad.size:
@@ -671,6 +760,11 @@ class PipeFlowSolver:
         )
 
     def _leak_cells(self, leaks, t):
+        """Each cell's leak draw at ``t``: half of each leak's rate to the
+        two cells beside its node.  No leaks give the solver's read-only
+        zero vector."""
+        if not leaks:
+            return self._no_leak
         q = np.zeros(self.N - 1)
         for leak in leaks:
             rate = leak.rate_at(t)
@@ -681,12 +775,16 @@ class PipeFlowSolver:
         return q
 
     def _leak_node(self, leak):
+        j = self._leak_nodes.get(leak.position)
+        if j is not None:
+            return j
         j = int(np.argmin(np.abs(self.x - leak.position)))
         if j <= 0 or j >= self.N - 1:
             raise ConfigurationError(
                 f"leak at {leak.position} m snaps to a boundary node; "
                 "leaks must be strictly interior"
             )
+        self._leak_nodes[leak.position] = j
         return j
 
     def _freeze_scales(self, u):
