@@ -104,7 +104,8 @@ def _cmd_sweep(args):
     path = outdir / "sweep.csv"
     columns = list(dict.fromkeys(key for row in rows for key in row))
     write_table(path, _note(scenario.name, scenario.config_hash), columns,
-                ([row.get(c) for c in columns] for row in rows))
+                ([int(v) if isinstance(v, bool) else v for v in map(row.get, columns)]
+                 for row in rows))
     failures = sum(1 for r in rows if r.get("error"))
     print(f"sweep: {len(rows)} cells, {failures} failed -> {path}")
     return 0 if failures == 0 else 1
@@ -156,16 +157,17 @@ def _note(scenario_name, config_hash):
 
 def write_table(path, note, header, rows):
     """One CSV table under its provenance line ``note``; None is written
-    empty and booleans as 0/1."""
+    empty.  The rows come with their booleans already as 0/1."""
     with open(path, "w", newline="") as fh:
         fh.write(note)
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
+        w.writerows(rows)
 
 
 def _tables(report: RunReport):
-    """(file name, header, rows) of each CSV table the run has."""
+    """(file name, header, rows) of each CSV table the run has, with each
+    boolean column written as 0/1."""
     yield "telemetry.csv", ["poll_time", "instrument", "value", "quality"], (
         [frame.poll_time, r.instrument_id, r.value, r.quality]
         for frame in report.frames for r in frame.readings
@@ -176,25 +178,25 @@ def _tables(report: RunReport):
                   + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
 
         def trace_row(rec):
-            return ([rec.poll_time, rec.available, rec.reason, rec.alarm_condition]
+            return ([rec.poll_time, int(rec.available), rec.reason, int(rec.alarm_condition)]
                     + [m.get(i) for m in (rec.normalized, rec.delta) for i in ids])
 
         yield "rtm_trace.csv", header, map(trace_row, report.rtm_records)
     if report.balance.get("enabled"):
-        keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance",
-                "indeterminate", "alarm"]
+        keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance"]
         header = ["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg", "imbalance_kg",
                   "indeterminate", "alarm"]
         yield "balance_windows.csv", header, (
-            [w[k] for k in keys] for w in report.balance["windows"])
+            [w[k] for k in keys] + [int(w["indeterminate"]), int(w["alarm"])]
+            for w in report.balance["windows"])
     if report.acoustic.get("enabled"):
-        keys = ["leak_position", "sensor", "sensor_position", "arrival_time", "amplitude",
-                "triggered"]
-        yield "acoustic_events.csv", keys, ([ev[k] for k in keys] for ev in report.acoustic["events"])
+        keys = ["leak_position", "sensor", "sensor_position", "arrival_time", "amplitude"]
+        yield "acoustic_events.csv", keys + ["triggered"], (
+            [ev[k] for k in keys] + [int(ev["triggered"])] for ev in report.acoustic["events"])
     if report.availability:
-        keys = ["name", "elements", "rank", "product", "approximate", "approximate_valid"]
-        yield "availability.csv", ["chain"] + keys[1:], (
-            [row[k] for k in keys] for row in report.availability)
+        keys = ["name", "elements", "rank", "product", "approximate"]
+        yield "availability.csv", ["chain"] + keys[1:] + ["approximate_valid"], (
+            [row[k] for k in keys] + [int(row["approximate_valid"])] for row in report.availability)
 
 
 def write_states(path, report: RunReport):

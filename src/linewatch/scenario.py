@@ -932,23 +932,29 @@ def sweep(base_raw: dict, grid_spec: Dict[str, list]) -> List[dict]:
     """Cartesian product of overrides applied to a base scenario dict.
 
     ``grid_spec`` maps dotted config paths (e.g. ``leaks.0.mass_rate``) to
-    non-empty value lists.  One result row per cell; failures are recorded
-    per row and the sweep continues.
+    non-empty value lists.  A path that does not fit the template raises a
+    ConfigurationError naming it before any cell runs.  One result row per
+    cell; failures are recorded per row and the sweep continues.
     """
-    keys = sorted(grid_spec.keys())
-    value_lists = [grid_spec[k] for k in keys]
-    for key, values in zip(keys, value_lists):
+    for key, values in grid_spec.items():
+        if not isinstance(key, str):
+            raise ConfigurationError(f"{key}: a sweep path must be dotted text")
         if not isinstance(values, list) or not values:
             raise ConfigurationError(
                 f"{key}: sweep values must be a non-empty list, got {values!r}")
+    keys = sorted(grid_spec.keys())
+    value_lists = [grid_spec[k] for k in keys]
+    first = copy.deepcopy(base_raw)
+    for key, values in zip(keys, value_lists):
+        _set_path(first, key, values[0])
     rows = []
     for idx, combo in enumerate(itertools.product(*value_lists)):
-        raw = copy.deepcopy(base_raw)
-        for key, value in zip(keys, combo):
-            _set_path(raw, key, value)
         row = {"cell": idx}
         row.update({k: v for k, v in zip(keys, combo)})
         try:
+            raw = copy.deepcopy(base_raw)
+            for key, value in zip(keys, combo):
+                _set_path(raw, key, value)
             scenario = scenario_from_dict(raw)
             report = run_scenario(scenario)
             row.update(
@@ -967,12 +973,26 @@ def sweep(base_raw: dict, grid_spec: Dict[str, list]) -> List[dict]:
 
 
 def _set_path(raw, dotted, value):
+    """Set ``value`` at the ``dotted`` path of the config dict ``raw``,
+    adding the mappings a path names and the template lacks.  A list entry
+    must exist already: a path that indexes a list with anything but one
+    of its indices, or that steps into a plain value, raises a
+    ConfigurationError naming the path."""
     parts = dotted.split(".")
     node = raw
-    for part in parts[:-1]:
-        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
-    last = parts[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    for depth, part in enumerate(parts):
+        here = ".".join(parts[:depth])
+        if isinstance(node, list):
+            try:
+                part = int(part)
+                node[part]
+            except (ValueError, IndexError):
+                raise ConfigurationError(
+                    f"{dotted}: {here} is a list of {len(node)}, and {part!r} is not "
+                    "one of its indices") from None
+        elif not isinstance(node, dict):
+            raise ConfigurationError(f"{dotted}: {here} is {node!r}, not a mapping or a list")
+        if depth == len(parts) - 1:
+            node[part] = value
+        else:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import re
 
 import numpy as np
@@ -546,6 +547,54 @@ class TestNewState:
                                     ("steady", "inlet"), fresh_jacobian=False)
         assert len(history) == 1 and probed[0] is u
         _assert_state_is_iterate(solver, solver._new_state(0.0), u)
+
+
+class TestSolverReuse:
+    """What a solver keeps between solves (its residual's buffers, Newton's
+    step buffers, its leak nodes and the last step's linepack) leaves no
+    trace in a later solve."""
+
+    @staticmethod
+    def _bytes(step):
+        fields = [getattr(step.state, f).tobytes() for f in ("P", "V", "T", "rho")]
+        return fields, np.array(dataclasses.astuple(step.ledger)).tobytes()
+
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_step_after_a_locate_scan_matches_a_fresh_solver(self, water_like, ten_km_line,
+                                                             fluid_kind, temperature_end):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+        if temperature_end == "outlet":   # the flow runs away from the held end
+            p_in, p_out = p_out, p_in
+        bc = bc_pp(p_in, p_out, temperature_end=temperature_end)
+        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=0.5 * dt,
+                           mass_rate=0.02 * mdot)]
+
+        def started():
+            # The steady start freezes the residual's scales the same way
+            # on both solvers.
+            solver = make_solver(fluid, pipe, dx=dx)
+            return solver, solver.steady_state(bc)
+
+        # The RTM shadow's sequence: a step, then at declaration the locate
+        # scan (a warm-started steady solve, the leak response, an exact
+        # leaky steady solve), then the next step from the shadow's state.
+        solver, start = started()
+        first = solver.advance(start, bc, dt, leaks=leaks)
+        t = first.state.t
+        base = solver.steady_state(bc, t=t, initial_guess=first.state)
+        solver.steady_leak_response(base, bc, [("P", 3), ("V", 0), ("T", solver.N - 2)])
+        probe = LeakEvent(position=0.7 * pipe.length, start_time=-np.inf, mass_rate=0.02 * mdot)
+        solver.steady_state(bc, t=t, leaks=[probe], initial_guess=base)
+        again = solver.advance(first.state, bc, dt, leaks=leaks)
+
+        fresh, _ = started()
+        expected = fresh.advance(first.state, bc, dt, leaks=leaks)
+        assert self._bytes(again) == self._bytes(expected)
+        assert again.ledger.linepack_start == first.ledger.linepack_end
+        # From any other state, a step takes that state's own linepack.
+        assert solver.advance(start, bc, dt).ledger.linepack_start == linepack(start, pipe)
 
 
 class TestSettingsValidation:

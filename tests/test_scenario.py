@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import csv
@@ -861,6 +862,27 @@ class TestCli:
             f"configuration error: {key}: sweep values must be a non-empty list")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("leaks.5.mass_rate", "leaks is a list of 1, and 5 is not one of its indices"),
+        ("leaks.x.mass_rate", "leaks is a list of 1, and 'x' is not one of its indices"),
+        ("seed.x", "seed is 42, not a mapping or a list"),
+        (1, "a sweep path must be dotted text"),
+    ], ids=["index_out_of_range", "index_not_a_number", "into_a_value", "not_text"])
+    def test_sweep_path_that_misses_the_template_rejected(self, tmp_path, capsys, monkeypatch,
+                                                          key, message):
+        # The path is applied to the template before any cell runs, so a
+        # path that cannot fit fails the sweep with its name, and no cell
+        # runs or writes a row.
+        runs = []
+        monkeypatch.setattr(scenario_module, "run_scenario", lambda *a, **k: runs.append(a))
+        path = self.write_cfg(tmp_path, standard_config(horizon=420.0))
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(yaml.safe_dump({key: [1.0], "horizon": [360.0, 420.0]}))
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--grid", str(grid), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {key}: {message}\n"
+        assert not runs and not (out / "sweep.csv").exists()
+
 
 class TestSpecInvariantsEndToEnd:
     def test_zero_noise_no_leak_run_marks_nothing_suspect(self):
@@ -1283,3 +1305,70 @@ class TestSimpleBalanceStandalone:
         assert len(trace) == report.rtm["polls"]
         warm = [e for e in trace if e["normalized"].get("flow_in") is not None]
         assert warm, "smoothed indicators never warmed up"
+
+
+class TestSolverWork:
+    """A noise-free guard on the Newton path: the exact work one short run
+    asks of each solver.  A change that adds a factorization, a solve or a
+    residual evaluation fails here, where wall-clock timings mean nothing."""
+
+    @staticmethod
+    def _quiet_line():
+        """The benchmark's quiet_day line (no leak, default thresholds, dt 5
+        s on a 200 m grid, balance on, acoustic off) for 60 polls."""
+        cfg = standard_config(seed=2024, horizon=300.0)
+        cfg["leaks"] = []
+        cfg["solver"] = {"dt": 5.0, "target_dx": 200.0}
+        for key in ("flow_threshold", "pressure_threshold"):
+            del cfg["rtm"][key]
+        cfg["acoustic"] = {"enabled": False}
+        return cfg
+
+    def test_solver_work_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
+        solver_cls = hydraulics.PipeFlowSolver
+        solvers = []            # in creation order: the plant, then the shadow
+        owner = {}              # Factors -> the solver that made them
+        counts = collections.Counter()
+        role = lambda solver: ("plant", "shadow")[solvers.index(solver)]
+        init, build, factor = solver_cls.__init__, solver_cls._build_residual, solver_cls._factor
+        solve = hydraulics.lapack.dgbtrs
+
+        def recorded_init(self, *args):
+            init(self, *args)
+            solvers.append(self)
+
+        def counted_build(self, *args):
+            res = build(self, *args)
+
+            def evaluate(u):
+                counts[role(self), "residuals"] += 1
+                return res(u)
+            return evaluate
+
+        def counted_factor(self, *args):
+            lu = factor(self, *args)
+            owner[lu] = role(self)
+            counts[role(self), "factorizations"] += 1
+            return lu
+
+        def counted_solve(lu, *args, **kwargs):
+            counts[owner[lu], "solves"] += 1
+            return solve(lu, *args, **kwargs)
+
+        monkeypatch.setattr(solver_cls, "__init__", recorded_init)
+        monkeypatch.setattr(solver_cls, "_build_residual", counted_build)
+        monkeypatch.setattr(solver_cls, "_factor", counted_factor)
+        monkeypatch.setattr(hydraulics.lapack, "dgbtrs", counted_solve)
+        report = run_scenario(scenario_from_dict(self._quiet_line()))
+
+        assert len(solvers) == 2 and not report.rtm["declared"]
+        assert report.run["solver_failure"] is None
+        # Past its steady start, each side steps once per poll: the plant in
+        # one Newton iteration, the shadow under its noisy boundary readings
+        # in three.
+        assert dict(counts) == {
+            ("plant", "factorizations"): 2, ("plant", "solves"): 62, ("plant", "residuals"): 141,
+            ("shadow", "factorizations"): 2, ("shadow", "solves"): 181,
+            ("shadow", "residuals"): 260,
+        }
