@@ -34,7 +34,7 @@ print("gas density at 50 bar, 300 K:  ", density(gas, 5e6, 300.0), "kg/m3")
 print("liquid wave speed:             ", isothermal_sound_speed(liquid, 2e6, 300.0), "m/s")
 
 # --- steady flow on a 10 km trunk line -----------------------------------
-fluid = FluidModel(eos=liquid, c=2000.0, sound_speed_hint=1414.2)
+fluid = FluidModel(eos=liquid, c=2000.0)
 pipe = PipelineModel(length=10_000.0, diameter=0.3, friction_factor=0.02,
                      U=2.0, Tg=288.15)
 grid = discretize(pipe, 100.0)

@@ -24,7 +24,6 @@ from linewatch import (
 fluid = FluidModel(
     eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
     c=2000.0,
-    sound_speed_hint=1414.2,
 )
 pipe = PipelineModel(length=10_000.0, diameter=0.3, friction_factor=0.02,
                      U=0.0, Tg=300.0)

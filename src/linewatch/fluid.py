@@ -92,19 +92,14 @@ class GasEos:
 
 @dataclass(frozen=True)
 class FluidModel:
-    """A transported fluid: EOS plus thermal and acoustic parameters."""
+    """A transported fluid: its EOS and its specific heat."""
 
     eos: Union[LiquidEos, GasEos]
     c: float                    # specific heat, J/(kg K)
-    sound_speed_hint: float     # wave propagation speed for acoustic work, m/s
 
     def __post_init__(self):
         if self.c <= 0:
             raise ConfigurationError(f"specific heat c must be > 0, got {self.c}")
-        if self.sound_speed_hint <= 0:
-            raise ConfigurationError(
-                f"sound_speed_hint must be > 0, got {self.sound_speed_hint}"
-            )
 
 
 def compressibility_z(gas: GasEos, P, T):
@@ -147,7 +142,8 @@ def dP_dT_const_density(eos, P, T):
 def isothermal_sound_speed(eos, P, T):
     """sqrt(dP/drho) at constant T; a grid/time-step sizing aid.
 
-    The acoustic detector uses the configured ``sound_speed_hint``, not this.
+    The acoustic channel's wave speed is the scenario's ``acoustic.speed``,
+    which defaults to ``fluid.sound_speed``, not this.
     """
     if isinstance(eos, LiquidEos):
         return float(np.sqrt(eos.B / eos.rho0))

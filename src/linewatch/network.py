@@ -160,13 +160,13 @@ class Grid:
         return self.node_positions.size
 
 
-def discretize(pipeline: PipelineModel, target_dx, instruments=(), extra_points=()):
+def discretize(pipeline: PipelineModel, target_dx, points=()):
     """Build a solver grid with spacing <= target_dx.
 
-    Instrument positions, segment boundaries, elevation breakpoints, and any
-    ``extra_points`` (a run passes its leak positions) are snapped onto
-    nodes; the span between consecutive snap points is divided uniformly.
-    Deterministic for identical inputs.
+    Segment boundaries, elevation breakpoints and the given ``points`` (a
+    run passes its instrument positions, then its leak positions) are
+    snapped onto nodes; the span between consecutive snap points is divided
+    uniformly.  Deterministic for identical inputs.
     """
     L = pipeline.length
     if target_dx <= 0:
@@ -174,17 +174,11 @@ def discretize(pipeline: PipelineModel, target_dx, instruments=(), extra_points=
     dx = min(float(target_dx), L)
 
     fixed = {0.0, L}
-    for inst in instruments:
-        if not 0.0 <= inst.position <= L:
-            raise ConfigurationError(
-                f"instrument {inst.id} at {inst.position} m lies outside [0, {L}]"
-            )
-        fixed.add(float(inst.position))
     for seg in pipeline.segments:
         fixed.update((float(seg.start), float(seg.end)))
     for x, _ in pipeline.elevation_profile:
         fixed.add(float(x))
-    for p in extra_points:
+    for p in points:
         if not 0.0 <= p <= L:
             raise ConfigurationError(f"grid point {p} m lies outside [0, {L}]")
         fixed.add(float(p))

@@ -142,12 +142,10 @@ def vote(history, policy: VotingPolicy) -> bool:
     if len(history) < M:
         return False
     recent = history[-M:]
-    ids = set().union(*(h.keys() for h in recent))
-    count = 0
-    for iid in ids:
-        vals = [h.get(iid) for h in recent]
-        if all(v is not None and abs(v) >= 1.0 for v in vals):
-            count += 1
+    # an indicator missing from the newest poll reads None there, so only
+    # the newest poll's indicators can count
+    count = sum(all(v is not None and abs(v) >= 1.0 for v in (h.get(iid) for h in recent))
+                for iid in recent[-1])
     return count >= K
 
 
@@ -203,6 +201,11 @@ class RtmDetector:
         self.solver = PipeFlowSolver(pipeline, fluid, grid)
 
         self._classify_instruments()
+        ids = [i.id for i in self.indicators]
+        if policy.min_indicators > len(ids):
+            raise ConfigurationError(
+                f"min_indicators {policy.min_indicators} exceeds the {len(ids)} indicators "
+                f"({', '.join(ids)}), so the vote could never pass")
         self._state = None
         self._drive_bc = None       # built from the first good boundary readings
         self._hold: Dict[str, float] = {}   # the two boundary instruments' held readings

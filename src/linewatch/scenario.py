@@ -322,7 +322,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     poll_interval = tele.number("poll_interval", 5.0, above=0)
     root.multiple_of("horizon", horizon, "telemetry.poll_interval", poll_interval)
 
-    fluid = _parse_fluid(root.child("fluid", required=True))
+    fluid, sound_speed = _parse_fluid(root.child("fluid", required=True))
     pipeline = _parse_pipeline(root.child("pipeline", required=True))
     instruments = _parse_instruments(root.child("instruments", required=True), pipeline)
     bc = _parse_boundaries(root.child("boundaries", required=True))
@@ -344,7 +344,7 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     rtm_cfg = _parse_rtm(root.child("rtm"), instruments)
     balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg, pipeline.length,
                                  poll_interval)
-    acoustic_cfg = _parse_acoustic(root.child("acoustic"), fluid, pipeline)
+    acoustic_cfg = _parse_acoustic(root.child("acoustic"), sound_speed, pipeline)
     avail_cfg = _parse_availability(root.child("availability"))
 
     unread = next((p for p in _key_paths(raw, "") if p not in root.read), None)
@@ -373,6 +373,8 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
 
 
 def _parse_fluid(node):
+    """The fluid model, and ``fluid.sound_speed``: the acoustic channel's
+    default wave speed, which no model reads."""
     kind = node.text("kind", required=True)
     if kind not in ("liquid", "gas"):
         node.child("kind").error(f"must be 'liquid' or 'gas', got {kind!r}")
@@ -387,6 +389,7 @@ def _parse_fluid(node):
         )
     else:
         zr = node.child("z_reference")
+        # k is fitted from the reference point; without one the gas is ideal
         shared = dict(
             R=node.number("R", required=True),
             critical_pressure=node.number("critical_pressure", dim="pressure"),
@@ -402,13 +405,10 @@ def _parse_fluid(node):
                 **shared,
             )
         else:
-            eos = node.build(GasEos, **shared, **_given(k=node.number("k")))
-    return node.build(
-        FluidModel,
-        eos=eos,
-        c=node.number("specific_heat", required=True),
-        sound_speed_hint=node.number("sound_speed", required=True),
-    )
+            eos = node.build(GasEos, **shared)
+    c = node.number("specific_heat", required=True)
+    sound_speed = node.number("sound_speed", required=True, above=0)
+    return node.build(FluidModel, eos=eos, c=c), sound_speed
 
 
 def _parse_pipeline(node):
@@ -589,7 +589,7 @@ def _parse_balance(node, instruments, rtm_cfg, length, poll_interval):
     }
 
 
-def _parse_acoustic(node, fluid, pipeline):
+def _parse_acoustic(node, sound_speed, pipeline):
     if _disabled(node):
         return None
     sensors = []
@@ -613,7 +613,7 @@ def _parse_acoustic(node, fluid, pipeline):
         sensors.append(sensor)
     wave = node.build(
         ac.WaveModel,
-        speed=node.number("speed", fluid.sound_speed_hint),
+        speed=node.number("speed", sound_speed),
         **_given(attenuation=node.number("attenuation", dim="1/length")),
     )
     amplitude = node.number("initial_amplitude", required=True, dim="pressure", above=0)
@@ -648,8 +648,8 @@ def start_plant(scenario: Scenario):
     dropped, so the scenario is taken to mix units (a ConfigurationError)."""
     s = scenario
     # The acoustic channel is kinematic and reads no grid: its sensors are not snapped.
-    grid = discretize(s.pipeline, s.target_dx, s.instruments,
-                      extra_points=[lk.position for lk in s.leaks])
+    grid = discretize(s.pipeline, s.target_dx,
+                      [i.position for i in s.instruments] + [lk.position for lk in s.leaks])
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
     try:
         state = plant.steady_state(s.bc, t=0.0)

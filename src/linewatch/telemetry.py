@@ -105,7 +105,7 @@ def instrument_nodes(x, instruments):
         if abs(x[idx] - inst.position) > 1e-9 * span + 1e-9:
             raise ConfigurationError(
                 f"instrument {inst.id} at {inst.position} m is not on a grid node; "
-                "pass instruments to discretize()"
+                "pass its position to discretize()"
             )
         nodes.append(idx)
     return tuple(nodes)

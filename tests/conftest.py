@@ -11,7 +11,6 @@ def water_like():
     return FluidModel(
         eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
         c=2000.0,
-        sound_speed_hint=1414.2,
     )
 
 

@@ -119,10 +119,10 @@ class TestMassConservation:
 
     def _march(self, leaks):
         fluid = FluidModel(eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
-                           c=2000.0, sound_speed_hint=1414.2)
+                           c=2000.0)
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02,
                              U=2.0, Tg=288.15)
-        grid = discretize(pipe, 200.0, extra_points=[5000.0])
+        grid = discretize(pipe, 200.0, [5000.0])
         solver = PipeFlowSolver(pipe, fluid, grid)
         bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries([0.0, 1800.0, 3600.0],
@@ -164,7 +164,7 @@ class TestSteadyStateOracle:
     )
     def test_three_configurations(self, f, elev, label):
         fluid = FluidModel(eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
-                           c=2000.0, sound_speed_hint=1414.2)
+                           c=2000.0)
         pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=f,
                              elevation_profile=elev, U=0.0, Tg=300.0)
         solver = PipeFlowSolver(pipe, fluid, discretize(pipe, 100.0))

@@ -45,8 +45,8 @@ def bc_fp(mdot, p_out, T=300.0):
     )
 
 
-def make_solver(fluid, pipe, dx=100.0, extra_points=()):
-    return PipeFlowSolver(pipe, fluid, discretize(pipe, dx, extra_points=extra_points))
+def make_solver(fluid, pipe, dx=100.0, points=()):
+    return PipeFlowSolver(pipe, fluid, discretize(pipe, dx, points))
 
 
 class TestSteadyState:
@@ -175,7 +175,7 @@ class TestSteadyState:
         GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.0),
     ], ids=["liquid", "ideal_gas", "correlated_gas"])
     def test_solver_density_is_fluid_density(self, eos):
-        fluid = FluidModel(eos=eos, c=2200.0, sound_speed_hint=380.0)
+        fluid = FluidModel(eos=eos, c=2200.0)
         pipe = PipelineModel(length=20000.0, diameter=0.5, friction_factor=0.015,
                              U=1.0, Tg=288.15)
         st = make_solver(fluid, pipe, dx=500.0).steady_state(bc_fp(45.0, 5.0e6))
@@ -194,7 +194,7 @@ class TestSteadyState:
 class TestGasSteadyAgainstIvp:
     def test_profiles_match_independent_integration(self):
         gas = GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.0)
-        fluid = FluidModel(eos=gas, c=2200.0, sound_speed_hint=380.0)
+        fluid = FluidModel(eos=gas, c=2200.0)
         pipe = PipelineModel(length=50000.0, diameter=0.5, friction_factor=0.015,
                              U=1.0, Tg=288.15)
         solver = make_solver(fluid, pipe, dx=250.0)
@@ -293,7 +293,7 @@ class TestAdvance:
             assert abs(result.ledger.residual) < 1e-8 * result.ledger.linepack_end
 
     def test_mass_ledger_with_leak(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line, extra_points=(5000.0,))
+        solver = make_solver(water_like, ten_km_line, points=(5000.0,))
         bc = bc_pp(1.0e6, 6.7e5)
         leaks = [LeakEvent(position=5000.0, start_time=20.0, mass_rate=5.0)]
         st = solver.steady_state(bc, t=0.0)
@@ -304,7 +304,7 @@ class TestAdvance:
         assert result.ledger.leak_mass == pytest.approx(5.0 * 2.0, rel=1e-12)
 
     def test_ledger_linepack_chains_bit_for_bit(self, water_like, ten_km_line):
-        solver = make_solver(water_like, ten_km_line, extra_points=(5000.0,))
+        solver = make_solver(water_like, ten_km_line, points=(5000.0,))
         bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries([0.0, 30.0], [1.0e6, 1.08e6])),
             outlet=BoundaryLeg("pressure", TimeSeries.constant(6.7e5)),
@@ -323,7 +323,7 @@ class TestAdvance:
 
     def test_leak_global_mass_audit(self, water_like, ten_km_line):
         # flow-specified inlet; integrated (in - out - d linepack) -> q*T
-        solver = make_solver(water_like, ten_km_line, extra_points=(5000.0,))
+        solver = make_solver(water_like, ten_km_line, points=(5000.0,))
         bc = bc_fp(70.35, 6.7e5)
         q = 3.0
         leaks = [LeakEvent(position=5000.0, start_time=60.0, mass_rate=q)]
@@ -405,7 +405,7 @@ class TestReadouts:
         fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
         p_in, p_out = _LINES[fluid_kind][:2]
         L = pipe.length
-        grid = discretize(pipe, L / 37.0, extra_points=(0.123 * L, 0.61 * L))
+        grid = discretize(pipe, L / 37.0, (0.123 * L, 0.61 * L))
         assert np.ptp(np.diff(grid.node_positions)) > 1e-3 * L / 37.0  # non-uniform
         st = PipeFlowSolver(pipe, fluid, grid).steady_state(bc_pp(p_in, p_out))
         assert np.ptp(st.rho) > 0.0
@@ -901,7 +901,7 @@ def _reference_residual(self, u, old, t_new, bc, q_new, q_old, steady, dt):
 
 _GAS = FluidModel(
     eos=GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.0),
-    c=2200.0, sound_speed_hint=380.0,
+    c=2200.0,
 )
 _GAS_LINE = PipelineModel(length=50000.0, diameter=0.5, friction_factor=0.015,
                           U=1.0, Tg=288.15, elevation_profile=((0.0, 0.0), (50000.0, 40.0)))

@@ -27,7 +27,7 @@ class TestDiscretize:
 
     def test_instrument_snapped_onto_node(self):
         inst = InstrumentPlacement("p1", "pressure", 4500.0)
-        grid = discretize(line(), 1000.0, [inst])
+        grid = discretize(line(), 1000.0, [inst.position])
         assert np.any(np.isclose(grid.node_positions, 4500.0))
         assert np.all(np.diff(grid.node_positions) <= 1000.0 + 1e-9)
 
@@ -41,12 +41,11 @@ class TestDiscretize:
             InstrumentPlacement("b", "pressure", 4900.0),
         ]
         with pytest.raises(ConfigurationError, match="target_dx"):
-            discretize(line(), 1000.0, close)
+            discretize(line(), 1000.0, [i.position for i in close])
 
     def test_deterministic(self):
-        inst = [InstrumentPlacement("a", "flow", 3333.0)]
-        g1 = discretize(line(), 700.0, inst)
-        g2 = discretize(line(), 700.0, inst)
+        g1 = discretize(line(), 700.0, [3333.0])
+        g2 = discretize(line(), 700.0, [3333.0])
         assert np.array_equal(g1.node_positions, g2.node_positions)
 
     def test_segment_boundaries_on_nodes(self):
@@ -56,8 +55,12 @@ class TestDiscretize:
         assert np.any(np.isclose(grid.node_positions, 2500.0))
 
     def test_extra_points_snapped(self):
-        grid = discretize(line(), 1000.0, extra_points=[5150.0])
+        grid = discretize(line(), 1000.0, [5150.0])
         assert np.any(np.isclose(grid.node_positions, 5150.0))
+
+    def test_point_outside_the_line_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^grid point 10500\.0 m lies outside"):
+            discretize(line(), 1000.0, [10500.0])
 
 
 class TestElevation:

@@ -94,7 +94,7 @@ class _MiniLoop:
                  pol=None, mangle=None, dx=100.0, poll_interval=5.0):
         self.fluid = FluidModel(
             eos=LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
-            c=2000.0, sound_speed_hint=1414.2)
+            c=2000.0)
         self.pipe = PipelineModel(length=10000.0, diameter=0.3, friction_factor=0.02,
                                   U=2.0, Tg=288.15)
         self.instruments = [
@@ -104,8 +104,8 @@ class _MiniLoop:
             InstrumentPlacement("p_out", "pressure", 10000.0),
             InstrumentPlacement("t_in", "temperature", 0.0),
         ]
-        self.grid = discretize(self.pipe, dx, self.instruments,
-                               extra_points=[leak_pos])
+        self.grid = discretize(self.pipe, dx,
+                               [i.position for i in self.instruments] + [leak_pos])
         self.bc = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries.constant(1.0e6)),
             outlet=BoundaryLeg("pressure", TimeSeries.constant(6.7e5)),

@@ -100,6 +100,12 @@ class TestParsing:
             "kind": "gas", "R": 500.0, "z_mode": "ideal",
             "specific_heat": 2200.0, "sound_speed": 380.0}),
          "fluid.z_mode: unknown key"),
+        # a gas states its correlation by its reference point, z_reference
+        ("fluid", lambda cfg: cfg.update(fluid={
+            "kind": "gas", "R": 500.0, "k": 0.1,
+            "specific_heat": 2200.0, "sound_speed": 380.0}),
+         "fluid.k: unknown key"),
+        ("fluid", {"sound_speed": 0}, "fluid.sound_speed: must be > 0, got 0.0"),
         ("balance", {"mode": "smple"}, "balance.mode: must be 'model' or 'simple', got 'smple'"),
         ("balance", {"threshold": 0}, "balance.threshold: must be > 0, got 0.0"),
         ("balance", {"threshold": -5}, "balance.threshold: must be > 0, got -5.0"),
@@ -209,7 +215,8 @@ class TestParsing:
         # a step longer than the poll would never advance the plant
         ("solver", {"dt": 1.0e12},
          "telemetry.poll_interval: 5.0 must be a multiple of solver.dt 1000000000000.0"),
-    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "balance_mode",
+    ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
+            "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "balance_model_flow_drive",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
@@ -748,6 +755,18 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0] == err[1]
         assert err[0].startswith("configuration error: " + message)
+        assert not (tmp_path / "out").exists()
+
+    def test_vote_that_can_never_pass_exits_2(self, tmp_path, capsys):
+        # in pressure drive p_in and p_out drive the shadow: two indicators remain
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        cfg["rtm"]["min_indicators"] = 3
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: min_indicators 3 exceeds the 2 indicators "
+                       "(flow_in, flow_out), so the vote could never pass"] * 2
         assert not (tmp_path / "out").exists()
 
     def test_eos_that_cannot_cover_the_line_exits_2(self, tmp_path, capsys):
