@@ -24,6 +24,7 @@ from .acoustic import AcousticSensor, WaveModel, localize, propagate
 from .availability import (
     ChainElement,
     ComponentChain,
+    approximate_availability,
     availability_report,
     chain_availability,
     compare_configurations,

@@ -1,10 +1,12 @@
 """Series-system alarm availability for detector hardware chains.
 
 Every element of a chain must be up for its alarm to function, so the
-exact uptime is the product of element availabilities.  A literal
-"summing" of availabilities cannot be meant (probabilities would exceed
-one); the summation reading is implemented as the union bound on
-downtimes, 1 - sum(1 - a_i), and both figures are reported.
+exact uptime is the product of element availabilities
+(:func:`chain_availability`).  A literal "summing" of availabilities
+cannot be meant (probabilities would exceed one); the summation reading
+is the union bound on downtimes, 1 - sum(1 - a_i)
+(:func:`approximate_availability`), which has no meaning once the
+downtimes sum past one.  :func:`availability_report` gives both.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ __all__ = [
     "ChainElement",
     "ComponentChain",
     "chain_availability",
+    "approximate_availability",
     "availability_report",
     "compare_configurations",
     "reference_chains",
@@ -71,46 +74,31 @@ def _unit_availability(element, duplexed):
     return 1.0 - (1.0 - a) ** 2 if element.kind in duplexed else a
 
 
-def chain_availability(chain: ComponentChain, mode="product"):
-    """Alarm uptime for a chain.
+def chain_availability(chain: ComponentChain):
+    """Alarm uptime for a chain: the exact series-system figure, the
+    product of every unit's availability."""
+    out = 1.0
+    for e in chain.elements:
+        out *= _unit_availability(e, chain.duplexed) ** e.count
+    return out
 
-    mode="product" is the exact series-system figure; mode="approximate"
-    is 1 - sum of unit unavailabilities and raises when element downtimes
-    are large enough to push it below zero (outside the approximation's
-    validity range).
-    """
-    if mode == "product":
-        out = 1.0
-        for e in chain.elements:
-            out *= _unit_availability(e, chain.duplexed) ** e.count
-        return out
-    if mode == "approximate":
-        down = sum(
-            e.count * (1.0 - _unit_availability(e, chain.duplexed)) for e in chain.elements
-        )
-        if down > 1.0:
-            raise ConfigurationError(
-                f"chain {chain.name}: summed downtime {down:.3f} exceeds 1; "
-                "the approximate mode is outside its validity range"
-            )
-        return 1.0 - down
-    raise ConfigurationError(f"unknown availability mode {mode!r}")
+
+def approximate_availability(chain: ComponentChain):
+    """1 - the sum of unit unavailabilities, or None when element downtimes
+    sum past 1 (outside the approximation's validity range)."""
+    down = sum(e.count * (1.0 - _unit_availability(e, chain.duplexed)) for e in chain.elements)
+    return None if down > 1.0 else 1.0 - down
 
 
 def availability_report(chain: ComponentChain):
     """Both availability figures plus basic chain facts."""
-    product = chain_availability(chain, "product")
-    try:
-        approx = chain_availability(chain, "approximate")
-        approx_valid = True
-    except ConfigurationError:
-        approx, approx_valid = None, False
+    approx = approximate_availability(chain)
     return {
         "name": chain.name,
         "elements": chain.element_count,
-        "product": product,
+        "product": chain_availability(chain),
         "approximate": approx,
-        "approximate_valid": approx_valid,
+        "approximate_valid": approx is not None,
     }
 
 

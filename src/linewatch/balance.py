@@ -32,7 +32,6 @@ class BalanceWindow:
     imbalance: float         # kg, exactly v_in - v_out - delta_inventory
     indeterminate: bool      # too many missing polls; do not alarm on this window
     good_fraction: float     # worst meter's share of good polls
-    mode: str                # "model" or "simple"
 
 
 def accumulate(frames: Sequence[TelemetryFrame], linepacks, flow_in_id, flow_out_id,
@@ -75,7 +74,6 @@ def accumulate(frames: Sequence[TelemetryFrame], linepacks, flow_in_id, flow_out
         imbalance=imbalance,
         indeterminate=good_fraction < _MIN_GOOD_FRACTION or not inventory_ok,
         good_fraction=good_fraction,
-        mode=mode,
     )
 
 

@@ -802,13 +802,12 @@ class PipeFlowSolver:
         anchor = p_in if p_in is not None else p_out
         rho_ref = float(density(self.fluid.eos, anchor, T0))
 
-        H = elevation_at(self.pipeline, self.x)
         if bc.inlet.kind == "flow":
             mdot = b_in
         elif bc.outlet.kind == "flow":
             mdot = b_out
         else:
-            drive = p_in - p_out - rho_ref * GRAVITY * (H[-1] - H[0])
+            drive = p_in - p_out - rho_ref * GRAVITY * self._rise
             f_mean = float(np.mean(self.f_cell))
             v = np.sign(drive) * np.sqrt(
                 2.0 * self.D * abs(drive) / (f_mean * self.pipeline.length * rho_ref)

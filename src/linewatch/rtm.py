@@ -194,7 +194,6 @@ class RtmDetector:
         # are biased by pre-leak polls; size/location are recomputed this
         # many polls after declaration from purely post-alarm data.
         self.refine_after_polls = int(refine_after_polls)
-        self.fallback_temperature = float(fallback_temperature)
 
         # The boundary readings exist once per poll, so the shadow steps once
         # per poll, on the same fixed scheme as the plant.
@@ -210,7 +209,7 @@ class RtmDetector:
         self._drive_bc = None       # built from the first good boundary readings
         self._hold: Dict[str, float] = {}   # the two boundary instruments' held readings
         self._stale: Dict[str, int] = {}
-        self._t_held = self.fallback_temperature
+        self._t_held = float(fallback_temperature)
         self._smooth: Dict[str, deque] = {
             i.id: deque(maxlen=policy.smoothing_polls) for i in self.indicators
         }
@@ -226,19 +225,17 @@ class RtmDetector:
             i for i in self.instruments
             if i.kind == kind and math.isclose(i.position, pos, rel_tol=0, abs_tol=1e-6)
         ]
-        boundary_kind = "pressure" if self.drive == "pressure" else "flow"
-        b_in, b_out = at(0.0, boundary_kind), at(L, boundary_kind)
+        b_in, b_out = at(0.0, self.drive), at(L, self.drive)
         if not b_in or not b_out:
             raise ConfigurationError(
-                f"{self.drive}-driven detection needs a {boundary_kind} instrument "
+                f"{self.drive}-driven detection needs a {self.drive} instrument "
                 "at each end of the line"
             )
         self.boundary_in, self.boundary_out = b_in[0], b_out[0]
-        boundary_ids = {self.boundary_in.id, self.boundary_out.id}
 
         self.indicators = [
             i for i in self.instruments
-            if i.kind in ("flow", "pressure") and i.id not in boundary_ids
+            if i.kind in ("flow", "pressure") and i not in (self.boundary_in, self.boundary_out)
         ]
         if not self.indicators:
             raise ConfigurationError("no indicator instruments remain beyond the boundaries")
@@ -256,19 +253,16 @@ class RtmDetector:
         # (kind, instrument) at the inlet and at the outlet: the shadow's
         # drive, and its steady problems, where in flow drive the pressure
         # anchor replaces the flow at its end.
-        self._drive_ends = ((boundary_kind, self.boundary_in), (boundary_kind, self.boundary_out))
+        self._drive_ends = ((self.drive, self.boundary_in), (self.drive, self.boundary_out))
         self._steady_ends = self._drive_ends
         if self.drive == "flow":
-            anchors = [i for i in self.instruments if i.kind == "pressure"
-                       and (math.isclose(i.position, L, abs_tol=1e-6)
-                            or math.isclose(i.position, 0.0, abs_tol=1e-6))]
-            anchors.sort(key=lambda i: -i.position)  # prefer the outlet anchor
-            self.pressure_anchor = anchors[0] if anchors else None
-            if self.pressure_anchor is None:
+            anchors = at(L, "pressure") + at(0.0, "pressure")  # the outlet's first
+            if not anchors:
                 raise ConfigurationError(
                     "flow-driven detection needs an end pressure instrument to "
                     "anchor the shadow model's initial state"
                 )
+            self.pressure_anchor = anchors[0]
             if self.pressure_anchor.position > L / 2:
                 self._steady_ends = (("flow", self.boundary_in), ("pressure", self.pressure_anchor))
             else:

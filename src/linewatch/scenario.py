@@ -108,10 +108,6 @@ class _Path:
             return _Path(default, path, self.units, self.read)
         return _Path(self.raw[key], path, self.units, self.read)
 
-    def get(self, key, default=None):
-        child = self.child(key, default)
-        return child.raw if child.raw is not None else default
-
     def text(self, key, default=None, required=False):
         """Field ``key`` as a string, or ``default`` when the key is absent."""
         node = self.child(key, _ABSENT, required)
@@ -198,10 +194,11 @@ class _Path:
         raise ConfigurationError(f"{self.path or '<root>'}: {message}")
 
     def build(self, factory, **kwargs):
-        """``factory(**kwargs)``; a ConfigurationError it raises names this path."""
+        """``factory(**kwargs)``; a ConfigurationError or ParameterDomainError
+        it raises becomes a ConfigurationError naming this path."""
         try:
             return factory(**kwargs)
-        except ConfigurationError as exc:
+        except (ConfigurationError, ParameterDomainError) as exc:
             self.error(str(exc))
 
 
@@ -412,9 +409,10 @@ def _parse_fluid(node):
 
 
 def _parse_pipeline(node):
-    elevation = node.get("elevation")
-    if elevation is not None:
-        elevation = tuple(pt.pair(("length", None)) for pt in node.child("elevation").items())
+    elevation = node.child("elevation")
+    profile = None
+    if elevation.raw is not None:
+        profile = tuple(pt.pair(("length", None)) for pt in elevation.items())
     segments = tuple(
         seg.build(
             Segment,
@@ -430,7 +428,7 @@ def _parse_pipeline(node):
         length=node.number("length", required=True, dim="length"),
         diameter=node.number("diameter", required=True),
         friction_factor=node.number("friction_factor", required=True),
-        elevation_profile=elevation,
+        elevation_profile=profile,
         segments=segments,
         **_given(U=node.number("U"),
                  Tg=node.number("ground_temperature", dim="temperature")),
@@ -453,18 +451,17 @@ def _parse_instruments(node, pipeline):
         )
         if not 0.0 <= inst.position <= pipeline.length:
             item.error(f"position {inst.position} outside [0, {pipeline.length}]")
+        if any(inst.id == other.id for other in instruments):
+            item.error(f"instrument id {inst.id!r} is used twice")
         instruments.append(inst)
-    ids = [i.id for i in instruments]
-    if len(ids) != len(set(ids)):
-        node.error("instrument ids must be unique")
     return instruments
 
 
 def _series_from(node, dim):
-    if node.get("series") is None:
+    series = node.child("series")
+    if series.raw is None:
         return node.build(TimeSeries.constant,
                           value=node.number("value", required=True, dim=dim))
-    series = node.child("series")
     pts = [pt.pair((None, dim)) for pt in series.items()]
     # TimeSeries holds its end values constant outside the sampled
     # range, so a series need not reach the horizon.
@@ -640,34 +637,38 @@ def start_plant(scenario: Scenario):
     RTM and balance detectors (None when disabled); raises what building
     them raises for a scenario the run would reject.
 
-    An EOS that gives a non-positive density at the steady start does not
-    cover the line's conditions: a ConfigurationError naming ``fluid``.
+    A ConfigurationError here names the field it comes from, as a parser
+    error does: ``solver.target_dx`` for a grid that cannot hold its fixed
+    points, ``fluid`` for an EOS that gives a non-positive density at the
+    steady start, and ``rtm`` for a detector the instruments cannot drive.
 
     Every instrument must read its steady start inside its kind's
     plausibility window: one that does not would have each of its readings
-    dropped, so the scenario is taken to mix units (a ConfigurationError)."""
+    dropped, so the scenario is taken to mix units (a ConfigurationError
+    naming the instrument's entry, ``instruments[k]``)."""
     s = scenario
+    at = lambda path: _Path(None, path)
     # The acoustic channel is kinematic and reads no grid: its sensors are not snapped.
-    grid = discretize(s.pipeline, s.target_dx,
-                      [i.position for i in s.instruments] + [lk.position for lk in s.leaks])
+    grid = at("solver.target_dx").build(
+        discretize, pipeline=s.pipeline, target_dx=s.target_dx,
+        points=[i.position for i in s.instruments] + [lk.position for lk in s.leaks])
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
-    try:
-        state = plant.steady_state(s.bc, t=0.0)
-    except ParameterDomainError as e:
-        raise ConfigurationError(f"fluid: {e}") from None
-    for inst, node in zip(s.instruments, instrument_nodes(grid.node_positions, s.instruments)):
+    state = at("fluid").build(plant.steady_state, bc=s.bc, t=0.0)
+    nodes = instrument_nodes(grid.node_positions, s.instruments)
+    for k, (inst, node) in enumerate(zip(s.instruments, nodes)):
         lim = s.plausibility.get(inst.kind)
         value = noiseless_reading(state, inst.kind, node, s.pipeline)
         if lim is not None and not lim.min_value <= value <= lim.max_value:
-            raise ConfigurationError(
+            at(f"instruments[{k}]").error(
                 f"instrument {inst.id} reads {value:.6g} at the steady start, outside its "
                 f"plausibility window [{lim.min_value:g}, {lim.max_value:g}]: are the "
                 "scenario's units mixed up?")
     rtm_det = bal_det = None
     if s.rtm:
-        rtm_det = RtmDetector(s.pipeline, s.fluid, grid, s.instruments,
-                              fallback_temperature=s.bc.temperature.at(0.0),
-                              temperature_end=s.bc.temperature_end, **s.rtm)
+        rtm_det = at("rtm").build(RtmDetector, pipeline=s.pipeline, fluid=s.fluid, grid=grid,
+                                  instruments=s.instruments,
+                                  fallback_temperature=s.bc.temperature.at(0.0),
+                                  temperature_end=s.bc.temperature_end, **s.rtm)
     if s.balance:
         bal_det = BalanceDetector(**s.balance)
     return grid, plant, state, rtm_det, bal_det

@@ -6,6 +6,7 @@ import pytest
 from linewatch.availability import (
     ChainElement,
     ComponentChain,
+    approximate_availability,
     availability_report,
     chain_availability,
     compare_configurations,
@@ -38,7 +39,7 @@ class TestChainAvailability:
 
     def test_approximate_is_summed_downtime(self):
         c = chain_of(("a", 2, 0.99), ("b", 1, 0.97))
-        assert chain_availability(c, "approximate") == pytest.approx(1 - (2 * 0.01 + 0.03))
+        assert approximate_availability(c) == pytest.approx(1 - (2 * 0.01 + 0.03))
 
     def test_product_bounds_approximate(self):
         # union bound: uptime >= 1 - sum(downtimes), so the approximate
@@ -48,16 +49,15 @@ class TestChainAvailability:
             elems = [("k%d" % i, int(rng.integers(1, 4)), float(rng.uniform(0.9, 1.0)))
                      for i in range(int(rng.integers(1, 5)))]
             c = chain_of(*elems)
-            assert chain_availability(c, "approximate") <= chain_availability(c) + 1e-12
+            assert approximate_availability(c) <= chain_availability(c) + 1e-12
 
     def test_approximate_equality_iff_single_imperfect(self):
         c = chain_of(("a", 1, 0.95), ("b", 2, 1.0))
-        assert chain_availability(c, "approximate") == pytest.approx(chain_availability(c), abs=1e-15)
+        assert approximate_availability(c) == pytest.approx(chain_availability(c), abs=1e-15)
 
     def test_approximate_out_of_range_flagged(self):
         c = chain_of(("a", 4, 0.5))
-        with pytest.raises(ConfigurationError, match="validity"):
-            chain_availability(c, "approximate")
+        assert approximate_availability(c) is None
         report = availability_report(c)
         assert report["approximate_valid"] is False and report["approximate"] is None
 

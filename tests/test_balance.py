@@ -91,7 +91,7 @@ class TestAccumulate:
 class TestAlarm:
     def window(self, imbalance):
         return BalanceWindow(0.0, 3600.0, 100.0, 100.0 - imbalance, 0.0, imbalance,
-                             False, 1.0, "model")
+                             False, 1.0)
 
     def test_below_threshold_silent(self):
         assert not balance_alarm(self.window(10.0), 20.0)

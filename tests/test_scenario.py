@@ -215,6 +215,10 @@ class TestParsing:
         # a step longer than the poll would never advance the plant
         ("solver", {"dt": 1.0e12},
          "telemetry.poll_interval: 5.0 must be a multiple of solver.dt 1000000000000.0"),
+        # each instrument's readings are keyed by its id
+        ("instruments", lambda cfg: cfg["instruments"].append(
+            {"id": "p_in", "kind": "pressure", "position": 5000.0}),
+         "instruments[6]: instrument id 'p_in' is used twice"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
             "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
@@ -236,7 +240,8 @@ class TestParsing:
             "sensor_position_repeated", "wave_speed",
             "wave_attenuation", "plausibility_min_above_max", "plausibility_max_rate_zero",
             "plausibility_max_rate_negative", "balance_window_past_a_poll",
-            "balance_window_between_polls", "poll_not_a_multiple_of_dt", "solver_dt_beyond_poll"])
+            "balance_window_between_polls", "poll_not_a_multiple_of_dt", "solver_dt_beyond_poll",
+            "instrument_id_repeated"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -731,18 +736,18 @@ class TestCli:
         assert "OK" not in captured.out
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
         assert captured.err == capsys.readouterr().err == (
-            "configuration error: pressure-driven detection needs a pressure instrument "
+            "configuration error: rtm: pressure-driven detection needs a pressure instrument "
             "at each end of the line\n")
 
     @pytest.mark.parametrize("edit,message", [
         # a temperature in degrees Celsius read as kelvin
         (lambda cfg: cfg["boundaries"]["temperature"].update(value=26.85),
-         "instrument t_in reads 26.85 at the steady start, outside its plausibility "
-         "window [200, 400]"),
+         "instruments[4]: instrument t_in reads 26.85 at the steady start, outside its "
+         "plausibility window [200, 400]"),
         # a diameter in millimetres read as metres
         (lambda cfg: cfg["pipeline"].update(diameter=300),
-         "instrument flow_in reads 2.22382e+09 at the steady start, outside its "
-         "plausibility window [-150, 150]"),
+         "instruments[0]: instrument flow_in reads 2.22382e+09 at the steady start, outside "
+         "its plausibility window [-150, 150]"),
     ], ids=["celsius_as_kelvin", "millimetres_as_metres"])
     def test_unit_mix_up_fails_at_load(self, tmp_path, capsys, edit, message):
         cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
@@ -765,8 +770,21 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["configuration error: min_indicators 3 exceeds the 2 indicators "
+        assert err == ["configuration error: rtm: min_indicators 3 exceeds the 2 indicators "
                        "(flow_in, flow_out), so the vote could never pass"] * 2
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_that_cannot_hold_its_fixed_points_exits_2(self, tmp_path, capsys):
+        # a leak 50 m from the inlet needs a node closer to it than target_dx allows
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        cfg["leaks"][0]["position"] = 50.0
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith(
+            "configuration error: solver.target_dx: fixed grid points at 0.0 m and 50.0 m ")
         assert not (tmp_path / "out").exists()
 
     def test_eos_that_cannot_cover_the_line_exits_2(self, tmp_path, capsys):
