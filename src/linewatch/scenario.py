@@ -475,13 +475,17 @@ def _parse_boundaries(node):
         return child.build(BoundaryLeg, kind=kind,
                            series=_series_from(child, "pressure" if kind == "pressure" else None))
 
-    return node.build(
+    bc = node.build(
         BoundaryConditions,
         inlet=leg("inlet"),
         outlet=leg("outlet"),
         temperature=_series_from(node.child("temperature", required=True), "temperature"),
         **_given(temperature_end=node.text("temperature_end")),
     )
+    # A run starts from the steady state, which a pressure at one end pins.
+    if not bc.has_pressure_anchor:
+        node.error("the steady start needs a pressure boundary at one end; both hold flow")
+    return bc
 
 
 def _parse_leaks(node, pipeline, horizon):

@@ -219,6 +219,10 @@ class TestParsing:
         ("instruments", lambda cfg: cfg["instruments"].append(
             {"id": "p_in", "kind": "pressure", "position": 5000.0}),
          "instruments[6]: instrument id 'p_in' is used twice"),
+        # a run starts from the steady state, which a pressure at one end pins
+        ("boundaries", lambda cfg: cfg["boundaries"].update(
+            inlet={"kind": "flow", "value": 70.0}, outlet={"kind": "flow", "value": 70.0}),
+         "boundaries: the steady start needs a pressure boundary at one end; both hold flow"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
             "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
@@ -241,7 +245,7 @@ class TestParsing:
             "wave_attenuation", "plausibility_min_above_max", "plausibility_max_rate_zero",
             "plausibility_max_rate_negative", "balance_window_past_a_poll",
             "balance_window_between_polls", "poll_not_a_multiple_of_dt", "solver_dt_beyond_poll",
-            "instrument_id_repeated"])
+            "instrument_id_repeated", "boundaries_both_flow"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
