@@ -10,11 +10,15 @@ is depressurizing.  That divergence, measured-falls-while-model-rises, is
 the classic real-time-model leak signature.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from linewatch.scenario import load_scenario, run_scenario
 
-scenario = load_scenario("demos/scenarios/phenomenology.yaml")
+SCENARIOS = Path(__file__).parent / "scenarios"
+
+scenario = load_scenario(SCENARIOS / "phenomenology.yaml")
 report = run_scenario(scenario)
 
 leak = report.truth["leaks"][0]

@@ -10,11 +10,15 @@ minute.  The balance detector confirms later, and the acoustic channel
 would have tripped within seconds of the wavefront.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from linewatch.scenario import load_scenario, run_scenario
 
-report = run_scenario(load_scenario("demos/scenarios/standard_leak.yaml"))
+SCENARIOS = Path(__file__).parent / "scenarios"
+
+report = run_scenario(load_scenario(SCENARIOS / "standard_leak.yaml"))
 
 leak = report.truth["leaks"][0]
 print("truth:    %.2f kg/s at %.0f m, opening t=%.0f s"

@@ -9,6 +9,8 @@ location.  The negative-pressure-wave channel is the opposite: nearly
 instant and location-sharp, but it only hears the opening transient.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from linewatch.acoustic import AcousticSensor, WaveModel, localize, propagate, triggered_pair
@@ -16,8 +18,10 @@ from linewatch.balance import BalanceDetector
 from linewatch.hydraulics import LeakEvent
 from linewatch.scenario import load_scenario, run_scenario
 
+SCENARIOS = Path(__file__).parent / "scenarios"
+
 # --- balance windows over the standard leak run ---------------------------
-report = run_scenario(load_scenario("demos/scenarios/standard_leak.yaml"))
+report = run_scenario(load_scenario(SCENARIOS / "standard_leak.yaml"))
 print("balance windows (600 s each):")
 print("  %-10s %-10s %-10s %-12s %-10s %s" % ("end", "V_in", "V_out", "dInventory", "dV", "alarm"))
 for w in report.balance["windows"]:

@@ -6,10 +6,9 @@ import logging
 import sys
 from pathlib import Path
 
-import yaml
-
 from .errors import SOLVER_FAILURES, ConfigurationError
-from .scenario import RunReport, load_scenario, run_scenario, start_plant, sweep
+from .scenario import (RunReport, load_scenario, read_yaml_mapping, run_scenario, start_plant,
+                       sweep)
 
 logger = logging.getLogger("linewatch")
 
@@ -94,10 +93,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     scenario = load_scenario(args.scenario)
-    with open(args.grid) as fh:
-        grid_spec = yaml.safe_load(fh)
-    if not isinstance(grid_spec, dict):
-        raise ConfigurationError(f"{args.grid}: sweep grid must map config paths to value lists")
+    grid_spec, _ = read_yaml_mapping(args.grid)
     rows = sweep(scenario.raw, grid_spec)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -78,6 +78,10 @@ class GasEos:
             raise ConfigurationError(f"Z exponent y must be > 0, got {self.y}")
         if self.k < 0:
             raise ConfigurationError(f"Z-correlation constant k must be >= 0, got {self.k}")
+        for name in ("critical_pressure", "critical_temperature"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
 
     @classmethod
     def from_z_reference(cls, R, P_ref, T_ref, Z_ref, y=1.0, **kwargs):

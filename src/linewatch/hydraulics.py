@@ -116,6 +116,13 @@ class TimeSeries:
         return f"TimeSeries({self.values.size} points)"
 
 
+def _check_positive(name, series):
+    """Fail unless every value of ``series`` is > 0, as an absolute value must be."""
+    low = float(series.values.min())
+    if not low > 0:
+        raise ConfigurationError(f"{name} must be > 0, got {low}")
+
+
 @dataclass(frozen=True)
 class BoundaryLeg:
     """One end of the line: either pressure (Pa) or mass flow (kg/s) is held."""
@@ -126,6 +133,9 @@ class BoundaryLeg:
     def __post_init__(self):
         if self.kind not in ("pressure", "flow"):
             raise ConfigurationError(f"boundary kind must be pressure or flow, got {self.kind!r}")
+        # an absolute pressure; a flow may run either way
+        if self.kind == "pressure":
+            _check_positive("boundary pressure", self.series)
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,7 @@ class BoundaryConditions:
     def __post_init__(self):
         if self.temperature_end not in ("inlet", "outlet"):
             raise ConfigurationError("temperature_end must be 'inlet' or 'outlet'")
+        _check_positive("boundary temperature", self.temperature)
 
     @property
     def has_pressure_anchor(self):

@@ -95,6 +95,8 @@ class PipelineModel:
             raise ConfigurationError(f"friction_factor must be > 0, got {self.friction_factor}")
         if self.U < 0:
             raise ConfigurationError(f"U must be >= 0, got {self.U}")
+        if not self.Tg > 0:
+            raise ConfigurationError(f"ground temperature Tg must be > 0, got {self.Tg}")
         profile = self.elevation_profile
         if profile is None:
             profile = ((0.0, 0.0), (self.length, 0.0))

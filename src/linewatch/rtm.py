@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InfeasibleScenarioError
 from .fluid import raw_density
 from .hydraulics import (
     BoundaryConditions,
@@ -45,6 +45,11 @@ __all__ = [
     "RtmDetector",
     "combined_verdict",
 ]
+
+# Polls a bad boundary reading is held before detection is suspended.
+_STALENESS_POLLS = 3
+# Polls averaged to locate a leak when the alarm is declared.
+_LOCATE_WINDOW_POLLS = 12
 
 
 @dataclass(frozen=True)
@@ -166,15 +171,14 @@ class RtmDetector:
 
     Feed filtered telemetry frames in poll order via :meth:`observe`;
     each poll leaves one :class:`RtmPollRecord` in ``records``.  Boundary
-    readings that go bad are held for up to ``staleness_limit`` polls,
+    readings that go bad are held for up to ``_STALENESS_POLLS`` polls,
     after which detection is suspended until good readings return: those
     polls are unavailable, with their reason, and never count toward
     voting.
     """
 
     def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy, *,
-                 drive="pressure", staleness_limit=3, locate_window_polls=12,
-                 refine_after_polls=24, fallback_temperature=288.15,
+                 drive="pressure", refine_after_polls=24, fallback_temperature=288.15,
                  temperature_end="inlet"):
         if drive not in ("pressure", "flow"):
             raise ConfigurationError(f"drive must be 'pressure' or 'flow', got {drive!r}")
@@ -188,8 +192,6 @@ class RtmDetector:
         self.policy = policy
         self.drive = drive
         self.temperature_end = temperature_end
-        self.staleness_limit = int(staleness_limit)
-        self.locate_window_polls = int(locate_window_polls)
         # Fast leaks alarm before the flow split settles, so first estimates
         # are biased by pre-leak polls; size/location are recomputed this
         # many polls after declaration from purely post-alarm data.
@@ -333,11 +335,16 @@ class RtmDetector:
         """Constant boundary conditions from one value per instrument id at
         the (kind, instrument) ``ends``; ``_steady_ends`` give a steady
         problem, where in flow drive the pressure anchor's value replaces
-        the flow at its end."""
+        the flow at its end.  The values are readings, so one that no model
+        can hold (a pressure at or below zero) makes the shadow's problem
+        infeasible, not the scenario misconfigured."""
         leg = lambda kind, inst: BoundaryLeg(kind, TimeSeries.constant(values[inst.id]))
-        return BoundaryConditions(inlet=leg(*ends[0]), outlet=leg(*ends[1]),
-                                  temperature=TimeSeries.constant(t_bc),
-                                  temperature_end=self.temperature_end)
+        try:
+            return BoundaryConditions(inlet=leg(*ends[0]), outlet=leg(*ends[1]),
+                                      temperature=TimeSeries.constant(t_bc),
+                                      temperature_end=self.temperature_end)
+        except ConfigurationError as e:
+            raise InfeasibleScenarioError(f"shadow model boundary readings: {e}") from None
 
     def _step(self, frame):
         t0, t1 = self._state.t, frame.poll_time
@@ -352,7 +359,7 @@ class RtmDetector:
                 self._stale[inst.id] = 0
             else:
                 self._stale[inst.id] += 1
-        suspended = any(self._stale[i.id] > self.staleness_limit
+        suspended = any(self._stale[i.id] > _STALENESS_POLLS
                         for i in (self.boundary_in, self.boundary_out))
 
         t_now = self._temperature_value(frame)
@@ -451,7 +458,8 @@ class RtmDetector:
 
     def locate_leak(self, size, window=None) -> Optional[LocationScan]:
         """Steady-superposition scan: the node where the sized leak best
-        explains the averaged measurements, by least squared normalized
+        explains the measurements averaged over the last ``window`` polls
+        (``_LOCATE_WINDOW_POLLS`` by default), by least squared normalized
         residuals at the indicators.
 
         One leak-free steady solve at the averaged boundary values and one
@@ -467,7 +475,7 @@ class RtmDetector:
         """
         if size is None or size <= 0:
             return None
-        window = self.locate_window_polls if window is None else window
+        window = _LOCATE_WINDOW_POLLS if window is None else window
         recs = [r for r in self.records[-window:] if r.available]
         if not recs:
             return None

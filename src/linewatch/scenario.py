@@ -292,14 +292,33 @@ class RunReport:
 
 # --------------------------------------------------------------------- loading
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario YAML file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_yaml_mapping(path):
+    """The mapping the YAML file at ``path`` holds, and the file's bytes.
+
+    A file that cannot be read, is not valid YAML or holds anything but a
+    mapping raises a one-line ConfigurationError that starts with ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise ConfigurationError(f"{path}: cannot read the file ({e.strerror})") from None
     try:
         raw = yaml.safe_load(blob)
     except yaml.YAMLError as e:
-        raise ConfigurationError(f"{path}: not valid YAML ({e})")
+        mark = getattr(e, "problem_mark", None)
+        where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+        problem = getattr(e, "problem", None) or " ".join(str(e).split())
+        raise ConfigurationError(f"{path}: not valid YAML{where}: {problem}") from None
+    if not isinstance(raw, dict):
+        got = "nothing" if raw is None else type(raw).__name__
+        raise ConfigurationError(f"{path}: expected a mapping, got {got}")
+    return raw, blob
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario YAML file."""
+    raw, blob = read_yaml_mapping(path)
     return scenario_from_dict(raw, config_hash=hashlib.sha256(blob).hexdigest())
 
 
@@ -541,8 +560,6 @@ def _parse_rtm(node, instruments):
     # Keys the scenario leaves out take RtmDetector's defaults.
     return {"policy": policy, **_given(
         drive=drive,
-        staleness_limit=node.integer("staleness_polls", least=0),
-        locate_window_polls=node.integer("locate_window_polls", least=1),
         refine_after_polls=node.integer("refine_after_polls", least=0),
     )}
 

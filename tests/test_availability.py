@@ -116,6 +116,12 @@ class TestCompare:
         rows = compare_configurations([dead, ok])
         assert rows[-1]["name"] == "dead" and rows[-1]["availability"] == 0.0
 
+    def test_duplexed_kind_has_no_duplex_gain(self):
+        # a kind already in duplicate has no upgrade left to offer
+        c = chain_of(("sensor", 2, 0.92), ("rtu", 2, 0.97), duplexed=("sensor",))
+        gains = compare_configurations([c])[0]["duplex_gains"]
+        assert gains == {"rtu": chain_availability(c.with_duplex("rtu")) - chain_availability(c)}
+
 
 class TestValidation:
     def test_element_bounds(self):

@@ -76,6 +76,19 @@ class TestAccumulate:
         assert w.indeterminate  # 2 of 10 polls missing > 10%
         assert not balance_alarm(w, 0.001)
 
+    def test_meter_never_good_voids_the_window(self):
+        # The inlet meter is dark for the whole window: there is no flow to
+        # bridge, so the window is indeterminate and never alarms.
+        times = np.arange(0.0, 45.0 + 1e-9, 5.0)
+        n = times.size
+        det = BalanceDetector("fin", "fout", window_duration=45.0, threshold=0.001)
+        for frame in frames_from(times, [10.0] * n, [9.5] * n, missing_in=range(n)):
+            det.observe(frame, 0.0)
+        (w,) = det.windows
+        assert w.indeterminate and w.good_fraction == 0.0
+        assert np.isnan(w.v_in) and np.isnan(w.imbalance)
+        assert det.alarms == [False] and det.first_alarm_time is None
+
     def test_simple_mode_has_zero_inventory_term(self):
         times = np.arange(0.0, 10.0 + 1e-9, 5.0)
         f = frames_from(times, [10.0] * 3, [9.5] * 3)

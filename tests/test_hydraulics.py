@@ -253,7 +253,6 @@ class TestAdvance:
         dt = 0.1
         a = np.sqrt(water_like.eos.B / water_like.eos.rho0)
         step = 5.0e4
-        bc0 = bc_fp(70.35, 0.0)
         bc0 = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries.constant(1.0e6)),
             outlet=BoundaryLeg("flow", TimeSeries.constant(70.35)),
@@ -610,22 +609,41 @@ class TestSettingsValidation:
         with pytest.raises(ConfigurationError):
             BoundaryLeg("head", TimeSeries.constant(1.0))
 
+    def test_absolute_boundary_values_must_be_positive(self):
+        # an operator setpoint error: the outlet pressure commanded below zero
+        with pytest.raises(ConfigurationError,
+                           match=r"^boundary pressure must be > 0, got -50000\.0$"):
+            BoundaryLeg("pressure", TimeSeries([0.0, 1.0], [6.7e5, -5.0e4]))
+        with pytest.raises(ConfigurationError,
+                           match=r"^boundary temperature must be > 0, got 0\.0$"):
+            bc_pp(1.0e6, 6.7e5, T=0.0)
+        # a flow may run either way
+        assert BoundaryLeg("flow", TimeSeries.constant(-70.0)).series.at(0.0) == -70.0
+
 
 class TestFailureModes:
     def test_advance_into_negative_pressure_is_infeasible_state(self, water_like, ten_km_line):
         from linewatch.errors import InfeasibleStateError
         solver = make_solver(water_like, ten_km_line)
-        bc0 = bc_pp(1.0e6, 6.7e5)
-        st = solver.steady_state(bc0)
-        # operator setpoint error: outlet pressure commanded below zero
+        st = solver.steady_state(bc_pp(1.0e6, 6.7e5))
+        # the outlet draws 150 kg/s within 1 s: the rarefaction drains the
+        # line below zero pressure
         bad = BoundaryConditions(
             inlet=BoundaryLeg("pressure", TimeSeries.constant(1.0e6)),
-            outlet=BoundaryLeg("pressure", TimeSeries([0.0, 1.0], [6.7e5, -5.0e4])),
+            outlet=BoundaryLeg("flow", TimeSeries([0.0, 1.0], [70.5, 150.0])),
             temperature=TimeSeries.constant(300.0),
         )
         with pytest.raises(InfeasibleStateError, match="node"):
             for _ in range(5):
                 st = solver.advance(st, bad, 1.0).state
+
+    def test_non_finite_guess_fails_before_newton(self, water_like, ten_km_line):
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5)
+        guess = dataclasses.replace(solver.steady_state(bc), P=np.full(solver.N, np.nan))
+        with pytest.raises(SolverError, match="^initial residual is not finite$") as err:
+            solver.steady_state(bc, initial_guess=guess)
+        assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
 
     def test_solver_error_carries_residual_history(self, water_like, ten_km_line, monkeypatch):
         solver = make_solver(water_like, ten_km_line)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import flow_drive_cfg, set_noise_scale, standard_config
 from linewatch import hydraulics
-from linewatch.errors import ConfigurationError
+from linewatch.errors import ConfigurationError, InfeasibleScenarioError
 from linewatch.fluid import FluidModel, LiquidEos
 from linewatch.hydraulics import (
     BoundaryConditions,
@@ -17,7 +17,8 @@ from linewatch.hydraulics import (
     TimeSeries,
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
-from linewatch.rtm import RtmDetector, VotingPolicy, combined_verdict, vote
+from linewatch.rtm import (_LOCATE_WINDOW_POLLS, _STALENESS_POLLS, RtmDetector, VotingPolicy,
+                           combined_verdict, vote)
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
                                  instrument_nodes, noiseless_reading, sample)
@@ -196,6 +197,17 @@ class TestShadowModel:
         # recovery after readings return
         assert det.records[25].available
 
+    def test_reading_no_model_can_hold_is_infeasible(self):
+        # A reading is a measurement, not a setting: a boundary pressure read
+        # below zero stops the shadow as a solver failure, not a set-up error.
+        def mangle(frame, k):
+            return TelemetryFrame(frame.poll_time, tuple(
+                Reading(r.instrument_id, -1000.0, GOOD) if r.instrument_id == "p_out" else r
+                for r in frame.readings))
+        with pytest.raises(InfeasibleScenarioError,
+                           match="^shadow model boundary readings: boundary pressure must be > 0"):
+            _MiniLoop(mangle=mangle).run(1)
+
     def test_unavailable_record_carries_no_indicators_and_the_held_drive(self):
         def mangle(frame, k):
             if k < 2 or 10 <= k < 20:  # p_in dark at the start and for 10 polls
@@ -318,7 +330,7 @@ def _reference_step(self, frame):
             self._stale[inst.id] = 0
         else:
             self._stale[inst.id] += 1
-    suspended = any(self._stale[i.id] > self.staleness_limit
+    suspended = any(self._stale[i.id] > _STALENESS_POLLS
                     for i in (self.boundary_in, self.boundary_out))
 
     t_now = self._temperature_value(frame)
@@ -684,7 +696,7 @@ class TestSuperpositionScan:
 
         def both(det, size, window=None):
             scan = locate(det, size, window)
-            w = det.locate_window_polls if window is None else window
+            w = _LOCATE_WINDOW_POLLS if window is None else window
             pairs.append((scan, exhaustive_scan(det, size, w)))
             return scan
 

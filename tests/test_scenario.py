@@ -126,9 +126,6 @@ class TestParsing:
         ("availability", {"chains": "mass_flow"}, "availability.chains: expected a list"),
         ("availability", {"chains": ["pressure", ["mass_flow"]]},
          "availability.chains[1]: unknown availability chain preset ['mass_flow']"),
-        # 0 would average over every poll; -1 would suspend detection for good
-        ("rtm", {"locate_window_polls": 0}, "rtm.locate_window_polls: must be >= 1, got 0"),
-        ("rtm", {"staleness_polls": -1}, "rtm.staleness_polls: must be >= 0, got -1"),
         # 0 would turn the rule off; a negative value would flag every reading
         ("telemetry", {"plausibility": {"pressure": {"flatline_polls": 0}}},
          "telemetry.plausibility.pressure.flatline_polls: must be >= 2, got 0"),
@@ -145,7 +142,6 @@ class TestParsing:
         ("rtm", {"consecutive_polls": 0}, "rtm.consecutive_polls: must be >= 1, got 0"),
         ("rtm", {"min_indicators": 1.5}, "rtm.min_indicators: expected a whole number, got 1.5"),
         ("rtm", {"smoothing_polls": 0}, "rtm.smoothing_polls: must be >= 1, got 0"),
-        ("rtm", {"staleness_polls": 1.5}, "rtm.staleness_polls: expected a whole number, got 1.5"),
         ("rtm", {"refine_after_polls": -1}, "rtm.refine_after_polls: must be >= 0, got -1"),
         ("telemetry", {"plausibility": {"flow": {"flatline_polls": 2.5}}},
          "telemetry.plausibility.flow.flatline_polls: expected a whole number, got 2.5"),
@@ -223,17 +219,40 @@ class TestParsing:
         ("boundaries", lambda cfg: cfg["boundaries"].update(
             inlet={"kind": "flow", "value": 70.0}, outlet={"kind": "flow", "value": 70.0}),
          "boundaries: the steady start needs a pressure boundary at one end; both hold flow"),
+        # absolute pressures and temperatures are > 0 in the model that holds them
+        ("boundaries", lambda cfg: cfg["boundaries"]["outlet"].update(value=0),
+         "boundaries.outlet: boundary pressure must be > 0, got 0.0"),
+        ("boundaries", lambda cfg: cfg["boundaries"]["outlet"].update(value=-1),
+         "boundaries.outlet: boundary pressure must be > 0, got -1.0"),
+        ("boundaries", lambda cfg: cfg["boundaries"]["inlet"].update(value=0),
+         "boundaries.inlet: boundary pressure must be > 0, got 0.0"),
+        ("boundaries", lambda cfg: cfg["boundaries"].update(
+            outlet={"kind": "pressure", "series": [[0.0, 6.7e5], [60.0, -5.0e4]]}),
+         "boundaries.outlet: boundary pressure must be > 0, got -50000.0"),
+        ("boundaries", {"temperature": {"value": 0.0}},
+         "boundaries: boundary temperature must be > 0, got 0.0"),
+        ("pipeline", {"ground_temperature": 0},
+         "pipeline: ground temperature Tg must be > 0, got 0.0"),
+        ("pipeline", {"ground_temperature": -1},
+         "pipeline: ground temperature Tg must be > 0, got -1.0"),
+        ("fluid", lambda cfg: cfg.update(fluid={
+            "kind": "gas", "R": 500.0, "critical_pressure": 4.6e6, "critical_temperature": 0,
+            "specific_heat": 2200.0, "sound_speed": 380.0}),
+         "fluid: critical_temperature must be > 0, got 0.0"),
+        ("fluid", lambda cfg: cfg.update(fluid={
+            "kind": "gas", "R": 500.0, "critical_pressure": 0, "critical_temperature": 190.6,
+            "specific_heat": 2200.0, "sound_speed": 380.0}),
+         "fluid: critical_pressure must be > 0, got 0.0"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
             "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
             "balance_model_flow_drive",
             "acoustic_amplitude", "segment_bounds", "availability_per_unit",
             "availability_per_unit_not_a_number", "availability_chains_not_a_list",
-            "availability_chain_not_a_name", "rtm_locate_window_zero",
-            "rtm_staleness_negative", "flatline_polls_zero", "flatline_polls_negative",
+            "availability_chain_not_a_name", "flatline_polls_zero", "flatline_polls_negative",
             "balance_meters_not_bracketing", "seed_fractional", "seed_negative",
             "rtm_consecutive_fractional", "rtm_consecutive_zero", "rtm_min_indicators_fractional",
-            "rtm_smoothing_zero", "rtm_staleness_fractional", "rtm_refine_negative",
+            "rtm_smoothing_zero", "rtm_refine_negative",
             "flatline_polls_fractional", "rtm_flow_threshold_zero", "solver_dt_zero",
             "solver_dt_negative", "solver_target_dx_zero", "horizon_past_a_poll",
             "horizon_between_polls", "horizon_nan", "solver_dt_nan", "horizon_zero",
@@ -245,7 +264,10 @@ class TestParsing:
             "wave_attenuation", "plausibility_min_above_max", "plausibility_max_rate_zero",
             "plausibility_max_rate_negative", "balance_window_past_a_poll",
             "balance_window_between_polls", "poll_not_a_multiple_of_dt", "solver_dt_beyond_poll",
-            "instrument_id_repeated", "boundaries_both_flow"])
+            "instrument_id_repeated", "boundaries_both_flow", "outlet_pressure_zero",
+            "outlet_pressure_negative", "inlet_pressure_zero", "pressure_series_below_zero",
+            "boundary_temperature_zero", "ground_temperature_zero",
+            "ground_temperature_negative", "critical_temperature_zero", "critical_pressure_zero"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -286,10 +308,10 @@ class TestParsing:
 
     def test_rtm_passes_on_only_the_options_set(self):
         cfg = standard_config()
-        cfg["rtm"] = {"flow_threshold": 0.25, "staleness_polls": 2}
+        cfg["rtm"] = {"flow_threshold": 0.25, "refine_after_polls": 18}
         s = scenario_from_dict(cfg)
-        assert set(s.rtm) == {"policy", "staleness_limit"}
-        assert s.rtm["staleness_limit"] == 2
+        assert set(s.rtm) == {"policy", "refine_after_polls"}
+        assert s.rtm["refine_after_polls"] == 18
 
     @pytest.mark.parametrize("edit,path", [
         (lambda c: c["pipeline"].update(diamter=0.5), "pipeline.diamter"),
@@ -581,6 +603,19 @@ class TestRunning:
         assert report.metrics == {}
         assert report.truth["leaks"] == []
 
+    def test_detectors_left_out_are_reported_off(self):
+        cfg = standard_config(horizon=150.0)
+        del cfg["acoustic"]
+        report = run_scenario(scenario_from_dict(cfg))
+        assert report.acoustic == {"enabled": False, "events": [], "detections": []}
+        assert report.rtm["enabled"] and report.balance["enabled"]
+        # model-mode balance reads the RTM's linepack, so both go together
+        del cfg["rtm"], cfg["balance"]
+        report = run_scenario(scenario_from_dict(cfg))
+        assert report.rtm == report.balance == {"enabled": False}
+        assert report.combined == {} and report.rtm_records == []
+        assert report.run["polls"] == 31 and report.run["solver_failure"] is None
+
     def test_identical_seed_byte_identical_reports(self):
         a = run_scenario(scenario_from_dict(standard_config(horizon=420.0)))
         b = run_scenario(scenario_from_dict(standard_config(horizon=420.0)))
@@ -806,9 +841,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [("substeps", 2), ("theta", 0.7),
-                                           ("newton_tol", 1e-8)])
+                                           ("newton_tol", 1e-8), ("staleness_polls", 3),
+                                           ("locate_window_polls", 12)])
     def test_removed_shadow_settings_exit_2_naming_the_key(self, tmp_path, capsys, key, value):
-        # The shadow steps once per poll on the scheme's own settings.
+        # The shadow steps once per poll on the scheme's own settings, and
+        # the detector holds and locates over its own fixed windows.
         cfg = standard_config()
         cfg["rtm"][key] = value
         assert main(["validate", str(self.write_cfg(tmp_path, cfg))]) == 2
@@ -924,6 +961,39 @@ class TestCli:
         assert capsys.readouterr().err == f"configuration error: {key}: {message}\n"
         assert not runs and not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("fault, text, reason", [
+        ("missing", None, "cannot read the file (No such file or directory)"),
+        ("directory", None, "cannot read the file (Is a directory)"),
+        ("malformed", "horizon: [60\n",
+         "not valid YAML at line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+        ("list", "- horizon\n- 60\n", "expected a mapping, got list"),
+        ("empty", "", "expected a mapping, got nothing"),
+    ], ids=["missing", "directory", "malformed", "list", "empty"])
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_unusable_input_file_exits_2_naming_it(self, tmp_path, capsys, fault, text, reason,
+                                                   command):
+        # The scenario file, or sweep's --grid file, is read one way: a file
+        # that cannot be read, is not YAML or holds no mapping is one line
+        # that starts with its path, and no traceback.
+        bad = tmp_path / f"{fault}.yaml"
+        if fault == "directory":
+            bad.mkdir()
+        elif text is not None:
+            bad.write_text(text)
+        out = tmp_path / "out"
+        if command == "sweep":
+            scenario = self.write_cfg(tmp_path, standard_config(horizon=420.0))
+            argv = ["sweep", str(scenario), "--grid", str(bad)]
+        else:
+            argv = [command, str(bad)]
+        if command != "validate":
+            argv += ["-o", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {bad}: {reason}\n"
+        assert not out.exists()
+
 
 class TestSpecInvariantsEndToEnd:
     def test_zero_noise_no_leak_run_marks_nothing_suspect(self):
@@ -1011,20 +1081,21 @@ class TestSpecInvariantsEndToEnd:
         assert report.rtm["declared_time"] <= report.balance["first_alarm_time"]
 
 
-def _vacuum_outlet_cfg():
-    """The standard line, leak-free, whose outlet is driven below vacuum at
-    t ~ 200 s: the plant stops mid-run."""
+def _drawdown_cfg():
+    """The standard line, leak-free, whose outlet draws twice its steady
+    flow from t = 180 s to 220 s, more than the inlet head can push: the
+    line drains below zero pressure and the plant stops mid-run."""
     cfg = standard_config(horizon=600.0)
     cfg["leaks"] = []
     cfg["boundaries"]["outlet"] = {
-        "kind": "pressure", "series": [[0.0, 6.7e5], [180.0, 6.7e5], [220.0, -5.0e4]],
+        "kind": "flow", "series": [[0.0, 70.5], [180.0, 70.5], [220.0, 150.0]],
     }
     return cfg
 
 
 class TestPartialFailure:
     def test_mid_run_solver_failure_yields_partial_report(self):
-        report = run_scenario(scenario_from_dict(_vacuum_outlet_cfg()))
+        report = run_scenario(scenario_from_dict(_drawdown_cfg()))
         assert report.run["solver_failure"] is not None
         assert "node" in report.run["solver_failure"]
         assert 0 < report.run["polls"] < 600.0 / 5.0 + 1  # stopped early, kept what it had
@@ -1082,7 +1153,7 @@ class TestPartialFailure:
 
     def test_cli_exit_code_on_solver_failure(self, tmp_path):
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump(_vacuum_outlet_cfg()))
+        path.write_text(yaml.safe_dump(_drawdown_cfg()))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
 
     @pytest.mark.parametrize("target_dx,dip", [(None, False), (600.0, False), (600.0, True)],
@@ -1218,7 +1289,7 @@ class TestFieldSideTransports:
                        for rec, frame in zip(report.rtm_records, report.frames))
 
     def test_plant_failure_mid_run(self, monkeypatch):
-        here, forked = self._run_both(_vacuum_outlet_cfg(), monkeypatch)
+        here, forked = self._run_both(_drawdown_cfg(), monkeypatch)
         assert "node" in here.run["solver_failure"]
         assert 2 < here.run["polls"] < 121
         self._assert_same(here, forked)
@@ -1301,13 +1372,22 @@ class TestFieldSideLifecycle:
         with pytest.raises(exc, match="observed poll 5"):
             run_scenario(scenario_from_dict(standard_config(horizon=3600.0)))
 
+    def test_child_that_exits_without_its_closing_record(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_produce", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="^the field-side process exited with code 3$"):
+            run_scenario(scenario_from_dict(standard_config(horizon=180.0)))
+
     def test_run_stays_in_process_when_fork_fails(self, monkeypatch):
+        starts = []
+
         def no_process(self):
+            starts.append(self)
             raise OSError("no process to be had")
         cfg = standard_config(horizon=180.0)
         forked = run_scenario(scenario_from_dict(cfg))
         monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", no_process)
         assert run_scenario(scenario_from_dict(cfg)).to_json() == forked.to_json()
+        assert len(starts) == 1
 
     def test_child_exits_when_the_parent_stops_reading(self):
         ctx = multiprocessing.get_context("fork")
