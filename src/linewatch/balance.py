@@ -9,6 +9,7 @@ returns to its steady value over the window (DV_l = 0).  Balance alarms
 carry no location estimate: end meters alone cannot place a leak.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -100,6 +101,11 @@ def _integrate_meter(frames, times, instrument_id):
     return float(np.trapezoid(filled, times)), frac
 
 
+def _measured(volume):
+    """``volume``, or None when the window could not measure it (NaN)."""
+    return None if math.isnan(volume) else volume
+
+
 class BalanceDetector:
     """Rolls the frame stream into back-to-back balance windows.
 
@@ -148,7 +154,9 @@ class BalanceDetector:
 
     def report(self):
         """The ``balance`` section of a run report: every closed window and
-        whether it alarmed."""
+        whether it alarmed.  A volume the window could not measure (NaN: a
+        meter never good, or no shadow linepack at an end) is None, so the
+        report stays strict JSON."""
         return {
             "enabled": True,
             "first_alarm_time": self.first_alarm_time,
@@ -156,10 +164,10 @@ class BalanceDetector:
                 {
                     "start": w.start_time,
                     "end": w.end_time,
-                    "v_in": w.v_in,
-                    "v_out": w.v_out,
-                    "delta_inventory": w.delta_inventory,
-                    "imbalance": w.imbalance,
+                    "v_in": _measured(w.v_in),
+                    "v_out": _measured(w.v_out),
+                    "delta_inventory": _measured(w.delta_inventory),
+                    "imbalance": _measured(w.imbalance),
                     "indeterminate": w.indeterminate,
                     "alarm": alarmed,
                 }

@@ -7,6 +7,7 @@ The functions take the EOS itself; a FluidModel carries one as ``eos``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = [
 # this close to (Pc, Tc) is rejected at configuration time.
 CRITICAL_T_MARGIN = 0.05
 CRITICAL_P_MARGIN = 0.20
+
+# The out= forms take their scalars as 0-d arrays, which numpy dispatches
+# faster than Python floats, with the same double arithmetic.
+_ONE = np.array(1.0)
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,11 @@ class LiquidEos:
             raise ConfigurationError(f"T0 must be > 0, got {self.T0}")
         if self.P0 < 0:
             raise ConfigurationError(f"P0 must be >= 0, got {self.P0}")
+
+    @cached_property
+    def _operands(self):
+        """rho0, P0, T0, B and alpha as 0-d arrays, for the out= forms."""
+        return tuple(np.array(float(v)) for v in (self.rho0, self.P0, self.T0, self.B, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,12 @@ class GasEos:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
+
+    @cached_property
+    def _operands(self):
+        """R, k, y*k, 2*k and -y-1 as 0-d arrays, for the out= forms."""
+        return tuple(np.array(float(v)) for v in (
+            self.R, self.k, self.y * self.k, 2.0 * self.k, -self.y - 1.0))
 
     @classmethod
     def from_z_reference(cls, R, P_ref, T_ref, Z_ref, y=1.0, **kwargs):
@@ -131,16 +147,41 @@ def density(eos, P, T):
     return rho
 
 
-def dP_dT_const_density(eos, P, T):
-    """(dP/dT) at constant density, from the EOS; used by the energy equation."""
+def dP_dT_const_density(eos, P, T, out=None):
+    """(dP/dT) at constant density, from the EOS; used by the energy equation.
+
+    With ``out``, an array of ``P``'s shape, the result is written into it
+    and returned: each operation of the expression, in its order, writes
+    into ``out`` or into one of two temporaries, so the bits are those of
+    the allocating form.  A liquid's value is a constant, which fills
+    ``out``.
+    """
     if isinstance(eos, LiquidEos):
-        return -eos.alpha * eos.B
-    P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
-    T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
-    rho = raw_density(eos, P, T)
-    num = rho * eos.R + eos.y * eos.k * P**2 * T ** (-eos.y - 1.0)
-    den = 1.0 + 2.0 * eos.k * P / T**eos.y
-    return num / den
+        if out is None:
+            return -eos.alpha * eos.B
+        out[...] = -eos.alpha * eos.B
+        return out
+    if out is None:
+        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        T = np.asarray(T, dtype=float) if np.ndim(T) else float(T)
+        Ty = T**eos.y
+        rho = _gas_density(eos, P, T, Ty)
+        num = rho * eos.R + eos.y * eos.k * P**2 * T ** (-eos.y - 1.0)
+        den = 1.0 + 2.0 * eos.k * P / Ty
+        return num / den
+    R, _, yk, two_k, y_1 = eos._operands
+    Ty = T**eos.y
+    tmp = _gas_density(eos, P, T, Ty, out)
+    np.multiply(out, R, out)                        # rho * R
+    np.power(T, y_1, tmp)
+    sq = np.square(P)                               # P**2
+    np.multiply(yk, sq, sq)
+    np.multiply(sq, tmp, sq)
+    np.add(out, sq, out)                            # num
+    np.multiply(two_k, P, sq)
+    np.divide(sq, Ty, sq)
+    np.add(_ONE, sq, sq)                            # den
+    return np.divide(out, sq, out)
 
 
 def isothermal_sound_speed(eos, P, T):
@@ -171,12 +212,46 @@ def assert_off_critical(eos, P, T):
         )
 
 
-def raw_density(eos, P, T):
+def raw_density(eos, P, T, out=None):
     """EOS density without domain guards, for solver intermediates that
-    may stray (Newton's line search recovers from NaN/negative values)."""
+    may stray (Newton's line search recovers from NaN/negative values).
+
+    With ``out``, an array of ``P``'s shape, the density is written into
+    it and returned: each operation of the expression, in its order,
+    writes into ``out`` or into one temporary, so the bits are those of
+    the allocating form.
+    """
     if isinstance(eos, LiquidEos):
-        return eos.rho0 * (1.0 + (P - eos.P0) / eos.B + eos.alpha * (T - eos.T0))
-    return P * (1.0 + eos.k * P / T**eos.y) / (eos.R * T)
+        if out is None:
+            return eos.rho0 * (1.0 + (P - eos.P0) / eos.B + eos.alpha * (T - eos.T0))
+        rho0, P0, T0, B, alpha = eos._operands
+        np.subtract(P, P0, out)
+        np.divide(out, B, out)
+        np.add(_ONE, out, out)
+        tmp = np.subtract(T, T0)
+        np.multiply(alpha, tmp, tmp)
+        np.add(out, tmp, out)
+        return np.multiply(rho0, out, out)
+    if out is None:
+        return _gas_density(eos, P, T, T**eos.y)
+    _gas_density(eos, P, T, T**eos.y, out)
+    return out
+
+
+def _gas_density(eos, P, T, Ty, out=None):
+    """A gas's density, given ``Ty`` = ``T**eos.y``.  With ``out``, the
+    density goes there and the returned array is a temporary the caller
+    may reuse; without, the density is returned."""
+    if out is None:
+        return P * (1.0 + eos.k * P / Ty) / (eos.R * T)
+    R, k = eos._operands[:2]
+    np.multiply(k, P, out)
+    np.divide(out, Ty, out)
+    np.add(_ONE, out, out)
+    np.multiply(P, out, out)
+    tmp = np.multiply(R, T)
+    np.divide(out, tmp, out)
+    return tmp
 
 
 def _check_PT(P, T):

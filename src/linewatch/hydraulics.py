@@ -10,16 +10,19 @@ mass ledger (boundary fluxes vs. linepack change vs. leak draw) closes to
 the Newton tolerance.  Leaks enter as constant mass-rate sinks at grid
 nodes.
 
-Each solve builds its residual once, as a function of the new state alone:
-the old-state halves of the theta-weighted terms and the boundary targets
-are evaluated before Newton starts, not on every residual call.  A solve
-reads its boundary series only at the end of its step, so a caller that
-already holds those three values (the RTM shadow) passes them instead of
-series.  The coefficient vectors, the scalars, the residual's workspace
-and its row and cell slices are built once per solver.  Operand order is
-kept exactly as in the written-out scheme, so the hoisting changes no bit
-of any result.  Newton ends on an evaluation at the iterate it returns,
-and the new state is one copy of the workspace that evaluation filled.
+A solver builds one residual per held-temperature end and keeps it for
+its lifetime, as a function of the new state alone.  Each solve writes
+only what it changes into buffers that residual reads: the mode, the
+boundary kinds and targets, 1/dt, the leak draw and the old-state halves
+of the theta-weighted terms, all evaluated before Newton starts, not on
+every residual call.  A solve reads its boundary series only at the end of
+its step, so a caller that already holds those three values (the RTM
+shadow) passes them instead of series.  The coefficient vectors, the
+scalars, the residual's workspace and its row and cell slices are built
+once per solver.  Operand order is kept exactly as in the written-out
+scheme, so the hoisting changes no bit of any result.  Newton ends on an
+evaluation at the iterate it returns, and the new state is one copy of the
+workspace that evaluation filled.
 
 A solver owns every buffer its Newton step writes, allocated once: the
 residual's workspace, its intermediates (cell means, gradients, flux,
@@ -27,13 +30,25 @@ theta blends, time differences, rates and row sums), the old-state terms
 of the step being solved, Newton's two full-step buffers, its right-hand
 side and the |R| its norm reads.  Each intermediate is written with a
 positional ``out``, the same operation on the same operands as the
-expression it replaces, so every bit stays.  Only the residual ``R``
-itself is fresh per call, since Newton and the Jacobian hold two at once;
-a solver therefore runs one solve at a time, and building a transient
-residual replaces the old-state terms of the one built before.  From one
-``advance`` to the next the solver carries the new state's linepack,
-which is the next step's starting linepack when that step starts from
-this very state, and the grid node of each leak position it has seen.
+expression it replaces, so every bit stays; operations that the momentum
+and energy rows (or all three row blocks) take alike go as one call on a
+stacked view.  Only the residual ``R`` itself is fresh per call, since
+Newton and the Jacobian hold two at once; a solver therefore runs one
+solve at a time, and setting up a solve replaces the problem of the one
+before, for every residual the solver has handed out.
+
+From one ``advance`` to the next the solver carries the state it returned
+and what that state's evaluation left: Newton's iterate for it, and in
+the workspace its fields, density, cell means, differences and flux.
+A step from that very state starts Newton from that iterate; its first
+evaluation, at that state, skips the field copy, the density and the
+state-only stencils, and its old-state terms are read from those buffers,
+which hold the same values the old state would give.  Any other solve (a
+steady solve, the locate scan) cancels this, and a Jacobian probe only
+ever comes after that first evaluation.  The step's ledger takes its
+starting linepack and end fluxes from the last step's, and its own from
+the workspace.  The solver also keeps the grid node of each leak position
+it has seen.
 
 The residual works on one flat, field-major vector P | V | T | rho, so each
 stencil (cell means, gradients, theta blends, time differences) is one
@@ -262,8 +277,7 @@ class PipeFlowSolver:
         # a Python float, and the double arithmetic is the same.
         c = fluid.c
         self._scalars = tuple(np.array(float(v)) for v in (
-            0.5, self.A, _THETA, c, self.D, self.Tg,
-            2.0 * self.D, 2.0 * c * self.D, GRAVITY))
+            0.5, self.A, _THETA, 1 - _THETA, c, self.D, self.Tg))
         self._dxcA = self.dxc * self._scalars[1]
         # A liquid's dP/dT at constant density does not depend on the state.
         self._dPdT_liquid = (np.array(dP_dT_const_density(fluid.eos, 0.0, 0.0))
@@ -277,44 +291,71 @@ class PipeFlowSolver:
         self._w = w
         self._w_views = (w[:n3].reshape(3, N), w[:N], w[N : 2 * N], w[2 * N : n3], w[n3:],
                          w[:-1], w[1:], w[: n3 - 1], w[1:n3])
-        self._w_at = None           # the u the workspace was last filled from
-        # The residual's intermediates, written with a positional ``out``:
-        # cell means, gradients, flux and its difference, theta blends of
-        # the means and gradients, the time difference of the means and its
-        # rate, then per cell the three row sums, |Vb|, rho*c and two
-        # temporaries.  A step's old-state terms go in the second set: the
-        # old fields, their cell means, the old halves of the blends, the
-        # old flux and its weighted difference, and the blended leak draw.
-        self._scratch = tuple(np.empty(n) for n in (
-            4 * N - 1, n3 - 1, N, N - 1, 4 * N - 1, n3 - 1, 4 * N - 1, 4 * N - 1,
-            *[N - 1] * 7))
-        self._old_terms = tuple(np.empty(n) for n in (
-            4 * N, 4 * N - 1, 4 * N - 1, n3 - 1, N, N - 1, N - 1))
+        # The u the workspace was last filled from, in a list the residuals
+        # write into: they hold no reference to the solver, which holds them.
+        self._w_at = [None]
+        # The residual's intermediates, written with a positional ``out``.
+        # Three vectors hold their runs end to end, so the theta blends are
+        # one call over all of them: the new state's cell means, gradients
+        # and flux difference; theta times those (the blends' new halves,
+        # then theta times the flux difference); and the blends' old halves.
+        # Then the raw differences, the flux, the time difference of the
+        # means and its rate, and per cell rho*c, a temporary and dP/dT.  A
+        # step's other old-state terms follow: the old fields, their cell
+        # means, the old flux and its weighted difference, and the blended
+        # leak draw.
+        runs = np.cumsum((0, 4 * N - 1, n3 - 1, N - 1))
+        split = lambda v: tuple(v[a:b] for a, b in zip(runs[:-1], runs[1:]))
+        self._stencils, self._blends = np.empty(runs[-1]), np.empty(runs[-1])
+        self._old_blends = np.empty(runs[2])
+        self._flux = np.empty(N)
+        self._scratch = (*split(self._stencils), *split(self._blends),
+                         *split(self._old_blends)[:2], np.empty(n3 - 1), self._flux,
+                         *(np.empty(n) for n in (4 * N - 1, 4 * N - 1, *[N - 1] * 3)))
+        self._old_terms = tuple(np.empty(n) for n in (4 * N, 4 * N - 1, N, N - 1, N - 1))
+        # Each cell's continuity, momentum and energy row sums, stacked.  The
+        # momentum and energy rows take their terms in pairs, one stacked
+        # add each, in the order written: dP/rb with the dP/dT term, then
+        # g dH/dx with the energy row's friction, then the momentum row's
+        # friction with the heat exchange.  The last two pairs are rows 0, 2
+        # and 1, 3 of one (4, N-1) array, whose rows 1 and 2, the two
+        # friction terms, are computed as a pair too: times |Vb| and -f,
+        # then over 2D and 2cD.  Adding the energy friction with -f in
+        # place of f is the same subtraction.  g dH/dx and -f are fixed.
+        self._row_sums = np.empty((3, N - 1))
+        self._pair, self._quad = np.empty((2, N - 1)), np.empty((4, N - 1))
+        self._quad[0] = self._g_dHdx
+        self._abs_V_neg_f = np.empty((2, N - 1))
+        self._abs_V_neg_f[1] = -self.f_cell
+        self._friction_div = np.array([[2.0 * self.D], [2.0 * c * self.D]])
         self._no_leak = np.zeros(N - 1)
         self._no_leak.flags.writeable = False
         # Newton's full steps, written into whichever of the two buffers
         # does not hold the current iterate, and its right-hand side and |R|.
         self._steps = (np.empty(n3), np.empty(n3))
         self._rhs, self._abs_R = np.empty(n3), np.empty(n3)
+        # The residual is assembled here and returned as a copy.
+        self._R = np.empty(n3)
+        self._lp_terms = np.empty(N - 1)
         self._leak_nodes = {}       # leak position -> its interior node
-        self._last = (None, None)   # advance's last new state and its linepack
+        # advance's last new state, its linepack and its end fluxes
+        self._last = (None, None, None, None)
+        # advance's last new state and Newton's iterate for it, while the
+        # workspace still holds that iterate's evaluation
+        self._held = None
+        self._warm = False          # the next residual built starts from _held
+        self._residuals = {}        # held-temperature end -> (residual, configure)
         # Each field's cells within the cell means and the gradients.
         self._cells = (slice(0, N - 1), slice(N, 2 * N - 1),
                        slice(2 * N, n3 - 1), slice(n3, 4 * N - 1))
-        # Residual rows of the continuity, momentum and energy equations of
-        # each cell, and the outlet row, by held-temperature end: the row of
-        # the temperature anchor comes first at the inlet, last at the outlet.
-        self._rows = {}
-        for end, head in (("inlet", 2), ("outlet", 1)):
-            self._rows[end] = (slice(head, head + 3 * (N - 1), 3),
-                               slice(head + 1, head + 3 * (N - 1), 3),
-                               slice(head + 2, head + 3 * (N - 1), 3),
-                               head + 3 * (N - 1))
 
         # Fixed unknown scales (P, V, T per node); residual row scales are
         # frozen on first use so a cached Jacobian stays consistent.
         self.u_scale = np.tile([1e5, 1.0, 100.0], self.N)
         self._mdot_scale = None     # 0-d, like the residual's other scalars
+        # what the continuity, momentum and energy rows are divided by, once
+        # the scales are frozen
+        self._row_scales = np.empty((3, 1))
         self._P_scale = 1e5
         self._T_scale = 100.0
 
@@ -383,7 +424,8 @@ class PipeFlowSolver:
         adjoint = lapack.dgbtrs(lu, unit, trans=1)
         # A unit leak adds 0.5/_mdot_scale to the continuity rows of two
         # cells, and J du = -dR.
-        cont = adjoint[self._rows[bc.temperature_end][0]]
+        head = 2 if bc.temperature_end == "inlet" else 1   # see _make_residual
+        cont = adjoint[head : head + 3 * (self.N - 1) : 3]
         out = np.zeros((idx.size, self.N))
         out[:, 1:-1] = (cont[:-1] + cont[1:]).T
         out *= (-0.5 / self._mdot_scale) * self.u_scale[idx][:, None]
@@ -401,38 +443,50 @@ class PipeFlowSolver:
         new state is unphysical.
 
         When ``state`` is the state this solver's last ``advance`` returned,
-        the ledger's starting linepack is that step's ``linepack_end``: the
-        same function of the same arrays, not computed again.
+        the ledger's starting linepack and end fluxes are that step's: the
+        same functions of the same arrays, not computed again.  If no other
+        solve came between, Newton also starts from that step's iterate, and
+        its first evaluation from the workspace that iterate left (see
+        :meth:`_build_residual`).
         """
         t0, t1 = state.t, state.t + dt
         q_old = self._leak_cells(leaks, t0)
         q_new = self._leak_cells(leaks, t1)
-        old = (state.P, state.V, state.T, state.rho)
-        u0 = self._pack(state.P, state.V, state.T)
+        held = self._held
+        self._warm = warm = held is not None and held[0] is state
+        u0 = held[1] if warm else self._pack(state.P, state.V, state.T)
         self._freeze_scales(u0)
         res = self._build_residual(bc, bc.at(t1) if targets is None else targets,
-                                   q_new, old, q_old, dt)
+                                   q_new, (state.P, state.V, state.T, state.rho), q_old, dt)
         key = ("transient", bc.temperature_end, dt)
-        self._newton(u0, res, key, fresh_jacobian=False)
+        u, _ = self._newton(u0, res, key, fresh_jacobian=False)
         new_state = self._new_state(t1)
         self._check_physical(new_state, InfeasibleStateError)
 
-        last, lp_last = self._last
-        linepack_start = lp_last if state is last else linepack(state, self.pipeline)
-        linepack_end = linepack(new_state, self.pipeline)
-        self._last = (new_state, linepack_end)
-        th, A = _THETA, self.A
-        rho0, V0, rho1, V1 = state.rho, state.V, new_state.rho, new_state.V
+        # The workspace holds the new state's evaluation: its cell-mean
+        # densities give the linepack, with linepack()'s round-off (halving
+        # is exact), and its flux the end fluxes.
+        lp_terms = np.multiply(self.dxc, self._stencils[self._cells[3]], self._lp_terms)
+        linepack_end = self.A * float(np.add.reduce(lp_terms))
+        F1_in, F1_out = float(self._flux[0]), float(self._flux[-1])
+        last, lp_last, F0_in, F0_out = self._last
+        if state is not last:
+            lp_last = linepack(state, self.pipeline)
+            F0_in = self.A * state.rho[0] * state.V[0]
+            F0_out = self.A * state.rho[-1] * state.V[-1]
+        self._last = (new_state, linepack_end, F1_in, F1_out)
+        self._held = (new_state, u)
+        th = _THETA
         # A leak vector of no leaks is all zeros, and its sum exactly 0.0.
         leak_total_new = float(q_new.sum()) if leaks else 0.0
         leak_total_old = float(q_old.sum()) if leaks else 0.0
         entry = MassLedgerEntry(
             t_start=t0,
             t_end=t1,
-            mass_in=dt * (th * (A * rho1[0] * V1[0]) + (1 - th) * (A * rho0[0] * V0[0])),
-            mass_out=dt * (th * (A * rho1[-1] * V1[-1]) + (1 - th) * (A * rho0[-1] * V0[-1])),
+            mass_in=dt * (th * F1_in + (1 - th) * F0_in),
+            mass_out=dt * (th * F1_out + (1 - th) * F0_out),
             leak_mass=dt * (th * leak_total_new + (1 - th) * leak_total_old),
-            linepack_start=linepack_start,
+            linepack_start=lp_last,
             linepack_end=linepack_end,
         )
         return StepResult(state=new_state, ledger=entry)
@@ -446,14 +500,34 @@ class PipeFlowSolver:
         from the old ``(P, V, T, rho)``.  ``targets`` are the inlet target,
         outlet target and temperature anchor at the end of the step (see
         :meth:`BoundaryConditions.at`); ``bc`` gives the legs' kinds and
-        the held-temperature end.  Everything that does not depend on the
-        new state is evaluated here, once per solve, into the solver's
-        old-state buffers: the ``(1-theta)`` halves of the cell means and
-        gradients of the old state, the old flux difference and leak draw.
-        The coefficient vectors, the scalars, a liquid's constant dP/dT, the
-        workspace, the intermediates' buffers and the row and cell slices are fixed per solver and come from
-        ``__init__``.  The residual does not enter ``np.errstate``: its
-        callers do, once per solve.
+        the held-temperature end.  The function returned is the solver's
+        residual for that end, built once (:meth:`_make_residual`); this
+        call only writes what the solve changes into the buffers it reads:
+        the mode, the boundary kinds and targets, 1/dt, the leak draw and
+        the old-state terms (the ``(1-theta)`` halves of the cell means and
+        gradients of the old state and the old flux difference).  So a
+        residual built earlier evaluates the latest solve's problem.
+
+        When :meth:`advance` steps from the state it last returned and the
+        workspace still holds that state's evaluation, the old-state terms
+        are read from the workspace's cell means, differences and flux
+        difference, which hold the same values, and the residual's first
+        evaluation, at that very state, reuses them.  Every other build
+        cancels that.
+        """
+        warm = self._warm and old is not None
+        self._warm, self._held = False, None
+        end = bc.temperature_end
+        built = self._residuals.get(end)
+        if built is None:
+            built = self._residuals[end] = self._make_residual(end)
+        residual, configure = built
+        configure(bc, targets, q_new, old, q_old, dt, warm)
+        return residual
+
+    def _make_residual(self, end):
+        """The residual for the held-temperature ``end`` and the function
+        that sets it up for one solve, sharing their settings.
 
         The residual copies ``u`` into the solver's workspace, one
         field-major vector ``w = P | V | T | rho`` of length 4N, so each
@@ -463,10 +537,14 @@ class PipeFlowSolver:
         straddle two fields mix the end of one field with the start of the
         next; no residual row reads them.  Every other entry is the same
         operation on the same operands as per field, and the 0-d scalars
-        give the same double arithmetic as Python floats.  Each call leaves
-        the state at its ``u`` in the workspace, and records that ``u``.
-        It writes every intermediate into the solver's buffers and returns
-        a fresh ``R``.
+        give the same double arithmetic as Python floats.  Operations that
+        the momentum and energy rows take alike go as one call over both
+        rows, and the three row blocks are scaled into ``R`` in one call
+        (the energy rows by 1.0, which is exact).  Each call leaves the
+        state at its ``u`` in the workspace, and records that ``u``.  It
+        writes every intermediate into the solver's buffers and returns a
+        fresh ``R``.  The residual does not enter ``np.errstate``: its
+        callers do, once per solve.
 
         Each hoisted value is a whole operand of the expression it enters,
         and every sum and product keeps its operand order, so the result is
@@ -475,129 +553,163 @@ class PipeFlowSolver:
         """
         N, n3 = self.N, 3 * self.N
         dx3, f = self._dx3, self.f_cell
-        half, A, th, c, D, Tg, two_D, two_cD, g = self._scalars
+        half, A, th, wo, c, D, Tg = self._scalars
         eos = self.fluid.eos
-        steady = old is None
-        temperature_inlet = bc.temperature_end == "inlet"
-        mdot_scale, P_scale, T_scale = self._mdot_scale, self._P_scale, self._T_scale
+        P_scale, T_scale = self._P_scale, self._T_scale
+        t_node = 0 if end == "inlet" else -1
+        four_U, dPdT_liquid, dxcA = self._four_U, self._dPdT_liquid, self._dxcA
 
-        inlet_target, outlet_target, T_anchor = targets
-        inlet_pressure = bc.inlet.kind == "pressure"
-        outlet_pressure = bc.outlet.kind == "pressure"
-
-        g_dHdx, four_U, dPdT_liquid = self._g_dHdx, self._four_U, self._dPdT_liquid
-        rows_c, rows_m, rows_e, row_out = self._rows[bc.temperature_end]
         fields, P, V, T, rho, w_lo, w_hi, g_lo, g_hi = self._w_views
         cP, cV, cT, cR = self._cells
-        (mids, grads, flux, dflux, bars, gb, dmid, rate,
-         R_c, R_m, R_e, abs_Vb, rbc, t1, t2) = self._scratch
-        if steady:
-            bars, gb = mids, grads
-        Vb, Tb, rb, Pb = bars[cV], bars[cT], bars[cR], bars[cP]
-        dP, dV, dT = gb[cP], gb[cV], gb[cT]
+        (mids, grads, dflux, bars, gb, th_dflux, bars_old, grads_old,
+         diffs, flux, dmid, rate, rbc, t2, dPdT_buf) = self._scratch
+        stencils, blends, old_blends = self._stencils, self._blends, self._old_blends
+        blends_new = blends[: old_blends.size]
+        o, mids_old, flux_o, dflux_old, q_bar_buf = self._old_terms
+        q_bar = q_bar_buf
         flux_hi, flux_lo = flux[1:], flux[:-1]
+        dmid_rho = dmid[cR]
+        R_c, _, R_e = row_sums = self._row_sums
+        R_me = row_sums[1:]
+        # The scaled rows of each equation within R, as one (3, N-1) view.
+        R, row_scales, w_at, no_leak = self._R, self._row_scales, self._w_at, self._no_leak
+        head = 2 if end == "inlet" else 1
+        R_rows = R[head : head + 3 * (N - 1)].reshape(N - 1, 3).T
+        row_out, row_T = head + 3 * (N - 1), (1 if end == "inlet" else n3 - 1)
+        pair, quad = self._pair, self._quad
+        (tm, te), (_, fm, fe, heat) = pair, quad
+        friction, quad_02, quad_13 = quad[1:3], quad[0::2], quad[1::2]
+        abs_V_neg_f, friction_div = self._abs_V_neg_f, self._friction_div
+        abs_Vb = abs_V_neg_f[0]
+        # The V and T cells of a gradient or rate vector as one (2, N-1) view.
+        stack, step = np.lib.stride_tricks.as_strided, N * rate.itemsize
 
-        if not steady:
-            invdt = np.array(1.0 / dt)
-            wo = 1 - _THETA    # weight of the old time level
-            o, mids_old, bars_old, grads_old, flux_o, dflux_old, q_bar = self._old_terms
-            np.concatenate(old, out=o)
-            np.add(o[:-1], o[1:], mids_old)
-            np.multiply(half, mids_old, mids_old)
-            np.multiply(wo, mids_old, bars_old)
-            np.subtract(o[1:n3], o[: n3 - 1], grads_old)
-            np.multiply(wo, grads_old, grads_old)
-            np.divide(grads_old, dx3, grads_old)
-            np.multiply(A, o[n3:], flux_o)
-            np.multiply(flux_o, o[N : 2 * N], flux_o)
-            np.subtract(flux_o[1:], flux_o[:-1], dflux_old)
-            np.multiply(wo, dflux_old, dflux_old)
-            np.multiply(th, q_new, q_bar)
-            np.multiply(wo, q_old, t1)
-            np.add(q_bar, t1, q_bar)
-            dxcA, dmid_rho, rate_V, rate_T = self._dxcA, dmid[cR], rate[cV], rate[cT]
+        def views(means, gradients):
+            """Vb, Tb, rb, Pb, dP, dV, and dV over dT as one (2, N-1) view."""
+            vt = stack(gradients[N:], shape=(2, N - 1), strides=(step, gradients.itemsize),
+                       writeable=False)
+            return (means[cV], means[cT], means[cR], means[cP],
+                    gradients[cP], gradients[cV], vt)
+        steady_views, step_views = views(mids, grads), views(bars, gb)
+        rate_VT = stack(rate[N:], shape=(2, N - 1), strides=(step, rate.itemsize),
+                        writeable=False)
+
+        steady = warm = inlet_pressure = outlet_pressure = None
+        inlet_target = outlet_target = T_anchor = q_steady = None
+        Vb = Tb = rb = Pb = dP = dV = dVT = None
+        invdt = np.array(0.0)
+
+        def configure(bc, targets, q_new, old, q_old, dt, warm_start):
+            nonlocal steady, warm, inlet_pressure, outlet_pressure
+            nonlocal inlet_target, outlet_target, T_anchor, q_steady, q_bar
+            nonlocal Vb, Tb, rb, Pb, dP, dV, dVT
+            steady, warm = old is None, warm_start
+            inlet_target, outlet_target, T_anchor = targets
+            inlet_pressure = bc.inlet.kind == "pressure"
+            outlet_pressure = bc.outlet.kind == "pressure"
+            Vb, Tb, rb, Pb, dP, dV, dVT = steady_views if steady else step_views
+            if steady:
+                q_steady = q_new
+                return
+            invdt[...] = 1.0 / dt
+            if warm:
+                # The workspace holds the old state's evaluation: its cell
+                # means, differences and flux difference are the old ones.
+                mids_old[...] = mids
+                np.multiply(wo, mids_old, bars_old)
+                np.multiply(wo, diffs, grads_old)
+                np.divide(grads_old, dx3, grads_old)
+                np.multiply(wo, dflux, dflux_old)
+            else:
+                np.concatenate(old, out=o)
+                np.add(o[:-1], o[1:], mids_old)
+                np.multiply(half, mids_old, mids_old)
+                np.multiply(wo, mids_old, bars_old)
+                np.subtract(o[1:n3], o[: n3 - 1], grads_old)
+                np.multiply(wo, grads_old, grads_old)
+                np.divide(grads_old, dx3, grads_old)
+                np.multiply(A, o[n3:], flux_o)
+                np.multiply(flux_o, o[N : 2 * N], flux_o)
+                np.subtract(flux_o[1:], flux_o[:-1], dflux_old)
+                np.multiply(wo, dflux_old, dflux_old)
+            if q_new is q_old is no_leak:
+                q_bar = q_new       # theta * 0.0 + (1 - theta) * 0.0 is 0.0
+            else:
+                q_bar = q_bar_buf
+                np.multiply(th, q_new, q_bar)
+                np.multiply(wo, q_old, t2)
+                np.add(q_bar, t2, q_bar)
 
         def residual(u):
-            fields[...] = u.reshape(N, 3).T
-            rho[...] = raw_density(eos, P, T)
-            self._w_at = u
-            np.add(w_lo, w_hi, mids)
-            np.multiply(half, mids, mids)
-            np.subtract(g_hi, g_lo, grads)
-            np.divide(grads, dx3, grads)
-            np.multiply(A, rho, flux)
-            np.multiply(flux, V, flux)
-            np.subtract(flux_hi, flux_lo, dflux)
-            if steady:
-                np.add(dflux, q_new, R_c)
-                # the zero time term is still added: it turns a -0.0 into 0.0
-                np.multiply(Vb, dV, R_m)
-                np.add(0.0, R_m, R_m)
-                np.multiply(Vb, dT, R_e)
-                np.add(0.0, R_e, R_e)
+            nonlocal warm
+            if warm:
+                warm = False    # the workspace and its stencils are at u already
             else:
-                np.multiply(th, mids, bars)
-                np.add(bars, bars_old, bars)
-                np.multiply(th, grads, gb)
-                np.add(gb, grads_old, gb)
+                fields[...] = u.reshape(N, 3).T
+                raw_density(eos, P, T, rho)
+                np.add(w_lo, w_hi, mids)
+                np.multiply(half, mids, mids)
+                np.subtract(g_hi, g_lo, diffs)
+                np.divide(diffs, dx3, grads)
+                np.multiply(A, rho, flux)
+                np.multiply(flux, V, flux)
+                np.subtract(flux_hi, flux_lo, dflux)
+            w_at[0] = u
+            if steady:
+                np.add(dflux, q_steady, R_c)
+                # the zero time term is still added: it turns a -0.0 into 0.0
+                np.multiply(Vb, dVT, R_me)
+                np.add(0.0, R_me, R_me)
+            else:
+                np.multiply(th, stencils, blends)
+                np.add(blends_new, old_blends, blends_new)
                 np.subtract(mids, mids_old, dmid)
                 np.multiply(dmid, invdt, rate)
                 np.multiply(dxcA, dmid_rho, R_c)
                 np.multiply(R_c, invdt, R_c)
-                np.multiply(th, dflux, t1)
-                np.add(R_c, t1, R_c)
+                np.add(R_c, th_dflux, R_c)
                 np.add(R_c, dflux_old, R_c)
                 np.add(R_c, q_bar, R_c)
-                np.multiply(Vb, dV, R_m)
-                np.add(rate_V, R_m, R_m)
-                np.multiply(Vb, dT, R_e)
-                np.add(rate_T, R_e, R_e)
+                np.multiply(Vb, dVT, R_me)
+                np.add(rate_VT, R_me, R_me)
 
-            # R_m + dP / rb + g_dHdx + f * Vb * |Vb| / two_D
-            np.abs(Vb, abs_Vb)
-            np.divide(dP, rb, t1)
-            np.add(R_m, t1, R_m)
-            np.add(R_m, g_dHdx, R_m)
-            np.multiply(f, Vb, t1)
-            np.multiply(t1, abs_Vb, t1)
-            np.divide(t1, two_D, t1)
-            np.add(R_m, t1, R_m)
-
-            # R_e + (Tb / rbc) * dPdT * dV - f * |Vb| ** 3 / two_cD
+            # R_m + dP / rb + g_dHdx + f * Vb * |Vb| / (2 * D)
+            # R_e + (Tb / rbc) * dPdT * dV - f * |Vb| ** 3 / (2 * c * D)
             #     + (four_U / (rbc * D)) * (Tb - Tg)
+            # one term of each row per stacked add, in the order written
+            np.divide(dP, rb, tm)
             np.multiply(rb, c, rbc)
-            dPdT = dPdT_liquid if dPdT_liquid is not None else dP_dT_const_density(eos, Pb, Tb)
-            np.divide(Tb, rbc, t1)
-            np.multiply(t1, dPdT, t1)
-            np.multiply(t1, dV, t1)
-            np.add(R_e, t1, R_e)
-            np.power(abs_Vb, 3, t1)
-            np.multiply(f, t1, t1)
-            np.divide(t1, two_cD, t1)
-            np.subtract(R_e, t1, R_e)
-            np.multiply(rbc, D, t1)
-            np.divide(four_U, t1, t1)
+            dPdT = (dPdT_liquid if dPdT_liquid is not None
+                    else dP_dT_const_density(eos, Pb, Tb, dPdT_buf))
+            np.divide(Tb, rbc, te)
+            np.multiply(te, dPdT, te)
+            np.multiply(te, dV, te)
+            np.add(R_me, pair, R_me)
+            np.abs(Vb, abs_Vb)
+            np.multiply(f, Vb, fm)
+            np.power(abs_Vb, 3, fe)
+            np.multiply(friction, abs_V_neg_f, friction)
+            np.divide(friction, friction_div, friction)
+            np.add(R_me, quad_02, R_me)
+            np.multiply(rbc, D, heat)
+            np.divide(four_U, heat, heat)
             np.subtract(Tb, Tg, t2)
-            np.multiply(t1, t2, t1)
-            np.add(R_e, t1, R_e)
+            np.multiply(heat, t2, heat)
+            np.add(R_me, quad_13, R_me)
             if steady:
-                np.subtract(Tb, T_anchor, t1)
-                np.multiply(_STEADY_T_REG, t1, t1)
-                np.add(R_e, t1, R_e)
+                np.subtract(Tb, T_anchor, t2)
+                np.multiply(_STEADY_T_REG, t2, t2)
+                np.add(R_e, t2, R_e)
 
-            R = np.empty(n3)
+            np.divide(row_sums, row_scales, R_rows)
             R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
-                    else (flux[0] - inlet_target) / mdot_scale)
-            np.divide(R_c, mdot_scale, R[rows_c])
-            np.divide(R_m, g, R[rows_m])
-            R[rows_e] = R_e  # K/s, unit scale
+                    else (flux[0] - inlet_target) / row_scales[0, 0])
             R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
-                          else (flux[-1] - outlet_target) / mdot_scale)
-            r_T = (T[0 if temperature_inlet else -1] - T_anchor) / T_scale
-            R[1 if temperature_inlet else -1] = r_T
-            return R
+                          else (flux[-1] - outlet_target) / row_scales[0, 0])
+            R[row_T] = (T[t_node] - T_anchor) / T_scale
+            return R.copy()
 
-        return residual
+        return residual, configure
 
     # --------------------------------------------------------------- newton
 
@@ -678,7 +790,7 @@ class PipeFlowSolver:
             # The loop ends only on its first evaluation or on an accepted
             # trial, each at u; evaluating again if that ever stops holding
             # keeps the new state the state at u.
-            if self._w_at is not u:
+            if self._w_at[0] is not u:
                 res_fn(u)
             self._lu_cache, self._cache_key = lu, key
             return u, history
@@ -691,7 +803,7 @@ class PipeFlowSolver:
         return lapack.dgbtrf(ab, 4, 4)
 
     def _norm(self, R):
-        return float(np.abs(R, self._abs_R).max())
+        return float(np.maximum.reduce(np.abs(R, self._abs_R)))
 
     def _jacobian(self, u, res_fn, R0):
         """Finite-difference Jacobian in LAPACK's ``gbtrf`` band layout.
@@ -737,7 +849,8 @@ class PipeFlowSolver:
         positive.  A liquid's pressure below zero means its column has
         separated (a vapour cavity), a regime the model does not represent,
         and the message says so."""
-        if state.P.min() > 0.0 and state.T.min() > 0.0 and state.rho.min() > 0.0:
+        low = np.minimum.reduce
+        if low(state.P) > 0.0 and low(state.T) > 0.0 and low(state.rho) > 0.0:
             return
         fields = (("P", state.P), ("T", state.T), ("rho", state.rho))
         for name, arr in fields:
@@ -804,7 +917,9 @@ class PipeFlowSolver:
         P, V, T = u[0::3], u[1::3], u[2::3]
         rho = np.asarray(density(self.fluid.eos, np.maximum(P, 1e3), T))
         v_ref = max(float(np.max(np.abs(V))), 0.1)
-        self._mdot_scale = np.array(max(float(np.max(rho)) * self.A * v_ref, 1e-9))
+        mdot_scale = max(float(np.max(rho)) * self.A * v_ref, 1e-9)
+        self._mdot_scale = np.array(mdot_scale)
+        self._row_scales[:, 0] = mdot_scale, GRAVITY, 1.0
 
     def _steady_guess(self, bc, targets):
         b_in, b_out, T0 = targets

@@ -149,8 +149,14 @@ def vote(history, policy: VotingPolicy) -> bool:
     recent = history[-M:]
     # an indicator missing from the newest poll reads None there, so only
     # the newest poll's indicators can count
-    count = sum(all(v is not None and abs(v) >= 1.0 for v in (h.get(iid) for h in recent))
-                for iid in recent[-1])
+    count = 0
+    for iid in recent[-1]:
+        for h in recent:
+            v = h.get(iid)
+            if v is None or not abs(v) >= 1.0:   # NaN never counts
+                break
+        else:
+            count += 1
     return count >= K
 
 
@@ -399,8 +405,8 @@ class RtmDetector:
                 buf = self._smooth[ind.id]
                 buf.append(d)
                 if len(buf) == buf.maxlen:
-                    # np.mean's own sum, without its wrapper: the same bits
-                    sm = float(np.array(buf).sum()) / len(buf)
+                    # np.mean's own sum, without its wrappers: the same bits
+                    sm = float(np.add.reduce(np.fromiter(buf, float, len(buf)))) / len(buf)
                     normalized[ind.id] = sm / self.policy.threshold_for(ind.kind)
                 else:
                     normalized[ind.id] = None

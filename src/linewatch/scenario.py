@@ -72,6 +72,9 @@ _READING_DIMS = {
 
 # The ``default`` that tells _Path.number a key is absent, not null.
 _ABSENT = object()
+# The largest count a scenario may give: the largest whole number the float
+# that _Path.integer reads it through holds exactly.
+_MAX_COUNT = 2**53
 
 
 class _Path:
@@ -141,7 +144,8 @@ class _Path:
         return default if node.raw is _ABSENT else node.real(dim, above)
 
     def integer(self, key, default=None, least=None):
-        """Field ``key`` as an int: a whole number, at least ``least``."""
+        """Field ``key`` as an int: a whole number, at least ``least`` and
+        at most ``_MAX_COUNT``."""
         v = self.number(key)
         if v is None:
             return default
@@ -150,6 +154,8 @@ class _Path:
             node.error(f"expected a whole number, got {node.raw!r}")
         if least is not None and v < least:
             node.error(f"must be >= {least}, got {node.raw!r}")
+        if v > _MAX_COUNT:
+            node.error(f"must be <= {_MAX_COUNT}, got {node.raw!r}")
         return int(v)
 
     def pair(self, dims):
@@ -718,10 +724,11 @@ def _field_side(s, grid, plant, state, dump_states):
     nodes = instrument_nodes(grid.node_positions, s.instruments)
     noise = NoiseSpec(s.seed)
     memory = {}  # the plausibility filter's, per instrument
+    kinds = {inst.id: inst.kind for inst in s.instruments}
 
     def poll(st):
         frame = sample(st, s.instruments, noise, pipeline=s.pipeline, nodes=nodes)
-        return plausibility_filter(frame, memory, s.plausibility, s.instruments)
+        return plausibility_filter(frame, memory, s.plausibility, kinds)
 
     steps_per_poll = round(s.poll_interval / s.dt)
     n_polls = int(round(s.horizon / s.poll_interval))
@@ -804,19 +811,20 @@ def _forked(records):
 def _produce(records, reader, writer):
     """Body of the forked child: send ``records`` in batches of
     _BATCH_POLLS, ending with the exception they raised, if any; exit
-    quietly once the parent stops reading."""
+    quietly once the parent stops reading.  The first record goes alone,
+    so the detectors' steady start overlaps the making of the next batch."""
     import signal
 
     reader.close()
     # Ctrl-C reaches the whole process group; the parent stops this child.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    batch = []
+    batch, size = [], 1
     try:
         for rec in _with_exception(records):
             batch.append(rec)
-            if len(batch) == _BATCH_POLLS:
+            if len(batch) == size:
                 writer.send(batch)
-                batch = []
+                batch, size = [], _BATCH_POLLS
         writer.send(batch)
     except BrokenPipeError:
         pass

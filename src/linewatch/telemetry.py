@@ -8,6 +8,7 @@ values.  The plausibility filter only ever changes quality flags, never
 values.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -74,8 +75,10 @@ class NoiseSpec:
 
     def draw(self):
         # One (uniform, normal) pair per instrument per poll, always drawn
-        # so the stream is stable under sigma/dropout edits.
-        return self._rng.uniform(), self._rng.standard_normal()
+        # so the stream is stable under sigma/dropout edits.  random() is
+        # uniform() on [0, 1) from the same draw: uniform() returns
+        # 0.0 + 1.0 * random(), the same double, in several times the time.
+        return self._rng.random(), self._rng.standard_normal()
 
 
 @dataclass(frozen=True)
@@ -142,31 +145,33 @@ def sample(state: GridState, instruments, noise: NoiseSpec,
     return TelemetryFrame(poll_time=float(state.t), readings=tuple(readings))
 
 
-def plausibility_filter(frame: TelemetryFrame, memory, limits, instruments) -> TelemetryFrame:
+def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> TelemetryFrame:
     """Re-flag implausible readings as suspect; values are never altered.
 
-    ``limits`` maps instrument kind to PlausibilityLimits.  ``memory`` is
-    what the rules keep of each instrument's earlier readings, by id: its
-    last good ``(t, v)``, however old, and the value and length in polls
-    of its trailing run of one repeated value.  Start a stream with an
-    empty dict and pass the same one with each frame, in poll order; this
-    call updates it with the frame's filtered readings.
+    ``limits`` maps instrument kind to PlausibilityLimits, and ``kinds``
+    maps instrument id to kind; a reading of an id it lacks is never
+    re-flagged.  ``memory`` is what the rules keep of each instrument's
+    earlier readings, by id: its last good ``(t, v)``, however old, and
+    the value and length in polls of its trailing run of one repeated
+    value.  Start a stream with an empty dict and pass the same one with
+    each frame, in poll order; this call updates it with the frame's
+    filtered readings.  A frame with nothing to re-flag is returned as it
+    came.
     """
-    kinds = {inst.id: inst.kind for inst in instruments}
-    out = []
+    out, flagged = [], False
     for r in frame.readings:
         last_good, run_value, run = memory.get(r.instrument_id, (None, None, 0))
         lim = limits.get(kinds.get(r.instrument_id))
         if r.quality == GOOD and lim is not None:
             suspect = not lim.min_value <= r.value <= lim.max_value
-            if not suspect and last_good is not None and np.isfinite(lim.max_rate):
+            if not suspect and last_good is not None and math.isfinite(lim.max_rate):
                 t_prev, v_prev = last_good
                 dt = frame.poll_time - t_prev
                 suspect = dt > 0 and abs(r.value - v_prev) / dt > lim.max_rate
             if not suspect and lim.flatline_polls is not None:
                 suspect = (run if r.value == run_value else 0) + 1 >= lim.flatline_polls
             if suspect:
-                r = Reading(r.instrument_id, r.value, SUSPECT)
+                r, flagged = Reading(r.instrument_id, r.value, SUSPECT), True
         if r.quality == GOOD:
             last_good = (frame.poll_time, r.value)
         if r.value is None:
@@ -177,4 +182,4 @@ def plausibility_filter(frame: TelemetryFrame, memory, limits, instruments) -> T
             run_value, run = r.value, 1
         memory[r.instrument_id] = (last_good, run_value, run)
         out.append(r)
-    return TelemetryFrame(poll_time=frame.poll_time, readings=tuple(out))
+    return TelemetryFrame(poll_time=frame.poll_time, readings=tuple(out)) if flagged else frame

@@ -11,6 +11,7 @@ from linewatch.fluid import (
     density,
     dP_dT_const_density,
     isothermal_sound_speed,
+    raw_density,
 )
 
 
@@ -114,6 +115,48 @@ class TestDerivativesAndSpeed:
         drho_dP = (density(real_gas, P + h, T) - density(real_gas, P - h, T)) / (2 * h)
         assert isothermal_sound_speed(real_gas, P, T) == pytest.approx(
             np.sqrt(1.0 / drho_dP), rel=1e-6)
+
+
+# The density and dP/dT expressions as written before their out= forms;
+# kept verbatim as the reference both forms must match bit for bit.
+def _reference_density(eos, P, T):
+    if isinstance(eos, LiquidEos):
+        return eos.rho0 * (1.0 + (P - eos.P0) / eos.B + eos.alpha * (T - eos.T0))
+    return P * (1.0 + eos.k * P / T**eos.y) / (eos.R * T)
+
+
+def _reference_dP_dT(eos, P, T):
+    if isinstance(eos, LiquidEos):
+        return np.full_like(P, -eos.alpha * eos.B)
+    rho = _reference_density(eos, P, T)
+    num = rho * eos.R + eos.y * eos.k * P**2 * T ** (-eos.y - 1.0)
+    den = 1.0 + 2.0 * eos.k * P / T**eos.y
+    return num / den
+
+
+class TestOutForms:
+    @pytest.mark.parametrize("eos", [
+        LiquidEos(rho0=1000.0, P0=1e5, T0=300.0, B=2e9, alpha=-2e-4),
+        LiquidEos(rho0=850, P0=0, T0=288, B=1500000000, alpha=0),
+        GasEos(R=500.0),
+        GasEos.from_z_reference(R=500.0, P_ref=5e6, T_ref=300.0, Z_ref=0.9, y=1.2),
+        # ** takes the square root for 0.5 and squares for the int 2
+        GasEos(R=400.0, y=0.5, k=1e-5),
+        GasEos(R=400.0, y=2, k=1e-1),
+    ], ids=["liquid", "liquid_int_fields", "ideal_gas", "real_gas", "gas_y_half", "gas_y_two"])
+    def test_out_matches_the_allocating_form_bit_for_bit(self, eos):
+        rng = np.random.default_rng(3)
+        P = rng.uniform(1e3, 1e7, 500)
+        T = rng.uniform(150.0, 450.0, 500)
+        for fn, reference in ((raw_density, _reference_density),
+                              (dP_dT_const_density, _reference_dP_dT)):
+            expected = reference(eos, P, T)
+            allocated = np.broadcast_to(fn(eos, P, T), P.shape)
+            out = np.full_like(P, np.nan)
+            assert fn(eos, P, T, out=out) is out
+            assert out.tobytes() == allocated.tobytes() == expected.tobytes(), fn.__name__
+            # P and T are left as they were
+            assert np.isfinite(P).all() and np.isfinite(T).all()
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -594,6 +596,93 @@ class TestSolverReuse:
         assert again.ledger.linepack_start == first.ledger.linepack_end
         # From any other state, a step takes that state's own linepack.
         assert solver.advance(start, bc, dt).ledger.linepack_start == linepack(start, pipe)
+
+
+    def test_solver_is_freed_without_the_cycle_collector(self, water_like, ten_km_line):
+        # The residuals a solver keeps hold no reference back to it, so a
+        # dropped solver frees its buffers at once, not at the next
+        # collection: repeated runs in one process keep their peak memory.
+        solver = make_solver(water_like, ten_km_line)
+        bc = bc_pp(1.0e6, 6.7e5)
+        solver.advance(solver.steady_state(bc), bc, 1.0)
+        freed = weakref.ref(solver)
+        gc.disable()
+        try:
+            del solver
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
+class TestWarmStep:
+    """A step from the state the solver last returned starts Newton from the
+    iterate its workspace holds and skips the first evaluation's stencils;
+    the same solver history stepping from copies of its states takes the
+    full path.  Both give the same bits at every step."""
+
+    @staticmethod
+    def _bytes(step):
+        fields = [getattr(step.state, f).tobytes() for f in ("P", "V", "T", "rho")]
+        return fields, np.array(dataclasses.astuple(step.ledger)).tobytes()
+
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_step_from_own_state_matches_step_from_a_copy(self, water_like, ten_km_line,
+                                                         fluid_kind, temperature_end,
+                                                         monkeypatch):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+        if temperature_end == "outlet":   # the flow runs away from the held end
+            p_in, p_out = p_out, p_in
+        # A leak opens at step 3, the locate scan runs before step 5, and a 5%
+        # inlet slam at step 6 takes Newton several iterations.
+        bc = BoundaryConditions(
+            inlet=BoundaryLeg("pressure", TimeSeries([0.0, 6 * dt, 7 * dt],
+                                                     [p_in, p_in, 1.05 * p_in])),
+            outlet=BoundaryLeg("pressure", TimeSeries.constant(p_out)),
+            temperature=TimeSeries.constant(300.0), temperature_end=temperature_end)
+        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=2.5 * dt,
+                           mass_rate=0.02 * mdot)]
+        densities = collections.Counter()
+        real_density = hydraulics.raw_density
+
+        def counted(*args):
+            densities["calls"] += 1
+            return real_density(*args)
+        monkeypatch.setattr(hydraulics, "raw_density", counted)
+
+        def step(solver, state):
+            densities.clear()
+            result = solver.advance(state, bc, dt, leaks=leaks)
+            return result, densities["calls"]
+
+        def locate_scan(solver, state):
+            # what the RTM's locate scan asks of the shadow between two steps
+            steady = bc_pp(p_in, p_out, temperature_end=temperature_end)
+            base = solver.steady_state(steady, t=state.t, initial_guess=state)
+            solver.steady_leak_response(base, steady, [("P", 3), ("V", 0)])
+            probe = LeakEvent(position=0.7 * pipe.length, start_time=-np.inf,
+                              mass_rate=0.02 * mdot)
+            solver.steady_state(steady, t=state.t, leaks=[probe], initial_guess=base)
+
+        own, full = make_solver(fluid, pipe, dx=dx), make_solver(fluid, pipe, dx=dx)
+        own_state = own.steady_state(bc)
+        full_state = full.steady_state(bc)
+        for k in range(12):
+            if k == 4:
+                locate_scan(own, own_state)
+                locate_scan(full, full_state)
+            copy = dataclasses.replace(full_state, **{f: getattr(full_state, f).copy()
+                                                      for f in ("P", "V", "T", "rho")})
+            own_step, own_densities = step(own, own_state)
+            full_step, full_densities = step(full, copy)
+            assert self._bytes(own_step) == self._bytes(full_step), k
+            # The same Newton path; the own-state step's first evaluation
+            # reuses its workspace, except after the steady start and after
+            # the locate scan, which leave other states there.
+            warm = k not in (0, 4)
+            assert own_densities == full_densities - warm, k
+            own_state, full_state = own_step.state, full_step.state
 
 
 class TestSettingsValidation:

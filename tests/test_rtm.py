@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import flow_drive_cfg, set_noise_scale, standard_config
 from linewatch import hydraulics
@@ -71,6 +73,28 @@ class TestVote:
             for k in range(1, len(history) + 1):
                 if vote(history[:k], strict):
                     assert vote(history[:k], loose)
+
+    @staticmethod
+    def _generator_vote(history, policy):
+        # vote as written before it became plain loops: the reference
+        M, K = policy.consecutive_required, policy.min_indicators
+        if len(history) < M:
+            return False
+        recent = history[-M:]
+        count = sum(all(v is not None and abs(v) >= 1.0 for v in (h.get(iid) for h in recent))
+                    for iid in recent[-1])
+        return count >= K
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(history=st.lists(st.dictionaries(
+               st.sampled_from(["a", "b", "c"]),
+               st.one_of(st.none(), st.just(math.nan), st.floats(-3.0, 3.0),
+                         st.sampled_from([1.0, -1.0, math.inf]))),
+               max_size=7),
+           m=st.integers(1, 4), k=st.integers(1, 3))
+    def test_loops_match_the_generator_form(self, history, m, k):
+        p = policy(consecutive_required=m, min_indicators=k)
+        assert vote(history, p) == self._generator_vote(history, p)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):

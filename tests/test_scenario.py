@@ -142,6 +142,14 @@ class TestParsing:
         ("rtm", {"consecutive_polls": 0}, "rtm.consecutive_polls: must be >= 1, got 0"),
         ("rtm", {"min_indicators": 1.5}, "rtm.min_indicators: expected a whole number, got 1.5"),
         ("rtm", {"smoothing_polls": 0}, "rtm.smoothing_polls: must be >= 1, got 0"),
+        # a count beyond 2**53 is not read exactly, and a smoothing deque
+        # that long would overflow
+        ("rtm", {"smoothing_polls": 1e30},
+         "rtm.smoothing_polls: must be <= 9007199254740992, got 1e+30"),
+        ("rtm", {"smoothing_polls": 10**40},
+         f"rtm.smoothing_polls: must be <= 9007199254740992, got {10**40}"),
+        ("seed", lambda cfg: cfg.update(seed=2**53 + 2),
+         "seed: must be <= 9007199254740992, got 9007199254740994"),
         ("rtm", {"refine_after_polls": -1}, "rtm.refine_after_polls: must be >= 0, got -1"),
         ("telemetry", {"plausibility": {"flow": {"flatline_polls": 2.5}}},
          "telemetry.plausibility.flow.flatline_polls: expected a whole number, got 2.5"),
@@ -252,7 +260,8 @@ class TestParsing:
             "availability_chain_not_a_name", "flatline_polls_zero", "flatline_polls_negative",
             "balance_meters_not_bracketing", "seed_fractional", "seed_negative",
             "rtm_consecutive_fractional", "rtm_consecutive_zero", "rtm_min_indicators_fractional",
-            "rtm_smoothing_zero", "rtm_refine_negative",
+            "rtm_smoothing_zero", "rtm_smoothing_huge", "rtm_smoothing_huge_int", "seed_huge",
+            "rtm_refine_negative",
             "flatline_polls_fractional", "rtm_flow_threshold_zero", "solver_dt_zero",
             "solver_dt_negative", "solver_target_dx_zero", "horizon_past_a_poll",
             "horizon_between_polls", "horizon_nan", "solver_dt_nan", "horizon_zero",
@@ -898,6 +907,26 @@ class TestCli:
                 for column, cell in row.items():
                     if column not in text_columns and cell != "":
                         float(cell)  # raises on e.g. "np.float64(0.42)"
+
+    def test_unmeasured_balance_window_is_null(self, tmp_path):
+        # The inlet meter is never good in the first 60 s window: its volume
+        # and the imbalance are null in the report, which stays strict JSON,
+        # and empty in the table.
+        cfg = standard_config(horizon=180.0)
+        cfg["balance"]["window"] = 60.0
+        cfg["instruments"][0]["dropout"] = 0.999
+        out = tmp_path / "out"
+        assert main(["run", str(self.write_cfg(tmp_path, cfg)), "-o", str(out)]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+        report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+        first = report["balance"]["windows"][0]
+        assert first["v_in"] is first["imbalance"] is None and first["indeterminate"]
+        assert first["v_out"] > 0.0 and first["delta_inventory"] is not None
+        lines = (out / "balance_windows.csv").read_text().splitlines()[1:]
+        row = next(csv.DictReader(lines))
+        assert row["v_in_kg"] == row["imbalance_kg"] == "" and float(row["v_out_kg"]) > 0.0
 
     def test_run_dump_states(self, tmp_path):
         cfg = standard_config(horizon=60.0)

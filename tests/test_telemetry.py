@@ -47,7 +47,7 @@ def remembered(*frames):
     so it is remembered with the quality it was given."""
     memory = {}
     for frame in frames:
-        plausibility_filter(frame, memory, {}, [])
+        plausibility_filter(frame, memory, {}, {})
     return memory
 
 
@@ -165,7 +165,7 @@ class TestFrame:
         assert frame.reading("p") == Reading("p", 1.0, GOOD)
 
     def test_frame_without_the_instrument_leaves_its_memory(self):
-        kinds = [InstrumentPlacement("p", "pressure", 0.0)]
+        kinds = {"p": "pressure"}
         history = [frame_of(0.0, ("p", 5.0e5, GOOD)), frame_of(5.0, ("q", 1.0, GOOD))]
         assert remembered(*history)["p"] == remembered(history[0])["p"]
         rate = {"pressure": PlausibilityLimits(max_rate=1000.0)}
@@ -179,7 +179,7 @@ class TestFrame:
 
 
 class TestPlausibilityFilter:
-    KINDS = [InstrumentPlacement("p", "pressure", 0.0)]
+    KINDS = {"p": "pressure"}
 
     def check(self, frame, limits, *history):
         """Quality of ``frame``'s reading of p after ``history``."""
