@@ -35,7 +35,7 @@ print("ledger:   worst step residual %.2e x linepack"
 
 # indicator traces: smoothed discrepancies in units of their thresholds
 times, flow_in_n, flow_out_n = [], [], []
-for rec in report.rtm_records:
+for rec in report.rtm_trace:
     if not rec.available:
         continue
     n = rec.normalized

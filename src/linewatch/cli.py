@@ -76,7 +76,7 @@ def _cmd_run(args):
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    (outdir / "report.json").write_text(report.to_json() + "\n")
+    write_report(outdir / "report.json", report)
     note = _note(report.scenario_name, report.config_hash)
     for name, header, rows in _tables(report):
         write_table(outdir / name, note, header, rows)
@@ -151,6 +151,14 @@ def _note(scenario_name, config_hash):
     return f"# scenario={scenario_name} config_sha256={config_hash}\n"
 
 
+def write_report(path, report: RunReport):
+    """report.json: the report's JSON text and a newline, written in the
+    pieces it is encoded in."""
+    with open(path, "w") as fh:
+        fh.writelines(report.json_pieces())
+        fh.write("\n")
+
+
 def write_table(path, note, header, rows):
     """One CSV table under its provenance line ``note``; None is written
     empty.  The rows come with their booleans already as 0/1."""
@@ -165,19 +173,20 @@ def _tables(report: RunReport):
     """(file name, header, rows) of each CSV table the run has, with each
     boolean column written as 0/1."""
     yield "telemetry.csv", ["poll_time", "instrument", "value", "quality"], (
-        [frame.poll_time, r.instrument_id, r.value, r.quality]
-        for frame in report.frames for r in frame.readings
-    )
-    if report.rtm_records:
-        ids = sorted({iid for rec in report.rtm_records for iid in rec.normalized})
+        report.telemetry.rows())
+    trace = report.rtm_trace
+    if trace:
+        # an indicator has a column once a poll counted, and every one then does
+        ids = sorted(trace.indicator_ids) if None in trace.reasons else []
         header = (["poll_time", "available", "reason", "alarm"]
                   + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
 
-        def trace_row(rec):
-            return ([rec.poll_time, int(rec.available), rec.reason, int(rec.alarm_condition)]
-                    + [m.get(i) for m in (rec.normalized, rec.delta) for i in ids])
+        def trace_row(k):
+            reason = trace.reasons[k]
+            return ([trace.times[k], int(reason is None), reason, trace.alarm[k]]
+                    + [column[i][k] for column in (trace.normalized, trace.delta) for i in ids])
 
-        yield "rtm_trace.csv", header, map(trace_row, report.rtm_records)
+        yield "rtm_trace.csv", header, map(trace_row, range(len(trace)))
     if report.balance.get("enabled"):
         keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance"]
         header = ["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg", "imbalance_kg",

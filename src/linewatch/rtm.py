@@ -14,12 +14,23 @@ the well-posed choice under flow imbalance.  ``flow`` drives the shadow
 with the measured end flows, reproducing the classic divergence where a
 leak makes the model predict rising pressures (inventory packing) while
 the measured pressures fall.
+
+What the detector keeps grows with the run's length by a few numbers per
+poll.  Its full poll records (:class:`RtmPollRecord`, frame included) are
+kept only for the polls its windows read: the last
+max(M, ``_LOCATE_WINDOW_POLLS``, ``refine_after_polls``) + 1, since sizing
+reads the record before its window.  Every poll is also kept without its
+frame in an :class:`RtmTrace`, as columns of plain numbers, from which
+:meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` are made.
 """
 
 import math
+from array import array
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +50,8 @@ from .telemetry import TelemetryFrame, instrument_nodes, noiseless_reading
 __all__ = [
     "VotingPolicy",
     "RtmPollRecord",
+    "RtmTrace",
+    "TracedPoll",
     "LeakVerdict",
     "LocationScan",
     "vote",
@@ -114,6 +127,134 @@ class RtmPollRecord:
         return self.reason is None
 
 
+class TracedPoll(NamedTuple):
+    """One poll of an :class:`RtmTrace`: its record but the frame."""
+
+    poll_time: float
+    reason: Optional[str]
+    delta: Dict[str, Optional[float]]
+    normalized: Dict[str, Optional[float]]
+    alarm_condition: bool
+    shadow_linepack: Optional[float]
+    boundary_values: Dict[str, Optional[float]]
+
+    @property
+    def available(self):
+        return self.reason is None
+
+
+class _Floats:
+    """A column of optional floats: the values, NaN where one is None, and
+    which ones are None."""
+
+    __slots__ = ("values", "none")
+
+    def __init__(self):
+        self.values = array("d")
+        self.none = bytearray()
+
+    def append(self, v):
+        self.none.append(v is None)
+        self.values.append(math.nan if v is None else v)
+
+    def __getitem__(self, k):
+        return None if self.none[k] else self.values[k]
+
+
+class _Rows(Sequence):
+    """Rows made from columns when they are read; a subclass gives
+    ``__len__`` and ``_row(k)`` for 0 <= k < len.  It equals a list (or
+    other sequence) of the same rows."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __getitem__(self, k):
+        n = len(self)
+        if isinstance(k, slice):
+            return [self._row(i) for i in range(*k.indices(n))]
+        if not -n <= k < n:
+            raise IndexError(f"index {k} out of range for {n} polls")
+        return self._row(k % n)
+
+
+class RtmTrace(_Rows):
+    """Every poll an :class:`RtmDetector` observed, as columns: the poll
+    time, the reason it was unavailable (None when it counted), the alarm
+    condition, each indicator's delta and normalized value (read as None on
+    an unavailable poll, which carries none), the shadow's linepack and the
+    held boundary readings; plus the unavailable polls counted by reason.
+    Indexing it gives a :class:`TracedPoll`."""
+
+    def __init__(self, indicator_ids, boundary_ids):
+        self.indicator_ids = tuple(dict.fromkeys(indicator_ids))
+        self.boundary_ids = tuple(dict.fromkeys(boundary_ids))
+        self.times = array("d")
+        self.reasons = []
+        self.alarm = bytearray()
+        self.delta = {i: _Floats() for i in self.indicator_ids}
+        self.normalized = {i: _Floats() for i in self.indicator_ids}
+        self.linepack = _Floats()
+        self.held = {i: _Floats() for i in self.boundary_ids}
+        self.unavailable_by_reason = Counter()
+
+    def __len__(self):
+        return len(self.times)
+
+    def append(self, rec: RtmPollRecord):
+        self.times.append(rec.poll_time)
+        self.reasons.append(rec.reason)
+        self.alarm.append(rec.alarm_condition)
+        for iid in self.indicator_ids:
+            self.delta[iid].append(rec.delta.get(iid))
+            self.normalized[iid].append(rec.normalized.get(iid))
+        self.linepack.append(rec.shadow_linepack)
+        for iid in self.boundary_ids:
+            self.held[iid].append(rec.boundary_values[iid])
+        if rec.reason is not None:
+            self.unavailable_by_reason[rec.reason] += 1
+
+    def _row(self, k):
+        reason = self.reasons[k]
+        ids = self.indicator_ids if reason is None else ()
+        return TracedPoll(
+            poll_time=self.times[k],
+            reason=reason,
+            delta={i: self.delta[i][k] for i in ids},
+            normalized={i: self.normalized[i][k] for i in ids},
+            alarm_condition=bool(self.alarm[k]),
+            shadow_linepack=self.linepack[k],
+            boundary_values={i: self.held[i][k] for i in self.boundary_ids},
+        )
+
+
+class _IndicatorTrace(_Rows):
+    """The report's ``indicator_trace``: one entry per poll traced when it
+    was made, each built from the trace's columns when it is read (not
+    through a TracedPoll, which adds a fifth to report.json's encoding)."""
+
+    def __init__(self, trace: RtmTrace):
+        self._trace = trace
+        self._n = len(trace)
+
+    def __len__(self):
+        return self._n
+
+    def _row(self, k):
+        tr = self._trace
+        reason = tr.reasons[k]
+        ids = tr.indicator_ids if reason is None else ()
+        return {
+            "t": tr.times[k],
+            "available": reason is None,
+            "reason": reason,
+            "normalized": {i: tr.normalized[i][k] for i in ids},
+            "alarm": bool(tr.alarm[k]),
+        }
+
+
 @dataclass(frozen=True)
 class LeakVerdict:
     declared: bool
@@ -176,7 +317,9 @@ class RtmDetector:
     """Sequential state machine over the poll stream; one per pipeline.
 
     Feed filtered telemetry frames in poll order via :meth:`observe`;
-    each poll leaves one :class:`RtmPollRecord` in ``records``.  Boundary
+    ``records`` keeps the :class:`RtmPollRecord` of each of the last
+    polls the voting, sizing and locate windows read, and ``trace`` every
+    poll without its frame (see the module docstring).  Boundary
     readings that go bad are held for up to ``_STALENESS_POLLS`` polls,
     after which detection is suspended until good readings return: those
     polls are unavailable, with their reason, and never count toward
@@ -221,9 +364,11 @@ class RtmDetector:
         self._smooth: Dict[str, deque] = {
             i.id: deque(maxlen=policy.smoothing_polls) for i in self.indicators
         }
-        self.records: List[RtmPollRecord] = []
+        window = max(policy.consecutive_required, _LOCATE_WINDOW_POLLS, self.refine_after_polls)
+        self.records = deque(maxlen=window + 1)
+        self.trace = RtmTrace(ids, (self.boundary_in.id, self.boundary_out.id))
         self.verdict = LeakVerdict(declared=False)
-        self._refine_at: Optional[int] = None   # record count at which to refine
+        self._refine_at: Optional[int] = None   # poll count at which to refine
 
     # ------------------------------------------------------------ wiring
 
@@ -280,10 +425,13 @@ class RtmDetector:
 
     def report(self):
         """The ``rtm`` section of a run report: the verdict and, from the
-        poll log, the poll counts, the unavailable polls by reason, and each
-        poll's normalized indicators and reason."""
+        trace, the poll counts, the unavailable polls by reason, and each
+        poll's normalized indicators and reason.  ``indicator_trace`` is a
+        sequence of the polls traced so far whose entries are made when read;
+        ``RunReport.to_dict`` lists it."""
         v = self.verdict
-        by_reason = Counter(r.reason for r in self.records if not r.available)
+        tr = self.trace
+        by_reason = tr.unavailable_by_reason
         return {
             "enabled": True,
             "declared": v.declared,
@@ -292,20 +440,11 @@ class RtmDetector:
             "location_estimate": v.location_estimate,
             "location_ambiguous": v.location_ambiguous,
             "notes": list(v.notes),
-            "polls": len(self.records),
+            "polls": len(tr),
             "unavailable_polls": sum(by_reason.values()),
             "unavailable_by_reason": dict(by_reason),
-            "alarm_condition_polls": [r.poll_time for r in self.records if r.alarm_condition],
-            "indicator_trace": [
-                {
-                    "t": r.poll_time,
-                    "available": r.available,
-                    "reason": r.reason,
-                    "normalized": dict(r.normalized),
-                    "alarm": r.alarm_condition,
-                }
-                for r in self.records
-            ],
+            "alarm_condition_polls": [t for t, alarm in zip(tr.times, tr.alarm) if alarm],
+            "indicator_trace": _IndicatorTrace(tr),
         }
 
     def observe(self, frame: TelemetryFrame) -> RtmPollRecord:
@@ -315,7 +454,8 @@ class RtmDetector:
         else:
             rec = self._step(frame)
         self.records.append(rec)
-        if len(self.records) == self._refine_at:
+        self.trace.append(rec)
+        if len(self.trace) == self._refine_at:
             self._refine()
         return rec
 
@@ -411,7 +551,8 @@ class RtmDetector:
                 else:
                     normalized[ind.id] = None
 
-        recent = [r.normalized for r in self.records[-self.policy.consecutive_required:]]
+        start = max(len(self.records) - self.policy.consecutive_required, 0)
+        recent = [r.normalized for r in islice(self.records, start, None)]
         rec = RtmPollRecord(
             frame=frame,
             reason=reason,
@@ -430,12 +571,16 @@ class RtmDetector:
 
     def size_leak(self, window=None):
         """Leak rate from the end-flow imbalance less the modeled linepack
-        rate, averaged over the last M (voting) polls.
+        rate, averaged over the last M (voting) polls, or the last
+        ``window``: fewer polls than ``records`` keeps.
 
         Returns (size, note); size is None when both end meters were never
         simultaneously good in the window (the alarm itself stands).
         """
         M = self.policy.consecutive_required if window is None else window
+        if M >= self.records.maxlen:
+            raise ValueError(f"a {M}-poll size window needs the poll before it, and the "
+                             f"detector keeps {self.records.maxlen} polls")
         meters = (self.flow_in_meter, self.flow_out_meter)
         samples = []
         for k in range(max(len(self.records) - M, 0), len(self.records)):
@@ -482,7 +627,10 @@ class RtmDetector:
         if size is None or size <= 0:
             return None
         window = _LOCATE_WINDOW_POLLS if window is None else window
-        recs = [r for r in self.records[-window:] if r.available]
+        if window > self.records.maxlen:
+            raise ValueError(f"a {window}-poll locate window, and the detector keeps "
+                             f"{self.records.maxlen} polls")
+        recs = [r for r in list(self.records)[-window:] if r.available]
         if not recs:
             return None
 
@@ -578,8 +726,8 @@ class RtmDetector:
             notes=tuple(n for n in (note, where) if n),
         )
         if self.refine_after_polls > 0:
-            # The record being built is number len(records) + 1.
-            self._refine_at = len(self.records) + 1 + self.refine_after_polls
+            # The poll being recorded is number len(trace) + 1.
+            self._refine_at = len(self.trace) + 1 + self.refine_after_polls
 
     def _refine(self):
         """Recompute size/location from post-declaration polls.

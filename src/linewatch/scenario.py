@@ -16,6 +16,12 @@ runs in a forked child that streams its frames over a one-way pipe, so
 the two sides overlap; otherwise it runs in the same process.  The
 report is the same bytes either way; ``taskset -c 0`` keeps a run in one
 process.
+
+What the control-room side keeps of a poll is a few hundred bytes of plain
+numbers: the frame's readings as columns of a ``TelemetryLog`` and the
+RTM's per-poll trace as columns of an ``RtmTrace``.  The detectors hold
+whole frames only for the windows they read, and ``RunReport.to_json``
+encodes the long per-poll lists a bounded number of entries at a time.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ import os
 import pickle
 import sys
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
@@ -48,9 +55,9 @@ from .hydraulics import (
     linepack,
 )
 from .network import InstrumentPlacement, PipelineModel, Segment, discretize, end_flow_meters
-from .rtm import RtmDetector, VotingPolicy, combined_verdict
-from .telemetry import (NoiseSpec, PlausibilityLimits, TelemetryFrame, instrument_nodes,
-                        noiseless_reading, plausibility_filter, sample)
+from .rtm import RtmDetector, RtmTrace, VotingPolicy, combined_verdict
+from .telemetry import (NoiseSpec, PlausibilityLimits, TelemetryFrame, TelemetryLog,
+                        instrument_nodes, noiseless_reading, plausibility_filter, sample)
 
 __all__ = ["Scenario", "RunReport", "load_scenario", "scenario_from_dict", "start_plant",
            "run_scenario", "sweep"]
@@ -201,11 +208,16 @@ class _Path:
 
     def build(self, factory, **kwargs):
         """``factory(**kwargs)``; a ConfigurationError or ParameterDomainError
-        it raises becomes a ConfigurationError naming this path."""
+        it raises becomes a ConfigurationError naming this path, as does an
+        OverflowError: a value too large for the model's arithmetic (a gas
+        ``y`` of 1e30 overflows ``T**y``)."""
         try:
             return factory(**kwargs)
         except (ConfigurationError, ParameterDomainError) as exc:
             self.error(str(exc))
+        except OverflowError as exc:
+            detail = exc.args[-1] if exc.args else "overflow"
+            self.error(f"a value is too large for the model's arithmetic ({detail})")
 
 
 def _key_paths(raw, path):
@@ -258,8 +270,55 @@ class Scenario:
     availability: Optional[dict]
 
 
+# Entries of a long report list that RunReport.to_json encodes per
+# json.dumps call: what it holds of the list at once.
+_JSON_CHUNK = 64
+
+
+def _long(value):
+    """Whether ``value`` is a sequence longer than ``_JSON_CHUNK``, or a
+    mapping that holds one."""
+    if isinstance(value, dict):
+        return any(map(_long, value.values()))
+    return isinstance(value, Sequence) and not isinstance(value, str) and len(value) > _JSON_CHUNK
+
+
+def _json_pieces(value, depth=0):
+    """``json.dumps(value, indent=2, sort_keys=True)``, in pieces, for a
+    value nested ``depth`` levels deep, where any sequence counts as a list.
+    A sequence longer than ``_JSON_CHUNK`` is encoded ``_JSON_CHUNK``
+    entries per call, so neither all its entries nor all the encoder's
+    pieces for it exist at once; the mappings that hold one are opened
+    here, and the rest goes whole to ``json.dumps``.  A JSON text holds no
+    raw newline, so nesting is the indent added after each one."""
+    pad = "\n" + "  " * depth
+    is_dict = isinstance(value, dict)
+    if not _long(value) or is_dict and not all(isinstance(k, str) for k in value):
+        yield json.dumps(value, indent=2, sort_keys=True, default=list).replace("\n", pad)
+    elif is_dict:
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{pad}  {json.dumps(key)}: "
+            yield from _json_pieces(value[key], depth + 1)
+            sep = ","
+        yield pad + "}"
+    else:
+        sep = "["
+        for start in range(0, len(value), _JSON_CHUNK):
+            chunk = json.dumps(value[start:start + _JSON_CHUNK], indent=2, sort_keys=True,
+                               default=list)
+            yield sep + chunk[1:-2].replace("\n", pad)   # without its "[" and "\n]"
+            sep = ","
+        yield pad + "]"
+
+
 @dataclass
 class RunReport:
+    """A run's report sections, and what its tables are written from: the
+    frames' readings (``telemetry``), the RTM's per-poll trace
+    (``rtm_trace``, None with the RTM off) and, with ``dump_states``, every
+    plant state."""
+
     scenario_name: str
     config_hash: str
     seed: int
@@ -272,11 +331,18 @@ class RunReport:
     mass_ledger: dict
     run: dict
     availability: Optional[list] = None
-    frames: list = field(default_factory=list, repr=False)
-    rtm_records: list = field(default_factory=list, repr=False)
+    telemetry: TelemetryLog = field(default_factory=TelemetryLog, repr=False)
+    rtm_trace: Optional[RtmTrace] = field(default=None, repr=False)
     states: list = field(default_factory=list, repr=False)
 
     def to_dict(self):
+        """The whole report, as report.json holds it."""
+        doc = self._sections()
+        if "indicator_trace" in self.rtm:
+            doc["rtm"] = {**self.rtm, "indicator_trace": list(self.rtm["indicator_trace"])}
+        return doc
+
+    def _sections(self):
         return {
             "scenario": self.scenario_name,
             "config_sha256": self.config_hash,
@@ -292,8 +358,14 @@ class RunReport:
             "run": self.run,
         }
 
+    def json_pieces(self):
+        """:meth:`to_json`'s text, in pieces of bounded length."""
+        return _json_pieces(self._sections())
+
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, made
+        without listing the indicator trace."""
+        return "".join(self.json_pieces())
 
 
 # --------------------------------------------------------------------- loading
@@ -853,13 +925,13 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
     s = scenario
     grid, plant, state, rtm_det, bal_det = start_plant(s)
     records = _field_side(s, grid, plant, state, dump_states)
-    frames: List = []
+    telemetry = TelemetryLog()
     states: List[GridState] = []
     solver_failure = None
 
     def observe(rec):
         states.extend(rec.states)
-        frames.append(rec.frame)
+        telemetry.append(rec.frame)
         lp_est = None
         if rtm_det is not None:
             lp_est = rtm_det.observe(rec.frame).shadow_linepack
@@ -883,7 +955,7 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
     rtm_report = rtm_det.report() if rtm_det else {"enabled": False}
     balance_report = bal_det.report() if bal_det else {"enabled": False}
     # The acoustic channel is kinematic, from ground truth, up to the last poll.
-    acoustic_report = (ac.report(s.leaks, **s.acoustic, until=frames[-1].poll_time)
+    acoustic_report = (ac.report(s.leaks, **s.acoustic, until=telemetry.times[-1])
                        if s.acoustic
                        else {"enabled": False, "events": [], "detections": []})
     combined = {}
@@ -919,12 +991,12 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
             "poll_interval": s.poll_interval,
             "solver_dt": s.dt,
             "node_count": grid.node_count,
-            "polls": len(frames),
+            "polls": len(telemetry),
             "solver_failure": solver_failure,
         },
         availability=avail_rows,
-        frames=frames,
-        rtm_records=rtm_det.records if rtm_det else [],
+        telemetry=telemetry,
+        rtm_trace=rtm_det.trace if rtm_det else None,
         states=states,
     )
 

@@ -5,10 +5,12 @@ each instrument can also drop out per poll.  The true value is
 :func:`noiseless_reading` at the instrument's node from
 :func:`instrument_nodes`, which is also how the RTM takes its model
 values.  The plausibility filter only ever changes quality flags, never
-values.
+values.  A run keeps its frames as a :class:`TelemetryLog`: plain numbers
+in columns, one value and one quality code per reading.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -22,6 +24,7 @@ from .network import PipelineModel
 __all__ = [
     "Reading",
     "TelemetryFrame",
+    "TelemetryLog",
     "NoiseSpec",
     "PlausibilityLimits",
     "instrument_nodes",
@@ -64,6 +67,58 @@ class TelemetryFrame:
         """Value if the reading is quality-good, else None."""
         r = self.reading(instrument_id)
         return r.value if r.quality == GOOD else None
+
+
+# A TelemetryLog's code of a reading: its quality's index here, plus
+# _NONE where its value is None.
+_QUALITIES = (GOOD, SUSPECT, MISSING)
+_QUALITY_CODE = {q: code for code, q in enumerate(_QUALITIES)}
+_NONE = len(_QUALITIES)
+
+
+class TelemetryLog:
+    """A stream of frames kept as columns of plain numbers: each poll's
+    time, and each reading's value (NaN where it is None) and quality code,
+    poll by poll in frame order, so a poll costs 9 bytes a reading.  Every
+    frame must hold the first frame's instruments, in its order."""
+
+    def __init__(self):
+        self.times = array("d")
+        self.ids = ()
+        self._values = array("d")
+        self._codes = bytearray()
+
+    def __len__(self):
+        return len(self.times)
+
+    def append(self, frame: TelemetryFrame):
+        readings = frame.readings
+        if not self.times:
+            self.ids = tuple(r.instrument_id for r in readings)
+        elif len(readings) != len(self.ids):
+            raise ValueError(f"a frame of {len(readings)} readings for {len(self.ids)} instruments")
+        for r in readings:
+            if r.value is None:
+                self._values.append(math.nan)
+                self._codes.append(_QUALITY_CODE[r.quality] + _NONE)
+            else:
+                self._values.append(r.value)
+                self._codes.append(_QUALITY_CODE[r.quality])
+        self.times.append(frame.poll_time)
+
+    def rows(self):
+        """(poll time, instrument id, value or None, quality) of every
+        reading, poll by poll, each poll's readings in frame order."""
+        readings = zip(self._values, self._codes)
+        for t in self.times:
+            for iid, (value, code) in zip(self.ids, readings):
+                yield t, iid, None if code >= _NONE else value, _QUALITIES[code % _NONE]
+
+    def good_values(self, instrument_id):
+        """Each poll's value of ``instrument_id`` if quality-good, else None."""
+        slot, n = self.ids.index(instrument_id), len(self.ids)
+        return [value if code == _QUALITY_CODE[GOOD] else None
+                for value, code in zip(self._values[slot::n], self._codes[slot::n])]
 
 
 class NoiseSpec:

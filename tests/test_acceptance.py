@@ -76,12 +76,12 @@ class TestLeakPhenomenologySigns:
         assert t_alarm > 125.0, "need at least one pre-alarm poll after onset"
 
         times, measured, modeled = [], [], []
-        for rec in report.rtm_records:
+        p_mid = report.telemetry.good_values("p_mid")
+        for rec, m in zip(report.rtm_trace, p_mid, strict=True):
             if not rec.available:
                 continue
             if 115.0 <= rec.poll_time <= t_alarm:  # last pre-onset poll .. alarm
                 d = rec.delta.get("p_mid")
-                m = rec.frame.good_value("p_mid")
                 if d is None or m is None:
                     continue
                 times.append(rec.poll_time)

@@ -685,6 +685,39 @@ class TestWarmStep:
             own_state, full_state = own_step.state, full_step.state
 
 
+class TestWarmSteadyStart:
+    """A steady solve warm-started from a transient state of the same line,
+    as the RTM's locate scan starts from the shadow's state."""
+
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="warm-started from a gas state two steps after a 5% inlet "
+                              "pressure step, Newton does not converge (inlet held) or "
+                              "stalls (outlet held)")
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    def test_from_a_gas_state_after_a_pressure_step(self, temperature_end):
+        p_in, p_out, mdot, dx, dt = _LINES["gas"]
+        if temperature_end == "outlet":   # the flow runs away from the held end
+            p_in, p_out = p_out, p_in
+        # TestWarmStep's history: a 2% leak opens at step 3 and the inlet
+        # rises 5% over step 7; the state is the one after step 9.
+        bc = BoundaryConditions(
+            inlet=BoundaryLeg("pressure", TimeSeries([0.0, 6 * dt, 7 * dt],
+                                                     [p_in, p_in, 1.05 * p_in])),
+            outlet=BoundaryLeg("pressure", TimeSeries.constant(p_out)),
+            temperature=TimeSeries.constant(300.0), temperature_end=temperature_end)
+        leaks = [LeakEvent(position=0.4 * _GAS_LINE.length, start_time=2.5 * dt,
+                           mass_rate=0.02 * mdot)]
+        solver = make_solver(_GAS, _GAS_LINE, dx=dx)
+        state = solver.steady_state(bc)
+        for _ in range(9):
+            state = solver.advance(state, bc, dt, leaks=leaks).state
+        stepped = bc_pp(1.05 * p_in, p_out, temperature_end=temperature_end)
+        warm = solver.steady_state(stepped, t=state.t, initial_guess=state)
+        cold = make_solver(_GAS, _GAS_LINE, dx=dx).steady_state(stepped, t=state.t)
+        for f in ("P", "V", "T"):
+            np.testing.assert_allclose(getattr(warm, f), getattr(cold, f), rtol=1e-9)
+
+
 class TestSettingsValidation:
     def test_leak_validation(self, water_like, ten_km_line):
         solver = make_solver(water_like, ten_km_line)

@@ -169,7 +169,7 @@ class TestShadowModel:
     def test_no_leak_zero_noise_discrepancies_vanish(self):
         det = _MiniLoop().run(40)
         full_scale_flow, full_scale_p = 70.0, 1.0e6
-        for rec in det.records[5:]:
+        for rec in det.trace[5:]:
             assert rec.available
             for iid, d in rec.delta.items():
                 scale = full_scale_flow if iid.startswith("flow") else full_scale_p
@@ -196,7 +196,7 @@ class TestShadowModel:
         det = _MiniLoop(leak_rate=2.0).run(60)
         assert det.verdict.declared
         # pressure-driven shadow: measured outlet flow drops below modeled
-        post = [r for r in det.records if r.poll_time > 130.0 and r.available]
+        post = [r for r in det.trace if r.poll_time > 130.0 and r.available]
         deltas = [r.delta["flow_out"] for r in post[:10]]
         assert all(d < 0 for d in deltas)
         deltas_in = [r.delta["flow_in"] for r in post[:10]]
@@ -213,13 +213,13 @@ class TestShadowModel:
                 return TelemetryFrame(frame.poll_time, readings)
             return frame
         det = _MiniLoop(mangle=mangle).run(30)
-        suspended = [r for r in det.records if not r.available]
+        suspended = [r for r in det.trace if not r.available]
         assert suspended, "staleness never engaged"
         assert all("stale" in (r.reason or "") for r in suspended if r.poll_time > 0)
         # holds bridge the first polls of the outage, then suspension
-        assert det.records[11].available and not det.records[15].available
+        assert det.trace[11].available and not det.trace[15].available
         # recovery after readings return
-        assert det.records[25].available
+        assert det.trace[25].available
 
     def test_reading_no_model_can_hold_is_infeasible(self):
         # A reading is a measurement, not a setting: a boundary pressure read
@@ -264,13 +264,13 @@ class TestShadowModel:
         det = _MiniLoop(leak_rate=2.0, mangle=mangle).run(50)
         section = det.report()
         assert section["enabled"] and section["declared"] == det.verdict.declared
-        assert section["polls"] == len(det.records) == 51
-        unavailable = [r for r in det.records if not r.available]
+        assert section["polls"] == len(det.trace) == 51
+        unavailable = [r for r in det.trace if not r.available]
         assert section["unavailable_polls"] == len(unavailable) > 1
-        alarms = [r.poll_time for r in det.records if r.alarm_condition]
+        alarms = [r.poll_time for r in det.trace if r.alarm_condition]
         assert section["alarm_condition_polls"] == alarms and alarms
-        assert [p["t"] for p in section["indicator_trace"]] == [r.poll_time for r in det.records]
-        assert [p["reason"] for p in section["indicator_trace"]] == [r.reason for r in det.records]
+        assert [p["t"] for p in section["indicator_trace"]] == [r.poll_time for r in det.trace]
+        assert [p["reason"] for p in section["indicator_trace"]] == [r.reason for r in det.trace]
         assert section["unavailable_by_reason"] == dict(
             collections.Counter(r.reason for r in unavailable))
 
@@ -285,7 +285,7 @@ class TestShadowModel:
                 return TelemetryFrame(frame.poll_time, readings)
             return frame
         det = _MiniLoop(leak_rate=5.0, mangle=mangle).run(40)
-        for rec in det.records:
+        for rec in det.trace:
             if not rec.available:
                 assert not rec.alarm_condition
 
@@ -309,7 +309,7 @@ class TestShadowModel:
         det = _MiniLoop(pol=pol, mangle=mangle).run(n + 10)
         history = collections.defaultdict(list)
         compared = 0
-        for rec in det.records:
+        for rec in det.trace:
             for iid, d in rec.delta.items():
                 history[iid].append(d)
                 norm = rec.normalized[iid]
@@ -404,8 +404,8 @@ class TestShadowTargets:
         polls = 30
         new.run(polls)
         ref.run(polls)
-        assert len(new.det.records) == len(ref.det.records) == polls + 1
-        for a, b in zip(new.det.records, ref.det.records):
+        assert len(new.det.trace) == len(ref.det.trace) == polls + 1
+        for a, b in zip(new.det.trace, ref.det.trace):
             assert a.poll_time == b.poll_time and a.available == b.available
             assert a.shadow_linepack == b.shadow_linepack
             assert a.delta == b.delta
@@ -483,7 +483,7 @@ class TestDriveInputsAndRefinement:
         changed = [k for k in range(1, len(verdicts)) if verdicts[k] != verdicts[k - 1]]
         declaring = changed[0]
         first, last = verdicts[declaring], verdicts[-1]
-        assert first.declared and first.declared_time == loop.det.records[declaring].poll_time
+        assert first.declared and first.declared_time == loop.det.trace[declaring].poll_time
         refined = f"estimates refined {refine_after} polls after declaration"
         if refine_after:
             assert changed == [declaring, declaring + refine_after]
@@ -563,8 +563,10 @@ def _dark(frame, *ids):
 
 
 def _size_term(det, k):
-    """Poll k's sample in size_leak: end-flow imbalance less linepack rate."""
-    rec, prev = det.records[k], det.records[k - 1]
+    """Poll k's sample in size_leak: end-flow imbalance less linepack rate.
+    ``k`` counts from the run's first poll; the records kept end at its last."""
+    first = len(det.trace) - len(det.records)
+    rec, prev = det.records[k - first], det.records[k - 1 - first]
     return (rec.frame.good_value("flow_in") - rec.frame.good_value("flow_out")
             - (rec.shadow_linepack - prev.shadow_linepack) / (rec.poll_time - prev.poll_time))
 
@@ -595,20 +597,20 @@ class TestDegradedEstimates:
     def test_locate_needs_an_available_poll(self):
         # p_in dark from poll 10: after 3 held polls every poll is suspended
         det = _MiniLoop(mangle=lambda f, k: _dark(f, "p_in") if k >= 10 else f).run(30)
-        assert not any(r.available for r in det.records[-12:])
+        assert not any(r.available for r in det.trace[-12:])
         assert det.locate_leak(2.0) is None
 
     def test_locate_needs_a_good_indicator(self):
         det = _MiniLoop(
             mangle=lambda f, k: _dark(f, "flow_in", "flow_out") if k >= 19 else f).run(30)
-        assert all(r.available for r in det.records[-12:])
+        assert all(r.available for r in det.trace[-12:])
         assert det.locate_leak(2.0) is None
 
     def test_flow_drive_locate_needs_the_anchor_reading(self):
         det = _MiniLoop(drive="flow",
                         mangle=lambda f, k: _dark(f, "p_out") if k >= 19 else f).run(30)
         assert det.pressure_anchor.id == "p_out"
-        assert all(r.available for r in det.records[-12:])
+        assert all(r.available for r in det.trace[-12:])
         assert det.locate_leak(2.0) is None
 
     def test_declared_with_no_available_poll_to_locate(self):
@@ -621,7 +623,7 @@ class TestDegradedEstimates:
                                policy(consecutive_required=1, min_indicators=1, smoothing_polls=1),
                                fallback_temperature=300.0)
         v = loop.run(41).verdict
-        assert v.declared_time == loop.det.records[40].poll_time
+        assert v.declared_time == loop.det.trace[40].poll_time
         assert v.size_estimate > 0
         assert v.location_estimate is None and not v.location_ambiguous
         assert v.notes == ("location unavailable",)
@@ -652,7 +654,7 @@ class TestDegradedEstimates:
 
         loop = _MiniLoop(leak_rate=2.0, mangle=mangle)
         det = loop.run(60)
-        assert det._refine_at is not None and len(det.records) > det._refine_at
+        assert det._refine_at is not None and len(det.trace) > det._refine_at
         assert det.size_leak(window=det.refine_after_polls)[0] is None
         assert at_declaration[0].size_estimate > 0
         assert det.verdict == at_declaration[0]
@@ -665,7 +667,7 @@ def exhaustive_scan(det, size, window):
     """The per-node scan that ``locate_leak`` replaced, built from public
     solver calls: one warm-started exact steady solve per candidate node.
     Returns (node_index, ambiguous, ssr)."""
-    recs = [r for r in det.records[-window:] if r.available]
+    recs = [r for r in list(det.records)[-window:] if r.available]
     values = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
               for iid in recs[-1].boundary_values}
     meas = {}

@@ -10,6 +10,8 @@ import os
 import re
 import signal
 import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import linewatch.cli as cli
 import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
 from conftest import set_noise_scale, standard_config
@@ -26,12 +29,13 @@ from linewatch.fluid import GasEos
 from linewatch.hydraulics import linepack
 from linewatch.rtm import RtmDetector
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, start_plant, sweep
-from linewatch.telemetry import Reading, TelemetryFrame, sample
+from linewatch.telemetry import Reading, TelemetryFrame, TelemetryLog, sample
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
 
 
 SHIPPED_STANDARD = Path(__file__).parents[1] / "demos" / "scenarios" / "standard_leak.yaml"
+SHIPPED_GAS = SHIPPED_STANDARD.with_name("gas_line.yaml")
 
 
 def _leaves(raw, path="", keys=()):
@@ -251,6 +255,11 @@ class TestParsing:
             "kind": "gas", "R": 500.0, "critical_pressure": 0, "critical_temperature": 190.6,
             "specific_heat": 2200.0, "sound_speed": 380.0}),
          "fluid: critical_pressure must be > 0, got 0.0"),
+        # T_ref**y of the fitted correlation overflows
+        ("fluid", lambda cfg: cfg.update(fluid={
+            "kind": "gas", "R": 500.0, "y": 1e30, "z_reference": {"P": 5.0e6, "T": 300.0, "Z": 0.9},
+            "specific_heat": 2200.0, "sound_speed": 380.0}),
+         "fluid: a value is too large for the model's arithmetic (Numerical result out of range)"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
             "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
@@ -276,7 +285,8 @@ class TestParsing:
             "instrument_id_repeated", "boundaries_both_flow", "outlet_pressure_zero",
             "outlet_pressure_negative", "inlet_pressure_zero", "pressure_series_below_zero",
             "boundary_temperature_zero", "ground_temperature_zero",
-            "ground_temperature_negative", "critical_temperature_zero", "critical_pressure_zero"])
+            "ground_temperature_negative", "critical_temperature_zero", "critical_pressure_zero",
+            "gas_y_huge"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -595,7 +605,7 @@ class TestUnits:
         si = run_scenario(scenario_from_dict(si_cfg))
         declared = run_scenario(scenario_from_dict(_in_units(si_cfg, "bar", "km", "degC")))
         assert declared.rtm["declared_time"] == 185.0
-        assert all(r.quality == "good" for f in declared.frames for r in f.readings)
+        assert all(quality == "good" for *_, quality in declared.telemetry.rows())
         expected, actual = si.to_dict(), declared.to_dict()
         expected["config_sha256"] = actual["config_sha256"] = "pinned"
         _assert_same_structure("report", expected, actual)
@@ -622,7 +632,7 @@ class TestRunning:
         del cfg["rtm"], cfg["balance"]
         report = run_scenario(scenario_from_dict(cfg))
         assert report.rtm == report.balance == {"enabled": False}
-        assert report.combined == {} and report.rtm_records == []
+        assert report.combined == {} and report.rtm_trace is None
         assert report.run["polls"] == 31 and report.run["solver_failure"] is None
 
     def test_identical_seed_byte_identical_reports(self):
@@ -809,6 +819,21 @@ class TestCli:
         assert len(err) == 2 and err[0] == err[1]
         assert err[0].startswith("configuration error: " + message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("y", [1e30, 10**40], ids=["float", "int"])
+    @pytest.mark.parametrize("correlated", [True, False], ids=["z_reference", "ideal"])
+    def test_gas_exponent_too_large_exits_2_naming_fluid(self, tmp_path, capsys, y, correlated):
+        # With a reference point, fitting k overflows T_ref**y at parse; an
+        # ideal gas (no reference point) overflows T**y at the steady start.
+        cfg = yaml.safe_load(SHIPPED_GAS.read_text())
+        cfg["fluid"]["y"] = y
+        if not correlated:
+            del cfg["fluid"]["z_reference"]
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: fluid: a value is too large for the model's arithmetic "
+            "(Numerical result out of range)\n")
 
     def test_vote_that_can_never_pass_exits_2(self, tmp_path, capsys):
         # in pressure drive p_in and p_out drive the shadow: two indicators remain
@@ -1024,6 +1049,146 @@ class TestCli:
         assert not out.exists()
 
 
+def _old_tables(frames, records):
+    """telemetry.csv's and rtm_trace.csv's (header, rows) as the writers
+    made them from a run's frames and RTM poll records: the reference the
+    tables written from the columns must match byte for byte."""
+    tables = {"telemetry.csv": (
+        ["poll_time", "instrument", "value", "quality"],
+        [[f.poll_time, r.instrument_id, r.value, r.quality] for f in frames for r in f.readings])}
+    if records:
+        ids = sorted({iid for rec in records for iid in rec.normalized})
+        tables["rtm_trace.csv"] = (
+            ["poll_time", "available", "reason", "alarm"]
+            + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids],
+            [[rec.poll_time, int(rec.available), rec.reason, int(rec.alarm_condition)]
+             + [m.get(i) for m in (rec.normalized, rec.delta) for i in ids] for rec in records])
+    return tables
+
+
+def _old_rtm_log(records):
+    """The ``rtm`` section's per-poll keys as RtmDetector.report made them
+    from every poll record."""
+    by_reason = collections.Counter(r.reason for r in records if not r.available)
+    return {
+        "polls": len(records),
+        "unavailable_polls": sum(by_reason.values()),
+        "unavailable_by_reason": dict(by_reason),
+        "alarm_condition_polls": [r.poll_time for r in records if r.alarm_condition],
+        "indicator_trace": [{"t": r.poll_time, "available": r.available, "reason": r.reason,
+                             "normalized": dict(r.normalized), "alarm": r.alarm_condition}
+                            for r in records],
+    }
+
+
+def _edited_standard(horizon, edit):
+    def build():
+        cfg = standard_config(horizon=horizon)
+        edit(cfg)
+        return cfg
+    return build
+
+
+def _dark_p_in(cfg):
+    cfg["instruments"][2]["dropout"] = 0.999999   # the shadow never starts
+    cfg["balance"]["window"] = 60.0               # so no window has its linepack
+
+
+def _missing_and_suspect(cfg):
+    for inst in cfg["instruments"]:
+        inst["dropout"] = 0.1
+    # the noisy flows move faster than this most polls
+    cfg["telemetry"]["plausibility"] = {"flow": {"max_rate": 0.02}}
+
+
+def _unmeasured_balance(cfg):
+    cfg["balance"]["window"] = 60.0
+    cfg["instruments"][0]["dropout"] = 0.999
+
+
+_WRITER_CASES = {
+    name: lambda name=name: yaml.safe_load(SHIPPED_STANDARD.with_name(name + ".yaml").read_text())
+    for name in ("standard_leak", "gas_line", "phenomenology", "mirror_leak")
+}
+_WRITER_CASES.update(
+    no_available_poll=_edited_standard(150.0, _dark_p_in),
+    missing_and_suspect=_edited_standard(300.0, _missing_and_suspect),
+    unmeasured_balance=_edited_standard(180.0, _unmeasured_balance),
+)
+
+
+class TestWritersFromColumns:
+    """report.json and the tables, written from the telemetry and RTM trace
+    columns, are the bytes the writers made from the run's frames and poll
+    records and from ``json.dumps`` of the whole report."""
+
+    @pytest.mark.parametrize("case", list(_WRITER_CASES))
+    def test_outputs_match_the_frame_and_record_writers(self, case, tmp_path, monkeypatch):
+        frames, records, reports = [], [], []
+        append, observe, run = TelemetryLog.append, RtmDetector.observe, cli.run_scenario
+        monkeypatch.setattr(TelemetryLog, "append",
+                            lambda log, frame: frames.append(frame) or append(log, frame))
+        monkeypatch.setattr(RtmDetector, "observe",
+                            lambda det, frame: records.append(observe(det, frame)) or records[-1])
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda *args, **kw: reports.append(run(*args, **kw)) or reports[-1])
+        # seven entries a piece, so every per-poll list is spliced from several
+        monkeypatch.setattr(scenario_module, "_JSON_CHUNK", 7)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(_WRITER_CASES[case]()))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        (report,) = reports
+
+        doc = report.to_dict()
+        if records:
+            old_log = _old_rtm_log(records)
+            assert json.dumps({k: doc["rtm"][k] for k in old_log}) == json.dumps(old_log)
+        expected = json.dumps(doc, indent=2, sort_keys=True)
+        assert (out / "report.json").read_text() == expected + "\n"
+        for chunk in (1, 64, 10**9):
+            monkeypatch.setattr(scenario_module, "_JSON_CHUNK", chunk)
+            assert report.to_json() == expected, chunk
+        old = tmp_path / "old"
+        old.mkdir()
+        note = cli._note(report.scenario_name, report.config_hash)
+        tables = _old_tables(frames, records)
+        for name, (header, rows) in tables.items():
+            cli.write_table(old / name, note, header, rows)
+            assert (out / name).read_bytes() == (old / name).read_bytes(), name
+        assert ("rtm_trace.csv" in tables) == (out / "rtm_trace.csv").exists()
+
+        # each case reaches what it is named for
+        qualities = {row[-1] for row in report.telemetry.rows()}
+        if case == "no_available_poll":
+            assert doc["rtm"]["unavailable_polls"] == doc["rtm"]["polls"] == 31
+            assert tables["rtm_trace.csv"][0] == ["poll_time", "available", "reason", "alarm"]
+        if case == "missing_and_suspect":
+            assert qualities == {"good", "missing", "suspect"}
+        if case in ("no_available_poll", "unmeasured_balance"):
+            assert None in [w[k] for w in doc["balance"]["windows"] for k in ("v_in", "v_out",
+                                                                             "delta_inventory")]
+        if case == "standard_leak":
+            assert doc["rtm"]["alarm_condition_polls"]
+            assert doc["rtm"]["notes"][-1] == "estimates refined 24 polls after declaration"
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(doc=st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+               lambda inner: (st.lists(inner, max_size=7)
+                              | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+               max_leaves=40),
+           chunk=st.integers(1, 3))
+    def test_pieces_join_to_json_dumps(self, doc, chunk):
+        saved = scenario_module._JSON_CHUNK
+        scenario_module._JSON_CHUNK = chunk
+        try:
+            pieces = "".join(scenario_module._json_pieces(doc))
+        finally:
+            scenario_module._JSON_CHUNK = saved
+        assert pieces == json.dumps(doc, indent=2, sort_keys=True)
+
+
 class TestSpecInvariantsEndToEnd:
     def test_zero_noise_no_leak_run_marks_nothing_suspect(self):
         cfg = standard_config(horizon=300.0)
@@ -1035,9 +1200,8 @@ class TestSpecInvariantsEndToEnd:
             "temperature": {"min": 200.0, "max": 400.0},
         }
         report = run_scenario(scenario_from_dict(cfg))
-        for frame in report.frames:
-            for r in frame.readings:
-                assert r.quality == "good", (frame.poll_time, r)
+        for row in report.telemetry.rows():
+            assert row[-1] == "good", row
 
     @pytest.mark.parametrize("flatline_polls", [65, 66, 100])
     def test_flatline_rule_sees_as_many_polls_as_it_asks_for(self, flatline_polls):
@@ -1048,8 +1212,8 @@ class TestSpecInvariantsEndToEnd:
         cfg["leaks"] = []
         cfg["telemetry"]["plausibility"] = {"pressure": {"flatline_polls": flatline_polls}}
         report = run_scenario(scenario_from_dict(cfg))
-        flagged = [(f.poll_time, r.instrument_id) for f in report.frames
-                   for r in f.readings if r.quality == "suspect"]
+        flagged = [(t, iid) for t, iid, _, quality in report.telemetry.rows()
+                   if quality == "suspect"]
         assert flagged[:2] == [(5.0 * (flatline_polls - 1), "p_in"),
                                (5.0 * (flatline_polls - 1), "p_out")]
 
@@ -1072,17 +1236,17 @@ class TestSpecInvariantsEndToEnd:
         set_noise_scale(cfg, 0.0)
         cfg["leaks"] = []
         cfg["telemetry"]["plausibility"] = plausibility
-        return run_scenario(scenario_from_dict(cfg)).frames
+        return run_scenario(scenario_from_dict(cfg)).telemetry
 
     def test_rate_rule_looks_back_past_a_long_gap(self, monkeypatch):
-        frames = self._flow_out_lost_for_70_polls(monkeypatch, {"flow": {"max_rate": 1.0e-3}})
-        assert frames[71].poll_time == 355.0
-        assert frames[71].reading("flow_out").quality == "suspect"
-        assert frames[71].reading("flow_in").quality == "good"
+        log = self._flow_out_lost_for_70_polls(monkeypatch, {"flow": {"max_rate": 1.0e-3}})
+        assert log.times[71] == 355.0
+        quality = {iid: q for t, iid, _, q in log.rows() if t == 355.0}
+        assert quality["flow_out"] == "suspect"
+        assert quality["flow_in"] == "good"
 
     def test_pressure_flatline_rule_leaves_the_flow_look_back(self, monkeypatch):
-        flows = lambda frames: [(f.poll_time, r) for f in frames for r in f.readings
-                                if r.instrument_id.startswith("flow")]
+        flows = lambda log: [row for row in log.rows() if row[1].startswith("flow")]
         rate = {"flow": {"max_rate": 1.0e-3}}
         plain = self._flow_out_lost_for_70_polls(monkeypatch, rate)
         flat = self._flow_out_lost_for_70_polls(
@@ -1302,20 +1466,28 @@ class TestFieldSideTransports:
     @staticmethod
     def _assert_same(here, forked):
         assert here.to_json() == forked.to_json()
-        assert repr(here.rtm_records) == repr(forked.rtm_records)
-        assert repr(here.frames) == repr(forked.frames)
+        assert repr(list(here.rtm_trace)) == repr(list(forked.rtm_trace))
+        assert repr(list(here.telemetry.rows())) == repr(list(forked.telemetry.rows()))
         assert len(here.states) == len(forked.states)
         for a, b in zip(here.states, forked.states):
             assert a.t == b.t
             for f in ("P", "V", "T", "rho"):
                 assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
 
-    def test_records_keep_the_frames_they_were_given(self, monkeypatch):
-        # An RTM record copies no readings: its frame is the run's frame.
-        for report in self._run_both(standard_config(horizon=150.0), monkeypatch):
-            assert len(report.rtm_records) == len(report.frames) == 31
-            assert all(rec.frame is frame
-                       for rec, frame in zip(report.rtm_records, report.frames))
+    def test_report_keeps_each_poll_as_columns_and_no_frame(self, monkeypatch):
+        # The report keeps each poll's readings once, in its telemetry
+        # columns, and the RTM's trace of the same polls; no frame outlives
+        # the run, in either transport.
+        frames = []
+        observe = RtmDetector.observe
+        monkeypatch.setattr(RtmDetector, "observe",
+                            lambda det, frame: frames.append(weakref.ref(frame)) or
+                            observe(det, frame))
+        reports = self._run_both(standard_config(horizon=150.0), monkeypatch)
+        assert [ref() for ref in frames] == [None] * 62
+        for report in reports:
+            assert len(report.rtm_trace) == len(report.telemetry) == 31
+            assert report.rtm_trace.times == report.telemetry.times
 
     def test_plant_failure_mid_run(self, monkeypatch):
         here, forked = self._run_both(_drawdown_cfg(), monkeypatch)
@@ -1522,3 +1694,34 @@ class TestSolverWork:
             ("shadow", "factorizations"): 2, ("shadow", "solves"): 181,
             ("shadow", "residuals"): 260,
         }
+
+
+class TestRunMemory:
+    """What a run keeps of each poll is a few hundred bytes of plain
+    numbers, so its memory grows slowly with its length."""
+
+    @staticmethod
+    def _peak(horizon, tmp_path):
+        """(polls, tracemalloc's peak in bytes) of one in-process run of the
+        quiet line with its report.json text and tables."""
+        cfg = TestSolverWork._quiet_line()
+        cfg["horizon"] = horizon
+        scenario = scenario_from_dict(cfg)
+        tracemalloc.start()
+        try:
+            report = run_scenario(scenario)
+            report.to_json()
+            for name, header, rows in cli._tables(report):
+                cli.write_table(tmp_path / name, "", header, rows)
+            return len(report.telemetry), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_at_most_1_kb_per_poll(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
+        self._peak(60.0, tmp_path)   # what a first run loads is not the run's
+        short_polls, short = self._peak(600.0, tmp_path)
+        long_polls, long = self._peak(2400.0, tmp_path)
+        assert (short_polls, long_polls) == (121, 481)
+        per_poll = (long - short) / (long_polls - short_polls)
+        assert per_poll <= 1024.0, f"{per_poll:.0f} bytes per poll"
