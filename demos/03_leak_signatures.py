@@ -28,12 +28,13 @@ print("rtm verdict: declared=%s t=%.0f s size=%.2f kg/s location=%.0f m"
       % (report.rtm["declared"], report.rtm["declared_time"],
          report.rtm["size_estimate"], report.rtm["location_estimate"]))
 
-# The RTM's per-poll trace and the run's telemetry hold the same polls.
+# Each poll of the RTM's trace holds the good reading and its delta.
 times, measured, modeled = [], [], []
-for rec, m in zip(report.rtm_trace, report.telemetry.good_values("p_mid")):
+for rec in report.rtm_trace:
     d = rec.delta.get("p_mid")
     if d is None:
         continue
+    m = rec.readings["p_mid"]
     times.append(rec.poll_time)
     measured.append(m)
     modeled.append(m - d)

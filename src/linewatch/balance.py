@@ -5,18 +5,21 @@ in, minus metered mass out, minus the inventory (linepack) change.  The
 inventory term comes from the shadow hydraulic model, which tracks it far
 better than flow bookkeeping can; a "simple" mode is retained for
 comparison, using the classical gross-balance assumption that inventory
-returns to its steady value over the window (DV_l = 0).  Balance alarms
-carry no location estimate: end meters alone cannot place a leak.
+returns to its steady value over the window (DV_l = 0).  A window is
+integrated from columns of its polls' times, the two meters' good readings
+and the shadow's linepacks.  Balance alarms carry no location estimate:
+end meters alone cannot place a leak.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .telemetry import GOOD, TelemetryFrame
+from .telemetry import TelemetryFrame
 
 __all__ = ["BalanceWindow", "accumulate", "balance_alarm", "BalanceDetector"]
 
@@ -35,22 +38,22 @@ class BalanceWindow:
     good_fraction: float     # worst meter's share of good polls
 
 
-def accumulate(frames: Sequence[TelemetryFrame], linepacks, flow_in_id, flow_out_id,
-               mode="model") -> BalanceWindow:
+def accumulate(times, flows_in, flows_out, linepacks, mode="model") -> BalanceWindow:
     """Integrate one window of metered flows against the inventory change.
 
-    ``frames`` must span the window in poll order; ``linepacks`` are the
-    shadow model's inventory estimates at the same polls.  Meter gaps are
-    filled by linear interpolation; a meter good for under 90% of the
-    window voids it (indeterminate).
+    ``times`` are the window's poll times in order; ``flows_in`` and
+    ``flows_out`` are each meter's good reading at those polls (None where
+    it had none), and ``linepacks`` the shadow model's inventory estimates.
+    Meter gaps are filled by linear interpolation; a meter good for under
+    90% of the window voids it (indeterminate).
     """
     if mode not in ("model", "simple"):
         raise ConfigurationError(f"unknown balance mode {mode!r}")
-    if len(frames) < 2:
+    if len(times) < 2:
         raise ConfigurationError("a balance window needs at least two polls")
-    times = np.array([f.poll_time for f in frames])
-    v_in, frac_in = _integrate_meter(frames, times, flow_in_id)
-    v_out, frac_out = _integrate_meter(frames, times, flow_out_id)
+    times = np.array(times, dtype=float)
+    v_in, frac_in = _integrate_meter(times, flows_in)
+    v_out, frac_out = _integrate_meter(times, flows_out)
     good_fraction = min(frac_in, frac_out)
 
     inventory_ok = True
@@ -85,14 +88,9 @@ def balance_alarm(window: BalanceWindow, threshold) -> bool:
     return (not window.indeterminate) and window.imbalance > threshold
 
 
-def _integrate_meter(frames, times, instrument_id):
-    vals, good = [], 0
-    for f in frames:
-        r = f.reading(instrument_id)
-        if r.quality == GOOD:
-            vals.append((f.poll_time, r.value))
-            good += 1
-    frac = good / len(frames)
+def _integrate_meter(times, flows):
+    vals = [(t, v) for t, v in zip(times, flows, strict=True) if v is not None]
+    frac = len(vals) / len(times)
     if not vals:
         return float("nan"), 0.0
     t_good = np.array([t for t, _ in vals])
@@ -110,8 +108,9 @@ class BalanceDetector:
     """Rolls the frame stream into back-to-back balance windows.
 
     Adjacent windows share their boundary poll so window integrals add up
-    exactly across a split.  Stateless between windows apart from the
-    rolling buffer.
+    exactly across a split.  The open window is kept as columns: each
+    poll's time, each meter's good reading (else None) and the shadow's
+    linepack; no frame outlives its poll.
     """
 
     def __init__(self, flow_in_id, flow_out_id, window_duration=3600.0, *, threshold,
@@ -125,23 +124,29 @@ class BalanceDetector:
         self.mode = mode
         self.windows: List[BalanceWindow] = []
         self.alarms: List[bool] = []
-        self._frames: List[TelemetryFrame] = []
-        self._linepacks: List[float] = []
+        self._times = array("d")
+        self._flows_in: List[Optional[float]] = []
+        self._flows_out: List[Optional[float]] = []
+        self._linepacks = array("d")
         self._window_end: Optional[float] = None
 
     def observe(self, frame: TelemetryFrame, linepack_estimate):
         """Feed one filtered frame plus the shadow model's linepack."""
         if self._window_end is None:
             self._window_end = frame.poll_time + self.window_duration
-        self._frames.append(frame)
-        self._linepacks.append(float(linepack_estimate) if linepack_estimate is not None else np.nan)
+        self._times.append(frame.poll_time)
+        self._flows_in.append(frame.good_value(self.flow_in_id))
+        self._flows_out.append(frame.good_value(self.flow_out_id))
+        self._linepacks.append(np.nan if linepack_estimate is None else linepack_estimate)
         if frame.poll_time >= self._window_end - 1e-9:
-            w = accumulate(self._frames, self._linepacks, self.flow_in_id,
-                           self.flow_out_id, mode=self.mode)
+            w = accumulate(self._times, self._flows_in, self._flows_out, self._linepacks,
+                           mode=self.mode)
             self.windows.append(w)
             self.alarms.append(balance_alarm(w, self.threshold))
             # boundary poll opens the next window
-            self._frames = self._frames[-1:]
+            self._times = self._times[-1:]
+            self._flows_in = self._flows_in[-1:]
+            self._flows_out = self._flows_out[-1:]
             self._linepacks = self._linepacks[-1:]
             self._window_end = frame.poll_time + self.window_duration
 

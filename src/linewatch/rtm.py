@@ -16,12 +16,10 @@ leak makes the model predict rising pressures (inventory packing) while
 the measured pressures fall.
 
 What the detector keeps grows with the run's length by a few numbers per
-poll.  Its full poll records (:class:`RtmPollRecord`, frame included) are
-kept only for the polls its windows read: the last
-max(M, ``_LOCATE_WINDOW_POLLS``, ``refine_after_polls``) + 1, since sizing
-reads the record before its window.  Every poll is also kept without its
-frame in an :class:`RtmTrace`, as columns of plain numbers, from which
-:meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` are made.
+poll: every poll goes into an :class:`RtmTrace`, as columns of plain
+numbers, and no frame outlives its poll.  The vote, the sizing and locate
+windows, :meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` all read
+those columns.
 """
 
 import math
@@ -29,7 +27,6 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -49,7 +46,6 @@ from .telemetry import TelemetryFrame, instrument_nodes, noiseless_reading
 
 __all__ = [
     "VotingPolicy",
-    "RtmPollRecord",
     "RtmTrace",
     "TracedPoll",
     "LeakVerdict",
@@ -104,39 +100,19 @@ class VotingPolicy:
         return cls(**params)
 
 
-@dataclass(frozen=True)
-class RtmPollRecord:
-    """What the detector made of one poll.  The readings stay in ``frame``;
-    a poll with a ``reason`` is unavailable (initializing or suspended) and
-    carries no indicators, so it never counts toward the vote."""
+class TracedPoll(NamedTuple):
+    """What the detector made of one poll.  A poll with a ``reason`` is
+    unavailable (initializing or suspended) and carries no indicators, so
+    it never counts toward the vote."""
 
-    frame: TelemetryFrame
+    poll_time: float
     reason: Optional[str]
     delta: Dict[str, Optional[float]]       # measured minus modeled, this poll
     normalized: Dict[str, Optional[float]]  # moving average / threshold (None until warm)
     alarm_condition: bool                   # voting rule satisfied at this poll
     shadow_linepack: Optional[float]
     boundary_values: Dict[str, Optional[float]]  # held drive readings
-
-    @property
-    def poll_time(self):
-        return self.frame.poll_time
-
-    @property
-    def available(self):
-        return self.reason is None
-
-
-class TracedPoll(NamedTuple):
-    """One poll of an :class:`RtmTrace`: its record but the frame."""
-
-    poll_time: float
-    reason: Optional[str]
-    delta: Dict[str, Optional[float]]
-    normalized: Dict[str, Optional[float]]
-    alarm_condition: bool
-    shadow_linepack: Optional[float]
-    boundary_values: Dict[str, Optional[float]]
+    readings: Dict[str, Optional[float]]    # good reading of each indicator and end flow meter
 
     @property
     def available(self):
@@ -184,13 +160,15 @@ class RtmTrace(_Rows):
     """Every poll an :class:`RtmDetector` observed, as columns: the poll
     time, the reason it was unavailable (None when it counted), the alarm
     condition, each indicator's delta and normalized value (read as None on
-    an unavailable poll, which carries none), the shadow's linepack and the
-    held boundary readings; plus the unavailable polls counted by reason.
-    Indexing it gives a :class:`TracedPoll`."""
+    an unavailable poll, which carries none), the shadow's linepack, the
+    held boundary readings, and the good reading (else None) of each
+    instrument the sizing and locate windows read.  Indexing it gives a
+    :class:`TracedPoll`."""
 
-    def __init__(self, indicator_ids, boundary_ids):
+    def __init__(self, indicator_ids, boundary_ids, reading_ids):
         self.indicator_ids = tuple(dict.fromkeys(indicator_ids))
         self.boundary_ids = tuple(dict.fromkeys(boundary_ids))
+        self.reading_ids = tuple(dict.fromkeys(reading_ids))
         self.times = array("d")
         self.reasons = []
         self.alarm = bytearray()
@@ -198,12 +176,12 @@ class RtmTrace(_Rows):
         self.normalized = {i: _Floats() for i in self.indicator_ids}
         self.linepack = _Floats()
         self.held = {i: _Floats() for i in self.boundary_ids}
-        self.unavailable_by_reason = Counter()
+        self.readings = {i: _Floats() for i in self.reading_ids}
 
     def __len__(self):
         return len(self.times)
 
-    def append(self, rec: RtmPollRecord):
+    def append(self, rec: TracedPoll):
         self.times.append(rec.poll_time)
         self.reasons.append(rec.reason)
         self.alarm.append(rec.alarm_condition)
@@ -213,20 +191,25 @@ class RtmTrace(_Rows):
         self.linepack.append(rec.shadow_linepack)
         for iid in self.boundary_ids:
             self.held[iid].append(rec.boundary_values[iid])
-        if rec.reason is not None:
-            self.unavailable_by_reason[rec.reason] += 1
+        for iid in self.reading_ids:
+            self.readings[iid].append(rec.readings[iid])
+
+    def indicator_values(self, column, k):
+        """Poll k's {indicator: value} of ``column`` (``delta`` or
+        ``normalized``): empty on an unavailable poll."""
+        ids = self.indicator_ids if self.reasons[k] is None else ()
+        return {i: column[i][k] for i in ids}
 
     def _row(self, k):
-        reason = self.reasons[k]
-        ids = self.indicator_ids if reason is None else ()
         return TracedPoll(
             poll_time=self.times[k],
-            reason=reason,
-            delta={i: self.delta[i][k] for i in ids},
-            normalized={i: self.normalized[i][k] for i in ids},
+            reason=self.reasons[k],
+            delta=self.indicator_values(self.delta, k),
+            normalized=self.indicator_values(self.normalized, k),
             alarm_condition=bool(self.alarm[k]),
             shadow_linepack=self.linepack[k],
             boundary_values={i: self.held[i][k] for i in self.boundary_ids},
+            readings={i: self.readings[i][k] for i in self.reading_ids},
         )
 
 
@@ -245,12 +228,11 @@ class _IndicatorTrace(_Rows):
     def _row(self, k):
         tr = self._trace
         reason = tr.reasons[k]
-        ids = tr.indicator_ids if reason is None else ()
         return {
             "t": tr.times[k],
             "available": reason is None,
             "reason": reason,
-            "normalized": {i: tr.normalized[i][k] for i in ids},
+            "normalized": tr.indicator_values(tr.normalized, k),
             "alarm": bool(tr.alarm[k]),
         }
 
@@ -317,9 +299,8 @@ class RtmDetector:
     """Sequential state machine over the poll stream; one per pipeline.
 
     Feed filtered telemetry frames in poll order via :meth:`observe`;
-    ``records`` keeps the :class:`RtmPollRecord` of each of the last
-    polls the voting, sizing and locate windows read, and ``trace`` every
-    poll without its frame (see the module docstring).  Boundary
+    ``trace`` keeps every poll as columns, and the voting, sizing and
+    locate windows read it (see the module docstring).  Boundary
     readings that go bad are held for up to ``_STALENESS_POLLS`` polls,
     after which detection is suspended until good readings return: those
     polls are unavailable, with their reason, and never count toward
@@ -364,9 +345,8 @@ class RtmDetector:
         self._smooth: Dict[str, deque] = {
             i.id: deque(maxlen=policy.smoothing_polls) for i in self.indicators
         }
-        window = max(policy.consecutive_required, _LOCATE_WINDOW_POLLS, self.refine_after_polls)
-        self.records = deque(maxlen=window + 1)
-        self.trace = RtmTrace(ids, (self.boundary_in.id, self.boundary_out.id))
+        meters = [m.id for m in (self.flow_in_meter, self.flow_out_meter) if m is not None]
+        self.trace = RtmTrace(ids, (self.boundary_in.id, self.boundary_out.id), ids + meters)
         self.verdict = LeakVerdict(declared=False)
         self._refine_at: Optional[int] = None   # poll count at which to refine
 
@@ -431,7 +411,7 @@ class RtmDetector:
         ``RunReport.to_dict`` lists it."""
         v = self.verdict
         tr = self.trace
-        by_reason = tr.unavailable_by_reason
+        by_reason = Counter(r for r in tr.reasons if r is not None)
         return {
             "enabled": True,
             "declared": v.declared,
@@ -447,13 +427,12 @@ class RtmDetector:
             "indicator_trace": _IndicatorTrace(tr),
         }
 
-    def observe(self, frame: TelemetryFrame) -> RtmPollRecord:
+    def observe(self, frame: TelemetryFrame) -> TracedPoll:
         """Advance the shadow model one poll and evaluate the leak vote."""
         if self._state is None:
             rec = self._try_initialize(frame)
         else:
             rec = self._step(frame)
-        self.records.append(rec)
         self.trace.append(rec)
         if len(self.trace) == self._refine_at:
             self._refine()
@@ -528,13 +507,14 @@ class RtmDetector:
     # ------------------------------------------------------------ evaluation
 
     def _record(self, frame, lp=None, reason=None):
-        """The poll's record, declaring on the first alarm.  An available
+        """The poll's trace row, declaring on the first alarm.  An available
         poll (no ``reason``) takes each indicator's measured-minus-modeled
         delta into its moving average; an unavailable one carries none."""
+        readings = {i: frame.good_value(i) for i in self.trace.reading_ids}
         delta, normalized = {}, {}
         if reason is None:
             for ind in self.indicators:
-                v = frame.good_value(ind.id)
+                v = readings[ind.id]
                 if v is None:
                     delta[ind.id] = normalized[ind.id] = None
                     continue
@@ -551,10 +531,11 @@ class RtmDetector:
                 else:
                     normalized[ind.id] = None
 
-        start = max(len(self.records) - self.policy.consecutive_required, 0)
-        recent = [r.normalized for r in islice(self.records, start, None)]
-        rec = RtmPollRecord(
-            frame=frame,
+        tr = self.trace
+        earlier = range(max(len(tr) - self.policy.consecutive_required + 1, 0), len(tr))
+        recent = [tr.indicator_values(tr.normalized, k) for k in earlier]
+        rec = TracedPoll(
+            poll_time=frame.poll_time,
             reason=reason,
             delta=delta,
             normalized=normalized,
@@ -562,6 +543,7 @@ class RtmDetector:
             shadow_linepack=lp,
             boundary_values={i.id: self._hold.get(i.id)
                              for i in (self.boundary_in, self.boundary_out)},
+            readings=readings,
         )
         if rec.alarm_condition and not self.verdict.declared:
             self._declare(rec)
@@ -572,25 +554,21 @@ class RtmDetector:
     def size_leak(self, window=None):
         """Leak rate from the end-flow imbalance less the modeled linepack
         rate, averaged over the last M (voting) polls, or the last
-        ``window``: fewer polls than ``records`` keeps.
+        ``window``.
 
         Returns (size, note); size is None when both end meters were never
         simultaneously good in the window (the alarm itself stands).
         """
         M = self.policy.consecutive_required if window is None else window
-        if M >= self.records.maxlen:
-            raise ValueError(f"a {M}-poll size window needs the poll before it, and the "
-                             f"detector keeps {self.records.maxlen} polls")
         meters = (self.flow_in_meter, self.flow_out_meter)
         samples = []
-        for k in range(max(len(self.records) - M, 0), len(self.records)):
-            rec = self.records[k]
-            flow_in, flow_out = (None if m is None else rec.frame.good_value(m.id)
-                                 for m in meters)
+        for k in range(max(len(self.trace) - M, 0), len(self.trace)):
+            rec = self.trace[k]
+            flow_in, flow_out = (None if m is None else rec.readings[m.id] for m in meters)
             if flow_in is None or flow_out is None:
                 continue
             if self.drive == "pressure":
-                prev = self.records[k - 1] if k > 0 else None
+                prev = self.trace[k - 1] if k > 0 else None
                 if prev is None or prev.shadow_linepack is None or rec.shadow_linepack is None:
                     continue
                 rate = ((rec.shadow_linepack - prev.shadow_linepack)
@@ -627,10 +605,7 @@ class RtmDetector:
         if size is None or size <= 0:
             return None
         window = _LOCATE_WINDOW_POLLS if window is None else window
-        if window > self.records.maxlen:
-            raise ValueError(f"a {window}-poll locate window, and the detector keeps "
-                             f"{self.records.maxlen} polls")
-        recs = [r for r in list(self.records)[-window:] if r.available]
+        recs = [r for r in self.trace[-window:] if r.available]
         if not recs:
             return None
 
@@ -638,7 +613,7 @@ class RtmDetector:
                   for iid in recs[-1].boundary_values}
         meas_avg = {}
         for ind in self.indicators:
-            vals = [r.frame.good_value(ind.id) for r in recs]
+            vals = [r.readings[ind.id] for r in recs]
             vals = [v for v in vals if v is not None]
             if vals:
                 meas_avg[ind.id] = float(np.mean(vals))
@@ -707,6 +682,7 @@ class RtmDetector:
         )
 
     def _declare(self, rec):
+        # ``rec`` is not in the trace yet, so the windows end at the poll before it
         size, note = self.size_leak()
         scan = self.locate_leak(size)
         if size is None or size <= 0:

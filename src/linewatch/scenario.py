@@ -9,7 +9,7 @@ deterministic for a fixed seed.
 
 A run has two sides, as a pipeline's field and control room do.  The
 field side marches the plant, samples its SCADA and filters each frame;
-it reads nothing the detectors make.  The control-room side keeps the
+it reads nothing the detectors make.  The control-room side takes the
 frames and feeds them to the RTM and line-balance detectors.  When fork
 is available and the process may use two or more CPUs, the field side
 runs in a forked child that streams its frames over a one-way pipe, so
@@ -19,9 +19,9 @@ process.
 
 What the control-room side keeps of a poll is a few hundred bytes of plain
 numbers: the frame's readings as columns of a ``TelemetryLog`` and the
-RTM's per-poll trace as columns of an ``RtmTrace``.  The detectors hold
-whole frames only for the windows they read, and ``RunReport.to_json``
-encodes the long per-poll lists a bounded number of entries at a time.
+RTM's per-poll trace as columns of an ``RtmTrace``.  No detector keeps a
+frame past its poll, and ``RunReport.to_json`` encodes the long per-poll
+lists a bounded number of entries at a time.
 """
 
 import contextlib

@@ -97,6 +97,10 @@ class TelemetryLog:
             self.ids = tuple(r.instrument_id for r in readings)
         elif len(readings) != len(self.ids):
             raise ValueError(f"a frame of {len(readings)} readings for {len(self.ids)} instruments")
+        for r, logged in zip(readings, self.ids):
+            if r.instrument_id != logged:
+                raise ValueError(f"the frame at t={frame.poll_time} s reads "
+                                 f"{r.instrument_id!r} where the log reads {logged!r}")
         for r in readings:
             if r.value is None:
                 self._values.append(math.nan)
@@ -113,12 +117,6 @@ class TelemetryLog:
         for t in self.times:
             for iid, (value, code) in zip(self.ids, readings):
                 yield t, iid, None if code >= _NONE else value, _QUALITIES[code % _NONE]
-
-    def good_values(self, instrument_id):
-        """Each poll's value of ``instrument_id`` if quality-good, else None."""
-        slot, n = self.ids.index(instrument_id), len(self.ids)
-        return [value if code == _QUALITY_CODE[GOOD] else None
-                for value, code in zip(self._values[slot::n], self._codes[slot::n])]
 
 
 class NoiseSpec:

@@ -75,13 +75,13 @@ class TestLeakPhenomenologySigns:
         t_alarm = report.rtm["declared_time"]
         assert t_alarm > 125.0, "need at least one pre-alarm poll after onset"
 
+        assert len(report.rtm_trace) == len(report.telemetry)
         times, measured, modeled = [], [], []
-        p_mid = report.telemetry.good_values("p_mid")
-        for rec, m in zip(report.rtm_trace, p_mid, strict=True):
+        for rec in report.rtm_trace:
             if not rec.available:
                 continue
             if 115.0 <= rec.poll_time <= t_alarm:  # last pre-onset poll .. alarm
-                d = rec.delta.get("p_mid")
+                d, m = rec.delta.get("p_mid"), rec.readings["p_mid"]
                 if d is None or m is None:
                     continue
                 times.append(rec.poll_time)

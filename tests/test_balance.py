@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,11 @@ from linewatch.balance import (
 )
 from linewatch.errors import ConfigurationError
 from linewatch.telemetry import GOOD, MISSING, Reading, TelemetryFrame
+
+
+def gaps(values, missing=()):
+    """``values`` as a meter's good readings: None at the polls in ``missing``."""
+    return [None if k in missing else v for k, v in enumerate(values)]
 
 
 def frames_from(times, fin, fout, missing_in=(), missing_out=()):
@@ -24,8 +31,7 @@ class TestAccumulate:
     def test_direct_arithmetic(self):
         # V_in = 100, V_out = 95, dV_l = 3 -> dV = 2
         times = np.arange(0.0, 10.0 + 1e-9, 5.0)
-        f = frames_from(times, [10.0] * 3, [9.5] * 3)
-        w = accumulate(f, [500.0, 501.5, 503.0], "fin", "fout")
+        w = accumulate(times, [10.0] * 3, [9.5] * 3, [500.0, 501.5, 503.0])
         assert w.v_in == pytest.approx(100.0, rel=1e-12)
         assert w.v_out == pytest.approx(95.0, rel=1e-12)
         assert w.delta_inventory == pytest.approx(3.0, rel=1e-12)
@@ -37,7 +43,7 @@ class TestAccumulate:
         fin = 70.0 + rng.normal(0, 0.5, times.size)
         fout = 70.0 + rng.normal(0, 0.5, times.size)
         lp = 7e5 + np.cumsum(rng.normal(0, 2.0, times.size))
-        w = accumulate(frames_from(times, fin, fout), lp, "fin", "fout")
+        w = accumulate(times, fin, fout, lp)
         assert w.imbalance == w.v_in - w.v_out - w.delta_inventory  # bitwise
 
     def test_window_additivity(self):
@@ -46,11 +52,10 @@ class TestAccumulate:
         fin = 70.0 + rng.normal(0, 0.5, times.size)
         fout = 69.0 + rng.normal(0, 0.5, times.size)
         lp = 7e5 + np.cumsum(rng.normal(0, 2.0, times.size))
-        f = frames_from(times, fin, fout)
         mid = times.size // 2
-        w_full = accumulate(f, lp, "fin", "fout")
-        w1 = accumulate(f[: mid + 1], lp[: mid + 1], "fin", "fout")
-        w2 = accumulate(f[mid:], lp[mid:], "fin", "fout")
+        w_full = accumulate(times, fin, fout, lp)
+        w1 = accumulate(times[: mid + 1], fin[: mid + 1], fout[: mid + 1], lp[: mid + 1])
+        w2 = accumulate(times[mid:], fin[mid:], fout[mid:], lp[mid:])
         assert w1.imbalance + w2.imbalance == pytest.approx(w_full.imbalance, abs=1e-9)
 
     def test_gap_interpolation(self):
@@ -59,8 +64,7 @@ class TestAccumulate:
         fin = [10.0] * n
         fout = [9.0 + 0.1 * k for k in range(n)]
         # one missing poll bridged linearly between its neighbours
-        w = accumulate(frames_from(times, fin, fout, missing_out=(10,)),
-                       [0.0] * n, "fin", "fout")
+        w = accumulate(times, fin, gaps(fout, missing=(10,)), [0.0] * n)
         filled = list(fout)
         filled[10] = 0.5 * (fout[9] + fout[11])
         assert w.v_out == pytest.approx(np.trapezoid(filled, times), rel=1e-12)
@@ -69,10 +73,7 @@ class TestAccumulate:
     def test_voided_when_too_many_missing(self):
         times = np.arange(0.0, 45.0 + 1e-9, 5.0)
         n = times.size
-        w = accumulate(
-            frames_from(times, [10.0] * n, [9.5] * n, missing_out=(1, 2)),
-            [0.0] * n, "fin", "fout",
-        )
+        w = accumulate(times, [10.0] * n, gaps([9.5] * n, missing=(1, 2)), [0.0] * n)
         assert w.indeterminate  # 2 of 10 polls missing > 10%
         assert not balance_alarm(w, 0.001)
 
@@ -91,14 +92,13 @@ class TestAccumulate:
 
     def test_simple_mode_has_zero_inventory_term(self):
         times = np.arange(0.0, 10.0 + 1e-9, 5.0)
-        f = frames_from(times, [10.0] * 3, [9.5] * 3)
-        w = accumulate(f, None, "fin", "fout", mode="simple")
+        w = accumulate(times, [10.0] * 3, [9.5] * 3, None, mode="simple")
         assert w.delta_inventory == 0.0
         assert w.imbalance == pytest.approx(5.0)
 
     def test_mode_validation(self):
         with pytest.raises(ConfigurationError):
-            accumulate([], [], "a", "b", mode="psychic")
+            accumulate([], [], [], [], mode="psychic")
 
 
 class TestAlarm:
@@ -130,7 +130,7 @@ class TestAlarm:
         for _ in range(100):
             fin = 70.0 + rng.normal(0, sigma_meter, n)
             fout = 70.0 + rng.normal(0, sigma_meter, n)
-            w = accumulate(frames_from(times, fin, fout), np.zeros(n), "fin", "fout")
+            w = accumulate(times, fin, fout, np.zeros(n))
             alarms += balance_alarm(w, 3.0 * sigma_window)
         assert alarms / 100 < 0.01
 
@@ -149,12 +149,25 @@ class TestDetectorAndTrend:
             (w.start_time, w.end_time, w.imbalance, alarmed)
             for w, alarmed in zip(det.windows, det.alarms)]
 
+    def test_no_frame_outlives_its_poll(self):
+        det = BalanceDetector("fin", "fout", window_duration=60.0, threshold=50.0)
+        times = np.arange(0.0, 180.0 + 1e-9, 5.0)
+        previous = None
+        for t in times:
+            frame = frames_from([t], [10.0], [9.5])[0]
+            # rebinding ``frame`` let go of the last poll's
+            assert previous is None or previous() is None, f"the frame before t={t} outlived it"
+            previous = weakref.ref(frame)
+            det.observe(frame, 1000.0)
+        assert len(det.windows) == 3
+        assert [w.v_in - w.v_out for w in det.windows] == [30.0] * 3
+
 
 class TestSuspendedShadow:
     def test_nan_linepack_endpoint_voids_window(self):
         times = np.arange(0.0, 100.0 + 1e-9, 5.0)
         n = times.size
         lp = [np.nan] + [7e5] * (n - 1)   # shadow suspended at the window start
-        w = accumulate(frames_from(times, [10.0] * n, [9.0] * n), lp, "fin", "fout")
+        w = accumulate(times, [10.0] * n, [9.0] * n, lp)
         assert w.indeterminate
         assert not balance_alarm(w, 1.0)

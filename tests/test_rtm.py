@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -233,14 +234,17 @@ class TestShadowModel:
             _MiniLoop(mangle=mangle).run(1)
 
     def test_unavailable_record_carries_no_indicators_and_the_held_drive(self):
+        fed = {}
+
         def mangle(frame, k):
             if k < 2 or 10 <= k < 20:  # p_in dark at the start and for 10 polls
                 readings = tuple(Reading(r.instrument_id, None, MISSING)
                                  if r.instrument_id == "p_in" else r for r in frame.readings)
-                return TelemetryFrame(frame.poll_time, readings)
+                frame = TelemetryFrame(frame.poll_time, readings)
+            fed[k] = frame
             return frame
         det = _MiniLoop(mangle=mangle).run(20)
-        awaiting, suspended = det.records[1], det.records[15]
+        awaiting, suspended = det.trace[1], det.trace[15]
         assert awaiting.reason == "awaiting good boundary readings"
         assert suspended.reason == "boundary readings stale; detection suspended"
         for rec in (awaiting, suspended):
@@ -251,8 +255,8 @@ class TestShadowModel:
         # (poll 9) and this poll's p_out.
         assert awaiting.boundary_values == {"p_in": None, "p_out": None}
         assert suspended.boundary_values == {
-            "p_in": det.records[9].frame.good_value("p_in"),
-            "p_out": suspended.frame.good_value("p_out")}
+            "p_in": fed[9].good_value("p_in"),
+            "p_out": fed[15].good_value("p_out")}
 
     def test_report_counts_come_from_the_poll_log(self):
         def mangle(frame, k):
@@ -458,8 +462,8 @@ class TestShadowTargets:
 
         monkeypatch.setattr(loop.det, "observe", observed)
         loop.run(20)
-        assert seen["polls"] == len(loop.det.records) == 21
-        assert loop.det.records[0].available
+        assert seen["polls"] == len(loop.det.trace) == 21
+        assert loop.det.trace[0].available
         assert not counts
 
 
@@ -497,7 +501,7 @@ class TestDriveInputsAndRefinement:
         # t_in reads 1.5 K above the line and drifts, so its last good value
         # is neither this poll's nor the fallback temperature.
         def loop(dropped):
-            first = {}
+            first, fed = {}, []
 
             def mangle(frame, k):
                 readings = []
@@ -511,16 +515,17 @@ class TestDriveInputsAndRefinement:
                         else:
                             r = Reading("t_in", value, r.quality)
                     readings.append(r)
-                return TelemetryFrame(frame.poll_time, tuple(readings))
-            return _MiniLoop(leak_rate=2.0, mangle=mangle).run(12)
+                fed.append(TelemetryFrame(frame.poll_time, tuple(readings)))
+                return fed[-1]
+            return _MiniLoop(leak_rate=2.0, mangle=mangle).run(12), fed
 
-        dropped, repeated = loop(True), loop(False)
-        assert dropped.records[2].frame.good_value("t_in") is None
-        for a, b in zip(dropped.records, repeated.records, strict=True):
+        (dropped, dropped_fed), (repeated, _) = loop(True), loop(False)
+        assert dropped_fed[2].good_value("t_in") is None
+        for a, b in zip(dropped.trace, repeated.trace, strict=True):
             assert (a.poll_time, a.reason, a.delta, a.normalized, a.alarm_condition,
-                    a.shadow_linepack, a.boundary_values) == (
+                    a.shadow_linepack, a.boundary_values, a.readings) == (
                 b.poll_time, b.reason, b.delta, b.normalized, b.alarm_condition,
-                b.shadow_linepack, b.boundary_values)
+                b.shadow_linepack, b.boundary_values, b.readings)
         for f in ("P", "V", "T", "rho"):
             assert getattr(dropped._state, f).tobytes() == getattr(repeated._state, f).tobytes()
 
@@ -563,11 +568,9 @@ def _dark(frame, *ids):
 
 
 def _size_term(det, k):
-    """Poll k's sample in size_leak: end-flow imbalance less linepack rate.
-    ``k`` counts from the run's first poll; the records kept end at its last."""
-    first = len(det.trace) - len(det.records)
-    rec, prev = det.records[k - first], det.records[k - 1 - first]
-    return (rec.frame.good_value("flow_in") - rec.frame.good_value("flow_out")
+    """Poll k's sample in size_leak: end-flow imbalance less linepack rate."""
+    rec, prev = det.trace[k], det.trace[k - 1]
+    return (rec.readings["flow_in"] - rec.readings["flow_out"]
             - (rec.shadow_linepack - prev.shadow_linepack) / (rec.poll_time - prev.poll_time))
 
 
@@ -585,7 +588,7 @@ class TestDegradedEstimates:
         # p_in dark at polls 0 and 1: the shadow starts at poll 2, so only
         # poll 3 has a linepack for itself and for the poll before it
         det = _MiniLoop(mangle=lambda f, k: _dark(f, "p_in") if k < 2 else f).run(3)
-        assert [r.shadow_linepack is None for r in det.records] == [True, True, False, False]
+        assert [r.shadow_linepack is None for r in det.trace] == [True, True, False, False]
         size, note = det.size_leak(window=4)
         assert note is None and size == _size_term(det, 3)
 
@@ -660,6 +663,36 @@ class TestDegradedEstimates:
         assert det.verdict == at_declaration[0]
 
 
+class TestTraceIsTheHistory:
+    """The trace's columns are all the detector keeps of a poll."""
+
+    def test_no_frame_outlives_its_poll(self):
+        previous = []
+
+        def mangle(frame, k):
+            # the loop has let go of poll k - 1's frame by now
+            assert not previous or previous[0]() is None, f"poll {k - 1}'s frame outlived it"
+            previous[:] = [weakref.ref(frame)]
+            return frame
+        det = _MiniLoop(leak_rate=2.0, mangle=mangle).run(60)
+        assert det.verdict.declared
+        assert det.verdict.notes[-1] == "estimates refined 24 polls after declaration"
+
+    def test_windows_longer_than_the_refine_window(self):
+        det = _MiniLoop(leak_rate=2.0).run(60)
+        window = 40
+        assert window > det.refine_after_polls + 1
+        size, note = det.size_leak(window=window)
+        assert note is None
+        assert size == float(np.mean([_size_term(det, k) for k in range(61 - window, 61)]))
+        scan = det.locate_leak(size, window=window)
+        node, ambiguous, ssr = exhaustive_scan(det, size, window)
+        assert scan.node_index == node and scan.ambiguous == ambiguous
+        best = scan.node_index - 1
+        np.testing.assert_allclose(scan.ssr[best - 1:best + 2], ssr[best - 1:best + 2],
+                                   rtol=1e-6)
+
+
 GAS_LINE = Path(__file__).parents[1] / "demos" / "scenarios" / "gas_line.yaml"
 
 
@@ -667,12 +700,12 @@ def exhaustive_scan(det, size, window):
     """The per-node scan that ``locate_leak`` replaced, built from public
     solver calls: one warm-started exact steady solve per candidate node.
     Returns (node_index, ambiguous, ssr)."""
-    recs = [r for r in list(det.records)[-window:] if r.available]
+    recs = [r for r in det.trace[-window:] if r.available]
     values = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
               for iid in recs[-1].boundary_values}
     meas = {}
     for ind in det.indicators:
-        vals = [r.frame.good_value(ind.id) for r in recs]
+        vals = [r.readings[ind.id] for r in recs]
         vals = [v for v in vals if v is not None]
         if vals:
             meas[ind.id] = float(np.mean(vals))

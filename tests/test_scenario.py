@@ -1701,11 +1701,12 @@ class TestRunMemory:
     numbers, so its memory grows slowly with its length."""
 
     @staticmethod
-    def _peak(horizon, tmp_path):
+    def _peak(horizon, tmp_path, balance_window=600.0):
         """(polls, tracemalloc's peak in bytes) of one in-process run of the
         quiet line with its report.json text and tables."""
         cfg = TestSolverWork._quiet_line()
         cfg["horizon"] = horizon
+        cfg["balance"]["window"] = balance_window
         scenario = scenario_from_dict(cfg)
         tracemalloc.start()
         try:
@@ -1725,3 +1726,13 @@ class TestRunMemory:
         assert (short_polls, long_polls) == (121, 481)
         per_poll = (long - short) / (long_polls - short_polls)
         assert per_poll <= 1024.0, f"{per_poll:.0f} bytes per poll"
+
+    def test_balance_window_keeps_no_frames(self, tmp_path, monkeypatch):
+        # The open balance window holds four numbers a poll, not the frames:
+        # a window of the whole run peaks little above a 600 s one.
+        monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
+        self._peak(60.0, tmp_path)   # what a first run loads is not the run's
+        polls, short = self._peak(5400.0, tmp_path, balance_window=600.0)
+        long_polls, long = self._peak(5400.0, tmp_path, balance_window=5400.0)
+        assert polls == long_polls == 1081
+        assert long - short <= 200e3, f"{(long - short) / 1e3:.0f} kB more"

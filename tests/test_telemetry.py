@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from linewatch.telemetry import (
     PlausibilityLimits,
     Reading,
     TelemetryFrame,
+    TelemetryLog,
     instrument_nodes,
     noiseless_reading,
     plausibility_filter,
@@ -176,6 +178,26 @@ class TestFrame:
         out = plausibility_filter(frame_of(10.0, ("p", 5.11e5, GOOD)), remembered(*history),
                                   rate, kinds)
         assert out.reading("p").quality == SUSPECT
+
+
+class TestTelemetryLog:
+    @pytest.mark.parametrize("later, message", [
+        ((("b", 20.0, GOOD), ("c", 30.0, GOOD)),
+         "the frame at t=5.0 s reads 'b' where the log reads 'a'"),
+        ((("a", 20.0, GOOD), ("c", 30.0, GOOD)),
+         "the frame at t=5.0 s reads 'c' where the log reads 'b'"),
+        ((("b", 20.0, GOOD), ("a", 30.0, GOOD)),
+         "the frame at t=5.0 s reads 'b' where the log reads 'a'"),
+        ((("a", 20.0, GOOD),), "a frame of 1 readings for 2 instruments"),
+    ], ids=["shifted", "second_renamed", "swapped", "short"])
+    def test_a_frame_of_other_instruments_is_refused(self, later, message):
+        log = TelemetryLog()
+        log.append(frame_of(0.0, ("a", 1.0, GOOD), ("b", 2.0, GOOD)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            log.append(frame_of(5.0, *later))
+        # a refused frame leaves nothing behind
+        assert len(log) == 1
+        assert list(log.rows()) == [(0.0, "a", 1.0, GOOD), (0.0, "b", 2.0, GOOD)]
 
 
 class TestPlausibilityFilter:
