@@ -83,7 +83,7 @@ def accumulate(times, flows_in, flows_out, linepacks, mode="model") -> BalanceWi
 
 def balance_alarm(window: BalanceWindow, threshold) -> bool:
     """Alarm iff the window lost more than ``threshold`` kg; never locates."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ConfigurationError(f"balance threshold must be > 0, got {threshold}")
     return (not window.indeterminate) and window.imbalance > threshold
 
@@ -117,6 +117,10 @@ class BalanceDetector:
                  mode="model"):
         if window_duration <= 0:
             raise ConfigurationError("window_duration must be > 0")
+        if not threshold > 0:
+            raise ConfigurationError(f"balance threshold must be > 0, got {threshold}")
+        if mode not in ("model", "simple"):
+            raise ConfigurationError(f"unknown balance mode {mode!r}")
         self.flow_in_id = flow_in_id
         self.flow_out_id = flow_out_id
         self.window_duration = float(window_duration)

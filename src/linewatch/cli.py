@@ -174,19 +174,8 @@ def _tables(report: RunReport):
     boolean column written as 0/1."""
     yield "telemetry.csv", ["poll_time", "instrument", "value", "quality"], (
         report.telemetry.rows())
-    trace = report.rtm_trace
-    if trace:
-        # an indicator has a column once a poll counted, and every one then does
-        ids = sorted(trace.indicator_ids) if None in trace.reasons else []
-        header = (["poll_time", "available", "reason", "alarm"]
-                  + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
-
-        def trace_row(k):
-            reason = trace.reasons[k]
-            return ([trace.times[k], int(reason is None), reason, trace.alarm[k]]
-                    + [column[i][k] for column in (trace.normalized, trace.delta) for i in ids])
-
-        yield "rtm_trace.csv", header, map(trace_row, range(len(trace)))
+    if report.rtm_trace:
+        yield ("rtm_trace.csv", *report.rtm_trace.table())
     if report.balance.get("enabled"):
         keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance"]
         header = ["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg", "imbalance_kg",

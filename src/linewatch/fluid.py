@@ -6,6 +6,7 @@ correlation that is ideal (Z=1) when its constant is 0.  All quantities are SI.
 The functions take the EOS itself; a FluidModel carries one as ``eos``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -209,6 +210,19 @@ def assert_off_critical(eos, P, T):
         raise ConfigurationError(
             f"operating point (P={P:.4g} Pa, T={T:.4g} K) is too close to the "
             f"critical point (Pc={Pc:.4g}, Tc={Tc:.4g}); such conditions are rejected"
+        )
+
+
+def assert_finite_eos(eos, P, T):
+    """Reject an EOS whose density or dP/dT at constant density is not
+    finite at the operating point (P, T), where the solver's residual
+    would not be either: a gas ``y`` can make ``y*k*P**2`` overflow while
+    the density stays finite."""
+    rho, dPdT = raw_density(eos, P, T), dP_dT_const_density(eos, P, T)
+    if not (math.isfinite(rho) and math.isfinite(dPdT)):
+        raise ConfigurationError(
+            f"density {rho:.6g} kg/m^3 and dP/dT at constant density {dPdT:.6g} Pa/K at the "
+            f"operating point (P={P:.4g} Pa, T={T:.4g} K) must both be finite"
         )
 
 

@@ -37,18 +37,20 @@ Newton and the Jacobian hold two at once; a solver therefore runs one
 solve at a time, and setting up a solve replaces the problem of the one
 before, for every residual the solver has handed out.
 
-From one ``advance`` to the next the solver carries the state it returned
-and what that state's evaluation left: Newton's iterate for it, and in
-the workspace its fields, density, cell means, differences and flux.
-A step from that very state starts Newton from that iterate; its first
-evaluation, at that state, skips the field copy, the density and the
-state-only stencils, and its old-state terms are read from those buffers,
-which hold the same values the old state would give.  Any other solve (a
-steady solve, the locate scan) cancels this, and a Jacobian probe only
-ever comes after that first evaluation.  The step's ledger takes its
-starting linepack and end fluxes from the last step's, and its own from
-the workspace.  The solver also keeps the grid node of each leak position
-it has seen.
+A step reads its old state from the workspace, one way for every step:
+the old cell means, differences and flux difference give its old-state
+terms, and the cell-mean densities and the flux its ledger's opening
+linepack and end fluxes.  From one ``advance`` to the next the solver
+carries the state it returned, Newton's iterate for it and that state's
+linepack and end fluxes, while the workspace holds that state's
+evaluation.  A step from that very state finds it there: Newton starts
+from that iterate, and its first evaluation, at that state, skips the
+field copy, the density and the stencils.  A step from any other state
+(after a steady solve or the locate scan, which leave other states in
+the workspace, or from a copy) first loads that state's fields and
+density into the workspace and takes the same stencils the residual
+takes.  The solver also keeps the grid node of each leak position it
+has seen.
 
 The residual works on one flat, field-major vector P | V | T | rho, so each
 stencil (cell means, gradients, theta blends, time differences) is one
@@ -301,9 +303,8 @@ class PipeFlowSolver:
         # then theta times the flux difference); and the blends' old halves.
         # Then the raw differences, the flux, the time difference of the
         # means and its rate, and per cell rho*c, a temporary and dP/dT.  A
-        # step's other old-state terms follow: the old fields, their cell
-        # means, the old flux and its weighted difference, and the blended
-        # leak draw.
+        # step's other old-state terms follow: the old cell means, the old
+        # flux difference's weighted half and the blended leak draw.
         runs = np.cumsum((0, 4 * N - 1, n3 - 1, N - 1))
         split = lambda v: tuple(v[a:b] for a, b in zip(runs[:-1], runs[1:]))
         self._stencils, self._blends = np.empty(runs[-1]), np.empty(runs[-1])
@@ -312,7 +313,7 @@ class PipeFlowSolver:
         self._scratch = (*split(self._stencils), *split(self._blends),
                          *split(self._old_blends)[:2], np.empty(n3 - 1), self._flux,
                          *(np.empty(n) for n in (4 * N - 1, 4 * N - 1, *[N - 1] * 3)))
-        self._old_terms = tuple(np.empty(n) for n in (4 * N, 4 * N - 1, N, N - 1, N - 1))
+        self._old_terms = tuple(np.empty(n) for n in (4 * N - 1, N - 1, N - 1))
         # Each cell's continuity, momentum and energy row sums, stacked.  The
         # momentum and energy rows take their terms in pairs, one stacked
         # add each, in the order written: dP/rb with the dP/dT term, then
@@ -338,10 +339,8 @@ class PipeFlowSolver:
         self._R = np.empty(n3)
         self._lp_terms = np.empty(N - 1)
         self._leak_nodes = {}       # leak position -> its interior node
-        # advance's last new state, its linepack and its end fluxes
-        self._last = (None, None, None, None)
-        # advance's last new state and Newton's iterate for it, while the
-        # workspace still holds that iterate's evaluation
+        # advance's last new state, Newton's iterate for it and its linepack
+        # and end fluxes, while the workspace still holds that evaluation
         self._held = None
         self._warm = False          # the next residual built starts from _held
         self._residuals = {}        # held-temperature end -> (residual, configure)
@@ -442,12 +441,13 @@ class PipeFlowSolver:
         residual history) on Newton failure and InfeasibleStateError if the
         new state is unphysical.
 
-        When ``state`` is the state this solver's last ``advance`` returned,
-        the ledger's starting linepack and end fluxes are that step's: the
-        same functions of the same arrays, not computed again.  If no other
-        solve came between, Newton also starts from that step's iterate, and
-        its first evaluation from the workspace that iterate left (see
-        :meth:`_build_residual`).
+        The ledger's opening linepack and end fluxes are read from the
+        workspace holding ``state`` (see :meth:`_build_residual`), as its
+        closing ones are from the workspace holding the new state.  When
+        ``state`` is the state this solver's last ``advance`` returned and
+        no other solve came between, they are that step's closing values,
+        Newton starts from that step's iterate, and its first evaluation
+        reuses the workspace that iterate left.
         """
         t0, t1 = state.t, state.t + dt
         q_old = self._leak_cells(leaks, t0)
@@ -458,24 +458,15 @@ class PipeFlowSolver:
         self._freeze_scales(u0)
         res = self._build_residual(bc, bc.at(t1) if targets is None else targets,
                                    q_new, (state.P, state.V, state.T, state.rho), q_old, dt)
+        # the set-up has left the old state's evaluation in the workspace
+        linepack_start, F0_in, F0_out = held[2] if warm else self._ledger_terms()
         key = ("transient", bc.temperature_end, dt)
         u, _ = self._newton(u0, res, key, fresh_jacobian=False)
         new_state = self._new_state(t1)
         self._check_physical(new_state, InfeasibleStateError)
-
-        # The workspace holds the new state's evaluation: its cell-mean
-        # densities give the linepack, with linepack()'s round-off (halving
-        # is exact), and its flux the end fluxes.
-        lp_terms = np.multiply(self.dxc, self._stencils[self._cells[3]], self._lp_terms)
-        linepack_end = self.A * float(np.add.reduce(lp_terms))
-        F1_in, F1_out = float(self._flux[0]), float(self._flux[-1])
-        last, lp_last, F0_in, F0_out = self._last
-        if state is not last:
-            lp_last = linepack(state, self.pipeline)
-            F0_in = self.A * state.rho[0] * state.V[0]
-            F0_out = self.A * state.rho[-1] * state.V[-1]
-        self._last = (new_state, linepack_end, F1_in, F1_out)
-        self._held = (new_state, u)
+        closing = self._ledger_terms()
+        self._held = (new_state, u, closing)
+        linepack_end, F1_in, F1_out = closing
         th = _THETA
         # A leak vector of no leaks is all zeros, and its sum exactly 0.0.
         leak_total_new = float(q_new.sum()) if leaks else 0.0
@@ -486,10 +477,18 @@ class PipeFlowSolver:
             mass_in=dt * (th * F1_in + (1 - th) * F0_in),
             mass_out=dt * (th * F1_out + (1 - th) * F0_out),
             leak_mass=dt * (th * leak_total_new + (1 - th) * leak_total_old),
-            linepack_start=lp_last,
+            linepack_start=linepack_start,
             linepack_end=linepack_end,
         )
         return StepResult(state=new_state, ledger=entry)
+
+    def _ledger_terms(self):
+        """The linepack and the inlet and outlet fluxes of the state in the
+        workspace: its cell-mean densities give the linepack, with
+        :func:`linepack`'s round-off (halving is exact), and its flux the
+        end fluxes."""
+        lp_terms = np.multiply(self.dxc, self._stencils[self._cells[3]], self._lp_terms)
+        return self.A * float(np.add.reduce(lp_terms)), float(self._flux[0]), float(self._flux[-1])
 
     # ------------------------------------------------------------- residuals
 
@@ -508,12 +507,14 @@ class PipeFlowSolver:
         gradients of the old state and the old flux difference).  So a
         residual built earlier evaluates the latest solve's problem.
 
-        When :meth:`advance` steps from the state it last returned and the
-        workspace still holds that state's evaluation, the old-state terms
-        are read from the workspace's cell means, differences and flux
-        difference, which hold the same values, and the residual's first
-        evaluation, at that very state, reuses them.  Every other build
-        cancels that.
+        A step's old-state terms are read from the workspace's cell means,
+        differences and flux difference.  When :meth:`advance` steps from
+        the state it last returned and the workspace still holds that
+        state's evaluation, they are there already, and the residual's
+        first evaluation, at that very state, reuses them.  Otherwise the
+        old fields and density are loaded into the workspace and its
+        stencils taken, by the residual's own code.  Every build cancels
+        what the solver held.
         """
         warm = self._warm and old is not None
         self._warm, self._held = False, None
@@ -544,7 +545,9 @@ class PipeFlowSolver:
         state at its ``u`` in the workspace, and records that ``u``.  It
         writes every intermediate into the solver's buffers and returns a
         fresh ``R``.  The residual does not enter ``np.errstate``: its
-        callers do, once per solve.
+        callers do, once per solve.  Its state-only stencils (cell means,
+        differences, gradients, flux and flux difference) are one block of
+        code, which the set-up also runs on an old state it loads.
 
         Each hoisted value is a whole operand of the expression it enters,
         and every sum and product keeps its operand order, so the result is
@@ -565,7 +568,7 @@ class PipeFlowSolver:
          diffs, flux, dmid, rate, rbc, t2, dPdT_buf) = self._scratch
         stencils, blends, old_blends = self._stencils, self._blends, self._old_blends
         blends_new = blends[: old_blends.size]
-        o, mids_old, flux_o, dflux_old, q_bar_buf = self._old_terms
+        mids_old, dflux_old, q_bar_buf = self._old_terms
         q_bar = q_bar_buf
         flux_hi, flux_lo = flux[1:], flux[:-1]
         dmid_rho = dmid[cR]
@@ -594,6 +597,17 @@ class PipeFlowSolver:
         rate_VT = stack(rate[N:], shape=(2, N - 1), strides=(step, rate.itemsize),
                         writeable=False)
 
+        def take_stencils():
+            """The stencils of the fields in the workspace: the cell means,
+            the differences and gradients, the flux and its difference."""
+            np.add(w_lo, w_hi, mids)
+            np.multiply(half, mids, mids)
+            np.subtract(g_hi, g_lo, diffs)
+            np.divide(diffs, dx3, grads)
+            np.multiply(A, rho, flux)
+            np.multiply(flux, V, flux)
+            np.subtract(flux_hi, flux_lo, dflux)
+
         steady = warm = inlet_pressure = outlet_pressure = None
         inlet_target = outlet_target = T_anchor = q_steady = None
         Vb = Tb = rb = Pb = dP = dV = dVT = None
@@ -612,26 +626,18 @@ class PipeFlowSolver:
                 q_steady = q_new
                 return
             invdt[...] = 1.0 / dt
-            if warm:
-                # The workspace holds the old state's evaluation: its cell
-                # means, differences and flux difference are the old ones.
-                mids_old[...] = mids
-                np.multiply(wo, mids_old, bars_old)
-                np.multiply(wo, diffs, grads_old)
-                np.divide(grads_old, dx3, grads_old)
-                np.multiply(wo, dflux, dflux_old)
-            else:
-                np.concatenate(old, out=o)
-                np.add(o[:-1], o[1:], mids_old)
-                np.multiply(half, mids_old, mids_old)
-                np.multiply(wo, mids_old, bars_old)
-                np.subtract(o[1:n3], o[: n3 - 1], grads_old)
-                np.multiply(wo, grads_old, grads_old)
-                np.divide(grads_old, dx3, grads_old)
-                np.multiply(A, o[n3:], flux_o)
-                np.multiply(flux_o, o[N : 2 * N], flux_o)
-                np.subtract(flux_o[1:], flux_o[:-1], dflux_old)
-                np.multiply(wo, dflux_old, dflux_old)
+            if not warm:
+                # the old state's own fields, density included, and stencils
+                P[...], V[...], T[...], rho[...] = old
+                w_at[0] = None
+                take_stencils()
+            # The workspace holds the old state's evaluation: its cell means,
+            # differences and flux difference are the old ones.
+            mids_old[...] = mids
+            np.multiply(wo, mids_old, bars_old)
+            np.multiply(wo, diffs, grads_old)
+            np.divide(grads_old, dx3, grads_old)
+            np.multiply(wo, dflux, dflux_old)
             if q_new is q_old is no_leak:
                 q_bar = q_new       # theta * 0.0 + (1 - theta) * 0.0 is 0.0
             else:
@@ -647,13 +653,7 @@ class PipeFlowSolver:
             else:
                 fields[...] = u.reshape(N, 3).T
                 raw_density(eos, P, T, rho)
-                np.add(w_lo, w_hi, mids)
-                np.multiply(half, mids, mids)
-                np.subtract(g_hi, g_lo, diffs)
-                np.divide(diffs, dx3, grads)
-                np.multiply(A, rho, flux)
-                np.multiply(flux, V, flux)
-                np.subtract(flux_hi, flux_lo, dflux)
+                take_stencils()
             w_at[0] = u
             if steady:
                 np.add(dflux, q_steady, R_c)

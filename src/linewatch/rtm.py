@@ -194,6 +194,23 @@ class RtmTrace(_Rows):
         for iid in self.reading_ids:
             self.readings[iid].append(rec.readings[iid])
 
+    def table(self):
+        """rtm_trace.csv's header and rows: each poll's time, whether it
+        counted (0/1), its reason, its alarm condition (0/1), and each
+        indicator's normalized value and delta.  An indicator has a column
+        once a poll counted, and every one then does."""
+        ids = sorted(self.indicator_ids) if None in self.reasons else []
+        header = (["poll_time", "available", "reason", "alarm"]
+                  + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
+        columns = [column[i] for column in (self.normalized, self.delta) for i in ids]
+
+        def row(k):
+            reason = self.reasons[k]
+            return ([self.times[k], int(reason is None), reason, self.alarm[k]]
+                    + [column[k] for column in columns])
+
+        return header, map(row, range(len(self)))
+
     def indicator_values(self, column, k):
         """Poll k's {indicator: value} of ``column`` (``delta`` or
         ``normalized``): empty on an unavailable poll."""

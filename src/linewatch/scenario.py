@@ -44,7 +44,7 @@ from . import acoustic as ac
 from .availability import availability_report, compare_configurations, reference_chains
 from .balance import BalanceDetector
 from .errors import SOLVER_FAILURES, ConfigurationError, ParameterDomainError
-from .fluid import FluidModel, GasEos, LiquidEos, assert_off_critical
+from .fluid import FluidModel, GasEos, LiquidEos, assert_finite_eos, assert_off_critical
 from .hydraulics import (
     BoundaryConditions,
     BoundaryLeg,
@@ -428,12 +428,14 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     target_dx = sol.number("target_dx", pipeline.length / 100.0, dim="length", above=0)
     tele.multiple_of("poll_interval", poll_interval, "solver.dt", dt)
 
-    # Reject operation near a declared critical point over the BC envelope.
+    # Reject operation near a declared critical point over the BC envelope,
+    # and an EOS that is not finite there.
     for leg in (bc.inlet, bc.outlet):
         if leg.kind == "pressure":
             for p in leg.series.values.tolist():
                 for t in bc.temperature.values.tolist():
                     root.child("boundaries").build(assert_off_critical, eos=fluid.eos, P=p, T=t)
+                    root.child("fluid").build(assert_finite_eos, eos=fluid.eos, P=p, T=t)
 
     rtm_cfg = _parse_rtm(root.child("rtm"), instruments)
     balance_cfg = _parse_balance(root.child("balance"), instruments, rtm_cfg, pipeline.length,

@@ -1,3 +1,5 @@
+import math
+import re
 import weakref
 
 import numpy as np
@@ -116,6 +118,11 @@ class TestAlarm:
         with pytest.raises(ConfigurationError):
             balance_alarm(self.window(1.0), 0.0)
 
+    def test_nan_threshold_is_rejected(self):
+        # a NaN threshold is never exceeded, so no window could alarm
+        with pytest.raises(ConfigurationError, match="^balance threshold must be > 0, got nan$"):
+            balance_alarm(self.window(100.0), math.nan)
+
     def test_false_alarm_rate_at_three_sigma(self):
         # 100 seeded no-leak windows; threshold 3 sigma of the windowed
         # meter noise, computed analytically from the trapezoid weights
@@ -136,6 +143,17 @@ class TestAlarm:
 
 
 class TestDetectorAndTrend:
+    @pytest.mark.parametrize("settings,message", [
+        ({"threshold": 0.0}, "balance threshold must be > 0, got 0.0"),
+        ({"threshold": -5.0}, "balance threshold must be > 0, got -5.0"),
+        ({"threshold": math.nan}, "balance threshold must be > 0, got nan"),
+        ({"threshold": 50.0, "mode": "bogus"}, "unknown balance mode 'bogus'"),
+    ], ids=["threshold_zero", "threshold_negative", "threshold_nan", "mode"])
+    def test_settings_are_checked_at_construction(self, settings, message):
+        # not first when a window closes
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+            BalanceDetector("fin", "fout", window_duration=60.0, **settings)
+
     def test_back_to_back_windows_share_boundary_poll(self):
         det = BalanceDetector("fin", "fout", window_duration=60.0, threshold=50.0)
         times = np.arange(0.0, 120.0 + 1e-9, 5.0)

@@ -614,6 +614,49 @@ class TestSolverReuse:
             gc.enable()
 
 
+class TestLedgerOpening:
+    """A step's ledger opens on its old state's own linepack and end fluxes,
+    bit for bit, whichever way the solver came to that state."""
+
+    @pytest.mark.parametrize("temperature_end", ["inlet", "outlet"])
+    @pytest.mark.parametrize("fluid_kind", ["liquid", "gas"])
+    def test_opening_values_are_the_old_state_s(self, water_like, ten_km_line, fluid_kind,
+                                                temperature_end):
+        fluid, pipe = (water_like, ten_km_line) if fluid_kind == "liquid" else (_GAS, _GAS_LINE)
+        p_in, p_out, mdot, dx, dt = _LINES[fluid_kind]
+        if temperature_end == "outlet":   # the flow runs away from the held end
+            p_in, p_out = p_out, p_in
+        bc = BoundaryConditions(
+            inlet=BoundaryLeg("pressure", TimeSeries([0.0, dt, 2 * dt], [p_in, p_in, 1.02 * p_in])),
+            outlet=BoundaryLeg("pressure", TimeSeries.constant(p_out)),
+            temperature=TimeSeries.constant(300.0), temperature_end=temperature_end)
+        leaks = [LeakEvent(position=0.4 * pipe.length, start_time=0.5 * dt,
+                           mass_rate=0.02 * mdot)]
+        solver = make_solver(fluid, pipe, dx=dx)
+        A, th = pipe.area, _THETA
+
+        def checked_step(state):
+            step = solver.advance(state, bc, dt, leaks=leaks)
+            new, ledger = step.state, step.ledger
+            assert ledger.linepack_start == linepack(state, pipe)
+            assert ledger.linepack_end == linepack(new, pipe)
+            for node, mass in ((0, ledger.mass_in), (-1, ledger.mass_out)):
+                flux_old = A * state.rho[node] * state.V[node]
+                flux_new = A * new.rho[node] * new.V[node]
+                assert mass == dt * (th * flux_new + (1 - th) * flux_old), node
+            return new
+
+        start = solver.steady_state(bc)
+        first = checked_step(start)               # from the steady start
+        own = checked_step(first)                 # from the state the solver returned
+        copy = dataclasses.replace(own, **{f: getattr(own, f).copy()
+                                           for f in ("P", "V", "T", "rho")})
+        after_copy = checked_step(copy)           # from a copy of it
+        solver.steady_state(bc_pp(p_in, p_out, temperature_end=temperature_end),
+                            t=after_copy.t, initial_guess=after_copy)
+        checked_step(after_copy)                  # from its own state, a steady solve between
+
+
 class TestWarmStep:
     """A step from the state the solver last returned starts Newton from the
     iterate its workspace holds and skips the first evaluation's stencils;

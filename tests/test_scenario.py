@@ -260,6 +260,12 @@ class TestParsing:
             "kind": "gas", "R": 500.0, "y": 1e30, "z_reference": {"P": 5.0e6, "T": 300.0, "Z": 0.9},
             "specific_heat": 2200.0, "sound_speed": 380.0}),
          "fluid: a value is too large for the model's arithmetic (Numerical result out of range)"),
+        # y*k*P**2 of dP/dT at constant density overflows, the density stays finite
+        ("fluid", lambda cfg: cfg.update(fluid={
+            "kind": "gas", "R": 500.0, "y": 124, "z_reference": {"P": 5.0e6, "T": 300.0, "Z": 0.9},
+            "specific_heat": 2200.0, "sound_speed": 380.0}),
+         "fluid: density 6.81481 kg/m^3 and dP/dT at constant density inf Pa/K at the "
+         "operating point (P=1e+06 Pa, T=300 K) must both be finite"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
             "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
@@ -286,7 +292,7 @@ class TestParsing:
             "outlet_pressure_negative", "inlet_pressure_zero", "pressure_series_below_zero",
             "boundary_temperature_zero", "ground_temperature_zero",
             "ground_temperature_negative", "critical_temperature_zero", "critical_pressure_zero",
-            "gas_y_huge"])
+            "gas_y_huge", "gas_dPdT_overflow"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -834,6 +840,20 @@ class TestCli:
         assert capsys.readouterr().err == (
             "configuration error: fluid: a value is too large for the model's arithmetic "
             "(Numerical result out of range)\n")
+
+    def test_gas_exponent_that_overflows_dPdT_exits_2_naming_fluid(self, tmp_path, capsys):
+        # At y 124 the fitted k is about 3.2e299: T_ref**y and the density stay
+        # finite, but y*k*P**2 of dP/dT at constant density does not.
+        cfg = yaml.safe_load(SHIPPED_GAS.read_text())
+        cfg["fluid"]["y"] = 124
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: fluid: density 45.3333 kg/m^3 and dP/dT at "
+                       "constant density inf Pa/K at the operating point (P=6e+06 Pa, T=300 K) "
+                       "must both be finite"] * 2
+        assert not (tmp_path / "out").exists()
 
     def test_vote_that_can_never_pass_exits_2(self, tmp_path, capsys):
         # in pressure drive p_in and p_out drive the shadow: two indicators remain
