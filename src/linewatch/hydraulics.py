@@ -40,17 +40,19 @@ before, for every residual the solver has handed out.
 A step reads its old state from the workspace, one way for every step:
 the old cell means, differences and flux difference give its old-state
 terms, and the cell-mean densities and the flux its ledger's opening
-linepack and end fluxes.  From one ``advance`` to the next the solver
-carries the state it returned, Newton's iterate for it and that state's
-linepack and end fluxes, while the workspace holds that state's
-evaluation.  A step from that very state finds it there: Newton starts
-from that iterate, and its first evaluation, at that state, skips the
-field copy, the density and the stencils.  A step from any other state
-(after a steady solve or the locate scan, which leave other states in
-the workspace, or from a copy) first loads that state's fields and
-density into the workspace and takes the same stencils the residual
-takes.  The solver also keeps the grid node of each leak position it
-has seen.
+linepack and end fluxes.  One marker records which iterate the workspace
+holds: the ``u`` of the residual call that last filled it, or None once a
+step has loaded an old state there.  A residual called with that very
+``u`` skips the field copy, the density and the stencils.  From one
+``advance`` to the next the solver carries the state it returned and
+that state's linepack and end fluxes; the marker is then Newton's iterate
+for it.  A step from that very state starts Newton from the marked
+iterate, so its first evaluation finds the workspace filled.  A step from
+any other state (after a steady solve or the locate scan, which leave
+other states in the workspace, or from a copy) first loads that state's
+fields and density into the workspace and takes the same stencils the
+residual takes.  The solver also keeps the grid node of each leak
+position it has seen.
 
 The residual works on one flat, field-major vector P | V | T | rho, so each
 stencil (cell means, gradients, theta blends, time differences) is one
@@ -293,8 +295,9 @@ class PipeFlowSolver:
         self._w = w
         self._w_views = (w[:n3].reshape(3, N), w[:N], w[N : 2 * N], w[2 * N : n3], w[n3:],
                          w[:-1], w[1:], w[: n3 - 1], w[1:n3])
-        # The u the workspace was last filled from, in a list the residuals
-        # write into: they hold no reference to the solver, which holds them.
+        # The u the workspace was last filled from (None after a step loads
+        # an old state), in a list the residuals write into: they hold no
+        # reference to the solver, which holds them.
         self._w_at = [None]
         # The residual's intermediates, written with a positional ``out``.
         # Three vectors hold their runs end to end, so the theta blends are
@@ -339,10 +342,9 @@ class PipeFlowSolver:
         self._R = np.empty(n3)
         self._lp_terms = np.empty(N - 1)
         self._leak_nodes = {}       # leak position -> its interior node
-        # advance's last new state, Newton's iterate for it and its linepack
-        # and end fluxes, while the workspace still holds that evaluation
+        # advance's last new state and its linepack and end fluxes, while
+        # the workspace still holds that state's evaluation
         self._held = None
-        self._warm = False          # the next residual built starts from _held
         self._residuals = {}        # held-temperature end -> (residual, configure)
         # Each field's cells within the cell means and the gradients.
         self._cells = (slice(0, N - 1), slice(N, 2 * N - 1),
@@ -423,8 +425,7 @@ class PipeFlowSolver:
         adjoint = lapack.dgbtrs(lu, unit, trans=1)
         # A unit leak adds 0.5/_mdot_scale to the continuity rows of two
         # cells, and J du = -dR.
-        head = 2 if bc.temperature_end == "inlet" else 1   # see _make_residual
-        cont = adjoint[head : head + 3 * (self.N - 1) : 3]
+        cont = adjoint[self._row_layout(bc.temperature_end)[0]][0::3]
         out = np.zeros((idx.size, self.N))
         out[:, 1:-1] = (cont[:-1] + cont[1:]).T
         out *= (-0.5 / self._mdot_scale) * self.u_scale[idx][:, None]
@@ -446,26 +447,26 @@ class PipeFlowSolver:
         closing ones are from the workspace holding the new state.  When
         ``state`` is the state this solver's last ``advance`` returned and
         no other solve came between, they are that step's closing values,
-        Newton starts from that step's iterate, and its first evaluation
-        reuses the workspace that iterate left.
+        and Newton starts from the iterate the workspace is marked with,
+        that step's own, so its first evaluation reuses the workspace.
         """
         t0, t1 = state.t, state.t + dt
         q_old = self._leak_cells(leaks, t0)
         q_new = self._leak_cells(leaks, t1)
         held = self._held
-        self._warm = warm = held is not None and held[0] is state
-        u0 = held[1] if warm else self._pack(state.P, state.V, state.T)
+        warm = held is not None and held[0] is state
+        u0 = self._w_at[0] if warm else self._pack(state.P, state.V, state.T)
         self._freeze_scales(u0)
-        res = self._build_residual(bc, bc.at(t1) if targets is None else targets,
-                                   q_new, (state.P, state.V, state.T, state.rho), q_old, dt)
+        res = self._build_residual(bc, bc.at(t1) if targets is None else targets, q_new,
+                                   (state.P, state.V, state.T, state.rho), q_old, dt, warm)
         # the set-up has left the old state's evaluation in the workspace
-        linepack_start, F0_in, F0_out = held[2] if warm else self._ledger_terms()
+        linepack_start, F0_in, F0_out = held[1] if warm else self._ledger_terms()
         key = ("transient", bc.temperature_end, dt)
-        u, _ = self._newton(u0, res, key, fresh_jacobian=False)
+        self._newton(u0, res, key, fresh_jacobian=False)
         new_state = self._new_state(t1)
         self._check_physical(new_state, InfeasibleStateError)
         closing = self._ledger_terms()
-        self._held = (new_state, u, closing)
+        self._held = (new_state, closing)
         linepack_end, F1_in, F1_out = closing
         th = _THETA
         # A leak vector of no leaks is all zeros, and its sum exactly 0.0.
@@ -492,7 +493,7 @@ class PipeFlowSolver:
 
     # ------------------------------------------------------------- residuals
 
-    def _build_residual(self, bc, targets, q_new, old=None, q_old=None, dt=None):
+    def _build_residual(self, bc, targets, q_new, old=None, q_old=None, dt=None, warm=False):
         """The scaled residual of one solve, as a function of ``u`` alone.
 
         Steady when ``old`` is None, else one theta-weighted step of ``dt``
@@ -508,16 +509,14 @@ class PipeFlowSolver:
         residual built earlier evaluates the latest solve's problem.
 
         A step's old-state terms are read from the workspace's cell means,
-        differences and flux difference.  When :meth:`advance` steps from
-        the state it last returned and the workspace still holds that
-        state's evaluation, they are there already, and the residual's
-        first evaluation, at that very state, reuses them.  Otherwise the
-        old fields and density are loaded into the workspace and its
-        stencils taken, by the residual's own code.  Every build cancels
-        what the solver held.
+        differences and flux difference.  ``warm`` says the workspace holds
+        the old state's evaluation already, as it does when :meth:`advance`
+        steps from the state it last returned.  Otherwise the old fields
+        and density are loaded into the workspace, its stencils taken by
+        the residual's own code, and its marker cleared.  Every build
+        cancels what the solver held.
         """
-        warm = self._warm and old is not None
-        self._warm, self._held = False, None
+        self._held = None
         end = bc.temperature_end
         built = self._residuals.get(end)
         if built is None:
@@ -525,6 +524,17 @@ class PipeFlowSolver:
         residual, configure = built
         configure(bc, targets, q_new, old, q_old, dt, warm)
         return residual
+
+    def _row_layout(self, end):
+        """Where the residual's rows sit with the temperature held at
+        ``end``: the slice of the cell rows, then the outlet boundary row
+        and the temperature anchor row.  Row 0 is the inlet boundary; with
+        the temperature held at the inlet its anchor is row 1, else the
+        last row.  Between them run the cells, each one's continuity,
+        momentum and energy rows in turn, then the outlet boundary row."""
+        first = 2 if end == "inlet" else 1
+        cells = slice(first, first + 3 * (self.N - 1))
+        return cells, cells.stop, (1 if end == "inlet" else self.n_unknowns - 1)
 
     def _make_residual(self, end):
         """The residual for the held-temperature ``end`` and the function
@@ -542,7 +552,10 @@ class PipeFlowSolver:
         the momentum and energy rows take alike go as one call over both
         rows, and the three row blocks are scaled into ``R`` in one call
         (the energy rows by 1.0, which is exact).  Each call leaves the
-        state at its ``u`` in the workspace, and records that ``u``.  It
+        state at its ``u`` in the workspace, and records that ``u``; a
+        call with the ``u`` recorded finds its fields, density and
+        stencils there and skips them, so a caller writes into no ``u``
+        while it is the one recorded (see :meth:`_newton`).  It
         writes every intermediate into the solver's buffers and returns a
         fresh ``R``.  The residual does not enter ``np.errstate``: its
         callers do, once per solve.  Its state-only stencils (cell means,
@@ -554,7 +567,7 @@ class PipeFlowSolver:
         bit for bit the residual of the expressions written out in full.
         Re-associating would move the round-off of the step ledger.
         """
-        N, n3 = self.N, 3 * self.N
+        N = self.N
         dx3, f = self._dx3, self.f_cell
         half, A, th, wo, c, D, Tg = self._scalars
         eos = self.fluid.eos
@@ -576,9 +589,8 @@ class PipeFlowSolver:
         R_me = row_sums[1:]
         # The scaled rows of each equation within R, as one (3, N-1) view.
         R, row_scales, w_at, no_leak = self._R, self._row_scales, self._w_at, self._no_leak
-        head = 2 if end == "inlet" else 1
-        R_rows = R[head : head + 3 * (N - 1)].reshape(N - 1, 3).T
-        row_out, row_T = head + 3 * (N - 1), (1 if end == "inlet" else n3 - 1)
+        cell_rows, row_out, row_T = self._row_layout(end)
+        R_rows = R[cell_rows].reshape(N - 1, 3).T
         pair, quad = self._pair, self._quad
         (tm, te), (_, fm, fe, heat) = pair, quad
         friction, quad_02, quad_13 = quad[1:3], quad[0::2], quad[1::2]
@@ -608,16 +620,16 @@ class PipeFlowSolver:
             np.multiply(flux, V, flux)
             np.subtract(flux_hi, flux_lo, dflux)
 
-        steady = warm = inlet_pressure = outlet_pressure = None
+        steady = inlet_pressure = outlet_pressure = None
         inlet_target = outlet_target = T_anchor = q_steady = None
         Vb = Tb = rb = Pb = dP = dV = dVT = None
         invdt = np.array(0.0)
 
-        def configure(bc, targets, q_new, old, q_old, dt, warm_start):
-            nonlocal steady, warm, inlet_pressure, outlet_pressure
+        def configure(bc, targets, q_new, old, q_old, dt, warm):
+            nonlocal steady, inlet_pressure, outlet_pressure
             nonlocal inlet_target, outlet_target, T_anchor, q_steady, q_bar
             nonlocal Vb, Tb, rb, Pb, dP, dV, dVT
-            steady, warm = old is None, warm_start
+            steady = old is None
             inlet_target, outlet_target, T_anchor = targets
             inlet_pressure = bc.inlet.kind == "pressure"
             outlet_pressure = bc.outlet.kind == "pressure"
@@ -647,14 +659,11 @@ class PipeFlowSolver:
                 np.add(q_bar, t2, q_bar)
 
         def residual(u):
-            nonlocal warm
-            if warm:
-                warm = False    # the workspace and its stencils are at u already
-            else:
+            if w_at[0] is not u:
                 fields[...] = u.reshape(N, 3).T
                 raw_density(eos, P, T, rho)
                 take_stencils()
-            w_at[0] = u
+                w_at[0] = u
             if steady:
                 np.add(dflux, q_steady, R_c)
                 # the zero time term is still added: it turns a -0.0 into 0.0
@@ -713,19 +722,30 @@ class PipeFlowSolver:
 
     # --------------------------------------------------------------- newton
 
-    def _newton(self, u0, res_fn, key, fresh_jacobian):
-        """Newton iteration on ``res_fn`` from ``u0``, with a backtracking line
-        search and the cached LU factors under ``key``.  Returns the
-        converged iterate and the residual-norm history.  The iterate may be
-        one of the solver's full-step buffers, which the next solve
-        overwrites.  On return the workspace holds ``res_fn``'s evaluation
-        at that iterate, so :meth:`_new_state` reads the new state from it.
+    def _newton(self, u, res_fn, key, fresh_jacobian):
+        """Newton iteration on ``res_fn`` from ``u`` itself, with a
+        backtracking line search and the cached LU factors under ``key``.
+        Returns the converged iterate and the residual-norm history.  The
+        iterate may be one of the solver's full-step buffers, which a later
+        solve overwrites.  On return the workspace holds ``res_fn``'s
+        evaluation at that iterate and is marked with it, so
+        :meth:`_new_state` reads the new state from it and a solve started
+        from it skips its first evaluation's field copy and stencils.
+        Newton never writes into the marked ``u``: its full steps go into
+        the step buffer that does not hold its iterate, and every other
+        trial is a fresh array.
+
+        A Jacobian is fresh from its factorization until Newton accepts a
+        step from it.  A step that cuts the norm by less than a factor 5
+        and leaves it above the tolerance drops the Jacobian, so the next
+        iteration factors one at the new iterate.  A refused step or a
+        singular factor drops a stale Jacobian too, and raises on a fresh
+        one.
         """
         tol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
         # Trial states may stray into NaN or overflow; the line search
         # rejects them, so floating-point warnings are silenced per solve.
         with np.errstate(all="ignore"):
-            u = np.array(u0, dtype=float)
             R = res_fn(u)
             norm = self._norm(R)
             history = [norm]
@@ -733,7 +753,7 @@ class PipeFlowSolver:
                 raise SolverError("initial residual is not finite", history=history)
 
             lu = None if (fresh_jacobian or self._cache_key != key) else self._lu_cache
-            rebuilt = False
+            fresh = False
 
             it = 0
             while norm > tol:
@@ -746,12 +766,11 @@ class PipeFlowSolver:
                         history=history,
                     )
                 if lu is None:
-                    lu = self._factor(u, res_fn, R, history)
-                    rebuilt = True
+                    lu, fresh = self._factor(u, res_fn, R, history), True
                 if lu.info > 0:
-                    if rebuilt:
+                    if fresh:
                         raise SolverError("singular Jacobian", history=history)
-                    lu, rebuilt = None, False
+                    lu = None
                     continue
                 du_hat = lapack.dgbtrs(lu, np.negative(R, self._rhs))
                 # The full step into the buffer that does not hold u; at
@@ -770,22 +789,23 @@ class PipeFlowSolver:
                         break
                     lam *= 0.5
                 if not accepted:
-                    if rebuilt:
+                    if fresh:
                         raise SolverError(
                             "Newton stalled (line search failed with a fresh Jacobian)",
                             iterations=it,
                             residual=norm,
                             history=history,
                         )
-                    lu, rebuilt = None, False   # retry the iteration with a fresh Jacobian
+                    lu = None   # retry the iteration with a fresh Jacobian
                     continue
 
                 slow = n_try > 0.2 * norm
                 u, R, norm = u_try, R_try, n_try
                 history.append(norm)
                 it += 1
-                if slow and not rebuilt and norm > tol:
-                    lu = None  # stale cached Jacobian; rebuild next iteration
+                fresh = False
+                if slow and norm > tol:
+                    lu = None   # rebuild at the new iterate
 
             # The loop ends only on its first evaluation or on an accepted
             # trial, each at u; evaluating again if that ever stops holding

@@ -31,7 +31,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleScenarioError
+from .errors import SOLVER_FAILURES, ConfigurationError, InfeasibleScenarioError
 from .fluid import raw_density
 from .hydraulics import (
     BoundaryConditions,
@@ -698,12 +698,22 @@ class RtmDetector:
             ssr=ssr,
         )
 
+    def _locate(self, size, window=None):
+        """:meth:`locate_leak`, and the solver failure that stopped its scan
+        (None when none did): a failed scan leaves the alarm standing."""
+        try:
+            return self.locate_leak(size, window), None
+        except SOLVER_FAILURES as err:
+            return None, err
+
     def _declare(self, rec):
         # ``rec`` is not in the trace yet, so the windows end at the poll before it
         size, note = self.size_leak()
-        scan = self.locate_leak(size)
+        scan, failure = self._locate(size)
         if size is None or size <= 0:
             where = "location skipped: no usable size estimate"
+        elif failure is not None:
+            where = f"location unavailable: {failure}"
         elif scan is None:
             where = "location unavailable"
         elif scan.ambiguous:
@@ -728,18 +738,21 @@ class RtmDetector:
         Estimates made at declaration mix pre-leak and settling-transient
         data; once ``refine_after_polls`` post-alarm polls exist they are
         replaced by estimates over that window.  Declaration time is not
-        touched.  Failed refinements keep the original estimates.
+        touched.  Failed refinements keep the original estimates: a size
+        that is not positive keeps both, and a location scan that finds
+        nothing or whose solver fails keeps the location.
         """
         window = self.refine_after_polls
         size, _ = self.size_leak(window=window)
         if size is None or size <= 0:
             return
         v = self.verdict
-        scan = self.locate_leak(size, window=window)
+        scan, failure = self._locate(size, window=window)
+        kept = () if failure is None else (f"location not refined: {failure}",)
         self.verdict = replace(
             v,
             size_estimate=size,
             location_estimate=v.location_estimate if scan is None else scan.position,
             location_ambiguous=v.location_ambiguous if scan is None else scan.ambiguous,
-            notes=v.notes + (f"estimates refined {window} polls after declaration",),
+            notes=v.notes + (f"estimates refined {window} polls after declaration",) + kept,
         )

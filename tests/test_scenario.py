@@ -24,7 +24,7 @@ import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
 from conftest import set_noise_scale, standard_config
 from linewatch.cli import main
-from linewatch.errors import ConfigurationError, InfeasibleScenarioError
+from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import GasEos
 from linewatch.hydraulics import linepack
 from linewatch.rtm import RtmDetector
@@ -1363,6 +1363,36 @@ class TestPartialFailure:
         with open(out / "rtm_trace.csv", newline="") as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
         assert [r["reason"] for r in rows] == [e["reason"] or "" for e in rtm["indicator_trace"]]
+
+    def test_failed_locate_scan_keeps_the_alarm(self, monkeypatch):
+        """The locate scan's warm-started steady solves fail, at the
+        declaration and at the refinement: the run goes on, the alarm
+        stands as it does with a working scan, and only the location is
+        missing, with the reason in its notes."""
+        cfg = standard_config(horizon=420.0, seed=2025)
+        ref = run_scenario(scenario_from_dict(cfg)).rtm
+        real = hydraulics.PipeFlowSolver.steady_state
+        stalled = "Newton stalled (line search failed with a fresh Jacobian)"
+
+        def failing(self, bc, t=0.0, leaks=(), initial_guess=None):
+            if initial_guess is not None:
+                raise SolverError(stalled)
+            return real(self, bc, t, leaks, initial_guess)
+
+        monkeypatch.setattr(hydraulics.PipeFlowSolver, "steady_state", failing)
+        report = run_scenario(scenario_from_dict(cfg))
+        rtm = report.rtm
+        assert report.run["solver_failure"] is None
+        assert report.run["polls"] == rtm["polls"] == ref["polls"] == 85
+        assert rtm["declared"] and rtm["declared_time"] == ref["declared_time"] == 165.0
+        # The shadow's Newton route after a scan differs (the scan leaves no
+        # steady factors in its place), within the Newton tolerance.
+        assert rtm["size_estimate"] == pytest.approx(ref["size_estimate"], rel=1e-9)
+        assert ref["location_estimate"] is not None
+        assert rtm["location_estimate"] is None and not rtm["location_ambiguous"]
+        assert rtm["notes"] == [f"location unavailable: {stalled}",
+                                "estimates refined 24 polls after declaration",
+                                f"location not refined: {stalled}"]
 
     def test_cli_exit_code_on_solver_failure(self, tmp_path):
         path = tmp_path / "bad.yaml"
