@@ -89,13 +89,18 @@ def balance_alarm(window: BalanceWindow, threshold) -> bool:
 
 
 def _integrate_meter(times, flows):
-    vals = [(t, v) for t, v in zip(times, flows, strict=True) if v is not None]
-    frac = len(vals) / len(times)
-    if not vals:
+    """The trapezoidal integral over the array ``times`` of one meter's
+    readings ``flows`` (None where it had no good one), and its share of
+    good polls.  The good polls' times are picked by a mask: a (t, v) pair
+    per poll would hold about 100 bytes a poll while the window closes."""
+    if len(flows) != len(times):
+        raise ValueError(f"{len(flows)} meter readings for {len(times)} polls")
+    good = np.array([v is not None for v in flows], dtype=bool)
+    v_good = np.array([v for v in flows if v is not None], dtype=float)
+    frac = v_good.size / len(times)
+    if not v_good.size:
         return float("nan"), 0.0
-    t_good = np.array([t for t, _ in vals])
-    v_good = np.array([v for _, v in vals])
-    filled = np.interp(times, t_good, v_good)  # gaps bridged linearly, ends held
+    filled = np.interp(times, times[good], v_good)  # gaps bridged linearly, ends held
     return float(np.trapezoid(filled, times)), frac
 
 

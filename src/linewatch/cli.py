@@ -78,6 +78,8 @@ def _cmd_run(args):
 
     write_report(outdir / "report.json", report)
     note = _note(report.scenario_name, report.config_hash)
+    for name, pieces in report.csv_tables():
+        write_text(outdir / name, note, pieces)
     for name, header, rows in _tables(report):
         write_table(outdir / name, note, header, rows)
     if report.states:
@@ -169,13 +171,17 @@ def write_table(path, note, header, rows):
         w.writerows(rows)
 
 
+def write_text(path, note, pieces):
+    """One CSV table under its provenance line ``note``, from the text
+    pieces it is formatted in (see :meth:`RunReport.csv_tables`)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(note)
+        fh.writelines(pieces)
+
+
 def _tables(report: RunReport):
-    """(file name, header, rows) of each CSV table the run has, with each
-    boolean column written as 0/1."""
-    yield "telemetry.csv", ["poll_time", "instrument", "value", "quality"], (
-        report.telemetry.rows())
-    if report.rtm_trace:
-        yield ("rtm_trace.csv", *report.rtm_trace.table())
+    """(file name, header, rows) of each CSV table the run has that is not
+    formatted from its columns, with each boolean column written as 0/1."""
     if report.balance.get("enabled"):
         keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance"]
         header = ["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg", "imbalance_kg",

@@ -370,9 +370,12 @@ class PipeFlowSolver:
         fixed point of :meth:`advance` under constant boundary conditions.
 
         ``initial_guess`` (a prior GridState) warm-starts Newton; useful
-        when scanning many nearby steady problems.  Raises
-        InfeasibleScenarioError for an unphysical state, and for one whose
-        flow runs toward ``bc.temperature_end`` at every node.
+        when scanning many nearby steady problems.  A guess too far from
+        the solution for Newton to converge from is dropped, and the solve
+        starts again from the cold guess; one whose residual is not finite
+        raises SolverError.  Raises InfeasibleScenarioError for an
+        unphysical state, and for one whose flow runs toward
+        ``bc.temperature_end`` at every node.
         """
         if not bc.has_pressure_anchor:
             raise InfeasibleScenarioError(
@@ -380,14 +383,20 @@ class PipeFlowSolver:
             )
         q = self._leak_cells(leaks, t)
         targets = bc.at(t)
+        key = ("steady", bc.temperature_end)
         if initial_guess is not None:
             u0 = self._pack(initial_guess.P, initial_guess.V, initial_guess.T)
-        else:
+            self._freeze_scales(u0)
+            try:
+                self._newton(u0, self._build_residual(bc, targets, q), key, fresh_jacobian=False)
+            except SolverError as e:
+                if not math.isfinite(e.history[0]):
+                    raise               # a guess the residual cannot evaluate
+                initial_guess = None   # start again from the cold guess
+        if initial_guess is None:
             u0 = self._steady_guess(bc, targets)
-        self._freeze_scales(u0)
-        res = self._build_residual(bc, targets, q)
-        key = ("steady", bc.temperature_end)
-        self._newton(u0, res, key, fresh_jacobian=initial_guess is None)
+            self._freeze_scales(u0)
+            self._newton(u0, self._build_residual(bc, targets, q), key, fresh_jacobian=True)
         state = self._new_state(t)
         self._check_physical(state, InfeasibleScenarioError)
         self._check_upwind(bc, state.V, state.P[0], state.P[-1], state.rho)
@@ -598,6 +607,10 @@ class PipeFlowSolver:
         abs_Vb = abs_V_neg_f[0]
         # The V and T cells of a gradient or rate vector as one (2, N-1) view.
         stack, step = np.lib.stride_tricks.as_strided, N * rate.itemsize
+        # The ufuncs, bound once: a call then skips two lookups.  The EOS's
+        # dP/dT stays a module global, which perfbench's tracer wraps.
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        absolute, power = np.abs, np.power
 
         def views(means, gradients):
             """Vb, Tb, rb, Pb, dP, dV, and dV over dT as one (2, N-1) view."""
@@ -612,13 +625,13 @@ class PipeFlowSolver:
         def take_stencils():
             """The stencils of the fields in the workspace: the cell means,
             the differences and gradients, the flux and its difference."""
-            np.add(w_lo, w_hi, mids)
-            np.multiply(half, mids, mids)
-            np.subtract(g_hi, g_lo, diffs)
-            np.divide(diffs, dx3, grads)
-            np.multiply(A, rho, flux)
-            np.multiply(flux, V, flux)
-            np.subtract(flux_hi, flux_lo, dflux)
+            add(w_lo, w_hi, mids)
+            multiply(half, mids, mids)
+            subtract(g_hi, g_lo, diffs)
+            divide(diffs, dx3, grads)
+            multiply(A, rho, flux)
+            multiply(flux, V, flux)
+            subtract(flux_hi, flux_lo, dflux)
 
         steady = inlet_pressure = outlet_pressure = None
         inlet_target = outlet_target = T_anchor = q_steady = None
@@ -646,17 +659,17 @@ class PipeFlowSolver:
             # The workspace holds the old state's evaluation: its cell means,
             # differences and flux difference are the old ones.
             mids_old[...] = mids
-            np.multiply(wo, mids_old, bars_old)
-            np.multiply(wo, diffs, grads_old)
-            np.divide(grads_old, dx3, grads_old)
-            np.multiply(wo, dflux, dflux_old)
+            multiply(wo, mids_old, bars_old)
+            multiply(wo, diffs, grads_old)
+            divide(grads_old, dx3, grads_old)
+            multiply(wo, dflux, dflux_old)
             if q_new is q_old is no_leak:
                 q_bar = q_new       # theta * 0.0 + (1 - theta) * 0.0 is 0.0
             else:
                 q_bar = q_bar_buf
-                np.multiply(th, q_new, q_bar)
-                np.multiply(wo, q_old, t2)
-                np.add(q_bar, t2, q_bar)
+                multiply(th, q_new, q_bar)
+                multiply(wo, q_old, t2)
+                add(q_bar, t2, q_bar)
 
         def residual(u):
             if w_at[0] is not u:
@@ -665,52 +678,52 @@ class PipeFlowSolver:
                 take_stencils()
                 w_at[0] = u
             if steady:
-                np.add(dflux, q_steady, R_c)
+                add(dflux, q_steady, R_c)
                 # the zero time term is still added: it turns a -0.0 into 0.0
-                np.multiply(Vb, dVT, R_me)
-                np.add(0.0, R_me, R_me)
+                multiply(Vb, dVT, R_me)
+                add(0.0, R_me, R_me)
             else:
-                np.multiply(th, stencils, blends)
-                np.add(blends_new, old_blends, blends_new)
-                np.subtract(mids, mids_old, dmid)
-                np.multiply(dmid, invdt, rate)
-                np.multiply(dxcA, dmid_rho, R_c)
-                np.multiply(R_c, invdt, R_c)
-                np.add(R_c, th_dflux, R_c)
-                np.add(R_c, dflux_old, R_c)
-                np.add(R_c, q_bar, R_c)
-                np.multiply(Vb, dVT, R_me)
-                np.add(rate_VT, R_me, R_me)
+                multiply(th, stencils, blends)
+                add(blends_new, old_blends, blends_new)
+                subtract(mids, mids_old, dmid)
+                multiply(dmid, invdt, rate)
+                multiply(dxcA, dmid_rho, R_c)
+                multiply(R_c, invdt, R_c)
+                add(R_c, th_dflux, R_c)
+                add(R_c, dflux_old, R_c)
+                add(R_c, q_bar, R_c)
+                multiply(Vb, dVT, R_me)
+                add(rate_VT, R_me, R_me)
 
             # R_m + dP / rb + g_dHdx + f * Vb * |Vb| / (2 * D)
             # R_e + (Tb / rbc) * dPdT * dV - f * |Vb| ** 3 / (2 * c * D)
             #     + (four_U / (rbc * D)) * (Tb - Tg)
             # one term of each row per stacked add, in the order written
-            np.divide(dP, rb, tm)
-            np.multiply(rb, c, rbc)
+            divide(dP, rb, tm)
+            multiply(rb, c, rbc)
             dPdT = (dPdT_liquid if dPdT_liquid is not None
                     else dP_dT_const_density(eos, Pb, Tb, dPdT_buf))
-            np.divide(Tb, rbc, te)
-            np.multiply(te, dPdT, te)
-            np.multiply(te, dV, te)
-            np.add(R_me, pair, R_me)
-            np.abs(Vb, abs_Vb)
-            np.multiply(f, Vb, fm)
-            np.power(abs_Vb, 3, fe)
-            np.multiply(friction, abs_V_neg_f, friction)
-            np.divide(friction, friction_div, friction)
-            np.add(R_me, quad_02, R_me)
-            np.multiply(rbc, D, heat)
-            np.divide(four_U, heat, heat)
-            np.subtract(Tb, Tg, t2)
-            np.multiply(heat, t2, heat)
-            np.add(R_me, quad_13, R_me)
+            divide(Tb, rbc, te)
+            multiply(te, dPdT, te)
+            multiply(te, dV, te)
+            add(R_me, pair, R_me)
+            absolute(Vb, abs_Vb)
+            multiply(f, Vb, fm)
+            power(abs_Vb, 3, fe)
+            multiply(friction, abs_V_neg_f, friction)
+            divide(friction, friction_div, friction)
+            add(R_me, quad_02, R_me)
+            multiply(rbc, D, heat)
+            divide(four_U, heat, heat)
+            subtract(Tb, Tg, t2)
+            multiply(heat, t2, heat)
+            add(R_me, quad_13, R_me)
             if steady:
-                np.subtract(Tb, T_anchor, t2)
-                np.multiply(_STEADY_T_REG, t2, t2)
-                np.add(R_e, t2, R_e)
+                subtract(Tb, T_anchor, t2)
+                multiply(_STEADY_T_REG, t2, t2)
+                add(R_e, t2, R_e)
 
-            np.divide(row_sums, row_scales, R_rows)
+            divide(row_sums, row_scales, R_rows)
             R[0] = ((P[0] - inlet_target) / P_scale if inlet_pressure
                     else (flux[0] - inlet_target) / row_scales[0, 0])
             R[row_out] = ((P[-1] - outlet_target) / P_scale if outlet_pressure
@@ -743,11 +756,13 @@ class PipeFlowSolver:
         one.
         """
         tol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
+        # A residual's max-norm, with |R| written into one buffer.
+        max_of, absolute, abs_R = np.maximum.reduce, np.abs, self._abs_R
         # Trial states may stray into NaN or overflow; the line search
         # rejects them, so floating-point warnings are silenced per solve.
         with np.errstate(all="ignore"):
             R = res_fn(u)
-            norm = self._norm(R)
+            norm = float(max_of(absolute(R, abs_R)))
             history = [norm]
             if not math.isfinite(norm):
                 raise SolverError("initial residual is not finite", history=history)
@@ -783,7 +798,7 @@ class PipeFlowSolver:
                 for _ in range(12):
                     u_try = full if lam == 1.0 else u + lam * du_hat * self.u_scale
                     R_try = res_fn(u_try)
-                    n_try = self._norm(R_try)
+                    n_try = float(max_of(absolute(R_try, abs_R)))
                     if math.isfinite(n_try) and (n_try < norm or n_try < tol):
                         accepted = True
                         break
@@ -821,9 +836,6 @@ class PipeFlowSolver:
         if not np.isfinite(ab).all():
             raise SolverError("non-finite Jacobian", history=history)
         return lapack.dgbtrf(ab, 4, 4)
-
-    def _norm(self, R):
-        return float(np.maximum.reduce(np.abs(R, self._abs_R)))
 
     def _jacobian(self, u, res_fn, R0):
         """Finite-difference Jacobian in LAPACK's ``gbtrf`` band layout.

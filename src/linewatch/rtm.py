@@ -22,6 +22,7 @@ windows, :meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` all read
 those columns.
 """
 
+import json
 import math
 from array import array
 from collections import Counter, deque
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import SOLVER_FAILURES, ConfigurationError, InfeasibleScenarioError
 from .fluid import raw_density
+from .formats import csv_cell, csv_line, json_floats, masked, pieces
 from .hydraulics import (
     BoundaryConditions,
     BoundaryLeg,
@@ -47,6 +49,7 @@ from .telemetry import TelemetryFrame, instrument_nodes, noiseless_reading
 __all__ = [
     "VotingPolicy",
     "RtmTrace",
+    "IndicatorTrace",
     "TracedPoll",
     "LeakVerdict",
     "LocationScan",
@@ -194,22 +197,28 @@ class RtmTrace(_Rows):
         for iid in self.reading_ids:
             self.readings[iid].append(rec.readings[iid])
 
-    def table(self):
-        """rtm_trace.csv's header and rows: each poll's time, whether it
-        counted (0/1), its reason, its alarm condition (0/1), and each
-        indicator's normalized value and delta.  An indicator has a column
-        once a poll counted, and every one then does."""
+    def csv_pieces(self, chunk):
+        """rtm_trace.csv's text, the bytes ``csv.writer`` writes for it: the
+        header line, then each poll's time, whether it counted (0/1), its
+        reason, its alarm condition (0/1), and each indicator's normalized
+        value and delta (empty where None), at most ``chunk`` polls a piece.
+        An indicator has a column once a poll counted, and every one then
+        does."""
         ids = sorted(self.indicator_ids) if None in self.reasons else []
-        header = (["poll_time", "available", "reason", "alarm"]
-                  + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
+        yield csv_line(["poll_time", "available", "reason", "alarm"]
+                       + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids])
         columns = [column[i] for column in (self.normalized, self.delta) for i in ids]
-
-        def row(k):
-            reason = self.reasons[k]
-            return ([self.times[k], int(reason is None), reason, self.alarm[k]]
-                    + [column[k] for column in columns])
-
-        return header, map(row, range(len(self)))
+        # a poll's cells from "available" up to "alarm", by reason
+        middles = {r: f",0,{csv_cell(r)}," for r in set(self.reasons) if r is not None}
+        middles[None] = ",1,,"
+        for start, stop in pieces(len(self), chunk):
+            cells = [masked(map(float.__repr__, c.values[start:stop]), c.none[start:stop], "")
+                     for c in columns]
+            ends = ([f",{row}\r\n" for row in map(",".join, zip(*cells))] if cells
+                    else ["\r\n"] * (stop - start))
+            yield "".join([t + middles[r] + "01"[alarm] + end for t, r, alarm, end in zip(
+                map(float.__repr__, self.times[start:stop]), self.reasons[start:stop],
+                self.alarm[start:stop], ends)])
 
     def indicator_values(self, column, k):
         """Poll k's {indicator: value} of ``column`` (``delta`` or
@@ -230,10 +239,12 @@ class RtmTrace(_Rows):
         )
 
 
-class _IndicatorTrace(_Rows):
+class IndicatorTrace(_Rows):
     """The report's ``indicator_trace``: one entry per poll traced when it
     was made, each built from the trace's columns when it is read (not
-    through a TracedPoll, which adds a fifth to report.json's encoding)."""
+    through a TracedPoll, which adds a fifth to report.json's encoding).
+    report.json's text of it is formatted from the columns directly
+    (:meth:`json_pieces`)."""
 
     def __init__(self, trace: RtmTrace):
         self._trace = trace
@@ -252,6 +263,38 @@ class _IndicatorTrace(_Rows):
             "normalized": tr.indicator_values(tr.normalized, k),
             "alarm": bool(tr.alarm[k]),
         }
+
+    def json_pieces(self, depth, chunk):
+        """``json.dumps(list(self), indent=2, sort_keys=True)`` for a list
+        nested ``depth`` levels deep, at most ``chunk`` entries a piece."""
+        if not self._n:
+            yield "[]"
+            return
+        tr = self._trace
+        # the line break and indent of an entry, of its keys and of its indicators
+        i1 = "\n" + "  " * (depth + 1)
+        i2, i3 = i1 + "  ", i1 + "    "
+        entry = (f'{i1}{{{i2}"alarm": %s,{i2}"available": %s,{i2}"normalized": %s,'
+                 f'{i2}"reason": %s,{i2}"t": %s{i1}}}')
+        ids = sorted(tr.indicator_ids)
+        keys = [f"{i3}{json.dumps(i)}: " for i in ids]
+        # the texts of "available" and "reason", by reason
+        by_reason = {r: ("false", json.dumps(r)) for r in set(tr.reasons) if r is not None}
+        by_reason[None] = ("true", "null")
+        sep = "["
+        for start, stop in pieces(self._n, chunk):
+            values = [masked(json_floats(tr.normalized[i].values[start:stop]),
+                             tr.normalized[i].none[start:stop], "null") for i in ids]
+            normalized = ["{" + ",".join(map(str.__add__, keys, row)) + i2 + "}"
+                          for row in zip(*values)] if ids else ["{}"] * (stop - start)
+            entries = [entry % (("false", "true")[alarm], by_reason[r][0],
+                                norm if r is None else "{}", by_reason[r][1], t)
+                       for t, r, alarm, norm in zip(json_floats(tr.times[start:stop]),
+                                                    tr.reasons[start:stop],
+                                                    tr.alarm[start:stop], normalized)]
+            yield sep + ",".join(entries)
+            sep = ","
+        yield "\n" + "  " * depth + "]"
 
 
 @dataclass(frozen=True)
@@ -441,7 +484,7 @@ class RtmDetector:
             "unavailable_polls": sum(by_reason.values()),
             "unavailable_by_reason": dict(by_reason),
             "alarm_condition_polls": [t for t, alarm in zip(tr.times, tr.alarm) if alarm],
-            "indicator_trace": _IndicatorTrace(tr),
+            "indicator_trace": IndicatorTrace(tr),
         }
 
     def observe(self, frame: TelemetryFrame) -> TracedPoll:

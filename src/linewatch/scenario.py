@@ -20,8 +20,10 @@ process.
 What the control-room side keeps of a poll is a few hundred bytes of plain
 numbers: the frame's readings as columns of a ``TelemetryLog`` and the
 RTM's per-poll trace as columns of an ``RtmTrace``.  No detector keeps a
-frame past its poll, and ``RunReport.to_json`` encodes the long per-poll
-lists a bounded number of entries at a time.
+frame past its poll.  ``report.json``'s indicator trace, ``telemetry.csv``
+and ``rtm_trace.csv`` are formatted from those columns directly, to the
+bytes json and the csv module would write, a bounded number of polls at a
+time.
 """
 
 import contextlib
@@ -55,7 +57,7 @@ from .hydraulics import (
     linepack,
 )
 from .network import InstrumentPlacement, PipelineModel, Segment, discretize, end_flow_meters
-from .rtm import RtmDetector, RtmTrace, VotingPolicy, combined_verdict
+from .rtm import IndicatorTrace, RtmDetector, RtmTrace, VotingPolicy, combined_verdict
 from .telemetry import (NoiseSpec, PlausibilityLimits, TelemetryFrame, TelemetryLog,
                         instrument_nodes, noiseless_reading, plausibility_filter, sample)
 
@@ -270,31 +272,35 @@ class Scenario:
     availability: Optional[dict]
 
 
-# Entries of a long report list that RunReport.to_json encodes per
-# json.dumps call: what it holds of the list at once.
+# Polls of a per-poll output, and entries of any other long report list,
+# that a writer formats per piece: what it holds of them at once.
 _JSON_CHUNK = 64
 
 
 def _long(value):
-    """Whether ``value`` is a sequence longer than ``_JSON_CHUNK``, or a
-    mapping that holds one."""
+    """Whether ``value`` is an indicator trace, a sequence longer than
+    ``_JSON_CHUNK``, or a mapping that holds one."""
     if isinstance(value, dict):
         return any(map(_long, value.values()))
-    return isinstance(value, Sequence) and not isinstance(value, str) and len(value) > _JSON_CHUNK
+    return isinstance(value, IndicatorTrace) or (
+        isinstance(value, Sequence) and not isinstance(value, str) and len(value) > _JSON_CHUNK)
 
 
 def _json_pieces(value, depth=0):
     """``json.dumps(value, indent=2, sort_keys=True)``, in pieces, for a
-    value nested ``depth`` levels deep, where any sequence counts as a list.
-    A sequence longer than ``_JSON_CHUNK`` is encoded ``_JSON_CHUNK``
-    entries per call, so neither all its entries nor all the encoder's
-    pieces for it exist at once; the mappings that hold one are opened
-    here, and the rest goes whole to ``json.dumps``.  A JSON text holds no
-    raw newline, so nesting is the indent added after each one."""
+    value nested ``depth`` levels deep, where an indicator trace counts as
+    a list.  An indicator trace formats itself from its columns, and any
+    other sequence longer than ``_JSON_CHUNK`` is encoded ``_JSON_CHUNK``
+    entries per call, so neither all its entries nor all the pieces of
+    either exist at once; the mappings that hold one are opened here, and
+    the rest goes whole to ``json.dumps``.  A JSON text holds no raw
+    newline, so nesting is the indent added after each one."""
     pad = "\n" + "  " * depth
     is_dict = isinstance(value, dict)
-    if not _long(value) or is_dict and not all(isinstance(k, str) for k in value):
-        yield json.dumps(value, indent=2, sort_keys=True, default=list).replace("\n", pad)
+    if isinstance(value, IndicatorTrace):
+        yield from value.json_pieces(depth, _JSON_CHUNK)
+    elif not _long(value) or is_dict and not all(isinstance(k, str) for k in value):
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
     elif is_dict:
         sep = "{"
         for key in sorted(value):
@@ -305,8 +311,7 @@ def _json_pieces(value, depth=0):
     else:
         sep = "["
         for start in range(0, len(value), _JSON_CHUNK):
-            chunk = json.dumps(value[start:start + _JSON_CHUNK], indent=2, sort_keys=True,
-                               default=list)
+            chunk = json.dumps(value[start:start + _JSON_CHUNK], indent=2, sort_keys=True)
             yield sep + chunk[1:-2].replace("\n", pad)   # without its "[" and "\n]"
             sep = ","
         yield pad + "]"
@@ -362,6 +367,14 @@ class RunReport:
         """:meth:`to_json`'s text, in pieces of bounded length."""
         return _json_pieces(self._sections())
 
+    def csv_tables(self):
+        """(file name, text pieces) of each table written from the run's
+        columns: telemetry.csv and, once the RTM has traced a poll,
+        rtm_trace.csv, at most ``_JSON_CHUNK`` polls a piece."""
+        yield "telemetry.csv", self.telemetry.csv_pieces(_JSON_CHUNK)
+        if self.rtm_trace:
+            yield "rtm_trace.csv", self.rtm_trace.csv_pieces(_JSON_CHUNK)
+
     def to_json(self):
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, made
         without listing the indicator trace."""
@@ -369,6 +382,21 @@ class RunReport:
 
 
 # --------------------------------------------------------------------- loading
+
+# libyaml's parser where PyYAML was built with it: the same documents, in
+# about an eighth of the time of the pure-Python one.
+_FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(blob):
+    """``yaml.safe_load(blob)``, parsed by libyaml where PyYAML has it.  A
+    document libyaml refuses is read again by the pure-Python parser, so
+    an error names its problem in that parser's words."""
+    try:
+        return yaml.load(blob, Loader=_FAST_LOADER)
+    except yaml.YAMLError:
+        return yaml.load(blob, Loader=yaml.SafeLoader)
+
 
 def read_yaml_mapping(path):
     """The mapping the YAML file at ``path`` holds, and the file's bytes.
@@ -382,7 +410,7 @@ def read_yaml_mapping(path):
     except OSError as e:
         raise ConfigurationError(f"{path}: cannot read the file ({e.strerror})") from None
     try:
-        raw = yaml.safe_load(blob)
+        raw = _parse_yaml(blob)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"

@@ -6,7 +6,8 @@ each instrument can also drop out per poll.  The true value is
 :func:`instrument_nodes`, which is also how the RTM takes its model
 values.  The plausibility filter only ever changes quality flags, never
 values.  A run keeps its frames as a :class:`TelemetryLog`: plain numbers
-in columns, one value and one quality code per reading.
+in columns, one value and one quality code per reading, from which
+``telemetry.csv`` is formatted directly.
 """
 
 import math
@@ -18,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
+from .formats import csv_cell, csv_line, pieces
 from .hydraulics import GridState
 from .network import PipelineModel
 
@@ -117,6 +119,21 @@ class TelemetryLog:
         for t in self.times:
             for iid, (value, code) in zip(self.ids, readings):
                 yield t, iid, None if code >= _NONE else value, _QUALITIES[code % _NONE]
+
+    def csv_pieces(self, chunk):
+        """telemetry.csv's text, the bytes ``csv.writer`` writes for its
+        header and :meth:`rows`: the header line, then the readings of at
+        most ``chunk`` polls a piece."""
+        yield csv_line(("poll_time", "instrument", "value", "quality"))
+        heads = [f",{csv_cell(iid)}," for iid in self.ids]
+        ends = [f",{csv_cell(q)}\r\n" for q in _QUALITIES] * 2   # by code
+        n = len(self.ids)
+        for start, stop in pieces(len(self), chunk):
+            values = map(float.__repr__, self._values[start * n : stop * n])
+            readings = zip(values, self._codes[start * n : stop * n])
+            yield "".join([t + head + (value if code < _NONE else "") + ends[code]
+                           for t in map(float.__repr__, self.times[start:stop])
+                           for head, (value, code) in zip(heads, readings)])
 
 
 class NoiseSpec:

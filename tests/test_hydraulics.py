@@ -756,6 +756,21 @@ class TestWarmSteadyStart:
         for f in ("P", "V", "T"):
             np.testing.assert_allclose(getattr(warm, f), getattr(cold, f), rtol=1e-9)
 
+    @pytest.mark.parametrize("p_far", [1.0e7, 1.35e7, 1.6e7])
+    def test_from_a_guess_too_far_off_it_starts_cold(self, p_far):
+        # Newton started from one step after a 6.0e6 Pa steady start stalls
+        # or runs out of iterations on these inlet pressures; the cold guess
+        # converges.
+        p_in, p_out, _, dx, dt = _LINES["gas"]
+        solver = make_solver(_GAS, _GAS_LINE, dx=dx)
+        bc = bc_pp(p_in, p_out)
+        state = solver.advance(solver.steady_state(bc), bc, dt).state
+        far = bc_pp(p_far, p_out)
+        warm = solver.steady_state(far, t=state.t, initial_guess=state)
+        cold = make_solver(_GAS, _GAS_LINE, dx=dx).steady_state(far, t=state.t)
+        for f in ("P", "V", "T"):
+            np.testing.assert_allclose(getattr(warm, f), getattr(cold, f), rtol=1e-9)
+
 
 class TestSettingsValidation:
     def test_leak_validation(self, water_like, ten_km_line):

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import csv
+import io
 import itertools
 import json
 import math
@@ -17,25 +18,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linewatch.cli as cli
 import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
-from conftest import set_noise_scale, standard_config
+from conftest import flow_drive_cfg, set_noise_scale, standard_config
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import GasEos
 from linewatch.hydraulics import linepack
-from linewatch.rtm import RtmDetector
+from linewatch.rtm import IndicatorTrace, RtmDetector, RtmTrace, TracedPoll
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, start_plant, sweep
-from linewatch.telemetry import Reading, TelemetryFrame, TelemetryLog, sample
+from linewatch.telemetry import (GOOD, MISSING, SUSPECT, Reading, TelemetryFrame, TelemetryLog,
+                                 sample)
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
 
 
 SHIPPED_STANDARD = Path(__file__).parents[1] / "demos" / "scenarios" / "standard_leak.yaml"
 SHIPPED_GAS = SHIPPED_STANDARD.with_name("gas_line.yaml")
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
 
 
 def _leaves(raw, path="", keys=()):
@@ -1137,6 +1140,83 @@ _WRITER_CASES.update(
 )
 
 
+# Ids, reasons and floats a formatter must write as json and csv.writer do:
+# the characters csv quotes or doubles, a line break of each kind and
+# non-ASCII text; NaN, the infinities, -0.0, subnormal and huge floats.
+_AWKWARD_TEXT = st.text(st.sampled_from('a_9,"\r\n \u00e9\u20ac'), max_size=4)
+_AWKWARD_FLOAT = st.none() | st.floats() | st.sampled_from(
+    (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1.7976931348623157e308, 1e22))
+
+
+def _poll(t, ids, reason, value, alarm=False):
+    """A poll record: on an available poll (no ``reason``) every indicator
+    reads ``value(i)`` as its delta and normalized value."""
+    values = lambda: {} if reason is not None else {i: value(i) for i in ids}
+    return TracedPoll(poll_time=t, reason=reason, delta=values(), normalized=values(),
+                      alarm_condition=alarm, shadow_linepack=None, boundary_values={},
+                      readings={})
+
+
+@st.composite
+def _columns(draw):
+    """(indicator ids, frames, poll records) of a few polls."""
+    ids = draw(st.lists(_AWKWARD_TEXT, unique=True, max_size=3))
+    frames, records = [], []
+    for k in range(draw(st.integers(0, 9))):
+        t = draw(st.just(5.0 * k) | st.floats())
+        frames.append(TelemetryFrame(t, tuple(
+            Reading(i, draw(_AWKWARD_FLOAT), draw(st.sampled_from((GOOD, SUSPECT, MISSING))))
+            for i in ids)))
+        records.append(_poll(t, ids, draw(st.none() | _AWKWARD_TEXT),
+                             lambda i: draw(_AWKWARD_FLOAT), draw(st.booleans())))
+    return ids, frames, records
+
+
+class TestYamlParsers:
+    """Input files are parsed by libyaml where PyYAML has it, to the mapping
+    the pure-Python parser gives; a file libyaml refuses is reported in the
+    pure-Python parser's words."""
+
+    @staticmethod
+    def _parsed_alike(blob):
+        fast = yaml.load(blob, Loader=scenario_module._FAST_LOADER)
+        slow = yaml.load(blob, Loader=yaml.SafeLoader)
+        # repr tells 1 from 1.0 and True from 1, which == does not
+        assert isinstance(slow, dict) and repr(fast) == repr(slow)
+        return slow
+
+    def test_libyaml_is_used_where_pyyaml_has_it(self):
+        if yaml.__with_libyaml__:
+            assert scenario_module._FAST_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("path", sorted(SHIPPED_STANDARD.parent.glob("*.yaml"))
+                             + sorted(WORKLOADS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_shipped_scenarios_and_workloads(self, path):
+        slow = self._parsed_alike(path.read_bytes())
+        assert repr(scenario_module.read_yaml_mapping(path)[0]) == repr(slow)
+
+    @pytest.mark.parametrize("name", ["standard", "flow_drive", "quiet_line", *_WRITER_CASES])
+    def test_test_configs(self, name):
+        build = {"standard": standard_config, "flow_drive": flow_drive_cfg,
+                 "quiet_line": TestSolverWork._quiet_line, **_WRITER_CASES}[name]
+        cfg = build()
+        assert self._parsed_alike(yaml.safe_dump(cfg).encode()) == cfg
+
+    @pytest.mark.parametrize("text", [
+        "horizon: [60\n", "a: b: c\n", "key: 'unterminated\n", "\tfoo: 1\n",
+        "a:\n  - 1\n - 2\n", "x: *nope\n"])
+    def test_malformed_file_is_reported_in_the_python_parsers_words(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(yaml.YAMLError) as slow:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        mark = slow.value.problem_mark
+        with pytest.raises(ConfigurationError) as err:
+            scenario_module.read_yaml_mapping(path)
+        assert str(err.value) == (f"{path}: not valid YAML at line {mark.line + 1}, "
+                                  f"column {mark.column + 1}: {slow.value.problem}")
+
+
 class TestWritersFromColumns:
     """report.json and the tables, written from the telemetry and RTM trace
     columns, are the bytes the writers made from the run's frames and poll
@@ -1207,6 +1287,50 @@ class TestWritersFromColumns:
         finally:
             scenario_module._JSON_CHUNK = saved
         assert pieces == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(columns=_columns(), chunk=st.sampled_from((1, 7, 64)))
+    @example(columns=(["q"], [], []), chunk=7)                          # no poll
+    @example(columns=(["f,1"], [TelemetryFrame(0.0, (Reading("f,1", -0.0, GOOD),))],
+                      [_poll(0.0, ["f,1"], None, lambda i: 5e-324, True)]), chunk=1)
+    @example(columns=(["f"], [TelemetryFrame(t, (Reading("f", None, MISSING),))
+                              for t in (0.0, 5.0)],
+                      [_poll(0.0, ["f"], "initializing", None),
+                       _poll(5.0, ["f"], 'sus"pended,\n', None)]), chunk=64)  # none counted
+    def test_column_formatters_give_json_and_csv_bytes(self, columns, chunk):
+        ids, frames, records = columns
+        log, trace = TelemetryLog(), RtmTrace(ids, (), ())
+        for frame, rec in zip(frames, records):
+            log.append(frame)
+            trace.append(rec)
+        expected = _old_tables(frames, records)
+        expected.setdefault("rtm_trace.csv", (["poll_time", "available", "reason", "alarm"], []))
+
+        def csv_text(header, rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue()
+
+        polls = len(records)
+        for pieces, table in ((list(log.csv_pieces(chunk)), "telemetry.csv"),
+                              (list(trace.csv_pieces(chunk)), "rtm_trace.csv")):
+            assert "".join(pieces) == csv_text(*expected[table]), table
+            assert len(pieces) == 1 + -(-polls // chunk), table   # header, then chunk polls a piece
+
+        entries = _old_rtm_log(records)["indicator_trace"]
+        assert "".join(IndicatorTrace(trace).json_pieces(0, chunk)) == json.dumps(
+            entries, indent=2, sort_keys=True)
+        saved = scenario_module._JSON_CHUNK
+        scenario_module._JSON_CHUNK = chunk
+        try:
+            nested = "".join(scenario_module._json_pieces(
+                {"rtm": {"indicator_trace": IndicatorTrace(trace), "polls": polls}}))
+        finally:
+            scenario_module._JSON_CHUNK = saved
+        assert nested == json.dumps({"rtm": {"indicator_trace": entries, "polls": polls}},
+                                    indent=2, sort_keys=True)
 
 
 class TestSpecInvariantsEndToEnd:
@@ -1752,8 +1876,9 @@ class TestRunMemory:
 
     @staticmethod
     def _peak(horizon, tmp_path, balance_window=600.0):
-        """(polls, tracemalloc's peak in bytes) of one in-process run of the
-        quiet line with its report.json text and tables."""
+        """(polls, tracemalloc's peak in bytes, and the most the writers add
+        to what the run holds) of one in-process run of the quiet line with
+        its report.json and tables written as the command line writes them."""
         cfg = TestSolverWork._quiet_line()
         cfg["horizon"] = horizon
         cfg["balance"]["window"] = balance_window
@@ -1761,28 +1886,46 @@ class TestRunMemory:
         tracemalloc.start()
         try:
             report = run_scenario(scenario)
-            report.to_json()
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            cli.write_report(tmp_path / "report.json", report)
+            for name, pieces in report.csv_tables():
+                cli.write_text(tmp_path / name, "", pieces)
             for name, header, rows in cli._tables(report):
                 cli.write_table(tmp_path / name, "", header, rows)
-            return len(report.telemetry), tracemalloc.get_traced_memory()[1]
+            write_peak = tracemalloc.get_traced_memory()[1]
+            return len(report.telemetry), max(run_peak, write_peak), write_peak - held
         finally:
             tracemalloc.stop()
 
     def test_peak_grows_at_most_1_kb_per_poll(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
         self._peak(60.0, tmp_path)   # what a first run loads is not the run's
-        short_polls, short = self._peak(600.0, tmp_path)
-        long_polls, long = self._peak(2400.0, tmp_path)
+        short_polls, short, _ = self._peak(600.0, tmp_path)
+        long_polls, long, _ = self._peak(2400.0, tmp_path)
         assert (short_polls, long_polls) == (121, 481)
         per_poll = (long - short) / (long_polls - short_polls)
         assert per_poll <= 1024.0, f"{per_poll:.0f} bytes per poll"
+
+    def test_writers_hold_a_few_polls_at_once(self, tmp_path, monkeypatch):
+        # report.json and the tables are written a bounded number of polls
+        # at a time, so what writing adds to the run's memory does not grow
+        # with the run: about 2 bytes a poll.  Any of the three per-poll
+        # outputs joined whole adds 550 to 1000.
+        monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
+        self._peak(60.0, tmp_path)
+        short_polls, _, short = self._peak(600.0, tmp_path)
+        long_polls, _, long = self._peak(2400.0, tmp_path)
+        per_poll = (long - short) / (long_polls - short_polls)
+        assert per_poll <= 32.0, f"{per_poll:.0f} bytes per poll"
 
     def test_balance_window_keeps_no_frames(self, tmp_path, monkeypatch):
         # The open balance window holds four numbers a poll, not the frames:
         # a window of the whole run peaks little above a 600 s one.
         monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
         self._peak(60.0, tmp_path)   # what a first run loads is not the run's
-        polls, short = self._peak(5400.0, tmp_path, balance_window=600.0)
-        long_polls, long = self._peak(5400.0, tmp_path, balance_window=5400.0)
+        polls, short, _ = self._peak(5400.0, tmp_path, balance_window=600.0)
+        long_polls, long, _ = self._peak(5400.0, tmp_path, balance_window=5400.0)
         assert polls == long_polls == 1081
         assert long - short <= 200e3, f"{(long - short) / 1e3:.0f} kB more"
