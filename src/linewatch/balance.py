@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .telemetry import TelemetryFrame
+from .telemetry import OptionalFloats, TelemetryFrame
 
 __all__ = ["BalanceWindow", "accumulate", "balance_alarm", "BalanceDetector"]
 
@@ -134,8 +134,8 @@ class BalanceDetector:
         self.windows: List[BalanceWindow] = []
         self.alarms: List[bool] = []
         self._times = array("d")
-        self._flows_in: List[Optional[float]] = []
-        self._flows_out: List[Optional[float]] = []
+        self._flows_in = OptionalFloats()
+        self._flows_out = OptionalFloats()
         self._linepacks = array("d")
         self._window_end: Optional[float] = None
 
@@ -153,10 +153,8 @@ class BalanceDetector:
             self.windows.append(w)
             self.alarms.append(balance_alarm(w, self.threshold))
             # boundary poll opens the next window
-            self._times = self._times[-1:]
-            self._flows_in = self._flows_in[-1:]
-            self._flows_out = self._flows_out[-1:]
-            self._linepacks = self._linepacks[-1:]
+            for column in (self._times, self._flows_in, self._flows_out, self._linepacks):
+                del column[:-1]
             self._window_end = frame.poll_time + self.window_duration
 
     @property

@@ -1,12 +1,14 @@
 """Command-line scenario runner: run, sweep, and validate subcommands."""
 
 import argparse
-import csv
+import itertools
 import logging
 import sys
 from pathlib import Path
 
+from . import scenario as _scenario
 from .errors import SOLVER_FAILURES, ConfigurationError
+from .formats import csv_line
 from .scenario import (RunReport, load_scenario, read_yaml_mapping, run_scenario, start_plant,
                        sweep)
 
@@ -74,16 +76,7 @@ def _cmd_run(args):
     logger.info("running scenario %s (seed %d)", scenario.name, scenario.seed)
     report = run_scenario(scenario, dump_states=args.dump_states)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    write_report(outdir / "report.json", report)
-    note = _note(report.scenario_name, report.config_hash)
-    for name, pieces in report.csv_tables():
-        write_text(outdir / name, note, pieces)
-    for name, header, rows in _tables(report):
-        write_table(outdir / name, note, header, rows)
-    if report.states:
-        write_states(outdir / "states.dat", report)
+    write_files(outdir, run_files(report))
     logger.info("report and logs written to %s", outdir)
 
     if report.run.get("solver_failure"):
@@ -97,15 +90,14 @@ def _cmd_sweep(args):
     scenario = load_scenario(args.scenario)
     grid_spec, _ = read_yaml_mapping(args.grid)
     rows = sweep(scenario.raw, grid_spec)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "sweep.csv"
     columns = list(dict.fromkeys(key for row in rows for key in row))
-    write_table(path, _note(scenario.name, scenario.config_hash), columns,
-                ([int(v) if isinstance(v, bool) else v for v in map(row.get, columns)]
-                 for row in rows))
+    table = _table(_note(scenario.name, scenario.config_hash), columns,
+                   ([int(v) if isinstance(v, bool) else v for v in map(row.get, columns)]
+                    for row in rows))
+    outdir, name = Path(args.output_dir), "sweep.csv"
+    write_files(outdir, [(name, table)])
     failures = sum(1 for r in rows if r.get("error"))
-    print(f"sweep: {len(rows)} cells, {failures} failed -> {path}")
+    print(f"sweep: {len(rows)} cells, {failures} failed -> {outdir / name}")
     return 0 if failures == 0 else 1
 
 
@@ -153,59 +145,61 @@ def _note(scenario_name, config_hash):
     return f"# scenario={scenario_name} config_sha256={config_hash}\n"
 
 
-def write_report(path, report: RunReport):
-    """report.json: the report's JSON text and a newline, written in the
-    pieces it is encoded in."""
-    with open(path, "w") as fh:
-        fh.writelines(report.json_pieces())
-        fh.write("\n")
-
-
-def write_table(path, note, header, rows):
-    """One CSV table under its provenance line ``note``; None is written
-    empty.  The rows come with their booleans already as 0/1."""
-    with open(path, "w", newline="") as fh:
-        fh.write(note)
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def write_text(path, note, pieces):
-    """One CSV table under its provenance line ``note``, from the text
-    pieces it is formatted in (see :meth:`RunReport.csv_tables`)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(note)
-        fh.writelines(pieces)
-
-
-def _tables(report: RunReport):
-    """(file name, header, rows) of each CSV table the run has that is not
-    formatted from its columns, with each boolean column written as 0/1."""
+def run_files(report: RunReport):
+    """(file name, text pieces) of each file ``linewatch run`` writes: the
+    report, the tables of its per-poll columns and of its sections, each
+    under its provenance line, and the plant states when the run kept
+    them.  A per-poll output comes at most ``_JSON_CHUNK`` polls a piece,
+    a section's table a row a piece, with each boolean written as 0/1."""
+    chunk = _scenario._JSON_CHUNK
+    note = _note(report.scenario_name, report.config_hash)
+    yield "report.json", itertools.chain(report.json_pieces(), "\n")
+    yield "telemetry.csv", itertools.chain([note], report.telemetry.csv_pieces(chunk))
+    if report.rtm_trace:
+        yield "rtm_trace.csv", itertools.chain([note], report.rtm_trace.csv_pieces(chunk))
     if report.balance.get("enabled"):
         keys = ["start", "end", "v_in", "v_out", "delta_inventory", "imbalance"]
         header = ["start", "end", "v_in_kg", "v_out_kg", "delta_inventory_kg", "imbalance_kg",
                   "indeterminate", "alarm"]
-        yield "balance_windows.csv", header, (
+        yield "balance_windows.csv", _table(note, header, (
             [w[k] for k in keys] + [int(w["indeterminate"]), int(w["alarm"])]
-            for w in report.balance["windows"])
+            for w in report.balance["windows"]))
     if report.acoustic.get("enabled"):
         keys = ["leak_position", "sensor", "sensor_position", "arrival_time", "amplitude"]
-        yield "acoustic_events.csv", keys + ["triggered"], (
-            [ev[k] for k in keys] + [int(ev["triggered"])] for ev in report.acoustic["events"])
+        yield "acoustic_events.csv", _table(note, keys + ["triggered"], (
+            [ev[k] for k in keys] + [int(ev["triggered"])] for ev in report.acoustic["events"]))
     if report.availability:
         keys = ["name", "elements", "rank", "product", "approximate"]
-        yield "availability.csv", ["chain"] + keys[1:] + ["approximate_valid"], (
-            [row[k] for k in keys] + [int(row["approximate_valid"])] for row in report.availability)
+        yield "availability.csv", _table(note, ["chain"] + keys[1:] + ["approximate_valid"], (
+            [row[k] for k in keys] + [int(row["approximate_valid"])]
+            for row in report.availability))
+    if report.states:
+        yield "states.dat", _states(note, report.states)
 
 
-def write_states(path, report: RunReport):
-    with open(path, "w") as fh:
-        fh.write(_note(report.scenario_name, report.config_hash))
-        fh.write("t x P V T rho\n")
-        for st in report.states:
-            for i in range(st.x.size):
-                fh.write(f"{st.t} {st.x[i]} {st.P[i]} {st.V[i]} {st.T[i]} {st.rho[i]}\n")
+def write_files(outdir, files):
+    """Write each (file name, text pieces) of ``files`` into the directory
+    ``outdir``, made if missing, as the pieces come."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, pieces in files:
+        with open(outdir / name, "w", newline="") as fh:
+            fh.writelines(pieces)
+
+
+def _table(note, header, rows):
+    """A CSV table's lines as ``csv.writer`` writes them, under its
+    provenance line ``note``; None is written empty."""
+    yield note
+    yield from map(csv_line, itertools.chain([header], rows))
+
+
+def _states(note, states):
+    """states.dat's lines: each plant state's nodes as columns of text."""
+    yield note
+    yield "t x P V T rho\n"
+    for st in states:
+        for i in range(st.x.size):
+            yield f"{st.t} {st.x[i]} {st.P[i]} {st.V[i]} {st.T[i]} {st.rho[i]}\n"
 
 
 if __name__ == "__main__":

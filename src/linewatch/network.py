@@ -1,7 +1,7 @@
 """Pipeline geometry, instrumentation, and spatial discretization."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

@@ -44,7 +44,7 @@ from .hydraulics import (
     linepack,
 )
 from .network import end_flow_meters
-from .telemetry import TelemetryFrame, instrument_nodes, noiseless_reading
+from .telemetry import OptionalFloats, TelemetryFrame, instrument_nodes, noiseless_reading
 
 __all__ = [
     "VotingPolicy",
@@ -122,24 +122,6 @@ class TracedPoll(NamedTuple):
         return self.reason is None
 
 
-class _Floats:
-    """A column of optional floats: the values, NaN where one is None, and
-    which ones are None."""
-
-    __slots__ = ("values", "none")
-
-    def __init__(self):
-        self.values = array("d")
-        self.none = bytearray()
-
-    def append(self, v):
-        self.none.append(v is None)
-        self.values.append(math.nan if v is None else v)
-
-    def __getitem__(self, k):
-        return None if self.none[k] else self.values[k]
-
-
 class _Rows(Sequence):
     """Rows made from columns when they are read; a subclass gives
     ``__len__`` and ``_row(k)`` for 0 <= k < len.  It equals a list (or
@@ -175,11 +157,11 @@ class RtmTrace(_Rows):
         self.times = array("d")
         self.reasons = []
         self.alarm = bytearray()
-        self.delta = {i: _Floats() for i in self.indicator_ids}
-        self.normalized = {i: _Floats() for i in self.indicator_ids}
-        self.linepack = _Floats()
-        self.held = {i: _Floats() for i in self.boundary_ids}
-        self.readings = {i: _Floats() for i in self.reading_ids}
+        self.delta = {i: OptionalFloats() for i in self.indicator_ids}
+        self.normalized = {i: OptionalFloats() for i in self.indicator_ids}
+        self.linepack = OptionalFloats()
+        self.held = {i: OptionalFloats() for i in self.boundary_ids}
+        self.readings = {i: OptionalFloats() for i in self.reading_ids}
 
     def __len__(self):
         return len(self.times)

@@ -367,14 +367,6 @@ class RunReport:
         """:meth:`to_json`'s text, in pieces of bounded length."""
         return _json_pieces(self._sections())
 
-    def csv_tables(self):
-        """(file name, text pieces) of each table written from the run's
-        columns: telemetry.csv and, once the RTM has traced a poll,
-        rtm_trace.csv, at most ``_JSON_CHUNK`` polls a piece."""
-        yield "telemetry.csv", self.telemetry.csv_pieces(_JSON_CHUNK)
-        if self.rtm_trace:
-            yield "rtm_trace.csv", self.rtm_trace.csv_pieces(_JSON_CHUNK)
-
     def to_json(self):
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, made
         without listing the indicator trace."""

@@ -71,6 +71,30 @@ class TelemetryFrame:
         return r.value if r.quality == GOOD else None
 
 
+class OptionalFloats:
+    """A column of optional floats: the values, NaN where one is None, and
+    which ones are None, 9 bytes a value."""
+
+    __slots__ = ("values", "none")
+
+    def __init__(self):
+        self.values = array("d")
+        self.none = bytearray()
+
+    def __len__(self):
+        return len(self.values)
+
+    def append(self, v):
+        self.none.append(v is None)
+        self.values.append(math.nan if v is None else v)
+
+    def __getitem__(self, k):
+        return None if self.none[k] else self.values[k]
+
+    def __delitem__(self, k):
+        del self.values[k], self.none[k]
+
+
 # A TelemetryLog's code of a reading: its quality's index here, plus
 # _NONE where its value is None.
 _QUALITIES = (GOOD, SUSPECT, MISSING)
