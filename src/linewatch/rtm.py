@@ -16,10 +16,11 @@ leak makes the model predict rising pressures (inventory packing) while
 the measured pressures fall.
 
 What the detector keeps grows with the run's length by a few numbers per
-poll: every poll goes into an :class:`RtmTrace`, as columns of plain
-numbers, and no frame outlives its poll.  The vote, the sizing and locate
-windows, :meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` all read
-those columns.
+poll: every poll is written into an :class:`RtmTrace`, as columns of plain
+numbers, and no frame outlives its poll.  The sizing and locate windows,
+:meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` read those
+columns; the vote keeps one count per indicator, its streak of polls
+beyond threshold.
 """
 
 import json
@@ -302,27 +303,72 @@ class LocationScan:
     ssr: np.ndarray
 
 
+def _window_sum(window):
+    """The sum of a moving-average window as numpy's ``np.add.reduce``
+    (and so ``np.mean``) takes it, to the bit: 0.0 plus its pairwise sum."""
+    return 0.0 + _pairwise_sum(list(window), 0, len(window))
+
+
+def _pairwise_sum(a, lo, n):
+    """numpy's pairwise sum of the floats ``a[lo:lo + n]``, in its order of
+    additions: one by one below 8 terms; else 8 running sums, added in
+    pairs, then the rest one by one; above 128 terms, each half's sum."""
+    if n < 8:
+        res = -0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
+class _Streaks:
+    """The voting rule poll by poll: each indicator's count of consecutive
+    polls beyond threshold, ending at the latest poll.  A poll that lacks
+    an indicator, or reads it as None or NaN, ends its streak, so an
+    unavailable poll (which carries no indicators) ends every one."""
+
+    def __init__(self, policy: VotingPolicy):
+        self.M, self.K = policy.consecutive_required, policy.min_indicators
+        self.counts: Dict[str, int] = {}
+
+    def vote(self, normalized) -> bool:
+        """Count one poll's {indicator: normalized} in; whether >= K
+        indicators have now been beyond threshold for M polls."""
+        counts, self.counts = self.counts, {}
+        passing = 0
+        for iid, v in normalized.items():
+            # None ends a streak, and so does NaN: it is never >= 1
+            if v is not None and abs(v) >= 1.0:
+                c = self.counts[iid] = counts.get(iid, 0) + 1
+                passing += c >= self.M
+            else:
+                self.counts[iid] = 0
+        return passing >= self.K
+
+
 def vote(history, policy: VotingPolicy) -> bool:
     """Alarm iff >= K indicators are beyond threshold for the last M polls.
 
     ``history`` is a sequence of per-poll {indicator: normalized} maps;
-    None entries (warmup, bad readings, suspension) never count.
+    None entries (warmup, bad readings, suspension) never count.  This is
+    the rule :class:`RtmDetector` applies poll by poll.
     """
-    M, K = policy.consecutive_required, policy.min_indicators
-    if len(history) < M:
-        return False
-    recent = history[-M:]
-    # an indicator missing from the newest poll reads None there, so only
-    # the newest poll's indicators can count
-    count = 0
-    for iid in recent[-1]:
-        for h in recent:
-            v = h.get(iid)
-            if v is None or not abs(v) >= 1.0:   # NaN never counts
-                break
-        else:
-            count += 1
-    return count >= K
+    streaks, alarm = _Streaks(policy), False
+    for normalized in history[-policy.consecutive_required:]:
+        alarm = streaks.vote(normalized)
+    return alarm
 
 
 def combined_verdict(rtm: LeakVerdict, balance_alarm_time=None):
@@ -341,8 +387,8 @@ class RtmDetector:
     """Sequential state machine over the poll stream; one per pipeline.
 
     Feed filtered telemetry frames in poll order via :meth:`observe`;
-    ``trace`` keeps every poll as columns, and the voting, sizing and
-    locate windows read it (see the module docstring).  Boundary
+    ``trace`` keeps every poll as columns, and the sizing and locate
+    windows read it (see the module docstring).  Boundary
     readings that go bad are held for up to ``_STALENESS_POLLS`` polls,
     after which detection is suspended until good readings return: those
     polls are unavailable, with their reason, and never count toward
@@ -381,14 +427,17 @@ class RtmDetector:
                 f"({', '.join(ids)}), so the vote could never pass")
         self._state = None
         self._drive_bc = None       # built from the first good boundary readings
-        self._hold: Dict[str, float] = {}   # the two boundary instruments' held readings
+        # the two boundary instruments' held readings (None until the first)
+        self._hold: Dict[str, Optional[float]] = dict.fromkeys(
+            (self.boundary_in.id, self.boundary_out.id))
         self._stale: Dict[str, int] = {}
         self._t_held = float(fallback_temperature)
-        self._smooth: Dict[str, deque] = {
-            i.id: deque(maxlen=policy.smoothing_polls) for i in self.indicators
-        }
+        # each indicator's id, kind, node, threshold and moving-average window
+        self._smooth = [(i.id, i.kind, self._node_of[i.id], policy.threshold_for(i.kind),
+                         deque(maxlen=policy.smoothing_polls)) for i in self.indicators]
         meters = [m.id for m in (self.flow_in_meter, self.flow_out_meter) if m is not None]
         self.trace = RtmTrace(ids, (self.boundary_in.id, self.boundary_out.id), ids + meters)
+        self._streaks = _Streaks(policy)
         self.verdict = LeakVerdict(declared=False)
         self._refine_at: Optional[int] = None   # poll count at which to refine
 
@@ -470,12 +519,12 @@ class RtmDetector:
         }
 
     def observe(self, frame: TelemetryFrame) -> TracedPoll:
-        """Advance the shadow model one poll and evaluate the leak vote."""
+        """Advance the shadow model one poll and evaluate the leak vote; the
+        poll's row, which the trace now ends with."""
         if self._state is None:
             rec = self._try_initialize(frame)
         else:
             rec = self._step(frame)
-        self.trace.append(rec)
         if len(self.trace) == self._refine_at:
             self._refine()
         return rec
@@ -519,19 +568,18 @@ class RtmDetector:
             raise ConfigurationError(
                 f"poll at t={t1} s does not come after the shadow's t={t0} s: "
                 "frames must arrive in poll order")
-        for inst in (self.boundary_in, self.boundary_out):
-            v = frame.good_value(inst.id)
+        hold, stale = self._hold, self._stale
+        for iid in hold:
+            v = frame.good_value(iid)
             if v is not None:
-                self._hold[inst.id] = v
-                self._stale[inst.id] = 0
+                hold[iid] = v
+                stale[iid] = 0
             else:
-                self._stale[inst.id] += 1
-        suspended = any(self._stale[i.id] > _STALENESS_POLLS
-                        for i in (self.boundary_in, self.boundary_out))
+                stale[iid] += 1
+        suspended = max(stale.values()) > _STALENESS_POLLS
 
-        t_now = self._temperature_value(frame)
         # One step per poll, to the readings held at its end.
-        targets = (self._hold[self.boundary_in.id], self._hold[self.boundary_out.id], t_now)
+        targets = (*hold.values(), self._temperature_value(frame))
         step = self.solver.advance(self._state, self._drive_bc, dt=t1 - t0, targets=targets)
         self._state = step.state
         reason = "boundary readings stale; detection suspended" if suspended else None
@@ -549,46 +597,31 @@ class RtmDetector:
     # ------------------------------------------------------------ evaluation
 
     def _record(self, frame, lp=None, reason=None):
-        """The poll's trace row, declaring on the first alarm.  An available
-        poll (no ``reason``) takes each indicator's measured-minus-modeled
-        delta into its moving average; an unavailable one carries none."""
-        readings = {i: frame.good_value(i) for i in self.trace.reading_ids}
+        """Append the poll to the trace and return its row, declaring on the
+        first alarm.  An available poll (no ``reason``) takes each
+        indicator's measured-minus-modeled delta into its moving average;
+        an unavailable one carries none."""
+        good = frame.good_value
+        readings = {i: good(i) for i in self.trace.reading_ids}
         delta, normalized = {}, {}
         if reason is None:
-            for ind in self.indicators:
-                v = readings[ind.id]
+            state, pipeline = self._state, self.pipeline
+            for iid, kind, node, threshold, buf in self._smooth:
+                v = readings[iid]
                 if v is None:
-                    delta[ind.id] = normalized[ind.id] = None
+                    delta[iid] = normalized[iid] = None
                     continue
-                model = noiseless_reading(self._state, ind.kind, self._node_of[ind.id],
-                                          self.pipeline)
-                d = float(v - model)
-                delta[ind.id] = d
-                buf = self._smooth[ind.id]
+                d = delta[iid] = float(v - noiseless_reading(state, kind, node, pipeline))
                 buf.append(d)
-                if len(buf) == buf.maxlen:
-                    # np.mean's own sum, without its wrappers: the same bits
-                    sm = float(np.add.reduce(np.fromiter(buf, float, len(buf)))) / len(buf)
-                    normalized[ind.id] = sm / self.policy.threshold_for(ind.kind)
-                else:
-                    normalized[ind.id] = None
+                n = len(buf)
+                normalized[iid] = _window_sum(buf) / n / threshold if n == buf.maxlen else None
 
-        tr = self.trace
-        earlier = range(max(len(tr) - self.policy.consecutive_required + 1, 0), len(tr))
-        recent = [tr.indicator_values(tr.normalized, k) for k in earlier]
-        rec = TracedPoll(
-            poll_time=frame.poll_time,
-            reason=reason,
-            delta=delta,
-            normalized=normalized,
-            alarm_condition=vote(recent + [normalized], self.policy),
-            shadow_linepack=lp,
-            boundary_values={i.id: self._hold.get(i.id)
-                             for i in (self.boundary_in, self.boundary_out)},
-            readings=readings,
-        )
+        # the fields in TracedPoll's order
+        rec = TracedPoll(frame.poll_time, reason, delta, normalized,
+                         self._streaks.vote(normalized), lp, dict(self._hold), readings)
         if rec.alarm_condition and not self.verdict.declared:
             self._declare(rec)
+        self.trace.append(rec)
         return rec
 
     # ------------------------------------------------------------ sizing

@@ -15,15 +15,18 @@ is available and the process may use two or more CPUs, the field side
 runs in a forked child that streams its frames over a one-way pipe, so
 the two sides overlap; otherwise it runs in the same process.  The
 report is the same bytes either way; ``taskset -c 0`` keeps a run in one
-process.
+process.  A frame is columns (see ``TelemetryFrame``): its time, its
+instrument ids, its values and its quality codes, so a batch of frames
+pickles as a few flat tuples a frame, and pickle sends each id string
+once a batch.
 
 What the control-room side keeps of a poll is a few hundred bytes of plain
-numbers: the frame's readings as columns of a ``TelemetryLog`` and the
-RTM's per-poll trace as columns of an ``RtmTrace``.  No detector keeps a
-frame past its poll.  ``report.json``'s indicator trace, ``telemetry.csv``
-and ``rtm_trace.csv`` are formatted from those columns directly, to the
-bytes json and the csv module would write, a bounded number of polls at a
-time.
+numbers: the frame's columns copied into a ``TelemetryLog`` and the RTM's
+row of the poll written into the columns of an ``RtmTrace``.  No detector
+keeps a frame past its poll.  ``report.json``'s indicator trace,
+``telemetry.csv`` and ``rtm_trace.csv`` are formatted from those columns
+directly, to the bytes json and the csv module would write, a bounded
+number of polls at a time.
 """
 
 import contextlib
@@ -45,7 +48,8 @@ import yaml
 from . import acoustic as ac
 from .availability import availability_report, compare_configurations, reference_chains
 from .balance import BalanceDetector
-from .errors import SOLVER_FAILURES, ConfigurationError, ParameterDomainError
+from .errors import (SOLVER_FAILURES, ConfigurationError, InfeasibleScenarioError,
+                     ParameterDomainError, SolverError)
 from .fluid import FluidModel, GasEos, LiquidEos, assert_finite_eos, assert_off_critical
 from .hydraulics import (
     BoundaryConditions,
@@ -762,6 +766,10 @@ def start_plant(scenario: Scenario):
     error does: ``solver.target_dx`` for a grid that cannot hold its fixed
     points, ``fluid`` for an EOS that gives a non-positive density at the
     steady start, and ``rtm`` for a detector the instruments cannot drive.
+    A steady start the solver cannot solve (values far outside any real
+    line's, such as a friction factor of 1e30) is an
+    InfeasibleScenarioError that says so and names the sections that set
+    that problem.
 
     Every instrument must read its steady start inside its kind's
     plausibility window: one that does not would have each of its readings
@@ -774,7 +782,12 @@ def start_plant(scenario: Scenario):
         discretize, pipeline=s.pipeline, target_dx=s.target_dx,
         points=[i.position for i in s.instruments] + [lk.position for lk in s.leaks])
     plant = PipeFlowSolver(s.pipeline, s.fluid, grid)
-    state = at("fluid").build(plant.steady_state, bc=s.bc, t=0.0)
+    try:
+        state = at("fluid").build(plant.steady_state, bc=s.bc, t=0.0)
+    except SolverError as e:
+        raise InfeasibleScenarioError(
+            "the steady state at t=0 that the pipeline, fluid and boundaries sections "
+            f"set could not be solved: {e}") from e
     nodes = instrument_nodes(grid.node_positions, s.instruments)
     for k, (inst, node) in enumerate(zip(s.instruments, nodes)):
         lim = s.plausibility.get(inst.kind)

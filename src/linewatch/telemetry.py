@@ -5,15 +5,18 @@ each instrument can also drop out per poll.  The true value is
 :func:`noiseless_reading` at the instrument's node from
 :func:`instrument_nodes`, which is also how the RTM takes its model
 values.  The plausibility filter only ever changes quality flags, never
-values.  A run keeps its frames as a :class:`TelemetryLog`: plain numbers
-in columns, one value and one quality code per reading, from which
-``telemetry.csv`` is formatted directly.
+values.  A :class:`TelemetryFrame` holds its poll as columns: a tuple of
+the instrument ids, and each reading's value and quality code.
+:func:`sample` and :func:`plausibility_filter` make and re-flag those
+columns, and ``Reading`` objects are made only when a frame's readings
+are asked for.  A run keeps its frames as a :class:`TelemetryLog`: the
+same columns, poll after poll, from which ``telemetry.csv`` is formatted
+directly.
 """
 
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -49,26 +52,90 @@ class Reading:
     quality: str             # good | suspect | missing
 
 
-@dataclass(frozen=True)
+# A frame's and a TelemetryLog's code of a reading: its quality's index
+# here, plus _NONE where its value is None.
+_QUALITIES = (GOOD, SUSPECT, MISSING)
+_QUALITY_CODE = {q: code for code, q in enumerate(_QUALITIES)}
+_NONE = len(_QUALITIES)
+_GOOD_CODE, _SUSPECT_CODE = _QUALITY_CODE[GOOD], _QUALITY_CODE[SUSPECT]
+_DROPPED_CODE = _QUALITY_CODE[MISSING] + _NONE
+
+
 class TelemetryFrame:
-    """One SCADA poll: one reading per configured instrument."""
+    """One SCADA poll: one reading per configured instrument.
 
-    poll_time: float
-    readings: Tuple[Reading, ...]
+    It is built from its :class:`Reading`s and holds them as a
+    :class:`TelemetryLog` holds a run: the instrument ids, each reading's
+    value (None where it has none) and its quality code.  ``readings`` and
+    :meth:`reading` make ``Reading`` objects when asked; :meth:`good_value`
+    reads a lookup made once per frame.  Where an id repeats, its first
+    reading is the one :meth:`reading` and :meth:`good_value` give.
+    Frames are not changed once made.
+    """
 
-    @cached_property
-    def _by_id(self):
-        # built from the back so the first reading of a repeated id wins
-        return {r.instrument_id: r for r in reversed(self.readings)}
+    __slots__ = ("poll_time", "_ids", "_values", "_codes", "_good", "__weakref__")
+
+    def __init__(self, poll_time, readings):
+        readings = tuple(readings)
+        self.poll_time = poll_time
+        self._ids = tuple(r.instrument_id for r in readings)
+        self._values = tuple(r.value for r in readings)
+        self._codes = bytes(_QUALITY_CODE[r.quality] + _NONE * (r.value is None)
+                           for r in readings)
+        self._good = None
+
+    @property
+    def readings(self) -> Tuple[Reading, ...]:
+        return tuple(map(_reading, self._ids, self._values, self._codes))
 
     def reading(self, instrument_id) -> Reading:
         """The reading of ``instrument_id``; KeyError if the frame has none."""
-        return self._by_id[instrument_id]
+        try:
+            k = self._ids.index(instrument_id)
+        except ValueError:
+            raise KeyError(instrument_id) from None
+        return _reading(self._ids[k], self._values[k], self._codes[k])
 
     def good_value(self, instrument_id):
-        """Value if the reading is quality-good, else None."""
-        r = self.reading(instrument_id)
-        return r.value if r.quality == GOOD else None
+        """Value if the reading is quality-good, else None; KeyError if the
+        frame has no reading of ``instrument_id``."""
+        good = self._good
+        if good is None:
+            # built from the back so the first reading of a repeated id wins
+            good = self._good = {
+                iid: value if code == _GOOD_CODE else None
+                for iid, value, code in zip(reversed(self._ids), reversed(self._values),
+                                            reversed(self._codes))}
+        return good[instrument_id]
+
+    def _columns(self):
+        return self.poll_time, self._ids, self._values, self._codes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self):
+        return hash(self._columns())
+
+    def __repr__(self):
+        return f"TelemetryFrame(poll_time={self.poll_time!r}, readings={self.readings!r})"
+
+    def __reduce__(self):
+        return _frame, self._columns()
+
+
+def _frame(poll_time, ids, values, codes):
+    """A TelemetryFrame of these columns, as :class:`TelemetryFrame` holds them."""
+    frame = object.__new__(TelemetryFrame)
+    frame.poll_time, frame._ids, frame._values, frame._codes = poll_time, ids, values, codes
+    frame._good = None
+    return frame
+
+
+def _reading(instrument_id, value, code):
+    return Reading(instrument_id, value, _QUALITIES[code % _NONE])
 
 
 class OptionalFloats:
@@ -95,13 +162,6 @@ class OptionalFloats:
         del self.values[k], self.none[k]
 
 
-# A TelemetryLog's code of a reading: its quality's index here, plus
-# _NONE where its value is None.
-_QUALITIES = (GOOD, SUSPECT, MISSING)
-_QUALITY_CODE = {q: code for code, q in enumerate(_QUALITIES)}
-_NONE = len(_QUALITIES)
-
-
 class TelemetryLog:
     """A stream of frames kept as columns of plain numbers: each poll's
     time, and each reading's value (NaN where it is None) and quality code,
@@ -118,22 +178,20 @@ class TelemetryLog:
         return len(self.times)
 
     def append(self, frame: TelemetryFrame):
-        readings = frame.readings
+        ids = frame._ids
         if not self.times:
-            self.ids = tuple(r.instrument_id for r in readings)
-        elif len(readings) != len(self.ids):
-            raise ValueError(f"a frame of {len(readings)} readings for {len(self.ids)} instruments")
-        for r, logged in zip(readings, self.ids):
-            if r.instrument_id != logged:
-                raise ValueError(f"the frame at t={frame.poll_time} s reads "
-                                 f"{r.instrument_id!r} where the log reads {logged!r}")
-        for r in readings:
-            if r.value is None:
-                self._values.append(math.nan)
-                self._codes.append(_QUALITY_CODE[r.quality] + _NONE)
-            else:
-                self._values.append(r.value)
-                self._codes.append(_QUALITY_CODE[r.quality])
+            self.ids = ids
+        elif ids != self.ids:
+            if len(ids) != len(self.ids):
+                raise ValueError(f"a frame of {len(ids)} readings for {len(self.ids)} instruments")
+            iid, logged = next((i, j) for i, j in zip(ids, self.ids) if i != j)
+            raise ValueError(f"the frame at t={frame.poll_time} s reads "
+                             f"{iid!r} where the log reads {logged!r}")
+        values = frame._values
+        if None in values:
+            values = [math.nan if v is None else v for v in values]
+        self._values.extend(values)
+        self._codes += frame._codes
         self.times.append(frame.poll_time)
 
     def rows(self):
@@ -212,12 +270,13 @@ def noiseless_reading(state: GridState, kind, node, pipeline: PipelineModel):
     """What an instrument of ``kind`` at grid ``node`` reads of ``state``
     without noise or bias: a flow meter rho*V*A in kg/s, a pressure sensor
     P in Pa, a temperature sensor T in K.  The SCADA samples and the RTM's
-    model values both come from here, so they are taken the same way."""
+    model values both come from here, so they are taken the same way.
+    Each is a Python float, the same double numpy's scalars would give."""
     if kind == "flow":
-        return state.rho[node] * state.V[node] * pipeline.area
+        return state.rho.item(node) * state.V.item(node) * pipeline.area
     if kind == "pressure":
-        return state.P[node]
-    return state.T[node]  # temperature: instrument_nodes admits no other kind
+        return state.P.item(node)
+    return state.T.item(node)  # temperature: instrument_nodes admits no other kind
 
 
 def sample(state: GridState, instruments, noise: NoiseSpec,
@@ -227,16 +286,19 @@ def sample(state: GridState, instruments, noise: NoiseSpec,
     ``nodes`` are the instruments' grid nodes from :func:`instrument_nodes`;
     each reading is :func:`noiseless_reading` plus bias plus noise.
     """
-    readings = []
+    ids, values, codes = [], [], bytearray()
     for inst, node in zip(instruments, nodes, strict=True):
         truth = noiseless_reading(state, inst.kind, node, pipeline)
         u, z = noise.draw()
+        ids.append(inst.id)
         if u < inst.dropout_prob:
-            readings.append(Reading(inst.id, None, MISSING))
+            values.append(None)
+            codes.append(_DROPPED_CODE)
             continue
         perturbation = min(max(z, -_NOISE_CLIP_SIGMA), _NOISE_CLIP_SIGMA) * inst.noise_sigma
-        readings.append(Reading(inst.id, float(truth + inst.bias + perturbation), GOOD))
-    return TelemetryFrame(poll_time=float(state.t), readings=tuple(readings))
+        values.append(float(truth + inst.bias + perturbation))
+        codes.append(_GOOD_CODE)
+    return _frame(float(state.t), tuple(ids), tuple(values), bytes(codes))
 
 
 def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> TelemetryFrame:
@@ -252,28 +314,34 @@ def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> Telemet
     filtered readings.  A frame with nothing to re-flag is returned as it
     came.
     """
-    out, flagged = [], False
-    for r in frame.readings:
-        last_good, run_value, run = memory.get(r.instrument_id, (None, None, 0))
-        lim = limits.get(kinds.get(r.instrument_id))
-        if r.quality == GOOD and lim is not None:
-            suspect = not lim.min_value <= r.value <= lim.max_value
+    t = frame.poll_time
+    flagged = None   # the frame's codes, once one is re-flagged
+    for k, (iid, value, code) in enumerate(zip(frame._ids, frame._values, frame._codes)):
+        last_good, run_value, run = memory.get(iid, (None, None, 0))
+        lim = limits.get(kinds.get(iid))
+        good = code % _NONE == _GOOD_CODE
+        if good and lim is not None:
+            suspect = not lim.min_value <= value <= lim.max_value
             if not suspect and last_good is not None and math.isfinite(lim.max_rate):
                 t_prev, v_prev = last_good
-                dt = frame.poll_time - t_prev
-                suspect = dt > 0 and abs(r.value - v_prev) / dt > lim.max_rate
+                dt = t - t_prev
+                suspect = dt > 0 and abs(value - v_prev) / dt > lim.max_rate
             if not suspect and lim.flatline_polls is not None:
-                suspect = (run if r.value == run_value else 0) + 1 >= lim.flatline_polls
+                suspect = (run if value == run_value else 0) + 1 >= lim.flatline_polls
             if suspect:
-                r, flagged = Reading(r.instrument_id, r.value, SUSPECT), True
-        if r.quality == GOOD:
-            last_good = (frame.poll_time, r.value)
-        if r.value is None:
+                if flagged is None:
+                    flagged = bytearray(frame._codes)
+                flagged[k] = _SUSPECT_CODE
+                good = False
+        if good:
+            last_good = (t, value)
+        if value is None:
             run_value, run = None, 0
-        elif r.value == run_value:
+        elif value == run_value:
             run += 1
         else:
-            run_value, run = r.value, 1
-        memory[r.instrument_id] = (last_good, run_value, run)
-        out.append(r)
-    return TelemetryFrame(poll_time=frame.poll_time, readings=tuple(out)) if flagged else frame
+            run_value, run = value, 1
+        memory[iid] = (last_good, run_value, run)
+    if flagged is None:
+        return frame
+    return _frame(t, frame._ids, frame._values, bytes(flagged))

@@ -21,7 +21,7 @@ from linewatch.hydraulics import (
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
 from linewatch.rtm import (_LOCATE_WINDOW_POLLS, _STALENESS_POLLS, RtmDetector, VotingPolicy,
-                           combined_verdict, vote)
+                           _Streaks, _window_sum, combined_verdict, vote)
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
                                  instrument_nodes, noiseless_reading, sample)
@@ -32,6 +32,16 @@ def policy(**kw):
                 consecutive_required=3, min_indicators=2, smoothing_polls=8)
     args.update(kw)
     return VotingPolicy(**args)
+
+
+# Polls of normalized indicators: None, NaN, the infinities, values either
+# side of the threshold, and indicators missing from some polls.
+_HISTORY = st.lists(st.dictionaries(
+    st.sampled_from(["a", "b", "c"]),
+    st.one_of(st.none(), st.just(math.nan), st.floats(-3.0, 3.0),
+              st.sampled_from([1.0, -1.0, math.inf, -math.inf]))),
+    max_size=7)
+SCENARIOS = Path(__file__).parents[1] / "demos" / "scenarios"
 
 
 class TestVote:
@@ -87,15 +97,47 @@ class TestVote:
         return count >= K
 
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-    @given(history=st.lists(st.dictionaries(
-               st.sampled_from(["a", "b", "c"]),
-               st.one_of(st.none(), st.just(math.nan), st.floats(-3.0, 3.0),
-                         st.sampled_from([1.0, -1.0, math.inf]))),
-               max_size=7),
-           m=st.integers(1, 4), k=st.integers(1, 3))
+    @given(history=_HISTORY, m=st.integers(1, 4), k=st.integers(1, 3))
     def test_loops_match_the_generator_form(self, history, m, k):
         p = policy(consecutive_required=m, min_indicators=k)
         assert vote(history, p) == self._generator_vote(history, p)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(history=_HISTORY, m=st.integers(1, 4), k=st.integers(1, 3))
+    def test_streak_counts_are_the_vote_at_every_poll(self, history, m, k):
+        # the detector's rule: one count per indicator, taken a poll at a time
+        p = policy(consecutive_required=m, min_indicators=k)
+        streaks = _Streaks(p)
+        for n, normalized in enumerate(history, 1):
+            assert streaks.vote(normalized) == self._generator_vote(history[:n], p), n
+
+    @pytest.mark.parametrize("name", ["standard_leak", "gas_line", "phenomenology",
+                                      "mirror_leak"])
+    def test_trace_alarm_is_the_vote_over_its_columns(self, name):
+        s = load_scenario(SCENARIOS / f"{name}.yaml")
+        trace = run_scenario(s).rtm_trace
+        p = s.rtm["policy"]
+        history = [trace.indicator_values(trace.normalized, k) for k in range(len(trace))]
+        alarms = [vote(history[:n], p) for n in range(1, len(trace) + 1)]
+        assert alarms == [self._generator_vote(history[:n], p)
+                          for n in range(1, len(trace) + 1)]
+        assert list(map(bool, trace.alarm)) == alarms
+        assert any(alarms)
+
+    def test_a_suspension_restarts_every_streak(self):
+        # The leak holds both flow indicators beyond threshold.  p_in goes dark
+        # long enough to suspend detection, and the vote passes again M
+        # polls after it comes back, not at once.
+        dark = range(40, 47)
+        det = _MiniLoop(leak_rate=2.0,
+                        mangle=lambda f, k: _dark(f, "p_in") if k in dark else f).run(60)
+        tr, M = det.trace, det.policy.consecutive_required
+        assert [k for k, r in enumerate(tr.reasons) if r is not None] == [43, 44, 45, 46]
+        alarms = list(map(bool, tr.alarm))
+        assert alarms[40:52] == [True] * 3 + [False] * (4 + M - 1) + [True] * (6 - M)
+        history = [tr.indicator_values(tr.normalized, k) for k in range(len(tr))]
+        assert alarms == [self._generator_vote(history[:n], det.policy)
+                          for n in range(1, len(tr) + 1)]
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
@@ -111,6 +153,30 @@ class TestVote:
         p = VotingPolicy.default_for(instruments)
         assert p.flow_threshold == pytest.approx(0.6)
         assert p.pressure_threshold == pytest.approx(6000.0)
+
+
+class TestMovingAverage:
+    def test_window_sum_is_numpy_s_to_the_bit(self):
+        # what np.mean sums, so each normalized indicator keeps its bits: every
+        # length through numpy's 8-term blocks and its halving above 128 terms,
+        # magnitudes 1e-20 to 1e20, and a few signed zeros, extremes and NaNs
+        rng = np.random.default_rng(5)
+        awkward = (-0.0, 0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
+        for n in [k for k in range(1, 300) for _ in range(3)]:
+            window = (rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-20, 21, n)).tolist()
+            for k in rng.integers(0, n, rng.integers(0, 3)):
+                window[k] = awkward[rng.integers(len(awkward))]
+            with np.errstate(all="ignore"):
+                expected = float(np.add.reduce(np.array(window)))
+            got = _window_sum(collections.deque(window))
+            assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected)) or (
+                math.isnan(got) and math.isnan(expected)), window
+        # long windows too (smoothing_polls has no upper bound): their halves
+        # recurse several levels, past numpy's 8192-element buffer size
+        for n in (1000, 8193, 70001):
+            window = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-20, 21, n)
+            assert _window_sum(collections.deque(window.tolist())) == float(np.add.reduce(window))
+        assert _window_sum([-0.0]) == 0.0 and math.copysign(1.0, _window_sum([-0.0])) == 1.0
 
 
 class _MiniLoop:
@@ -693,7 +759,7 @@ class TestTraceIsTheHistory:
                                    rtol=1e-6)
 
 
-GAS_LINE = Path(__file__).parents[1] / "demos" / "scenarios" / "gas_line.yaml"
+GAS_LINE = SCENARIOS / "gas_line.yaml"
 
 
 def exhaustive_scan(det, size, window):

@@ -29,6 +29,7 @@ from linewatch.cli import main
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import GasEos
 from linewatch.hydraulics import linepack
+from linewatch.network import discretize
 from linewatch.rtm import IndicatorTrace, RtmDetector, RtmTrace, TracedPoll
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, start_plant, sweep
 from linewatch.telemetry import (GOOD, MISSING, SUSPECT, Reading, TelemetryFrame, TelemetryLog,
@@ -898,6 +899,32 @@ class TestCli:
                           "(min -3999.55 kg/m^3); EOS parameters do not cover this (P, T) region")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("pipeline", "friction_factor"), ("pipeline", "diameter"), ("pipeline", "U"),
+        ("fluid", "bulk_modulus"), ("pipeline", "ground_temperature")])
+    def test_steady_start_that_cannot_be_solved_says_so(self, tmp_path, capsys, section, key):
+        # No line has such a value, and Newton cannot solve the steady problem
+        # it sets; the run says which problem failed and which sections set it.
+        cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
+        cfg[section][key] = 1e30
+        scenario = scenario_from_dict(cfg)
+        message = ("the steady state at t=0 that the pipeline, fluid and boundaries sections "
+                   "set could not be solved: ")
+        with pytest.raises(InfeasibleScenarioError, match=f"^{re.escape(message)}") as raised:
+            start_plant(scenario)
+        assert isinstance(raised.value.__cause__, SolverError)
+        # the solver keeps its own error for a library caller
+        grid = discretize(scenario.pipeline, target_dx=scenario.target_dx,
+                          points=[i.position for i in scenario.instruments])
+        with pytest.raises(SolverError):
+            hydraulics.PipeFlowSolver(scenario.pipeline, scenario.fluid, grid).steady_state(
+                scenario.bc, t=0.0)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"solver failure: {raised.value}"] * 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [("substeps", 2), ("theta", 0.7),
                                            ("newton_tol", 1e-8), ("staleness_polls", 3),
                                            ("locate_window_polls", 12)])
@@ -1627,10 +1654,17 @@ class TestFieldSideTransports:
         assert main(["run", str(path), "--dump-states", "-o", str(out)]) == 0
         return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
-    @pytest.mark.parametrize("name", ["standard_leak.yaml", "gas_line.yaml"])
+    # Two shipped scenarios, and the writer cases whose frames cross the pipe
+    # with missing and suspect readings, and with detection suspended.
+    @pytest.mark.parametrize("name", ["standard_leak.yaml", "gas_line.yaml", "missing_and_suspect",
+                                      "no_available_poll", "unmeasured_balance"])
     def test_outputs_byte_identical(self, name, tmp_path, monkeypatch):
-        here = self._outputs(DEMOS / name, tmp_path / "here", monkeypatch, False)
-        forked = self._outputs(DEMOS / name, tmp_path / "forked", monkeypatch, True)
+        path = DEMOS / name
+        if name in _WRITER_CASES:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(_WRITER_CASES[name]()))
+        here = self._outputs(path, tmp_path / "here", monkeypatch, False)
+        forked = self._outputs(path, tmp_path / "forked", monkeypatch, True)
         assert {"report.json", "telemetry.csv", "rtm_trace.csv", "states.dat"} <= set(here)
         assert list(here) == list(forked)
         for f in here:

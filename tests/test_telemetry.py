@@ -1,8 +1,13 @@
+import csv
 import dataclasses
+import io
+import math
+import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linewatch.errors import ConfigurationError
 from linewatch.hydraulics import GridState
@@ -178,6 +183,157 @@ class TestFrame:
         out = plausibility_filter(frame_of(10.0, ("p", 5.11e5, GOOD)), remembered(*history),
                                   rate, kinds)
         assert out.reading("p").quality == SUSPECT
+
+
+def _reference_filter(frame, memory, limits, kinds):
+    """plausibility_filter as it was written on Reading objects: the
+    reference the column form must re-flag exactly as."""
+    out = []
+    for r in frame.readings:
+        last_good, run_value, run = memory.get(r.instrument_id, (None, None, 0))
+        lim = limits.get(kinds.get(r.instrument_id))
+        if r.quality == GOOD and lim is not None:
+            suspect = not lim.min_value <= r.value <= lim.max_value
+            if not suspect and last_good is not None and math.isfinite(lim.max_rate):
+                t_prev, v_prev = last_good
+                dt = frame.poll_time - t_prev
+                suspect = dt > 0 and abs(r.value - v_prev) / dt > lim.max_rate
+            if not suspect and lim.flatline_polls is not None:
+                suspect = (run if r.value == run_value else 0) + 1 >= lim.flatline_polls
+            if suspect:
+                r = Reading(r.instrument_id, r.value, SUSPECT)
+        if r.quality == GOOD:
+            last_good = (frame.poll_time, r.value)
+        if r.value is None:
+            run_value, run = None, 0
+        elif r.value == run_value:
+            run += 1
+        else:
+            run_value, run = r.value, 1
+        memory[r.instrument_id] = (last_good, run_value, run)
+        out.append(r)
+    return out
+
+
+# Ids csv quotes or doubles, with repeats; values json and csv write in
+# their own ways, None among them; and every quality.
+_IDS = st.lists(st.text(st.sampled_from('ab,"\r\n \u00e9'), max_size=3), min_size=1, max_size=3)
+_VALUES = st.none() | st.floats() | st.sampled_from((math.nan, math.inf, -math.inf, -0.0))
+_QUALITY = st.sampled_from((GOOD, SUSPECT, MISSING))
+
+
+@st.composite
+def _reading_frames(draw):
+    """Frames built from Readings: a few polls over one list of ids, which
+    may repeat an id."""
+    ids = draw(_IDS)
+    return [TelemetryFrame(5.0 * k, tuple(Reading(i, draw(_VALUES), draw(_QUALITY))
+                                          for i in ids))
+            for k in range(draw(st.integers(1, 4)))]
+
+
+@st.composite
+def _sampled_frames(draw):
+    """Frames from sample and plausibility_filter, with the readings the
+    reference filter makes of the same samples: instruments that may share
+    an id, drop out and be re-flagged by every rule."""
+    ids = draw(_IDS)
+    instruments = [InstrumentPlacement(i, kind, 0.0, noise_sigma=draw(st.sampled_from((0.0, 5.0))),
+                                       dropout_prob=draw(st.sampled_from((0.0, 0.5))))
+                   for i, kind in zip(ids, draw(st.lists(
+                       st.sampled_from(InstrumentPlacement.KINDS),
+                       min_size=len(ids), max_size=len(ids))))]
+    limits = {kind: PlausibilityLimits(min_value=draw(st.sampled_from((-np.inf, 100.0))),
+                                       max_rate=draw(st.sampled_from((np.inf, 0.5))),
+                                       flatline_polls=draw(st.sampled_from((None, 2))))
+              for kind in draw(st.sets(st.sampled_from(InstrumentPlacement.KINDS)))}
+    kinds = {inst.id: inst.kind for inst in instruments}
+    x = np.linspace(0.0, 1000.0, 11)
+    state = GridState(t=0.0, x=x, P=np.full(11, 9e5), V=np.full(11, 1.2),
+                      T=np.full(11, 300.0), rho=np.full(11, 1000.0))
+    pipe = PipelineModel(length=1000.0, diameter=0.3, friction_factor=0.02)
+    noise, memory, reference = NoiseSpec(draw(st.integers(0, 99))), {}, {}
+    frames, expected = [], []
+    for k in range(draw(st.integers(1, 6))):
+        frame = sample(dataclasses.replace(state, t=5.0 * k), instruments, noise, pipeline=pipe,
+                       nodes=[0] * len(instruments))
+        expected.append(_reference_filter(frame, reference, limits, kinds))
+        frames.append(plausibility_filter(frame, memory, limits, kinds))
+    return frames, expected
+
+
+def _key(reading):
+    """A reading's fields, its value by its repr, so NaN equals NaN and
+    -0.0 differs from 0.0."""
+    return reading.instrument_id, repr(reading.value), reading.quality
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["poll_time", "instrument", "value", "quality"], *rows])
+    return buf.getvalue()
+
+
+class TestFrameColumns:
+    """A frame holds its poll as columns, and its public face is the one it
+    had as a tuple of Readings: its readings, each id's first reading and
+    good value, equality, pickling and the log's rows and csv bytes."""
+
+    @staticmethod
+    def check(frames):
+        log = TelemetryLog()
+        for frame in frames:
+            readings = frame.readings
+            copy = pickle.loads(pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL))
+            rebuilt = TelemetryFrame(frame.poll_time, readings)
+            for f in (frame, copy, rebuilt):
+                assert [_key(r) for r in f.readings] == [_key(r) for r in readings]
+                assert f.poll_time == frame.poll_time
+                for r in readings:
+                    first = next(q for q in readings if q.instrument_id == r.instrument_id)
+                    assert _key(f.reading(r.instrument_id)) == _key(first)
+                    good = first.value if first.quality == GOOD else None
+                    assert repr(f.good_value(r.instrument_id)) == repr(good)
+                with pytest.raises(KeyError):
+                    f.reading("no such id")
+                with pytest.raises(KeyError):
+                    f.good_value("no such id")
+            # equal as the tuples of Readings are: NaN is equal only to itself
+            assert rebuilt == frame and hash(rebuilt) == hash(frame)
+            assert (copy == frame) == (readings == copy.readings)
+            assert (copy == frame) == all(r.value == r.value for r in readings)
+            assert frame != TelemetryFrame(frame.poll_time + 1.0, readings)
+            log.append(copy)
+        rows = [(f.poll_time, r.instrument_id, r.value, r.quality)
+                for f in frames for r in f.readings]
+        assert [tuple(map(repr, row)) for row in log.rows()] == [tuple(map(repr, row))
+                                                                 for row in rows]
+        assert "".join(log.csv_pieces(2)) == _csv(rows)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(frames=_reading_frames())
+    def test_frames_from_readings(self, frames):
+        self.check(frames)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(sampled=_sampled_frames())
+    def test_frames_from_sample_and_filter(self, sampled):
+        frames, expected = sampled
+        assert [f.readings for f in frames] == [tuple(readings) for readings in expected]
+        self.check(frames)
+
+    def test_a_batch_pickles_each_id_once(self, pipe, state):
+        instruments = [InstrumentPlacement(i, "pressure", 0.0, noise_sigma=1.0, dropout_prob=0.3)
+                       for i in ("p_first", "p_second")]
+        noise, memory = NoiseSpec(3), {}
+        limits, kinds = {"pressure": PlausibilityLimits(max_rate=0.1)}, dict.fromkeys(
+            ("p_first", "p_second"), "pressure")
+        frames = [plausibility_filter(poll(state, instruments, noise, 5.0 * k, pipe), memory,
+                                      limits, kinds) for k in range(16)]
+        assert {r.quality for f in frames for r in f.readings} == {GOOD, SUSPECT, MISSING}
+        blob = pickle.dumps(frames, protocol=pickle.HIGHEST_PROTOCOL)
+        assert blob.count(b"p_first") == blob.count(b"p_second") == 1
+        assert pickle.loads(blob) == frames
 
 
 class TestTelemetryLog:
