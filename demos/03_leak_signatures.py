@@ -28,14 +28,15 @@ print("rtm verdict: declared=%s t=%.0f s size=%.2f kg/s location=%.0f m"
       % (report.rtm["declared"], report.rtm["declared_time"],
          report.rtm["size_estimate"], report.rtm["location_estimate"]))
 
-# Each poll of the RTM's trace holds the good reading and its delta.
+# The RTM's trace keeps each poll as columns, poll k at index k: here the
+# 8 km sensor's good reading and its measured-minus-modeled delta (None
+# where the poll had none).
+trace = report.rtm_trace
 times, measured, modeled = [], [], []
-for rec in report.rtm_trace:
-    d = rec.delta.get("p_mid")
+for t, m, d in zip(trace.times, trace.readings["p_mid"], trace.delta["p_mid"]):
     if d is None:
         continue
-    m = rec.readings["p_mid"]
-    times.append(rec.poll_time)
+    times.append(t)
     measured.append(m)
     modeled.append(m - d)
 

@@ -12,8 +12,6 @@ would have tripped within seconds of the wavefront.
 
 from pathlib import Path
 
-import numpy as np
-
 from linewatch.scenario import load_scenario, run_scenario
 
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -33,15 +31,14 @@ print("acoustic: latency %.2f s, localized at %.0f m"
 print("ledger:   worst step residual %.2e x linepack"
       % report.mass_ledger["max_step_residual_relative"])
 
-# indicator traces: smoothed discrepancies in units of their thresholds
-times, flow_in_n, flow_out_n = [], [], []
-for rec in report.rtm_trace:
-    if not rec.available:
-        continue
-    n = rec.normalized
-    times.append(rec.poll_time)
-    flow_in_n.append(n.get("flow_in") if n.get("flow_in") is not None else np.nan)
-    flow_out_n.append(n.get("flow_out") if n.get("flow_out") is not None else np.nan)
+# indicator traces: smoothed discrepancies in units of their thresholds,
+# read from the RTM trace's columns at the polls that counted (no reason);
+# a column's ``values`` hold NaN where it reads None
+trace = report.rtm_trace
+polls = [k for k, reason in enumerate(trace.reasons) if reason is None]
+times = [trace.times[k] for k in polls]
+flow_in_n = [trace.normalized["flow_in"].values[k] for k in polls]
+flow_out_n = [trace.normalized["flow_out"].values[k] for k in polls]
 
 try:
     import matplotlib

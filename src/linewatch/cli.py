@@ -1,8 +1,10 @@
 """Command-line scenario runner: run, sweep, and validate subcommands."""
 
 import argparse
+import errno
 import itertools
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -58,6 +60,9 @@ def main(argv=None):
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except _UnusableOutputDir as e:
+        print(e, file=sys.stderr)
+        return 2
     except SOLVER_FAILURES as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 1
@@ -73,9 +78,9 @@ def _cmd_validate(args):
 
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
+    outdir = _output_dir(args.output_dir)
     logger.info("running scenario %s (seed %d)", scenario.name, scenario.seed)
     report = run_scenario(scenario, dump_states=args.dump_states)
-    outdir = Path(args.output_dir)
     write_files(outdir, run_files(report))
     logger.info("report and logs written to %s", outdir)
 
@@ -89,16 +94,38 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     scenario = load_scenario(args.scenario)
     grid_spec, _ = read_yaml_mapping(args.grid)
+    outdir = _output_dir(args.output_dir)
     rows = sweep(scenario.raw, grid_spec)
     columns = list(dict.fromkeys(key for row in rows for key in row))
     table = _table(_note(scenario.name, scenario.config_hash), columns,
                    ([int(v) if isinstance(v, bool) else v for v in map(row.get, columns)]
                     for row in rows))
-    outdir, name = Path(args.output_dir), "sweep.csv"
+    name = "sweep.csv"
     write_files(outdir, [(name, table)])
     failures = sum(1 for r in rows if r.get("error"))
     print(f"sweep: {len(rows)} cells, {failures} failed -> {outdir / name}")
     return 0 if failures == 0 else 1
+
+
+class _UnusableOutputDir(Exception):
+    """An output directory that cannot hold a run's files; its message
+    starts with the path."""
+
+
+def _output_dir(path):
+    """The output directory ``path``, checked before any scenario runs: it
+    is a directory, or the one its nearest existing parent can take, and
+    ``write_files`` makes it.  It is not made here, so a scenario that
+    fails its checks at the steady start leaves no directory behind."""
+    outdir = Path(path)
+    there = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not there.is_dir():
+        err = errno.EEXIST if there == outdir else errno.ENOTDIR
+    elif not os.access(there, os.W_OK | os.X_OK):
+        err = errno.EACCES
+    else:
+        return outdir
+    raise _UnusableOutputDir(f"{outdir}: not a usable output directory ({os.strerror(err)})")
 
 
 def _print_summary(report):

@@ -27,9 +27,8 @@ import json
 import math
 from array import array
 from collections import Counter, deque
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "VotingPolicy",
     "RtmTrace",
     "IndicatorTrace",
-    "TracedPoll",
     "LeakVerdict",
     "LocationScan",
     "vote",
@@ -104,52 +102,14 @@ class VotingPolicy:
         return cls(**params)
 
 
-class TracedPoll(NamedTuple):
-    """What the detector made of one poll.  A poll with a ``reason`` is
-    unavailable (initializing or suspended) and carries no indicators, so
-    it never counts toward the vote."""
-
-    poll_time: float
-    reason: Optional[str]
-    delta: Dict[str, Optional[float]]       # measured minus modeled, this poll
-    normalized: Dict[str, Optional[float]]  # moving average / threshold (None until warm)
-    alarm_condition: bool                   # voting rule satisfied at this poll
-    shadow_linepack: Optional[float]
-    boundary_values: Dict[str, Optional[float]]  # held drive readings
-    readings: Dict[str, Optional[float]]    # good reading of each indicator and end flow meter
-
-    @property
-    def available(self):
-        return self.reason is None
-
-
-class _Rows(Sequence):
-    """Rows made from columns when they are read; a subclass gives
-    ``__len__`` and ``_row(k)`` for 0 <= k < len.  It equals a list (or
-    other sequence) of the same rows."""
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __getitem__(self, k):
-        n = len(self)
-        if isinstance(k, slice):
-            return [self._row(i) for i in range(*k.indices(n))]
-        if not -n <= k < n:
-            raise IndexError(f"index {k} out of range for {n} polls")
-        return self._row(k % n)
-
-
-class RtmTrace(_Rows):
+class RtmTrace:
     """Every poll an :class:`RtmDetector` observed, as columns: the poll
     time, the reason it was unavailable (None when it counted), the alarm
     condition, each indicator's delta and normalized value (read as None on
     an unavailable poll, which carries none), the shadow's linepack, the
     held boundary readings, and the good reading (else None) of each
-    instrument the sizing and locate windows read.  Indexing it gives a
-    :class:`TracedPoll`."""
+    instrument the sizing and locate windows read.  Index k of every
+    column is poll k."""
 
     def __init__(self, indicator_ids, boundary_ids, reading_ids):
         self.indicator_ids = tuple(dict.fromkeys(indicator_ids))
@@ -167,18 +127,25 @@ class RtmTrace(_Rows):
     def __len__(self):
         return len(self.times)
 
-    def append(self, rec: TracedPoll):
-        self.times.append(rec.poll_time)
-        self.reasons.append(rec.reason)
-        self.alarm.append(rec.alarm_condition)
+    def append(self, poll_time, reason, alarm, delta, normalized, linepack, held, readings):
+        """Write one poll: its time, reason and alarm condition, its
+        {indicator: value} ``delta`` and ``normalized`` (an indicator
+        missing from them is None), the shadow's linepack, and the
+        {id: value} of every held boundary reading and of every reading the
+        trace keeps, each of which must be there."""
+        held = [held[i] for i in self.boundary_ids]
+        readings = [readings[i] for i in self.reading_ids]
+        self.times.append(poll_time)
+        self.reasons.append(reason)
+        self.alarm.append(alarm)
         for iid in self.indicator_ids:
-            self.delta[iid].append(rec.delta.get(iid))
-            self.normalized[iid].append(rec.normalized.get(iid))
-        self.linepack.append(rec.shadow_linepack)
-        for iid in self.boundary_ids:
-            self.held[iid].append(rec.boundary_values[iid])
-        for iid in self.reading_ids:
-            self.readings[iid].append(rec.readings[iid])
+            self.delta[iid].append(delta.get(iid))
+            self.normalized[iid].append(normalized.get(iid))
+        self.linepack.append(linepack)
+        for iid, v in zip(self.boundary_ids, held):
+            self.held[iid].append(v)
+        for iid, v in zip(self.reading_ids, readings):
+            self.readings[iid].append(v)
 
     def csv_pieces(self, chunk):
         """rtm_trace.csv's text, the bytes ``csv.writer`` writes for it: the
@@ -209,25 +176,12 @@ class RtmTrace(_Rows):
         ids = self.indicator_ids if self.reasons[k] is None else ()
         return {i: column[i][k] for i in ids}
 
-    def _row(self, k):
-        return TracedPoll(
-            poll_time=self.times[k],
-            reason=self.reasons[k],
-            delta=self.indicator_values(self.delta, k),
-            normalized=self.indicator_values(self.normalized, k),
-            alarm_condition=bool(self.alarm[k]),
-            shadow_linepack=self.linepack[k],
-            boundary_values={i: self.held[i][k] for i in self.boundary_ids},
-            readings={i: self.readings[i][k] for i in self.reading_ids},
-        )
 
-
-class IndicatorTrace(_Rows):
+class IndicatorTrace:
     """The report's ``indicator_trace``: one entry per poll traced when it
-    was made, each built from the trace's columns when it is read (not
-    through a TracedPoll, which adds a fifth to report.json's encoding).
-    report.json's text of it is formatted from the columns directly
-    (:meth:`json_pieces`)."""
+    was made, each built from the trace's columns as it is iterated; it
+    equals a list of the same entries.  report.json's text of it is
+    formatted from the columns directly (:meth:`json_pieces`)."""
 
     def __init__(self, trace: RtmTrace):
         self._trace = trace
@@ -236,16 +190,22 @@ class IndicatorTrace(_Rows):
     def __len__(self):
         return self._n
 
-    def _row(self, k):
+    def __iter__(self):
         tr = self._trace
-        reason = tr.reasons[k]
-        return {
-            "t": tr.times[k],
-            "available": reason is None,
-            "reason": reason,
-            "normalized": tr.indicator_values(tr.normalized, k),
-            "alarm": bool(tr.alarm[k]),
-        }
+        for k in range(self._n):
+            reason = tr.reasons[k]
+            yield {
+                "t": tr.times[k],
+                "available": reason is None,
+                "reason": reason,
+                "normalized": tr.indicator_values(tr.normalized, k),
+                "alarm": bool(tr.alarm[k]),
+            }
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, IndicatorTrace)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def json_pieces(self, depth, chunk):
         """``json.dumps(list(self), indent=2, sort_keys=True)`` for a list
@@ -301,36 +261,6 @@ class LocationScan:
     # the way there come from exact steady solves; the rest are linear
     # superposition predictions (see RtmDetector.locate_leak).
     ssr: np.ndarray
-
-
-def _window_sum(window):
-    """The sum of a moving-average window as numpy's ``np.add.reduce``
-    (and so ``np.mean``) takes it, to the bit: 0.0 plus its pairwise sum."""
-    return 0.0 + _pairwise_sum(list(window), 0, len(window))
-
-
-def _pairwise_sum(a, lo, n):
-    """numpy's pairwise sum of the floats ``a[lo:lo + n]``, in its order of
-    additions: one by one below 8 terms; else 8 running sums, added in
-    pairs, then the rest one by one; above 128 terms, each half's sum."""
-    if n < 8:
-        res = -0.0
-        for i in range(lo, lo + n):
-            res += a[i]
-        return res
-    if n <= 128:
-        r = a[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += a[i + j]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            res += a[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
 
 
 class _Streaks:
@@ -497,9 +427,9 @@ class RtmDetector:
     def report(self):
         """The ``rtm`` section of a run report: the verdict and, from the
         trace, the poll counts, the unavailable polls by reason, and each
-        poll's normalized indicators and reason.  ``indicator_trace`` is a
-        sequence of the polls traced so far whose entries are made when read;
-        ``RunReport.to_dict`` lists it."""
+        poll's normalized indicators and reason.  ``indicator_trace`` is an
+        :class:`IndicatorTrace` of the polls traced so far, whose entries are
+        made as it is iterated; ``RunReport.to_dict`` lists it."""
         v = self.verdict
         tr = self.trace
         by_reason = Counter(r for r in tr.reasons if r is not None)
@@ -518,16 +448,15 @@ class RtmDetector:
             "indicator_trace": IndicatorTrace(tr),
         }
 
-    def observe(self, frame: TelemetryFrame) -> TracedPoll:
+    def observe(self, frame: TelemetryFrame):
         """Advance the shadow model one poll and evaluate the leak vote; the
-        poll's row, which the trace now ends with."""
+        trace then ends with the poll."""
         if self._state is None:
-            rec = self._try_initialize(frame)
+            self._try_initialize(frame)
         else:
-            rec = self._step(frame)
+            self._step(frame)
         if len(self.trace) == self._refine_at:
             self._refine()
-        return rec
 
     def _try_initialize(self, frame):
         t = frame.poll_time
@@ -597,9 +526,9 @@ class RtmDetector:
     # ------------------------------------------------------------ evaluation
 
     def _record(self, frame, lp=None, reason=None):
-        """Append the poll to the trace and return its row, declaring on the
-        first alarm.  An available poll (no ``reason``) takes each
-        indicator's measured-minus-modeled delta into its moving average;
+        """Append the poll to the trace, declaring on the first alarm.  An
+        available poll (no ``reason``) takes each indicator's
+        measured-minus-modeled delta into its moving average, numpy's mean;
         an unavailable one carries none."""
         good = frame.good_value
         readings = {i: good(i) for i in self.trace.reading_ids}
@@ -614,15 +543,14 @@ class RtmDetector:
                 d = delta[iid] = float(v - noiseless_reading(state, kind, node, pipeline))
                 buf.append(d)
                 n = len(buf)
-                normalized[iid] = _window_sum(buf) / n / threshold if n == buf.maxlen else None
+                normalized[iid] = (float(np.add.reduce(np.fromiter(buf, float, n)))
+                                   / n / threshold if n == buf.maxlen else None)
 
-        # the fields in TracedPoll's order
-        rec = TracedPoll(frame.poll_time, reason, delta, normalized,
-                         self._streaks.vote(normalized), lp, dict(self._hold), readings)
-        if rec.alarm_condition and not self.verdict.declared:
-            self._declare(rec)
-        self.trace.append(rec)
-        return rec
+        alarm = self._streaks.vote(normalized)
+        if alarm and not self.verdict.declared:
+            self._declare(frame.poll_time)
+        self.trace.append(frame.poll_time, reason, alarm, delta, normalized, lp, self._hold,
+                          readings)
 
     # ------------------------------------------------------------ sizing
 
@@ -635,19 +563,19 @@ class RtmDetector:
         simultaneously good in the window (the alarm itself stands).
         """
         M = self.policy.consecutive_required if window is None else window
-        meters = (self.flow_in_meter, self.flow_out_meter)
+        tr, lp, times = self.trace, self.trace.linepack, self.trace.times
+        ends = (self.flow_in_meter, self.flow_out_meter)
+        # a line without a meter at each end gives no sample
+        polls = range(max(len(tr) - M, 0), len(tr)) if None not in ends else ()
         samples = []
-        for k in range(max(len(self.trace) - M, 0), len(self.trace)):
-            rec = self.trace[k]
-            flow_in, flow_out = (None if m is None else rec.readings[m.id] for m in meters)
+        for k in polls:
+            flow_in, flow_out = (tr.readings[m.id][k] for m in ends)
             if flow_in is None or flow_out is None:
                 continue
             if self.drive == "pressure":
-                prev = self.trace[k - 1] if k > 0 else None
-                if prev is None or prev.shadow_linepack is None or rec.shadow_linepack is None:
+                if k == 0 or lp[k] is None or lp[k - 1] is None:
                     continue
-                rate = ((rec.shadow_linepack - prev.shadow_linepack)
-                        / (rec.poll_time - prev.poll_time))
+                rate = (lp[k] - lp[k - 1]) / (times[k] - times[k - 1])
             else:
                 # A flow-driven shadow's inventory rate equals the measured
                 # imbalance by construction; subtracting it would cancel the
@@ -680,15 +608,16 @@ class RtmDetector:
         if size is None or size <= 0:
             return None
         window = _LOCATE_WINDOW_POLLS if window is None else window
-        recs = [r for r in self.trace[-window:] if r.available]
-        if not recs:
+        tr = self.trace
+        polls = [k for k in range(max(len(tr) - window, 0), len(tr)) if tr.reasons[k] is None]
+        if not polls:
             return None
 
-        values = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
-                  for iid in recs[-1].boundary_values}
+        values = {iid: float(np.mean([held[k] for k in polls]))
+                  for iid, held in tr.held.items()}
         meas_avg = {}
         for ind in self.indicators:
-            vals = [r.readings[ind.id] for r in recs]
+            vals = [tr.readings[ind.id][k] for k in polls]
             vals = [v for v in vals if v is not None]
             if vals:
                 meas_avg[ind.id] = float(np.mean(vals))
@@ -707,7 +636,7 @@ class RtmDetector:
         meas = np.array([[meas_avg[ind.id]] for ind in used])
         thresholds = np.array([[self.policy.threshold_for(ind.kind)] for ind in used])
 
-        t_ref = recs[-1].poll_time
+        t_ref = tr.times[polls[-1]]
         base = self.solver.steady_state(bc, t=t_ref, initial_guess=self._state)
         reads = sorted({(f, k) for ind, k in zip(used, nodes)
                         for f in ("PVT" if ind.kind == "flow" else "P")})
@@ -764,8 +693,8 @@ class RtmDetector:
         except SOLVER_FAILURES as err:
             return None, err
 
-    def _declare(self, rec):
-        # ``rec`` is not in the trace yet, so the windows end at the poll before it
+    def _declare(self, poll_time):
+        # the poll is not in the trace yet, so the windows end at the poll before it
         size, note = self.size_leak()
         scan, failure = self._locate(size)
         if size is None or size <= 0:
@@ -780,7 +709,7 @@ class RtmDetector:
             where = None
         self.verdict = LeakVerdict(
             declared=True,
-            declared_time=rec.poll_time,
+            declared_time=poll_time,
             size_estimate=size,
             location_estimate=None if scan is None else scan.position,
             location_ambiguous=scan is not None and scan.ambiguous,

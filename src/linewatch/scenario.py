@@ -969,7 +969,8 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
         telemetry.append(rec.frame)
         lp_est = None
         if rtm_det is not None:
-            lp_est = rtm_det.observe(rec.frame).shadow_linepack
+            rtm_det.observe(rec.frame)
+            lp_est = rtm_det.trace.linepack[-1]
         if bal_det is not None:
             bal_det.observe(rec.frame, lp_est)
 

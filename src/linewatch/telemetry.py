@@ -158,6 +158,9 @@ class OptionalFloats:
     def __getitem__(self, k):
         return None if self.none[k] else self.values[k]
 
+    def __iter__(self):
+        return (None if none else v for v, none in zip(self.values, self.none))
+
     def __delitem__(self, k):
         del self.values[k], self.none[k]
 

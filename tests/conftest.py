@@ -111,3 +111,14 @@ def flow_drive_cfg():
     # only the simple balance can see the leak.
     cfg["balance"]["mode"] = "simple"
     return cfg
+
+
+def trace_columns(trace):
+    """Every column of an RtmTrace as a list, None where a value is None,
+    keyed by the column's name (and id, for a column per instrument)."""
+    columns = {"times": list(trace.times), "reasons": list(trace.reasons),
+               "alarm": list(trace.alarm), "linepack": list(trace.linepack)}
+    for name in ("delta", "normalized", "held", "readings"):
+        for iid, column in getattr(trace, name).items():
+            columns[f"{name}.{iid}"] = list(column)
+    return columns

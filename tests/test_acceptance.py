@@ -75,16 +75,17 @@ class TestLeakPhenomenologySigns:
         t_alarm = report.rtm["declared_time"]
         assert t_alarm > 125.0, "need at least one pre-alarm poll after onset"
 
-        assert len(report.rtm_trace) == len(report.telemetry)
+        tr = report.rtm_trace
+        assert len(tr) == len(report.telemetry)
         times, measured, modeled = [], [], []
-        for rec in report.rtm_trace:
-            if not rec.available:
+        for k, t in enumerate(tr.times):
+            if tr.reasons[k] is not None:
                 continue
-            if 115.0 <= rec.poll_time <= t_alarm:  # last pre-onset poll .. alarm
-                d, m = rec.delta.get("p_mid"), rec.readings["p_mid"]
+            if 115.0 <= t <= t_alarm:  # last pre-onset poll .. alarm
+                d, m = tr.delta["p_mid"][k], tr.readings["p_mid"][k]
                 if d is None or m is None:
                     continue
-                times.append(rec.poll_time)
+                times.append(t)
                 measured.append(m)
                 modeled.append(m - d)
         assert len(times) >= 4

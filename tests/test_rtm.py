@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import flow_drive_cfg, set_noise_scale, standard_config
+from conftest import flow_drive_cfg, set_noise_scale, standard_config, trace_columns
 from linewatch import hydraulics
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError
 from linewatch.fluid import FluidModel, LiquidEos
@@ -20,8 +20,8 @@ from linewatch.hydraulics import (
     TimeSeries,
 )
 from linewatch.network import InstrumentPlacement, PipelineModel, discretize
-from linewatch.rtm import (_LOCATE_WINDOW_POLLS, _STALENESS_POLLS, RtmDetector, VotingPolicy,
-                           _Streaks, _window_sum, combined_verdict, vote)
+from linewatch.rtm import (_LOCATE_WINDOW_POLLS, _STALENESS_POLLS, RtmDetector, RtmTrace,
+                           VotingPolicy, _Streaks, combined_verdict, vote)
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
 from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
                                  instrument_nodes, noiseless_reading, sample)
@@ -155,30 +155,6 @@ class TestVote:
         assert p.pressure_threshold == pytest.approx(6000.0)
 
 
-class TestMovingAverage:
-    def test_window_sum_is_numpy_s_to_the_bit(self):
-        # what np.mean sums, so each normalized indicator keeps its bits: every
-        # length through numpy's 8-term blocks and its halving above 128 terms,
-        # magnitudes 1e-20 to 1e20, and a few signed zeros, extremes and NaNs
-        rng = np.random.default_rng(5)
-        awkward = (-0.0, 0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
-        for n in [k for k in range(1, 300) for _ in range(3)]:
-            window = (rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-20, 21, n)).tolist()
-            for k in rng.integers(0, n, rng.integers(0, 3)):
-                window[k] = awkward[rng.integers(len(awkward))]
-            with np.errstate(all="ignore"):
-                expected = float(np.add.reduce(np.array(window)))
-            got = _window_sum(collections.deque(window))
-            assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected)) or (
-                math.isnan(got) and math.isnan(expected)), window
-        # long windows too (smoothing_polls has no upper bound): their halves
-        # recurse several levels, past numpy's 8192-element buffer size
-        for n in (1000, 8193, 70001):
-            window = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-20, 21, n)
-            assert _window_sum(collections.deque(window.tolist())) == float(np.add.reduce(window))
-        assert _window_sum([-0.0]) == 0.0 and math.copysign(1.0, _window_sum([-0.0])) == 1.0
-
-
 class _MiniLoop:
     """Plant + detector loop on the standard desk line, zero noise."""
 
@@ -236,9 +212,10 @@ class TestShadowModel:
     def test_no_leak_zero_noise_discrepancies_vanish(self):
         det = _MiniLoop().run(40)
         full_scale_flow, full_scale_p = 70.0, 1.0e6
-        for rec in det.trace[5:]:
-            assert rec.available
-            for iid, d in rec.delta.items():
+        tr = det.trace
+        for k in range(5, len(tr)):
+            assert tr.reasons[k] is None
+            for iid, d in tr.indicator_values(tr.delta, k).items():
                 scale = full_scale_flow if iid.startswith("flow") else full_scale_p
                 assert abs(d) < 1e-6 * scale
 
@@ -256,17 +233,19 @@ class TestShadowModel:
         take = lambda st: sample(st, instruments, NoiseSpec(5), pipeline=loop.pipe, nodes=nodes)
         det.observe(take(loop.state))
         assert {i.kind for i in det.indicators} == {"flow", "pressure"}
-        delta = det._record(take(det._state), 0.0).delta
-        assert delta == {i.id: 0.0 for i in det.indicators}
+        det._record(take(det._state), 0.0)
+        assert det.trace.indicator_values(det.trace.delta, -1) == {
+            i.id: 0.0 for i in det.indicators}
 
     def test_leak_alarm_and_downstream_delta_sign(self):
         det = _MiniLoop(leak_rate=2.0).run(60)
         assert det.verdict.declared
         # pressure-driven shadow: measured outlet flow drops below modeled
-        post = [r for r in det.trace if r.poll_time > 130.0 and r.available]
-        deltas = [r.delta["flow_out"] for r in post[:10]]
+        tr = det.trace
+        post = [k for k in range(len(tr)) if tr.times[k] > 130.0 and tr.reasons[k] is None]
+        deltas = [tr.delta["flow_out"][k] for k in post[:10]]
         assert all(d < 0 for d in deltas)
-        deltas_in = [r.delta["flow_in"] for r in post[:10]]
+        deltas_in = [tr.delta["flow_in"][k] for k in post[:10]]
         assert all(d > 0 for d in deltas_in)
 
     def test_staleness_suspends_and_recovers(self):
@@ -280,13 +259,14 @@ class TestShadowModel:
                 return TelemetryFrame(frame.poll_time, readings)
             return frame
         det = _MiniLoop(mangle=mangle).run(30)
-        suspended = [r for r in det.trace if not r.available]
+        tr = det.trace
+        suspended = [k for k, r in enumerate(tr.reasons) if r is not None]
         assert suspended, "staleness never engaged"
-        assert all("stale" in (r.reason or "") for r in suspended if r.poll_time > 0)
+        assert all("stale" in tr.reasons[k] for k in suspended if tr.times[k] > 0)
         # holds bridge the first polls of the outage, then suspension
-        assert det.trace[11].available and not det.trace[15].available
+        assert tr.reasons[11] is None and tr.reasons[15] is not None
         # recovery after readings return
-        assert det.trace[25].available
+        assert tr.reasons[25] is None
 
     def test_reading_no_model_can_hold_is_infeasible(self):
         # A reading is a measurement, not a setting: a boundary pressure read
@@ -310,17 +290,20 @@ class TestShadowModel:
             fed[k] = frame
             return frame
         det = _MiniLoop(mangle=mangle).run(20)
-        awaiting, suspended = det.trace[1], det.trace[15]
-        assert awaiting.reason == "awaiting good boundary readings"
-        assert suspended.reason == "boundary readings stale; detection suspended"
-        for rec in (awaiting, suspended):
-            assert not rec.available and not rec.alarm_condition
-            assert rec.delta == rec.normalized == {}
-        assert awaiting.shadow_linepack is None and suspended.shadow_linepack is not None
+        tr, awaiting, suspended = det.trace, 1, 15
+        assert tr.reasons[awaiting] == "awaiting good boundary readings"
+        assert tr.reasons[suspended] == "boundary readings stale; detection suspended"
+        for k in (awaiting, suspended):
+            assert not tr.alarm[k]
+            assert tr.indicator_values(tr.delta, k) == tr.indicator_values(tr.normalized, k) == {}
+            assert all(column[i][k] is None for column in (tr.delta, tr.normalized)
+                       for i in tr.indicator_ids)
+        assert tr.linepack[awaiting] is None and tr.linepack[suspended] is not None
         # Nothing is held before the shadow starts; then the last good p_in
         # (poll 9) and this poll's p_out.
-        assert awaiting.boundary_values == {"p_in": None, "p_out": None}
-        assert suspended.boundary_values == {
+        held = lambda k: {i: tr.held[i][k] for i in tr.boundary_ids}
+        assert held(awaiting) == {"p_in": None, "p_out": None}
+        assert held(suspended) == {
             "p_in": fed[9].good_value("p_in"),
             "p_out": fed[15].good_value("p_out")}
 
@@ -332,17 +315,16 @@ class TestShadowModel:
                 return TelemetryFrame(frame.poll_time, readings)
             return frame
         det = _MiniLoop(leak_rate=2.0, mangle=mangle).run(50)
-        section = det.report()
+        section, tr = det.report(), det.trace
         assert section["enabled"] and section["declared"] == det.verdict.declared
-        assert section["polls"] == len(det.trace) == 51
-        unavailable = [r for r in det.trace if not r.available]
+        assert section["polls"] == len(tr) == 51
+        unavailable = [r for r in tr.reasons if r is not None]
         assert section["unavailable_polls"] == len(unavailable) > 1
-        alarms = [r.poll_time for r in det.trace if r.alarm_condition]
+        alarms = [t for t, alarm in zip(tr.times, tr.alarm) if alarm]
         assert section["alarm_condition_polls"] == alarms and alarms
-        assert [p["t"] for p in section["indicator_trace"]] == [r.poll_time for r in det.trace]
-        assert [p["reason"] for p in section["indicator_trace"]] == [r.reason for r in det.trace]
-        assert section["unavailable_by_reason"] == dict(
-            collections.Counter(r.reason for r in unavailable))
+        assert [p["t"] for p in section["indicator_trace"]] == list(tr.times)
+        assert [p["reason"] for p in section["indicator_trace"]] == tr.reasons
+        assert section["unavailable_by_reason"] == dict(collections.Counter(unavailable))
 
     def test_suspended_polls_never_vote(self):
         def mangle(frame, k):
@@ -355,18 +337,19 @@ class TestShadowModel:
                 return TelemetryFrame(frame.poll_time, readings)
             return frame
         det = _MiniLoop(leak_rate=5.0, mangle=mangle).run(40)
-        for rec in det.trace:
-            if not rec.available:
-                assert not rec.alarm_condition
+        for reason, alarm in zip(det.trace.reasons, det.trace.alarm, strict=True):
+            if reason is not None:
+                assert not alarm
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 16])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 16, 130, 300])
     def test_smoothed_is_numpy_mean_bit_for_bit(self, n):
-        # numpy sums 8 or more samples in its own unrolled order, which a
-        # plain Python sum does not follow.  The orders agree whenever every
-        # partial sum is exact, as for deltas far below their readings, so
-        # the flow indicators here read hundreds of kg/s off the model.  A
-        # power-of-two threshold divides exactly, so the normalized
-        # indicator still shows the mean's every bit.
+        # numpy sums 8 or more samples in its own unrolled order, and
+        # halves a window of over 128; a plain Python sum follows neither.
+        # The orders agree whenever every partial sum is exact, as for
+        # deltas far below their readings, so the flow indicators here read
+        # hundreds of kg/s off the model.  A power-of-two threshold divides
+        # exactly, so the normalized indicator still shows the mean's every
+        # bit.
         rng = np.random.default_rng(n)
 
         def mangle(frame, k):
@@ -379,10 +362,11 @@ class TestShadowModel:
         det = _MiniLoop(pol=pol, mangle=mangle).run(n + 10)
         history = collections.defaultdict(list)
         compared = 0
-        for rec in det.trace:
-            for iid, d in rec.delta.items():
+        tr = det.trace
+        for k in range(len(tr)):
+            for iid, d in tr.indicator_values(tr.delta, k).items():
                 history[iid].append(d)
-                norm = rec.normalized[iid]
+                norm = tr.normalized[iid][k]
                 if len(history[iid]) < n:
                     assert norm is None
                     continue
@@ -474,11 +458,13 @@ class TestShadowTargets:
         polls = 30
         new.run(polls)
         ref.run(polls)
-        assert len(new.det.trace) == len(ref.det.trace) == polls + 1
-        for a, b in zip(new.det.trace, ref.det.trace):
-            assert a.poll_time == b.poll_time and a.available == b.available
-            assert a.shadow_linepack == b.shadow_linepack
-            assert a.delta == b.delta
+        a, b = new.det.trace, ref.det.trace
+        assert len(a) == len(b) == polls + 1
+        assert a.times == b.times
+        assert [r is None for r in a.reasons] == [r is None for r in b.reasons]
+        assert list(a.linepack) == list(b.linepack)
+        for k in range(polls + 1):
+            assert a.indicator_values(a.delta, k) == b.indicator_values(b.delta, k)
         for f in ("P", "V", "T", "rho"):
             assert getattr(new.det._state, f).tobytes() == getattr(ref.det._state, f).tobytes()
         assert new.det._state.t == ref.det._state.t
@@ -529,7 +515,7 @@ class TestShadowTargets:
         monkeypatch.setattr(loop.det, "observe", observed)
         loop.run(20)
         assert seen["polls"] == len(loop.det.trace) == 21
-        assert loop.det.trace[0].available
+        assert loop.det.trace.reasons[0] is None
         assert not counts
 
 
@@ -544,16 +530,15 @@ class TestDriveInputsAndRefinement:
         observe = loop.det.observe
 
         def observed(frame):
-            rec = observe(frame)
+            observe(frame)
             verdicts.append(loop.det.verdict)
-            return rec
 
         monkeypatch.setattr(loop.det, "observe", observed)
         loop.run(40)
         changed = [k for k in range(1, len(verdicts)) if verdicts[k] != verdicts[k - 1]]
         declaring = changed[0]
         first, last = verdicts[declaring], verdicts[-1]
-        assert first.declared and first.declared_time == loop.det.trace[declaring].poll_time
+        assert first.declared and first.declared_time == loop.det.trace.times[declaring]
         refined = f"estimates refined {refine_after} polls after declaration"
         if refine_after:
             assert changed == [declaring, declaring + refine_after]
@@ -587,11 +572,7 @@ class TestDriveInputsAndRefinement:
 
         (dropped, dropped_fed), (repeated, _) = loop(True), loop(False)
         assert dropped_fed[2].good_value("t_in") is None
-        for a, b in zip(dropped.trace, repeated.trace, strict=True):
-            assert (a.poll_time, a.reason, a.delta, a.normalized, a.alarm_condition,
-                    a.shadow_linepack, a.boundary_values, a.readings) == (
-                b.poll_time, b.reason, b.delta, b.normalized, b.alarm_condition,
-                b.shadow_linepack, b.boundary_values, b.readings)
+        assert trace_columns(dropped.trace) == trace_columns(repeated.trace)
         for f in ("P", "V", "T", "rho"):
             assert getattr(dropped._state, f).tobytes() == getattr(repeated._state, f).tobytes()
 
@@ -635,9 +616,9 @@ def _dark(frame, *ids):
 
 def _size_term(det, k):
     """Poll k's sample in size_leak: end-flow imbalance less linepack rate."""
-    rec, prev = det.trace[k], det.trace[k - 1]
-    return (rec.readings["flow_in"] - rec.readings["flow_out"]
-            - (rec.shadow_linepack - prev.shadow_linepack) / (rec.poll_time - prev.poll_time))
+    tr = det.trace
+    return (tr.readings["flow_in"][k] - tr.readings["flow_out"][k]
+            - (tr.linepack[k] - tr.linepack[k - 1]) / (tr.times[k] - tr.times[k - 1]))
 
 
 class TestDegradedEstimates:
@@ -654,7 +635,7 @@ class TestDegradedEstimates:
         # p_in dark at polls 0 and 1: the shadow starts at poll 2, so only
         # poll 3 has a linepack for itself and for the poll before it
         det = _MiniLoop(mangle=lambda f, k: _dark(f, "p_in") if k < 2 else f).run(3)
-        assert [r.shadow_linepack is None for r in det.trace] == [True, True, False, False]
+        assert [v is None for v in det.trace.linepack] == [True, True, False, False]
         size, note = det.size_leak(window=4)
         assert note is None and size == _size_term(det, 3)
 
@@ -666,20 +647,20 @@ class TestDegradedEstimates:
     def test_locate_needs_an_available_poll(self):
         # p_in dark from poll 10: after 3 held polls every poll is suspended
         det = _MiniLoop(mangle=lambda f, k: _dark(f, "p_in") if k >= 10 else f).run(30)
-        assert not any(r.available for r in det.trace[-12:])
+        assert None not in det.trace.reasons[-12:]
         assert det.locate_leak(2.0) is None
 
     def test_locate_needs_a_good_indicator(self):
         det = _MiniLoop(
             mangle=lambda f, k: _dark(f, "flow_in", "flow_out") if k >= 19 else f).run(30)
-        assert all(r.available for r in det.trace[-12:])
+        assert det.trace.reasons[-12:] == [None] * 12
         assert det.locate_leak(2.0) is None
 
     def test_flow_drive_locate_needs_the_anchor_reading(self):
         det = _MiniLoop(drive="flow",
                         mangle=lambda f, k: _dark(f, "p_out") if k >= 19 else f).run(30)
         assert det.pressure_anchor.id == "p_out"
-        assert all(r.available for r in det.trace[-12:])
+        assert det.trace.reasons[-12:] == [None] * 12
         assert det.locate_leak(2.0) is None
 
     def test_declared_with_no_available_poll_to_locate(self):
@@ -692,7 +673,7 @@ class TestDegradedEstimates:
                                policy(consecutive_required=1, min_indicators=1, smoothing_polls=1),
                                fallback_temperature=300.0)
         v = loop.run(41).verdict
-        assert v.declared_time == loop.det.trace[40].poll_time
+        assert v.declared_time == loop.det.trace.times[40]
         assert v.size_estimate > 0
         assert v.location_estimate is None and not v.location_ambiguous
         assert v.notes == ("location unavailable",)
@@ -744,6 +725,22 @@ class TestTraceIsTheHistory:
         assert det.verdict.declared
         assert det.verdict.notes[-1] == "estimates refined 24 polls after declaration"
 
+    @pytest.mark.parametrize("missing", ["held", "readings"])
+    def test_append_needs_every_held_and_kept_reading(self, missing):
+        # An indicator may be missing from a poll's deltas (it reads None);
+        # a held boundary or a kept reading may not, and the trace is left
+        # as it was.
+        trace = RtmTrace(["a"], ["p_in", "p_out"], ["a", "f_in"])
+        poll = dict(poll_time=0.0, reason=None, alarm=False, delta={}, normalized={"a": 0.5},
+                    linepack=5.0, held={"p_in": 1e6, "p_out": 6e5},
+                    readings={"a": 2.0, "f_in": 3.0})
+        trace.append(**poll)
+        assert trace_columns(trace)["delta.a"] == [None]
+        before = trace_columns(trace)
+        with pytest.raises(KeyError):
+            trace.append(**dict(poll, poll_time=5.0, **{missing: {}}))
+        assert trace_columns(trace) == before
+
     def test_windows_longer_than_the_refine_window(self):
         det = _MiniLoop(leak_rate=2.0).run(60)
         window = 40
@@ -766,12 +763,12 @@ def exhaustive_scan(det, size, window):
     """The per-node scan that ``locate_leak`` replaced, built from public
     solver calls: one warm-started exact steady solve per candidate node.
     Returns (node_index, ambiguous, ssr)."""
-    recs = [r for r in det.trace[-window:] if r.available]
-    values = {iid: float(np.mean([r.boundary_values[iid] for r in recs]))
-              for iid in recs[-1].boundary_values}
+    tr = det.trace
+    polls = [k for k in range(max(len(tr) - window, 0), len(tr)) if tr.reasons[k] is None]
+    values = {iid: float(np.mean([tr.held[iid][k] for k in polls])) for iid in tr.boundary_ids}
     meas = {}
     for ind in det.indicators:
-        vals = [r.readings[ind.id] for r in recs]
+        vals = [tr.readings[ind.id][k] for k in polls]
         vals = [v for v in vals if v is not None]
         if vals:
             meas[ind.id] = float(np.mean(vals))
@@ -783,7 +780,7 @@ def exhaustive_scan(det, size, window):
     ssr, guess = [], det._state
     for x in det.grid.node_positions[1:-1]:
         leak = LeakEvent(position=float(x), start_time=-np.inf, mass_rate=size)
-        guess = solver.steady_state(bc, t=recs[-1].poll_time, leaks=[leak], initial_guess=guess)
+        guess = solver.steady_state(bc, t=tr.times[polls[-1]], leaks=[leak], initial_guess=guess)
         total = 0.0
         for ind in det.indicators:
             if ind.id in meas:

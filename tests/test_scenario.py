@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -24,13 +25,13 @@ from hypothesis import example, given, settings, strategies as st
 import linewatch.cli as cli
 import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
-from conftest import flow_drive_cfg, set_noise_scale, standard_config
+from conftest import flow_drive_cfg, set_noise_scale, standard_config, trace_columns
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import GasEos
 from linewatch.hydraulics import linepack
 from linewatch.network import discretize
-from linewatch.rtm import IndicatorTrace, RtmDetector, RtmTrace, TracedPoll
+from linewatch.rtm import IndicatorTrace, RtmDetector, RtmTrace
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, start_plant, sweep
 from linewatch.telemetry import (GOOD, MISSING, SUSPECT, Reading, TelemetryFrame, TelemetryLog,
                                  sample)
@@ -52,6 +53,16 @@ def _leaves(raw, path="", keys=()):
             yield from _leaves(value, sub, keys + (key,))
     else:
         yield path, keys, raw
+
+
+def _field_paths(raw, path=""):
+    """The field path of ``raw`` and of everything under it, sections and
+    values alike, as a ConfigurationError names them."""
+    yield path
+    if isinstance(raw, (dict, list)):
+        for key, value in (raw.items() if isinstance(raw, dict) else enumerate(raw)):
+            yield from _field_paths(value, f"{path}[{key}]" if isinstance(raw, list) else (
+                f"{path}.{key}" if path else str(key)))
 
 
 def _is_number(value):
@@ -335,6 +346,43 @@ class TestParsing:
             else:
                 with contextlib.suppress(ConfigurationError):
                     scenario_from_dict(cfg)
+
+    def test_every_mutation_of_the_shipped_scenarios_names_its_field(self):
+        # Each leaf of three shipped scenarios in turn takes each value below,
+        # or is deleted, and the file goes through what ``validate`` runs.  It
+        # validates, is infeasible, or fails with a ConfigurationError that
+        # starts with a path the mutated file has (<root> for the file), or
+        # with the deleted key or the section it was deleted from.
+        deleted = object()
+        mutations = ["text", -1, 0, None, [], {}, 1e30, -1e30, True, math.nan, math.inf,
+                     10**40, deleted]
+        outcomes = collections.Counter()
+        for name in ("standard_leak", "gas_line", "phenomenology"):
+            raw = yaml.safe_load(SHIPPED_STANDARD.with_name(f"{name}.yaml").read_text())
+            for path, keys, _ in _leaves(raw):
+                for value in mutations:
+                    cfg = copy.deepcopy(raw)
+                    node = cfg
+                    for key in keys[:-1]:
+                        node = node[key]
+                    named = {"<root>"}
+                    if value is deleted:
+                        del node[keys[-1]]
+                        named |= {path, path[:path.rfind("[")] if isinstance(node, list)
+                                  else path.rpartition(".")[0]}
+                    else:
+                        node[keys[-1]] = copy.deepcopy(value)
+                    named |= set(_field_paths(cfg)) - {""}
+                    try:
+                        start_plant(scenario_from_dict(cfg))
+                        outcomes["validates"] += 1
+                    except InfeasibleScenarioError:
+                        outcomes["infeasible"] += 1
+                    except ConfigurationError as e:
+                        assert str(e).split(": ", 1)[0] in named, (name, path, value, str(e))
+                        outcomes["named"] += 1
+        assert sum(outcomes.values()) == 2769   # 213 leaves, 13 mutations each
+        assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
 
     def test_rtm_passes_on_only_the_options_set(self):
         cfg = standard_config()
@@ -1099,21 +1147,58 @@ class TestCli:
         assert captured.err == f"configuration error: {bad}: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, reason", [
+        ("file", "File exists"), ("under_a_file", "Not a directory"),
+        ("unwritable", "Permission denied")])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unusable_output_dir_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                        command, where, reason):
+        # -o naming a file, a path under one, or a directory to be made in
+        # one this process may not write, fails with one line that starts
+        # with the path, before the scenario or any cell runs.
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(scenario_module, "run_scenario", lambda *a, **k: runs.append(a))
+        path = self.write_cfg(tmp_path, standard_config())
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = {"file": blocker, "under_a_file": blocker / "out",
+               "unwritable": tmp_path / "locked" / "out"}[where]
+        if where == "unwritable":
+            # a permission a test run as root would not meet, so the check is asked
+            (tmp_path / "locked").mkdir()
+            access = os.access
+            monkeypatch.setattr(cli.os, "access", lambda p, mode: (
+                Path(p) != tmp_path / "locked" and access(p, mode)))
+        argv = [command, str(path), "-o", str(out)]
+        if command == "sweep":
+            grid = tmp_path / "grid.yaml"
+            grid.write_text(yaml.safe_dump({"seed": [1, 2]}))
+            argv[2:2] = ["--grid", str(grid)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{out}: not a usable output directory ({reason})\n"
+        assert not runs and not out.is_dir()
+        assert blocker.read_text() == "not a directory"
+
 
 def _old_tables(frames, records):
     """telemetry.csv's and rtm_trace.csv's (header, rows) as the writers
-    made them from a run's frames and RTM poll records: the reference the
-    tables written from the columns must match byte for byte."""
+    made them from a run's frames and RTM polls (each poll's values as
+    ``RtmTrace.append`` takes them, by name): the reference the tables
+    written from the columns must match byte for byte."""
     tables = {"telemetry.csv": (
         ["poll_time", "instrument", "value", "quality"],
         [[f.poll_time, r.instrument_id, r.value, r.quality] for f in frames for r in f.readings])}
     if records:
-        ids = sorted({iid for rec in records for iid in rec.normalized})
+        ids = sorted({iid for rec in records for iid in rec["normalized"]})
         tables["rtm_trace.csv"] = (
             ["poll_time", "available", "reason", "alarm"]
             + [f"norm_{i}" for i in ids] + [f"delta_{i}" for i in ids],
-            [[rec.poll_time, int(rec.available), rec.reason, int(rec.alarm_condition)]
-             + [m.get(i) for m in (rec.normalized, rec.delta) for i in ids] for rec in records])
+            [[rec["poll_time"], int(rec["reason"] is None), rec["reason"], int(rec["alarm"])]
+             + [m.get(i) for m in (rec["normalized"], rec["delta"]) for i in ids]
+             for rec in records])
     return tables
 
 
@@ -1154,15 +1239,16 @@ def _csv_text(header, rows):
 
 def _old_rtm_log(records):
     """The ``rtm`` section's per-poll keys as RtmDetector.report made them
-    from every poll record."""
-    by_reason = collections.Counter(r.reason for r in records if not r.available)
+    from every poll's values."""
+    by_reason = collections.Counter(r["reason"] for r in records if r["reason"] is not None)
     return {
         "polls": len(records),
         "unavailable_polls": sum(by_reason.values()),
         "unavailable_by_reason": dict(by_reason),
-        "alarm_condition_polls": [r.poll_time for r in records if r.alarm_condition],
-        "indicator_trace": [{"t": r.poll_time, "available": r.available, "reason": r.reason,
-                             "normalized": dict(r.normalized), "alarm": r.alarm_condition}
+        "alarm_condition_polls": [r["poll_time"] for r in records if r["alarm"]],
+        "indicator_trace": [{"t": r["poll_time"], "available": r["reason"] is None,
+                             "reason": r["reason"], "normalized": dict(r["normalized"]),
+                             "alarm": r["alarm"]}
                             for r in records],
     }
 
@@ -1212,17 +1298,17 @@ _AWKWARD_FLOAT = st.none() | st.floats() | st.sampled_from(
 
 
 def _poll(t, ids, reason, value, alarm=False):
-    """A poll record: on an available poll (no ``reason``) every indicator
-    reads ``value(i)`` as its delta and normalized value."""
+    """A poll's values as ``RtmTrace.append`` takes them, by name: on an
+    available poll (no ``reason``) every indicator reads ``value(i)`` as
+    its delta and normalized value."""
     values = lambda: {} if reason is not None else {i: value(i) for i in ids}
-    return TracedPoll(poll_time=t, reason=reason, delta=values(), normalized=values(),
-                      alarm_condition=alarm, shadow_linepack=None, boundary_values={},
-                      readings={})
+    return dict(poll_time=t, reason=reason, alarm=alarm, delta=values(), normalized=values(),
+                linepack=None, held={}, readings={})
 
 
 @st.composite
 def _columns(draw):
-    """(indicator ids, frames, poll records) of a few polls."""
+    """(indicator ids, frames, each poll's values) of a few polls."""
     ids = draw(st.lists(_AWKWARD_TEXT, unique=True, max_size=3))
     frames, records = [], []
     for k in range(draw(st.integers(0, 9))):
@@ -1284,17 +1370,22 @@ class TestWritersFromColumns:
     """Every file a run writes is the bytes the writers made: report.json
     that of ``json.dumps`` of the whole report, the tables written from the
     telemetry and RTM trace columns those of ``csv.writer`` on the run's
-    frames and poll records, the other tables those of ``csv.writer`` on
+    frames and on the values each poll wrote into the trace, the other tables those of ``csv.writer`` on
     the report's sections, and states.dat one line a node of each state."""
 
     @pytest.mark.parametrize("case", list(_WRITER_CASES))
     def test_outputs_match_the_frame_and_record_writers(self, case, tmp_path, monkeypatch):
         frames, records, reports = [], [], []
-        append, observe, run = TelemetryLog.append, RtmDetector.observe, cli.run_scenario
+        append, write, run = TelemetryLog.append, RtmTrace.append, cli.run_scenario
         monkeypatch.setattr(TelemetryLog, "append",
                             lambda log, frame: frames.append(frame) or append(log, frame))
-        monkeypatch.setattr(RtmDetector, "observe",
-                            lambda det, frame: records.append(observe(det, frame)) or records[-1])
+
+        def written(trace, *args, **kwargs):
+            # a copy of each value, as the caller may change its mappings later
+            values = inspect.signature(write).bind(trace, *args, **kwargs).arguments
+            records.append(copy.deepcopy({k: v for k, v in values.items() if k != "self"}))
+            write(trace, *args, **kwargs)
+        monkeypatch.setattr(RtmTrace, "append", written)
         monkeypatch.setattr(cli, "run_scenario",
                             lambda *args, **kw: reports.append(run(*args, **kw)) or reports[-1])
         # seven entries a piece, so every per-poll list is spliced from several
@@ -1370,7 +1461,7 @@ class TestWritersFromColumns:
         log, trace = TelemetryLog(), RtmTrace(ids, (), ())
         for frame, rec in zip(frames, records):
             log.append(frame)
-            trace.append(rec)
+            trace.append(**rec)
         expected = _old_tables(frames, records)
         expected.setdefault("rtm_trace.csv", (["poll_time", "available", "reason", "alarm"], []))
 
@@ -1708,7 +1799,7 @@ class TestFieldSideTransports:
     @staticmethod
     def _assert_same(here, forked):
         assert here.to_json() == forked.to_json()
-        assert repr(list(here.rtm_trace)) == repr(list(forked.rtm_trace))
+        assert repr(trace_columns(here.rtm_trace)) == repr(trace_columns(forked.rtm_trace))
         assert repr(list(here.telemetry.rows())) == repr(list(forked.telemetry.rows()))
         assert len(here.states) == len(forked.states)
         for a, b in zip(here.states, forked.states):
