@@ -61,7 +61,6 @@ from .scenario import RunReport, Scenario, load_scenario, run_scenario, scenario
 from .telemetry import (
     NoiseSpec,
     PlausibilityLimits,
-    Reading,
     TelemetryFrame,
     instrument_nodes,
     noiseless_reading,

@@ -15,10 +15,10 @@ is available and the process may use two or more CPUs, the field side
 runs in a forked child that streams its frames over a one-way pipe, so
 the two sides overlap; otherwise it runs in the same process.  The
 report is the same bytes either way; ``taskset -c 0`` keeps a run in one
-process.  A frame is columns (see ``TelemetryFrame``): its time, its
-instrument ids, its values and its quality codes, so a batch of frames
-pickles as a few flat tuples a frame, and pickle sends each id string
-once a batch.
+process.  A frame is a named tuple of columns (see ``TelemetryFrame``):
+its time, its instrument ids, its values and its qualities, so a batch of
+frames pickles as a few flat tuples a frame, and pickle sends each id and
+quality string once a batch.
 
 What the control-room side keeps of a poll is a few hundred bytes of plain
 numbers: the frame's columns copied into a ``TelemetryLog`` and the RTM's
@@ -384,14 +384,40 @@ class RunReport:
 _FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _UniqueKeys:
+    """A loader's mapping constructor that refuses a mapping repeating a
+    key, which YAML would otherwise read as the last one silently
+    overriding the first.  A key merged in with ``<<`` may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+class _FastUniqueLoader(_UniqueKeys, _FAST_LOADER):
+    pass
+
+
+class _UniqueLoader(_UniqueKeys, yaml.SafeLoader):
+    pass
+
+
 def _parse_yaml(blob):
-    """``yaml.safe_load(blob)``, parsed by libyaml where PyYAML has it.  A
-    document libyaml refuses is read again by the pure-Python parser, so
-    an error names its problem in that parser's words."""
+    """``yaml.safe_load(blob)``, parsed by libyaml where PyYAML has it, except
+    that a mapping may not repeat a key.  A document libyaml refuses is read
+    again by the pure-Python parser, so an error names its problem in that
+    parser's words."""
     try:
-        return yaml.load(blob, Loader=_FAST_LOADER)
+        return yaml.load(blob, Loader=_FastUniqueLoader)
     except yaml.YAMLError:
-        return yaml.load(blob, Loader=yaml.SafeLoader)
+        return yaml.load(blob, Loader=_UniqueLoader)
 
 
 def read_yaml_mapping(path):
@@ -434,6 +460,8 @@ def scenario_from_dict(raw, config_hash=None) -> Scenario:
     root = _Path(raw, units=_resolve_units(top.child("units")), read=top.read)
 
     name = root.text("name", "scenario")
+    if "".join(name.splitlines()) != name:   # it heads every table's provenance line
+        raise ConfigurationError(f"name: must be one line of text, got {name!r}")
     seed = root.integer("seed", 0, least=0)
     horizon = root.number("horizon", required=True, above=0)
     tele = root.child("telemetry")

@@ -5,19 +5,18 @@ each instrument can also drop out per poll.  The true value is
 :func:`noiseless_reading` at the instrument's node from
 :func:`instrument_nodes`, which is also how the RTM takes its model
 values.  The plausibility filter only ever changes quality flags, never
-values.  A :class:`TelemetryFrame` holds its poll as columns: a tuple of
-the instrument ids, and each reading's value and quality code.
-:func:`sample` and :func:`plausibility_filter` make and re-flag those
-columns, and ``Reading`` objects are made only when a frame's readings
-are asked for.  A run keeps its frames as a :class:`TelemetryLog`: the
-same columns, poll after poll, from which ``telemetry.csv`` is formatted
-directly.
+values.  A :class:`TelemetryFrame` is a named tuple of its poll's
+columns: its time, the instrument ids, each reading's value and each
+one's quality, which :func:`sample` makes and :func:`plausibility_filter`
+re-flags.  A run keeps its frames as a :class:`TelemetryLog`: the same
+columns, poll after poll, each quality as a one-byte code, from which
+``telemetry.csv`` is formatted directly.
 """
 
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .hydraulics import GridState
 from .network import PipelineModel
 
 __all__ = [
-    "Reading",
     "TelemetryFrame",
     "TelemetryLog",
     "NoiseSpec",
@@ -45,97 +43,50 @@ GOOD, SUSPECT, MISSING = "good", "suspect", "missing"
 _NOISE_CLIP_SIGMA = 6.0
 
 
-@dataclass(frozen=True)
-class Reading:
-    instrument_id: str
-    value: Optional[float]   # None when missing
-    quality: str             # good | suspect | missing
+class TelemetryFrame(NamedTuple):
+    """One SCADA poll: one reading per configured instrument, as columns.
+
+    ``ids`` are the instrument ids, ``values`` each reading's value (None
+    where it has none) and ``qualities`` each one's quality: good, suspect
+    or missing.  A reading is good when its quality is good and it has a
+    value.  Where an id repeats, its first reading is the one
+    :meth:`reading` and :meth:`good_value` give.
+    """
+
+    poll_time: float
+    ids: Tuple[str, ...]
+    values: Tuple[Optional[float], ...]
+    qualities: Tuple[str, ...]
+
+    def reading(self, instrument_id) -> Tuple[Optional[float], str]:
+        """(value, quality) of ``instrument_id``; KeyError if the frame has none."""
+        k = _index(self.ids, instrument_id)
+        return self.values[k], self.qualities[k]
+
+    def good_value(self, instrument_id) -> Optional[float]:
+        """Value if the reading is good, else None; KeyError if the frame
+        has no reading of ``instrument_id``."""
+        k = _index(self.ids, instrument_id)
+        return self.values[k] if self.qualities[k] == GOOD else None
+
+    def __reduce__(self):
+        # the class and its columns: quicker to pickle than the tuple's own
+        # __getnewargs__ form
+        return TelemetryFrame, tuple(self)
 
 
-# A frame's and a TelemetryLog's code of a reading: its quality's index
-# here, plus _NONE where its value is None.
+def _index(ids, instrument_id):
+    try:
+        return ids.index(instrument_id)
+    except ValueError:
+        raise KeyError(instrument_id) from None
+
+
+# A TelemetryLog's code of a reading: its quality's index here, plus _NONE
+# where its value is None.
 _QUALITIES = (GOOD, SUSPECT, MISSING)
 _QUALITY_CODE = {q: code for code, q in enumerate(_QUALITIES)}
 _NONE = len(_QUALITIES)
-_GOOD_CODE, _SUSPECT_CODE = _QUALITY_CODE[GOOD], _QUALITY_CODE[SUSPECT]
-_DROPPED_CODE = _QUALITY_CODE[MISSING] + _NONE
-
-
-class TelemetryFrame:
-    """One SCADA poll: one reading per configured instrument.
-
-    It is built from its :class:`Reading`s and holds them as a
-    :class:`TelemetryLog` holds a run: the instrument ids, each reading's
-    value (None where it has none) and its quality code.  ``readings`` and
-    :meth:`reading` make ``Reading`` objects when asked; :meth:`good_value`
-    reads a lookup made once per frame.  Where an id repeats, its first
-    reading is the one :meth:`reading` and :meth:`good_value` give.
-    Frames are not changed once made.
-    """
-
-    __slots__ = ("poll_time", "_ids", "_values", "_codes", "_good", "__weakref__")
-
-    def __init__(self, poll_time, readings):
-        readings = tuple(readings)
-        self.poll_time = poll_time
-        self._ids = tuple(r.instrument_id for r in readings)
-        self._values = tuple(r.value for r in readings)
-        self._codes = bytes(_QUALITY_CODE[r.quality] + _NONE * (r.value is None)
-                           for r in readings)
-        self._good = None
-
-    @property
-    def readings(self) -> Tuple[Reading, ...]:
-        return tuple(map(_reading, self._ids, self._values, self._codes))
-
-    def reading(self, instrument_id) -> Reading:
-        """The reading of ``instrument_id``; KeyError if the frame has none."""
-        try:
-            k = self._ids.index(instrument_id)
-        except ValueError:
-            raise KeyError(instrument_id) from None
-        return _reading(self._ids[k], self._values[k], self._codes[k])
-
-    def good_value(self, instrument_id):
-        """Value if the reading is quality-good, else None; KeyError if the
-        frame has no reading of ``instrument_id``."""
-        good = self._good
-        if good is None:
-            # built from the back so the first reading of a repeated id wins
-            good = self._good = {
-                iid: value if code == _GOOD_CODE else None
-                for iid, value, code in zip(reversed(self._ids), reversed(self._values),
-                                            reversed(self._codes))}
-        return good[instrument_id]
-
-    def _columns(self):
-        return self.poll_time, self._ids, self._values, self._codes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._columns() == other._columns()
-
-    def __hash__(self):
-        return hash(self._columns())
-
-    def __repr__(self):
-        return f"TelemetryFrame(poll_time={self.poll_time!r}, readings={self.readings!r})"
-
-    def __reduce__(self):
-        return _frame, self._columns()
-
-
-def _frame(poll_time, ids, values, codes):
-    """A TelemetryFrame of these columns, as :class:`TelemetryFrame` holds them."""
-    frame = object.__new__(TelemetryFrame)
-    frame.poll_time, frame._ids, frame._values, frame._codes = poll_time, ids, values, codes
-    frame._good = None
-    return frame
-
-
-def _reading(instrument_id, value, code):
-    return Reading(instrument_id, value, _QUALITIES[code % _NONE])
 
 
 class OptionalFloats:
@@ -167,9 +118,10 @@ class OptionalFloats:
 
 class TelemetryLog:
     """A stream of frames kept as columns of plain numbers: each poll's
-    time, and each reading's value (NaN where it is None) and quality code,
-    poll by poll in frame order, so a poll costs 9 bytes a reading.  Every
-    frame must hold the first frame's instruments, in its order."""
+    time, and each reading's value (NaN where it is None) and quality code
+    (see ``_QUALITY_CODE``), poll by poll in frame order, so a poll costs 9
+    bytes a reading.  Every frame must hold the first frame's instruments,
+    in its order."""
 
     def __init__(self):
         self.times = array("d")
@@ -181,7 +133,7 @@ class TelemetryLog:
         return len(self.times)
 
     def append(self, frame: TelemetryFrame):
-        ids = frame._ids
+        ids = frame.ids
         if not self.times:
             self.ids = ids
         elif ids != self.ids:
@@ -190,11 +142,13 @@ class TelemetryLog:
             iid, logged = next((i, j) for i, j in zip(ids, self.ids) if i != j)
             raise ValueError(f"the frame at t={frame.poll_time} s reads "
                              f"{iid!r} where the log reads {logged!r}")
-        values = frame._values
+        values = frame.values
+        codes = map(_QUALITY_CODE.__getitem__, frame.qualities)
         if None in values:
+            codes = [code + _NONE * (v is None) for code, v in zip(codes, values)]
             values = [math.nan if v is None else v for v in values]
         self._values.extend(values)
-        self._codes += frame._codes
+        self._codes.extend(codes)
         self.times.append(frame.poll_time)
 
     def rows(self):
@@ -289,19 +243,19 @@ def sample(state: GridState, instruments, noise: NoiseSpec,
     ``nodes`` are the instruments' grid nodes from :func:`instrument_nodes`;
     each reading is :func:`noiseless_reading` plus bias plus noise.
     """
-    ids, values, codes = [], [], bytearray()
+    ids, values, qualities = [], [], []
     for inst, node in zip(instruments, nodes, strict=True):
         truth = noiseless_reading(state, inst.kind, node, pipeline)
         u, z = noise.draw()
         ids.append(inst.id)
         if u < inst.dropout_prob:
             values.append(None)
-            codes.append(_DROPPED_CODE)
+            qualities.append(MISSING)
             continue
         perturbation = min(max(z, -_NOISE_CLIP_SIGMA), _NOISE_CLIP_SIGMA) * inst.noise_sigma
         values.append(float(truth + inst.bias + perturbation))
-        codes.append(_GOOD_CODE)
-    return _frame(float(state.t), tuple(ids), tuple(values), bytes(codes))
+        qualities.append(GOOD)
+    return TelemetryFrame(float(state.t), tuple(ids), tuple(values), tuple(qualities))
 
 
 def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> TelemetryFrame:
@@ -318,11 +272,11 @@ def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> Telemet
     came.
     """
     t = frame.poll_time
-    flagged = None   # the frame's codes, once one is re-flagged
-    for k, (iid, value, code) in enumerate(zip(frame._ids, frame._values, frame._codes)):
+    flagged = None   # the frame's qualities, once one is re-flagged
+    for k, (iid, value, quality) in enumerate(zip(frame.ids, frame.values, frame.qualities)):
         last_good, run_value, run = memory.get(iid, (None, None, 0))
         lim = limits.get(kinds.get(iid))
-        good = code % _NONE == _GOOD_CODE
+        good = quality == GOOD and value is not None
         if good and lim is not None:
             suspect = not lim.min_value <= value <= lim.max_value
             if not suspect and last_good is not None and math.isfinite(lim.max_rate):
@@ -333,8 +287,8 @@ def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> Telemet
                 suspect = (run if value == run_value else 0) + 1 >= lim.flatline_polls
             if suspect:
                 if flagged is None:
-                    flagged = bytearray(frame._codes)
-                flagged[k] = _SUSPECT_CODE
+                    flagged = list(frame.qualities)
+                flagged[k] = SUSPECT
                 good = False
         if good:
             last_good = (t, value)
@@ -347,4 +301,4 @@ def plausibility_filter(frame: TelemetryFrame, memory, limits, kinds) -> Telemet
         memory[iid] = (last_good, run_value, run)
     if flagged is None:
         return frame
-    return _frame(t, frame._ids, frame._values, bytes(flagged))
+    return TelemetryFrame(t, frame.ids, frame.values, tuple(flagged))

@@ -4,6 +4,7 @@ import pytest
 
 from linewatch.fluid import FluidModel, LiquidEos
 from linewatch.network import PipelineModel
+from linewatch.telemetry import TelemetryFrame
 
 
 @pytest.fixture
@@ -122,3 +123,14 @@ def trace_columns(trace):
         for iid, column in getattr(trace, name).items():
             columns[f"{name}.{iid}"] = list(column)
     return columns
+
+
+def frame_of(t, *readings):
+    """A TelemetryFrame at ``t`` of (instrument id, value, quality) readings."""
+    ids, values, qualities = zip(*readings) if readings else ((), (), ())
+    return TelemetryFrame(t, ids, values, qualities)
+
+
+def readings_of(frame):
+    """A frame's (instrument id, value, quality) readings, in frame order."""
+    return list(zip(frame.ids, frame.values, frame.qualities))

@@ -1,10 +1,11 @@
 import math
 import re
-import weakref
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import frame_of
 from linewatch.balance import (
     BalanceDetector,
     BalanceWindow,
@@ -12,7 +13,7 @@ from linewatch.balance import (
     balance_alarm,
 )
 from linewatch.errors import ConfigurationError
-from linewatch.telemetry import GOOD, MISSING, Reading, TelemetryFrame
+from linewatch.telemetry import GOOD, MISSING
 
 
 def gaps(values, missing=()):
@@ -23,9 +24,9 @@ def gaps(values, missing=()):
 def frames_from(times, fin, fout, missing_in=(), missing_out=()):
     out = []
     for k, t in enumerate(times):
-        rin = Reading("fin", None, MISSING) if k in missing_in else Reading("fin", fin[k], GOOD)
-        rout = Reading("fout", None, MISSING) if k in missing_out else Reading("fout", fout[k], GOOD)
-        out.append(TelemetryFrame(poll_time=float(t), readings=(rin, rout)))
+        rin = ("fin", None, MISSING) if k in missing_in else ("fin", fin[k], GOOD)
+        rout = ("fout", None, MISSING) if k in missing_out else ("fout", fout[k], GOOD)
+        out.append(frame_of(float(t), rin, rout))
     return out
 
 
@@ -170,12 +171,17 @@ class TestDetectorAndTrend:
     def test_no_frame_outlives_its_poll(self):
         det = BalanceDetector("fin", "fout", window_duration=60.0, threshold=50.0)
         times = np.arange(0.0, 180.0 + 1e-9, 5.0)
-        previous = None
+        held = []
         for t in times:
             frame = frames_from([t], [10.0], [9.5])[0]
-            # rebinding ``frame`` let go of the last poll's
-            assert previous is None or previous() is None, f"the frame before t={t} outlived it"
-            previous = weakref.ref(frame)
+            # rebinding ``frame`` let go of the last poll's: only ``held`` and
+            # getrefcount's argument refer to it (a frame is a tuple, which
+            # takes no weak reference; counted outside the assert, whose
+            # rewriting keeps its operands)
+            if held:
+                refs = sys.getrefcount(held[-1])
+                assert refs == 2, f"the frame before t={t} outlived it"
+            held.append(frame)
             det.observe(frame, 1000.0)
         assert len(det.windows) == 3
         assert [w.v_in - w.v_out for w in det.windows] == [30.0] * 3

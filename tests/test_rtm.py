@@ -1,14 +1,15 @@
 import collections
 import dataclasses
 import math
-import weakref
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import flow_drive_cfg, set_noise_scale, standard_config, trace_columns
+from conftest import (flow_drive_cfg, frame_of, readings_of, set_noise_scale, standard_config,
+                      trace_columns)
 from linewatch import hydraulics
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError
 from linewatch.fluid import FluidModel, LiquidEos
@@ -23,8 +24,8 @@ from linewatch.network import InstrumentPlacement, PipelineModel, discretize
 from linewatch.rtm import (_LOCATE_WINDOW_POLLS, _STALENESS_POLLS, RtmDetector, RtmTrace,
                            VotingPolicy, _Streaks, combined_verdict, vote)
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
-from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, Reading, TelemetryFrame,
-                                 instrument_nodes, noiseless_reading, sample)
+from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, instrument_nodes, noiseless_reading,
+                                 sample)
 
 
 def policy(**kw):
@@ -251,12 +252,7 @@ class TestShadowModel:
     def test_staleness_suspends_and_recovers(self):
         def mangle(frame, k):
             if 10 <= k < 20:  # boundary pressure goes dark for 10 polls
-                readings = tuple(
-                    Reading(r.instrument_id, None, MISSING)
-                    if r.instrument_id == "p_in" else r
-                    for r in frame.readings
-                )
-                return TelemetryFrame(frame.poll_time, readings)
+                return _dark(frame, "p_in")
             return frame
         det = _MiniLoop(mangle=mangle).run(30)
         tr = det.trace
@@ -272,9 +268,9 @@ class TestShadowModel:
         # A reading is a measurement, not a setting: a boundary pressure read
         # below zero stops the shadow as a solver failure, not a set-up error.
         def mangle(frame, k):
-            return TelemetryFrame(frame.poll_time, tuple(
-                Reading(r.instrument_id, -1000.0, GOOD) if r.instrument_id == "p_out" else r
-                for r in frame.readings))
+            return frame_of(frame.poll_time, *[
+                (iid, -1000.0, GOOD) if iid == "p_out" else (iid, value, quality)
+                for iid, value, quality in readings_of(frame)])
         with pytest.raises(InfeasibleScenarioError,
                            match="^shadow model boundary readings: boundary pressure must be > 0"):
             _MiniLoop(mangle=mangle).run(1)
@@ -284,9 +280,7 @@ class TestShadowModel:
 
         def mangle(frame, k):
             if k < 2 or 10 <= k < 20:  # p_in dark at the start and for 10 polls
-                readings = tuple(Reading(r.instrument_id, None, MISSING)
-                                 if r.instrument_id == "p_in" else r for r in frame.readings)
-                frame = TelemetryFrame(frame.poll_time, readings)
+                frame = _dark(frame, "p_in")
             fed[k] = frame
             return frame
         det = _MiniLoop(mangle=mangle).run(20)
@@ -310,9 +304,7 @@ class TestShadowModel:
     def test_report_counts_come_from_the_poll_log(self):
         def mangle(frame, k):
             if 5 <= k < 12:  # long enough a boundary outage to suspend
-                readings = tuple(Reading(r.instrument_id, None, MISSING)
-                                 if r.instrument_id == "p_in" else r for r in frame.readings)
-                return TelemetryFrame(frame.poll_time, readings)
+                return _dark(frame, "p_in")
             return frame
         det = _MiniLoop(leak_rate=2.0, mangle=mangle).run(50)
         section, tr = det.report(), det.trace
@@ -329,12 +321,7 @@ class TestShadowModel:
     def test_suspended_polls_never_vote(self):
         def mangle(frame, k):
             if k >= 10:
-                readings = tuple(
-                    Reading(r.instrument_id, None, MISSING)
-                    if r.instrument_id == "p_in" else r
-                    for r in frame.readings
-                )
-                return TelemetryFrame(frame.poll_time, readings)
+                return _dark(frame, "p_in")
             return frame
         det = _MiniLoop(leak_rate=5.0, mangle=mangle).run(40)
         for reason, alarm in zip(det.trace.reasons, det.trace.alarm, strict=True):
@@ -353,9 +340,10 @@ class TestShadowModel:
         rng = np.random.default_rng(n)
 
         def mangle(frame, k):
-            return TelemetryFrame(frame.poll_time, tuple(
-                Reading(r.instrument_id, r.value + 500.0 * rng.standard_normal(), r.quality)
-                if r.instrument_id.startswith("flow") else r for r in frame.readings))
+            return frame_of(frame.poll_time, *[
+                (iid, value + 500.0 * rng.standard_normal(), quality)
+                if iid.startswith("flow") else (iid, value, quality)
+                for iid, value, quality in readings_of(frame)])
 
         threshold = 2.0 ** 30
         pol = policy(smoothing_polls=n, flow_threshold=threshold)
@@ -442,15 +430,13 @@ class TestShadowTargets:
 
             def mangle(frame, k):
                 readings = []
-                for r in frame.readings:
-                    if r.instrument_id == "p_out" and k in (6, 7):
-                        r = Reading(r.instrument_id, None, MISSING)   # held unchanged
-                    elif r.instrument_id in noise:
-                        r = Reading(r.instrument_id,
-                                    r.value + noise[r.instrument_id] * rng.standard_normal(),
-                                    r.quality)
-                    readings.append(r)
-                return TelemetryFrame(frame.poll_time, tuple(readings))
+                for iid, value, quality in readings_of(frame):
+                    if iid == "p_out" and k in (6, 7):
+                        value, quality = None, MISSING   # held unchanged
+                    elif iid in noise:
+                        value += noise[iid] * rng.standard_normal()
+                    readings.append((iid, value, quality))
+                return frame_of(frame.poll_time, *readings)
             return _MiniLoop(leak_rate=2.0, mangle=mangle, poll_interval=poll_interval)
 
         new, ref = loop(), loop()
@@ -556,17 +542,15 @@ class TestDriveInputsAndRefinement:
 
             def mangle(frame, k):
                 readings = []
-                for r in frame.readings:
-                    if r.instrument_id == "t_in":
-                        value = r.value + 1.5 + 0.05 * k
+                for iid, value, quality in readings_of(frame):
+                    if iid == "t_in":
+                        value = value + 1.5 + 0.05 * k
                         first.setdefault("t_in", value)
                         if 1 <= k <= 4:
-                            r = (Reading("t_in", None, MISSING) if dropped
-                                 else Reading("t_in", first["t_in"], r.quality))
-                        else:
-                            r = Reading("t_in", value, r.quality)
-                    readings.append(r)
-                fed.append(TelemetryFrame(frame.poll_time, tuple(readings)))
+                            value, quality = ((None, MISSING) if dropped
+                                              else (first["t_in"], quality))
+                    readings.append((iid, value, quality))
+                fed.append(frame_of(frame.poll_time, *readings))
                 return fed[-1]
             return _MiniLoop(leak_rate=2.0, mangle=mangle).run(12), fed
 
@@ -609,9 +593,9 @@ class TestSizeAndLocate:
 
 def _dark(frame, *ids):
     """``frame`` with the readings of ``ids`` missing."""
-    return TelemetryFrame(frame.poll_time, tuple(
-        Reading(r.instrument_id, None, MISSING) if r.instrument_id in ids else r
-        for r in frame.readings))
+    return frame_of(frame.poll_time, *[
+        (iid, None, MISSING) if iid in ids else (iid, value, quality)
+        for iid, value, quality in readings_of(frame)])
 
 
 def _size_term(det, k):
@@ -714,12 +698,17 @@ class TestTraceIsTheHistory:
     """The trace's columns are all the detector keeps of a poll."""
 
     def test_no_frame_outlives_its_poll(self):
-        previous = []
+        held = []
 
         def mangle(frame, k):
-            # the loop has let go of poll k - 1's frame by now
-            assert not previous or previous[0]() is None, f"poll {k - 1}'s frame outlived it"
-            previous[:] = [weakref.ref(frame)]
+            # the loop has let go of poll k - 1's frame by now: only ``held``
+            # and getrefcount's argument refer to it (a frame is a tuple,
+            # which takes no weak reference; counted outside the assert,
+            # whose rewriting keeps its operands)
+            if held:
+                refs = sys.getrefcount(held[-1])
+                assert refs == 2, f"poll {k - 1}'s frame outlived it"
+            held.append(frame)
             return frame
         det = _MiniLoop(leak_rate=2.0, mangle=mangle).run(60)
         assert det.verdict.declared

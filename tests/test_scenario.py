@@ -13,8 +13,8 @@ import os
 import re
 import signal
 import threading
+import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 import linewatch.cli as cli
 import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
-from conftest import flow_drive_cfg, set_noise_scale, standard_config, trace_columns
+from conftest import (flow_drive_cfg, frame_of, readings_of, set_noise_scale, standard_config,
+                      trace_columns)
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import GasEos
@@ -33,8 +34,7 @@ from linewatch.hydraulics import linepack
 from linewatch.network import discretize
 from linewatch.rtm import IndicatorTrace, RtmDetector, RtmTrace
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict, start_plant, sweep
-from linewatch.telemetry import (GOOD, MISSING, SUSPECT, Reading, TelemetryFrame, TelemetryLog,
-                                 sample)
+from linewatch.telemetry import GOOD, MISSING, SUSPECT, TelemetryLog, sample
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_leak_report.json"
 
@@ -282,6 +282,10 @@ class TestParsing:
             "specific_heat": 2200.0, "sound_speed": 380.0}),
          "fluid: density 6.81481 kg/m^3 and dP/dT at constant density inf Pa/K at the "
          "operating point (P=1e+06 Pa, T=300 K) must both be finite"),
+        ("pipeline", lambda cfg: cfg.update(pipeline=None), "pipeline.length: required field is missing"),
+        ("fluid", lambda cfg: cfg.update(fluid=None), "fluid.kind: required field is missing"),
+        ("pipeline", {"segments": [{"start": 0.0, "end": 20000.0}]},
+         "pipeline: segments[0]: end 20000.0 beyond the line length 10000.0"),
     ], ids=["pipeline_diameter", "liquid_bulk_modulus", "gas_z_mode", "gas_k",
             "fluid_sound_speed_zero", "balance_mode",
             "balance_threshold_zero", "balance_threshold_negative", "balance_window",
@@ -308,7 +312,8 @@ class TestParsing:
             "outlet_pressure_negative", "inlet_pressure_zero", "pressure_series_below_zero",
             "boundary_temperature_zero", "ground_temperature_zero",
             "ground_temperature_negative", "critical_temperature_zero", "critical_pressure_zero",
-            "gas_y_huge", "gas_dPdT_overflow"])
+            "gas_y_huge", "gas_dPdT_overflow", "pipeline_null", "fluid_null",
+            "segment_beyond_the_line"])
     def test_model_error_names_section(self, section, edit, message):
         cfg = standard_config()
         if callable(edit):
@@ -434,10 +439,13 @@ class TestParsing:
         (lambda c: c["acoustic"]["sensors"][0].update(id=7),
          "acoustic.sensors[0].id: expected text, got 7"),
         (lambda c: c.update(name=["a"]), "name: expected text, got ['a']"),
+        # the name heads every table's provenance line
+        (lambda c: c.update(name="line one\nline,two"),
+         "name: must be one line of text, got 'line one\\nline,two'"),
         (lambda c: c["fluid"].update(kind="oil"), "fluid.kind: must be 'liquid' or 'gas', got 'oil'"),
         (lambda c: c["rtm"].update(drive="head"), "rtm.drive: must be 'pressure' or 'flow', got 'head'"),
     ], ids=["enabled_text", "enabled_null", "instrument_id_null", "instrument_kind_number",
-            "sensor_id_number", "name_list", "fluid_kind", "rtm_drive"])
+            "sensor_id_number", "name_list", "name_two_lines", "fluid_kind", "rtm_drive"])
     def test_text_and_switch_fields_name_their_path(self, edit, message):
         cfg = standard_config()
         edit(cfg)
@@ -856,6 +864,36 @@ class TestCli:
             "configuration error: rtm: pressure-driven detection needs a pressure instrument "
             "at each end of the line\n")
 
+    def test_flow_drive_without_an_end_pressure_instrument(self, tmp_path, capsys):
+        # A flow-driven shadow's steady start is pinned by an end pressure.
+        cfg = yaml.safe_load(SHIPPED_STANDARD.with_name("phenomenology.yaml").read_text())
+        cfg["instruments"] = [i for i in cfg["instruments"] if i["id"] not in ("p_in", "p_out")]
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: rtm: flow-driven detection needs an end pressure instrument "
+            "to anchor the shadow model's initial state\n")
+
+    def test_a_name_of_more_than_one_line_is_refused(self, tmp_path, capsys):
+        # A line break in the name would split the provenance line that
+        # heads every table, so a reader would take its second half for
+        # the header: refused by run, and by each sweep cell.
+        error = "name: must be one line of text, got 'line one\\nline,two'"
+        path = self.write_cfg(tmp_path, standard_config(horizon=420.0, name="line one\nline,two"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {error}\n"
+        assert not out.exists()
+
+        path = self.write_cfg(tmp_path, standard_config(horizon=420.0))
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(yaml.safe_dump({"name": ["line one\nline,two"]}))
+        assert main(["sweep", str(path), "--grid", str(grid), "-o", str(out)]) == 1
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("# scenario=") and lines[1].startswith("cell,")
+        (row,) = csv.DictReader(lines[1:])
+        assert row["error"] == f"ConfigurationError: {error}"
+
     @pytest.mark.parametrize("edit,message", [
         # a temperature in degrees Celsius read as kelvin
         (lambda cfg: cfg["boundaries"]["temperature"].update(value=26.85),
@@ -1121,7 +1159,10 @@ class TestCli:
          "not valid YAML at line 2, column 1: expected ',' or ']', but got '<stream end>'"),
         ("list", "- horizon\n- 60\n", "expected a mapping, got list"),
         ("empty", "", "expected a mapping, got nothing"),
-    ], ids=["missing", "directory", "malformed", "list", "empty"])
+        # YAML would read the last of a repeated key and drop the first
+        ("repeated_key", "rtm:\n  flow_threshold: 0.25\n  flow_threshold: 99.0\n",
+         "not valid YAML at line 3, column 3: duplicate key 'flow_threshold'"),
+    ], ids=["missing", "directory", "malformed", "list", "empty", "repeated_key"])
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_unusable_input_file_exits_2_naming_it(self, tmp_path, capsys, fault, text, reason,
                                                    command):
@@ -1190,7 +1231,7 @@ def _old_tables(frames, records):
     written from the columns must match byte for byte."""
     tables = {"telemetry.csv": (
         ["poll_time", "instrument", "value", "quality"],
-        [[f.poll_time, r.instrument_id, r.value, r.quality] for f in frames for r in f.readings])}
+        [[f.poll_time, *r] for f in frames for r in readings_of(f)])}
     if records:
         ids = sorted({iid for rec in records for iid in rec["normalized"]})
         tables["rtm_trace.csv"] = (
@@ -1313,9 +1354,9 @@ def _columns(draw):
     frames, records = [], []
     for k in range(draw(st.integers(0, 9))):
         t = draw(st.just(5.0 * k) | st.floats())
-        frames.append(TelemetryFrame(t, tuple(
-            Reading(i, draw(_AWKWARD_FLOAT), draw(st.sampled_from((GOOD, SUSPECT, MISSING))))
-            for i in ids)))
+        frames.append(frame_of(t, *[
+            (i, draw(_AWKWARD_FLOAT), draw(st.sampled_from((GOOD, SUSPECT, MISSING))))
+            for i in ids]))
         records.append(_poll(t, ids, draw(st.none() | _AWKWARD_TEXT),
                              lambda i: draw(_AWKWARD_FLOAT), draw(st.booleans())))
     return ids, frames, records
@@ -1364,6 +1405,19 @@ class TestYamlParsers:
             scenario_module.read_yaml_mapping(path)
         assert str(err.value) == (f"{path}: not valid YAML at line {mark.line + 1}, "
                                   f"column {mark.column + 1}: {slow.value.problem}")
+
+
+    def test_both_parsers_refuse_a_repeated_key_and_let_a_merged_one_be_overridden(self):
+        # The fast parser's error sends a file to the pure-Python one, so
+        # both must refuse it.
+        merged = "base: &b {a: 1, c: 2}\nx:\n  <<: *b\n  a: 3\n"
+        for loader in (scenario_module._FastUniqueLoader, scenario_module._UniqueLoader):
+            assert yaml.load(merged, Loader=loader) == {"base": {"a": 1, "c": 2},
+                                                        "x": {"a": 3, "c": 2}}
+            with pytest.raises(yaml.YAMLError) as err:
+                yaml.load("seed: [1]\nseed: [2, 3]\n", Loader=loader)
+            assert err.value.problem == "duplicate key 'seed'"
+            assert (err.value.problem_mark.line, err.value.problem_mark.column) == (1, 0)
 
 
 class TestWritersFromColumns:
@@ -1450,10 +1504,9 @@ class TestWritersFromColumns:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(columns=_columns(), chunk=st.sampled_from((1, 7, 64)))
     @example(columns=(["q"], [], []), chunk=7)                          # no poll
-    @example(columns=(["f,1"], [TelemetryFrame(0.0, (Reading("f,1", -0.0, GOOD),))],
+    @example(columns=(["f,1"], [frame_of(0.0, ("f,1", -0.0, GOOD))],
                       [_poll(0.0, ["f,1"], None, lambda i: 5e-324, True)]), chunk=1)
-    @example(columns=(["f"], [TelemetryFrame(t, (Reading("f", None, MISSING),))
-                              for t in (0.0, 5.0)],
+    @example(columns=(["f"], [frame_of(t, ("f", None, MISSING)) for t in (0.0, 5.0)],
                       [_poll(0.0, ["f"], "initializing", None),
                        _poll(5.0, ["f"], 'sus"pended,\n', None)]), chunk=64)  # none counted
     def test_column_formatters_give_json_and_csv_bytes(self, columns, chunk):
@@ -1522,10 +1575,10 @@ class TestSpecInvariantsEndToEnd:
             poll = round(frame.poll_time / 5.0)
             if not 1 <= poll <= 71:
                 return frame
-            value = frame.reading("flow_out").value + 1.0
-            lost = Reading("flow_out", *((None, "missing") if poll <= 70 else (value, "good")))
-            return TelemetryFrame(frame.poll_time, tuple(
-                lost if r.instrument_id == "flow_out" else r for r in frame.readings))
+            value = frame.reading("flow_out")[0] + 1.0
+            lost = ("flow_out", *((None, "missing") if poll <= 70 else (value, "good")))
+            return frame_of(frame.poll_time, *[
+                lost if r[0] == "flow_out" else r for r in readings_of(frame)])
 
         monkeypatch.setattr(scenario_module, "sample", lossy_sample)
         cfg = standard_config(horizon=360.0)
@@ -1810,14 +1863,16 @@ class TestFieldSideTransports:
     def test_report_keeps_each_poll_as_columns_and_no_frame(self, monkeypatch):
         # The report keeps each poll's readings once, in its telemetry
         # columns, and the RTM's trace of the same polls; no frame outlives
-        # the run, in either transport.
+        # the run, in either transport: only ``frames`` and getrefcount's
+        # argument refer to each (a frame is a tuple, which takes no weak
+        # reference).
         frames = []
         observe = RtmDetector.observe
         monkeypatch.setattr(RtmDetector, "observe",
-                            lambda det, frame: frames.append(weakref.ref(frame)) or
-                            observe(det, frame))
+                            lambda det, frame: frames.append(frame) or observe(det, frame))
         reports = self._run_both(standard_config(horizon=150.0), monkeypatch)
-        assert [ref() for ref in frames] == [None] * 62
+        refs = [sys.getrefcount(frames[k]) for k in range(len(frames))]
+        assert refs == [2] * 62
         for report in reports:
             assert len(report.rtm_trace) == len(report.telemetry) == 31
             assert report.rtm_trace.times == report.telemetry.times

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import frame_of, readings_of
 from linewatch.errors import ConfigurationError
 from linewatch.hydraulics import GridState
 from linewatch.network import InstrumentPlacement, PipelineModel
@@ -18,7 +19,6 @@ from linewatch.telemetry import (
     SUSPECT,
     NoiseSpec,
     PlausibilityLimits,
-    Reading,
     TelemetryFrame,
     TelemetryLog,
     instrument_nodes,
@@ -45,10 +45,6 @@ def poll(state, instruments, noise, t, pipe):
                   nodes=instrument_nodes(state.x, instruments))
 
 
-def frame_of(t, *readings):
-    return TelemetryFrame(poll_time=t, readings=tuple(Reading(*r) for r in readings))
-
-
 def remembered(*frames):
     """The filter's memory after ``frames``, each filtered with no limits,
     so it is remembered with the quality it was given."""
@@ -66,21 +62,21 @@ class TestSample:
             InstrumentPlacement("t", "temperature", 1000.0),
         ]
         frame = poll(state, instruments, NoiseSpec(1), 50.0, pipe)
-        assert frame.reading("f").value == pytest.approx(1000.0 * 1.2 * pipe.area, rel=1e-12)
-        assert frame.reading("p").value == pytest.approx(8.5e5, rel=1e-12)
-        assert frame.reading("t").value == 300.0
-        assert all(r.quality == GOOD for r in frame.readings)
+        assert frame.reading("f")[0] == pytest.approx(1000.0 * 1.2 * pipe.area, rel=1e-12)
+        assert frame.reading("p")[0] == pytest.approx(8.5e5, rel=1e-12)
+        assert frame.reading("t")[0] == 300.0
+        assert all(q == GOOD for q in frame.qualities)
 
     def test_bias_is_exact_offset(self, pipe, state):
         inst = [InstrumentPlacement("p", "pressure", 0.0, bias=1000.0)]
         frame = poll(state, inst, NoiseSpec(1), 50.0, pipe)
-        assert frame.reading("p").value == pytest.approx(9e5 + 1000.0, rel=1e-12)
+        assert frame.reading("p")[0] == pytest.approx(9e5 + 1000.0, rel=1e-12)
 
     def test_dropout_fraction_binomial(self, pipe, state):
         inst = [InstrumentPlacement("p", "pressure", 0.0, dropout_prob=0.5)]
         noise = NoiseSpec(1234)
         missing = sum(
-            poll(state, inst, noise, float(k), pipe).reading("p").quality == MISSING
+            poll(state, inst, noise, float(k), pipe).reading("p")[1] == MISSING
             for k in range(10000)
         )
         assert abs(missing / 10000 - 0.5) < 0.02
@@ -99,7 +95,7 @@ class TestSample:
     def test_noise_clipped_at_six_sigma(self, pipe, state):
         inst = [InstrumentPlacement("p", "pressure", 0.0, noise_sigma=100.0)]
         noise = NoiseSpec(5)
-        vals = [poll(state, inst, noise, float(k), pipe).reading("p").value
+        vals = [poll(state, inst, noise, float(k), pipe).reading("p")[0]
                 for k in range(5000)]
         assert max(abs(v - 9e5) for v in vals) <= 600.0 + 1e-9
 
@@ -117,13 +113,13 @@ class TestSample:
                            nodes=nodes)
             for i, truth in zip(inst, truths):
                 u, z = replay.draw()
-                r = frame.reading(i.id)
+                value, quality = frame.reading(i.id)
                 if u < i.dropout_prob:
-                    assert r == Reading(i.id, None, MISSING)
+                    assert (value, quality) == (None, MISSING)
                     continue
                 expected = float(truth + i.bias + np.clip(z, -6, 6) * i.noise_sigma)
-                assert type(r.value) is float
-                assert r.value == expected
+                assert type(value) is float
+                assert value == expected
 
     @pytest.mark.parametrize("z", [-9.5, -6.0, -5.999, -0.0, 0.0, 1.25, 6.0, 6.001, 40.0])
     def test_noise_clip_matches_numpy(self, pipe, state, z):
@@ -134,7 +130,7 @@ class TestSample:
         inst = [InstrumentPlacement("p", "pressure", 0.0, noise_sigma=123.4, bias=5.0)]
         frame = poll(state, inst, Scripted(), 0.0, pipe)
         expected = float(state.P[0] + 5.0 + np.clip(z, -6, 6) * 123.4)
-        assert frame.reading("p").value == expected
+        assert frame.reading("p")[0] == expected
 
     def test_noiseless_reading_is_what_a_noiseless_instrument_reads(self, pipe, state):
         inst = [InstrumentPlacement("f", "flow", 300.0),
@@ -144,7 +140,7 @@ class TestSample:
         frame = sample(state, inst, NoiseSpec(3), pipeline=pipe, nodes=nodes)
         truths = [noiseless_reading(state, i.kind, k, pipe) for i, k in zip(inst, nodes)]
         assert truths == [state.rho[3] * state.V[3] * pipe.area, state.P[7], state.T[10]]
-        assert [r.value for r in frame.readings] == [float(v) for v in truths]
+        assert list(frame.values) == [float(v) for v in truths]
 
     def test_nodes_follow_instrument_order(self, state):
         inst = [InstrumentPlacement("p", "pressure", 500.0),
@@ -161,7 +157,7 @@ class TestSample:
 class TestFrame:
     def test_unknown_id_raises_key_error(self):
         frame = frame_of(0.0, ("p", 5e5, GOOD), ("f", 70.0, GOOD))
-        assert frame.reading("f") == Reading("f", 70.0, GOOD)
+        assert frame.reading("f") == (70.0, GOOD)
         with pytest.raises(KeyError):
             frame.reading("t")
         with pytest.raises(KeyError):
@@ -169,7 +165,7 @@ class TestFrame:
 
     def test_first_reading_of_a_repeated_id_wins(self):
         frame = frame_of(0.0, ("p", 1.0, GOOD), ("p", 2.0, SUSPECT))
-        assert frame.reading("p") == Reading("p", 1.0, GOOD)
+        assert frame.reading("p") == (1.0, GOOD)
 
     def test_frame_without_the_instrument_leaves_its_memory(self):
         kinds = {"p": "pressure"}
@@ -179,39 +175,40 @@ class TestFrame:
         # The rate is taken from the poll at t = 0: 900 Pa/s passes, 1100 Pa/s does not.
         out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), remembered(*history),
                                   rate, kinds)
-        assert out.reading("p").quality == GOOD
+        assert out.reading("p")[1] == GOOD
         out = plausibility_filter(frame_of(10.0, ("p", 5.11e5, GOOD)), remembered(*history),
                                   rate, kinds)
-        assert out.reading("p").quality == SUSPECT
+        assert out.reading("p")[1] == SUSPECT
 
 
 def _reference_filter(frame, memory, limits, kinds):
-    """plausibility_filter as it was written on Reading objects: the
-    reference the column form must re-flag exactly as."""
+    """plausibility_filter written one (id, value, quality) reading at a
+    time: the reference the column form must re-flag exactly as.  A
+    reading is good when its quality is good and it has a value."""
     out = []
-    for r in frame.readings:
-        last_good, run_value, run = memory.get(r.instrument_id, (None, None, 0))
-        lim = limits.get(kinds.get(r.instrument_id))
-        if r.quality == GOOD and lim is not None:
-            suspect = not lim.min_value <= r.value <= lim.max_value
+    for iid, value, quality in readings_of(frame):
+        last_good, run_value, run = memory.get(iid, (None, None, 0))
+        lim = limits.get(kinds.get(iid))
+        if quality == GOOD and value is not None and lim is not None:
+            suspect = not lim.min_value <= value <= lim.max_value
             if not suspect and last_good is not None and math.isfinite(lim.max_rate):
                 t_prev, v_prev = last_good
                 dt = frame.poll_time - t_prev
-                suspect = dt > 0 and abs(r.value - v_prev) / dt > lim.max_rate
+                suspect = dt > 0 and abs(value - v_prev) / dt > lim.max_rate
             if not suspect and lim.flatline_polls is not None:
-                suspect = (run if r.value == run_value else 0) + 1 >= lim.flatline_polls
+                suspect = (run if value == run_value else 0) + 1 >= lim.flatline_polls
             if suspect:
-                r = Reading(r.instrument_id, r.value, SUSPECT)
-        if r.quality == GOOD:
-            last_good = (frame.poll_time, r.value)
-        if r.value is None:
+                quality = SUSPECT
+        if quality == GOOD and value is not None:
+            last_good = (frame.poll_time, value)
+        if value is None:
             run_value, run = None, 0
-        elif r.value == run_value:
+        elif value == run_value:
             run += 1
         else:
-            run_value, run = r.value, 1
-        memory[r.instrument_id] = (last_good, run_value, run)
-        out.append(r)
+            run_value, run = value, 1
+        memory[iid] = (last_good, run_value, run)
+        out.append((iid, value, quality))
     return out
 
 
@@ -224,11 +221,10 @@ _QUALITY = st.sampled_from((GOOD, SUSPECT, MISSING))
 
 @st.composite
 def _reading_frames(draw):
-    """Frames built from Readings: a few polls over one list of ids, which
-    may repeat an id."""
+    """Frames built from their readings: a few polls over one list of ids,
+    which may repeat an id."""
     ids = draw(_IDS)
-    return [TelemetryFrame(5.0 * k, tuple(Reading(i, draw(_VALUES), draw(_QUALITY))
-                                          for i in ids))
+    return [frame_of(5.0 * k, *[(i, draw(_VALUES), draw(_QUALITY)) for i in ids])
             for k in range(draw(st.integers(1, 4)))]
 
 
@@ -263,9 +259,10 @@ def _sampled_frames(draw):
 
 
 def _key(reading):
-    """A reading's fields, its value by its repr, so NaN equals NaN and
-    -0.0 differs from 0.0."""
-    return reading.instrument_id, repr(reading.value), reading.quality
+    """An (id, value, quality) reading, its value by its repr, so NaN
+    equals NaN and -0.0 differs from 0.0."""
+    iid, value, quality = reading
+    return iid, repr(value), quality
 
 
 def _csv(rows):
@@ -275,37 +272,38 @@ def _csv(rows):
 
 
 class TestFrameColumns:
-    """A frame holds its poll as columns, and its public face is the one it
-    had as a tuple of Readings: its readings, each id's first reading and
-    good value, equality, pickling and the log's rows and csv bytes."""
+    """A frame is its poll's columns, and reads as its list of (id, value,
+    quality) readings would: each id's first reading and good value,
+    equality, pickling and the log's rows and csv bytes."""
 
     @staticmethod
     def check(frames):
         log = TelemetryLog()
         for frame in frames:
-            readings = frame.readings
+            readings = readings_of(frame)
             copy = pickle.loads(pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL))
-            rebuilt = TelemetryFrame(frame.poll_time, readings)
+            rebuilt = frame_of(frame.poll_time, *readings)
             for f in (frame, copy, rebuilt):
-                assert [_key(r) for r in f.readings] == [_key(r) for r in readings]
+                assert type(f) is TelemetryFrame
+                assert [_key(r) for r in readings_of(f)] == [_key(r) for r in readings]
                 assert f.poll_time == frame.poll_time
-                for r in readings:
-                    first = next(q for q in readings if q.instrument_id == r.instrument_id)
-                    assert _key(f.reading(r.instrument_id)) == _key(first)
-                    good = first.value if first.quality == GOOD else None
-                    assert repr(f.good_value(r.instrument_id)) == repr(good)
+                for iid, _, _ in readings:
+                    first = next(r for r in readings if r[0] == iid)
+                    assert _key((iid, *f.reading(iid))) == _key(first)
+                    _, value, quality = first
+                    good = value if quality == GOOD and value is not None else None
+                    assert repr(f.good_value(iid)) == repr(good)
                 with pytest.raises(KeyError):
                     f.reading("no such id")
                 with pytest.raises(KeyError):
                     f.good_value("no such id")
-            # equal as the tuples of Readings are: NaN is equal only to itself
+            # equal as the lists of readings are: NaN is equal only to itself
             assert rebuilt == frame and hash(rebuilt) == hash(frame)
-            assert (copy == frame) == (readings == copy.readings)
-            assert (copy == frame) == all(r.value == r.value for r in readings)
-            assert frame != TelemetryFrame(frame.poll_time + 1.0, readings)
+            assert (copy == frame) == (readings == readings_of(copy))
+            assert (copy == frame) == all(value == value for _, value, _ in readings)
+            assert frame != frame_of(frame.poll_time + 1.0, *readings)
             log.append(copy)
-        rows = [(f.poll_time, r.instrument_id, r.value, r.quality)
-                for f in frames for r in f.readings]
+        rows = [(f.poll_time, *r) for f in frames for r in readings_of(f)]
         assert [tuple(map(repr, row)) for row in log.rows()] == [tuple(map(repr, row))
                                                                  for row in rows]
         assert "".join(log.csv_pieces(2)) == _csv(rows)
@@ -319,7 +317,7 @@ class TestFrameColumns:
     @given(sampled=_sampled_frames())
     def test_frames_from_sample_and_filter(self, sampled):
         frames, expected = sampled
-        assert [f.readings for f in frames] == [tuple(readings) for readings in expected]
+        assert [readings_of(f) for f in frames] == expected
         self.check(frames)
 
     def test_a_batch_pickles_each_id_once(self, pipe, state):
@@ -330,9 +328,10 @@ class TestFrameColumns:
             ("p_first", "p_second"), "pressure")
         frames = [plausibility_filter(poll(state, instruments, noise, 5.0 * k, pipe), memory,
                                       limits, kinds) for k in range(16)]
-        assert {r.quality for f in frames for r in f.readings} == {GOOD, SUSPECT, MISSING}
+        assert {q for f in frames for q in f.qualities} == {GOOD, SUSPECT, MISSING}
         blob = pickle.dumps(frames, protocol=pickle.HIGHEST_PROTOCOL)
         assert blob.count(b"p_first") == blob.count(b"p_second") == 1
+        assert all(blob.count(q.encode()) == 1 for q in (GOOD, SUSPECT, MISSING))
         assert pickle.loads(blob) == frames
 
 
@@ -360,26 +359,26 @@ class TestPlausibilityFilter:
     KINDS = {"p": "pressure"}
 
     def check(self, frame, limits, *history):
-        """Quality of ``frame``'s reading of p after ``history``."""
+        """(value, quality) of ``frame``'s reading of p after ``history``."""
         return plausibility_filter(frame, remembered(*history), limits, self.KINDS).reading("p")
 
     def test_inside_limits_stays_good(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0, max_value=1e6)}
-        assert self.check(frame_of(0.0, ("p", 5e5, GOOD)), limits).quality == GOOD
+        assert self.check(frame_of(0.0, ("p", 5e5, GOOD)), limits)[1] == GOOD
 
     def test_out_of_range_suspect(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0)}
         out = self.check(frame_of(0.0, ("p", -5e5, GOOD)), limits)
-        assert out.quality == SUSPECT
-        assert out.value == -5e5  # value untouched
+        assert out[1] == SUSPECT
+        assert out[0] == -5e5  # value untouched
 
     def test_rate_of_change_rule(self):
         limits = {"pressure": PlausibilityLimits(max_rate=1000.0)}
         history = [frame_of(0.0, ("p", 5.0e5, GOOD))]
         jumped = frame_of(5.0, ("p", 5.0e5 + 5e4, GOOD))   # 10x the allowed rate
-        assert self.check(jumped, limits, *history).quality == SUSPECT
+        assert self.check(jumped, limits, *history)[1] == SUSPECT
         gentle = frame_of(5.0, ("p", 5.0e5 + 4000.0, GOOD))
-        assert self.check(gentle, limits, *history).quality == GOOD
+        assert self.check(gentle, limits, *history)[1] == GOOD
 
     def test_rate_rule_uses_last_good(self):
         limits = {"pressure": PlausibilityLimits(max_rate=1000.0)}
@@ -388,7 +387,7 @@ class TestPlausibilityFilter:
             frame_of(5.0, ("p", None, MISSING)),
         ]
         # 9000 Pa over 10 s from the last *good* reading: within the limit
-        assert self.check(frame_of(10.0, ("p", 5.09e5, GOOD)), limits, *history).quality == GOOD
+        assert self.check(frame_of(10.0, ("p", 5.09e5, GOOD)), limits, *history)[1] == GOOD
 
     def test_rate_rule_uses_last_good_however_old(self):
         # Good at t = 0, then missing for 70 polls: the next reading is held
@@ -397,46 +396,60 @@ class TestPlausibilityFilter:
         history = [frame_of(0.0, ("p", 5.0e5, GOOD))]
         history += [frame_of(5.0 * k, ("p", None, MISSING)) for k in range(1, 71)]
         assert self.check(frame_of(355.0, ("p", 5.0e5 + 3.56e5, GOOD)), limits,
-                          *history).quality == SUSPECT
+                          *history)[1] == SUSPECT
         assert self.check(frame_of(355.0, ("p", 5.0e5 + 3.54e5, GOOD)), limits,
-                          *history).quality == GOOD
+                          *history)[1] == GOOD
 
     def test_rate_rule_skips_suspect_readings(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0, max_rate=1000.0)}
         memory = remembered(frame_of(0.0, ("p", 5.0e5, GOOD)))
         plausibility_filter(frame_of(5.0, ("p", -1.0, GOOD)), memory, limits, self.KINDS)
         out = plausibility_filter(frame_of(10.0, ("p", 5.09e5, GOOD)), memory, limits, self.KINDS)
-        assert out.reading("p").quality == GOOD
+        assert out.reading("p")[1] == GOOD
 
     def test_flatline_rule(self):
         limits = {"pressure": PlausibilityLimits(flatline_polls=3)}
         history = [frame_of(0.0, ("p", 7e5, GOOD)), frame_of(5.0, ("p", 7e5, GOOD))]
-        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), limits, *history).quality == SUSPECT
+        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), limits, *history)[1] == SUSPECT
         wiggle = frame_of(10.0, ("p", 7e5 + 1.0, GOOD))
-        assert self.check(wiggle, limits, *history).quality == GOOD
+        assert self.check(wiggle, limits, *history)[1] == GOOD
 
     def test_flatline_run_counts_suspect_readings_and_breaks_at_missing(self):
         limits = {"pressure": PlausibilityLimits(flatline_polls=3)}
         suspect = [frame_of(0.0, ("p", 7e5, SUSPECT)), frame_of(5.0, ("p", 7e5, GOOD))]
-        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), limits, *suspect).quality == SUSPECT
+        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), limits, *suspect)[1] == SUSPECT
         gap = [frame_of(0.0, ("p", 7e5, GOOD)), frame_of(5.0, ("p", None, MISSING))]
         pair = {"pressure": PlausibilityLimits(flatline_polls=2)}
-        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), pair, *gap).quality == GOOD
+        assert self.check(frame_of(10.0, ("p", 7e5, GOOD)), pair, *gap)[1] == GOOD
 
     def test_flatline_disabled_by_default(self):
         limits = {"pressure": PlausibilityLimits()}
         history = [frame_of(float(k), ("p", 7e5, GOOD)) for k in range(20)]
-        assert self.check(frame_of(20.0, ("p", 7e5, GOOD)), limits, *history).quality == GOOD
+        assert self.check(frame_of(20.0, ("p", 7e5, GOOD)), limits, *history)[1] == GOOD
 
     def test_missing_passes_through(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0)}
-        assert self.check(frame_of(0.0, ("p", None, MISSING)), limits).quality == MISSING
+        assert self.check(frame_of(0.0, ("p", None, MISSING)), limits)[1] == MISSING
+
+    def test_a_good_reading_without_a_value_is_not_good(self):
+        # Good is one rule: quality good and a value.  good_value reads no
+        # value, the filter passes the reading unflagged, and the rate rule
+        # keeps t = 0 as the last good reading: 900 Pa/s passes, 1100 does not.
+        empty = frame_of(5.0, ("p", None, GOOD))
+        assert empty.good_value("p") is None
+        limits = {"pressure": PlausibilityLimits(min_value=0.0, max_rate=1000.0,
+                                                 flatline_polls=2)}
+        history = [frame_of(0.0, ("p", 5.0e5, GOOD))]
+        assert self.check(empty, limits, *history) == (None, GOOD)
+        history.append(empty)
+        assert self.check(frame_of(10.0, ("p", 5.09e5, GOOD)), limits, *history)[1] == GOOD
+        assert self.check(frame_of(10.0, ("p", 5.11e5, GOOD)), limits, *history)[1] == SUSPECT
 
     def test_values_never_altered(self):
         limits = {"pressure": PlausibilityLimits(min_value=0.0, max_value=1.0,
                                                  max_rate=0.001, flatline_polls=2)}
         history = [frame_of(0.0, ("p", 42.0, GOOD))]
-        assert self.check(frame_of(1.0, ("p", 42.0, GOOD)), limits, *history).value == 42.0
+        assert self.check(frame_of(1.0, ("p", 42.0, GOOD)), limits, *history)[0] == 42.0
 
     def test_unlimited_kind_passes(self):
-        assert self.check(frame_of(0.0, ("p", -1e9, GOOD)), {}).quality == GOOD
+        assert self.check(frame_of(0.0, ("p", -1e9, GOOD)), {})[1] == GOOD
