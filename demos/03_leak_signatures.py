@@ -28,14 +28,15 @@ print("rtm verdict: declared=%s t=%.0f s size=%.2f kg/s location=%.0f m"
       % (report.rtm["declared"], report.rtm["declared_time"],
          report.rtm["size_estimate"], report.rtm["location_estimate"]))
 
-# The RTM's trace keeps each poll as columns, poll k at index k: here the
-# 8 km sensor's good reading and its measured-minus-modeled delta (None
-# where the poll had none).
-trace = report.rtm_trace
+# The RTM's trace keeps what it computed of each poll as columns, poll k at
+# index k: here the 8 km sensor's measured-minus-modeled delta (None where
+# the poll had none).  The reading itself is the telemetry log's.
+trace, log = report.rtm_trace, report.telemetry
 times, measured, modeled = [], [], []
-for t, m, d in zip(trace.times, trace.readings["p_mid"], trace.delta["p_mid"]):
+for k, (t, d) in enumerate(zip(trace.times, trace.delta["p_mid"])):
     if d is None:
         continue
+    m = log.good_value(k, "p_mid")
     times.append(t)
     measured.append(m)
     modeled.append(m - d)

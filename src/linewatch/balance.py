@@ -6,9 +6,10 @@ inventory term comes from the shadow hydraulic model, which tracks it far
 better than flow bookkeeping can; a "simple" mode is retained for
 comparison, using the classical gross-balance assumption that inventory
 returns to its steady value over the window (DV_l = 0).  A window is
-integrated from columns of its polls' times, the two meters' good readings
-and the shadow's linepacks.  Balance alarms carry no location estimate:
-end meters alone cannot place a leak.
+integrated from its polls' times and the two meters' good readings, read
+from the run's telemetry log when it closes, and the shadow's linepacks.
+Balance alarms carry no location estimate: end meters alone cannot place
+a leak.
 """
 
 import math
@@ -19,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .telemetry import OptionalFloats, TelemetryFrame
+from .telemetry import TelemetryLog
 
 __all__ = ["BalanceWindow", "accumulate", "balance_alarm", "BalanceDetector"]
 
@@ -43,7 +44,8 @@ def accumulate(times, flows_in, flows_out, linepacks, mode="model") -> BalanceWi
 
     ``times`` are the window's poll times in order; ``flows_in`` and
     ``flows_out`` are each meter's good reading at those polls (None where
-    it had none), and ``linepacks`` the shadow model's inventory estimates.
+    it had none), each an iterable read once, and ``linepacks`` the shadow
+    model's inventory estimates.
     Meter gaps are filled by linear interpolation; a meter good for under
     90% of the window voids it (indeterminate).
     """
@@ -90,16 +92,20 @@ def balance_alarm(window: BalanceWindow, threshold) -> bool:
 
 def _integrate_meter(times, flows):
     """The trapezoidal integral over the array ``times`` of one meter's
-    readings ``flows`` (None where it had no good one), and its share of
-    good polls.  The good polls' times are picked by a mask: a (t, v) pair
-    per poll would hold about 100 bytes a poll while the window closes."""
-    if len(flows) != len(times):
-        raise ValueError(f"{len(flows)} meter readings for {len(times)} polls")
-    good = np.array([v is not None for v in flows], dtype=bool)
-    v_good = np.array([v for v in flows if v is not None], dtype=float)
-    frac = v_good.size / len(times)
-    if not v_good.size:
+    readings ``flows``, read once (None where it had no good one), and its
+    share of good polls.  It keeps a mask of the good polls and their
+    readings, 9 bytes a poll, not a Python float a reading."""
+    good, v_good = bytearray(), array("d")
+    for v in flows:
+        good.append(v is not None)
+        if v is not None:
+            v_good.append(v)
+    if len(good) != len(times):
+        raise ValueError(f"{len(good)} meter readings for {len(times)} polls")
+    frac = len(v_good) / len(times)
+    if not v_good:
         return float("nan"), 0.0
+    good = np.frombuffer(good, dtype=bool)
     filled = np.interp(times, times[good], v_good)  # gaps bridged linearly, ends held
     return float(np.trapezoid(filled, times)), frac
 
@@ -110,12 +116,12 @@ def _measured(volume):
 
 
 class BalanceDetector:
-    """Rolls the frame stream into back-to-back balance windows.
+    """Rolls a telemetry log's polls into back-to-back balance windows.
 
     Adjacent windows share their boundary poll so window integrals add up
-    exactly across a split.  The open window is kept as columns: each
-    poll's time, each meter's good reading (else None) and the shadow's
-    linepack; no frame outlives its poll.
+    exactly across a split.  Of the open window the detector keeps its
+    first poll and the shadow's linepacks; when it closes, its times and
+    the two meters' good readings are read from the log.
     """
 
     def __init__(self, flow_in_id, flow_out_id, window_duration=3600.0, *, threshold,
@@ -133,29 +139,30 @@ class BalanceDetector:
         self.mode = mode
         self.windows: List[BalanceWindow] = []
         self.alarms: List[bool] = []
-        self._times = array("d")
-        self._flows_in = OptionalFloats()
-        self._flows_out = OptionalFloats()
+        # the open window's first poll, and its linepacks one a poll from there
+        self._start = 0
         self._linepacks = array("d")
         self._window_end: Optional[float] = None
 
-    def observe(self, frame: TelemetryFrame, linepack_estimate):
-        """Feed one filtered frame plus the shadow model's linepack."""
+    def observe(self, log: TelemetryLog, linepack_estimate):
+        """Take the log's next poll, with the shadow model's linepack there."""
+        k = self._start + len(self._linepacks)
+        t = log.times[k]
         if self._window_end is None:
-            self._window_end = frame.poll_time + self.window_duration
-        self._times.append(frame.poll_time)
-        self._flows_in.append(frame.good_value(self.flow_in_id))
-        self._flows_out.append(frame.good_value(self.flow_out_id))
+            self._window_end = t + self.window_duration
         self._linepacks.append(np.nan if linepack_estimate is None else linepack_estimate)
-        if frame.poll_time >= self._window_end - 1e-9:
-            w = accumulate(self._times, self._flows_in, self._flows_out, self._linepacks,
-                           mode=self.mode)
+        if t >= self._window_end - 1e-9:
+            polls = range(self._start, k + 1)
+            w = accumulate(log.times[self._start : k + 1],
+                           (log.good_value(j, self.flow_in_id) for j in polls),
+                           (log.good_value(j, self.flow_out_id) for j in polls),
+                           self._linepacks, mode=self.mode)
             self.windows.append(w)
             self.alarms.append(balance_alarm(w, self.threshold))
             # boundary poll opens the next window
-            for column in (self._times, self._flows_in, self._flows_out, self._linepacks):
-                del column[:-1]
-            self._window_end = frame.poll_time + self.window_duration
+            del self._linepacks[:-1]
+            self._start = k
+            self._window_end = t + self.window_duration
 
     @property
     def first_alarm_time(self):

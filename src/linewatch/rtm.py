@@ -15,12 +15,13 @@ with the measured end flows, reproducing the classic divergence where a
 leak makes the model predict rising pressures (inventory packing) while
 the measured pressures fall.
 
-What the detector keeps grows with the run's length by a few numbers per
-poll: every poll is written into an :class:`RtmTrace`, as columns of plain
-numbers, and no frame outlives its poll.  The sizing and locate windows,
+The detector takes each poll's readings from the run's
+:class:`TelemetryLog` and copies none of them: what it adds per poll is
+what it computes, written into an :class:`RtmTrace` as columns of plain
+numbers.
 :meth:`RtmDetector.report` and a run's ``rtm_trace.csv`` read those
-columns; the vote keeps one count per indicator, its streak of polls
-beyond threshold.
+columns; the sizing and locate windows read them and the log; the vote
+keeps one count per indicator, its streak of polls beyond threshold.
 """
 
 import json
@@ -44,7 +45,7 @@ from .hydraulics import (
     linepack,
 )
 from .network import end_flow_meters
-from .telemetry import OptionalFloats, TelemetryFrame, instrument_nodes, noiseless_reading
+from .telemetry import OptionalFloats, TelemetryLog, instrument_nodes, noiseless_reading
 
 __all__ = [
     "VotingPolicy",
@@ -106,15 +107,12 @@ class RtmTrace:
     """Every poll an :class:`RtmDetector` observed, as columns: the poll
     time, the reason it was unavailable (None when it counted), the alarm
     condition, each indicator's delta and normalized value (read as None on
-    an unavailable poll, which carries none), the shadow's linepack, the
-    held boundary readings, and the good reading (else None) of each
-    instrument the sizing and locate windows read.  Index k of every
-    column is poll k."""
+    an unavailable poll, which carries none), the shadow's linepack and the
+    held boundary readings.  Index k of every column is poll k."""
 
-    def __init__(self, indicator_ids, boundary_ids, reading_ids):
+    def __init__(self, indicator_ids, boundary_ids):
         self.indicator_ids = tuple(dict.fromkeys(indicator_ids))
         self.boundary_ids = tuple(dict.fromkeys(boundary_ids))
-        self.reading_ids = tuple(dict.fromkeys(reading_ids))
         self.times = array("d")
         self.reasons = []
         self.alarm = bytearray()
@@ -122,19 +120,17 @@ class RtmTrace:
         self.normalized = {i: OptionalFloats() for i in self.indicator_ids}
         self.linepack = OptionalFloats()
         self.held = {i: OptionalFloats() for i in self.boundary_ids}
-        self.readings = {i: OptionalFloats() for i in self.reading_ids}
 
     def __len__(self):
         return len(self.times)
 
-    def append(self, poll_time, reason, alarm, delta, normalized, linepack, held, readings):
+    def append(self, poll_time, reason, alarm, delta, normalized, linepack, held):
         """Write one poll: its time, reason and alarm condition, its
         {indicator: value} ``delta`` and ``normalized`` (an indicator
         missing from them is None), the shadow's linepack, and the
-        {id: value} of every held boundary reading and of every reading the
-        trace keeps, each of which must be there."""
+        {id: value} of every held boundary reading, each of which must be
+        there."""
         held = [held[i] for i in self.boundary_ids]
-        readings = [readings[i] for i in self.reading_ids]
         self.times.append(poll_time)
         self.reasons.append(reason)
         self.alarm.append(alarm)
@@ -144,8 +140,6 @@ class RtmTrace:
         self.linepack.append(linepack)
         for iid, v in zip(self.boundary_ids, held):
             self.held[iid].append(v)
-        for iid, v in zip(self.reading_ids, readings):
-            self.readings[iid].append(v)
 
     def csv_pieces(self, chunk):
         """rtm_trace.csv's text, the bytes ``csv.writer`` writes for it: the
@@ -316,13 +310,13 @@ def combined_verdict(rtm: LeakVerdict, balance_alarm_time=None):
 class RtmDetector:
     """Sequential state machine over the poll stream; one per pipeline.
 
-    Feed filtered telemetry frames in poll order via :meth:`observe`;
-    ``trace`` keeps every poll as columns, and the sizing and locate
-    windows read it (see the module docstring).  Boundary
-    readings that go bad are held for up to ``_STALENESS_POLLS`` polls,
-    after which detection is suspended until good readings return: those
-    polls are unavailable, with their reason, and never count toward
-    voting.
+    Feed it a telemetry log of filtered frames via :meth:`observe`, once
+    a poll; ``trace`` keeps what it computes of every poll as columns, and
+    the sizing and locate windows read it and the log (see the module
+    docstring).  Boundary readings that go bad are held for up to
+    ``_STALENESS_POLLS`` polls, after which detection is suspended until
+    good readings return: those polls are unavailable, with their reason,
+    and never count toward voting.
     """
 
     def __init__(self, pipeline, fluid, grid, instruments, policy: VotingPolicy, *,
@@ -365,8 +359,8 @@ class RtmDetector:
         # each indicator's id, kind, node, threshold and moving-average window
         self._smooth = [(i.id, i.kind, self._node_of[i.id], policy.threshold_for(i.kind),
                          deque(maxlen=policy.smoothing_polls)) for i in self.indicators]
-        meters = [m.id for m in (self.flow_in_meter, self.flow_out_meter) if m is not None]
-        self.trace = RtmTrace(ids, (self.boundary_in.id, self.boundary_out.id), ids + meters)
+        self.trace = RtmTrace(ids, (self.boundary_in.id, self.boundary_out.id))
+        self._log: Optional[TelemetryLog] = None   # the log last observed
         self._streaks = _Streaks(policy)
         self.verdict = LeakVerdict(declared=False)
         self._refine_at: Optional[int] = None   # poll count at which to refine
@@ -448,33 +442,36 @@ class RtmDetector:
             "indicator_trace": IndicatorTrace(tr),
         }
 
-    def observe(self, frame: TelemetryFrame):
-        """Advance the shadow model one poll and evaluate the leak vote; the
-        trace then ends with the poll."""
+    def observe(self, log: TelemetryLog):
+        """Advance the shadow model to the log's next poll, the one of index
+        ``len(trace)``, and evaluate the leak vote; the trace then ends with
+        the poll."""
+        self._log = log
+        k = len(self.trace)
         if self._state is None:
-            self._try_initialize(frame)
+            self._try_initialize(k)
         else:
-            self._step(frame)
+            self._step(k)
         if len(self.trace) == self._refine_at:
             self._refine()
 
-    def _try_initialize(self, frame):
-        t = frame.poll_time
+    def _try_initialize(self, k):
+        t = self._log.times[k]
         needed = [self.boundary_in, self.boundary_out]
         if self.drive == "flow":
             needed.append(self.pressure_anchor)
-        values = {i.id: frame.good_value(i.id) for i in needed}
+        values = {i.id: self._log.good_value(k, i.id) for i in needed}
         if any(v is None for v in values.values()):
-            return self._record(frame, reason="awaiting good boundary readings")
+            return self._record(k, reason="awaiting good boundary readings")
 
-        t_bc = self._temperature_value(frame)
+        t_bc = self._temperature_value(k)
         self._state = self.solver.steady_state(
             self._constant_bc(self._steady_ends, values, t_bc), t=t)
         self._drive_bc = self._constant_bc(self._drive_ends, values, t_bc)
         for i in (self.boundary_in, self.boundary_out):
             self._hold[i.id] = values[i.id]
             self._stale[i.id] = 0
-        return self._record(frame, linepack(self._state, self.pipeline))
+        return self._record(k, linepack(self._state, self.pipeline))
 
     def _constant_bc(self, ends, values, t_bc):
         """Constant boundary conditions from one value per instrument id at
@@ -491,15 +488,15 @@ class RtmDetector:
         except ConfigurationError as e:
             raise InfeasibleScenarioError(f"shadow model boundary readings: {e}") from None
 
-    def _step(self, frame):
-        t0, t1 = self._state.t, frame.poll_time
+    def _step(self, k):
+        t0, t1 = self._state.t, self._log.times[k]
         if t1 <= t0:
             raise ConfigurationError(
                 f"poll at t={t1} s does not come after the shadow's t={t0} s: "
                 "frames must arrive in poll order")
-        hold, stale = self._hold, self._stale
+        hold, stale, good = self._hold, self._stale, self._log.good_value
         for iid in hold:
-            v = frame.good_value(iid)
+            v = good(k, iid)
             if v is not None:
                 hold[iid] = v
                 stale[iid] = 0
@@ -508,35 +505,33 @@ class RtmDetector:
         suspended = max(stale.values()) > _STALENESS_POLLS
 
         # One step per poll, to the readings held at its end.
-        targets = (*hold.values(), self._temperature_value(frame))
+        targets = (*hold.values(), self._temperature_value(k))
         step = self.solver.advance(self._state, self._drive_bc, dt=t1 - t0, targets=targets)
         self._state = step.state
         reason = "boundary readings stale; detection suspended" if suspended else None
-        return self._record(frame, step.ledger.linepack_end, reason)
+        return self._record(k, step.ledger.linepack_end, reason)
 
-    def _temperature_value(self, frame):
-        """The temperature drive: this poll's good reading, else the last
-        one taken, else ``fallback_temperature``."""
+    def _temperature_value(self, k):
+        """The temperature drive: poll k's good reading, else the last one
+        taken, else ``fallback_temperature``."""
         if self.temperature_instrument is not None:
-            v = frame.good_value(self.temperature_instrument.id)
+            v = self._log.good_value(k, self.temperature_instrument.id)
             if v is not None:
                 self._t_held = v
         return self._t_held
 
     # ------------------------------------------------------------ evaluation
 
-    def _record(self, frame, lp=None, reason=None):
-        """Append the poll to the trace, declaring on the first alarm.  An
+    def _record(self, k, lp=None, reason=None):
+        """Append poll k to the trace, declaring on the first alarm.  An
         available poll (no ``reason``) takes each indicator's
         measured-minus-modeled delta into its moving average, numpy's mean;
         an unavailable one carries none."""
-        good = frame.good_value
-        readings = {i: good(i) for i in self.trace.reading_ids}
         delta, normalized = {}, {}
         if reason is None:
-            state, pipeline = self._state, self.pipeline
+            state, pipeline, good = self._state, self.pipeline, self._log.good_value
             for iid, kind, node, threshold, buf in self._smooth:
-                v = readings[iid]
+                v = good(k, iid)
                 if v is None:
                     delta[iid] = normalized[iid] = None
                     continue
@@ -546,11 +541,11 @@ class RtmDetector:
                 normalized[iid] = (float(np.add.reduce(np.fromiter(buf, float, n)))
                                    / n / threshold if n == buf.maxlen else None)
 
+        t = self._log.times[k]
         alarm = self._streaks.vote(normalized)
         if alarm and not self.verdict.declared:
-            self._declare(frame.poll_time)
-        self.trace.append(frame.poll_time, reason, alarm, delta, normalized, lp, self._hold,
-                          readings)
+            self._declare(t)
+        self.trace.append(t, reason, alarm, delta, normalized, lp, self._hold)
 
     # ------------------------------------------------------------ sizing
 
@@ -569,7 +564,7 @@ class RtmDetector:
         polls = range(max(len(tr) - M, 0), len(tr)) if None not in ends else ()
         samples = []
         for k in polls:
-            flow_in, flow_out = (tr.readings[m.id][k] for m in ends)
+            flow_in, flow_out = (self._log.good_value(k, m.id) for m in ends)
             if flow_in is None or flow_out is None:
                 continue
             if self.drive == "pressure":
@@ -617,7 +612,7 @@ class RtmDetector:
                   for iid, held in tr.held.items()}
         meas_avg = {}
         for ind in self.indicators:
-            vals = [tr.readings[ind.id][k] for k in polls]
+            vals = [self._log.good_value(k, ind.id) for k in polls]
             vals = [v for v in vals if v is not None]
             if vals:
                 meas_avg[ind.id] = float(np.mean(vals))

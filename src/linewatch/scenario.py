@@ -9,11 +9,12 @@ deterministic for a fixed seed.
 
 A run has two sides, as a pipeline's field and control room do.  The
 field side marches the plant, samples its SCADA and filters each frame;
-it reads nothing the detectors make.  The control-room side takes the
-frames and feeds them to the RTM and line-balance detectors.  When fork
-is available and the process may use two or more CPUs, the field side
-runs in a forked child that streams its frames over a one-way pipe, so
-the two sides overlap; otherwise it runs in the same process.  The
+it reads nothing the detectors make.  The control-room side appends each
+frame to the run's ``TelemetryLog``, then has the RTM and line-balance
+detectors read that poll from the log; no detector is handed a frame.
+When fork is available and the process may use two or more CPUs, the
+field side runs in a forked child that streams its frames over a one-way
+pipe, so the two sides overlap; otherwise it runs in the same process.  The
 report is the same bytes either way; ``taskset -c 0`` keeps a run in one
 process.  A frame is a named tuple of columns (see ``TelemetryFrame``):
 its time, its instrument ids, its values and its qualities, so a batch of
@@ -21,12 +22,12 @@ frames pickles as a few flat tuples a frame, and pickle sends each id and
 quality string once a batch.
 
 What the control-room side keeps of a poll is a few hundred bytes of plain
-numbers: the frame's columns copied into a ``TelemetryLog`` and the RTM's
-row of the poll written into the columns of an ``RtmTrace``.  No detector
-keeps a frame past its poll.  ``report.json``'s indicator trace,
-``telemetry.csv`` and ``rtm_trace.csv`` are formatted from those columns
-directly, to the bytes json and the csv module would write, a bounded
-number of polls at a time.
+numbers: the frame's columns copied into the ``TelemetryLog``, the run's
+one record of its readings, and what the RTM computes of the poll written
+into the columns of an ``RtmTrace``; no detector copies a reading.
+``report.json``'s indicator trace, ``telemetry.csv`` and ``rtm_trace.csv``
+are formatted from those columns directly, to the bytes json and the csv
+module would write, a bounded number of polls at a time.
 """
 
 import contextlib
@@ -997,10 +998,10 @@ def run_scenario(scenario: Scenario, dump_states=False) -> RunReport:
         telemetry.append(rec.frame)
         lp_est = None
         if rtm_det is not None:
-            rtm_det.observe(rec.frame)
+            rtm_det.observe(telemetry)
             lp_est = rtm_det.trace.linepack[-1]
         if bal_det is not None:
-            bal_det.observe(rec.frame, lp_est)
+            bal_det.observe(telemetry, lp_est)
 
     with contextlib.closing(_forked(records) if _may_fork() else records) as feed:
         rec = next(feed)

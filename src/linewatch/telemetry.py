@@ -8,9 +8,10 @@ values.  The plausibility filter only ever changes quality flags, never
 values.  A :class:`TelemetryFrame` is a named tuple of its poll's
 columns: its time, the instrument ids, each reading's value and each
 one's quality, which :func:`sample` makes and :func:`plausibility_filter`
-re-flags.  A run keeps its frames as a :class:`TelemetryLog`: the same
-columns, poll after poll, each quality as a one-byte code, from which
-``telemetry.csv`` is formatted directly.
+re-flags.  A run appends its frames to a :class:`TelemetryLog`: the same
+columns, poll after poll, each quality as a one-byte code.  The log is the
+run's one record of its readings: the detectors read each poll's good
+readings from it, and ``telemetry.csv`` is formatted from it directly.
 """
 
 import math
@@ -50,7 +51,7 @@ class TelemetryFrame(NamedTuple):
     where it has none) and ``qualities`` each one's quality: good, suspect
     or missing.  A reading is good when its quality is good and it has a
     value.  Where an id repeats, its first reading is the one
-    :meth:`reading` and :meth:`good_value` give.
+    :meth:`reading` gives.
     """
 
     poll_time: float
@@ -60,26 +61,16 @@ class TelemetryFrame(NamedTuple):
 
     def reading(self, instrument_id) -> Tuple[Optional[float], str]:
         """(value, quality) of ``instrument_id``; KeyError if the frame has none."""
-        k = _index(self.ids, instrument_id)
+        try:
+            k = self.ids.index(instrument_id)
+        except ValueError:
+            raise KeyError(instrument_id) from None
         return self.values[k], self.qualities[k]
-
-    def good_value(self, instrument_id) -> Optional[float]:
-        """Value if the reading is good, else None; KeyError if the frame
-        has no reading of ``instrument_id``."""
-        k = _index(self.ids, instrument_id)
-        return self.values[k] if self.qualities[k] == GOOD else None
 
     def __reduce__(self):
         # the class and its columns: quicker to pickle than the tuple's own
         # __getnewargs__ form
         return TelemetryFrame, tuple(self)
-
-
-def _index(ids, instrument_id):
-    try:
-        return ids.index(instrument_id)
-    except ValueError:
-        raise KeyError(instrument_id) from None
 
 
 # A TelemetryLog's code of a reading: its quality's index here, plus _NONE
@@ -109,23 +100,19 @@ class OptionalFloats:
     def __getitem__(self, k):
         return None if self.none[k] else self.values[k]
 
-    def __iter__(self):
-        return (None if none else v for v, none in zip(self.values, self.none))
-
-    def __delitem__(self, k):
-        del self.values[k], self.none[k]
-
 
 class TelemetryLog:
     """A stream of frames kept as columns of plain numbers: each poll's
     time, and each reading's value (NaN where it is None) and quality code
     (see ``_QUALITY_CODE``), poll by poll in frame order, so a poll costs 9
     bytes a reading.  Every frame must hold the first frame's instruments,
-    in its order."""
+    in its order.  It is a run's one record of its readings: the detectors
+    read their polls from it with :meth:`good_value`."""
 
     def __init__(self):
         self.times = array("d")
         self.ids = ()
+        self._column = {}   # each id's place in a poll: its first reading's
         self._values = array("d")
         self._codes = bytearray()
 
@@ -136,6 +123,7 @@ class TelemetryLog:
         ids = frame.ids
         if not self.times:
             self.ids = ids
+            self._column = {iid: ids.index(iid) for iid in ids}
         elif ids != self.ids:
             if len(ids) != len(self.ids):
                 raise ValueError(f"a frame of {len(ids)} readings for {len(self.ids)} instruments")
@@ -150,6 +138,14 @@ class TelemetryLog:
         self._values.extend(values)
         self._codes.extend(codes)
         self.times.append(frame.poll_time)
+
+    def good_value(self, k, instrument_id) -> Optional[float]:
+        """Poll k's reading of ``instrument_id`` if it is good (quality good
+        and a value: code 0), else None.  KeyError if the log has no reading
+        of that id, IndexError past its last poll; a negative k counts from
+        the end, as a list index does."""
+        i = k * len(self.ids) + self._column[instrument_id]
+        return None if self._codes[i] else self._values[i]
 
     def rows(self):
         """(poll time, instrument id, value or None, quality) of every

@@ -119,7 +119,7 @@ def trace_columns(trace):
     keyed by the column's name (and id, for a column per instrument)."""
     columns = {"times": list(trace.times), "reasons": list(trace.reasons),
                "alarm": list(trace.alarm), "linepack": list(trace.linepack)}
-    for name in ("delta", "normalized", "held", "readings"):
+    for name in ("delta", "normalized", "held"):
         for iid, column in getattr(trace, name).items():
             columns[f"{name}.{iid}"] = list(column)
     return columns

@@ -82,7 +82,7 @@ class TestLeakPhenomenologySigns:
             if tr.reasons[k] is not None:
                 continue
             if 115.0 <= t <= t_alarm:  # last pre-onset poll .. alarm
-                d, m = tr.delta["p_mid"][k], tr.readings["p_mid"][k]
+                d, m = tr.delta["p_mid"][k], report.telemetry.good_value(k, "p_mid")
                 if d is None or m is None:
                     continue
                 times.append(t)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import frame_of
+from conftest import frame_of, standard_config
 from linewatch.balance import (
     BalanceDetector,
     BalanceWindow,
@@ -13,7 +13,8 @@ from linewatch.balance import (
     balance_alarm,
 )
 from linewatch.errors import ConfigurationError
-from linewatch.telemetry import GOOD, MISSING
+from linewatch.scenario import run_scenario, scenario_from_dict
+from linewatch.telemetry import GOOD, MISSING, TelemetryLog
 
 
 def gaps(values, missing=()):
@@ -28,6 +29,16 @@ def frames_from(times, fin, fout, missing_in=(), missing_out=()):
         rout = ("fout", None, MISSING) if k in missing_out else ("fout", fout[k], GOOD)
         out.append(frame_of(float(t), rin, rout))
     return out
+
+
+def observe_all(det, frames, linepack):
+    """Append each frame to a new log, ``det`` reading each poll with
+    ``linepack``; the log."""
+    log = TelemetryLog()
+    for frame in frames:
+        log.append(frame)
+        det.observe(log, linepack)
+    return log
 
 
 class TestAccumulate:
@@ -86,8 +97,7 @@ class TestAccumulate:
         times = np.arange(0.0, 45.0 + 1e-9, 5.0)
         n = times.size
         det = BalanceDetector("fin", "fout", window_duration=45.0, threshold=0.001)
-        for frame in frames_from(times, [10.0] * n, [9.5] * n, missing_in=range(n)):
-            det.observe(frame, 0.0)
+        observe_all(det, frames_from(times, [10.0] * n, [9.5] * n, missing_in=range(n)), 0.0)
         (w,) = det.windows
         assert w.indeterminate and w.good_fraction == 0.0
         assert np.isnan(w.v_in) and np.isnan(w.imbalance)
@@ -158,9 +168,7 @@ class TestDetectorAndTrend:
     def test_back_to_back_windows_share_boundary_poll(self):
         det = BalanceDetector("fin", "fout", window_duration=60.0, threshold=50.0)
         times = np.arange(0.0, 120.0 + 1e-9, 5.0)
-        for t in times:
-            frame = frames_from([t], [10.0], [10.0])[0]
-            det.observe(frame, 1000.0)
+        observe_all(det, frames_from(times, [10.0] * times.size, [10.0] * times.size), 1000.0)
         assert len(det.windows) == 2
         assert det.windows[0].end_time == det.windows[1].start_time == 60.0
         rows = det.report()["windows"]
@@ -171,7 +179,7 @@ class TestDetectorAndTrend:
     def test_no_frame_outlives_its_poll(self):
         det = BalanceDetector("fin", "fout", window_duration=60.0, threshold=50.0)
         times = np.arange(0.0, 180.0 + 1e-9, 5.0)
-        held = []
+        log, held = TelemetryLog(), []
         for t in times:
             frame = frames_from([t], [10.0], [9.5])[0]
             # rebinding ``frame`` let go of the last poll's: only ``held`` and
@@ -182,9 +190,16 @@ class TestDetectorAndTrend:
                 refs = sys.getrefcount(held[-1])
                 assert refs == 2, f"the frame before t={t} outlived it"
             held.append(frame)
-            det.observe(frame, 1000.0)
+            log.append(frame)
+            det.observe(log, 1000.0)
         assert len(det.windows) == 3
         assert [w.v_in - w.v_out for w in det.windows] == [30.0] * 3
+        # the times and readings are the log's: of the open window the
+        # detector keeps its first poll and the linepacks
+        assert set(vars(det)) == {"flow_in_id", "flow_out_id", "window_duration", "threshold",
+                                  "mode", "windows", "alarms", "_start", "_linepacks",
+                                  "_window_end"}
+        assert (len(log), det._start, list(det._linepacks)) == (37, 36, [1000.0])
 
 
 class TestSuspendedShadow:
@@ -195,3 +210,33 @@ class TestSuspendedShadow:
         w = accumulate(times, [10.0] * n, [9.0] * n, lp)
         assert w.indeterminate
         assert not balance_alarm(w, 1.0)
+
+
+class TestWithoutTheRtm:
+    def test_each_window_is_accumulate_over_its_slice_of_the_log(self):
+        # No shipped scenario runs the balance with the RTM off: simple mode
+        # on the quiet line, with one poll in ten of every instrument dropped.
+        cfg = standard_config(seed=2024, horizon=1800.0)
+        cfg["leaks"] = []
+        cfg["solver"] = {"dt": 5.0, "target_dx": 200.0}
+        cfg["rtm"] = {"enabled": False}
+        cfg["balance"] = {"window": 300.0, "threshold": 150.0, "mode": "simple"}
+        cfg["acoustic"] = {"enabled": False}
+        for inst in cfg["instruments"]:
+            inst["dropout"] = 0.1
+        report = run_scenario(scenario_from_dict(cfg))
+        log, good = report.telemetry, report.telemetry.good_value
+        assert report.rtm == {"enabled": False} and report.rtm_trace is None
+        windows, n = report.balance["windows"], 60   # polls a window
+        assert len(log) == 361 and len(windows) == 6
+        for j, w in enumerate(windows):
+            polls = range(n * j, n * (j + 1) + 1)
+            expected = accumulate(log.times[polls.start:polls.stop],
+                                  [good(k, "flow_in") for k in polls],
+                                  [good(k, "flow_out") for k in polls], None, mode="simple")
+            assert (w["start"], w["end"], w["v_in"], w["v_out"], w["delta_inventory"],
+                    w["imbalance"], w["indeterminate"]) == (
+                expected.start_time, expected.end_time, expected.v_in, expected.v_out,
+                0.0, expected.imbalance, expected.indeterminate)
+        # the dropouts void some windows and leave others whole
+        assert {w["indeterminate"] for w in windows} == {False, True}

@@ -24,8 +24,8 @@ from linewatch.network import InstrumentPlacement, PipelineModel, discretize
 from linewatch.rtm import (_LOCATE_WINDOW_POLLS, _STALENESS_POLLS, RtmDetector, RtmTrace,
                            VotingPolicy, _Streaks, combined_verdict, vote)
 from linewatch.scenario import load_scenario, run_scenario, scenario_from_dict
-from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, instrument_nodes, noiseless_reading,
-                                 sample)
+from linewatch.telemetry import (GOOD, MISSING, NoiseSpec, TelemetryLog, instrument_nodes,
+                                 noiseless_reading, sample)
 
 
 def policy(**kw):
@@ -189,19 +189,25 @@ class _MiniLoop:
         self.det = RtmDetector(self.pipe, self.fluid, self.grid, self.instruments,
                                pol or policy(), drive=drive, fallback_temperature=300.0)
         self.mangle = mangle
+        self.log = TelemetryLog()
 
     def run(self, polls):
         nodes = instrument_nodes(self.grid.node_positions, self.instruments)
         frame = sample(self.state, self.instruments, self.noise, pipeline=self.pipe, nodes=nodes)
-        self.det.observe(self._mangled(frame, 0))
+        self.feed(self._mangled(frame, 0))
         for k in range(1, polls + 1):
             for _ in range(5):
                 self.state = self.plant.advance(self.state, self.bc, self.poll_interval / 5,
                                                 leaks=self.leaks).state
             frame = sample(self.state, self.instruments, self.noise, pipeline=self.pipe,
                            nodes=nodes)
-            self.det.observe(self._mangled(frame, k))
+            self.feed(self._mangled(frame, k))
         return self.det
+
+    def feed(self, frame):
+        """Append ``frame`` to the log and have the detector read it."""
+        self.log.append(frame)
+        self.det.observe(self.log)
 
     def _mangled(self, frame, k):
         if self.mangle is None:
@@ -232,9 +238,12 @@ class TestShadowModel:
                           drive=drive, fallback_temperature=300.0)
         nodes = instrument_nodes(loop.grid.node_positions, instruments)
         take = lambda st: sample(st, instruments, NoiseSpec(5), pipeline=loop.pipe, nodes=nodes)
-        det.observe(take(loop.state))
+        log = TelemetryLog()
+        log.append(take(loop.state))
+        det.observe(log)
         assert {i.kind for i in det.indicators} == {"flow", "pressure"}
-        det._record(take(det._state), 0.0)
+        log.append(take(det._state))
+        det._record(1, 0.0)
         assert det.trace.indicator_values(det.trace.delta, -1) == {
             i.id: 0.0 for i in det.indicators}
 
@@ -276,14 +285,12 @@ class TestShadowModel:
             _MiniLoop(mangle=mangle).run(1)
 
     def test_unavailable_record_carries_no_indicators_and_the_held_drive(self):
-        fed = {}
-
         def mangle(frame, k):
             if k < 2 or 10 <= k < 20:  # p_in dark at the start and for 10 polls
-                frame = _dark(frame, "p_in")
-            fed[k] = frame
+                return _dark(frame, "p_in")
             return frame
-        det = _MiniLoop(mangle=mangle).run(20)
+        loop = _MiniLoop(mangle=mangle)
+        det = loop.run(20)
         tr, awaiting, suspended = det.trace, 1, 15
         assert tr.reasons[awaiting] == "awaiting good boundary readings"
         assert tr.reasons[suspended] == "boundary readings stale; detection suspended"
@@ -298,8 +305,8 @@ class TestShadowModel:
         held = lambda k: {i: tr.held[i][k] for i in tr.boundary_ids}
         assert held(awaiting) == {"p_in": None, "p_out": None}
         assert held(suspended) == {
-            "p_in": fed[9].good_value("p_in"),
-            "p_out": fed[15].good_value("p_out")}
+            "p_in": loop.log.good_value(9, "p_in"),
+            "p_out": loop.log.good_value(15, "p_out")}
 
     def test_report_counts_come_from_the_poll_log(self):
         def mangle(frame, k):
@@ -386,11 +393,11 @@ class TestShadowModel:
 # BoundaryLegs and a BoundaryConditions every poll, ramped from the previous
 # readings.  Kept, with its one step per poll, as the reference the held
 # readings must match bit for bit.
-def _reference_step(self, frame):
-    t0, t1 = self._state.t, frame.poll_time
+def _reference_step(self, k):
+    t0, t1 = self._state.t, self._log.times[k]
     prev = dict(self._hold)
     for inst in (self.boundary_in, self.boundary_out):
-        v = frame.good_value(inst.id)
+        v = self._log.good_value(k, inst.id)
         if v is not None:
             self._hold[inst.id] = v
             self._stale[inst.id] = 0
@@ -399,7 +406,7 @@ def _reference_step(self, frame):
     suspended = any(self._stale[i.id] > _STALENESS_POLLS
                     for i in (self.boundary_in, self.boundary_out))
 
-    t_now = self._temperature_value(frame)
+    t_now = self._temperature_value(k)
     if self.temperature_instrument is not None:
         t_prev = prev.get(self.temperature_instrument.id, t_now)
         self._hold[self.temperature_instrument.id] = t_now
@@ -418,7 +425,7 @@ def _reference_step(self, frame):
     step = self.solver.advance(self._state, bc, dt=t1 - t0)
     self._state = step.state
     reason = "boundary readings stale; detection suspended" if suspended else None
-    return self._record(frame, step.ledger.linepack_end, reason)
+    return self._record(k, step.ledger.linepack_end, reason)
 
 
 class TestShadowTargets:
@@ -462,7 +469,7 @@ class TestShadowTargets:
         early = sample(dataclasses.replace(loop.state, t=5.0), loop.instruments, loop.noise,
                        pipeline=loop.pipe, nodes=nodes)
         with pytest.raises(ConfigurationError, match="poll order"):
-            loop.det.observe(early)
+            loop.feed(early)
 
     def test_second_frame_at_the_same_poll_time_rejected(self):
         loop = _MiniLoop()
@@ -470,7 +477,7 @@ class TestShadowTargets:
         nodes = instrument_nodes(loop.grid.node_positions, loop.instruments)
         again = sample(loop.state, loop.instruments, loop.noise, pipeline=loop.pipe, nodes=nodes)
         with pytest.raises(ConfigurationError, match="poll order"):
-            loop.det.observe(again)
+            loop.feed(again)
 
     def test_observe_builds_no_boundary_objects_after_initialisation(self, monkeypatch):
         counts = collections.Counter()
@@ -555,7 +562,7 @@ class TestDriveInputsAndRefinement:
             return _MiniLoop(leak_rate=2.0, mangle=mangle).run(12), fed
 
         (dropped, dropped_fed), (repeated, _) = loop(True), loop(False)
-        assert dropped_fed[2].good_value("t_in") is None
+        assert dropped_fed[2].reading("t_in") == (None, MISSING)
         assert trace_columns(dropped.trace) == trace_columns(repeated.trace)
         for f in ("P", "V", "T", "rho"):
             assert getattr(dropped._state, f).tobytes() == getattr(repeated._state, f).tobytes()
@@ -600,8 +607,8 @@ def _dark(frame, *ids):
 
 def _size_term(det, k):
     """Poll k's sample in size_leak: end-flow imbalance less linepack rate."""
-    tr = det.trace
-    return (tr.readings["flow_in"][k] - tr.readings["flow_out"][k]
+    tr, good = det.trace, det._log.good_value
+    return (good(k, "flow_in") - good(k, "flow_out")
             - (tr.linepack[k] - tr.linepack[k - 1]) / (tr.times[k] - tr.times[k - 1]))
 
 
@@ -714,20 +721,17 @@ class TestTraceIsTheHistory:
         assert det.verdict.declared
         assert det.verdict.notes[-1] == "estimates refined 24 polls after declaration"
 
-    @pytest.mark.parametrize("missing", ["held", "readings"])
-    def test_append_needs_every_held_and_kept_reading(self, missing):
+    def test_append_needs_every_held_reading(self):
         # An indicator may be missing from a poll's deltas (it reads None);
-        # a held boundary or a kept reading may not, and the trace is left
-        # as it was.
-        trace = RtmTrace(["a"], ["p_in", "p_out"], ["a", "f_in"])
+        # a held boundary may not, and the trace is left as it was.
+        trace = RtmTrace(["a"], ["p_in", "p_out"])
         poll = dict(poll_time=0.0, reason=None, alarm=False, delta={}, normalized={"a": 0.5},
-                    linepack=5.0, held={"p_in": 1e6, "p_out": 6e5},
-                    readings={"a": 2.0, "f_in": 3.0})
+                    linepack=5.0, held={"p_in": 1e6, "p_out": 6e5})
         trace.append(**poll)
         assert trace_columns(trace)["delta.a"] == [None]
         before = trace_columns(trace)
         with pytest.raises(KeyError):
-            trace.append(**dict(poll, poll_time=5.0, **{missing: {}}))
+            trace.append(**dict(poll, poll_time=5.0, held={"p_in": 1e6}))
         assert trace_columns(trace) == before
 
     def test_windows_longer_than_the_refine_window(self):
@@ -757,7 +761,7 @@ def exhaustive_scan(det, size, window):
     values = {iid: float(np.mean([tr.held[iid][k] for k in polls])) for iid in tr.boundary_ids}
     meas = {}
     for ind in det.indicators:
-        vals = [tr.readings[ind.id][k] for k in polls]
+        vals = [det._log.good_value(k, ind.id) for k in polls]
         vals = [v for v in vals if v is not None]
         if vals:
             meas[ind.id] = float(np.mean(vals))

@@ -27,6 +27,7 @@ import linewatch.hydraulics as hydraulics
 import linewatch.scenario as scenario_module
 from conftest import (flow_drive_cfg, frame_of, readings_of, set_noise_scale, standard_config,
                       trace_columns)
+from linewatch.balance import accumulate
 from linewatch.cli import main
 from linewatch.errors import ConfigurationError, InfeasibleScenarioError, SolverError
 from linewatch.fluid import GasEos
@@ -1344,7 +1345,7 @@ def _poll(t, ids, reason, value, alarm=False):
     its delta and normalized value."""
     values = lambda: {} if reason is not None else {i: value(i) for i in ids}
     return dict(poll_time=t, reason=reason, alarm=alarm, delta=values(), normalized=values(),
-                linepack=None, held={}, readings={})
+                linepack=None, held={})
 
 
 @st.composite
@@ -1511,7 +1512,7 @@ class TestWritersFromColumns:
                        _poll(5.0, ["f"], 'sus"pended,\n', None)]), chunk=64)  # none counted
     def test_column_formatters_give_json_and_csv_bytes(self, columns, chunk):
         ids, frames, records = columns
-        log, trace = TelemetryLog(), RtmTrace(ids, (), ())
+        log, trace = TelemetryLog(), RtmTrace(ids, ())
         for frame, rec in zip(frames, records):
             log.append(frame)
             trace.append(**rec)
@@ -1660,9 +1661,10 @@ class TestPartialFailure:
     def test_verdict_before_a_solver_failure_stands(self, tmp_path, capsys):
         """Pressures in bar read as Pa: the RTM declares at 65 s, before the
         leak opens at 120 s, and the plant then stops on column separation.
-        The detectors only see frames, and a field-side failure stops the
-        SCADA, so the verdict stands; it detected no leak, so it has no
-        latency and no estimate errors, and no acoustic arrival is heard."""
+        The detectors only read the SCADA's log, and a field-side failure
+        stops the SCADA, so the verdict stands; it detected no leak, so it
+        has no latency and no estimate errors, and no acoustic arrival is
+        heard."""
         cfg = yaml.safe_load(SHIPPED_STANDARD.read_text())
         cfg["boundaries"]["inlet"]["value"] = 10.0
         cfg["boundaries"]["outlet"]["value"] = 6.7
@@ -1862,26 +1864,73 @@ class TestFieldSideTransports:
 
     def test_report_keeps_each_poll_as_columns_and_no_frame(self, monkeypatch):
         # The report keeps each poll's readings once, in its telemetry
-        # columns, and the RTM's trace of the same polls; no frame outlives
-        # the run, in either transport: only ``frames`` and getrefcount's
-        # argument refer to each (a frame is a tuple, which takes no weak
-        # reference).
+        # columns, and the RTM's trace of the same polls, which holds only
+        # what the RTM computed; no frame outlives the run, in either
+        # transport: only ``frames`` and getrefcount's argument refer to each
+        # (a frame is a tuple, which takes no weak reference).
         frames = []
-        observe = RtmDetector.observe
-        monkeypatch.setattr(RtmDetector, "observe",
-                            lambda det, frame: frames.append(frame) or observe(det, frame))
+        append = TelemetryLog.append
+        monkeypatch.setattr(TelemetryLog, "append",
+                            lambda log, frame: frames.append(frame) or append(log, frame))
         reports = self._run_both(standard_config(horizon=150.0), monkeypatch)
         refs = [sys.getrefcount(frames[k]) for k in range(len(frames))]
         assert refs == [2] * 62
         for report in reports:
             assert len(report.rtm_trace) == len(report.telemetry) == 31
             assert report.rtm_trace.times == report.telemetry.times
+            assert set(vars(report.rtm_trace)) == {
+                "indicator_ids", "boundary_ids", "times", "reasons", "alarm", "delta",
+                "normalized", "linepack", "held"}
 
     def test_plant_failure_mid_run(self, monkeypatch):
         here, forked = self._run_both(_drawdown_cfg(), monkeypatch)
         assert "node" in here.run["solver_failure"]
         assert 2 < here.run["polls"] < 121
         self._assert_same(here, forked)
+
+    def test_shadow_failure_keeps_the_logged_poll_the_detectors_missed(self, monkeypatch):
+        """The shadow's step fails at poll 36 while the plant runs on.  The
+        log already holds that poll, appended before the detectors read it,
+        so the run has 37 polls; the RTM trace and the balance end at poll
+        35, and the 12-poll balance window that poll 36 would close never
+        closes."""
+        k, init = 36, RtmDetector.__init__
+
+        def shadow_fails_at_k(det, *args, **kwargs):
+            init(det, *args, **kwargs)
+            advance = det.solver.advance
+
+            def failing(*a, **kw):
+                if len(det.trace) == k:
+                    raise SolverError(f"shadow step failed at poll {k}")
+                return advance(*a, **kw)
+            det.solver.advance = failing
+
+        monkeypatch.setattr(RtmDetector, "__init__", shadow_fails_at_k)
+        cfg = standard_config(horizon=300.0)
+        cfg["leaks"] = []
+        cfg["balance"]["window"] = 60.0
+        reports = self._run_both(cfg, monkeypatch)
+        for report in reports:
+            log, trace = report.telemetry, report.rtm_trace
+            assert report.run["solver_failure"] == f"SolverError: shadow step failed at poll {k}"
+            assert report.run["polls"] == len(log) == k + 1
+            assert len(trace) == report.rtm["polls"] == k
+            assert not report.rtm["declared"]
+            windows = report.balance["windows"]
+            assert len(windows) == 2
+            for j, w in enumerate(windows):
+                polls = range(12 * j, 12 * j + 13)
+                expected = accumulate(log.times[polls.start:polls.stop],
+                                      [log.good_value(p, "flow_in") for p in polls],
+                                      [log.good_value(p, "flow_out") for p in polls],
+                                      trace.linepack.values[polls.start:polls.stop])
+                assert (w["start"], w["end"], w["v_in"], w["v_out"], w["delta_inventory"],
+                        w["imbalance"], w["indeterminate"]) == (
+                    expected.start_time, expected.end_time, expected.v_in, expected.v_out,
+                    expected.delta_inventory, expected.imbalance, expected.indeterminate)
+            assert windows[-1]["end"] == log.times[24] < log.times[k]
+        self._assert_same(*reports)
 
     def test_one_newton_iteration_after_the_steady_starts(self, monkeypatch):
         # Both steady starts get the full Newton budget; every step after
@@ -1950,11 +1999,11 @@ class TestFieldSideLifecycle:
         real = RtmDetector.observe
         polls = []
 
-        def observe(det, frame):
-            polls.append(frame.poll_time)
+        def observe(det, log):
+            polls.append(log.times[-1])
             if len(polls) == 6:
                 raise exc("observed poll 5")
-            return real(det, frame)
+            return real(det, log)
         monkeypatch.setattr(RtmDetector, "observe", observe)
         # An hour of frames overfills the pipe: a child left running would
         # block on it for good.
@@ -2160,9 +2209,10 @@ class TestRunMemory:
         assert per_poll <= 32.0, f"{per_poll:.0f} bytes per poll"
 
     def test_balance_window_keeps_no_frames(self, tmp_path, monkeypatch):
-        # The open balance window holds four numbers a poll in plain columns,
-        # not the frames nor a Python float per reading: a window of the
-        # whole run peaks little above a 600 s one.
+        # The open balance window holds one number a poll, the shadow's
+        # linepack, and a closing window reads its meters from the log into
+        # a mask and an array, not frames nor a Python float per reading: a
+        # window of the whole run peaks little above a 600 s one.
         monkeypatch.setattr(scenario_module, "_may_fork", lambda: False)
         self._peak(60.0, tmp_path)   # what a first run loads is not the run's
         polls, short, _ = self._peak(5400.0, tmp_path, balance_window=600.0)

@@ -160,8 +160,6 @@ class TestFrame:
         assert frame.reading("f") == (70.0, GOOD)
         with pytest.raises(KeyError):
             frame.reading("t")
-        with pytest.raises(KeyError):
-            frame.good_value("t")
 
     def test_first_reading_of_a_repeated_id_wins(self):
         frame = frame_of(0.0, ("p", 1.0, GOOD), ("p", 2.0, SUSPECT))
@@ -273,8 +271,8 @@ def _csv(rows):
 
 class TestFrameColumns:
     """A frame is its poll's columns, and reads as its list of (id, value,
-    quality) readings would: each id's first reading and good value,
-    equality, pickling and the log's rows and csv bytes."""
+    quality) readings would: each id's first reading, equality, pickling,
+    and the log's good values, rows and csv bytes."""
 
     @staticmethod
     def check(frames):
@@ -290,19 +288,26 @@ class TestFrameColumns:
                 for iid, _, _ in readings:
                     first = next(r for r in readings if r[0] == iid)
                     assert _key((iid, *f.reading(iid))) == _key(first)
-                    _, value, quality = first
-                    good = value if quality == GOOD and value is not None else None
-                    assert repr(f.good_value(iid)) == repr(good)
                 with pytest.raises(KeyError):
                     f.reading("no such id")
-                with pytest.raises(KeyError):
-                    f.good_value("no such id")
             # equal as the lists of readings are: NaN is equal only to itself
             assert rebuilt == frame and hash(rebuilt) == hash(frame)
             assert (copy == frame) == (readings == readings_of(copy))
             assert (copy == frame) == all(value == value for _, value, _ in readings)
             assert frame != frame_of(frame.poll_time + 1.0, *readings)
             log.append(copy)
+            # the log's good value of an id is its first reading's, when
+            # that has a value and its quality is good
+            k = len(log) - 1
+            for iid, _, _ in readings:
+                _, value, quality = next(r for r in readings if r[0] == iid)
+                good = value if quality == GOOD and value is not None else None
+                assert repr(log.good_value(k, iid)) == repr(good)
+            with pytest.raises(KeyError):
+                log.good_value(k, "no such id")
+        for k in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log.good_value(k, log.ids[0])
         rows = [(f.poll_time, *r) for f in frames for r in readings_of(f)]
         assert [tuple(map(repr, row)) for row in log.rows()] == [tuple(map(repr, row))
                                                                  for row in rows]
@@ -353,6 +358,22 @@ class TestTelemetryLog:
         # a refused frame leaves nothing behind
         assert len(log) == 1
         assert list(log.rows()) == [(0.0, "a", 1.0, GOOD), (0.0, "b", 2.0, GOOD)]
+
+    def test_good_value_reads_a_polls_first_good_reading(self):
+        log = TelemetryLog()
+        with pytest.raises(KeyError):
+            log.good_value(0, "a")   # no instrument before the first frame
+        log.append(frame_of(0.0, ("a", 1.0, GOOD), ("b", 2.0, SUSPECT), ("a", 3.0, MISSING)))
+        log.append(frame_of(5.0, ("a", None, GOOD), ("b", 4.0, GOOD), ("a", 5.0, GOOD)))
+        assert [log.good_value(k, i) for k in (0, 1) for i in ("a", "b")] == [
+            1.0, None, None, 4.0]
+        # a negative poll counts from the end, as a list index does
+        assert [log.good_value(k, "b") for k in (-2, -1)] == [None, 4.0]
+        with pytest.raises(KeyError):
+            log.good_value(0, "c")
+        for k in (2, -3):
+            with pytest.raises(IndexError):
+                log.good_value(k, "a")
 
 
 class TestPlausibilityFilter:
@@ -432,11 +453,14 @@ class TestPlausibilityFilter:
         assert self.check(frame_of(0.0, ("p", None, MISSING)), limits)[1] == MISSING
 
     def test_a_good_reading_without_a_value_is_not_good(self):
-        # Good is one rule: quality good and a value.  good_value reads no
-        # value, the filter passes the reading unflagged, and the rate rule
-        # keeps t = 0 as the last good reading: 900 Pa/s passes, 1100 does not.
+        # Good is one rule: quality good and a value.  The log's good_value
+        # reads no value, the filter passes the reading unflagged, and the
+        # rate rule keeps t = 0 as the last good reading: 900 Pa/s passes,
+        # 1100 does not.
         empty = frame_of(5.0, ("p", None, GOOD))
-        assert empty.good_value("p") is None
+        log = TelemetryLog()
+        log.append(empty)
+        assert log.good_value(0, "p") is None
         limits = {"pressure": PlausibilityLimits(min_value=0.0, max_rate=1000.0,
                                                  flatline_polls=2)}
         history = [frame_of(0.0, ("p", 5.0e5, GOOD))]
